@@ -108,7 +108,9 @@ perf-gate: build
 # ALLOC_GATE_MAX_WORDS (default 0.01) minor-heap words per simulated
 # instruction on the superblock engine; the committed baseline is
 # exactly 0.  Legacy/predecode are reported but not gated (their
-# memory arms box the authority capability by design).
+# memory arms box the authority capability by design).  Also gates the
+# warm minor words per compartment-call round trip (0 B and 1024 B
+# stack) under a fixed ceiling; see alloc_gate_cmd in bench/main.ml.
 alloc-gate: build
 	dune exec bench/main.exe -- alloc-gate
 

@@ -1536,7 +1536,8 @@ let perf_gate_cmd _args =
 
 (* `bench -- alloc-gate`: CI gate for the packed register file's core
    claim — the steady-state superblock hot loop does zero minor-heap
-   allocation per instruction.  The first run of the rig pays one-time
+   allocation per instruction — and for the allocation-free switcher
+   path (warm words per compartment-call round trip, gated below).  The first run of the rig pays one-time
    costs (segment decode, superblock compilation, memo-cache fill); the
    second run must stay under ALLOC_GATE_MAX_WORDS minor words per
    instruction (default 0.01 — any real per-instruction allocation
@@ -1544,6 +1545,25 @@ let perf_gate_cmd _args =
    headroom for O(1) entry/exit boxing).  The fallback engines are
    reported for context but not gated: their Lw/Sw arms must still
    materialize a boxed authority capability for Machine.load/store. *)
+(* Warm minor-heap words per compartment-call round trip
+   ([Kernel.call1] into the callee and back through both switcher legs),
+   averaged over [n] calls after a few warm-up calls have decoded the
+   switcher, compiled its superblocks and filled the access caches. *)
+let call_round_trip_words ?(n = 200) import =
+  let b = boot_bench () in
+  let words = ref 0. in
+  run_bench b (fun ctx ->
+      let call () = ignore (Kernel.call1 ctx ~import [ iv 1 ]) in
+      for _ = 1 to 4 do
+        call ()
+      done;
+      let w0 = Gc.minor_words () in
+      for _ = 1 to n do
+        call ()
+      done;
+      words := (Gc.minor_words () -. w0) /. float_of_int n);
+  !words
+
 let alloc_gate_cmd _args =
   let max_words =
     match Sys.getenv_opt "ALLOC_GATE_MAX_WORDS" with
@@ -1575,6 +1595,29 @@ let alloc_gate_cmd _args =
       "alloc-gate: FAIL — superblock steady state allocates %.6f minor \
        words/instr (max %.3f)@."
       minor max_words;
+    exit 1
+  end;
+  (* Compartment-call round trips: the switcher path itself allocates
+     nothing once warm (hoisted-authority stores, closure-free block
+     dispatch); what remains is the kernel's boxed glue around it.
+     Measured 221.4 (0 B) and 252.0 (1024 B) words on OCaml 5.1.1; the
+     ceiling leaves ~15% headroom over the larger.  A regression that
+     allocates per zeroing trip (128 trips at 1024 B) or per switcher
+     instruction (~430) overshoots it by hundreds of words. *)
+  let call_max_words = 288. in
+  let over =
+    List.filter
+      (fun (label, import) ->
+        let w = call_round_trip_words import in
+        Fmt.pr "alloc-gate: call %-7s %8.1f minor words/round trip (max %.0f)@."
+          label w call_max_words;
+        w > call_max_words)
+      [ ("0 B", "callee.e0"); ("1024 B", "callee.e1024") ]
+  in
+  if over <> [] then begin
+    Fmt.epr "alloc-gate: FAIL — compartment-call round trip over %.0f minor words (%s)@."
+      call_max_words
+      (String.concat ", " (List.map fst over));
     exit 1
   end
 
@@ -1680,7 +1723,9 @@ let subcommands : (string * string * (string list -> unit)) list =
       perf_gate_cmd );
     ( "alloc-gate",
       "alloc-gate: fail unless the warm superblock loop allocates under \
-       ALLOC_GATE_MAX_WORDS (default 0.01) minor words per instruction",
+       ALLOC_GATE_MAX_WORDS (default 0.01) minor words per instruction \
+       and a warm compartment-call round trip (0 B and 1024 B stack) \
+       under 288 words",
       alloc_gate_cmd );
   ]
 

@@ -245,7 +245,7 @@ let attenuate_loaded ~auth c =
         Perm.Set.(remove Perm.Global (remove Perm.Load_global perms))
       else perms
     in
-    { c with perms }
+    if Perm.Set.equal perms c.perms then c else { c with perms }
 
 let exn = function Ok c -> c | Error v -> raise (Derivation v)
 let with_address_exn c a = exn (with_address c a)

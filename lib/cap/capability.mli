@@ -148,6 +148,10 @@ val otype_code : Otype.t -> int
 val sentry_code : Otype.sentry -> int
 (** [otype_code (Sentry s)]. *)
 
+val otype_of_code : int -> Otype.t
+(** Inverse of {!otype_code}; [Invalid_argument] on codes 6-8.
+    Allocation-free for the unsealed and sentry codes. *)
+
 (* Access checks (used by the memory and the ISA) *)
 
 val check_access :

@@ -66,6 +66,7 @@ let[@inline] m_sealed m = m lsr 13 <> 0
 let[@inline] m_otype m = m lsr 13
 let[@inline] m_perm_bits m = (m lsr 1) land 0xfff
 let[@inline] m_has_perm p m = m land (1 lsl (Perm.bit p + 1)) <> 0
+let[@inline] m_unsealed m = m land 0x1fff
 
 (* Slot accessors (bounds-checked). *)
 
@@ -93,6 +94,8 @@ let[@inline] set_slots pk r m b t c =
 
 let pack pk r c =
   set_slots pk r (Cap.meta c) (Cap.base c) (Cap.top c) (Cap.address c)
+
+let pack_at pk r c addr = set_slots pk r (Cap.meta c) (Cap.base c) (Cap.top c) addr
 
 let unpack pk r =
   if r = 0 then Cap.null

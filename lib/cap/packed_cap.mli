@@ -44,6 +44,8 @@ val m_sealed : int -> bool
 val m_otype : int -> int
 val m_perm_bits : int -> int
 val m_has_perm : Perm.t -> int -> bool
+val m_unsealed : int -> int
+(** The same meta word with the otype code cleared (unsealed). *)
 
 (* Slot accessors (bounds-checked). *)
 
@@ -60,6 +62,11 @@ val perm_bits : int array -> int -> int  (** [CGetPerm]'s value *)
 
 val pack : int array -> int -> Capability.t -> unit
 val unpack : int array -> int -> Capability.t
+
+val pack_at : int array -> int -> Capability.t -> int -> unit
+(** [pack_at pk r c addr] packs [c] with its cursor replaced by [addr]:
+    [Capability.with_address_unsealed c addr] without the boxed
+    intermediate. *)
 
 (* In-place writes and derivations; each mirrors the [Capability]
    operation of the same (or evident) name — same checks, same check

@@ -358,15 +358,25 @@ let set_error_handler t ~comp h =
 
 (* Helpers *)
 
+(* Code regions are disjoint; scanning from the end keeps the
+   last-match-wins answer of a full scan while stopping at the first
+   hit. *)
 let comp_of_code_addr t addr =
-  let found = ref None in
-  Array.iter
-    (fun c ->
+  let rec scan i =
+    if i < 0 then None
+    else
+      let c = t.comps.(i) in
       let l = c.layout in
       if addr >= l.Loader.lc_code_base && addr < l.Loader.lc_code_base + l.Loader.lc_code_size
-      then found := Some (c, (addr - l.Loader.lc_code_base) / 4))
-    t.comps;
-  !found
+      then Some (c, (addr - l.Loader.lc_code_base) / 4)
+      else scan (i - 1)
+  in
+  scan (Array.length t.comps - 1)
+
+(* The native entry's name as crash dumps show it; only the poisoned
+   and fault paths read it. *)
+let entry_label comp (entry : Firmware.entry) =
+  Printf.sprintf "native %s.%s" comp.layout.Loader.lc_name entry.Firmware.entry_name
 
 let pad_sentry t =
   let kind =
@@ -591,12 +601,10 @@ and dispatch t ~tid ~caller target =
           (Obs.Call_enter
              { caller; callee; entry = entry.Firmware.entry_name; tid });
       let entry_addr = comp.layout.Loader.lc_code_base + (4 * entry_idx) in
-      let entry_label =
-        Printf.sprintf "native %s.%s" callee entry.Firmware.entry_name
-      in
       if comp.poisoned then begin
         capture_dump t ~tid ~comp:callee ~cause:"compartment poisoned"
-          ~addr:(-1) ~pc:entry_addr ~instr:entry_label ~handler_ran:false;
+          ~addr:(-1) ~pc:entry_addr ~instr:(entry_label comp entry)
+          ~handler_ran:false;
         forced_unwind t th;
         if Machine.tracing t.machine then
           Machine.emit t.machine (Obs.Call_leave { callee; tid; faulted = true });
@@ -611,7 +619,7 @@ and dispatch t ~tid ~caller target =
               ~entry:entry.Firmware.entry_name
         | None -> false
       then
-        handle_callee_fault t ~tid ~entry_addr ~entry_label comp callee_ctx
+        handle_callee_fault t ~tid ~entry_addr ~entry comp callee_ctx
           "injected crash" (-1)
       else begin
         let impl =
@@ -630,11 +638,11 @@ and dispatch t ~tid ~caller target =
         match impl callee_ctx args with
         | r0, r1 -> finish_call t ~tid ~callee ~callee_csp ~ra_callee (r0, r1)
         | exception Memory.Fault f ->
-            handle_callee_fault t ~tid ~entry_addr ~entry_label comp callee_ctx
+            handle_callee_fault t ~tid ~entry_addr ~entry comp callee_ctx
               (Cap.violation_to_string f.Memory.cause)
               f.Memory.addr
         | exception Cap.Derivation v ->
-            handle_callee_fault t ~tid ~entry_addr ~entry_label comp callee_ctx
+            handle_callee_fault t ~tid ~entry_addr ~entry comp callee_ctx
               (Cap.violation_to_string v) (-1)
       end
 
@@ -658,9 +666,10 @@ and finish_call t ~tid ~callee ~callee_csp ~ra_callee (r0, r1) =
       failwith (Fmt.str "switcher return path trapped: %a" Interp.pp_trap tr)
   | Interp.Halted -> assert false
 
-and handle_callee_fault t ~tid ~entry_addr ~entry_label comp ctx cause addr =
+and handle_callee_fault t ~tid ~entry_addr ~entry comp ctx cause addr =
   capture_dump t ~tid ~comp:comp.layout.Loader.lc_name ~cause ~addr
-    ~pc:entry_addr ~instr:entry_label ~handler_ran:(comp.on_error <> None);
+    ~pc:entry_addr ~instr:(entry_label comp entry)
+    ~handler_ran:(comp.on_error <> None);
   Machine.tick t.machine Cost.trap_entry;
   let th = t.threads.(tid) in
   let fi =
@@ -933,6 +942,17 @@ let next_deadline t =
       | _ -> acc)
     None t.threads
 
+(* The largest k <= n such that k chunks fit below the event horizon
+   ([Machine.defer_window] is monotone in its argument), by bisection. *)
+let fast_chunks m ~chunk n =
+  let rec go lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi + 1) / 2 in
+      if Machine.defer_window m (mid * chunk) then go mid hi else go lo (mid - 1)
+  in
+  if n <= 0 then 0 else if Machine.defer_window m (n * chunk) then n else go 0 (n - 1)
+
 let run ?until_cycles t =
   let m = t.machine in
   let over () =
@@ -970,11 +990,25 @@ let run ?until_cycles t =
                 let chunk = 4096 in
                 let stop_early = ref false in
                 while (not !stop_early) && Machine.cycles m < d do
-                  let step = min chunk (d - Machine.cycles m) in
-                  t.idle <- t.idle + step;
-                  Machine.tick m step;
-                  wake_timeouts t;
-                  if pick_ready t <> None then stop_early := true
+                  let now = Machine.cycles m in
+                  let k = fast_chunks m ~chunk ((d - 1 - now) / chunk) in
+                  if k > 0 then begin
+                    (* Whole chunks ending before [d] and below the event
+                       horizon: every tick among them takes the fast path
+                       (no listener, timer or IRQ), so no thread state
+                       changes, no deadline (all >= d) expires, and
+                       [wake_timeouts]/[pick_ready] would find nothing
+                       after any of them — one tick is exact. *)
+                    t.idle <- t.idle + (k * chunk);
+                    Machine.tick m (k * chunk)
+                  end
+                  else begin
+                    let step = min chunk (d - now) in
+                    t.idle <- t.idle + step;
+                    Machine.tick m step;
+                    wake_timeouts t;
+                    if pick_ready t <> None then stop_early := true
+                  end
                 done;
                 loop ()
             | None ->

@@ -17,6 +17,7 @@ type dslot = Sb.dslot = { d_ins : Isa.instr; d_target : int }
 
 type segment = {
   seg_base : int;
+  seg_top : int;  (* seg_base + code bytes *)
   prog : Isa.program;
   mutable dec : dslot array option;
   mutable blk : Sb.block option array option;
@@ -92,7 +93,7 @@ let create ?(engine = `Superblock) machine =
 let machine t = t.machine
 let engine t = t.engine
 
-let seg_end s = s.seg_base + Isa.code_bytes s.prog
+let seg_end s = s.seg_top
 
 let map_segment t ~base prog =
   assert (base mod 4 = 0);
@@ -101,7 +102,9 @@ let map_segment t ~base prog =
       if base < seg_end s && base + Isa.code_bytes prog > s.seg_base then
         invalid_arg "map_segment: overlap")
     t.segments;
-  t.segments <- { seg_base = base; prog; dec = None; blk = None } :: t.segments;
+  t.segments <-
+    { seg_base = base; seg_top = base + Isa.code_bytes prog; prog; dec = None; blk = None }
+    :: t.segments;
   t.last_seg <- None
 
 let segment_base t name =
@@ -534,140 +537,144 @@ let run_fast t fuel pcc0 seg0 =
   in
   drive pcc0 seg0 (Cap.address pcc0) fuel
 
-(* The superblock dispatcher.  Per epoch it caches the pcc's bounds;
-   per block entry it validates the hoisted preconditions — pc inside
-   the segment and the pcc bounds for the whole block, enough fuel to
-   retire every instruction, and a compilable block — then runs the
-   fused closure, deferring tick batching when the block's worst-case
-   cost fits under the event horizon.  Any precondition failure
-   side-exits into [run_epoch], the exact per-instruction engine, for
-   the remainder of the epoch, so fuel traps, mid-block faults and
-   pathological register indices behave bit-identically to PR 5. *)
-let run_super t fuel pcc0 seg0 =
+(* The superblock dispatcher.  Per block entry it validates the hoisted
+   preconditions — pc inside the segment and the pcc bounds for the
+   whole block, enough fuel to retire every instruction, and a
+   compilable block — then runs the fused closure, deferring tick
+   batching when the block's worst-case cost fits under the event
+   horizon.  Any precondition failure side-exits into [run_epoch], the
+   exact per-instruction engine, for the remainder of the epoch, so fuel
+   traps, mid-block faults and pathological register indices behave
+   bit-identically to PR 5.
+
+   The dispatcher is a set of top-level functions with every piece of
+   per-run state (pcc, segment, block cache, pc, fuel, pending batch)
+   passed as arguments: block entry allocates no closure, and a
+   preempted run keeps its state in its own continuation.  [pend] is the
+   deferred-cycle batch carried across block boundaries (-1 = nothing
+   pending); it is flushed at every point where the clock becomes
+   observable: a side-exit, a non-deferred block entry, a fuel trap, or
+   the end of the run. *)
+let[@inline] pflush m pend = if pend > 0 then Machine.tick m pend
+
+let block_cache seg dec =
+  match seg.blk with
+  | Some b -> b
+  | None ->
+      let b = Array.make (Array.length dec) None in
+      seg.blk <- Some b;
+      b
+
+let rec sb_epoch t pcc seg pc budget pend =
+  let blk = block_cache seg (materialize seg) in
+  sb_blocks t pcc seg blk (Cap.base pcc) (Cap.top pcc) pc budget pend
+
+(* [clo]/[chi] are the pcc's bounds, read once per epoch. *)
+and sb_blocks t pcc seg blk clo chi pc budget pend =
   let m = t.machine in
-  let sb = t.sb in
-  (* [pend] is the deferred-cycle batch carried across block boundaries
-     (-1 = nothing pending).  It is flushed at every point where the
-     clock becomes observable: a side-exit, a non-deferred block entry,
-     a fuel trap, or the end of the run. *)
-  let[@inline] pflush pend = if pend > 0 then Machine.tick m pend in
-  let rec epoch pcc seg pc budget pend =
-    let dec = materialize seg in
-    let blk =
-      match seg.blk with
+  if budget <= 0 then begin
+    pflush m pend;
+    Trapped { tcause = Software "out of fuel"; tpc = pc }
+  end
+  else if pc < seg.seg_base || pc >= seg.seg_top then
+    match find_segment t pc with
+    | None ->
+        pflush m pend;
+        trap pc (Cap_fault Cap.Bounds_violation)
+    | Some s' -> sb_epoch t pcc s' pc budget pend
+  else begin
+    let sbase = seg.seg_base in
+    let idx = (pc - sbase) lsr 2 in
+    let b =
+      match Array.unsafe_get blk idx with
       | Some b -> b
       | None ->
-          let b = Array.make (Array.length dec) None in
-          seg.blk <- Some b;
+          let b = Sb.compile t.sb (materialize seg) ~base:sbase ~idx in
+          Array.unsafe_set blk idx (Some b);
           b
     in
-    let sbase = seg.seg_base and send = seg_end seg in
-    let clo = Cap.base pcc and chi = Cap.top pcc in
-    let rec blocks pc budget pend =
-      if budget <= 0 then begin
-        pflush pend;
-        Trapped { tcause = Software "out of fuel"; tpc = pc }
-      end
-      else if pc < sbase || pc >= send then
-        match find_segment t pc with
-        | None ->
-            pflush pend;
-            trap pc (Cap_fault Cap.Bounds_violation)
-        | Some s' -> epoch pcc s' pc budget pend
-      else begin
-        let idx = (pc - sbase) lsr 2 in
-        let b =
-          match Array.unsafe_get blk idx with
-          | Some b -> b
-          | None ->
-              let b = Sb.compile sb dec ~base:sbase ~idx in
-              Array.unsafe_set blk idx (Some b);
-              b
-        in
-        let len = b.Sb.b_len in
-        if len = 0 || pc < clo || pc + (4 * len) > chi || budget < len then begin
-          (* Side-exit: finish the epoch on the exact per-instruction
-             engine, then resume block dispatch at the next epoch. *)
-          pflush pend;
-          match run_epoch t pcc seg pc budget with
-          | `Out o -> o
-          | `Epoch (pcc', seg', pc', budget') -> epoch pcc' seg' pc' budget' (-1)
+    let len = b.Sb.b_len in
+    if len = 0 || pc < clo || pc + (4 * len) > chi || budget < len then begin
+      (* Side-exit: finish the epoch on the exact per-instruction
+         engine, then resume block dispatch at the next epoch. *)
+      pflush m pend;
+      match run_epoch t pcc seg pc budget with
+      | `Out o -> o
+      | `Epoch (pcc', seg', pc', budget') -> sb_epoch t pcc' seg' pc' budget' (-1)
+    end
+    else begin
+      let sb = t.sb in
+      let p0 = if pend >= 0 then pend else 0 in
+      if (not (Machine.tracing m)) && Machine.defer_window m (p0 + b.Sb.b_maxcost)
+      then
+        if b.Sb.b_self then begin
+          (* Tight loop: the compiled closure spins on itself for up to
+             [sspins] extra trips (bounded by the remaining fuel),
+             re-checking the horizon against the growing batch every
+             trip; it hands back how many trips it did not use. *)
+          let spins0 = (budget / len) - 1 in
+          sb.Sb.sspins <- spins0;
+          let e = b.Sb.b_run pcc p0 in
+          let used = (spins0 - sb.Sb.sspins + 1) * len in
+          sb_finish t pcc seg blk clo chi e (budget - used) sb.Sb.sret_acc
         end
-        else begin
-          let p0 = if pend >= 0 then pend else 0 in
-          if
-            (not (Machine.tracing m))
-            && Machine.defer_window m (p0 + b.Sb.b_maxcost)
-          then
-            if b.Sb.b_self then begin
-              (* Tight loop: the compiled closure spins on itself for up
-                 to [sspins] extra trips (bounded by the remaining fuel),
-                 re-checking the horizon against the growing batch every
-                 trip; it hands back how many trips it did not use. *)
-              let spins0 = (budget / len) - 1 in
-              sb.Sb.sspins <- spins0;
-              let e = b.Sb.b_run pcc p0 in
-              let used = (spins0 - sb.Sb.sspins + 1) * len in
-              finish e (budget - used) sb.Sb.sret_acc
-            end
-            else begin
-              (* Re-enter a block that branches back to itself without
-                 re-deriving the preconditions that cannot have changed —
-                 the pcc bounds and the compiled block itself.  Fuel,
-                 tracing and the event horizon (against the carried
-                 batch) are re-checked every trip: a cache-miss path
-                 inside the block ticks for real and can fire events. *)
-              let rec spin e budget =
-                let pend = sb.Sb.sret_acc in
-                if e = pc && budget >= len && not (Machine.tracing m) then begin
-                  let p0 = if pend >= 0 then pend else 0 in
-                  if Machine.defer_window m (p0 + b.Sb.b_maxcost) then
-                    spin (b.Sb.b_run pcc p0) (budget - len)
-                  else finish e budget pend
-                end
-                else finish e budget pend
-              in
-              spin (b.Sb.b_run pcc p0) (budget - len)
-            end
-          else begin
-            pflush pend;
-            let e = b.Sb.b_run pcc (-1) in
-            finish e (budget - len) sb.Sb.sret_acc
-          end
-        end
-      end
-    and finish e budget pend =
-      if e >= 0 then blocks e budget pend
-      else if e = Sb.x_halt then begin
-        pflush pend;
-        Halted
-      end
+        else sb_spin t pcc seg blk clo chi b pc (b.Sb.b_run pcc p0) (budget - len)
       else begin
-        (* Cjalr flushed before the posture change, so [pend] is -1. *)
-        let target = sb.Sb.sjump in
-        let pc' = Cap.address target in
-        match find_segment t pc' with
-        | None -> Exited target
-        | Some s' -> epoch target s' pc' budget pend
+        pflush m pend;
+        let e = b.Sb.b_run pcc (-1) in
+        sb_finish t pcc seg blk clo chi e (budget - len) sb.Sb.sret_acc
       end
-    in
-    blocks pc budget pend
-  in
-  epoch pcc0 seg0 (Cap.address pcc0) fuel (-1)
+    end
+  end
+
+(* Re-enter a block that branches back to itself without re-deriving
+   the preconditions that cannot have changed — the pcc bounds and the
+   compiled block itself.  Fuel, tracing and the event horizon (against
+   the carried batch) are re-checked every trip: a cache-miss path
+   inside the block ticks for real and can fire events. *)
+and sb_spin t pcc seg blk clo chi b pc e budget =
+  let m = t.machine in
+  let pend = t.sb.Sb.sret_acc in
+  let len = b.Sb.b_len in
+  if e = pc && budget >= len && not (Machine.tracing m) then begin
+    let p0 = if pend >= 0 then pend else 0 in
+    if Machine.defer_window m (p0 + b.Sb.b_maxcost) then
+      sb_spin t pcc seg blk clo chi b pc (b.Sb.b_run pcc p0) (budget - len)
+    else sb_finish t pcc seg blk clo chi e budget pend
+  end
+  else sb_finish t pcc seg blk clo chi e budget pend
+
+and sb_finish t pcc seg blk clo chi e budget pend =
+  if e >= 0 then sb_blocks t pcc seg blk clo chi e budget pend
+  else if e = Sb.x_halt then begin
+    pflush t.machine pend;
+    Halted
+  end
+  else begin
+    (* Cjalr flushed before the posture change, so [pend] is -1. *)
+    let target = t.sb.Sb.sjump in
+    let pc' = Cap.address target in
+    match find_segment t pc' with
+    | None -> Exited target
+    | Some s' -> sb_epoch t target s' pc' budget pend
+  end
+
+let run_super t fuel pcc0 seg0 = sb_epoch t pcc0 seg0 (Cap.address pcc0) fuel (-1)
+
+(* The legacy per-step loop. *)
+let rec run_legacy t pcc budget =
+  if budget <= 0 then
+    Trapped { tcause = Software "out of fuel"; tpc = Cap.address pcc }
+  else
+    match step t pcc with
+    | `Halt -> Halted
+    | `Next pcc' -> run_legacy t pcc' (budget - 1)
+    | `Jump target -> (
+        match find_segment t (Cap.address target) with
+        | Some _ -> run_legacy t target (budget - 1)
+        | None -> Exited target)
 
 let run ?(fuel = 1_000_000) t target =
-  let rec loop pcc budget =
-    if budget <= 0 then
-      Trapped { tcause = Software "out of fuel"; tpc = Cap.address pcc }
-    else
-      match step t pcc with
-      | `Halt -> Halted
-      | `Next pcc' -> loop pcc' (budget - 1)
-      | `Jump target -> (
-          match find_segment t (Cap.address target) with
-          | Some _ -> loop target (budget - 1)
-          | None -> Exited target)
-  in
   try
     let unsealed, _ = apply_jump_target t.machine (Cap.address target) target in
     match find_segment t (Cap.address unsealed) with
@@ -676,7 +683,7 @@ let run ?(fuel = 1_000_000) t target =
         match t.engine with
         | `Superblock -> run_super t fuel unsealed seg
         | `Predecode -> run_fast t fuel unsealed seg
-        | `Legacy -> loop unsealed fuel)
+        | `Legacy -> run_legacy t unsealed fuel)
   with
   | Trap_exn tr -> Trapped tr
   | Memory.Fault f ->

@@ -230,12 +230,13 @@ let store_priv m ~addr ~size:sz v =
   clear_granule_tag m addr;
   clear_granule_tag m (addr + sz - 1)
 
-(* Unchecked word access for the superblock engine's memoized fast
-   paths.  The caller has already validated the exact same access (same
-   byte offset, proven by physical equality of the authorizing
-   capability) through the full checked path, and re-validates staleness
-   via [filter_epoch]; so these skip the range check and the size
-   dispatch.  [store32_off] still clears the granule tag(s) — a data
+(* Unchecked access for the superblock engine's hoisted-authority fast
+   paths.  The caller has proved the access passes the full checked
+   path: the authority is value-equal to one that passed it (so tag,
+   seal, permission and load-filter outcomes repeat while the filter
+   epoch is unchanged) and the address was re-checked against bounds,
+   alignment and the SRAM range.  So these skip the range check and the
+   size dispatch.  The stores still clear the granule tag(s) — a data
    write always does, and the tag state is not covered by the epoch. *)
 
 external unsafe_get16 : bytes -> int -> int = "%caml_bytes_get16u"
@@ -251,18 +252,28 @@ let[@inline] get16_le b i =
 let[@inline] set16_le b i v =
   unsafe_set16 b i (if Sys.big_endian then swap16 (v land 0xffff) else v)
 
-let[@inline] word_offset m addr = addr - m.base
-
-let[@inline] load32_off m off =
+let[@inline] load32_unchecked m addr =
+  let off = addr - m.base in
   get16_le m.data off lor (get16_le m.data (off + 2) lsl 16)
 
-let[@inline] store32_off m off v =
+let[@inline] store32_unchecked m addr v =
+  let off = addr - m.base in
   set16_le m.data off (v land 0xffff);
   set16_le m.data (off + 2) ((v lsr 16) land 0xffff);
   let g = off lsr 3 (* / granule_size *) in
   cap_clear m g;
   let g2 = (off + 3) lsr 3 in
   if g2 <> g then cap_clear m g2
+
+external unsafe_set64 : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+(* A NULL capability store at a granule-aligned address: NULL's raw
+   encoding is eight zero bytes, and it is untagged, so the tag-set hook
+   never runs — exactly [store_cap_priv] of [Capability.null]. *)
+let[@inline] zero_granule_unchecked m addr =
+  let off = addr - m.base in
+  unsafe_set64 m.data off 0L;
+  cap_clear m (off lsr 3)
 
 (* Lossy raw encoding of a capability: cursor in the low word, a packed
    summary in the high word.  Reading a capability as data observes this,
@@ -376,9 +387,7 @@ let store ~auth m ~addr ~size:sz v =
   check m ~auth ~perm:Perm.Store ~addr ~size:sz Write;
   store_priv m ~addr ~size:sz v
 
-let load_cap ~auth m ~addr =
-  check m ~auth ~perm:Perm.Load ~addr ~size:granule_size Read;
-  if addr mod granule_size <> 0 then fault Cap.Bounds_violation addr Read;
+let load_cap_prechecked ~auth m ~addr =
   let c = load_cap_priv m ~addr in
   if not (Cap.has_perm Perm.Mem_cap auth) then Cap.clear_tag c
   else
@@ -389,6 +398,11 @@ let load_cap ~auth m ~addr =
       && rev_get m (granule_of m (Cap.base c))
     then Cap.clear_tag c
     else c
+
+let load_cap ~auth m ~addr =
+  check m ~auth ~perm:Perm.Load ~addr ~size:granule_size Read;
+  if addr mod granule_size <> 0 then fault Cap.Bounds_violation addr Read;
+  load_cap_prechecked ~auth m ~addr
 
 let store_cap ~auth m ~addr c =
   check m ~auth ~perm:Perm.Store ~addr ~size:granule_size Write;

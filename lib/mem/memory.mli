@@ -95,20 +95,29 @@ val zero : auth:Capability.t -> t -> addr:int -> len:int -> unit
 
 val load_priv : t -> addr:int -> size:int -> int
 val store_priv : t -> addr:int -> size:int -> int -> unit
-val word_offset : t -> int -> int
-(** Byte offset of an address inside the backing store, for
-    [load32_off]/[store32_off].  Compute it on a checked access and
-    reuse it only while that access provably revalidates (the
-    superblock inline caches key it on physical equality of the
-    authorizing capability plus [filter_epoch]). *)
+(* Unchecked access for an address proved to pass the full checked path
+   (the superblock engine's hoisted-authority caches: an authority
+   value-equal to one that passed, the same [filter_epoch], and the
+   address re-checked against bounds, alignment and this memory's
+   range). *)
 
-val load32_off : t -> int -> int
-(** Unchecked 32-bit load at a [word_offset].  The offset must come
-    from an access that passed the full checked path. *)
+val load32_unchecked : t -> int -> int
+(** 32-bit load. *)
 
-val store32_off : t -> int -> int -> unit
-(** Unchecked 32-bit store at a [word_offset]; clears the granule
-    tag(s) touched, like every data write. *)
+val store32_unchecked : t -> int -> int -> unit
+(** 32-bit store; clears the granule tag(s) touched, like every data
+    write. *)
+
+val zero_granule_unchecked : t -> int -> unit
+(** NULL-capability store at a granule-aligned address: eight zero
+    bytes and the granule's tag cleared — [store_cap_priv] of
+    [Capability.null], which never runs the tag-set hook. *)
+
+val load_cap_prechecked : auth:Capability.t -> t -> addr:int -> Capability.t
+(** [load_cap] minus its access check (capability, alignment, load
+    filter on [auth]): for a caller that has proved that check passes.
+    Still applies the [Mem_cap] rule, deep attenuation and the load
+    filter on the loaded capability. *)
 
 val load_cap_priv : t -> addr:int -> Capability.t
 val store_cap_priv : t -> addr:int -> Capability.t -> unit
