@@ -10,10 +10,11 @@
 
     The block-precondition invariant (see DESIGN.md): any state a
     compiled block assumes constant must be either epoch-checked (the
-    memoized load-filter caches re-validate against
-    {!Memory.filter_epoch} on every access) or guarded by a side-exit
-    at block entry (PCC bounds, fuel, the event-horizon window for
-    deferred tick batching). *)
+    hoisted-authority access caches key on the authority's packed
+    meta/base/top, re-check the address on every access and
+    re-validate against {!Memory.filter_epoch}) or guarded by a
+    side-exit at block entry (PCC bounds, fuel, the event-horizon
+    window for deferred tick batching). *)
 
 type dslot = { d_ins : Isa.instr; d_target : int (* -1 = no label operand *) }
 (** One pre-decoded instruction: branch label operands resolved to
