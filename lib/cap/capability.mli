@@ -166,6 +166,12 @@ val attenuate_loaded : auth:t -> t -> t
     loses [Global] and [Load_global].  Sentries are exempt from
     [Load_mutable] stripping, as in CHERIoT. *)
 
+val attenuate_loaded_perms : Perm.Set.t -> t -> t
+(** [attenuate_loaded] given only the authority's permission set (the
+    only part of [auth] it reads): [attenuate_loaded ~auth c] is
+    [attenuate_loaded_perms (perms auth) c].  Returns its argument
+    unchanged when no permission is removed. *)
+
 (* Convenience wrappers used by trusted code where failure is a bug. *)
 
 val exn : (t, violation) result -> t

@@ -68,6 +68,12 @@ let[@inline] m_perm_bits m = (m lsr 1) land 0xfff
 let[@inline] m_has_perm p m = m land (1 lsl (Perm.bit p + 1)) <> 0
 let[@inline] m_unsealed m = m land 0x1fff
 
+(* Direct access checks: [meta land access_mask key = key] holds iff
+   the tag and every permission bit of [key] are set and every otype bit
+   is clear (unsealed). *)
+let access_key ps = 1 lor (Perm.Set.to_bits ps lsl 1)
+let access_mask key = key lor (-1 lsl 13)
+
 (* Slot accessors (bounds-checked). *)
 
 let[@inline] meta pk r = pk.(r * 4)

@@ -47,6 +47,17 @@ val m_has_perm : Perm.t -> int -> bool
 val m_unsealed : int -> int
 (** The same meta word with the otype code cleared (unsealed). *)
 
+val access_key : Perm.Set.t -> int
+(** The meta bits an access through a capability needs: the tag and
+    every permission of the set. *)
+
+val access_mask : int -> int
+(** [access_mask key]: [key] plus every otype bit.  A meta word [m]
+    passes the tag, seal and permission parts of
+    [Capability.check_access] for the permissions in [key] iff
+    [m land access_mask key = key] — one mask and compare, computed
+    once per compiled instruction. *)
+
 (* Slot accessors (bounds-checked). *)
 
 val meta : int array -> int -> int

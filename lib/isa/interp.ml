@@ -10,9 +10,8 @@ module Pk = Packed_cap
    [map_segment] rejects overlap, so a slot's resolved target can never
    go stale while the segment is mapped.  [blk] is the superblock cache:
    one compiled block per possible entry slot, also lazy.  Both are pure
-   caches of the immutable program (block closures re-validate anything
-   mutable through the filter epoch), so they stay valid across snapshot
-   restore. *)
+   caches of the immutable program (block closures read all machine
+   state live), so they stay valid across snapshot restore. *)
 type dslot = Sb.dslot = { d_ins : Isa.instr; d_target : int }
 
 type segment = {
@@ -68,9 +67,7 @@ let create ?(engine = `Superblock) machine =
   (* Register file (one flat int array), special registers, retired-
      instruction counter and the segment map are the interpreter's whole
      mutable surface; the per-segment [dec]/[blk] arrays are pure caches
-     of immutable programs (all engines restore identically: compiled
-     blocks re-validate their memoized filter checks because [Memory]'s
-     restore bumps the filter epoch). *)
+     of immutable programs, so all engines restore identically. *)
   Machine.on_snapshot machine (fun () ->
       let sb = t.sb in
       let pk = Array.copy sb.Sb.spk in
@@ -539,13 +536,16 @@ let run_fast t fuel pcc0 seg0 =
 
 (* The superblock dispatcher.  Per block entry it validates the hoisted
    preconditions — pc inside the segment and the pcc bounds for the
-   whole block, enough fuel to retire every instruction, and a
-   compilable block — then runs the fused closure, deferring tick
-   batching when the block's worst-case cost fits under the event
-   horizon.  Any precondition failure side-exits into [run_epoch], the
-   exact per-instruction engine, for the remainder of the epoch, so fuel
-   traps, mid-block faults and pathological register indices behave
-   bit-identically to PR 5.
+   whole block, enough fuel to retire every instruction on its longest
+   path, and a compilable block — then runs the fused closure, deferring
+   tick batching when the block's worst-case cost fits under the event
+   horizon.  All three are checked for the full block, so they hold for
+   an execution that takes a mid-block exit too; fuel is then charged
+   from the instructions that execution reports having retired
+   ([sret_len]).  Any precondition failure side-exits into [run_epoch],
+   the exact per-instruction engine, for the remainder of the epoch, so
+   fuel traps, mid-block faults and pathological register indices
+   behave bit-identically to that engine.
 
    The dispatcher is a set of top-level functions with every piece of
    per-run state (pcc, segment, block cache, pc, fuel, pending batch)
@@ -615,14 +615,17 @@ and sb_blocks t pcc seg blk clo chi pc budget pend =
           let spins0 = (budget / len) - 1 in
           sb.Sb.sspins <- spins0;
           let e = b.Sb.b_run pcc p0 in
-          let used = (spins0 - sb.Sb.sspins + 1) * len in
+          let used = ((spins0 - sb.Sb.sspins) * len) + sb.Sb.sret_len in
           sb_finish t pcc seg blk clo chi e (budget - used) sb.Sb.sret_acc
         end
-        else sb_spin t pcc seg blk clo chi b pc (b.Sb.b_run pcc p0) (budget - len)
+        else begin
+          let e = b.Sb.b_run pcc p0 in
+          sb_spin t pcc seg blk clo chi b pc e (budget - sb.Sb.sret_len)
+        end
       else begin
         pflush m pend;
         let e = b.Sb.b_run pcc (-1) in
-        sb_finish t pcc seg blk clo chi e (budget - len) sb.Sb.sret_acc
+        sb_finish t pcc seg blk clo chi e (budget - sb.Sb.sret_len) sb.Sb.sret_acc
       end
     end
   end
@@ -630,7 +633,7 @@ and sb_blocks t pcc seg blk clo chi pc budget pend =
 (* Re-enter a block that branches back to itself without re-deriving
    the preconditions that cannot have changed — the pcc bounds and the
    compiled block itself.  Fuel, tracing and the event horizon (against
-   the carried batch) are re-checked every trip: a cache-miss path
+   the carried batch) are re-checked every trip: a full-path access
    inside the block ticks for real and can fire events. *)
 and sb_spin t pcc seg blk clo chi b pc e budget =
   let m = t.machine in
@@ -638,8 +641,10 @@ and sb_spin t pcc seg blk clo chi b pc e budget =
   let len = b.Sb.b_len in
   if e = pc && budget >= len && not (Machine.tracing m) then begin
     let p0 = if pend >= 0 then pend else 0 in
-    if Machine.defer_window m (p0 + b.Sb.b_maxcost) then
-      sb_spin t pcc seg blk clo chi b pc (b.Sb.b_run pcc p0) (budget - len)
+    if Machine.defer_window m (p0 + b.Sb.b_maxcost) then begin
+      let e = b.Sb.b_run pcc p0 in
+      sb_spin t pcc seg blk clo chi b pc e (budget - t.sb.Sb.sret_len)
+    end
     else sb_finish t pcc seg blk clo chi e budget pend
   end
   else sb_finish t pcc seg blk clo chi e budget pend

@@ -3,23 +3,30 @@ module Pk = Packed_cap
 
 (* Superblock compiler: the third interpreter back-end.
 
-   A superblock is the straight-line run from a jump target (or branch
-   fall-through) to the next control-flow instruction, inclusive.  On
+   A superblock is the trace from a jump target (or branch target) to
+   the next unconditional control transfer or back-edge to its own
+   entry, inclusive, running through every other conditional branch on
+   its not-taken side; a taken branch leaves the block mid-way.  On
    first execution the pre-decoded slots of that run are compiled into a
    single fused OCaml closure chain — one closure per instruction, each
    tail-calling the next — so the per-step dispatch, segment-range and
    PCC-bounds checks disappear from the hot path: the dispatcher in
    [Interp] validates the whole block's preconditions once at entry and
    either runs the fused closure or side-exits to the exact per-
-   instruction engine.
+   instruction engine.  The preconditions are checked for the full
+   length of the block (fuel, PCC bounds, worst-case cost under the
+   event horizon), so they stay sufficient for an execution that leaves
+   early; each exit reports how many instructions it retired
+   ([sret_len]) and the dispatcher charges fuel from that.
 
    Register file: the packed capability file ([Packed_cap]) — each
    register is four untagged ints (meta, base, top, cursor) in one flat
-   [int array], so the steady-state arm bodies (ALU, branches, cached
-   loads/stores, in-place derivations) perform zero minor-heap
-   allocation and no GC write barriers.  Boxed [Cap.t] values appear
-   only at boundaries: the threaded pcc, [Machine] memory authority on
-   cache misses, Cjalr targets/links, special registers — all converted
+   [int array], so the steady-state arm bodies (ALU, branches, data
+   loads/stores, NULL capability stores, in-place derivations) perform
+   zero minor-heap allocation and no GC write barriers.  Boxed [Cap.t]
+   values appear only at boundaries: the threaded pcc, the [Machine]
+   memory authority on the full checked path, loaded and stored
+   capabilities, Cjalr targets/links, special registers — all converted
    through the exact [pack]/[unpack] bijection.
 
    Equivalence contract (every rule here exists to keep registers,
@@ -51,17 +58,17 @@ module Pk = Packed_cap
 
    - Anything with an observer flushes before it runs and disables
      deferral after: MMIO device access (devices read the clock and
-     raise IRQs), a capability store that may set a tag (the tag-set
-     hook settles the revoker against the live clock).  A NULL
-     capability store only clears a tag and stays deferred.
+     raise IRQs), a capability store that may set a tag while a
+     revoker sweep is in flight (the tag-set hook settles the sweep
+     against the live clock).  A NULL capability store only clears a
+     tag, and with the revoker idle the tag-set hook does nothing, so
+     both stay deferred.
 
-   - The per-slot access caches ([acache] below) are valid iff the
-     authorising register's packed meta/base/top equal the fill-time
-     snapshot and [Memory.filter_epoch] is unchanged; the address is
-     re-checked on every access (bounds, alignment, SRAM range).  The
-     epoch bumps on every revocation-bit edit, load-filter toggle and
-     snapshot restore, so a covered access has the same (passing)
-     outcome as the full check chain. *)
+   - Memory arms check the access directly on the packed authority
+     ([direct] below): the same outcome as the full check chain, from
+     the live register and the live revocation bitmap, with nothing
+     cached.  The load filter is re-read after the access charge when
+     that charge really ticks, exactly where the full chain runs it. *)
 
 type dslot = { d_ins : Isa.instr; d_target : int (* -1 = no label operand *) }
 
@@ -73,10 +80,11 @@ exception Trap_exn of trap
 
 (* Shared execution state: the packed register file and counters every
    engine reads and writes in place.  [sjump] carries a Cjalr target
-   from the terminator closure to the dispatcher, and [sret_acc] the
-   pending deferred-cycle batch that a pure-control terminator hands
-   back instead of flushing (each written and read back-to-back with no
-   tick in between, so a preempting run cannot clobber them).  Carrying
+   from the terminator closure to the dispatcher, [sret_acc] the
+   pending deferred-cycle batch that a block exit hands back instead of
+   flushing, and [sret_len] the instructions that execution retired
+   (each written and read back-to-back with no tick in between, so a
+   preempting run cannot clobber them).  Carrying
    the batch across blocks lets a tight loop make many trips on a
    single flush; the dispatcher re-validates [Machine.defer_window]
    against the carried batch plus the next block's worst case before
@@ -90,6 +98,7 @@ type ctx = {
   mutable sinstret : int;
   mutable sjump : Cap.t;
   mutable sret_acc : int;
+  mutable sret_len : int;
   mutable sspins : int;
 }
 
@@ -102,6 +111,7 @@ let make_ctx machine =
     sinstret = 0;
     sjump = Cap.null;
     sret_acc = -1;
+    sret_len = 0;
     sspins = 0;
   }
 
@@ -113,9 +123,9 @@ let x_halt = -1
 let x_jump = -2
 
 type block = {
-  b_len : int;  (* instructions in the block; 0 = uncompilable, side-exit *)
+  b_len : int;  (* instructions on the longest path; 0 = uncompilable, side-exit *)
   b_maxcost : int;  (* worst-case cycles: the defer_window precondition *)
-  b_self : bool;  (* terminator's taken target is the block's own entry *)
+  b_self : bool;  (* the last instruction branches back to the entry *)
   b_run : Cap.t -> int -> int;  (* pcc -> acc -> exit *)
 }
 
@@ -217,78 +227,58 @@ let trapfx m acc pc cause =
 let[@inline] pkfx m acc pc code =
   if code <> 0 then trapfx m acc pc (Cap_fault (Pk.violation code))
 
-(* Hoisted-authority access cache, one per Lw/Sw/Clc/Csc slot.  It
-   holds the authorising register's packed meta/base/top (cursor
-   excluded: the switcher's zeroing loops walk one authority across a
-   whole stack window) from the last access that passed the full checked
-   path, plus the filter epoch that access saw.  A cursor-free key is
-   enough because each check in the chain is either a pure function of
-   those three ints (tag, seal, permissions, the load filter on the
-   base — the latter also of the epoch) or of the address, which
-   [covers] re-checks on every access: bounds, size alignment and the
-   SRAM range.  A capability store that may set a tag additionally
-   re-checks Store_local against the source.  [a_t] = min_int marks the
-   cache empty (no constructible top is negative), so a NULL authority
-   never matches. *)
-type acache = {
-  mutable a_m : int;
-  mutable a_b : int;
-  mutable a_t : int;
-  mutable a_lo : int;  (* lowest and highest access address both inside *)
-  mutable a_hi : int;  (* the authority's bounds and SRAM, for this size *)
-  mutable a_ep : int;
-  mutable a_auth : Cap.t;  (* the filling authority, for Clc's attenuation *)
-}
-
-let new_cache () =
-  { a_m = 0; a_b = 0; a_t = min_int; a_lo = 0; a_hi = -1; a_ep = -1; a_auth = Cap.null }
-
-(* Fill after a full checked [sz]-byte access through [auth] succeeded
-   inside SRAM. *)
-let fill c mem sz auth =
-  let b = Cap.base auth and t = Cap.top auth in
-  c.a_m <- Cap.meta auth;
-  c.a_b <- b;
-  c.a_t <- t;
-  c.a_lo <- max b (Memory.base mem);
-  c.a_hi <- min t (Memory.base mem + Memory.size mem) - sz;
-  c.a_ep <- Memory.filter_epoch mem;
-  c.a_auth <- auth
-
-(* Every check of the full path except the filter-epoch one has the
-   outcome it had at fill time — a pass — for an [sz]-byte access at
-   [addr] through the register packed at [os]: same meta/base/top, and
-   the address within [a_lo, a_hi] (capability bounds and SRAM range)
-   and size-aligned. *)
-let[@inline] covers c pk os addr sz =
-  Array.unsafe_get pk (os + 2) = c.a_t
-  && Array.unsafe_get pk (os + 1) = c.a_b
-  && Array.unsafe_get pk os = c.a_m
-  && addr >= c.a_lo
-  && addr <= c.a_hi
+(* Direct access checks on the packed authority.  An [sz]-byte access at
+   [addr] through the register packed at [os] passes every check of the
+   full checked path iff
+   - its meta word holds [key]'s tag and permission bits and no otype
+     bits (one mask and compare, see [Pk.access_mask]);
+   - [addr, addr + sz) lies inside the capability's bounds and inside
+     SRAM ([lo], [hi]: the memory's range);
+   - [addr] is size-aligned;
+   - the load filter passes on the authority's base.
+   Nothing is remembered between accesses, so nothing can go stale: a
+   revocation edit, a filter toggle or a snapshot restore is seen by
+   the very next access.  When the predicate holds the arm goes straight
+   to the backing store; when it fails the arm takes the full checked
+   [Machine] path, which raises the exact fault at the exact cycle. *)
+let[@inline] direct mem lo hi pk os key mask addr sz =
+  Array.unsafe_get pk os land mask = key
+  && addr >= Array.unsafe_get pk (os + 1)
+  && addr + sz <= Array.unsafe_get pk (os + 2)
+  && addr >= lo
+  && addr + sz <= hi
   && addr land (sz - 1) = 0
+  && not (Memory.base_filtered mem (Array.unsafe_get pk (os + 1)))
 
-(* Deferred and covered with the filter epoch unchanged: no tick can
-   intervene, so the arm retires and charges in one batched add. *)
-let[@inline] batched c mem pk os addr sz acc =
-  acc >= 0 && covers c pk os addr sz && Memory.filter_epoch mem = c.a_ep
+let k_load = Pk.access_key (Perm.Set.of_list [ Perm.Load ])
+let m_load = Pk.access_mask k_load
+let k_store = Pk.access_key (Perm.Set.of_list [ Perm.Store ])
+let m_store = Pk.access_mask k_store
+let k_store_cap = Pk.access_key (Perm.Set.of_list [ Perm.Store; Perm.Mem_cap ])
+let m_store_cap = Pk.access_mask k_store_cap
 
-(* The post-charge half of a covered access: if the filter epoch moved
-   since the cache last passed the filter (a revocation edit, a filter
-   toggle or a restore — possibly by a listener inside the charge just
-   made), re-run the alignment + filter check exactly where the checked
-   path runs it, trapping with pending cycles flushed.  That check reads
-   only the authority's base, which the key pins to [a_auth]'s. *)
-let refilter m acc c addr sz access =
-  let mem = Machine.mem m in
-  (try Memory.check_aligned_filtered mem ~auth:c.a_auth ~addr ~size:sz access
-   with e ->
-     flushx m acc;
-     raise e);
-  c.a_ep <- Memory.filter_epoch mem
+(* The non-deferred half of a direct access.  The full path runs the
+   load filter after the access charge, and that charge may tick into a
+   listener that edits revocation bits, so re-read the filter there (on
+   the base read before the charge, as the full path's boxed authority
+   was) and raise its exact fault. *)
+let refilter m acc mem base addr access =
+  if Memory.base_filtered mem base then begin
+    flushx m acc;
+    raise (Memory.Fault { Memory.cause = Cap.Tag_violation; addr; access })
+  end
 
-let[@inline] revalidate m acc c mem addr sz access =
-  if Memory.filter_epoch mem <> c.a_ep then refilter m acc c addr sz access
+(* A tagged capability store may skip the Store_local fault: the source
+   (meta [sm]) is untagged or Global, or the authority ([am]) has
+   Store_local. *)
+let[@inline] local_ok sm am =
+  (not (Pk.m_tag sm))
+  || Pk.m_has_perm Perm.Global sm
+  || Pk.m_has_perm Perm.Store_local am
+
+(* [Clc]'s attenuation and Mem_cap rule read only the authority's
+   permissions. *)
+let[@inline] perms_of am = Perm.Set.of_bits (Pk.m_perm_bits am)
 
 (* [apply_jump_target] on a packed target register: the same checks in
    the same order and the same posture change, boxing only the unsealed
@@ -307,10 +297,16 @@ let jump_target_pk m pk rs pc =
   Cap.of_meta ~meta ~base:(Pk.base pk rs) ~top:(Pk.top pk rs)
     ~cursor:(Pk.cursor pk rs)
 
-let is_terminator = function
-  | Isa.Beq _ | Isa.Bne _ | Isa.Bltu _ | Isa.Bgeu _ | Isa.J _ | Isa.Cjal _
-  | Isa.Cjalr _ | Isa.Halt | Isa.Trapif _ ->
-      true
+(* Block shape: from the entry slot to the first unconditional control
+   transfer (J, Cjal, Cjalr, Halt, Trapif) or the first conditional
+   branch back to the entry (a self-loop), inclusive.  Any other
+   conditional branch is a mid-block exit: taken, the block returns its
+   target; not taken, execution continues in the same closure chain.  A
+   block is thus a trace through its not-taken branches. *)
+let ends_block entry slot =
+  match slot.d_ins with
+  | Isa.J _ | Isa.Cjal _ | Isa.Cjalr _ | Isa.Halt | Isa.Trapif _ -> true
+  | Isa.Beq _ | Isa.Bne _ | Isa.Bltu _ | Isa.Bgeu _ -> slot.d_target = entry
   | _ -> false
 
 (* Worst-case cycle cost of one instruction, for the defer_window
@@ -327,14 +323,26 @@ exception Unsupported
 
 let okr r = r >= 0 && r < 16
 
+(* Every exit hands back the pending batch and the number of
+   instructions this execution retired (on the last trip, for a
+   self-loop). *)
+let[@inline] leave ctx acc n pc =
+  ctx.sret_acc <- acc;
+  ctx.sret_len <- n;
+  pc
+
 let compile ctx dec ~base ~idx =
   let m = ctx.sm and mem = ctx.smem and pk = ctx.spk in
+  let lo = Memory.base mem in
+  let hi = lo + Memory.size mem in
   let n = Array.length dec in
+  let entry = base + (4 * idx) in
   let stop =
-    let rec f j = if j >= n then n else if is_terminator dec.(j).d_ins then j else f (j + 1) in
+    let rec f j = if j >= n then n else if ends_block entry dec.(j) then j else f (j + 1) in
     f idx
   in
   let last = if stop >= n then n - 1 else stop in
+  let len = last - idx + 1 in
   let maxcost = ref 0 in
   for j = idx to last do
     maxcost := !maxcost + instr_maxcost dec.(j).d_ins
@@ -347,19 +355,25 @@ let compile ctx dec ~base ~idx =
      Deferred execution is atomic — every tick inside it is below the
      horizon, so it takes the fast path and cannot run effects — which
      is what makes the [sspins] counter and the skipped tracing recheck
-     sound: nothing can preempt or toggle tracing mid-spin. *)
-  let entry = base + (4 * idx) in
+     sound: nothing can preempt or toggle tracing mid-spin.  Every trip
+     that loops back ran the whole block, so the dispatcher charges fuel
+     as [len] per extra trip plus the last trip's [sret_len]. *)
   let head = ref (fun (_ : Cap.t) (_ : int) -> x_halt) in
   let self = ref false in
+  let back pcc acc =
+    if acc >= 0 && ctx.sspins > 0 && Machine.defer_window m (acc + mc) then begin
+      ctx.sspins <- ctx.sspins - 1;
+      !head pcc acc
+    end
+    else leave ctx acc len entry
+  in
   let rec build j : Cap.t -> int -> int =
     if j > last then
       (* No terminator before the segment end: fall off; the dispatcher
          re-checks segment and bounds at the returned pc, exactly as the
          per-instruction engine would on its next step. *)
       let fall = base + (4 * j) in
-      fun _pcc acc ->
-        ctx.sret_acc <- acc;
-        fall
+      fun _pcc acc -> leave ctx acc len fall
     else begin
       let slot = Array.unsafe_get dec j in
       let pc = base + (4 * j) in
@@ -407,22 +421,20 @@ let compile ctx dec ~base ~idx =
             let acc = retire ctx acc in
             uint pk rd (ucur pk rs land v);
             k pcc acc
-      (* --- memory: hoisted-authority caches.  A deferred covered
-         access retires and charges in one batched add.  Otherwise the
-         arm retires (a real tick when not deferring; the registers are
-         re-read after it, as the per-step engines read them), and a
-         covered access charges, revalidates the filter epoch after the
-         charge (that tick may run a listener that edits revocation
-         bits) and goes straight to the backing store; anything else
-         takes the full checked [Machine] path and refills the cache on
-         success. --- *)
+      (* --- memory: direct checks on the packed authority.  Deferred
+         and passing, the arm retires and charges in one batched add.
+         Otherwise it retires (a real tick when not deferring; the
+         registers are re-read after it, as the per-step engines read
+         them); a passing access then charges, re-reads the load filter
+         after the charge and goes straight to the backing store, and
+         anything else takes the full checked [Machine] path. --- *)
       | Isa.Lw (rd, imm, rs) ->
           if not (okr rd && okr rs) then raise Unsupported;
-          let os = rs lsl 2 and c = new_cache () in
+          let os = rs lsl 2 in
           let k = build (j + 1) in
           fun pcc acc ->
             let addr = ucur pk rs + imm in
-            if batched c mem pk os addr 4 acc then begin
+            if acc >= 0 && direct mem lo hi pk os k_load m_load addr 4 then begin
               ctx.sinstret <- ctx.sinstret + 1;
               uint pk rd (Memory.load32_unchecked mem addr);
               k pcc (acc + (Cost.instr + Cost.mem_word))
@@ -430,9 +442,10 @@ let compile ctx dec ~base ~idx =
             else begin
               let acc = retire ctx acc in
               let addr = ucur pk rs + imm in
-              if covers c pk os addr 4 then begin
+              if direct mem lo hi pk os k_load m_load addr 4 then begin
+                let b = Array.unsafe_get pk (os + 1) in
                 let acc = charge m acc Cost.mem_word in
-                revalidate m acc c mem addr 4 Memory.Read;
+                refilter m acc mem b addr Memory.Read;
                 uint pk rd (Memory.load32_unchecked mem addr);
                 k pcc acc
               end
@@ -445,7 +458,6 @@ let compile ctx dec ~base ~idx =
                       flushx m acc;
                       raise e
                   in
-                  fill c mem 4 auth;
                   uint pk rd v;
                   k pcc acc
                 end
@@ -461,11 +473,11 @@ let compile ctx dec ~base ~idx =
             end
       | Isa.Sw (rs2, imm, rs1) ->
           if not (okr rs2 && okr rs1) then raise Unsupported;
-          let os = rs1 lsl 2 and c = new_cache () in
+          let os = rs1 lsl 2 in
           let k = build (j + 1) in
           fun pcc acc ->
             let addr = ucur pk rs1 + imm in
-            if batched c mem pk os addr 4 acc then begin
+            if acc >= 0 && direct mem lo hi pk os k_store m_store addr 4 then begin
               ctx.sinstret <- ctx.sinstret + 1;
               Memory.store32_unchecked mem addr (ucur pk rs2);
               k pcc (acc + (Cost.instr + Cost.mem_word))
@@ -473,10 +485,11 @@ let compile ctx dec ~base ~idx =
             else begin
               let acc = retire ctx acc in
               let addr = ucur pk rs1 + imm in
-              if covers c pk os addr 4 then begin
+              if direct mem lo hi pk os k_store m_store addr 4 then begin
+                let b = Array.unsafe_get pk (os + 1) and v = ucur pk rs2 in
                 let acc = charge m acc Cost.mem_word in
-                revalidate m acc c mem addr 4 Memory.Write;
-                Memory.store32_unchecked mem addr (ucur pk rs2);
+                refilter m acc mem b addr Memory.Write;
+                Memory.store32_unchecked mem addr v;
                 k pcc acc
               end
               else begin
@@ -486,7 +499,6 @@ let compile ctx dec ~base ~idx =
                    with e ->
                      flushx m acc;
                      raise e);
-                  fill c mem 4 auth;
                   k pcc acc
                 end
                 else begin
@@ -498,24 +510,26 @@ let compile ctx dec ~base ~idx =
             end
       | Isa.Clc (rd, imm, rs) ->
           if not (okr rd && okr rs) then raise Unsupported;
-          let os = rs lsl 2 and c = new_cache () in
+          let os = rs lsl 2 in
           let k = build (j + 1) in
           fun pcc acc ->
             let addr = ucur pk rs + imm in
-            (* Mem_cap and attenuation read only the authority's
-               permissions, which the key pins. *)
-            if batched c mem pk os addr Memory.granule_size acc then begin
+            if acc >= 0 && direct mem lo hi pk os k_load m_load addr Memory.granule_size
+            then begin
               ctx.sinstret <- ctx.sinstret + 1;
-              Pk.pack pk rd (Memory.load_cap_prechecked ~auth:c.a_auth mem ~addr);
+              let perms = perms_of (Array.unsafe_get pk os) in
+              Pk.pack pk rd (Memory.load_cap_prechecked ~perms mem ~addr);
               k pcc (acc + (Cost.instr + Cost.mem_cap))
             end
             else begin
               let acc = retire ctx acc in
               let addr = ucur pk rs + imm in
-              if covers c pk os addr Memory.granule_size then begin
+              if direct mem lo hi pk os k_load m_load addr Memory.granule_size then begin
+                let perms = perms_of (Array.unsafe_get pk os)
+                and b = Array.unsafe_get pk (os + 1) in
                 let acc = charge m acc Cost.mem_cap in
-                revalidate m acc c mem addr Memory.granule_size Memory.Read;
-                Pk.pack pk rd (Memory.load_cap_prechecked ~auth:c.a_auth mem ~addr);
+                refilter m acc mem b addr Memory.Read;
+                Pk.pack pk rd (Memory.load_cap_prechecked ~perms mem ~addr);
                 k pcc acc
               end
               else begin
@@ -526,21 +540,22 @@ let compile ctx dec ~base ~idx =
                     flushx m acc;
                     raise e
                 in
-                fill c mem Memory.granule_size auth;
                 Pk.pack pk rd v;
                 k pcc acc
               end
             end
       | Isa.Csc (0, imm, rs1) ->
           (* NULL store (the switcher's zeroing loops and frame scrub):
-             untagged, so it never runs the tag-set hook and stays
-             deferred on the covered path. *)
+             untagged, so it never runs the tag-set hook. *)
           if not (okr rs1) then raise Unsupported;
-          let os = rs1 lsl 2 and c = new_cache () in
+          let os = rs1 lsl 2 in
           let k = build (j + 1) in
           fun pcc acc ->
             let addr = ucur pk rs1 + imm in
-            if batched c mem pk os addr Memory.granule_size acc then begin
+            if
+              acc >= 0
+              && direct mem lo hi pk os k_store_cap m_store_cap addr Memory.granule_size
+            then begin
               ctx.sinstret <- ctx.sinstret + 1;
               Memory.zero_granule_unchecked mem addr;
               k pcc (acc + (Cost.instr + Cost.mem_cap))
@@ -548,50 +563,61 @@ let compile ctx dec ~base ~idx =
             else begin
               let acc = retire ctx acc in
               let addr = ucur pk rs1 + imm in
-              if covers c pk os addr Memory.granule_size then begin
+              if direct mem lo hi pk os k_store_cap m_store_cap addr Memory.granule_size
+              then begin
+                let b = Array.unsafe_get pk (os + 1) in
                 let acc = charge m acc Cost.mem_cap in
-                revalidate m acc c mem addr Memory.granule_size
-                  Memory.Write;
+                refilter m acc mem b addr Memory.Write;
                 Memory.zero_granule_unchecked mem addr;
                 k pcc acc
               end
               else begin
                 flushx m acc;
-                let auth = Pk.unpack pk rs1 in
-                Machine.store_cap m ~auth ~addr Cap.null;
-                fill c mem Memory.granule_size auth;
+                Machine.store_cap m ~auth:(Pk.unpack pk rs1) ~addr Cap.null;
                 k pcc (-1)
               end
             end
       | Isa.Csc (rs2, imm, rs1) ->
           if not (okr rs2 && okr rs1) then raise Unsupported;
-          let os = rs1 lsl 2 and os2 = rs2 lsl 2 and c = new_cache () in
+          let os = rs1 lsl 2 and os2 = rs2 lsl 2 in
           let k = build (j + 1) in
           fun pcc acc ->
-            let acc = retire ctx acc in
-            (* A tagged source runs the tag-set hook, which settles the
-               revoker against the live clock: flush first, stop
-               deferring after. *)
-            flushx m acc;
             let addr = ucur pk rs1 + imm in
-            let sm = Array.unsafe_get pk os2 in
+            (* A store that may set a tag runs the tag-set hook.  With the
+               revoker idle that hook does nothing, and nothing inside a
+               deferred batch can start a sweep, so the store stays in
+               the batch. *)
             if
-              covers c pk os addr Memory.granule_size
-              && ((not (Pk.m_tag sm))
-                 || Pk.m_has_perm Perm.Global sm
-                 || Pk.m_has_perm Perm.Store_local c.a_m)
+              acc >= 0
+              && (not (Machine.revoker_busy m))
+              && direct mem lo hi pk os k_store_cap m_store_cap addr Memory.granule_size
+              && local_ok (Array.unsafe_get pk os2) (Array.unsafe_get pk os)
             then begin
-              Machine.tick m Cost.mem_cap;
-              revalidate m (-1) c mem addr Memory.granule_size
-                Memory.Write;
+              ctx.sinstret <- ctx.sinstret + 1;
               Memory.store_cap_priv mem ~addr (Pk.unpack pk rs2);
-              k pcc (-1)
+              k pcc (acc + (Cost.instr + Cost.mem_cap))
             end
             else begin
-              let auth = Pk.unpack pk rs1 in
-              Machine.store_cap m ~auth ~addr (Pk.unpack pk rs2);
-              fill c mem Memory.granule_size auth;
-              k pcc (-1)
+              (* Otherwise the hook settles a sweep against the live
+                 clock: flush first, stop deferring after. *)
+              let acc = retire ctx acc in
+              flushx m acc;
+              let addr = ucur pk rs1 + imm in
+              let src = Pk.unpack pk rs2 in
+              if
+                direct mem lo hi pk os k_store_cap m_store_cap addr Memory.granule_size
+                && local_ok (Array.unsafe_get pk os2) (Array.unsafe_get pk os)
+              then begin
+                let b = Array.unsafe_get pk (os + 1) in
+                Machine.tick m Cost.mem_cap;
+                refilter m (-1) mem b addr Memory.Write;
+                Memory.store_cap_priv mem ~addr src;
+                k pcc (-1)
+              end
+              else begin
+                Machine.store_cap m ~auth:(Pk.unpack pk rs1) ~addr src;
+                k pcc (-1)
+              end
             end
       | Isa.Cincaddr (rd, a, b) ->
           if not (okr rd && okr a && okr b) then raise Unsupported;
@@ -733,152 +759,81 @@ let compile ctx dec ~base ~idx =
             let acc = retire ctx acc in
             Pk.clear_tag pk ~dst:rd ~src:a;
             k pcc acc
-      (* --- terminators: flush and return the exit --- *)
+      (* --- conditional branches: a back-edge to the entry ends the
+         block as a self-loop; any other branch is a mid-block exit --- *)
       | Isa.Beq (a, b, _) ->
           if not (okr a && okr b) then raise Unsupported;
-          let tpc = slot.d_target and fpc = pc + 4 in
+          let tpc = slot.d_target in
           if tpc = entry then begin
             self := true;
             fun pcc acc ->
               let acc = retire ctx acc in
-              if ucur pk a = ucur pk b then
-                if
-                  acc >= 0 && ctx.sspins > 0
-                  && Machine.defer_window m (acc + mc)
-                then begin
-                  ctx.sspins <- ctx.sspins - 1;
-                  !head pcc acc
-                end
-                else begin
-                  ctx.sret_acc <- acc;
-                  tpc
-                end
-              else begin
-                ctx.sret_acc <- acc;
-                fpc
-              end
+              if ucur pk a = ucur pk b then back pcc acc else leave ctx acc len (pc + 4)
           end
-          else
-            fun _pcc acc ->
+          else begin
+            let k = build (j + 1) and nj = j - idx + 1 in
+            fun pcc acc ->
               let acc = retire ctx acc in
-              ctx.sret_acc <- acc;
-              if ucur pk a = ucur pk b then tpc else fpc
+              if ucur pk a = ucur pk b then leave ctx acc nj tpc else k pcc acc
+          end
       | Isa.Bne (a, b, _) ->
           if not (okr a && okr b) then raise Unsupported;
-          let tpc = slot.d_target and fpc = pc + 4 in
+          let tpc = slot.d_target in
           if tpc = entry then begin
             self := true;
             fun pcc acc ->
               let acc = retire ctx acc in
-              if ucur pk a <> ucur pk b then
-                if
-                  acc >= 0 && ctx.sspins > 0
-                  && Machine.defer_window m (acc + mc)
-                then begin
-                  ctx.sspins <- ctx.sspins - 1;
-                  !head pcc acc
-                end
-                else begin
-                  ctx.sret_acc <- acc;
-                  tpc
-                end
-              else begin
-                ctx.sret_acc <- acc;
-                fpc
-              end
+              if ucur pk a <> ucur pk b then back pcc acc else leave ctx acc len (pc + 4)
           end
-          else
-            fun _pcc acc ->
+          else begin
+            let k = build (j + 1) and nj = j - idx + 1 in
+            fun pcc acc ->
               let acc = retire ctx acc in
-              ctx.sret_acc <- acc;
-              if ucur pk a <> ucur pk b then tpc else fpc
+              if ucur pk a <> ucur pk b then leave ctx acc nj tpc else k pcc acc
+          end
       | Isa.Bltu (a, b, _) ->
           if not (okr a && okr b) then raise Unsupported;
-          let tpc = slot.d_target and fpc = pc + 4 in
+          let tpc = slot.d_target in
           if tpc = entry then begin
             self := true;
             fun pcc acc ->
               let acc = retire ctx acc in
-              if ucur pk a < ucur pk b then
-                if
-                  acc >= 0 && ctx.sspins > 0
-                  && Machine.defer_window m (acc + mc)
-                then begin
-                  ctx.sspins <- ctx.sspins - 1;
-                  !head pcc acc
-                end
-                else begin
-                  ctx.sret_acc <- acc;
-                  tpc
-                end
-              else begin
-                ctx.sret_acc <- acc;
-                fpc
-              end
+              if ucur pk a < ucur pk b then back pcc acc else leave ctx acc len (pc + 4)
           end
-          else
-            fun _pcc acc ->
+          else begin
+            let k = build (j + 1) and nj = j - idx + 1 in
+            fun pcc acc ->
               let acc = retire ctx acc in
-              ctx.sret_acc <- acc;
-              if ucur pk a < ucur pk b then tpc else fpc
+              if ucur pk a < ucur pk b then leave ctx acc nj tpc else k pcc acc
+          end
       | Isa.Bgeu (a, b, _) ->
           if not (okr a && okr b) then raise Unsupported;
-          let tpc = slot.d_target and fpc = pc + 4 in
+          let tpc = slot.d_target in
           if tpc = entry then begin
             self := true;
             fun pcc acc ->
               let acc = retire ctx acc in
-              if ucur pk a >= ucur pk b then
-                if
-                  acc >= 0 && ctx.sspins > 0
-                  && Machine.defer_window m (acc + mc)
-                then begin
-                  ctx.sspins <- ctx.sspins - 1;
-                  !head pcc acc
-                end
-                else begin
-                  ctx.sret_acc <- acc;
-                  tpc
-                end
-              else begin
-                ctx.sret_acc <- acc;
-                fpc
-              end
+              if ucur pk a >= ucur pk b then back pcc acc else leave ctx acc len (pc + 4)
           end
-          else
-            fun _pcc acc ->
+          else begin
+            let k = build (j + 1) and nj = j - idx + 1 in
+            fun pcc acc ->
               let acc = retire ctx acc in
-              ctx.sret_acc <- acc;
-              if ucur pk a >= ucur pk b then tpc else fpc
+              if ucur pk a >= ucur pk b then leave ctx acc nj tpc else k pcc acc
+          end
+      (* --- terminators: hand back the batch and return the exit --- *)
       | Isa.J _ ->
           let tgt = slot.d_target in
           if tgt = entry then begin
             self := true;
-            fun pcc acc ->
-              let acc = retire ctx acc in
-              if
-                acc >= 0 && ctx.sspins > 0
-                && Machine.defer_window m (acc + mc)
-              then begin
-                ctx.sspins <- ctx.sspins - 1;
-                !head pcc acc
-              end
-              else begin
-                ctx.sret_acc <- acc;
-                tgt
-              end
+            fun pcc acc -> back pcc (retire ctx acc)
           end
-          else
-            fun _pcc acc ->
-              let acc = retire ctx acc in
-              ctx.sret_acc <- acc;
-              tgt
+          else fun _pcc acc -> leave ctx (retire ctx acc) len tgt
       | Isa.Cjal (rd, _) ->
           if not (okr rd) then raise Unsupported;
           let tgt = slot.d_target in
           fun pcc acc ->
             let acc = retire ctx acc in
-            ctx.sret_acc <- acc;
             if rd <> 0 then begin
               let kind =
                 if Machine.irq_enabled m then Cap.Otype.Return_enable
@@ -887,13 +842,16 @@ let compile ctx dec ~base ~idx =
               Pk.pack pk rd
                 (Cap.exn (Cap.seal_entry (Cap.with_address_exn pcc (pc + 4)) kind))
             end;
-            tgt
+            leave ctx acc len tgt
       | Isa.Cjalr (rd, rs) ->
           if not (okr rd && okr rs) then raise Unsupported;
           fun pcc acc ->
             let acc = retire ctx acc in
+            (* Flushed before the posture change: a change that dirties
+               the horizon (enabling interrupts with one pending, or a
+               traced change mid-sweep) must see the clock where the
+               legacy engine has it. *)
             flushx m acc;
-            ctx.sret_acc <- -1;
             let back_kind =
               if Machine.irq_enabled m then Cap.Otype.Return_enable
               else Cap.Otype.Return_disable
@@ -904,23 +862,20 @@ let compile ctx dec ~base ~idx =
                 (Cap.exn
                    (Cap.seal_entry (Cap.with_address_exn pcc (pc + 4)) back_kind));
             ctx.sjump <- unsealed;
-            x_jump
+            leave ctx (-1) len x_jump
       | Isa.Halt ->
           fun _pcc acc ->
-            let acc = retire ctx acc in
-            flushx m acc;
-            ctx.sret_acc <- -1;
-            x_halt
+            flushx m (retire ctx acc);
+            leave ctx (-1) len x_halt
       | Isa.Trapif cause ->
           fun _pcc acc ->
-            let acc = retire ctx acc in
-            flushx m acc;
+            flushx m (retire ctx acc);
             trap pc (Software cause)
     end
   in
   try
     let f = build idx in
     head := f;
-    { b_len = last - idx + 1; b_maxcost = mc; b_self = !self; b_run = f }
+    { b_len = len; b_maxcost = mc; b_self = !self; b_run = f }
   with Unsupported ->
     { b_len = 0; b_maxcost = 0; b_self = false; b_run = (fun _ _ -> x_halt) }

@@ -1,20 +1,25 @@
-(** Superblock compiler: fuses the straight-line run from a jump target
-    to the next control-flow instruction into a single closure chain,
-    with per-instruction dispatch, segment-range and PCC-bounds checks
-    hoisted to block entry.  The {!Interp} dispatcher validates a
-    block's preconditions once, then either runs the fused closure or
-    side-exits to the exact per-instruction engine; compiled blocks are
-    observationally identical to it — registers, cycles, instret, trap
-    cause + PC and the Obs event stream — which the three-way
-    [test_interp_equiv] matrix pins.
+(** Superblock compiler: fuses the trace from a jump or branch target
+    to the next unconditional control transfer (or back-edge to its own
+    entry) into a single closure chain, with per-instruction dispatch,
+    segment-range and PCC-bounds checks hoisted to block entry.  Other
+    conditional branches do not end a block: taken, they exit it
+    mid-way; not taken, execution continues.  The {!Interp} dispatcher
+    validates a block's preconditions once, for its full length, then
+    either runs the fused closure or side-exits to the exact
+    per-instruction engine; compiled blocks are observationally
+    identical to it — registers, cycles, instret, trap cause + PC and
+    the Obs event stream — which the three-way [test_interp_equiv]
+    matrix pins.
 
     The block-precondition invariant (see DESIGN.md): any state a
-    compiled block assumes constant must be either epoch-checked (the
-    hoisted-authority access caches key on the authority's packed
-    meta/base/top, re-check the address on every access and
-    re-validate against {!Memory.filter_epoch}) or guarded by a
-    side-exit at block entry (PCC bounds, fuel, the event-horizon
-    window for deferred tick batching). *)
+    compiled block assumes constant must be guarded by a side-exit at
+    block entry (PCC bounds, fuel and the event-horizon window for
+    deferred tick batching, all checked for the longest path, so they
+    also cover an early exit); everything else is read live.  Memory
+    arms check each access directly on the packed authority (tag, seal
+    and permissions in one mask and compare, bounds, SRAM range,
+    alignment, {!Memory.base_filtered}) and take the full checked path
+    on any failure, so nothing is cached that could go stale. *)
 
 type dslot = { d_ins : Isa.instr; d_target : int (* -1 = no label operand *) }
 (** One pre-decoded instruction: branch label operands resolved to
@@ -37,10 +42,14 @@ type ctx = {
   mutable sjump : Capability.t;
       (** Cjalr target handoff from terminator to dispatcher *)
   mutable sret_acc : int;
-      (** pending deferred-cycle batch handed back by a pure-control
-          terminator instead of flushing, so the dispatcher can carry
-          it into the next block ([-1] = nothing pending); valid only
-          immediately after [b_run] returns *)
+      (** pending deferred-cycle batch handed back by a block exit
+          instead of flushing, so the dispatcher can carry it into the
+          next block ([-1] = nothing pending); valid only immediately
+          after [b_run] returns *)
+  mutable sret_len : int;
+      (** instructions retired by the [b_run] call that just returned —
+          on its last trip, for a self-loop that spun (every earlier
+          trip retired [b_len]); the dispatcher charges fuel from it *)
   mutable sspins : int;
       (** extra self-loop trips a [b_self] block may take inside the
           compiled closure; the dispatcher sets it from the remaining
@@ -65,14 +74,15 @@ val x_jump : int
 
 type block = {
   b_len : int;
-      (** instructions retired by one execution; 0 marks an
+      (** instructions on the longest path (an execution that takes a
+          mid-block exit retires fewer, see [sret_len]); 0 marks an
           uncompilable block (out-of-range register operands) that the
           dispatcher must side-exit instead of running *)
   b_maxcost : int;
       (** worst-case cycle cost, the [Machine.defer_window] argument *)
   b_self : bool;
-      (** the terminator's taken target is this block's own entry: a
-          tight loop that spins inside the closure, bounded by
+      (** the last instruction's taken target is this block's own
+          entry: a tight loop that spins inside the closure, bounded by
           [ctx.sspins] and the per-trip horizon re-check *)
   b_run : Capability.t -> int -> int;
       (** [b_run pcc acc]: [acc >= 0] enters deferred tick batching
@@ -80,7 +90,8 @@ type block = {
           when the dispatcher carries a batch across blocks — always
           re-validated against [Machine.defer_window] first);
           [acc = -1] charges every cycle immediately.  Returns an exit
-          code with [sret_acc] set to the still-pending batch (or -1);
+          code with [sret_acc] set to the still-pending batch (or -1)
+          and [sret_len] to the instructions retired;
           raises [Trap_exn] / [Memory.Fault] / derivation errors with
           all pending cycles flushed. *)
 }
@@ -88,8 +99,8 @@ type block = {
 val compile : ctx -> dslot array -> base:int -> idx:int -> block
 (** Compile the block entered at slot [idx] of a segment's decoded
     array ([base] = segment base address).  Pure code cache: a compiled
-    block stays valid for the segment's lifetime, across snapshot
-    restore (its memoized checks re-validate via the filter epoch). *)
+    block holds no memoized machine state, so it stays valid for the
+    segment's lifetime, across snapshot restore. *)
 
 val apply_jump_target :
   Machine.t -> int -> Capability.t -> Capability.t * Capability.Otype.sentry

@@ -132,7 +132,6 @@ let sram_size m = Memory.size m.mem
 let cycles m = m.cycles
 let irq_enabled m = m.irq_enabled
 let in_sram m addr = Memory.contains m.mem addr
-let filter_epoch m = Memory.filter_epoch m.mem
 
 (* Can [n] cycles of work be charged as one batched [tick] at the end of
    the batch without any observable difference?  Yes iff the whole batch
@@ -143,9 +142,24 @@ let filter_epoch m = Memory.filter_epoch m.mem
    safe. *)
 let defer_window m n = m.cycles + n < m.horizon
 
+let revoker_busy m = match m.rev_state with Idle -> false | Sweeping _ -> true
+
+(* The only horizon term that reads [irq_enabled] is "an IRQ is pending
+   and deliverable: now".  Enabling with an IRQ pending can create that
+   earlier event, so it dirties the horizon; disabling, or enabling with
+   nothing pending, can only leave it where it is or move it later, and
+   a stale-but-early horizon is safe.  Keeping the horizon across a
+   posture change is what lets a sentry call stay in a deferred batch.
+   The one thing the skipped slow tick could still have shown is sweep
+   progress: it settles an in-flight sweep, and each settlement emits a
+   [Revoker_quantum] event.  So with a sink attached and a sweep in
+   flight the horizon is dirtied as before, which keeps every traced
+   event stream as it was; untraced, settlement is additive and emits
+   nothing, so settling later is invisible. *)
 let set_irq_enabled m b =
-  m.irq_enabled <- b;
-  dirty m
+  if (b && (not m.irq_enabled) && m.pending <> 0) || (revoker_busy m && tracing m) then
+    dirty m;
+  m.irq_enabled <- b
 
 (* Replay journal tap.  Like tracing, logging must stay observationally
    invisible: no tick, no simulated memory, no [dirty]. *)
@@ -240,7 +254,6 @@ let skew_timer m delta =
       dirty m
 
 let revoker_epoch m = m.rev_epoch
-let revoker_busy m = match m.rev_state with Idle -> false | Sweeping _ -> true
 let revoker_interrupt_futex_word m = m.rev_futex
 
 (* Progress the background revoker by [n] cycles of wall time.  Debt

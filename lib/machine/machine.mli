@@ -52,15 +52,12 @@ val defer_window : t -> int -> bool
     identical to charging them one instruction at a time: the whole
     batch lies strictly below the cached event horizon, so no listener,
     timer deadline or IRQ delivery can fire inside it.  Anything that
-    invalidates the horizon ([raise_irq], posture changes, device work)
-    makes this answer [false] until the next slow tick. *)
+    invalidates the horizon ([raise_irq], enabling interrupts with one
+    pending, device work) makes this answer [false] until the next slow
+    tick. *)
 
 val in_sram : t -> int -> bool
 (** Whether [addr] lies inside SRAM (as opposed to MMIO space). *)
-
-val filter_epoch : t -> int
-(** [Memory.filter_epoch] of this machine's SRAM; see that function for
-    the cache-validity contract. *)
 
 val clock_mhz : int
 (** 33 MHz, the paper's FPGA clock; used to convert cycles to seconds. *)
@@ -76,6 +73,13 @@ val first_user_irq : int
 
 val irq_enabled : t -> bool
 val set_irq_enabled : t -> bool -> unit
+(** Set the interrupt posture.  Invalidates the event horizon only when
+    it enables delivery while an interrupt is already pending (the one
+    case that can make an event happen sooner), or when a sink is
+    attached ({!tracing}) and a revoker sweep is in flight, so that the
+    next tick settles the sweep and its [Revoker_quantum] events land
+    where they always did.  Untraced, the skipped settlement is
+    invisible: sweep progress is additive. *)
 
 val raise_irq : t -> int -> unit
 (** Mark interrupt line [n] pending. *)
@@ -135,9 +139,13 @@ val request_attention : t -> unit
 
 (* Observability — see {!Obs}, {!Forensics}, {!Profiler}.  Attaching any
    sink is observationally invisible: emission never ticks the clock,
-   touches simulated memory or perturbs the event horizon, so simulated
-   cycle counts are bit-identical with sinks on or off (enforced by the
-   golden-cycles rules in bench/dune and test_obs_props).
+   touches simulated memory or moves the event horizon later, so
+   simulated cycle counts are bit-identical with sinks on or off
+   (enforced by the golden-cycles rules in bench/dune and
+   test_obs_props).  The one horizon difference is an extra no-op slow
+   tick after a posture change during a revoker sweep (see
+   {!set_irq_enabled}), which settles the sweep where the traced event
+   stream has always shown it.
 
    Environment auto-attach (the one place this is documented): [create]
    consults three variables {e independently} — [CHERIOT_TRACE]

@@ -25,11 +25,6 @@ type t = {
   revoked : Bytes.t;
   mutable revoked_count : int;
   mutable load_filter : bool;
-  mutable filter_epoch : int;
-      (** bumped whenever the outcome of a load-filter check may change:
-          revocation-bit edits, [set_load_filter], snapshot restore.
-          Monotone — never restored — so caches keyed on it cannot be
-          fooled by a rewind. *)
   mutable tag_set_hook : unit -> unit;
 }
 
@@ -46,18 +41,13 @@ let create ~base ~size =
     revoked = Bytes.make ((granules + 7) / 8) '\000';
     revoked_count = 0;
     load_filter = true;
-    filter_epoch = 0;
     tag_set_hook = ignore;
   }
 
 let base m = m.base
 let size m = m.size
 let contains m addr = addr >= m.base && addr < m.base + m.size
-let set_load_filter m b =
-  m.load_filter <- b;
-  m.filter_epoch <- m.filter_epoch + 1
-
-let filter_epoch m = m.filter_epoch
+let set_load_filter m b = m.load_filter <- b
 let load_filter_enabled m = m.load_filter
 let granule_count m = m.size / granule_size
 let set_tag_set_hook m f = m.tag_set_hook <- f
@@ -166,14 +156,12 @@ let rev_set m g v =
   if v then begin
     if b land mask = 0 then begin
       Bytes.set m.revoked i (Char.chr ((b lor mask) land 0xff));
-      m.revoked_count <- m.revoked_count + 1;
-      m.filter_epoch <- m.filter_epoch + 1
+      m.revoked_count <- m.revoked_count + 1
     end
   end
   else if b land mask <> 0 then begin
     Bytes.set m.revoked i (Char.chr (b land lnot mask land 0xff));
-    m.revoked_count <- m.revoked_count - 1;
-    m.filter_epoch <- m.filter_epoch + 1
+    m.revoked_count <- m.revoked_count - 1
   end
 
 let set_revoked m ~addr ~len =
@@ -230,14 +218,12 @@ let store_priv m ~addr ~size:sz v =
   clear_granule_tag m addr;
   clear_granule_tag m (addr + sz - 1)
 
-(* Unchecked access for the superblock engine's hoisted-authority fast
-   paths.  The caller has proved the access passes the full checked
-   path: the authority is value-equal to one that passed it (so tag,
-   seal, permission and load-filter outcomes repeat while the filter
-   epoch is unchanged) and the address was re-checked against bounds,
-   alignment and the SRAM range.  So these skip the range check and the
-   size dispatch.  The stores still clear the granule tag(s) — a data
-   write always does, and the tag state is not covered by the epoch. *)
+(* Unchecked access for the superblock engine's direct access checks.
+   The caller has proved the access passes the full checked path: it
+   tested the authority's packed tag, seal and permission bits, the
+   bounds, the alignment, this memory's range and [base_filtered]
+   itself.  So these skip the range check and the size dispatch.  The
+   stores still clear the granule tag(s), as every data write does. *)
 
 external unsafe_get16 : bytes -> int -> int = "%caml_bytes_get16u"
 external unsafe_set16 : bytes -> int -> int -> unit = "%caml_bytes_set16u"
@@ -359,19 +345,21 @@ let iter_caps m f =
 
 (* Checked access *)
 
+(* Revoked authority: the hardware guarantees accesses to freed objects
+   trap as soon as free returns (§3.1.3).  The load filter catches
+   capabilities reloaded from memory; register-held copies in native
+   compartment code would be filtered when spilled/reloaded around the
+   free() call, which we model by checking the authority's base on every
+   access. *)
+let base_filtered m base = m.load_filter && contains m base && rev_get m (granule_of m base)
+
 (* Alignment and load-filter checks: the part of [check] beyond the
    capability check itself.  Split out so the machine's SRAM fast path
    (which has already run [Capability.check_access]) can apply it without
    re-checking the capability. *)
 let check_aligned_filtered m ~auth ~addr ~size:sz access =
   if sz > 1 && addr mod sz <> 0 then fault Cap.Bounds_violation addr access;
-  (* Revoked authority: the hardware guarantees accesses to freed objects
-     trap as soon as free returns (§3.1.3).  The load filter catches
-     capabilities reloaded from memory; register-held copies in native
-     compartment code would be filtered when spilled/reloaded around the
-     free() call, which we model by checking the authority's base here. *)
-  if m.load_filter && contains m (Cap.base auth) && rev_get m (granule_of m (Cap.base auth))
-  then fault Cap.Tag_violation addr access
+  if base_filtered m (Cap.base auth) then fault Cap.Tag_violation addr access
 
 let check m ~auth ~perm ~addr ~size:sz access =
   (match Cap.check_access ~perm ~addr ~size:sz auth with
@@ -387,22 +375,17 @@ let store ~auth m ~addr ~size:sz v =
   check m ~auth ~perm:Perm.Store ~addr ~size:sz Write;
   store_priv m ~addr ~size:sz v
 
-let load_cap_prechecked ~auth m ~addr =
+let load_cap_prechecked ~perms m ~addr =
   let c = load_cap_priv m ~addr in
-  if not (Cap.has_perm Perm.Mem_cap auth) then Cap.clear_tag c
+  if not (Perm.Set.mem Perm.Mem_cap perms) then Cap.clear_tag c
   else
-    let c = Cap.attenuate_loaded ~auth c in
-    if
-      m.load_filter && Cap.tag c
-      && contains m (Cap.base c)
-      && rev_get m (granule_of m (Cap.base c))
-    then Cap.clear_tag c
-    else c
+    let c = Cap.attenuate_loaded_perms perms c in
+    if Cap.tag c && base_filtered m (Cap.base c) then Cap.clear_tag c else c
 
 let load_cap ~auth m ~addr =
   check m ~auth ~perm:Perm.Load ~addr ~size:granule_size Read;
   if addr mod granule_size <> 0 then fault Cap.Bounds_violation addr Read;
-  load_cap_prechecked ~auth m ~addr
+  load_cap_prechecked ~perms:(Cap.perms auth) m ~addr
 
 let store_cap ~auth m ~addr c =
   check m ~auth ~perm:Perm.Store ~addr ~size:granule_size Write;
@@ -456,8 +439,4 @@ let snapshot m =
     m.tagged_count <- tagged_count;
     Bytes.blit revoked 0 m.revoked 0 (Bytes.length revoked);
     m.revoked_count <- revoked_count;
-    m.load_filter <- load_filter;
-    (* Bumped, never restored: the restored bitmap may differ from what
-       a warm access cache last validated against, so every cache keyed
-       on the epoch must re-check after a rewind. *)
-    m.filter_epoch <- m.filter_epoch + 1
+    m.load_filter <- load_filter

@@ -49,13 +49,10 @@ val set_load_filter : t -> bool -> unit
 
 val load_filter_enabled : t -> bool
 
-val filter_epoch : t -> int
-(** Monotone counter bumped whenever the outcome of an access check on a
-    fixed authority could change: any revocation-bit edit ([set_revoked]
-    / [clear_revoked] on a bit that actually flips), [set_load_filter],
-    and snapshot restore (bumped, never rewound).  A cache that records
-    (authority, epoch) on a successful check may skip re-checking the
-    same authority while the epoch is unchanged. *)
+val base_filtered : t -> int -> bool
+(** [base_filtered m base]: the load filter is on and the revocation bit
+    of the granule containing [base] is set, so an access through an
+    authority with that base traps (the filter part of [check]). *)
 
 (* Checked data access *)
 
@@ -96,10 +93,9 @@ val zero : auth:Capability.t -> t -> addr:int -> len:int -> unit
 val load_priv : t -> addr:int -> size:int -> int
 val store_priv : t -> addr:int -> size:int -> int -> unit
 (* Unchecked access for an address proved to pass the full checked path
-   (the superblock engine's hoisted-authority caches: an authority
-   value-equal to one that passed, the same [filter_epoch], and the
-   address re-checked against bounds, alignment and this memory's
-   range). *)
+   (the superblock engine's direct checks on the packed authority: tag,
+   seal and permission bits, bounds, alignment, this memory's range and
+   [base_filtered]). *)
 
 val load32_unchecked : t -> int -> int
 (** 32-bit load. *)
@@ -113,11 +109,13 @@ val zero_granule_unchecked : t -> int -> unit
     bytes and the granule's tag cleared — [store_cap_priv] of
     [Capability.null], which never runs the tag-set hook. *)
 
-val load_cap_prechecked : auth:Capability.t -> t -> addr:int -> Capability.t
+val load_cap_prechecked : perms:Perm.Set.t -> t -> addr:int -> Capability.t
 (** [load_cap] minus its access check (capability, alignment, load
-    filter on [auth]): for a caller that has proved that check passes.
-    Still applies the [Mem_cap] rule, deep attenuation and the load
-    filter on the loaded capability. *)
+    filter on the authority): for a caller that has proved that check
+    passes.  Still applies the [Mem_cap] rule and deep attenuation
+    ([Capability.attenuate_loaded_perms]), both of which read only the
+    authority's permission set [perms], and the load filter on the
+    loaded capability. *)
 
 val load_cap_priv : t -> addr:int -> Capability.t
 val store_cap_priv : t -> addr:int -> Capability.t -> unit

@@ -8,9 +8,11 @@
    exhaustion, sentry jumps) the workloads never reach, plus the corners
    specific to superblock compilation: an IRQ firing mid-block, a fault
    injected mid-block by external hardware, fuel running out inside a
-   block (forced side-exit), and filter-epoch invalidation between two
-   executions of the same warm compiled block; and the corners of the
-   hoisted-authority access caches (see the section below). *)
+   block (forced side-exit), and a revocation edit between two
+   executions of the same warm compiled block; the corners of memory
+   access on the packed authority (the "access caches" and "direct
+   checks" sections below); and the corners of mid-block exits ("trace
+   blocks"). *)
 
 module Cap = Capability
 
@@ -338,9 +340,8 @@ let test_irq_mid_block () =
 let test_fault_mid_block () =
   (* External hardware revokes r6's base granule at an exact cycle: the
      wakeup shortens the horizon, the block runs non-deferred through
-     the listener, the epoch bump invalidates the warm inline caches,
-     and the very next Lw/Sw through r6 must take the slow path and
-     trap at the same instruction in every engine. *)
+     the listener, and the very next Lw/Sw through r6 must see the
+     revocation and trap at the same instruction in every engine. *)
   let oracle =
     check_loop_matrix "fault mid-block" ~trips:200 (fun machine ->
         let mem = Machine.mem machine in
@@ -370,10 +371,9 @@ let test_fuel_inside_block () =
 
 let test_epoch_invalidation_between_runs () =
   (* Two executions of the same warm compiled block with a revocation
-     edit in between: the first run warms the block cache and the
-     memoized load-filter caches; the edit bumps the filter epoch; the
-     second run must re-check and trap, and after clearing the bit a
-     third run must succeed again — identically in every engine. *)
+     edit in between: the first run warms the block cache; the second
+     run must see the edit and trap, and after clearing the bit a third
+     run must succeed again — identically in every engine. *)
   let run engine =
     let machine = Machine.create () in
     let obs = Obs.create () in
@@ -415,14 +415,13 @@ let test_epoch_invalidation_between_runs () =
     fast_engines
 
 (* ------------------------------------------------------------------ *)
-(* Capability-access corners: the superblock engine's hoisted-authority *)
-(* caches on Csc/Clc (keyed on the authority's meta/base/top plus the   *)
-(* filter epoch, with bounds, alignment and the SRAM range re-checked   *)
-(* on every access).  Each scenario is a sequence of runs with edits in *)
-(* between, compared run by run against the legacy oracle — memory     *)
-(* bytes and tags included — both traced (no deferral: every charge     *)
-(* ticks) and untraced (deferred batches, where the NULL-store fast     *)
-(* path stays batched).                                                 *)
+(* Capability-access corners: an access checked on the live authority  *)
+(* must see revocation edits, filter toggles, restores, bounds,         *)
+(* alignment and the SRAM range, however warm the compiled block.  Each *)
+(* scenario is a sequence of runs with edits in between, compared run  *)
+(* by run against the legacy oracle — memory bytes and tags included — *)
+(* both traced (no deferral: every charge ticks) and untraced (deferred *)
+(* batches, where passing accesses stay batched).                      *)
 (* ------------------------------------------------------------------ *)
 
 (* Two NULL stores per trip, walking r6 up 16 bytes: the switcher's
@@ -460,32 +459,29 @@ let mem_view machine =
 
 (* A rig for [prog]; [scenario] arms it and drives the runs through
    [go], which returns one view per run. *)
-let cap_runs ~engine ~traced prog scenario =
+let cap_runs ~engine ~traced ?(fuel = 100_000) ?pcc_top prog scenario =
   let machine = Machine.create () in
   let obs = Obs.create () in
   if traced then Machine.set_trace machine (Some obs);
   let interp = Interp.create ~engine machine in
   Interp.map_segment interp ~base:code_base prog;
-  let pcc =
-    Cap.make_root ~base:code_base
-      ~top:(code_base + Isa.code_bytes prog)
-      ~perms:Perm.Set.executable
-  in
+  let top = Option.value pcc_top ~default:(code_base + Isa.code_bytes prog) in
+  let pcc = Cap.make_root ~base:code_base ~top ~perms:Perm.Set.executable in
   let entry = Cap.exn (Cap.seal_entry pcc Cap.Otype.Call_inherit) in
   let go () =
-    let v = view machine obs interp (Interp.run ~fuel:100_000 interp entry) in
+    let v = view machine obs interp (Interp.run ~fuel interp entry) in
     (v, mem_view machine)
   in
   scenario machine interp go
 
-let check_cap_matrix name prog scenario =
+let check_cap_matrix ?fuel ?pcc_top name prog scenario =
   List.concat_map
     (fun traced ->
       let mode = if traced then "traced" else "untraced" in
-      let oracle = cap_runs ~engine:`Legacy ~traced prog scenario in
+      let oracle = cap_runs ~engine:`Legacy ~traced ?fuel ?pcc_top prog scenario in
       List.iter
         (fun engine ->
-          let got = cap_runs ~engine ~traced prog scenario in
+          let got = cap_runs ~engine ~traced ?fuel ?pcc_top prog scenario in
           Alcotest.(check int)
             (Fmt.str "%s (%s): runs" name mode)
             (List.length oracle) (List.length got);
@@ -526,7 +522,7 @@ let test_load_filter_toggle () =
   (* r6 zeroes a window; r7 reloads a capability to a freed object.
      Filter on: the loaded copy comes back untagged.  Filter off: tagged.
      Then r7's own base is revoked: harmless with the filter off, a trap
-     once it is toggled back on — each step behind a warm cache. *)
+     once it is toggled back on — each step behind warm blocks. *)
   let prog =
     Isa.(
       assemble ~name:"filter"
@@ -650,8 +646,8 @@ let test_listener_revokes_mid_block () =
     (v.s_outcome <> "halted" && v.s_instret < (50 * 5) + 2)
 
 let test_restore_over_warm_cache () =
-  (* Snapshot with the authority's base revoked, clear it, warm every
-     cache, then restore: the rewound revocation bit must trap. *)
+  (* Snapshot with the authority's base revoked, clear it, warm the
+     blocks, then restore: the rewound revocation bit must trap. *)
   let views =
     check_cap_matrix "restore over a warm cache" (zero_prog 8)
       (fun machine interp go ->
@@ -707,7 +703,7 @@ let test_tagged_store_settles_revoker () =
   Alcotest.(check bool) "the sweep had passed the new capability" true !survived
 
 let test_local_store_behind_warm_cache () =
-  (* A warm tagged-store cache must still apply the Store_local rule to
+  (* A warm tagged-store block must still apply the Store_local rule to
      each source: the loop stores r7 (Global) through an authority
      without Store_local, then re-enters with r7 := r9 (local). *)
   let prog =
@@ -745,6 +741,333 @@ let test_local_store_behind_warm_cache () =
   Alcotest.(check (list string)) "Store_local trap"
     [ "trap at 0x20000020: permit violation: SL" ]
     (List.filteri (fun i _ -> i < 1) (outcomes views))
+
+(* ------------------------------------------------------------------ *)
+(* Trace-shaped blocks: a conditional branch that does not go back to  *)
+(* the block's entry is a mid-block exit, so one block can leave early *)
+(* while its fuel, PCC-bounds and defer-window preconditions were      *)
+(* checked for its full length.  Each case runs traced and untraced on *)
+(* all three engines, memory bytes and tags compared.                  *)
+(* ------------------------------------------------------------------ *)
+
+(* The entry block runs Li; Li; Addi; Bltu (taken on the first two
+   trips: exit after 4 of its 7 instructions); then "skip" (Addi; J)
+   jumps back to "top", whose block (Addi; Bltu; Addi; Addi; Halt) takes
+   the same exit once more and falls through to Halt on the third trip.
+   15 instructions in all. *)
+let exit_prog =
+  Isa.(
+    assemble ~name:"exits"
+      [
+        I (Li (1, 0));
+        I (Li (2, 3));
+        L "top";
+        I (Addi (1, 1, 1));
+        I (Bltu (1, 2, "skip"));
+        I (Addi (4, 4, 7));
+        I (Addi (4, 4, 9));
+        I Halt;
+        L "skip";
+        I (Addi (6, 6, 1));
+        I (J "top");
+      ])
+
+let test_fuel_around_mid_block_exit () =
+  (* Fuel 3 ends just before the entry block's taken Bltu, 4 exactly at
+     it, 5 just after it; 7/8/9 do the same for the "top" block's exit
+     and 14..16 for the final fall-through.  Every level must trap "out
+     of fuel" (or halt) at the same pc, instret and cycle as the oracle:
+     a dispatcher that charged a block's full length for an early exit
+     would run out of fuel too soon. *)
+  for fuel = 1 to 17 do
+    let views =
+      check_cap_matrix ~fuel (Printf.sprintf "fuel %d around a mid-block exit" fuel)
+        exit_prog (fun _ _ go -> [ go () ])
+    in
+    let v = List.hd views in
+    Alcotest.(check int)
+      (Printf.sprintf "fuel %d retires min(fuel, 15)" fuel)
+      (min fuel 15) v.s_instret
+  done
+
+let test_pcc_top_inside_block () =
+  (* The pcc ends between the "start" block's mid-block Bltu and its
+     end, so the whole-block bounds precondition fails and the block
+     side-exits to the exact engine.  Taken (r2 = 5), the branch leaves
+     for "out" inside the pcc and the run halts; not taken (r2 = 0), the
+     first instruction past the top traps. *)
+  let prog =
+    Isa.(
+      assemble ~name:"pcctop"
+        [
+          I (J "start");
+          L "out";
+          I Halt;
+          L "start";
+          I (Addi (1, 1, 1));
+          I (Bltu (1, 2, "out"));
+          I (Addi (4, 4, 7));
+          I (Addi (4, 4, 9));
+          I Halt;
+        ])
+  in
+  let views =
+    check_cap_matrix ~pcc_top:(code_base + (4 * 5)) "pcc top inside a block" prog
+      (fun _ interp go ->
+        Interp.set_reg interp 2 (Interp.int_value 5);
+        let taken = go () in
+        Interp.set_reg interp 1 (Interp.int_value 0);
+        Interp.set_reg interp 2 (Interp.int_value 0);
+        let fell = go () in
+        [ taken; fell ])
+  in
+  Alcotest.(check (list string)) "taken halts, not taken traps at the top"
+    [ "halted"; "trap at 0x40000014: bounds violation" ]
+    (List.filteri (fun i _ -> i < 2) (outcomes views))
+
+(* The switcher's zeroing loop, instruction for instruction: the exit
+   test is a mid-block Beq, so the whole loop is one self-spinning block
+   (Cgetaddr; Beq; Csc; Csc; Cincaddrimm; J). *)
+let zero_loop_prog =
+  Isa.(
+    assemble ~name:"zeroloop"
+      [
+        L "loop";
+        I (Cgetaddr (1, 6));
+        I (Beq (1, 5, "done"));
+        I (Csc (0, 0, 6));
+        I (Csc (0, 8, 6));
+        I (Cincaddrimm (6, 6, 16));
+        I (J "loop");
+        L "done";
+        I Halt;
+      ])
+
+let test_zero_loop_cut () =
+  (* 64 trips over a 1 KiB window.  A parked listener wakes at an exact
+     cycle mid-spin (cutting the deferred batch at the event horizon),
+     and a timer IRQ lands mid-spin; both record the cycle they fire at,
+     which must match the oracle's. *)
+  let fired = ref [] in
+  let scenario machine interp go =
+    let sram = Machine.sram_base machine in
+    set_auth interp 6 ~base:sram ~top:(sram + 1024);
+    Interp.set_reg interp 5 (Interp.int_value (sram + 1024));
+    fired := [];
+    let h =
+      Machine.add_tick_listener ~period:0 machine (fun c ->
+          fired := ("listener", c) :: !fired)
+    in
+    Machine.set_listener_wakeup machine h ~at:301;
+    Machine.set_deliver_hook machine
+      (Some (fun n -> fired := (Printf.sprintf "irq %d" n, Machine.cycles machine) :: !fired));
+    Machine.set_timer machine (Some 777);
+    let v, mem = go () in
+    let side =
+      String.concat " "
+        (List.rev_map (fun (what, c) -> Printf.sprintf "%s@%d" what c) !fired)
+    in
+    [ (v, mem ^ " " ^ side) ]
+  in
+  let views = check_cap_matrix "zeroing loop cut mid-spin" zero_loop_prog scenario in
+  Alcotest.(check string) "halts" "halted" (List.hd views).s_outcome;
+  Alcotest.(check int) "instret" ((64 * 6) + 2 + 1) (List.hd views).s_instret
+
+(* ------------------------------------------------------------------ *)
+(* Direct access checks: every Lw/Sw/Clc/Csc checks its access on the  *)
+(* live packed authority (tag, seal and permissions in one mask and    *)
+(* compare, bounds, SRAM range, alignment, load filter), with nothing  *)
+(* remembered between accesses; posture changes and stores that set a  *)
+(* tag keep the deferred batch when they cannot move an event earlier. *)
+(* ------------------------------------------------------------------ *)
+
+let test_tagged_store_idle_revoker () =
+  (* 40 NULL stores through r8, then 8 tagged stores of r7 through r6.
+     First run: revoker idle, so (untraced) the tagged stores stay in
+     the deferred batch.  Then r7 becomes a capability to a revoked
+     object and a sweep is kicked: the second run's NULL stores build
+     up sweep lag in a deferred batch, and each tagged store must settle
+     the sweep to the present cycle before its tag appears.  The sweep
+     has passed those granules by then, so every stored copy survives
+     it. *)
+  let prog =
+    Isa.(
+      assemble ~name:"tagged"
+        [
+          I (Li (4, 0));
+          I (Li (5, 40));
+          L "zero";
+          I (Csc (0, 0, 8));
+          I (Cincaddrimm (8, 8, 8));
+          I (Addi (4, 4, 1));
+          I (Bne (4, 5, "zero"));
+          I (Li (4, 0));
+          I (Li (5, 8));
+          L "loop";
+          I (Csc (7, 0, 6));
+          I (Cincaddrimm (6, 6, 8));
+          I (Addi (4, 4, 1));
+          I (Bne (4, 5, "loop"));
+          I Halt;
+        ])
+  in
+  let survivors = ref 0 in
+  let views =
+    check_cap_matrix "tagged stores, idle then sweeping revoker" prog
+      (fun machine interp go ->
+        let sram = Machine.sram_base machine and mem = Machine.mem machine in
+        let obj = sram + 8192 in
+        set_auth interp 8 ~base:(sram + 4096) ~top:(sram + 5120);
+        set_auth interp 6 ~base:(sram + 512) ~top:(sram + 576);
+        Interp.set_reg interp 7
+          (Cap.make_root ~base:(sram + 4096) ~top:(sram + 4160) ~perms:Perm.Set.read_write);
+        let idle = go () in
+        set_auth interp 8 ~base:(sram + 4096) ~top:(sram + 5120);
+        set_auth interp 6 ~base:(sram + 32) ~top:(sram + 96);
+        Interp.set_reg interp 7
+          (Cap.make_root ~base:obj ~top:(obj + 64) ~perms:Perm.Set.read_write);
+        Memory.set_revoked mem ~addr:obj ~len:64;
+        Machine.revoker_kick machine;
+        let sweeping = go () in
+        Machine.run_revoker_to_completion machine;
+        survivors := 0;
+        Memory.iter_caps mem (fun ~addr _ ->
+            if addr >= sram + 32 && addr < sram + 96 then incr survivors);
+        let swept = (fst sweeping, mem_view machine) in
+        [ idle; sweeping; swept ])
+  in
+  Alcotest.(check (list string)) "both runs halt" [ "halted"; "halted" ]
+    (List.filteri (fun i _ -> i < 2) (outcomes views));
+  Alcotest.(check int) "every copy stored behind the sweep survives" 8 !survivors
+
+(* Cjalr through r8, a sentry of the given kind to "body" in the same
+   segment; "body" does a little work so a delivered IRQ lands mid-run. *)
+let sentry_prog =
+  Isa.(
+    assemble ~name:"sentry"
+      [
+        I (Li (1, 1));
+        I (Cjalr (9, 8));
+        I Halt;
+        L "body";
+        I (Addi (2, 2, 1));
+        I (Addi (2, 2, 1));
+        I (Addi (2, 2, 1));
+        I (Halt);
+      ])
+
+let test_enabling_sentry () =
+  (* Interrupts off at entry; the Cjalr's enabling sentry turns them on.
+     With an IRQ already pending the next tick must deliver it, at the
+     oracle's cycle; with none pending the horizon is kept, and a timer
+     deadline inside "body" must still fire on time. *)
+  let side = ref "" in
+  let run_with ~pending name =
+    check_cap_matrix name sentry_prog (fun machine interp go ->
+        let body = code_base + (4 * Isa.label_index sentry_prog "body") in
+        let code =
+          Cap.make_root ~base:code_base
+            ~top:(code_base + Isa.code_bytes sentry_prog)
+            ~perms:Perm.Set.executable
+        in
+        Interp.set_reg interp 8
+          (Cap.exn (Cap.seal_entry (Cap.with_address_exn code body) Cap.Otype.Call_enable));
+        let fired = ref [] in
+        Machine.set_deliver_hook machine
+          (Some (fun n -> fired := (n, Machine.cycles machine) :: !fired));
+        Machine.set_irq_enabled machine false;
+        if pending then Machine.raise_irq machine Machine.first_user_irq
+        else Machine.set_timer machine (Some (Machine.cycles machine + 3));
+        let v, mem = go () in
+        side :=
+          String.concat " "
+            (List.rev_map (fun (n, c) -> Printf.sprintf "irq %d@%d" n c) !fired);
+        [ (v, mem ^ " " ^ !side) ])
+  in
+  (* Li, Cjalr: the IRQ is delivered by the tick of the first "body"
+     instruction, at cycle 3. *)
+  let with_pending = run_with ~pending:true "enabling sentry, IRQ pending" in
+  Alcotest.(check string) "pending IRQ delivered after the Cjalr" "irq 3@3" !side;
+  let without = run_with ~pending:false "enabling sentry, none pending" in
+  Alcotest.(check string) "timer fires at its deadline" "irq 0@3" !side;
+  Alcotest.(check (list string)) "both halt" [ "halted"; "halted" ]
+    [ (List.hd with_pending).s_outcome; (List.hd without).s_outcome ]
+
+let test_alternating_authorities () =
+  (* One Lw and one Sw slot used through r6 and r12 alternately (a swap
+     every trip).  Then r12's base is revoked, then r12 loses Store:
+     the second trip must trap in each, whatever the first trip saw. *)
+  let prog =
+    Isa.(
+      assemble ~name:"alternate"
+        [
+          I (Li (4, 0));
+          I (Li (5, 6));
+          L "loop";
+          I (Lw (1, 0, 6));
+          I (Addi (1, 1, 1));
+          I (Sw (1, 4, 6));
+          I (Mv (11, 6));
+          I (Mv (6, 12));
+          I (Mv (12, 11));
+          I (Addi (4, 4, 1));
+          I (Bne (4, 5, "loop"));
+          I Halt;
+        ])
+  in
+  let views =
+    check_cap_matrix "one slot, alternating authorities" prog (fun machine interp go ->
+        let sram = Machine.sram_base machine and mem = Machine.mem machine in
+        let reset () =
+          set_auth interp 6 ~base:sram ~top:(sram + 64);
+          set_auth interp 12 ~base:(sram + 512) ~top:(sram + 576)
+        in
+        reset ();
+        let both = go () in
+        reset ();
+        Memory.set_revoked mem ~addr:(sram + 512) ~len:8;
+        let revoked = go () in
+        Memory.clear_revoked mem ~addr:(sram + 512) ~len:8;
+        reset ();
+        Interp.set_reg interp 12
+          (Cap.make_root ~base:(sram + 512) ~top:(sram + 576) ~perms:Perm.Set.read_only);
+        let read_only = go () in
+        [ both; revoked; read_only ])
+  in
+  Alcotest.(check (list string)) "valid, revoked, read-only"
+    [ "halted"; "trap at 0x20000200: tag violation";
+      "trap at 0x20000204: permit violation: SD" ]
+    (List.filteri (fun i _ -> i < 3) (outcomes views))
+
+let test_clc_attenuation () =
+  (* Clc of a Global, mutable capability and of a sentry through
+     authorities lacking Mem_cap (the copy comes back untagged),
+     Load_global (it loses Global and Load_global) and Load_mutable (it
+     loses Store and Load_mutable; the sentry is exempt). *)
+  let prog =
+    Isa.(
+      assemble ~name:"clc"
+        [ I (Clc (1, 0, 6)); I (Clc (2, 8, 6)); I (Clc (3, 0, 6)); I Halt ])
+  in
+  let views =
+    check_cap_matrix "Clc attenuation" prog (fun machine interp go ->
+        let sram = Machine.sram_base machine and mem = Machine.mem machine in
+        let code = Cap.make_root ~base:code_base ~top:(code_base + 64) ~perms:Perm.Set.executable in
+        Memory.store_cap_priv mem ~addr:sram
+          (Cap.make_root ~base:(sram + 256) ~top:(sram + 320) ~perms:Perm.Set.read_write);
+        Memory.store_cap_priv mem ~addr:(sram + 8)
+          (Cap.exn (Cap.seal_entry code Cap.Otype.Call_inherit));
+        let through perms =
+          Interp.set_reg interp 6 (Cap.make_root ~base:sram ~top:(sram + 64) ~perms);
+          go ()
+        in
+        let without p = through (Perm.Set.remove p Perm.Set.read_write) in
+        [ through Perm.Set.read_write; without Perm.Mem_cap; without Perm.Load_global;
+          without Perm.Load_mutable ])
+  in
+  let r1 v = List.nth v.s_regs 1 in
+  Alcotest.(check int) "four distinct loaded copies" 4
+    (List.length (List.sort_uniq compare (List.map r1 (List.filteri (fun i _ -> i < 4) views))))
 
 let () =
   Alcotest.run "cheriot_interp_equiv"
@@ -786,5 +1109,22 @@ let () =
             `Quick test_tagged_store_settles_revoker;
           Alcotest.test_case "local store behind a warm cache" `Quick
             test_local_store_behind_warm_cache;
+        ] );
+      ( "trace blocks",
+        [
+          Alcotest.test_case "fuel around a mid-block exit" `Quick
+            test_fuel_around_mid_block_exit;
+          Alcotest.test_case "pcc top inside a block" `Quick test_pcc_top_inside_block;
+          Alcotest.test_case "zeroing loop cut mid-spin" `Quick test_zero_loop_cut;
+        ] );
+      ( "direct checks",
+        [
+          Alcotest.test_case "tagged stores, idle and sweeping revoker" `Quick
+            test_tagged_store_idle_revoker;
+          Alcotest.test_case "enabling sentry, IRQ pending or not" `Quick
+            test_enabling_sentry;
+          Alcotest.test_case "one slot, alternating authorities" `Quick
+            test_alternating_authorities;
+          Alcotest.test_case "Clc attenuation" `Quick test_clc_attenuation;
         ] );
     ]

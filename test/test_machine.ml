@@ -146,6 +146,50 @@ let test_listener_parked_wakeup () =
   Machine.tick m 100;
   Alcotest.(check (list int)) "parked again" [ 90 ] !fired
 
+let test_posture_horizon () =
+  (* A posture change keeps the cached event horizon (so batched ticks
+     stay possible across it) unless it enables delivery with an IRQ
+     already pending, or a sink is attached and a sweep is in flight —
+     then the next tick must take the slow path: deliver the IRQ, or
+     settle the sweep and emit its revoker-quantum event exactly where
+     it always did. *)
+  let m = mk () in
+  Machine.set_deliver_hook m (Some ignore);
+  Machine.set_timer m (Some 1000);
+  Machine.tick m 1;
+  Alcotest.(check bool) "horizon computed" true (Machine.defer_window m 10);
+  Machine.set_irq_enabled m false;
+  Alcotest.(check bool) "disable keeps it" true (Machine.defer_window m 10);
+  Machine.set_irq_enabled m true;
+  Alcotest.(check bool) "enable, none pending, keeps it" true (Machine.defer_window m 10);
+  Machine.set_irq_enabled m false;
+  Machine.raise_irq m Machine.first_user_irq;
+  Machine.tick m 1;
+  Alcotest.(check bool) "masked IRQ keeps it" true (Machine.defer_window m 10);
+  Machine.set_irq_enabled m true;
+  Alcotest.(check bool) "enable with one pending dirties it" false (Machine.defer_window m 10);
+  Machine.tick m 1;
+  let obs = Obs.create () in
+  Machine.set_trace m (Some obs);
+  let quanta () =
+    List.length
+      (List.filter
+         (fun e -> match e.Obs.kind with Obs.Revoker_quantum _ -> true | _ -> false)
+         (Obs.events obs))
+  in
+  Machine.revoker_kick m;
+  Machine.tick m 1;
+  Machine.tick m 50;
+  let before = quanta () in
+  Alcotest.(check bool) "sweep lag deferred" true (Machine.defer_window m 10);
+  Machine.set_irq_enabled m false;
+  Alcotest.(check bool) "posture change mid-sweep dirties it" false (Machine.defer_window m 10);
+  Machine.tick m 1;
+  Alcotest.(check int) "the next tick settles the sweep" (before + 1) (quanta ());
+  Machine.set_trace m None;
+  Machine.set_irq_enabled m true;
+  Alcotest.(check bool) "untraced, mid-sweep keeps it" true (Machine.defer_window m 10)
+
 let test_seconds_conversion () =
   Alcotest.(check bool) "33 MHz" true
     (abs_float (Machine.seconds_of_cycles 33_000_000 -. 1.0) < 1e-9)
@@ -165,6 +209,7 @@ let suite =
     Alcotest.test_case "listener remove" `Quick test_listener_remove;
     Alcotest.test_case "listener parked wakeup" `Quick test_listener_parked_wakeup;
     Alcotest.test_case "seconds conversion" `Quick test_seconds_conversion;
+    Alcotest.test_case "posture keeps horizon" `Quick test_posture_horizon;
   ]
 
 let () = Alcotest.run "cheriot_machine" [ ("machine", suite) ]

@@ -15,8 +15,7 @@
    Corners the generator cannot reach — snapshot with an IRQ latched
    behind a masked line, snapshot mid-quarantine-sweep, snapshot
    attempted from a running kernel thread, restore over a superblock
-   engine's warm compiled blocks and inline caches — get hand-built
-   cases. *)
+   engine's warm compiled blocks — get hand-built cases. *)
 
 module Cap = Capability
 module F = Firmware
@@ -274,14 +273,13 @@ let test_pending_irq_snapshot () =
 (* ------------------------------------------------------------------ *)
 
 let test_restore_over_warm_superblock_caches () =
-  (* The superblock engine memoizes load-filter checks keyed on
-     (authority, filter epoch).  Snapshot a machine whose data region is
-     revoked, clear the revocation and run a loop to warm the compiled
-     blocks and their inline caches with passing entries, then restore.
-     The restored machine is revoked again; if restore failed to bump
-     the filter epoch (or the interpreter kept stale per-run state), the
-     warm caches would let the loop run unchecked.  It must trap exactly
-     like a fresh legacy interpreter on the restored state. *)
+  (* Snapshot a machine whose data region is revoked, clear the
+     revocation and run a loop to warm the compiled blocks with passing
+     accesses, then restore.  The restored machine is revoked again; if
+     a compiled block remembered a passing check (or the interpreter
+     kept stale per-run state), the loop would run unchecked.  It must
+     trap exactly like a fresh legacy interpreter on the restored
+     state. *)
   let prog =
     Isa.assemble ~name:"warm"
       [
