@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test test-seeds report-smoke profile-smoke replay-smoke attack-smoke ci campaign campaign-par bench perf perf-gate alloc-gate clean
+.PHONY: all build test test-seeds report-smoke profile-smoke replay-smoke attack-smoke ci campaign campaign-par bench perf alloc-gate clean
 
 all: build
 
@@ -17,7 +17,7 @@ test:
 # (the suites read QCHECK_SEED; a failure prints the seed to replay).
 SEEDS ?= 1 7 42 1234 987654321
 PROP_TESTS = test_cap_props test_alloc_props test_mem_props test_obs_props \
-	test_forensics test_interp_equiv test_snapshot_equiv test_attack
+	test_forensics test_interp_equiv test_snapshot_equiv test_attack test_isa
 
 test-seeds: build
 	@for s in $(SEEDS); do \
@@ -71,7 +71,7 @@ attack-smoke: build
 	@diff _build/attack_fm_j1.out _build/attack_fm_j4.out
 	@echo "attack-smoke: --jobs 4 identical to --jobs 1 (with and without fleet metrics), matrix matches golden"
 
-ci: build test test-seeds report-smoke profile-smoke replay-smoke campaign-par attack-smoke perf-gate alloc-gate perf
+ci: build test test-seeds report-smoke profile-smoke replay-smoke campaign-par attack-smoke alloc-gate perf
 
 # Long mode: 200 seeded scenarios (override with FAULT_CAMPAIGN_ITERS=n).
 # Farmed across all cores by default; --jobs 1 forces the sequential path.
@@ -93,22 +93,11 @@ campaign-par: build
 bench:
 	dune exec bench/main.exe
 
-# Regression gate for the superblock engine: best-of-3 ns/instr on the
-# tight loop must beat the pre-decoded engine by at least
-# PERF_GATE_MIN_RATIO (default 1.5; the committed baseline records ~2x
-# on the reference host — the gate is set below that so CI noise on
-# shared runners doesn't flap, while a real regression to parity still
-# fails loudly).
-perf-gate: build
-	dune exec bench/main.exe -- perf-gate
-
 # Allocation gate for the packed capability register file: the warm
-# (second) run of the tight loop — segments decoded, superblocks
-# compiled, memo caches filled — must allocate at most
-# ALLOC_GATE_MAX_WORDS (default 0.01) minor-heap words per simulated
-# instruction on the superblock engine; the committed baseline is
-# exactly 0.  Legacy/predecode are reported but not gated (their
-# memory arms box the authority capability by design).  Also gates the
+# (second) run of the tight loop — segments decoded, blocks compiled —
+# must allocate at most ALLOC_GATE_MAX_WORDS (default 0.01) minor-heap
+# words per simulated instruction; the committed baseline is exactly
+# 0.  Also gates the
 # warm minor words per compartment-call round trip (0 B and 1024 B
 # stack) under a fixed ceiling; see alloc_gate_cmd in bench/main.ml.
 alloc-gate: build

@@ -1286,29 +1286,17 @@ let replay_cmd args =
 (* A tight interpreter loop in a machine with the usual furniture
    attached (network world, armed timer): arithmetic, a store and a load
    per iteration, so the instruction-dispatch, memory and tick paths are
-   all on the measured loop. *)
-let engine_name = function
-  | `Legacy -> "legacy"
-  | `Predecode -> "predecode"
-  | `Superblock -> "superblock"
-
-let engine_of_name = function
-  | "legacy" -> Some `Legacy
-  | "predecode" -> Some `Predecode
-  | "superblock" -> Some `Superblock
-  | _ -> None
-
-(* One tight-loop rig: machine + interpreter + entry sentry for the
-   7-instruction spin program.  The program (re)initializes its own
-   loop registers, so re-entering the same rig measures the steady
-   state — segments decoded, superblocks compiled, memo caches warm. *)
+   all on the measured loop.  A rig is machine + interpreter + entry
+   sentry for the 7-instruction spin program.  The program
+   (re)initializes its own loop registers, so re-entering the same rig
+   measures the steady state — segments decoded, blocks compiled. *)
 type tight_rig = { tr_interp : Interp.t; tr_entry : Cap.t }
 
-let tight_rig ?(engine = `Superblock) () =
+let tight_rig () =
   let machine = Machine.create () in
   ignore (Netsim.attach machine);
   Machine.set_timer machine (Some 4_000_000_000);
-  let interp = Interp.create ~engine machine in
+  let interp = Interp.create machine in
   let iters = 500_000 in
   let prog =
     Isa.assemble ~name:"spin"
@@ -1360,25 +1348,19 @@ let tight_run rig =
     (g1.Gc.minor_words -. g0.Gc.minor_words) /. instrs,
     (g1.Gc.promoted_words -. g0.Gc.promoted_words) /. instrs )
 
-let ns_per_instr ?engine () =
-  let ns, _, _ = tight_run (tight_rig ?engine ()) in
-  ns
-
 let timed f =
   let t0 = Unix.gettimeofday () in
   f ();
   Unix.gettimeofday () -. t0
 
 let perf_measurements () =
-  let engine = `Superblock in
   (* Run the rig twice: the first (cold) run is the historical
      ns/instr number BENCH_core.json tracks; the second (warm) run is
      where the packed register file's zero-allocation claim holds, so
      the GC counters come from it. *)
-  let rig = tight_rig ~engine () in
+  let rig = tight_rig () in
   let ns, _, _ = tight_run rig in
   let _, minor_w, promoted_w = tight_run rig in
-  let engine = engine_name engine in
   let fig7_fast_s = timed (fun () -> ignore (Iot_scenario.run ~fast:true ())) in
   let campaign8_s =
     timed (fun () ->
@@ -1406,7 +1388,6 @@ let perf_measurements () =
   in
   let base =
     [
-      ("engine", Json.Str engine);
       ("ns_per_instr", Json.Str (Printf.sprintf "%.1f" ns));
       ("gc_minor_words_per_instr", Json.Str (Printf.sprintf "%.4f" minor_w));
       ("gc_promoted_words_per_instr", Json.Str (Printf.sprintf "%.4f" promoted_w));
@@ -1455,105 +1436,25 @@ let perf_json () =
               | _ -> ())
             cur)
 
-(* `bench -- perf [--engine E] [--compare]`: the tight-loop ns/instr
-   measurement, parameterized by back-end.  --compare prints all three
-   engines with ratios against the slowest, so BENCH_core.json rolls
-   need no manual before/after bookkeeping. *)
-let perf_cmd args =
-  let rec parse engine compare = function
-    | [] -> (engine, compare)
-    | "--compare" :: rest -> parse engine true rest
-    | "--engine" :: e :: rest -> (
-        match engine_of_name e with
-        | Some eng -> parse (Some eng) compare rest
-        | None ->
-            Fmt.epr "perf: unknown engine %s (legacy|predecode|superblock)@." e;
-            exit 1)
-    | a :: _ ->
-        Fmt.epr "perf: unknown argument %s@." a;
-        Fmt.epr "usage: bench -- perf [--engine legacy|predecode|superblock] [--compare]@.";
-        exit 1
-  in
-  let engine, compare = parse None false args in
-  if compare then begin
-    section "ns/instr on the tight loop, by engine";
-    let engines = [ `Legacy; `Predecode; `Superblock ] in
-    (* Cold run for the ns/instr number (comparable to the committed
-       baseline), warm run for the steady-state GC counters. *)
-    let results =
-      List.map
-        (fun e ->
-          let rig = tight_rig ~engine:e () in
-          let ns, _, _ = tight_run rig in
-          let _, minor, promoted = tight_run rig in
-          (e, (ns, minor, promoted)))
-        engines
-    in
-    let _, (slowest, _, _) = List.hd results in
-    List.iter
-      (fun (e, (ns, minor, promoted)) ->
-        Fmt.pr
-          "  %-12s %6.1f ns/instr   %5.2fx vs legacy   %8.4f minor w/i   \
-           %8.4f promoted w/i@."
-          (engine_name e) ns (slowest /. ns) minor promoted)
-      results;
-    match
-      ( List.assoc_opt `Predecode results,
-        List.assoc_opt `Superblock results )
-    with
-    | Some (p, _, _), Some (s, _, _) when s > 0. ->
-        Fmt.pr "  superblock is %.2fx vs predecode@." (p /. s)
-    | _ -> ()
-  end
-  else begin
-    let e = match engine with Some e -> e | None -> `Superblock in
-    Fmt.pr "%s: %.1f ns/instr@." (engine_name e) (ns_per_instr ~engine:e ())
-  end
-
-(* `bench -- perf-gate`: CI regression gate.  Fails unless the
-   superblock engine beats predecode on the tight loop by at least
-   PERF_GATE_MIN_RATIO (default 1.5; override for slow or noisy CI
-   hosts).  Best-of-3 per engine to shrug off scheduler noise. *)
-let perf_gate_cmd _args =
-  let min_ratio =
-    match Sys.getenv_opt "PERF_GATE_MIN_RATIO" with
-    | None -> 1.5
-    | Some s -> (
-        match float_of_string_opt s with
-        | Some r when r > 0. -> r
-        | _ ->
-            Fmt.epr "perf-gate: bad PERF_GATE_MIN_RATIO %S@." s;
-            exit 1)
-  in
-  let best engine =
-    let m = ref infinity in
-    for _ = 1 to 3 do
-      m := Float.min !m (ns_per_instr ~engine ())
-    done;
-    !m
-  in
-  let pre = best `Predecode in
-  let sup = best `Superblock in
-  let ratio = pre /. sup in
-  Fmt.pr "perf-gate: predecode %.1f ns/instr, superblock %.1f ns/instr, ratio %.2fx (min %.2fx)@."
-    pre sup ratio min_ratio;
-  if ratio < min_ratio then begin
-    Fmt.epr "perf-gate: FAIL — superblock is only %.2fx over predecode (need %.2fx)@."
-      ratio min_ratio;
-    exit 1
-  end
+(* `bench -- perf`: the tight-loop ns/instr measurement (cold run). *)
+let perf_cmd = function
+  | [] ->
+      let ns, _, _ = tight_run (tight_rig ()) in
+      Fmt.pr "%.1f ns/instr@." ns
+  | a :: _ ->
+      Fmt.epr "perf: unknown argument %s@.usage: bench -- perf@." a;
+      exit 1
 
 (* `bench -- alloc-gate`: CI gate for the packed register file's core
    claim — the steady-state superblock hot loop does zero minor-heap
    allocation per instruction — and for the allocation-free switcher
-   path (warm words per compartment-call round trip, gated below).  The first run of the rig pays one-time
-   costs (segment decode, superblock compilation, memo-cache fill); the
+   path (warm words per compartment-call round trip, gated below).  The
+   first run of the rig pays one-time costs (segment decode, block
+   compilation); the
    second run must stay under ALLOC_GATE_MAX_WORDS minor words per
    instruction (default 0.01 — any real per-instruction allocation
    costs at least 2 words, so the gate has ~200x margin while leaving
-   headroom for O(1) entry/exit boxing).  The fallback engines are
-   reported for context but not gated: their Lw/Sw arms must still
-   materialize a boxed authority capability for Machine.load/store. *)
+   headroom for O(1) entry/exit boxing). *)
 (* Warm minor-heap words per compartment-call round trip
    ([Kernel.call1] into the callee and back through both switcher legs),
    averaged over [n] calls after a few warm-up calls have decoded the
@@ -1584,25 +1485,14 @@ let alloc_gate_cmd _args =
             Fmt.epr "alloc-gate: bad ALLOC_GATE_MAX_WORDS %S@." s;
             exit 1)
   in
-  let steady engine =
-    let rig = tight_rig ~engine () in
-    ignore (tight_run rig);
-    let _, minor, promoted = tight_run rig in
-    (minor, promoted)
-  in
-  List.iter
-    (fun engine ->
-      let minor, promoted = steady engine in
-      Fmt.pr "alloc-gate: %-10s %10.6f minor words/instr, %10.6f promoted (ungated)@."
-        (engine_name engine) minor promoted)
-    [ `Legacy; `Predecode ];
-  let minor, promoted = steady `Superblock in
-  Fmt.pr "alloc-gate: %-10s %10.6f minor words/instr, %10.6f promoted (max %.3f)@."
-    (engine_name `Superblock) minor promoted max_words;
+  let rig = tight_rig () in
+  ignore (tight_run rig);
+  let _, minor, promoted = tight_run rig in
+  Fmt.pr "alloc-gate: %10.6f minor words/instr, %10.6f promoted (max %.3f)@."
+    minor promoted max_words;
   if minor > max_words then begin
     Fmt.epr
-      "alloc-gate: FAIL — superblock steady state allocates %.6f minor \
-       words/instr (max %.3f)@."
+      "alloc-gate: FAIL — steady state allocates %.6f minor words/instr (max %.3f)@."
       minor max_words;
     exit 1
   end;
@@ -1723,14 +1613,7 @@ let subcommands : (string * string * (string list -> unit)) list =
        campaign scenario's input stream, re-run it under bit-exact \
        verification, or bisect two journals",
       replay_cmd );
-    ( "perf",
-      "perf [--engine legacy|predecode|superblock] [--compare]: tight-loop \
-       ns/instr for one engine, or a ratio table over all three",
-      perf_cmd );
-    ( "perf-gate",
-      "perf-gate: fail unless superblock beats predecode by \
-       PERF_GATE_MIN_RATIO (default 1.5x) on the tight loop",
-      perf_gate_cmd );
+    ("perf", "perf: tight-loop ns/instr of the interpreter", perf_cmd);
     ( "alloc-gate",
       "alloc-gate: fail unless the warm superblock loop allocates under \
        ALLOC_GATE_MAX_WORDS (default 0.01) minor words per instruction \

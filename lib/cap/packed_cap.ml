@@ -26,10 +26,8 @@ module Cap = Capability
    slots are never written, so they stay all-zero, which is exactly
    NULL's packed form) and writes are discarded — the [set_slots] guard
    mirrors the old boxed file's [set] guard.  Indexing is bounds-
-   checked: an out-of-range register raises the same [Invalid_argument]
-   the boxed [Cap.t array] did, which the per-instruction engines rely
-   on (the superblock compiler rejects such operands at compile time
-   and side-exits instead). *)
+   checked: an out-of-range register raises [Invalid_argument]
+   ([Isa.assemble] keeps such operands out of interpreted code). *)
 
 let slots = 4
 

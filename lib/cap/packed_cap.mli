@@ -17,9 +17,8 @@
 
     Register 0 reads as NULL and discards writes, exactly like the
     boxed file it replaces; out-of-range register indices raise
-    [Invalid_argument] from the array bounds check, also exactly like
-    the boxed file (the superblock compiler rejects such operands at
-    compile time instead). *)
+    [Invalid_argument] from the array bounds check ([Isa.assemble]
+    rejects such operands, so interpreted code never supplies one). *)
 
 val slots : int
 (** Ints per register (meta, base, top, cursor). *)

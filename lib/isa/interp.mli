@@ -9,35 +9,24 @@
 
     Each executed instruction charges {!Cost.instr} plus memory costs.
     CHERI violations become [Trapped] outcomes carrying the faulting PC,
-    exactly where the hardware would trap. *)
+    exactly where the hardware would trap.
+
+    There is one execution engine: the {!Superblock} compiler, which
+    fuses straight-line runs into closures with bounds checks hoisted to
+    block entry, memoizes nothing that can go stale, and batches ticks
+    under the event horizon.  When a block's preconditions fail it runs
+    a one-instruction block instead, so it is its own slow path.  Its
+    reference semantics live outside the library, in the deliberately
+    slow executable spec [test/isa_spec.ml] (boxed capabilities, one
+    step at a time); [test_interp_equiv] and [test_snapshot_equiv] pin
+    the engine to it on registers, cycles, instret, traps and the trace
+    event stream. *)
 
 type t
 
-type engine = [ `Legacy | `Predecode | `Superblock ]
-(** The three execution back-ends, from slowest to fastest:
-    - [`Legacy]: per-step fetch/decode (the original engine, kept as
-      the equivalence oracle);
-    - [`Predecode]: decode-once front-end — each segment lazily
-      materializes an array of pre-decoded instructions with branch
-      labels resolved to absolute targets, and execution threads a
-      plain integer PC between control transfers;
-    - [`Superblock]: additionally compiles each straight-line run into
-      a fused closure ({!Superblock}) with bounds checks hoisted to
-      block entry, memoized load-filter checks and tick batching under
-      the event horizon, side-exiting to the [`Predecode] engine
-      whenever a block precondition fails.
-
-    All three are observationally identical (registers, cycles,
-    instret, traps, trace events); the equivalence is pinned by the
-    three-way [test_interp_equiv] QCheck matrix. *)
-
-val create : ?engine:engine -> Machine.t -> t
-(** [engine] defaults to [`Superblock]. *)
+val create : Machine.t -> t
 
 val machine : t -> Machine.t
-
-val engine : t -> engine
-(** Which execution back-end this interpreter uses. *)
 
 val map_segment : t -> base:int -> Isa.program -> unit
 (** Map a program at [base] (4 bytes per instruction).  Overlap is a
@@ -94,4 +83,5 @@ val run : ?fuel:int -> t -> Capability.t -> outcome
     targets trap, sentries unseal and may switch the interrupt posture)
     and interpret until an outcome is reached.  [fuel] bounds the number
     of instructions (default 1_000_000) and exceeding it is a [Software]
-    trap. *)
+    trap.  Total on every mapped program: {!Isa.assemble} rejects
+    out-of-range register operands, so a run never raises. *)

@@ -67,6 +67,44 @@ type program = {
   labels : (string, int) Hashtbl.t;
 }
 
+(* Register operands of an instruction (each must be 0..15). *)
+let regs = function
+  | J _ | Trapif _ | Halt -> []
+  | Li (a, _) | Cjal (a, _) | Auipcc (a, _) -> [ a ]
+  | Mv (a, b)
+  | Addi (a, b, _)
+  | Andi (a, b, _)
+  | Beq (a, b, _)
+  | Bne (a, b, _)
+  | Bltu (a, b, _)
+  | Bgeu (a, b, _)
+  | Lw (a, _, b)
+  | Sw (a, _, b)
+  | Clc (a, _, b)
+  | Csc (a, _, b)
+  | Cincaddrimm (a, b, _)
+  | Csetboundsimm (a, b, _)
+  | Candperm (a, b, _)
+  | Cgetaddr (a, b)
+  | Cgetbase (a, b)
+  | Cgetlen (a, b)
+  | Cgettag (a, b)
+  | Cgettype (a, b)
+  | Cgetperm (a, b)
+  | Csealentry (a, b, _)
+  | Cjalr (a, b)
+  | Cspecialrw (a, _, b)
+  | Ccleartag (a, b) ->
+      [ a; b ]
+  | Add (a, b, c)
+  | Sub (a, b, c)
+  | Cincaddr (a, b, c)
+  | Csetaddr (a, b, c)
+  | Csetbounds (a, b, c)
+  | Cseal (a, b, c)
+  | Cunseal (a, b, c) ->
+      [ a; b; c ]
+
 let assemble ~name items =
   let labels = Hashtbl.create 16 in
   let n =
@@ -103,6 +141,17 @@ let assemble ~name items =
       | Cjal (_, l)
       | Auipcc (_, l) ->
           check_label l
+      | _ -> ())
+    instrs;
+  let bad what v i =
+    invalid_arg
+      (Printf.sprintf "assemble %s: %s %d out of range at instruction %d" name what v i)
+  in
+  Array.iteri
+    (fun i ins ->
+      List.iter (fun r -> if r < 0 || r > 15 then bad "register" r i) (regs ins);
+      match ins with
+      | Cspecialrw (_, s, _) when s < 0 || s > 2 -> bad "special register" s i
       | _ -> ())
     instrs;
   { prog_name = name; instrs; labels }

@@ -97,8 +97,10 @@ type item = I of instr | L of string
 type program
 
 val assemble : name:string -> item list -> program
-(** Resolve labels.  Raises [Invalid_argument] on duplicate or undefined
-    labels. *)
+(** Resolve labels and validate operands.  Raises [Invalid_argument] on
+    duplicate or undefined labels, on a register operand outside 0..15
+    and on a [Cspecialrw] index outside 0..2.  [program] is abstract, so
+    every program the interpreter runs has passed these checks. *)
 
 val name : program -> string
 val length : program -> int

@@ -1,7 +1,7 @@
 module Cap = Capability
 module Pk = Packed_cap
 
-(* Superblock compiler: the third interpreter back-end.
+(* Superblock compiler: the interpreter's only execution engine.
 
    A superblock is the trace from a jump target (or branch target) to
    the next unconditional control transfer or back-edge to its own
@@ -12,8 +12,9 @@ module Pk = Packed_cap
    tail-calling the next — so the per-step dispatch, segment-range and
    PCC-bounds checks disappear from the hot path: the dispatcher in
    [Interp] validates the whole block's preconditions once at entry and
-   either runs the fused closure or side-exits to the exact per-
-   instruction engine.  The preconditions are checked for the full
+   either runs the fused closure or, when one fails, the one-instruction
+   block at that pc ([compile ~single:true]), which is the engine's own
+   slow path.  The preconditions are checked for the full
    length of the block (fuel, PCC bounds, worst-case cost under the
    event horizon), so they stay sufficient for an execution that leaves
    early; each exit reports how many instructions it retired
@@ -31,7 +32,8 @@ module Pk = Packed_cap
 
    Equivalence contract (every rule here exists to keep registers,
    cycles, instret, trap cause + PC and the Obs event stream bit-
-   identical to the legacy engine):
+   identical to one-instruction-at-a-time execution, as the executable
+   ISA spec in test/ defines it):
 
    - Per-run state (pcc, pending deferred cycles) is threaded through
      the closure chain as ARGUMENTS, never stored in [ctx].  A tick can
@@ -48,13 +50,13 @@ module Pk = Packed_cap
      taken the fast path (no listener, timer or IRQ delivery), nothing
      can observe the clock mid-block, and one batched tick at the
      terminator is exact.  [acc] = -1 means "not deferring": every
-     charge ticks immediately, which is the legacy behaviour instruction
+     charge ticks immediately, which is the per-step behaviour instruction
      for instruction (and the only mode in which preemption, tracing
      samples or fault-injection listeners can fire mid-block).
 
    - Every raise out of a compiled closure flushes pending cycles first,
-     so a trapping block leaves the clock exactly where the legacy
-     engine would.
+     so a trapping block leaves the clock exactly where per-step
+     execution would.
 
    - Anything with an observer flushes before it runs and disables
      deferral after: MMIO device access (devices read the clock and
@@ -78,8 +80,8 @@ type trap = { tcause : trap_cause; tpc : int }
 
 exception Trap_exn of trap
 
-(* Shared execution state: the packed register file and counters every
-   engine reads and writes in place.  [sjump] carries a Cjalr target
+(* Shared execution state: the packed register file and counters the
+   compiled blocks read and write in place.  [sjump] carries a Cjalr target
    from the terminator closure to the dispatcher, [sret_acc] the
    pending deferred-cycle batch that a block exit hands back instead of
    flushing, and [sret_len] the instructions that execution retired
@@ -172,8 +174,8 @@ let[@inline] charge m acc n =
   end
 
 (* Retire one instruction: charge Cost.instr, bump instret, and emit the
-   periodic trace sample.  Tick-before-increment mirrors the legacy
-   order exactly — a preemption inside the tick can retire other
+   periodic trace sample.  Tick-before-increment is the per-step
+   order — a preemption inside the tick can retire other
    instructions, and the sample boundary must see the post-preemption
    count.  Under deferral no preemption or tracing is possible, so the
    inverted order is unobservable there. *)
@@ -193,8 +195,8 @@ let[@inline] retire ctx acc =
     -1
   end
 
-(* Hot-path packed accessors: register indices are proved < 16 at
-   compile time ([okr]), so unsafe indexing is sound.  Register 0 reads
+(* Hot-path packed accessors: [Isa.assemble] rejects register operands
+   outside 0..15, so unsafe indexing is sound.  Register 0 reads
    all-zero slots (NULL) and the write guard discards stores to it. *)
 let[@inline] ucur pk r = Array.unsafe_get pk ((r lsl 2) + 3)
 
@@ -216,7 +218,7 @@ let[@inline] ucopy pk rd rs =
     Array.unsafe_set pk (od + 3) (Array.unsafe_get pk (os + 3))
   end
 
-(* Flush-then-raise: a trap must leave the clock where the legacy engine
+(* Flush-then-raise: a trap must leave the clock where per-step execution
    would, so pending deferred cycles are settled before the raise. *)
 let trapfx m acc pc cause =
   flushx m acc;
@@ -315,14 +317,6 @@ let instr_maxcost = function
   | Isa.Lw _ | Isa.Sw _ | Isa.Clc _ | Isa.Csc _ -> Cost.instr + Cost.mem_cap
   | _ -> Cost.instr
 
-(* An instruction whose register operands fall outside the 16-entry file
-   cannot use the unsafe accessors; such blocks are left uncompiled and
-   the dispatcher side-exits to the per-instruction engine, which
-   preserves the legacy out-of-range behaviour exactly. *)
-exception Unsupported
-
-let okr r = r >= 0 && r < 16
-
 (* Every exit hands back the pending batch and the number of
    instructions this execution retired (on the last trip, for a
    self-loop). *)
@@ -331,17 +325,16 @@ let[@inline] leave ctx acc n pc =
   ctx.sret_len <- n;
   pc
 
-let compile ctx dec ~base ~idx =
+let compile ~single ctx dec ~base ~idx =
   let m = ctx.sm and mem = ctx.smem and pk = ctx.spk in
   let lo = Memory.base mem in
   let hi = lo + Memory.size mem in
   let n = Array.length dec in
   let entry = base + (4 * idx) in
-  let stop =
-    let rec f j = if j >= n then n else if ends_block entry dec.(j) then j else f (j + 1) in
-    f idx
+  let last =
+    let rec f j = if j >= n - 1 || ends_block entry dec.(j) then j else f (j + 1) in
+    if single then idx else f idx
   in
-  let last = if stop >= n then n - 1 else stop in
   let len = last - idx + 1 in
   let maxcost = ref 0 in
   for j = idx to last do
@@ -370,8 +363,8 @@ let compile ctx dec ~base ~idx =
   let rec build j : Cap.t -> int -> int =
     if j > last then
       (* No terminator before the segment end: fall off; the dispatcher
-         re-checks segment and bounds at the returned pc, exactly as the
-         per-instruction engine would on its next step. *)
+         re-checks segment and bounds at the returned pc, exactly as a
+         one-instruction step would. *)
       let fall = base + (4 * j) in
       fun _pcc acc -> leave ctx acc len fall
     else begin
@@ -380,42 +373,36 @@ let compile ctx dec ~base ~idx =
       match slot.d_ins with
       (* --- straight-line instructions: call the continuation --- *)
       | Isa.Li (rd, v) ->
-          if not (okr rd) then raise Unsupported;
           let k = build (j + 1) in
           fun pcc acc ->
             let acc = retire ctx acc in
             uint pk rd v;
             k pcc acc
       | Isa.Mv (rd, rs) ->
-          if not (okr rd && okr rs) then raise Unsupported;
           let k = build (j + 1) in
           fun pcc acc ->
             let acc = retire ctx acc in
             ucopy pk rd rs;
             k pcc acc
       | Isa.Addi (rd, rs, v) ->
-          if not (okr rd && okr rs) then raise Unsupported;
           let k = build (j + 1) in
           fun pcc acc ->
             let acc = retire ctx acc in
             uint pk rd (ucur pk rs + v);
             k pcc acc
       | Isa.Add (rd, a, b) ->
-          if not (okr rd && okr a && okr b) then raise Unsupported;
           let k = build (j + 1) in
           fun pcc acc ->
             let acc = retire ctx acc in
             uint pk rd (ucur pk a + ucur pk b);
             k pcc acc
       | Isa.Sub (rd, a, b) ->
-          if not (okr rd && okr a && okr b) then raise Unsupported;
           let k = build (j + 1) in
           fun pcc acc ->
             let acc = retire ctx acc in
             uint pk rd (ucur pk a - ucur pk b);
             k pcc acc
       | Isa.Andi (rd, rs, v) ->
-          if not (okr rd && okr rs) then raise Unsupported;
           let k = build (j + 1) in
           fun pcc acc ->
             let acc = retire ctx acc in
@@ -424,12 +411,11 @@ let compile ctx dec ~base ~idx =
       (* --- memory: direct checks on the packed authority.  Deferred
          and passing, the arm retires and charges in one batched add.
          Otherwise it retires (a real tick when not deferring; the
-         registers are re-read after it, as the per-step engines read
+         registers are re-read after it, as per-step execution reads
          them); a passing access then charges, re-reads the load filter
          after the charge and goes straight to the backing store, and
          anything else takes the full checked [Machine] path. --- *)
       | Isa.Lw (rd, imm, rs) ->
-          if not (okr rd && okr rs) then raise Unsupported;
           let os = rs lsl 2 in
           let k = build (j + 1) in
           fun pcc acc ->
@@ -472,7 +458,6 @@ let compile ctx dec ~base ~idx =
               end
             end
       | Isa.Sw (rs2, imm, rs1) ->
-          if not (okr rs2 && okr rs1) then raise Unsupported;
           let os = rs1 lsl 2 in
           let k = build (j + 1) in
           fun pcc acc ->
@@ -509,7 +494,6 @@ let compile ctx dec ~base ~idx =
               end
             end
       | Isa.Clc (rd, imm, rs) ->
-          if not (okr rd && okr rs) then raise Unsupported;
           let os = rs lsl 2 in
           let k = build (j + 1) in
           fun pcc acc ->
@@ -547,7 +531,6 @@ let compile ctx dec ~base ~idx =
       | Isa.Csc (0, imm, rs1) ->
           (* NULL store (the switcher's zeroing loops and frame scrub):
              untagged, so it never runs the tag-set hook. *)
-          if not (okr rs1) then raise Unsupported;
           let os = rs1 lsl 2 in
           let k = build (j + 1) in
           fun pcc acc ->
@@ -578,7 +561,6 @@ let compile ctx dec ~base ~idx =
               end
             end
       | Isa.Csc (rs2, imm, rs1) ->
-          if not (okr rs2 && okr rs1) then raise Unsupported;
           let os = rs1 lsl 2 and os2 = rs2 lsl 2 in
           let k = build (j + 1) in
           fun pcc acc ->
@@ -620,42 +602,36 @@ let compile ctx dec ~base ~idx =
               end
             end
       | Isa.Cincaddr (rd, a, b) ->
-          if not (okr rd && okr a && okr b) then raise Unsupported;
           let k = build (j + 1) in
           fun pcc acc ->
             let acc = retire ctx acc in
             pkfx m acc pc (Pk.incr_addr pk ~dst:rd ~src:a (ucur pk b));
             k pcc acc
       | Isa.Cincaddrimm (rd, a, v) ->
-          if not (okr rd && okr a) then raise Unsupported;
           let k = build (j + 1) in
           fun pcc acc ->
             let acc = retire ctx acc in
             pkfx m acc pc (Pk.incr_addr pk ~dst:rd ~src:a v);
             k pcc acc
       | Isa.Csetaddr (rd, a, b) ->
-          if not (okr rd && okr a && okr b) then raise Unsupported;
           let k = build (j + 1) in
           fun pcc acc ->
             let acc = retire ctx acc in
             pkfx m acc pc (Pk.set_addr pk ~dst:rd ~src:a (ucur pk b));
             k pcc acc
       | Isa.Csetbounds (rd, a, b) ->
-          if not (okr rd && okr a && okr b) then raise Unsupported;
           let k = build (j + 1) in
           fun pcc acc ->
             let acc = retire ctx acc in
             pkfx m acc pc (Pk.set_bounds pk ~dst:rd ~src:a (ucur pk b));
             k pcc acc
       | Isa.Csetboundsimm (rd, a, v) ->
-          if not (okr rd && okr a) then raise Unsupported;
           let k = build (j + 1) in
           fun pcc acc ->
             let acc = retire ctx acc in
             pkfx m acc pc (Pk.set_bounds pk ~dst:rd ~src:a v);
             k pcc acc
       | Isa.Candperm (rd, a, mask) ->
-          if not (okr rd && okr a) then raise Unsupported;
           let k = build (j + 1) in
           let pset = Perm.Set.of_bits mask in
           fun pcc acc ->
@@ -663,35 +639,30 @@ let compile ctx dec ~base ~idx =
             pkfx m acc pc (Pk.and_perms pk ~dst:rd ~src:a pset);
             k pcc acc
       | Isa.Cgetaddr (rd, a) ->
-          if not (okr rd && okr a) then raise Unsupported;
           let k = build (j + 1) in
           fun pcc acc ->
             let acc = retire ctx acc in
             uint pk rd (ucur pk a);
             k pcc acc
       | Isa.Cgetbase (rd, a) ->
-          if not (okr rd && okr a) then raise Unsupported;
           let k = build (j + 1) in
           fun pcc acc ->
             let acc = retire ctx acc in
             uint pk rd (Pk.base pk a);
             k pcc acc
       | Isa.Cgetlen (rd, a) ->
-          if not (okr rd && okr a) then raise Unsupported;
           let k = build (j + 1) in
           fun pcc acc ->
             let acc = retire ctx acc in
             uint pk rd (Pk.length pk a);
             k pcc acc
       | Isa.Cgettag (rd, a) ->
-          if not (okr rd && okr a) then raise Unsupported;
           let k = build (j + 1) in
           fun pcc acc ->
             let acc = retire ctx acc in
             uint pk rd (Pk.tag_bit pk a);
             k pcc acc
       | Isa.Cgettype (rd, a) ->
-          if not (okr rd && okr a) then raise Unsupported;
           let k = build (j + 1) in
           fun pcc acc ->
             let acc = retire ctx acc in
@@ -700,28 +671,24 @@ let compile ctx dec ~base ~idx =
             uint pk rd (Pk.otype_code pk a);
             k pcc acc
       | Isa.Cgetperm (rd, a) ->
-          if not (okr rd && okr a) then raise Unsupported;
           let k = build (j + 1) in
           fun pcc acc ->
             let acc = retire ctx acc in
             uint pk rd (Pk.perm_bits pk a);
             k pcc acc
       | Isa.Cseal (rd, a, key) ->
-          if not (okr rd && okr a && okr key) then raise Unsupported;
           let k = build (j + 1) in
           fun pcc acc ->
             let acc = retire ctx acc in
             pkfx m acc pc (Pk.seal pk ~dst:rd ~src:a ~key);
             k pcc acc
       | Isa.Cunseal (rd, a, key) ->
-          if not (okr rd && okr a && okr key) then raise Unsupported;
           let k = build (j + 1) in
           fun pcc acc ->
             let acc = retire ctx acc in
             pkfx m acc pc (Pk.unseal pk ~dst:rd ~src:a ~key);
             k pcc acc
       | Isa.Csealentry (rd, a, kind) ->
-          if not (okr rd && okr a) then raise Unsupported;
           let k = build (j + 1) in
           let code = Cap.sentry_code kind in
           fun pcc acc ->
@@ -729,7 +696,6 @@ let compile ctx dec ~base ~idx =
             pkfx m acc pc (Pk.seal_entry pk ~dst:rd ~src:a code);
             k pcc acc
       | Isa.Auipcc (rd, _) ->
-          if not (okr rd) then raise Unsupported;
           let k = build (j + 1) in
           let tgt = slot.d_target in
           fun pcc acc ->
@@ -739,8 +705,6 @@ let compile ctx dec ~base ~idx =
             Pk.pack_at pk rd pcc tgt;
             k pcc acc
       | Isa.Cspecialrw (rd, sidx, rs) ->
-          if not (okr rd && okr rs && sidx >= 0 && sidx < 3) then
-            raise Unsupported;
           let k = build (j + 1) in
           let spec = ctx.sspec in
           fun pcc acc ->
@@ -753,7 +717,6 @@ let compile ctx dec ~base ~idx =
             Pk.pack pk rd old;
             k pcc acc
       | Isa.Ccleartag (rd, a) ->
-          if not (okr rd && okr a) then raise Unsupported;
           let k = build (j + 1) in
           fun pcc acc ->
             let acc = retire ctx acc in
@@ -762,7 +725,6 @@ let compile ctx dec ~base ~idx =
       (* --- conditional branches: a back-edge to the entry ends the
          block as a self-loop; any other branch is a mid-block exit --- *)
       | Isa.Beq (a, b, _) ->
-          if not (okr a && okr b) then raise Unsupported;
           let tpc = slot.d_target in
           if tpc = entry then begin
             self := true;
@@ -777,7 +739,6 @@ let compile ctx dec ~base ~idx =
               if ucur pk a = ucur pk b then leave ctx acc nj tpc else k pcc acc
           end
       | Isa.Bne (a, b, _) ->
-          if not (okr a && okr b) then raise Unsupported;
           let tpc = slot.d_target in
           if tpc = entry then begin
             self := true;
@@ -792,7 +753,6 @@ let compile ctx dec ~base ~idx =
               if ucur pk a <> ucur pk b then leave ctx acc nj tpc else k pcc acc
           end
       | Isa.Bltu (a, b, _) ->
-          if not (okr a && okr b) then raise Unsupported;
           let tpc = slot.d_target in
           if tpc = entry then begin
             self := true;
@@ -807,7 +767,6 @@ let compile ctx dec ~base ~idx =
               if ucur pk a < ucur pk b then leave ctx acc nj tpc else k pcc acc
           end
       | Isa.Bgeu (a, b, _) ->
-          if not (okr a && okr b) then raise Unsupported;
           let tpc = slot.d_target in
           if tpc = entry then begin
             self := true;
@@ -830,7 +789,6 @@ let compile ctx dec ~base ~idx =
           end
           else fun _pcc acc -> leave ctx (retire ctx acc) len tgt
       | Isa.Cjal (rd, _) ->
-          if not (okr rd) then raise Unsupported;
           let tgt = slot.d_target in
           fun pcc acc ->
             let acc = retire ctx acc in
@@ -844,13 +802,12 @@ let compile ctx dec ~base ~idx =
             end;
             leave ctx acc len tgt
       | Isa.Cjalr (rd, rs) ->
-          if not (okr rd && okr rs) then raise Unsupported;
           fun pcc acc ->
             let acc = retire ctx acc in
             (* Flushed before the posture change: a change that dirties
                the horizon (enabling interrupts with one pending, or a
-               traced change mid-sweep) must see the clock where the
-               legacy engine has it. *)
+               traced change mid-sweep) must see the clock where
+               per-step execution has it. *)
             flushx m acc;
             let back_kind =
               if Machine.irq_enabled m then Cap.Otype.Return_enable
@@ -873,9 +830,6 @@ let compile ctx dec ~base ~idx =
             trap pc (Software cause)
     end
   in
-  try
-    let f = build idx in
-    head := f;
-    { b_len = len; b_maxcost = mc; b_self = !self; b_run = f }
-  with Unsupported ->
-    { b_len = 0; b_maxcost = 0; b_self = false; b_run = (fun _ _ -> x_halt) }
+  let f = build idx in
+  head := f;
+  { b_len = len; b_maxcost = mc; b_self = !self; b_run = f }

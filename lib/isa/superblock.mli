@@ -1,25 +1,27 @@
-(** Superblock compiler: fuses the trace from a jump or branch target
-    to the next unconditional control transfer (or back-edge to its own
-    entry) into a single closure chain, with per-instruction dispatch,
-    segment-range and PCC-bounds checks hoisted to block entry.  Other
-    conditional branches do not end a block: taken, they exit it
-    mid-way; not taken, execution continues.  The {!Interp} dispatcher
-    validates a block's preconditions once, for its full length, then
-    either runs the fused closure or side-exits to the exact
-    per-instruction engine; compiled blocks are observationally
-    identical to it — registers, cycles, instret, trap cause + PC and
-    the Obs event stream — which the three-way [test_interp_equiv]
-    matrix pins.
+(** Superblock compiler, the interpreter's one execution engine: fuses
+    the trace from a jump or branch target to the next unconditional
+    control transfer (or back-edge to its own entry) into a single
+    closure chain, with per-instruction dispatch, segment-range and
+    PCC-bounds checks hoisted to block entry.  Other conditional
+    branches do not end a block: taken, they exit it mid-way; not taken,
+    execution continues.  The {!Interp} dispatcher validates a block's
+    preconditions once, for its full length, then either runs the fused
+    closure or, when one fails, the one-instruction block at that pc —
+    the engine is its own slow path.  Compiled blocks are observationally
+    identical to one-instruction-at-a-time execution — registers,
+    cycles, instret, trap cause + PC and the Obs event stream — which
+    [test_interp_equiv] pins against the executable ISA spec in
+    [test/isa_spec.ml].
 
     The block-precondition invariant (see DESIGN.md): any state a
-    compiled block assumes constant must be guarded by a side-exit at
-    block entry (PCC bounds, fuel and the event-horizon window for
-    deferred tick batching, all checked for the longest path, so they
-    also cover an early exit); everything else is read live.  Memory
-    arms check each access directly on the packed authority (tag, seal
-    and permissions in one mask and compare, bounds, SRAM range,
-    alignment, {!Memory.base_filtered}) and take the full checked path
-    on any failure, so nothing is cached that could go stale. *)
+    compiled block assumes constant must be guarded at block entry (PCC
+    bounds, fuel and the event-horizon window for deferred tick
+    batching, all checked for the longest path, so they also cover an
+    early exit); everything else is read live.  Memory arms check each
+    access directly on the packed authority (tag, seal and permissions
+    in one mask and compare, bounds, SRAM range, alignment,
+    {!Memory.base_filtered}) and take the full checked path on any
+    failure, so nothing is cached that could go stale. *)
 
 type dslot = { d_ins : Isa.instr; d_target : int (* -1 = no label operand *) }
 (** One pre-decoded instruction: branch label operands resolved to
@@ -58,7 +60,7 @@ type ctx = {
           every tick below the horizon takes the fast path and cannot
           run effects, so no other run can interleave mid-spin. *)
 }
-(** Execution state shared by all interpreter engines.  Everything
+(** Execution state shared by every compiled block.  Everything
     per-run (pcc, deferred-cycle accumulator) is threaded through the
     compiled closures as arguments instead, so a preemption effect
     suspending one run cannot corrupt another. *)
@@ -75,9 +77,7 @@ val x_jump : int
 type block = {
   b_len : int;
       (** instructions on the longest path (an execution that takes a
-          mid-block exit retires fewer, see [sret_len]); 0 marks an
-          uncompilable block (out-of-range register operands) that the
-          dispatcher must side-exit instead of running *)
+          mid-block exit retires fewer, see [sret_len]) *)
   b_maxcost : int;
       (** worst-case cycle cost, the [Machine.defer_window] argument *)
   b_self : bool;
@@ -96,11 +96,13 @@ type block = {
           all pending cycles flushed. *)
 }
 
-val compile : ctx -> dslot array -> base:int -> idx:int -> block
+val compile : single:bool -> ctx -> dslot array -> base:int -> idx:int -> block
 (** Compile the block entered at slot [idx] of a segment's decoded
-    array ([base] = segment base address).  Pure code cache: a compiled
-    block holds no memoized machine state, so it stays valid for the
-    segment's lifetime, across snapshot restore. *)
+    array ([base] = segment base address); with [~single:true], just the
+    one instruction at [idx] (the dispatcher's slow path).  Register
+    operands are in range because {!Isa.assemble} checked them.  Pure
+    code cache: a compiled block holds no memoized machine state, so it
+    stays valid for the segment's lifetime, across snapshot restore. *)
 
 val apply_jump_target :
   Machine.t -> int -> Capability.t -> Capability.t * Capability.Otype.sentry

@@ -1,99 +1,27 @@
-(* Equivalence lockdown for the interpreter back-ends: on randomized
-   programs, the pre-decoded and superblock-compiled engines must agree
-   with the legacy per-step fetch/decode oracle on everything observable
-   — final registers, instructions retired, simulated cycles, outcome
-   (including trap cause and faulting PC) and the emitted trace event
-   stream.  The golden-cycles files pin the real workloads; this suite
-   explores the weird corners (bound-edge branches, traps mid-loop, fuel
-   exhaustion, sentry jumps) the workloads never reach, plus the corners
-   specific to superblock compilation: an IRQ firing mid-block, a fault
-   injected mid-block by external hardware, fuel running out inside a
-   block (forced side-exit), and a revocation edit between two
-   executions of the same warm compiled block; the corners of memory
-   access on the packed authority (the "access caches" and "direct
-   checks" sections below); and the corners of mid-block exits ("trace
-   blocks"). *)
+(* Differential lockdown of the interpreter against the executable ISA
+   spec (test/isa_spec.ml: boxed capabilities, one instruction per
+   step, nothing packed, cached or batched).  On randomized programs
+   covering every instruction, the engine must agree with the spec on
+   everything observable — final registers, instructions retired,
+   simulated cycles, outcome (including trap cause and faulting PC) and
+   the emitted trace event stream.  The golden-cycles files pin the real
+   workloads; this suite explores the weird corners (bound-edge
+   branches, traps mid-loop, fuel exhaustion, sentry jumps) the
+   workloads never reach, plus the corners specific to compiled blocks:
+   an IRQ firing mid-block, a fault injected mid-block by external
+   hardware, fuel running out inside a block (the one-instruction slow
+   path), and a revocation edit between two executions of the same warm
+   compiled block; the corners of memory access on the packed authority
+   (the "access caches" and "direct checks" sections below); and the
+   corners of mid-block exits ("trace blocks"). *)
 
 module Cap = Capability
+module Vm = Equiv_vm
 
 let code_base = 0x4000_0000
 
-let engine_name = function
-  | `Legacy -> "legacy"
-  | `Predecode -> "predecode"
-  | `Superblock -> "superblock"
-
-let fast_engines = [ `Predecode; `Superblock ]
-
 (* ------------------------------------------------------------------ *)
-(* Random program generation                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* Registers 1..5 are scratch integers, 6 is a data capability over
-   SRAM, 7 a deliberately narrow data capability, 8 a sentry back to the
-   code segment.  Branch targets come from a fixed label pool placed at
-   random positions, so [Isa.assemble] always validates. *)
-
-let n_labels = 4
-
-let gen_instr rng labels =
-  let reg () = 1 + Random.State.int rng 5 in
-  let label () = List.nth labels (Random.State.int rng (List.length labels)) in
-  let small () = Random.State.int rng 64 - 8 in
-  match Random.State.int rng 100 with
-  | n when n < 10 -> Isa.Li (reg (), Random.State.int rng 1000)
-  | n when n < 18 -> Isa.Addi (reg (), reg (), small ())
-  | n when n < 24 -> Isa.Add (reg (), reg (), reg ())
-  | n when n < 28 -> Isa.Sub (reg (), reg (), reg ())
-  | n when n < 32 -> Isa.Andi (reg (), reg (), Random.State.int rng 255)
-  | n when n < 36 -> Isa.Mv (reg (), reg ())
-  | n when n < 44 -> Isa.Beq (reg (), reg (), label ())
-  | n when n < 50 -> Isa.Bne (reg (), reg (), label ())
-  | n when n < 54 -> Isa.Bltu (reg (), reg (), label ())
-  | n when n < 58 -> Isa.Bgeu (reg (), reg (), label ())
-  | n when n < 62 -> Isa.J (label ())
-  | n when n < 68 ->
-      (* mostly in-bounds loads/stores through r6; r7 is narrow, so the
-         same offsets exercise the capability-fault path *)
-      let auth = if Random.State.int rng 4 = 0 then 7 else 6 in
-      Isa.Lw (reg (), 4 * Random.State.int rng 40, auth)
-  | n when n < 74 ->
-      let auth = if Random.State.int rng 4 = 0 then 7 else 6 in
-      Isa.Sw (reg (), 4 * Random.State.int rng 40, auth)
-  | n when n < 78 -> Isa.Cincaddrimm (reg (), 6, small ())
-  | n when n < 81 -> Isa.Csetboundsimm (reg (), 6, Random.State.int rng 128)
-  | n when n < 84 -> Isa.Cgetaddr (reg (), 6)
-  | n when n < 86 -> Isa.Cgetlen (reg (), 7)
-  | n when n < 88 -> Isa.Cgettag (reg (), reg ())
-  | n when n < 90 -> Isa.Cgetperm (reg (), 6)
-  | n when n < 92 -> Isa.Ccleartag (reg (), reg ())
-  | n when n < 94 -> Isa.Cjal (reg (), label ())
-  | n when n < 96 -> Isa.Auipcc (reg (), label ())
-  | n when n < 97 -> Isa.Cjalr (reg (), 8)
-  | n when n < 98 -> Isa.Trapif "generated"
-  | _ -> Isa.Halt
-
-let gen_program rng =
-  let len = 8 + Random.State.int rng 32 in
-  let labels = List.init n_labels (fun i -> Printf.sprintf "L%d" i) in
-  (* Each label lands at a random instruction index. *)
-  let label_at = Array.make len [] in
-  List.iter
-    (fun l ->
-      let i = Random.State.int rng len in
-      label_at.(i) <- l :: label_at.(i))
-    labels;
-  let items = ref [] in
-  for i = len - 1 downto 0 do
-    items := Isa.I (gen_instr rng labels) :: !items;
-    List.iter (fun l -> items := Isa.L l :: !items) label_at.(i)
-  done;
-  (* Halt backstop so straight-line fall-through off the end (a legal
-     Bounds trap) isn't the only way out. *)
-  Isa.assemble ~name:"equiv" (!items @ [ Isa.I Isa.Halt ])
-
-(* ------------------------------------------------------------------ *)
-(* One run under any engine                                           *)
+(* One run on the engine or the spec                                           *)
 (* ------------------------------------------------------------------ *)
 
 type snapshot = {
@@ -112,57 +40,51 @@ let outcome_to_string = function
 let view machine obs interp outcome =
   {
     s_outcome = outcome_to_string outcome;
-    s_instret = Interp.instret interp;
+    s_instret = Vm.instret interp;
     s_cycles = Machine.cycles machine;
-    s_regs = Array.to_list (Array.map Cap.to_string (Interp.read_regs interp));
+    s_regs = Array.to_list (Array.map Cap.to_string (Vm.read_regs interp));
     s_events = List.map (Fmt.str "%a" Obs.pp_event) (Obs.events obs);
   }
 
-let run_one ~engine ~fuel prog =
+let run_one ~kind ~fuel prog =
   let machine = Machine.create () in
   let obs = Obs.create () in
   Machine.set_trace machine (Some obs);
-  let interp = Interp.create ~engine machine in
-  Interp.map_segment interp ~base:code_base prog;
-  let sram = Machine.sram_base machine in
-  Interp.set_reg interp 6
-    @@ Cap.make_root ~base:sram ~top:(sram + 1024) ~perms:Perm.Set.read_write;
-  Interp.set_reg interp 7
-    @@ Cap.make_root ~base:(sram + 64) ~top:(sram + 96) ~perms:Perm.Set.read_write;
+  let interp = Vm.create kind machine in
+  Vm.map_segment interp ~base:code_base prog;
+  Equiv_gen.init_regs machine (Vm.set_reg interp);
+  (* System_registers, so the generated Cspecialrw can succeed. *)
   let pcc =
     Cap.make_root ~base:code_base
       ~top:(code_base + Isa.code_bytes prog)
-      ~perms:Perm.Set.executable
+      ~perms:(Perm.Set.add Perm.System_registers Perm.Set.executable)
   in
   let entry = Cap.exn (Cap.seal_entry pcc Cap.Otype.Call_inherit) in
-  Interp.set_reg interp 8 @@ entry;
-  let outcome = Interp.run ~fuel interp entry in
+  Vm.set_reg interp 8 @@ entry;
+  let outcome = Vm.run ~fuel interp entry in
   view machine obs interp outcome
 
-let diff_views what oracle fast =
+let diff_views what oracle got =
   let same l = String.concat "; " l in
-  if fast.s_outcome <> oracle.s_outcome then
-    QCheck.Test.fail_reportf "%s outcome: %s vs %s" what fast.s_outcome
+  if got.s_outcome <> oracle.s_outcome then
+    QCheck.Test.fail_reportf "%s outcome: %s vs %s" what got.s_outcome
       oracle.s_outcome;
-  if fast.s_instret <> oracle.s_instret then
-    QCheck.Test.fail_reportf "%s instret: %d vs %d" what fast.s_instret
+  if got.s_instret <> oracle.s_instret then
+    QCheck.Test.fail_reportf "%s instret: %d vs %d" what got.s_instret
       oracle.s_instret;
-  if fast.s_cycles <> oracle.s_cycles then
-    QCheck.Test.fail_reportf "%s cycles: %d vs %d" what fast.s_cycles
+  if got.s_cycles <> oracle.s_cycles then
+    QCheck.Test.fail_reportf "%s cycles: %d vs %d" what got.s_cycles
       oracle.s_cycles;
-  if fast.s_regs <> oracle.s_regs then
+  if got.s_regs <> oracle.s_regs then
     QCheck.Test.fail_reportf "%s registers:@.%s@.vs@.%s" what
-      (same fast.s_regs) (same oracle.s_regs);
-  if fast.s_events <> oracle.s_events then
+      (same got.s_regs) (same oracle.s_regs);
+  if got.s_events <> oracle.s_events then
     QCheck.Test.fail_reportf "%s trace events:@.%s@.vs@.%s" what
-      (same fast.s_events) (same oracle.s_events)
+      (same got.s_events) (same oracle.s_events)
 
 let check_equiv ?(fuel = 2_000) prog =
-  let oracle = run_one ~engine:`Legacy ~fuel prog in
-  List.iter
-    (fun engine ->
-      diff_views (engine_name engine) oracle (run_one ~engine ~fuel prog))
-    fast_engines;
+  let oracle = run_one ~kind:Vm.Spec ~fuel prog in
+  diff_views "engine" oracle (run_one ~kind:Vm.Engine ~fuel prog);
   true
 
 (* ------------------------------------------------------------------ *)
@@ -173,35 +95,35 @@ let seed_gen = QCheck.make ~print:string_of_int QCheck.Gen.(0 -- 0x3fffffff)
 
 let prop_random_programs =
   QCheck.Test.make
-    ~name:"predecode == superblock == legacy on random programs" ~count:300
+    ~name:"engine == spec on random programs" ~count:300
     seed_gen
     (fun s ->
       let rng = Random.State.make [| s; 0x5eed |] in
-      check_equiv (gen_program rng))
+      check_equiv (Equiv_gen.gen_program rng))
 
 let prop_fuel_exhaustion =
-  QCheck.Test.make ~name:"all three engines agree at every fuel level"
+  QCheck.Test.make ~name:"engine and spec agree at every fuel level"
     ~count:100
     (QCheck.pair seed_gen QCheck.(int_range 1 60))
     (fun (s, fuel) ->
       let rng = Random.State.make [| s; 0xf0e1 |] in
-      check_equiv ~fuel (gen_program rng))
+      check_equiv ~fuel (Equiv_gen.gen_program rng))
 
 (* Hand-built corners the generator only rarely hits. *)
 
 let test_bounds_fall_through () =
   (* Straight-line code running off the end of its segment must trap
-     Bounds at the first address past it, identically in all engines. *)
+     Bounds at the first address past it, in the engine as in the spec. *)
   let prog =
     Isa.assemble ~name:"fall" [ Isa.I (Isa.Li (1, 1)); Isa.I (Isa.Li (2, 2)) ]
   in
   ignore (check_equiv prog)
 
 let test_narrow_pcc () =
-  (* A pcc narrower than the segment: the fast paths' in-segment check
-     passes but the pcc bounds check must still fire, with the same
-     violation the legacy path reports.  For the superblock engine the
-     whole-block bounds precondition fails, forcing the side-exit. *)
+  (* A pcc narrower than the segment: the in-segment check passes but
+     the pcc bounds check must still fire, with the violation the spec
+     reports.  The whole-block bounds precondition fails, forcing the
+     engine onto its one-instruction slow path. *)
   let prog =
     Isa.assemble ~name:"narrow"
       [
@@ -211,26 +133,21 @@ let test_narrow_pcc () =
         Isa.I Isa.Halt;
       ]
   in
-  let run engine =
+  let run kind =
     let machine = Machine.create () in
-    let interp = Interp.create ~engine machine in
-    Interp.map_segment interp ~base:code_base prog;
+    let interp = Vm.create kind machine in
+    Vm.map_segment interp ~base:code_base prog;
     let pcc =
       Cap.make_root ~base:code_base ~top:(code_base + 8)
         ~perms:Perm.Set.executable
     in
     let entry = Cap.exn (Cap.seal_entry pcc Cap.Otype.Call_inherit) in
-    ( outcome_to_string (Interp.run ~fuel:100 interp entry),
-      Interp.instret interp,
+    ( outcome_to_string (Vm.run ~fuel:100 interp entry),
+      Vm.instret interp,
       Machine.cycles machine )
   in
-  let oracle = run `Legacy in
-  List.iter
-    (fun engine ->
-      Alcotest.(check (triple string int int))
-        ("narrow pcc agrees: " ^ engine_name engine)
-        oracle (run engine))
-    fast_engines
+  Alcotest.(check (triple string int int))
+    "narrow pcc agrees" (run Vm.Spec) (run Vm.Engine)
 
 let test_jump_out_exits () =
   (* Cjalr to an address outside every segment leaves the interpreter
@@ -238,15 +155,15 @@ let test_jump_out_exits () =
   let prog =
     Isa.assemble ~name:"exit" [ Isa.I (Isa.Cjalr (1, 8)); Isa.I Isa.Halt ]
   in
-  let run engine =
+  let run kind =
     let machine = Machine.create () in
-    let interp = Interp.create ~engine machine in
-    Interp.map_segment interp ~base:code_base prog;
+    let interp = Vm.create kind machine in
+    Vm.map_segment interp ~base:code_base prog;
     let sram = Machine.sram_base machine in
     let away =
       Cap.make_root ~base:sram ~top:(sram + 64) ~perms:Perm.Set.executable
     in
-    Interp.set_reg interp 8
+    Vm.set_reg interp 8
       @@ Cap.exn (Cap.seal_entry away Cap.Otype.Call_inherit);
     let pcc =
       Cap.make_root ~base:code_base
@@ -254,19 +171,13 @@ let test_jump_out_exits () =
         ~perms:Perm.Set.executable
     in
     let entry = Cap.exn (Cap.seal_entry pcc Cap.Otype.Call_inherit) in
-    (outcome_to_string (Interp.run ~fuel:100 interp entry),
-     Interp.instret interp)
+    (outcome_to_string (Vm.run ~fuel:100 interp entry),
+     Vm.instret interp)
   in
-  let oracle = run `Legacy in
-  List.iter
-    (fun engine ->
-      Alcotest.(check (pair string int))
-        ("exit agrees: " ^ engine_name engine)
-        oracle (run engine))
-    fast_engines
+  Alcotest.(check (pair string int)) "exit agrees" (run Vm.Spec) (run Vm.Engine)
 
 (* ------------------------------------------------------------------ *)
-(* Superblock-specific corners: the tight loop is one compiled block   *)
+(* Compiled-block corners: the tight loop is one compiled block         *)
 (* (Addi; Sw; Lw; Bne), the shape the deferred batching and self-loop  *)
 (* spinning optimize hardest, perturbed by exactly the events those    *)
 (* optimizations must not distort.                                     *)
@@ -287,15 +198,15 @@ let loop_prog trips =
 
 (* Build a rig around [loop_prog] and hand the machine to [setup]
    before running, so each corner can arm its own perturbation. *)
-let run_loop ~engine ?(fuel = 100_000) ~trips setup =
+let run_loop ~kind ?(fuel = 100_000) ~trips setup =
   let machine = Machine.create () in
   let obs = Obs.create () in
   Machine.set_trace machine (Some obs);
-  let interp = Interp.create ~engine machine in
+  let interp = Vm.create kind machine in
   let prog = loop_prog trips in
-  Interp.map_segment interp ~base:code_base prog;
+  Vm.map_segment interp ~base:code_base prog;
   let sram = Machine.sram_base machine in
-  Interp.set_reg interp 6
+  Vm.set_reg interp 6
     @@ Cap.make_root ~base:sram ~top:(sram + 1024) ~perms:Perm.Set.read_write;
   let extra = setup machine in
   let pcc =
@@ -304,26 +215,20 @@ let run_loop ~engine ?(fuel = 100_000) ~trips setup =
       ~perms:Perm.Set.executable
   in
   let entry = Cap.exn (Cap.seal_entry pcc Cap.Otype.Call_inherit) in
-  let outcome = Interp.run ~fuel interp entry in
+  let outcome = Vm.run ~fuel interp entry in
   (view machine obs interp outcome, extra ())
 
 let check_loop_matrix name ?fuel ~trips setup =
-  let oracle, oracle_extra = run_loop ~engine:`Legacy ?fuel ~trips setup in
-  List.iter
-    (fun engine ->
-      let got, extra = run_loop ~engine ?fuel ~trips setup in
-      diff_views (name ^ ": " ^ engine_name engine) oracle got;
-      Alcotest.(check (list (pair int int)))
-        (name ^ " side observations: " ^ engine_name engine)
-        oracle_extra extra)
-    fast_engines;
+  let oracle, oracle_extra = run_loop ~kind:Vm.Spec ?fuel ~trips setup in
+  let got, extra = run_loop ~kind:Vm.Engine ?fuel ~trips setup in
+  diff_views name oracle got;
+  Alcotest.(check (list (pair int int))) (name ^ " side observations") oracle_extra extra;
   oracle
 
 let test_irq_mid_block () =
   (* A timer deadline landing mid-trip: the event horizon must stop the
      deferred batch (and the self-loop spin) short of the deadline so
-     delivery happens at exactly the cycle the per-instruction oracle
-     delivers at. *)
+     delivery happens at exactly the cycle the spec delivers at. *)
   let oracle =
     check_loop_matrix "irq mid-block" ~trips:200 (fun machine ->
         let delivered = ref [] in
@@ -341,7 +246,7 @@ let test_fault_mid_block () =
   (* External hardware revokes r6's base granule at an exact cycle: the
      wakeup shortens the horizon, the block runs non-deferred through
      the listener, and the very next Lw/Sw through r6 must see the
-     revocation and trap at the same instruction in every engine. *)
+     revocation and trap at the same instruction as in the spec. *)
   let oracle =
     check_loop_matrix "fault mid-block" ~trips:200 (fun machine ->
         let mem = Machine.mem machine in
@@ -358,9 +263,9 @@ let test_fault_mid_block () =
 
 let test_fuel_inside_block () =
   (* Fuel that runs out inside the compiled block: the dispatcher's
-     budget precondition fails and the remainder runs on the exact
-     per-instruction engine, trapping "out of fuel" at the same pc and
-     cycle.  Sweep fuel across several block phases. *)
+     budget precondition fails and the remainder runs as one-instruction
+     blocks, trapping "out of fuel" at the same pc and cycle as the
+     spec.  Sweep fuel across several block phases. *)
   for fuel = 1 to 40 do
     ignore
       (check_loop_matrix
@@ -373,17 +278,17 @@ let test_epoch_invalidation_between_runs () =
   (* Two executions of the same warm compiled block with a revocation
      edit in between: the first run warms the block cache; the second
      run must see the edit and trap, and after clearing the bit a third
-     run must succeed again — identically in every engine. *)
-  let run engine =
+     run must succeed again — in the engine as in the spec. *)
+  let run kind =
     let machine = Machine.create () in
     let obs = Obs.create () in
     Machine.set_trace machine (Some obs);
-    let interp = Interp.create ~engine machine in
+    let interp = Vm.create kind machine in
     let prog = loop_prog 50 in
-    Interp.map_segment interp ~base:code_base prog;
+    Vm.map_segment interp ~base:code_base prog;
     let sram = Machine.sram_base machine in
     let mem = Machine.mem machine in
-    Interp.set_reg interp 6
+    Vm.set_reg interp 6
       @@ Cap.make_root ~base:sram ~top:(sram + 1024) ~perms:Perm.Set.read_write;
     let pcc =
       Cap.make_root ~base:code_base
@@ -392,7 +297,7 @@ let test_epoch_invalidation_between_runs () =
     in
     let entry = Cap.exn (Cap.seal_entry pcc Cap.Otype.Call_inherit) in
     let go () =
-      view machine obs interp (Interp.run ~fuel:10_000 interp entry)
+      view machine obs interp (Vm.run ~fuel:10_000 interp entry)
     in
     let warm = go () in
     Memory.set_revoked mem ~addr:sram ~len:8;
@@ -401,25 +306,21 @@ let test_epoch_invalidation_between_runs () =
     let cleared = go () in
     (warm, revoked, cleared)
   in
-  let w0, r0, c0 = run `Legacy in
+  let w0, r0, c0 = run Vm.Spec in
   Alcotest.(check string) "warm run halts" "halted" w0.s_outcome;
   Alcotest.(check bool) "revoked run traps" true (r0.s_outcome <> "halted");
   Alcotest.(check string) "cleared run halts again" "halted" c0.s_outcome;
-  List.iter
-    (fun engine ->
-      let w, r, c = run engine in
-      let n = engine_name engine in
-      diff_views ("epoch warm: " ^ n) w0 w;
-      diff_views ("epoch revoked: " ^ n) r0 r;
-      diff_views ("epoch cleared: " ^ n) c0 c)
-    fast_engines
+  let w, r, c = run Vm.Engine in
+  diff_views "epoch warm" w0 w;
+  diff_views "epoch revoked" r0 r;
+  diff_views "epoch cleared" c0 c
 
 (* ------------------------------------------------------------------ *)
 (* Capability-access corners: an access checked on the live authority  *)
 (* must see revocation edits, filter toggles, restores, bounds,         *)
 (* alignment and the SRAM range, however warm the compiled block.  Each *)
 (* scenario is a sequence of runs with edits in between, compared run  *)
-(* by run against the legacy oracle — memory bytes and tags included — *)
+(* by run against the spec — memory bytes and tags included —         *)
 (* both traced (no deferral: every charge ticks) and untraced (deferred *)
 (* batches, where passing accesses stay batched).                      *)
 (* ------------------------------------------------------------------ *)
@@ -459,17 +360,17 @@ let mem_view machine =
 
 (* A rig for [prog]; [scenario] arms it and drives the runs through
    [go], which returns one view per run. *)
-let cap_runs ~engine ~traced ?(fuel = 100_000) ?pcc_top prog scenario =
+let cap_runs ~kind ~traced ?(fuel = 100_000) ?pcc_top prog scenario =
   let machine = Machine.create () in
   let obs = Obs.create () in
   if traced then Machine.set_trace machine (Some obs);
-  let interp = Interp.create ~engine machine in
-  Interp.map_segment interp ~base:code_base prog;
+  let interp = Vm.create kind machine in
+  Vm.map_segment interp ~base:code_base prog;
   let top = Option.value pcc_top ~default:(code_base + Isa.code_bytes prog) in
   let pcc = Cap.make_root ~base:code_base ~top ~perms:Perm.Set.executable in
   let entry = Cap.exn (Cap.seal_entry pcc Cap.Otype.Call_inherit) in
   let go () =
-    let v = view machine obs interp (Interp.run ~fuel interp entry) in
+    let v = view machine obs interp (Vm.run ~fuel interp entry) in
     (v, mem_view machine)
   in
   scenario machine interp go
@@ -478,27 +379,24 @@ let check_cap_matrix ?fuel ?pcc_top name prog scenario =
   List.concat_map
     (fun traced ->
       let mode = if traced then "traced" else "untraced" in
-      let oracle = cap_runs ~engine:`Legacy ~traced ?fuel ?pcc_top prog scenario in
-      List.iter
-        (fun engine ->
-          let got = cap_runs ~engine ~traced ?fuel ?pcc_top prog scenario in
-          Alcotest.(check int)
-            (Fmt.str "%s (%s): runs" name mode)
-            (List.length oracle) (List.length got);
-          List.iteri
-            (fun i ((ov, om), (gv, gm)) ->
-              let what = Fmt.str "%s (%s) run %d: %s" name mode i (engine_name engine) in
-              diff_views what ov gv;
-              Alcotest.(check string) (what ^ " memory") om gm)
-            (List.combine oracle got))
-        fast_engines;
+      let oracle = cap_runs ~kind:Vm.Spec ~traced ?fuel ?pcc_top prog scenario in
+      let got = cap_runs ~kind:Vm.Engine ~traced ?fuel ?pcc_top prog scenario in
+      Alcotest.(check int)
+        (Fmt.str "%s (%s): runs" name mode)
+        (List.length oracle) (List.length got);
+      List.iteri
+        (fun i ((ov, om), (gv, gm)) ->
+          let what = Fmt.str "%s (%s) run %d" name mode i in
+          diff_views what ov gv;
+          Alcotest.(check string) (what ^ " memory") om gm)
+        (List.combine oracle got);
       List.map fst oracle)
     [ true; false ]
 
 let outcomes views = List.map (fun v -> v.s_outcome) views
 
 let set_auth interp r ~base ~top =
-  Interp.set_reg interp r (Cap.make_root ~base ~top ~perms:Perm.Set.read_write)
+  Vm.set_reg interp r (Cap.make_root ~base ~top ~perms:Perm.Set.read_write)
 
 let test_store_revoked_between_runs () =
   let views =
@@ -685,10 +583,10 @@ let test_tagged_store_settles_revoker () =
         let obj = sram + 8192 in
         let freed = Cap.make_root ~base:obj ~top:(obj + 64) ~perms:Perm.Set.read_write in
         set_auth interp 6 ~base:(sram + 4096) ~top:(sram + 6144);
-        Interp.set_reg interp 7 freed;
+        Vm.set_reg interp 7 freed;
         set_auth interp 8 ~base:sram ~top:(sram + 64);
-        Interp.set_reg interp 8
-          (Cap.exn (Cap.with_address (Interp.get_reg interp 8) (sram + 32)));
+        Vm.set_reg interp 8
+          (Cap.exn (Cap.with_address (Vm.get_reg interp 8) (sram + 32)));
         Memory.store_cap_priv mem ~addr:(sram + 16384) freed;
         Memory.set_revoked mem ~addr:obj ~len:64;
         Machine.revoker_kick machine;
@@ -733,7 +631,7 @@ let test_local_store_behind_warm_cache () =
         let sram = Machine.sram_base machine in
         set_auth interp 6 ~base:sram ~top:(sram + 1024);
         set_auth interp 7 ~base:(sram + 2048) ~top:(sram + 2112);
-        Interp.set_reg interp 9
+        Vm.set_reg interp 9
           (Cap.make_root ~base:(sram + 4096) ~top:(sram + 4160)
              ~perms:(Perm.Set.remove Perm.Global Perm.Set.read_write));
         [ go () ])
@@ -747,7 +645,7 @@ let test_local_store_behind_warm_cache () =
 (* the block's entry is a mid-block exit, so one block can leave early *)
 (* while its fuel, PCC-bounds and defer-window preconditions were      *)
 (* checked for its full length.  Each case runs traced and untraced on *)
-(* all three engines, memory bytes and tags compared.                  *)
+(* the engine and the spec, memory bytes and tags compared.            *)
 (* ------------------------------------------------------------------ *)
 
 (* The entry block runs Li; Li; Addi; Bltu (taken on the first two
@@ -776,7 +674,7 @@ let test_fuel_around_mid_block_exit () =
   (* Fuel 3 ends just before the entry block's taken Bltu, 4 exactly at
      it, 5 just after it; 7/8/9 do the same for the "top" block's exit
      and 14..16 for the final fall-through.  Every level must trap "out
-     of fuel" (or halt) at the same pc, instret and cycle as the oracle:
+     of fuel" (or halt) at the same pc, instret and cycle as the spec:
      a dispatcher that charged a block's full length for an early exit
      would run out of fuel too soon. *)
   for fuel = 1 to 17 do
@@ -793,7 +691,7 @@ let test_fuel_around_mid_block_exit () =
 let test_pcc_top_inside_block () =
   (* The pcc ends between the "start" block's mid-block Bltu and its
      end, so the whole-block bounds precondition fails and the block
-     side-exits to the exact engine.  Taken (r2 = 5), the branch leaves
+     runs on the one-instruction slow path.  Taken (r2 = 5), the branch leaves
      for "out" inside the pcc and the run halts; not taken (r2 = 0), the
      first instruction past the top traps. *)
   let prog =
@@ -814,10 +712,10 @@ let test_pcc_top_inside_block () =
   let views =
     check_cap_matrix ~pcc_top:(code_base + (4 * 5)) "pcc top inside a block" prog
       (fun _ interp go ->
-        Interp.set_reg interp 2 (Interp.int_value 5);
+        Vm.set_reg interp 2 (Interp.int_value 5);
         let taken = go () in
-        Interp.set_reg interp 1 (Interp.int_value 0);
-        Interp.set_reg interp 2 (Interp.int_value 0);
+        Vm.set_reg interp 1 (Interp.int_value 0);
+        Vm.set_reg interp 2 (Interp.int_value 0);
         let fell = go () in
         [ taken; fell ])
   in
@@ -847,12 +745,12 @@ let test_zero_loop_cut () =
   (* 64 trips over a 1 KiB window.  A parked listener wakes at an exact
      cycle mid-spin (cutting the deferred batch at the event horizon),
      and a timer IRQ lands mid-spin; both record the cycle they fire at,
-     which must match the oracle's. *)
+     which must match the spec's. *)
   let fired = ref [] in
   let scenario machine interp go =
     let sram = Machine.sram_base machine in
     set_auth interp 6 ~base:sram ~top:(sram + 1024);
-    Interp.set_reg interp 5 (Interp.int_value (sram + 1024));
+    Vm.set_reg interp 5 (Interp.int_value (sram + 1024));
     fired := [];
     let h =
       Machine.add_tick_listener ~period:0 machine (fun c ->
@@ -919,12 +817,12 @@ let test_tagged_store_idle_revoker () =
         let obj = sram + 8192 in
         set_auth interp 8 ~base:(sram + 4096) ~top:(sram + 5120);
         set_auth interp 6 ~base:(sram + 512) ~top:(sram + 576);
-        Interp.set_reg interp 7
+        Vm.set_reg interp 7
           (Cap.make_root ~base:(sram + 4096) ~top:(sram + 4160) ~perms:Perm.Set.read_write);
         let idle = go () in
         set_auth interp 8 ~base:(sram + 4096) ~top:(sram + 5120);
         set_auth interp 6 ~base:(sram + 32) ~top:(sram + 96);
-        Interp.set_reg interp 7
+        Vm.set_reg interp 7
           (Cap.make_root ~base:obj ~top:(obj + 64) ~perms:Perm.Set.read_write);
         Memory.set_revoked mem ~addr:obj ~len:64;
         Machine.revoker_kick machine;
@@ -959,7 +857,7 @@ let sentry_prog =
 let test_enabling_sentry () =
   (* Interrupts off at entry; the Cjalr's enabling sentry turns them on.
      With an IRQ already pending the next tick must deliver it, at the
-     oracle's cycle; with none pending the horizon is kept, and a timer
+     spec's cycle; with none pending the horizon is kept, and a timer
      deadline inside "body" must still fire on time. *)
   let side = ref "" in
   let run_with ~pending name =
@@ -970,7 +868,7 @@ let test_enabling_sentry () =
             ~top:(code_base + Isa.code_bytes sentry_prog)
             ~perms:Perm.Set.executable
         in
-        Interp.set_reg interp 8
+        Vm.set_reg interp 8
           (Cap.exn (Cap.seal_entry (Cap.with_address_exn code body) Cap.Otype.Call_enable));
         let fired = ref [] in
         Machine.set_deliver_hook machine
@@ -1029,7 +927,7 @@ let test_alternating_authorities () =
         let revoked = go () in
         Memory.clear_revoked mem ~addr:(sram + 512) ~len:8;
         reset ();
-        Interp.set_reg interp 12
+        Vm.set_reg interp 12
           (Cap.make_root ~base:(sram + 512) ~top:(sram + 576) ~perms:Perm.Set.read_only);
         let read_only = go () in
         [ both; revoked; read_only ])
@@ -1058,7 +956,7 @@ let test_clc_attenuation () =
         Memory.store_cap_priv mem ~addr:(sram + 8)
           (Cap.exn (Cap.seal_entry code Cap.Otype.Call_inherit));
         let through perms =
-          Interp.set_reg interp 6 (Cap.make_root ~base:sram ~top:(sram + 64) ~perms);
+          Vm.set_reg interp 6 (Cap.make_root ~base:sram ~top:(sram + 64) ~perms);
           go ()
         in
         let without p = through (Perm.Set.remove p Perm.Set.read_write) in

@@ -208,12 +208,16 @@ let test_fuel_exhaustion () =
   | _ -> Alcotest.fail "expected fuel trap"
 
 let test_assembler_errors () =
-  (match assemble ~name:"bad" [ I (J "nowhere") ] with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "undefined label accepted");
-  match assemble ~name:"bad" [ L "x"; L "x" ] with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "duplicate label accepted"
+  let rejected what items =
+    match assemble ~name:"bad" items with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s accepted" what
+  in
+  rejected "undefined label" [ I (J "nowhere") ];
+  rejected "duplicate label" [ L "x"; L "x" ];
+  rejected "register 16" [ I (Li (16, 1)) ];
+  rejected "register -1" [ I (Mv (1, -1)) ];
+  rejected "special register 3" [ I (Cspecialrw (1, 3, 0)) ]
 
 
 let test_auipcc () =
@@ -287,12 +291,14 @@ let test_store_into_readonly_segment_data () =
   | _ -> Alcotest.fail "store through PCC allowed"
 
 
-(* Property: the interpreter is total — arbitrary instruction sequences
-   (over in-range registers/labels) either halt, trap, or run out of
-   fuel, but never crash the host. *)
+(* Property: the toolchain is total — arbitrary instruction sequences,
+   with register operands drawn from just outside the valid range too,
+   are either rejected by the assembler or run to an outcome (halt,
+   trap, exit or out of fuel), never crashing the host. *)
 let gen_instr =
   QCheck.Gen.(
-    let reg = int_bound 15 in
+    (* mostly valid, so that many programs also run *)
+    let reg = frequency [ (30, int_bound 15); (1, oneofl [ -2; -1; 16; 17 ]) ] in
     let imm = int_range (-64) 64 in
     oneof
       [
@@ -311,6 +317,7 @@ let gen_instr =
         map3 (fun rd a k -> Cunseal (rd, a, k)) reg reg reg;
         map2 (fun a b -> Beq (a, b, "out")) reg reg;
         map2 (fun rd rs -> Cjalr (rd, rs)) reg reg;
+        map3 (fun rd i rs -> Cspecialrw (rd, i, rs)) reg (int_range (-1) 3) reg;
       ])
 
 let prop_interp_total =
@@ -318,10 +325,12 @@ let prop_interp_total =
     (QCheck.make QCheck.Gen.(list_size (int_range 1 24) gen_instr))
     (fun instrs ->
       let items = List.map (fun i -> I i) instrs @ [ L "out"; I Halt ] in
-      let m, t, pcc = setup items in
-      Interp.set_reg t ca0 @@ sram_cap m;
-      match Interp.run ~fuel:2_000 t pcc with
-      | Interp.Halted | Interp.Trapped _ | Interp.Exited _ -> true)
+      match setup items with
+      | exception Invalid_argument _ -> true
+      | m, t, pcc -> (
+          Interp.set_reg t ca0 @@ sram_cap m;
+          match Interp.run ~fuel:2_000 t pcc with
+          | Interp.Halted | Interp.Trapped _ | Interp.Exited _ -> true))
 
 let suite =
   [
@@ -342,7 +351,7 @@ let suite =
     Alcotest.test_case "sentry kinds" `Quick test_sentry_kinds_encode;
     Alcotest.test_case "backward sentry posture" `Quick test_backward_sentry_restores_posture;
     Alcotest.test_case "code immutable" `Quick test_store_into_readonly_segment_data;
-    QCheck_alcotest.to_alcotest prop_interp_total;
+    Qcheck_seed.to_alcotest prop_interp_total;
   ]
 
 let () = Alcotest.run "cheriot_isa" [ ("isa", suite) ]

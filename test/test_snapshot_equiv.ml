@@ -1,84 +1,29 @@
 (* Equivalence lockdown for Machine.snapshot/restore: forking a run
    from a snapshot must be indistinguishable from never having forked.
-   On randomized programs (the test_interp_equiv generator), three runs
-   must agree on everything observable — outcome (including trap cause
-   and faulting PC), instructions retired, simulated cycles, the full
-   register file and the emitted trace event stream:
+   On randomized programs (the shared differential generator,
+   test/equiv_gen.ml), three runs must agree on everything observable —
+   outcome (including trap cause and faulting PC), instructions retired,
+   simulated cycles, the full register file and the emitted trace event
+   stream:
 
      f0: prologue; epilogue                    (uninterrupted)
      f1: prologue; snapshot; epilogue          (snapshot is invisible)
      f2: prologue; snapshot; epilogue;
          restore; epilogue                     (restore is exact)
 
-   and identically under all three interpreter engines (legacy,
-   pre-decoded, superblock — each restores through the same capture).
-   Corners the generator cannot reach — snapshot with an IRQ latched
-   behind a masked line, snapshot mid-quarantine-sweep, snapshot
-   attempted from a running kernel thread, restore over a superblock
-   engine's warm compiled blocks — get hand-built cases. *)
+   on the interpreter and on the executable ISA spec (test/isa_spec.ml,
+   which registers its own capture), and the two must land on the same
+   fork.  Corners the generator cannot reach — snapshot with an IRQ
+   latched behind a masked line, snapshot mid-quarantine-sweep, snapshot
+   attempted from a running kernel thread, restore over the engine's
+   warm compiled blocks — get hand-built cases. *)
 
 module Cap = Capability
 module F = Firmware
+module Vm = Equiv_vm
 
 let code_base = 0x4000_0000
 let code_base2 = 0x4100_0000
-
-(* ------------------------------------------------------------------ *)
-(* Random program generation (the test_interp_equiv generator)        *)
-(* ------------------------------------------------------------------ *)
-
-let n_labels = 4
-
-let gen_instr rng labels =
-  let reg () = 1 + Random.State.int rng 5 in
-  let label () = List.nth labels (Random.State.int rng (List.length labels)) in
-  let small () = Random.State.int rng 64 - 8 in
-  match Random.State.int rng 100 with
-  | n when n < 10 -> Isa.Li (reg (), Random.State.int rng 1000)
-  | n when n < 18 -> Isa.Addi (reg (), reg (), small ())
-  | n when n < 24 -> Isa.Add (reg (), reg (), reg ())
-  | n when n < 28 -> Isa.Sub (reg (), reg (), reg ())
-  | n when n < 32 -> Isa.Andi (reg (), reg (), Random.State.int rng 255)
-  | n when n < 36 -> Isa.Mv (reg (), reg ())
-  | n when n < 44 -> Isa.Beq (reg (), reg (), label ())
-  | n when n < 50 -> Isa.Bne (reg (), reg (), label ())
-  | n when n < 54 -> Isa.Bltu (reg (), reg (), label ())
-  | n when n < 58 -> Isa.Bgeu (reg (), reg (), label ())
-  | n when n < 62 -> Isa.J (label ())
-  | n when n < 68 ->
-      let auth = if Random.State.int rng 4 = 0 then 7 else 6 in
-      Isa.Lw (reg (), 4 * Random.State.int rng 40, auth)
-  | n when n < 74 ->
-      let auth = if Random.State.int rng 4 = 0 then 7 else 6 in
-      Isa.Sw (reg (), 4 * Random.State.int rng 40, auth)
-  | n when n < 78 -> Isa.Cincaddrimm (reg (), 6, small ())
-  | n when n < 81 -> Isa.Csetboundsimm (reg (), 6, Random.State.int rng 128)
-  | n when n < 84 -> Isa.Cgetaddr (reg (), 6)
-  | n when n < 86 -> Isa.Cgetlen (reg (), 7)
-  | n when n < 88 -> Isa.Cgettag (reg (), reg ())
-  | n when n < 90 -> Isa.Cgetperm (reg (), 6)
-  | n when n < 92 -> Isa.Ccleartag (reg (), reg ())
-  | n when n < 94 -> Isa.Cjal (reg (), label ())
-  | n when n < 96 -> Isa.Auipcc (reg (), label ())
-  | n when n < 97 -> Isa.Cjalr (reg (), 8)
-  | n when n < 98 -> Isa.Trapif "generated"
-  | _ -> Isa.Halt
-
-let gen_program rng =
-  let len = 8 + Random.State.int rng 32 in
-  let labels = List.init n_labels (fun i -> Printf.sprintf "L%d" i) in
-  let label_at = Array.make len [] in
-  List.iter
-    (fun l ->
-      let i = Random.State.int rng len in
-      label_at.(i) <- l :: label_at.(i))
-    labels;
-  let items = ref [] in
-  for i = len - 1 downto 0 do
-    items := Isa.I (gen_instr rng labels) :: !items;
-    List.iter (fun l -> items := Isa.L l :: !items) label_at.(i)
-  done;
-  Isa.assemble ~name:"equiv" (!items @ [ Isa.I Isa.Halt ])
 
 (* ------------------------------------------------------------------ *)
 (* Harness: prologue program A, epilogue program B, fork between them *)
@@ -89,7 +34,7 @@ type rig = {
   obs : Obs.t;
   frn : Forensics.t;
   prof : Profiler.t;
-  interp : Interp.t;
+  interp : Vm.t;
 }
 
 let outcome_to_string = function
@@ -97,7 +42,7 @@ let outcome_to_string = function
   | Interp.Exited c -> "exited " ^ Cap.to_string c
   | Interp.Trapped tr -> Fmt.str "%a" Interp.pp_trap tr
 
-let make_rig ~engine prog_a prog_b =
+let make_rig ~kind prog_a prog_b =
   let machine = Machine.create () in
   let obs = Obs.create () in
   Machine.set_trace machine (Some obs);
@@ -108,20 +53,16 @@ let make_rig ~engine prog_a prog_b =
   Machine.set_forensics machine (Some frn);
   let prof = Profiler.create ~mode:Profiler.Exact () in
   Machine.set_profiler machine (Some prof);
-  let interp = Interp.create ~engine machine in
-  Interp.map_segment interp ~base:code_base prog_a;
-  Interp.map_segment interp ~base:code_base2 prog_b;
-  let sram = Machine.sram_base machine in
-  Interp.set_reg interp 6
-    @@ Cap.make_root ~base:sram ~top:(sram + 1024) ~perms:Perm.Set.read_write;
-  Interp.set_reg interp 7
-    @@ Cap.make_root ~base:(sram + 64) ~top:(sram + 96) ~perms:Perm.Set.read_write;
+  let interp = Vm.create kind machine in
+  Vm.map_segment interp ~base:code_base prog_a;
+  Vm.map_segment interp ~base:code_base2 prog_b;
+  Equiv_gen.init_regs machine (Vm.set_reg interp);
   let pcc =
     Cap.make_root ~base:code_base
       ~top:(code_base + Isa.code_bytes prog_a)
       ~perms:Perm.Set.executable
   in
-  Interp.set_reg interp 8 @@ Cap.exn (Cap.seal_entry pcc Cap.Otype.Call_inherit);
+  Vm.set_reg interp 8 @@ Cap.exn (Cap.seal_entry pcc Cap.Otype.Call_inherit);
   { machine; obs; frn; prof; interp }
 
 let entry_of base prog =
@@ -142,13 +83,13 @@ type view = {
 }
 
 let run_epilogue ~fuel rig prog_b =
-  let outcome = Interp.run ~fuel rig.interp (entry_of code_base2 prog_b) in
+  let outcome = Vm.run ~fuel rig.interp (entry_of code_base2 prog_b) in
   let cycles = Machine.cycles rig.machine in
   {
     s_outcome = outcome_to_string outcome;
-    s_instret = Interp.instret rig.interp;
+    s_instret = Vm.instret rig.interp;
     s_cycles = cycles;
-    s_regs = Array.to_list (Array.map Cap.to_string (Interp.read_regs rig.interp));
+    s_regs = Array.to_list (Array.map Cap.to_string (Vm.read_regs rig.interp));
     s_events = List.map (Fmt.str "%a" Obs.pp_event) (Obs.events rig.obs);
     s_folded = Profiler.to_folded_text rig.prof ~total_cycles:cycles;
     s_fleet = Agg.table (Agg.of_forensics rig.frn ~cycles);
@@ -175,13 +116,13 @@ let check_view what a b =
     QCheck.Test.fail_reportf "%s fleet metrics:@.%s@.vs@.%s" what a.s_fleet
       b.s_fleet
 
-(* One engine's triple for a given program pair. *)
-let fork_views ~engine ~fuel prog_a prog_b =
-  let plain = make_rig ~engine prog_a prog_b in
-  ignore (Interp.run ~fuel plain.interp (entry_of code_base prog_a));
+(* The engine's or the spec's triple for a given program pair. *)
+let fork_views ~kind ~fuel prog_a prog_b =
+  let plain = make_rig ~kind prog_a prog_b in
+  ignore (Vm.run ~fuel plain.interp (entry_of code_base prog_a));
   let f0 = run_epilogue ~fuel plain prog_b in
-  let rig = make_rig ~engine prog_a prog_b in
-  ignore (Interp.run ~fuel rig.interp (entry_of code_base prog_a));
+  let rig = make_rig ~kind prog_a prog_b in
+  ignore (Vm.run ~fuel rig.interp (entry_of code_base prog_a));
   let snap = Machine.snapshot rig.machine in
   let f1 = run_epilogue ~fuel rig prog_b in
   Machine.restore rig.machine snap;
@@ -190,26 +131,22 @@ let fork_views ~engine ~fuel prog_a prog_b =
 
 let check_matrix ?(fuel = 2_000) s =
   let rng = Random.State.make [| s; 0x54a9 |] in
-  let prog_a = gen_program rng in
-  let prog_b = gen_program rng in
-  let f0, f1, f2, rig, snap =
-    fork_views ~engine:`Superblock ~fuel prog_a prog_b
-  in
-  check_view "superblock: snapshot invisible" f0 f1;
-  check_view "superblock: restore exact" f1 f2;
+  let prog_a = Equiv_gen.gen_program rng in
+  let prog_b = Equiv_gen.gen_program rng in
+  let f0, f1, f2, rig, snap = fork_views ~kind:Vm.Engine ~fuel prog_a prog_b in
+  check_view "engine: snapshot invisible" f0 f1;
+  check_view "engine: restore exact" f1 f2;
   (* Restoring the same snapshot again must fork identically — the
      capture owns its state, successive restores cannot see each other. *)
   Machine.restore rig.machine snap;
   let f3 = run_epilogue ~fuel rig prog_b in
-  check_view "superblock: second restore exact" f2 f3;
-  (* The other engines restore through the same capture and must land
-     on the same fork. *)
-  let g0, g1, g2, _, _ = fork_views ~engine:`Legacy ~fuel prog_a prog_b in
-  check_view "legacy: snapshot invisible" g0 g1;
-  check_view "legacy: restore exact" g1 g2;
-  check_view "superblock == legacy after restore" f2 g2;
-  let _, _, h2, _, _ = fork_views ~engine:`Predecode ~fuel prog_a prog_b in
-  check_view "predecode == legacy after restore" h2 g2;
+  check_view "engine: second restore exact" f2 f3;
+  (* The spec restores through its own capture and must land on the
+     same fork. *)
+  let g0, g1, g2, _, _ = fork_views ~kind:Vm.Spec ~fuel prog_a prog_b in
+  check_view "spec: snapshot invisible" g0 g1;
+  check_view "spec: restore exact" g1 g2;
+  check_view "engine == spec after restore" f2 g2;
   true
 
 let seed_gen = QCheck.make ~print:string_of_int QCheck.Gen.(0 -- 0x3fffffff)
@@ -226,11 +163,9 @@ let prop_fork_any_fuel =
       (* A fuel-starved prologue leaves the machine mid-whatever it was
          doing (Software trap); the fork must still be exact there. *)
       let rng = Random.State.make [| s; 0x0f0e |] in
-      let prog_a = gen_program rng in
-      let prog_b = gen_program rng in
-      let _, f1, f2, _, _ =
-        fork_views ~engine:`Superblock ~fuel prog_a prog_b
-      in
+      let prog_a = Equiv_gen.gen_program rng in
+      let prog_b = Equiv_gen.gen_program rng in
+      let _, f1, f2, _, _ = fork_views ~kind:Vm.Engine ~fuel prog_a prog_b in
       (* Only restore-exactness is meaningful here: the prologue was cut
          short by fuel in both runs, so f0 ≡ f1 already follows from the
          full-fuel property. *)
@@ -269,7 +204,7 @@ let test_pending_irq_snapshot () =
   Alcotest.(check bool) "pending cleared by delivery" false still_pending
 
 (* ------------------------------------------------------------------ *)
-(* Corner: restore over a superblock engine's warm caches             *)
+(* Corner: restore over the engine's warm compiled blocks             *)
 (* ------------------------------------------------------------------ *)
 
 let test_restore_over_warm_superblock_caches () =
@@ -278,8 +213,7 @@ let test_restore_over_warm_superblock_caches () =
      accesses, then restore.  The restored machine is revoked again; if
      a compiled block remembered a passing check (or the interpreter
      kept stale per-run state), the loop would run unchecked.  It must
-     trap exactly like a fresh legacy interpreter on the restored
-     state. *)
+     trap exactly like the spec on the restored state. *)
   let prog =
     Isa.assemble ~name:"warm"
       [
@@ -293,17 +227,17 @@ let test_restore_over_warm_superblock_caches () =
         Isa.I Isa.Halt;
       ]
   in
-  let run engine =
+  let run kind =
     let machine = Machine.create () in
-    let interp = Interp.create ~engine machine in
-    Interp.map_segment interp ~base:code_base prog;
+    let interp = Vm.create kind machine in
+    Vm.map_segment interp ~base:code_base prog;
     let sram = Machine.sram_base machine in
     let mem = Machine.mem machine in
-    Interp.set_reg interp 6
+    Vm.set_reg interp 6
       @@ Cap.make_root ~base:sram ~top:(sram + 1024) ~perms:Perm.Set.read_write;
     let go () =
-      ( outcome_to_string (Interp.run ~fuel:10_000 interp (entry_of code_base prog)),
-        Interp.instret interp,
+      ( outcome_to_string (Vm.run ~fuel:10_000 interp (entry_of code_base prog)),
+        Vm.instret interp,
         Machine.cycles machine )
     in
     Memory.set_revoked mem ~addr:sram ~len:8;
@@ -314,8 +248,8 @@ let test_restore_over_warm_superblock_caches () =
     let restored = go () in
     (warm, restored)
   in
-  let (warm_l, restored_l) = run `Legacy in
-  let (warm_s, restored_s) = run `Superblock in
+  let (warm_l, restored_l) = run Vm.Spec in
+  let (warm_s, restored_s) = run Vm.Engine in
   let t3 = Alcotest.(triple string int int) in
   let (o, _, _) = warm_l in
   Alcotest.(check string) "warm run halts" "halted" o;
