@@ -710,11 +710,11 @@ let pc_firmware () =
         ~imports:System.standard_imports;
     ]
 
-(* A machine with the observability layers attached: reuse the
-   CHERIOT_TRACE / CHERIOT_FORENSICS / CHERIOT_PROFILE auto attachments
-   when present so the env knobs and the subcommands agree on a single
-   event stream.  [?profile] forces a profiler with the given mode
-   (the `profile` subcommand's --interval). *)
+(* A machine with a trace ring and a flight recorder attached: reuse
+   the sinks CHERIOT_OBS attached when present, so the env selector and
+   the subcommands agree on a single event stream.  [?profile] forces a
+   profiler with the given mode (the `profile` subcommand's
+   --interval). *)
 let observed_machine ?profile () =
   let machine = Machine.create () in
   let obs =
@@ -871,14 +871,16 @@ let workload_arg ~usage = function
         w
   | _ -> usage_exit usage
 
-let print_attribution machine obs =
+(* Attribution comes from the recorder's tracker, which never drops an
+   event, not from the bounded ring. *)
+let print_attribution machine frn =
   let total = Machine.cycles machine in
   Fmt.pr "attribution (total %d cycles):@." total;
   List.iter
     (fun (label, c) ->
       Fmt.pr "  %-12s %10d  %5.1f%%@." label c
         (100. *. float_of_int c /. float_of_int (max 1 total)))
-    (Obs.attribute ~total_cycles:total (Obs.events obs))
+    (Forensics.attribution frn ~total_cycles:total)
 
 let trace_cmd args =
   let out, rest =
@@ -890,12 +892,12 @@ let trace_cmd args =
     go [] args
   in
   let workload = workload_arg ~usage:"trace <workload> [--out trace.json]" rest in
-  let machine, obs, _ = run_workload workload in
+  let machine, obs, frn = run_workload workload in
   section (Printf.sprintf "trace %s" workload);
   List.iter (fun e -> Fmt.pr "%a@." Obs.pp_event e) (Obs.events obs);
   Fmt.pr "events total=%d retained=%d dropped=%d@." (Obs.total obs)
     (Obs.length obs) (Obs.dropped obs);
-  print_attribution machine obs;
+  print_attribution machine frn;
   match out with
   | None -> ()
   | Some f ->
@@ -932,8 +934,11 @@ let metrics_cmd args =
       Agg.to_openmetrics
         (Agg.of_forensics frn ~cycles:(Machine.cycles machine))
     else
+      let total_cycles = Machine.cycles machine in
       Json.to_string ~pretty:true
-        (Obs.metrics ~total_cycles:(Machine.cycles machine) obs)
+        (Obs.metrics ~total_cycles
+           ~attribution:(Forensics.attribution frn ~total_cycles)
+           obs)
       ^ "\n"
   in
   match !out with
@@ -1008,18 +1013,17 @@ let profile_cmd args =
       Fmt.epr "wrote profile JSON to %s@." f
 
 (* The per-compartment health report (Forensics): dumps + histograms +
-   the PR 3 attribution fold, in text then JSON.  Deterministic for a
-   given workload — `report producer_consumer` is pinned by
+   the recorder's cycle attribution, in text then JSON.  Deterministic
+   for a given workload — `report producer_consumer` is pinned by
    test/golden_report.expected. *)
 let report_cmd args =
   let workload = workload_arg ~usage:"report <workload>" args in
-  let machine, obs, frn = run_workload workload in
+  let machine, _, frn = run_workload workload in
   let total_cycles = Machine.cycles machine in
-  let events = Obs.events obs in
   section (Printf.sprintf "report %s" workload);
-  print_string (Forensics.report_table frn ~total_cycles ~events);
+  print_string (Forensics.report_table frn ~total_cycles);
   print_endline
-    (Json.to_string ~pretty:true (Forensics.report_json frn ~total_cycles ~events))
+    (Json.to_string ~pretty:true (Forensics.report_json frn ~total_cycles))
 
 (* Crash forensics: run a faulting scenario with the flight recorder
    attached and print every dump (text, then JSON).  `pod` replays the

@@ -181,8 +181,6 @@ type image = {
 
 let build_image () =
   let machine = Machine.create () in
-  if Machine.trace machine = None then
-    Machine.set_trace machine (Some (Obs.create ()));
   let frn = Forensics.create () in
   Machine.set_forensics machine (Some frn);
   let net = Netsim.attach ~latency:4_000 machine in

@@ -230,14 +230,9 @@ let build_image ?trace ?prepare ~seed () =
      replay test suite) hook the bare machine here, before any boot
      activity, so the journal covers the whole scenario. *)
   (match prepare with Some f -> f machine | None -> ());
-  (* Every scenario carries a flight recorder, and the recorder rides
-     the trace stream, so make sure a sink exists even for callers that
-     did not ask for one (both are observationally invisible). *)
-  (match trace with
-  | Some o -> Machine.set_trace machine (Some o)
-  | None ->
-      if Machine.trace machine = None then
-        Machine.set_trace machine (Some (Obs.create ())));
+  (* Every scenario carries a flight recorder; a trace ring only when
+     the caller asks for one. *)
+  Option.iter (fun o -> Machine.set_trace machine (Some o)) trace;
   let frn = Forensics.create () in
   Machine.set_forensics machine (Some frn);
   let engine = Fault_inject.create ~seed machine in

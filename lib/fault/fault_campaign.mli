@@ -52,12 +52,11 @@ val run_scenario :
   outcome
 (** One scenario.  [steps] is the driver's iteration count (default
     60); everything else derives from [seed].  [trace] attaches an
-    event sink to the scenario's machine before boot; without it a
-    private default sink is attached anyway, because every scenario
-    carries a {!Forensics} flight recorder fed from the trace stream
-    (both are observationally invisible, so the outcome is
-    unchanged).  [prepare] runs on the freshly created machine before
-    anything else touches it — the hook the replay tooling uses to
+    event ring to the scenario's machine before boot.  Every scenario
+    carries a {!Forensics} flight recorder, which [Machine.emit] feeds
+    with or without a ring (both are observationally invisible, so the
+    outcome is unchanged).  [prepare] runs on the freshly created
+    machine before anything else touches it — the hook the replay tooling uses to
     attach a recording or verifying input-journal session covering the
     whole scenario, boot included.  [from_snapshot] (default false)
     replays the seed exactly the way {!run} with [~from_snapshot:true]

@@ -108,8 +108,7 @@ let set_profiler m p = m.prof <- p
 let profiler m = m.prof
 
 (* Any attached consumer makes the emitters produce events; the three
-   sinks are independent (each of CHERIOT_TRACE / CHERIOT_FORENSICS /
-   CHERIOT_PROFILE works alone or in any combination). *)
+   sinks are independent (any subset of CHERIOT_OBS works). *)
 let tracing m = m.obs <> None || m.frn <> None || m.prof <> None
 
 let emit m kind =
@@ -317,7 +316,29 @@ let set_revoker_rate m ~cycles_per_granule =
   m.rev_rate <- cycles_per_granule;
   dirty m
 
+(* The sinks CHERIOT_OBS selects: a comma-separated subset of
+   [obs_sinks].  An unknown name fails loudly, like a bad
+   CHERIOT_TRACE_CAP. *)
+let obs_sinks = [ "trace"; "forensics"; "profile" ]
+
+let env_sinks () =
+  match Sys.getenv_opt "CHERIOT_OBS" with
+  | None -> []
+  | Some s ->
+      String.split_on_char ',' s
+      |> List.map String.trim
+      |> List.filter (fun n -> n <> "")
+      |> List.map (fun n ->
+             if List.mem n obs_sinks then n
+             else
+               failwith
+                 (Printf.sprintf
+                    "CHERIOT_OBS: unknown sink %S (expected a \
+                     comma-separated subset of %s)"
+                    n (String.concat ", " obs_sinks)))
+
 let create ?(sram_base = 0x2000_0000) ?(sram_size = 256 * 1024) () =
+  let sinks = env_sinks () in
   let m =
     {
       mem = Memory.create ~base:sram_base ~size:sram_size;
@@ -339,9 +360,13 @@ let create ?(sram_base = 0x2000_0000) ?(sram_size = 256 * 1024) () =
       rev_lag = 0;
       horizon = 0;
       attention = false;
-      obs = Obs.auto ();
-      frn = Forensics.auto ();
-      prof = Profiler.auto ();
+      obs =
+        (if List.mem "trace" sinks then
+           Some (Obs.create ?capacity:(Obs.ring_cap_env ()) ())
+         else None);
+      frn =
+        (if List.mem "forensics" sinks then Some (Forensics.create ()) else None);
+      prof = (if List.mem "profile" sinks then Some (Profiler.create ()) else None);
       rev_futex = ref 0;
       input_log = None;
       snaps = [];

@@ -31,7 +31,10 @@ end
 type t
 
 val create : ?sram_base:int -> ?sram_size:int -> unit -> t
-(** Defaults: SRAM at 0x20000000, 256 KiB — the paper's Arty A7 setup. *)
+(** Defaults: SRAM at 0x20000000, 256 KiB — the paper's Arty A7 setup.
+    Attaches the observability sinks [CHERIOT_OBS] selects (see
+    {!set_trace}); raises [Failure] on a bad [CHERIOT_OBS] or
+    [CHERIOT_TRACE_CAP]. *)
 
 val mem : t -> Memory.t
 val sram_base : t -> int
@@ -148,14 +151,14 @@ val request_attention : t -> unit
    stream has always shown it.
 
    Environment auto-attach (the one place this is documented): [create]
-   consults three variables {e independently} — [CHERIOT_TRACE]
-   (trace ring, {!Obs.auto}, sized by [CHERIOT_TRACE_CAP]),
-   [CHERIOT_FORENSICS] (flight recorder, {!Forensics.auto}) and
-   [CHERIOT_PROFILE] (profiler, {!Profiler.auto}; ["1"] = exact
-   attribution, an integer [n >= 2] = sample every [n] cycles).  Each
-   attaches if and only if its own variable asks for it, so all eight
-   combinations compose; {!emit} forwards every event to each attached
-   sink, and {!tracing} answers [true] when at least one is attached. *)
+   reads [CHERIOT_OBS], a comma-separated subset of [trace] (a trace
+   ring, sized by [CHERIOT_TRACE_CAP], see {!Obs.ring_cap_env}),
+   [forensics] (a flight recorder) and [profile] (an exact profiler;
+   sampled profiling is [bench -- profile --interval N]).  Each sink
+   attaches if and only if it is named, so every subset composes; an
+   unknown name raises [Failure] naming the accepted ones.  {!emit}
+   forwards every event to each attached sink, and {!tracing} answers
+   [true] when at least one is attached. *)
 
 val set_trace : t -> Obs.t option -> unit
 val trace : t -> Obs.t option

@@ -91,16 +91,9 @@ let hist_buckets h =
 
 let hist_json h =
   let buckets =
-    let acc = ref [] in
-    for i = nbuckets - 1 downto 0 do
-      if h.h_buckets.(i) > 0 then
-        acc :=
-          Json.Obj
-            [ ("le", Json.Int (bucket_upper i));
-              ("count", Json.Int h.h_buckets.(i)) ]
-          :: !acc
-    done;
-    !acc
+    List.map
+      (fun (le, count) -> Json.Obj [ ("le", Json.Int le); ("count", Json.Int count) ])
+      (hist_buckets h)
   in
   Json.Obj
     [
@@ -124,7 +117,7 @@ type dump = {
   d_pc : int;
   d_instr : string;
   d_regs : (string * string) list;
-  d_chain : (string * string * string * int) list;
+  d_chain : Obs.Tracker.call list;
   d_recent : string list;
   d_live_bytes : int;
   d_live_hwm : int;
@@ -147,12 +140,12 @@ type cstat = {
   cs_quar : hist;
 }
 
-type frame = {
-  fr_caller : string;
-  fr_callee : string;
-  fr_entry : string;
-  fr_cycle : int;
-}
+let new_cstat () =
+  { cs_calls = 0; cs_faults = 0; cs_reboots = 0; cs_lat = hist_create ();
+    cs_live = 0; cs_hwm = 0; cs_quar = hist_create () }
+
+let copy_cstat s =
+  { s with cs_lat = hist_copy s.cs_lat; cs_quar = hist_copy s.cs_quar }
 
 let recent_cap = 512
 
@@ -161,9 +154,7 @@ type t = {
   mutable dumps_rev : dump list;  (* newest first *)
   mutable ndumps : int;
   (* ingest state *)
-  mutable cur_tid : int;
-  thread_names : (int, string) Hashtbl.t;
-  stacks : (int, frame list) Hashtbl.t;
+  tracker : Obs.Tracker.t;
   mutable pending_irq : (int * int) option;  (* irq, entry cycle *)
   sizes : (int, int * string) Hashtbl.t;  (* live base -> size, owner *)
   freed_owner : (int, string) Hashtbl.t;  (* base freed, awaiting quarantine *)
@@ -188,9 +179,7 @@ let create ?(max_dumps = 256) () =
     max_dumps;
     dumps_rev = [];
     ndumps = 0;
-    cur_tid = -1;
-    thread_names = Hashtbl.create 8;
-    stacks = Hashtbl.create 8;
+    tracker = Obs.Tracker.create ();
     pending_irq = None;
     sizes = Hashtbl.create 64;
     freed_owner = Hashtbl.create 64;
@@ -205,11 +194,6 @@ let create ?(max_dumps = 256) () =
     recent = Array.make recent_cap ("", Obs.{ cycle = 0; kind = Sched_idle });
     recent_head = 0;
   }
-
-let auto () =
-  match Sys.getenv_opt "CHERIOT_FORENSICS" with
-  | None | Some "" | Some "0" -> None
-  | Some _ -> Some (create ())
 
 let call_latency t = t.call_lat
 let irq_latency t = t.irq_lat
@@ -226,85 +210,57 @@ let stat t comp =
   match Hashtbl.find_opt t.stats comp with
   | Some s -> s
   | None ->
-      let s =
-        { cs_calls = 0; cs_faults = 0; cs_reboots = 0;
-          cs_lat = hist_create (); cs_live = 0; cs_hwm = 0;
-          cs_quar = hist_create () }
-      in
+      let s = new_cstat () in
       Hashtbl.add t.stats comp s;
       s
 
-let stack t tid = Option.value (Hashtbl.find_opt t.stacks tid) ~default:[]
-
-(* The compartment context of the current thread: innermost call frame,
-   else the thread's name, else the kernel. *)
-let context_comp t =
-  if t.cur_tid < 0 then "kernel"
-  else
-    match stack t t.cur_tid with
-    | f :: _ -> f.fr_callee
-    | [] -> (
-        match Hashtbl.find_opt t.thread_names t.cur_tid with
-        | Some n -> n
-        | None -> "kernel")
-
-(* Who owns an allocation made on thread [tid]: the innermost call frame
-   that is not the allocator itself, else the outermost caller, else the
-   thread name. *)
-let owner_of t tid =
-  let rec first_app = function
-    | [] -> None
-    | f :: rest ->
-        if f.fr_callee = "allocator" then first_app rest
-        else Some f.fr_callee
-  in
-  let st = stack t tid in
-  match first_app st with
-  | Some c -> c
-  | None -> (
-      match List.rev st with
-      | f :: _ -> f.fr_caller
-      | [] -> (
-          match Hashtbl.find_opt t.thread_names tid with
-          | Some n -> n
-          | None -> "kernel"))
+(* Who owns an allocation made on the current thread: the innermost
+   call frame that is not the allocator itself, else the outermost
+   caller, else the thread name. *)
+let owner_of t =
+  match Obs.Tracker.phase t.tracker with
+  | Boot | Idle -> "kernel"
+  | Thread tid -> (
+      let chain = Obs.Tracker.chain t.tracker tid in
+      match List.find_opt (fun c -> c.Obs.Tracker.callee <> "allocator") chain with
+      | Some c -> c.callee
+      | None -> (
+          match List.rev chain with
+          | c :: _ -> c.caller
+          | [] ->
+              Option.value (Obs.Tracker.thread_name t.tracker tid)
+                ~default:"kernel"))
 
 let ingest t ~cycle kind =
   let ev = Obs.{ cycle; kind } in
-  Array.unsafe_set t.recent (t.recent_head mod recent_cap) (context_comp t, ev);
+  Array.unsafe_set t.recent (t.recent_head mod recent_cap)
+    (Obs.Tracker.context t.tracker, ev);
   t.recent_head <- t.recent_head + 1;
-  match kind with
-  | Obs.Thread_dispatch { tid; name } ->
-      t.cur_tid <- tid;
-      if not (Hashtbl.mem t.thread_names tid) then
-        Hashtbl.add t.thread_names tid name;
-      (match t.pending_irq with
+  (* The tracker steps last, so a Call_leave still sees the frame it
+     pops. *)
+  (match kind with
+  | Obs.Thread_dispatch _ -> (
+      match t.pending_irq with
       | Some (_, entered) ->
           hist_add t.irq_lat (cycle - entered);
           t.pending_irq <- None
       | None -> ())
-  | Obs.Sched_idle -> t.cur_tid <- -1
   | Obs.Irq_enter { irq } ->
       if t.pending_irq = None then t.pending_irq <- Some (irq, cycle)
-  | Obs.Call_enter { caller; callee; entry; tid } ->
+  | Obs.Call_enter { callee; _ } ->
       let s = stat t callee in
-      s.cs_calls <- s.cs_calls + 1;
-      Hashtbl.replace t.stacks tid
-        ({ fr_caller = caller; fr_callee = callee; fr_entry = entry;
-           fr_cycle = cycle }
-        :: stack t tid)
+      s.cs_calls <- s.cs_calls + 1
   | Obs.Call_leave { callee; tid; faulted } -> (
       let s = stat t callee in
       if faulted then s.cs_faults <- s.cs_faults + 1;
-      match stack t tid with
-      | f :: rest ->
-          Hashtbl.replace t.stacks tid rest;
-          let d = cycle - f.fr_cycle in
+      match Obs.Tracker.chain t.tracker tid with
+      | c :: _ ->
+          let d = cycle - c.cycle in
           hist_add t.call_lat d;
           hist_add s.cs_lat d
       | [] -> ())
   | Obs.Alloc { base; size } ->
-      let owner = owner_of t t.cur_tid in
+      let owner = owner_of t in
       Hashtbl.replace t.sizes base (size, owner);
       hist_add t.alloc_sz size;
       let s = stat t owner in
@@ -343,47 +299,36 @@ let ingest t ~cycle kind =
           hist_add t.quar_res d;
           hist_add (stat t owner).cs_quar d
       | None -> ())
-  | _ -> ()
+  | _ -> ());
+  Obs.Tracker.step t.tracker ~cycle kind
 
 (* Snapshot/restore for Machine.snapshot: deep-copy every mutable piece
-   of ingest state into a closure that writes it back in place.  Frame
-   lists and events are immutable, so the hashtable values can be shared;
-   [hist], [cstat] and [dump] carry mutable fields and are copied
-   field-by-field. *)
+   of ingest state into a closure that writes it back in place.  Events
+   are immutable, so the hashtable values can be shared; [hist], [cstat]
+   and [dump] carry mutable fields and are copied field-by-field. *)
 
-let save_hist h = (h.h_n, h.h_sum, h.h_min, h.h_max, Array.copy h.h_buckets)
-
-let restore_hist_into dst (n, sum, mn, mx, buckets) =
-  dst.h_n <- n;
-  dst.h_sum <- sum;
-  dst.h_min <- mn;
-  dst.h_max <- mx;
-  Array.blit buckets 0 dst.h_buckets 0 nbuckets
+let restore_hist_into dst src =
+  dst.h_n <- src.h_n;
+  dst.h_sum <- src.h_sum;
+  dst.h_min <- src.h_min;
+  dst.h_max <- src.h_max;
+  Array.blit src.h_buckets 0 dst.h_buckets 0 nbuckets
 
 let snapshot t =
   let dumps = List.map (fun d -> (d, d.d_rebooted)) t.dumps_rev in
   let ndumps = t.ndumps in
-  let cur_tid = t.cur_tid in
-  let thread_names = Hashtbl.copy t.thread_names in
-  let stacks = Hashtbl.copy t.stacks in
+  let restore_tracker = Obs.Tracker.snapshot t.tracker in
   let pending_irq = t.pending_irq in
   let sizes = Hashtbl.copy t.sizes in
   let freed_owner = Hashtbl.copy t.freed_owner in
   let quar = Hashtbl.copy t.quar in
   let quar_bytes = t.quar_bytes in
   let quar_chunks = t.quar_chunks in
-  let stats =
-    Hashtbl.fold
-      (fun k s acc ->
-        (k, (s.cs_calls, s.cs_faults, s.cs_reboots, save_hist s.cs_lat,
-             s.cs_live, s.cs_hwm, save_hist s.cs_quar))
-        :: acc)
-      t.stats []
-  in
-  let call_lat = save_hist t.call_lat in
-  let irq_lat = save_hist t.irq_lat in
-  let alloc_sz = save_hist t.alloc_sz in
-  let quar_res = save_hist t.quar_res in
+  let stats = Hashtbl.fold (fun k s acc -> (k, copy_cstat s) :: acc) t.stats [] in
+  let call_lat = hist_copy t.call_lat in
+  let irq_lat = hist_copy t.irq_lat in
+  let alloc_sz = hist_copy t.alloc_sz in
+  let quar_res = hist_copy t.quar_res in
   let recent = Array.copy t.recent in
   let recent_head = t.recent_head in
   fun () ->
@@ -394,13 +339,11 @@ let snapshot t =
           d)
         dumps;
     t.ndumps <- ndumps;
-    t.cur_tid <- cur_tid;
+    restore_tracker ();
     let refill dst src =
       Hashtbl.reset dst;
-      Hashtbl.iter (fun k v -> Hashtbl.replace dst k v) src
+      Hashtbl.iter (Hashtbl.replace dst) src
     in
-    refill t.thread_names thread_names;
-    refill t.stacks stacks;
     t.pending_irq <- pending_irq;
     refill t.sizes sizes;
     refill t.freed_owner freed_owner;
@@ -408,17 +351,7 @@ let snapshot t =
     t.quar_bytes <- quar_bytes;
     t.quar_chunks <- quar_chunks;
     Hashtbl.reset t.stats;
-    List.iter
-      (fun (k, (calls, faults, reboots, lat, live, hwm, quarh)) ->
-        let s =
-          { cs_calls = calls; cs_faults = faults; cs_reboots = reboots;
-            cs_lat = hist_create (); cs_live = live; cs_hwm = hwm;
-            cs_quar = hist_create () }
-        in
-        restore_hist_into s.cs_lat lat;
-        restore_hist_into s.cs_quar quarh;
-        Hashtbl.add t.stats k s)
-      stats;
+    List.iter (fun (k, s) -> Hashtbl.add t.stats k (copy_cstat s)) stats;
     restore_hist_into t.call_lat call_lat;
     restore_hist_into t.irq_lat irq_lat;
     restore_hist_into t.alloc_sz alloc_sz;
@@ -453,11 +386,6 @@ let recent_for t comp =
 let record_fault t ~cycle ~comp ~thread ~cause ~addr ~pc ~instr ~regs
     ~handler_ran =
   let s = stat t comp in
-  let chain =
-    List.map
-      (fun f -> (f.fr_caller, f.fr_callee, f.fr_entry, f.fr_cycle))
-      (stack t thread)
-  in
   let d =
     {
       d_cycle = cycle;
@@ -468,7 +396,7 @@ let record_fault t ~cycle ~comp ~thread ~cause ~addr ~pc ~instr ~regs
       d_pc = pc;
       d_instr = instr;
       d_regs = regs;
-      d_chain = chain;
+      d_chain = Obs.Tracker.chain t.tracker thread;
       d_recent = recent_for t comp;
       d_live_bytes = s.cs_live;
       d_live_hwm = s.cs_hwm;
@@ -513,7 +441,7 @@ let dump_json d =
       ( "call_chain",
         Json.List
           (List.map
-             (fun (caller, callee, entry, cycle) ->
+             (fun { Obs.Tracker.caller; callee; entry; cycle } ->
                Json.Obj
                  [
                    ("caller", Json.Str caller);
@@ -559,7 +487,7 @@ let pp_dump ppf d =
   if d.d_chain <> [] then begin
     fprintf ppf "call chain  : (innermost first)@.";
     List.iter
-      (fun (caller, callee, entry, cycle) ->
+      (fun { Obs.Tracker.caller; callee; entry; cycle } ->
         fprintf ppf "  %s -> %s.%s  (entered @@ %d)@." caller callee entry
           cycle)
       d.d_chain
@@ -571,9 +499,10 @@ let pp_dump ppf d =
   fprintf ppf "heap        : live=%d hwm=%d quarantine=%d bytes in %d chunks@."
     d.d_live_bytes d.d_live_hwm d.d_quarantine_bytes d.d_quarantine_chunks
 
-(* The health report: dumps + histograms + the PR 3 attribution fold,
-   one row per compartment.  Every iteration below is over sorted keys
-   so the output is byte-stable (pinned by test/golden_report.expected). *)
+(* The health report: dumps + histograms + the tracker's cycle
+   attribution, one row per compartment.  Every iteration below is over
+   sorted keys so the output is byte-stable (pinned by
+   test/golden_report.expected). *)
 
 type row = {
   r_comp : string;
@@ -589,8 +518,10 @@ type row = {
   r_attr : int;
 }
 
-let rows t ~total_cycles ~events =
-  let attrib = Obs.attribute ~total_cycles events in
+let attribution t ~total_cycles = Obs.Tracker.totals t.tracker ~total_cycles
+
+let rows t ~total_cycles =
+  let attrib = attribution t ~total_cycles in
   let names =
     let tbl = Hashtbl.create 16 in
     Hashtbl.iter (fun k _ -> Hashtbl.replace tbl k ()) t.stats;
@@ -600,11 +531,7 @@ let rows t ~total_cycles ~events =
   ( List.map
       (fun comp ->
         let s =
-          Option.value (Hashtbl.find_opt t.stats comp)
-            ~default:
-              { cs_calls = 0; cs_faults = 0; cs_reboots = 0;
-                cs_lat = hist_create (); cs_live = 0; cs_hwm = 0;
-                cs_quar = hist_create () }
+          Option.value (Hashtbl.find_opt t.stats comp) ~default:(new_cstat ())
         in
         {
           r_comp = comp;
@@ -623,8 +550,8 @@ let rows t ~total_cycles ~events =
       names,
     attrib )
 
-let report_json t ~total_cycles ~events =
-  let rows, attrib = rows t ~total_cycles ~events in
+let report_json t ~total_cycles =
+  let rows, attrib = rows t ~total_cycles in
   let attributed = List.fold_left (fun a (_, c) -> a + c) 0 attrib in
   Json.Obj
     [
@@ -665,8 +592,8 @@ let report_json t ~total_cycles ~events =
       ("dumps", Json.List (List.map dump_json (dumps t)));
     ]
 
-let report_table t ~total_cycles ~events =
-  let rows, attrib = rows t ~total_cycles ~events in
+let report_table t ~total_cycles =
+  let rows, attrib = rows t ~total_cycles in
   let attributed = List.fold_left (fun a (_, c) -> a + c) 0 attrib in
   let b = Buffer.create 1024 in
   Printf.bprintf b "per-compartment health  (total cycles = %d, attributed = %d%s)\n"

@@ -2,25 +2,29 @@
     ring (crash forensics, streaming latency histograms and a
     per-compartment health report).
 
-    A [Forensics.t] is fed the same event stream as the trace ring —
-    [Machine.emit] forwards every event to {!ingest} when a recorder is
-    attached — and folds it {e online} into O(1)-memory state:
+    A [Forensics.t] is fed the same event stream as the trace ring but
+    independently of it — [Machine.emit] forwards every event to
+    {!ingest} when a recorder is attached, with or without a ring — and
+    folds it {e online} into O(1)-memory state:
 
     - fixed log2-bucket {e histograms} of compartment-call latency,
       IRQ-entry-to-dispatch latency, allocation size and free→release
       (quarantine residency) latency, all in simulated cycles;
     - per-compartment counters (calls, faults, micro-reboots, live heap
       bytes and high-water mark);
-    - per-thread caller→callee call chains and a bounded ring of recent
-      events, snapshotted into a {e crash dump} at every compartment
-      fault, forced unwind and switcher abort ({!record_fault}, called
-      by the kernel's trap paths).
+    - an {!Obs.Tracker} holding the per-thread caller→callee call
+      chains and the exact cycle attribution (it never drops an event,
+      unlike a bounded ring), plus a bounded ring of recent events;
+      chains and recent events are snapshotted into a {e crash dump} at
+      every compartment fault, forced unwind and switcher abort
+      ({!record_fault}, called by the kernel's trap paths).
 
     Like the trace ring, the recorder is {e observationally invisible}:
     nothing in here ticks the clock, touches simulated memory or feeds
-    back into control flow (enforced by the forensics-enabled
-    golden-cycles rule in [bench/dune] and the QCheck equality property
-    in [test/test_obs_props.ml]).
+    back into control flow (enforced by the all-sinks golden-cycles
+    rule in [bench/dune] and the QCheck equality property in
+    [test/test_obs_props.ml]).  [CHERIOT_OBS=forensics] attaches one to
+    every new machine (see [Machine]).
 
     Layering: this module sees only pre-rendered strings for
     architectural state (the kernel renders the capability register file
@@ -33,18 +37,12 @@ val create : ?max_dumps:int -> unit -> t
 (** A fresh recorder.  At most [max_dumps] (default 256) crash dumps are
     retained, dropping the oldest. *)
 
-val auto : unit -> t option
-(** Recorder described by the [CHERIOT_FORENSICS] environment variable:
-    unset, empty or ["0"] — [None]; anything else — a default recorder.
-    [Machine.create] attaches one to every new machine that also has a
-    trace sink (forensics rides the trace stream). *)
-
 val ingest : t -> cycle:int -> Obs.kind -> unit
 (** Fold one event into the recorder.  Called by [Machine.emit] for
     every traced event; must stay cheap and simulation-invisible. *)
 
 val snapshot : t -> unit -> unit
-(** [snapshot t] deep-copies the full ingest state (dumps, call stacks,
+(** [snapshot t] deep-copies the full ingest state (dumps, the tracker,
     per-compartment stats, all histograms, the recent-event ring) and
     returns a thunk restoring it in place.  Building block of
     {!Machine.snapshot}. *)
@@ -61,9 +59,8 @@ type dump = {
   d_instr : string;  (** disassembled instruction or native entry label *)
   d_regs : (string * string) list;
       (** capability register file, pre-rendered by the kernel *)
-  d_chain : (string * string * string * int) list;
-      (** switcher call chain at the fault, innermost first:
-          (caller, callee, entry, cycle the call entered) *)
+  d_chain : Obs.Tracker.call list;
+      (** switcher call chain at the fault, innermost first *)
   d_recent : string list;
       (** last ring events relevant to the faulting compartment,
           oldest first, rendered as golden-trace lines *)
@@ -155,14 +152,18 @@ val comp_counters : t -> (string * int * int * int) list
 
 (* The per-compartment health report *)
 
-val report_json : t -> total_cycles:int -> events:Obs.event list -> Json.t
-(** Fold dumps + histograms + the {!Obs.attribute} cycle attribution of
-    [events] into one report: per-compartment rows (calls, faults,
+val attribution : t -> total_cycles:int -> (string * int) list
+(** The recorder's tracker totals ({!Obs.Tracker.totals}): the cycle
+    attribution of every event ingested, equal to {!Obs.attribute} over
+    an unbounded ring of the same run. *)
+
+val report_json : t -> total_cycles:int -> Json.t
+(** Fold dumps + histograms + the {!attribution} into one report: per-compartment rows (calls, faults,
     reboots, p50/p99 call cycles, heap high-water, quarantine-residency
     p99, attributed cycles), the four global histograms, every retained
     dump, and a sum check that the attribution partitions
     [total_cycles] exactly.  Output is deterministically sorted (pinned
     by [test/golden_report.expected]). *)
 
-val report_table : t -> total_cycles:int -> events:Obs.event list -> string
+val report_table : t -> total_cycles:int -> string
 (** The same fold as a fixed-width text table. *)

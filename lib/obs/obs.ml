@@ -134,9 +134,9 @@ let events t =
   let n = length t in
   List.init n (fun i -> t.buf.((t.head - n + i) mod t.cap))
 
-(* Ring capacity for the env-var auto-attach path.  CHERIOT_TRACE_CAP
-   wins over an integer CHERIOT_TRACE value; garbage or out-of-range
-   values fail loudly rather than silently truncating history. *)
+(* Ring capacity override for Machine.create's CHERIOT_OBS=trace sink.
+   Garbage or out-of-range values fail loudly rather than silently
+   truncating history. *)
 let cap_min = 16
 let cap_max = 1 lsl 24
 
@@ -158,74 +158,162 @@ let ring_cap_env () =
                 capacity in [%d, %d])"
                s cap_min cap_max))
 
-let auto () =
-  match Sys.getenv_opt "CHERIOT_TRACE" with
-  | None | Some "" | Some "0" -> None
-  | Some s -> (
-      match ring_cap_env () with
-      | Some n -> Some (create ~capacity:n ())
-      | None -> (
-          match int_of_string_opt (String.trim s) with
-          | Some n when n > 1 -> Some (create ~capacity:n ())
-          | _ -> Some (create ())))
+(* The one call-stack tracker.  Per-thread stacks of frames model
+   nesting (thread base -> switcher leg -> callee, possibly
+   recursively): the call and return legs push a switcher frame, an
+   abort pops a top one, [Call_enter] collapses a top switcher frame
+   into the call, and [Call_leave] pops switcher frames and then one
+   call.  "boot" covers everything before the first scheduling event
+   and "idle" the stretches with an empty run queue.  Every event first
+   charges the delta since the previous one to the live leaf, so the
+   totals plus the tail partition [0, total_cycles] exactly. *)
+module Tracker = struct
+  type call = { caller : string; callee : string; entry : string; cycle : int }
+  type frame = Switcher | Call of call
+  type phase = Boot | Idle | Thread of int
 
-(* Cycle attribution: walk the trace charging each inter-event delta to
-   the context that was active while it elapsed.  Per-thread stacks of
-   labels model nesting (thread base -> switcher leg -> callee, possibly
-   recursively); "boot" covers everything before the first scheduling
-   event and "idle" the stretches with an empty run queue.  The deltas
-   plus the final tail partition [0, total_cycles] exactly, so the
-   returned totals always sum to [total_cycles]. *)
+  type t = {
+    stacks : (int, frame list) Hashtbl.t;  (* innermost first *)
+    names : (int, string) Hashtbl.t;  (* first name seen per tid *)
+    totals : (string, int ref) Hashtbl.t;  (* leaf label -> cycles *)
+    mutable phase : phase;
+    mutable prev : int;  (* cycle up to which charges are settled *)
+    mutable leaf : string;  (* label of the live context *)
+    mutable cell : int ref;  (* its entry in [totals] *)
+    mutable key : string;  (* folded key of the live context, "" = stale *)
+  }
+
+  let cell_of totals label =
+    match Hashtbl.find_opt totals label with
+    | Some c -> c
+    | None ->
+        let c = ref 0 in
+        Hashtbl.add totals label c;
+        c
+
+  let create () =
+    let totals = Hashtbl.create 16 in
+    { stacks = Hashtbl.create 8; names = Hashtbl.create 8; totals;
+      phase = Boot; prev = 0; leaf = "boot"; cell = cell_of totals "boot";
+      key = "" }
+
+  let stack t tid = try Hashtbl.find t.stacks tid with Not_found -> []
+  let label = function Switcher -> "switcher" | Call c -> c.callee
+
+  let leaf_of t = function
+    | Boot -> "boot"
+    | Idle -> "idle"
+    | Thread tid -> (
+        match stack t tid with [] -> "kernel" | f :: _ -> label f)
+
+  let refresh t =
+    let l = leaf_of t t.phase in
+    if not (String.equal l t.leaf) then begin
+      t.leaf <- l;
+      t.cell <- cell_of t.totals l
+    end;
+    t.key <- ""
+
+  let set t tid st =
+    Hashtbl.replace t.stacks tid st;
+    match t.phase with Thread cur when cur = tid -> refresh t | _ -> ()
+
+  let rec drop_switchers = function Switcher :: r -> drop_switchers r | st -> st
+
+  let step t ~cycle kind =
+    t.cell := !(t.cell) + (cycle - t.prev);
+    t.prev <- cycle;
+    match kind with
+    | Thread_dispatch { tid; name } ->
+        if not (Hashtbl.mem t.names tid) then Hashtbl.add t.names tid name;
+        t.phase <- Thread tid;
+        refresh t
+    | Sched_idle ->
+        t.phase <- Idle;
+        refresh t
+    | Switcher_call { tid } | Switcher_return { tid } ->
+        set t tid (Switcher :: stack t tid)
+    | Switcher_abort { tid } -> (
+        match stack t tid with Switcher :: r -> set t tid r | _ -> ())
+    | Call_enter { caller; callee; entry; tid } ->
+        let st = match stack t tid with Switcher :: r -> r | st -> st in
+        set t tid (Call { caller; callee; entry; cycle } :: st)
+    | Call_leave { tid; _ } ->
+        set t tid (match drop_switchers (stack t tid) with [] -> [] | _ :: r -> r)
+    | _ -> ()
+
+  let phase t = t.phase
+  let last_cycle t = t.prev
+  let leaf t = t.leaf
+
+  let thread_name t tid = Hashtbl.find_opt t.names tid
+
+  let key t =
+    if t.key = "" then
+      t.key <-
+        (match t.phase with
+        | Boot -> "boot"
+        | Idle -> "idle"
+        | Thread tid ->
+            let name =
+              match thread_name t tid with
+              | Some n -> n
+              | None -> Printf.sprintf "thread%d" tid
+            in
+            String.concat ";"
+              (name
+              :: (match stack t tid with
+                 | [] -> [ "kernel" ]
+                 | st -> List.rev_map label st)));
+    t.key
+
+  let chain t tid =
+    List.filter_map (function Call c -> Some c | Switcher -> None) (stack t tid)
+
+  let rec context_of t tid = function
+    | Call c :: _ -> c.callee
+    | Switcher :: r -> context_of t tid r
+    | [] -> Option.value (thread_name t tid) ~default:"kernel"
+
+  let context t =
+    match t.phase with
+    | Boot | Idle -> "kernel"
+    | Thread tid -> context_of t tid (stack t tid)
+
+  (* Pure: the tail since the last event is charged into the result. *)
+  let totals t ~total_cycles =
+    Hashtbl.fold
+      (fun l c acc ->
+        let v = if c == t.cell then !c + (total_cycles - t.prev) else !c in
+        if v = 0 then acc else (l, v) :: acc)
+      t.totals []
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
+
+  let snapshot t =
+    let stacks = Hashtbl.copy t.stacks in
+    let names = Hashtbl.copy t.names in
+    let totals = Hashtbl.fold (fun l c acc -> (l, !c) :: acc) t.totals [] in
+    let phase = t.phase and prev = t.prev and leaf = t.leaf in
+    fun () ->
+      let refill dst src =
+        Hashtbl.reset dst;
+        Hashtbl.iter (Hashtbl.replace dst) src
+      in
+      refill t.stacks stacks;
+      refill t.names names;
+      Hashtbl.reset t.totals;
+      List.iter (fun (l, v) -> Hashtbl.replace t.totals l (ref v)) totals;
+      t.phase <- phase;
+      t.prev <- prev;
+      t.leaf <- leaf;
+      t.cell <- cell_of t.totals leaf;
+      t.key <- ""
+end
+
 let attribute ~total_cycles evs =
-  let totals = Hashtbl.create 16 in
-  let charge label n =
-    if n <> 0 then
-      Hashtbl.replace totals label
-        (n + Option.value (Hashtbl.find_opt totals label) ~default:0)
-  in
-  let stacks = Hashtbl.create 8 in
-  let stack tid = Option.value (Hashtbl.find_opt stacks tid) ~default:[] in
-  let top tid = match stack tid with [] -> "kernel" | l :: _ -> l in
-  let push tid l = Hashtbl.replace stacks tid (l :: stack tid) in
-  let pop tid =
-    match stack tid with [] -> () | _ :: r -> Hashtbl.replace stacks tid r
-  in
-  let cur = ref "boot" in
-  let cur_tid = ref (-1) in
-  let sync tid = if !cur_tid = tid then cur := top tid in
-  let prev = ref 0 in
-  List.iter
-    (fun e ->
-      charge !cur (e.cycle - !prev);
-      prev := e.cycle;
-      match e.kind with
-      | Thread_dispatch { tid; _ } ->
-          cur_tid := tid;
-          cur := top tid
-      | Sched_idle ->
-          cur_tid := -1;
-          cur := "idle"
-      | Switcher_call { tid } | Switcher_return { tid } ->
-          push tid "switcher";
-          sync tid
-      | Switcher_abort { tid } ->
-          if top tid = "switcher" then pop tid;
-          sync tid
-      | Call_enter { callee; tid; _ } ->
-          if top tid = "switcher" then pop tid;
-          push tid callee;
-          sync tid
-      | Call_leave { tid; _ } ->
-          while top tid = "switcher" do
-            pop tid
-          done;
-          pop tid;
-          sync tid
-      | _ -> ())
-    evs;
-  charge !cur (total_cycles - !prev);
-  Hashtbl.fold (fun k v acc -> if v = 0 then acc else (k, v) :: acc) totals []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  let t = Tracker.create () in
+  List.iter (fun e -> Tracker.step t ~cycle:e.cycle e.kind) evs;
+  Tracker.totals t ~total_cycles
 
 (* Chrome trace_event export: compartment calls are B/E duration slices
    on their thread's track; everything else instant events.  ts is the
@@ -304,7 +392,7 @@ let to_chrome evs =
       ("displayTimeUnit", Json.Str "ns");
     ]
 
-let metrics ~total_cycles t =
+let metrics ~total_cycles ~attribution t =
   let evs = events t in
   let count_by f =
     let tbl = Hashtbl.create 16 in
@@ -336,7 +424,5 @@ let metrics ~total_cycles t =
       ("by_kind", Json.Obj (count_by kind_label));
       ( "attribution",
         Json.Obj
-          (List.map
-             (fun (l, c) -> (l, Json.Int c))
-             (attribute ~total_cycles evs)) );
+          (List.map (fun (l, c) -> (l, Json.Int c)) attribution) );
     ]

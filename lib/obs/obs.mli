@@ -1,13 +1,16 @@
-(** Cycle-attributed tracing: a bounded ring buffer of timestamped
-    events, filled by the machine, switcher path, scheduler and
-    allocator, folded after the run into per-compartment cycle
+(** Cycle-attributed tracing: the event vocabulary emitted by the
+    machine, switcher path, scheduler and allocator; a bounded ring
+    buffer of timestamped events; the call-stack {!Tracker} that
+    attribution, the {!Profiler} and the {!Forensics} recorder project
+    from the stream; and post-run folds into per-compartment cycle
     attribution, Chrome [trace_event] JSON and a flat metrics table.
 
     Tracing is {e observationally invisible}: emitting an event never
     ticks the clock, touches simulated memory or changes control flow,
     so simulated cycle counts are bit-identical with a sink attached or
-    not (enforced by the traced golden-cycles rule in [bench/dune] and
-    the QCheck equivalence property in [test/test_obs_props.ml]). *)
+    not (enforced by the all-sinks golden-cycles rule in [bench/dune]
+    and the QCheck equivalence properties in
+    [test/test_obs_props.ml]). *)
 
 (** What happened.  Every constructor names its subsystem of origin
     (see {!source_of}); the cycle stamp lives in {!event}. *)
@@ -73,34 +76,80 @@ val snapshot : t -> unit -> unit
 val events : t -> event list
 (** Retained events, oldest first (emission order). *)
 
-val auto : unit -> t option
-(** Sink described by the [CHERIOT_TRACE] environment variable: unset,
-    empty or ["0"] — [None]; an integer > 1 — a sink of that capacity;
-    anything else — a default-capacity sink.  [Machine.create] attaches
-    one to every new machine, which is how the traced golden-cycles
-    regression turns tracing on without touching the benchmarks.
-
-    [CHERIOT_TRACE_CAP] overrides the ring capacity (so long fig7 runs
-    can keep enough history for crash dumps): an integer in
-    [\[16, 2^24\]].  Garbage or out-of-range values raise [Failure]
-    with a message naming the bounds — never a silently truncated
-    ring. *)
-
 val ring_cap_env : unit -> int option
-(** The validated [CHERIOT_TRACE_CAP] value, if set.  Raises [Failure]
-    on garbage (see {!auto}). *)
+(** The validated [CHERIOT_TRACE_CAP] value, if set: the capacity of
+    the ring [Machine.create] attaches for [CHERIOT_OBS=trace].  An
+    integer in [\[16, 2^24\]]; garbage or out-of-range values raise
+    [Failure] with a message naming the bounds — never a silently
+    truncated ring. *)
+
+(** The one call-stack tracker: the per-thread compartment stacks that
+    {!attribute}, {!Profiler} and {!Forensics} all project from the
+    event stream.  Each thread holds a stack of frames, innermost
+    first: a switcher frame per interpreted switcher leg ([Switcher_call]
+    and [Switcher_return] push one, [Switcher_abort] pops a top one)
+    and a call frame per compartment call ([Call_enter] collapses a top
+    switcher frame, then pushes the call; [Call_leave] pops switcher
+    frames, then one call).  Every event first charges the cycles since
+    the previous one to the live leaf label. *)
+module Tracker : sig
+  type call = { caller : string; callee : string; entry : string; cycle : int }
+  (** A compartment call frame; [cycle] is when the call entered. *)
+
+  type phase = Boot | Idle | Thread of int
+  (** Scheduler context: before the first scheduling event, with an
+      empty run queue, or running a dispatched thread. *)
+
+  type t
+
+  val create : unit -> t
+
+  val step : t -> cycle:int -> kind -> unit
+  (** Charge [(last_cycle, cycle]] to the live leaf, then apply the
+      event's transition. *)
+
+  val phase : t -> phase
+
+  val last_cycle : t -> int
+  (** The cycle of the last event stepped (0 before any). *)
+
+  val leaf : t -> string
+  (** The label {!attribute} charges now: ["boot"], ["idle"],
+      ["switcher"] during a switcher leg, the callee inside a call, or
+      ["kernel"] for a thread outside any call. *)
+
+  val key : t -> string
+  (** The folded key {!Profiler} charges now: ["boot"], ["idle"], or
+      [thread;frame;...;leaf] outermost first, [thread;kernel] for an
+      empty stack.  The last frame is always {!leaf}. *)
+
+  val thread_name : t -> int -> string option
+  (** The first name dispatched for a thread id. *)
+
+  val chain : t -> int -> call list
+  (** A thread's call frames, innermost first (switcher frames
+      omitted). *)
+
+  val context : t -> string
+  (** The compartment the current thread runs in: the innermost callee,
+      else the thread's name; ["kernel"] outside any thread. *)
+
+  val totals : t -> total_cycles:int -> (string * int) list
+  (** Per-leaf cycle totals with the tail since the last event charged
+      up to [total_cycles], sorted by label, zeros elided.  Pure. *)
+
+  val snapshot : t -> unit -> unit
+  (** A thunk restoring the tracker in place to its current state. *)
+end
 
 (* Post-run folds *)
 
 val attribute : total_cycles:int -> event list -> (string * int) list
-(** Fold the trace into per-compartment / per-subsystem cycle totals.
-    Each inter-event delta is charged to the context active when it
-    elapsed: ["boot"] until the first scheduling event, ["idle"] while
-    the run queue is empty, ["switcher"] during interpreted switcher
-    legs, the callee compartment inside a cross-compartment call, and
-    ["kernel"] for dispatched threads outside any call.  The returned
-    totals (sorted by label, zeros elided) sum to exactly
-    [total_cycles] by construction. *)
+(** Per-compartment / per-subsystem cycle totals: the events run through
+    a fresh {!Tracker}, whose leaf totals are returned.  Each
+    inter-event delta is charged to the context active when it elapsed
+    (see {!Tracker.leaf}); the totals (sorted by label, zeros elided)
+    sum to exactly [total_cycles] by construction. *)
 
 val to_chrome : event list -> Json.t
 (** Chrome [trace_event] JSON ({["traceEvents"]} array, ts = simulated
@@ -109,6 +158,8 @@ val to_chrome : event list -> Json.t
     metadata records.  Load the output in [chrome://tracing] or
     Perfetto. *)
 
-val metrics : total_cycles:int -> t -> Json.t
+val metrics : total_cycles:int -> attribution:(string * int) list -> t -> Json.t
 (** Flat metrics table: totals, drops, per-source and per-kind event
-    counts, allocator byte counters and the {!attribute} fold. *)
+    counts, allocator byte counters and the given cycle attribution
+    (take it from a tracker that saw every event, e.g. the flight
+    recorder's, not from a ring that may have dropped some). *)

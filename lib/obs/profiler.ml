@@ -1,26 +1,16 @@
 (* See profiler.mli.  Same contract as obs.ml/forensics.ml: nothing in
    here may touch the simulation — no clock, no simulated memory, no
-   control flow back into the machine.  Ingestion is a couple of
-   hashtable updates and integer bumps.
-
-   The stack machine below mirrors Obs.attribute transition for
-   transition (switcher push on call/return edges, pop on abort,
-   enter/leave collapsing the switcher frame), so the leaf of every
-   folded key is exactly the label attribute would charge — the
-   reconciliation invariant test_obs_props pins. *)
+   control flow back into the machine.  The stacks are Obs.Tracker's;
+   ingestion adds one hashtable bump per event, charging the tracker's
+   folded key before the event moves it, so the leaf of every key is
+   exactly the label Obs.attribute charges. *)
 
 type mode = Exact | Sampled of int
-
-type phase = Boot | Idle | Thread of int
 
 type t = {
   p_mode : mode;
   counts : (string, int) Hashtbl.t;  (* folded key -> weight *)
-  stacks : (int, string list) Hashtbl.t;  (* per-thread, innermost first *)
-  thread_names : (int, string) Hashtbl.t;  (* first name seen per tid *)
-  mutable phase : phase;
-  mutable cur : string;  (* folded key of the live context *)
-  mutable prev : int;  (* cycle up to which charges are settled *)
+  tracker : Obs.Tracker.t;
 }
 
 let create ?(mode = Exact) () =
@@ -28,123 +18,42 @@ let create ?(mode = Exact) () =
   | Sampled n when n < 2 ->
       invalid_arg "Profiler.create: sampling interval must be >= 2"
   | _ -> ());
-  {
-    p_mode = mode;
-    counts = Hashtbl.create 64;
-    stacks = Hashtbl.create 8;
-    thread_names = Hashtbl.create 8;
-    phase = Boot;
-    cur = "boot";
-    prev = 0;
-  }
+  { p_mode = mode; counts = Hashtbl.create 64; tracker = Obs.Tracker.create () }
 
 let mode t = t.p_mode
 
-let auto () =
-  match Sys.getenv_opt "CHERIOT_PROFILE" with
-  | None | Some "" | Some "0" -> None
-  | Some s -> (
-      match int_of_string_opt s with
-      | Some n when n >= 2 -> Some (create ~mode:(Sampled n) ())
-      | _ -> Some (create ()))
-
-let stack t tid = Option.value (Hashtbl.find_opt t.stacks tid) ~default:[]
-let top t tid = match stack t tid with [] -> "kernel" | l :: _ -> l
-let push t tid l = Hashtbl.replace t.stacks tid (l :: stack t tid)
-
-let pop t tid =
-  match stack t tid with
-  | [] -> ()
-  | _ :: r -> Hashtbl.replace t.stacks tid r
-
-(* Folded key of the live context: thread name, then the call stack
-   outermost-first; an empty stack shows as the kernel (matching
-   attribute's label for a thread outside any compartment call). *)
-let key_of t tid =
-  let name =
-    match Hashtbl.find_opt t.thread_names tid with
-    | Some n -> n
-    | None -> Printf.sprintf "thread%d" tid
-  in
-  match stack t tid with
-  | [] -> name ^ ";kernel"
-  | st -> String.concat ";" (name :: List.rev st)
-
-let sync t tid = match t.phase with
-  | Thread cur when cur = tid -> t.cur <- key_of t tid
-  | _ -> ()
-
-(* Weight of the interval (prev, cycle] under the current mode: the
-   cycle delta in exact mode, the number of sample points (multiples of
-   the interval) it contains in sampled mode. *)
+(* Weight of the interval (last event, cycle] under the current mode:
+   the cycle delta in exact mode, the number of sample points
+   (multiples of the interval) it contains in sampled mode. *)
 let weight t cycle =
+  let prev = Obs.Tracker.last_cycle t.tracker in
   match t.p_mode with
-  | Exact -> cycle - t.prev
-  | Sampled n -> (cycle / n) - (t.prev / n)
+  | Exact -> cycle - prev
+  | Sampled n -> (cycle / n) - (prev / n)
 
 let bump counts key w =
   if w <> 0 then
     Hashtbl.replace counts key
       (w + Option.value (Hashtbl.find_opt counts key) ~default:0)
 
-let charge t cycle =
-  bump t.counts t.cur (weight t cycle);
-  t.prev <- cycle
-
 let ingest t ~cycle kind =
-  charge t cycle;
-  match kind with
-  | Obs.Thread_dispatch { tid; name } ->
-      if not (Hashtbl.mem t.thread_names tid) then
-        Hashtbl.add t.thread_names tid name;
-      t.phase <- Thread tid;
-      t.cur <- key_of t tid
-  | Obs.Sched_idle ->
-      t.phase <- Idle;
-      t.cur <- "idle"
-  | Obs.Switcher_call { tid } | Obs.Switcher_return { tid } ->
-      push t tid "switcher";
-      sync t tid
-  | Obs.Switcher_abort { tid } ->
-      if top t tid = "switcher" then pop t tid;
-      sync t tid
-  | Obs.Call_enter { callee; tid; _ } ->
-      if top t tid = "switcher" then pop t tid;
-      push t tid callee;
-      sync t tid
-  | Obs.Call_leave { tid; _ } ->
-      while top t tid = "switcher" do
-        pop t tid
-      done;
-      pop t tid;
-      sync t tid
-  | _ -> ()
+  bump t.counts (Obs.Tracker.key t.tracker) (weight t cycle);
+  Obs.Tracker.step t.tracker ~cycle kind
 
 let snapshot t =
   let counts = Hashtbl.copy t.counts in
-  let stacks = Hashtbl.copy t.stacks in
-  let thread_names = Hashtbl.copy t.thread_names in
-  let phase = t.phase in
-  let cur = t.cur in
-  let prev = t.prev in
+  let restore_tracker = Obs.Tracker.snapshot t.tracker in
   fun () ->
-    let refill dst src =
-      Hashtbl.reset dst;
-      Hashtbl.iter (fun k v -> Hashtbl.replace dst k v) src
-    in
-    refill t.counts counts;
-    refill t.stacks stacks;
-    refill t.thread_names thread_names;
-    t.phase <- phase;
-    t.cur <- cur;
-    t.prev <- prev
+    Hashtbl.reset t.counts;
+    Hashtbl.iter (Hashtbl.replace t.counts) counts;
+    restore_tracker ()
 
 (* Reports are pure folds: the tail interval since the last event is
    charged into a copy, never into the live profiler. *)
 
 let folded t ~total_cycles =
   let counts = Hashtbl.copy t.counts in
-  bump counts t.cur (weight t total_cycles);
+  bump counts (Obs.Tracker.key t.tracker) (weight t total_cycles);
   Hashtbl.fold (fun k v acc -> if v = 0 then acc else (k, v) :: acc) counts []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 

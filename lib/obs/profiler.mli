@@ -1,17 +1,16 @@
 (** Deterministic sampling profiler riding the {!Obs} event stream.
 
-    A [Profiler.t] reconstructs each thread's compartment call stack
-    online from the same switcher call-enter/leave edges and
-    scheduler-context events that {!Obs.attribute} folds post-hoc, and
+    A [Profiler.t] is a projection of an {!Obs.Tracker}: it charges
+    every inter-event interval to the tracker's folded key (thread
+    name, then the compartment call stack outermost first) and
     accumulates {e folded-stack} weights — the input format of
     [flamegraph.pl] and speedscope.  Two modes:
 
     - {e exact attribution} ([Exact], the default): every inter-event
       cycle delta is charged to the folded stack that was live during
       it, so the total weight partitions [Machine.cycles] exactly —
-      the flamegraph is the PR 3 attribution fold with full stack
-      context, and the per-leaf sums equal {!Obs.attribute}'s totals
-      label for label;
+      the flamegraph is the {!Obs.attribute} fold with full stack
+      context, and the per-leaf sums equal its totals label for label;
     - {e sampling} ([Sampled n]): one sample is taken at every
       simulated cycle divisible by [n] (deterministically — the sample
       clock is the simulated clock, never the host's), so the total
@@ -22,17 +21,16 @@
     [thread;compartment;...;leaf] inside a thread, where the leaf is
     ["switcher"] during a domain transition, the innermost compartment
     during a call, or ["kernel"] when the thread runs outside any
-    compartment call.  The leaf always equals the label
-    {!Obs.attribute} would charge, which is what makes exact mode
-    reconcile.
+    compartment call (see {!Obs.Tracker.key}).
 
     Like the trace ring and the flight recorder, the profiler is
     {e observationally invisible}: ingestion never ticks the clock,
     touches simulated memory or feeds back into control flow (enforced
-    by the [CHERIOT_PROFILE=1] golden-cycles rule in [bench/dune] and
-    the QCheck property in [test/test_obs_props.ml]), and it is
+    by the all-sinks golden-cycles rule in [bench/dune] and the QCheck
+    property in [test/test_obs_props.ml]), and it is
     snapshot/restore-safe ({!snapshot}, exercised by
-    [test/test_snapshot_equiv.ml]). *)
+    [test/test_snapshot_equiv.ml]).  [CHERIOT_OBS=profile] attaches an
+    exact profiler to every new machine (see [Machine]). *)
 
 type mode =
   | Exact  (** charge every cycle delta; total weight = total cycles *)
@@ -45,20 +43,13 @@ val create : ?mode:mode -> unit -> t
 
 val mode : t -> mode
 
-val auto : unit -> t option
-(** Profiler described by the [CHERIOT_PROFILE] environment variable:
-    unset, empty or ["0"] — [None]; an integer [n >= 2] — [Sampled n];
-    anything else (["1"] canonically) — [Exact].  [Machine.create]
-    attaches one to every new machine, independently of
-    [CHERIOT_TRACE]/[CHERIOT_FORENSICS]. *)
-
 val ingest : t -> cycle:int -> Obs.kind -> unit
 (** Fold one event into the profiler.  Called by [Machine.emit] for
     every traced event; must stay cheap and simulation-invisible. *)
 
 val snapshot : t -> unit -> unit
-(** [snapshot t] deep-copies the full profile state (folded counts,
-    per-thread stacks, scheduler context, charge cursor) and returns a
+(** [snapshot t] deep-copies the full profile state (folded counts and
+    the tracker: stacks, scheduler context, charge cursor) and returns a
     thunk restoring it in place.  Building block of
     {!Machine.snapshot}. *)
 

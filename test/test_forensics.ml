@@ -152,7 +152,7 @@ let test_ingest_call_latency () =
   Alcotest.(check int) "one call" 1 (Forensics.hist_count h);
   Alcotest.(check int) "latency min" 250 (Forensics.hist_min h);
   Alcotest.(check int) "latency max" 250 (Forensics.hist_max h);
-  let r = Forensics.report_json t ~total_cycles:400 ~events:[] in
+  let r = Forensics.report_json t ~total_cycles:400 in
   let b = Json.(member "b" (member "compartments" r)) in
   Alcotest.(check (option int)) "b.calls" (Some 1)
     Json.(to_int_opt (member "calls" b));
@@ -183,7 +183,7 @@ let test_ingest_quarantine_residency () =
   Alcotest.(check int) "one residency sample" 1 (Forensics.hist_count h);
   Alcotest.(check int) "residency cycles" 500 (Forensics.hist_min h);
   (* the chunk is attributed to the compartment that allocated it *)
-  let r = Forensics.report_json t ~total_cycles:600 ~events:[] in
+  let r = Forensics.report_json t ~total_cycles:600 in
   let b = Json.(member "b" (member "compartments" r)) in
   Alcotest.(check (option int)) "owner residency p99" (Some 500)
     Json.(to_int_opt (member "quarantine_p99_cycles" b));
@@ -264,7 +264,7 @@ let test_crash_dump_fields () =
       Alcotest.(check bool) "handler ran" true d.Forensics.d_handler_ran;
       Alcotest.(check bool) "micro-rebooted" true d.Forensics.d_rebooted;
       (match d.Forensics.d_chain with
-      | (caller, callee, entry, _) :: _ ->
+      | { Obs.Tracker.caller; callee; entry; _ } :: _ ->
           Alcotest.(check string) "innermost caller" "app" caller;
           Alcotest.(check string) "innermost callee" "svc" callee;
           Alcotest.(check string) "innermost entry" "work" entry
@@ -352,11 +352,14 @@ let test_json_escaping_dump () =
   | _ -> Alcotest.fail "expected one dump"
 
 (* -------------------------------------------------------------------- *)
-(* CHERIOT_TRACE_CAP validation.                                        *)
+(* CHERIOT_TRACE_CAP validation and the CHERIOT_OBS selector.          *)
 
-let with_cap v f =
-  Unix.putenv "CHERIOT_TRACE_CAP" v;
-  Fun.protect ~finally:(fun () -> Unix.putenv "CHERIOT_TRACE_CAP" "") f
+let with_env var v f =
+  Unix.putenv var v;
+  Fun.protect ~finally:(fun () -> Unix.putenv var "") f
+
+let with_cap = with_env "CHERIOT_TRACE_CAP"
+let with_obs = with_env "CHERIOT_OBS"
 
 let test_trace_cap_env () =
   with_cap "" (fun () ->
@@ -376,21 +379,39 @@ let test_trace_cap_env () =
             (Astring.String.is_infix ~affix:"not an integer" msg)
       | _ -> Alcotest.fail "garbage capacity accepted");
   with_cap "4096" (fun () ->
-      Unix.putenv "CHERIOT_TRACE" "1";
-      Fun.protect
-        ~finally:(fun () -> Unix.putenv "CHERIOT_TRACE" "")
-        (fun () ->
-          match Obs.auto () with
-          | Some o -> Alcotest.(check int) "auto honours cap" 4096 (Obs.capacity o)
-          | None -> Alcotest.fail "auto returned no sink"))
+      with_obs "trace" (fun () ->
+          match Machine.trace (Machine.create ()) with
+          | Some o ->
+              Alcotest.(check int) "CHERIOT_OBS=trace honours the cap" 4096
+                (Obs.capacity o)
+          | None -> Alcotest.fail "CHERIOT_OBS=trace attached no ring"))
+
+let test_obs_env () =
+  with_obs " forensics,profile " (fun () ->
+      let m = Machine.create () in
+      Alcotest.(check bool) "no ring" true (Option.is_none (Machine.trace m));
+      Alcotest.(check bool) "recorder" true (Option.is_some (Machine.forensics m));
+      Alcotest.(check bool) "profiler" true (Option.is_some (Machine.profiler m)));
+  with_obs "" (fun () ->
+      Alcotest.(check bool) "empty selects nothing" false
+        (Machine.tracing (Machine.create ())));
+  with_obs "trace,tracing" (fun () ->
+      match Machine.create () with
+      | exception Failure msg ->
+          Alcotest.(check bool) "names the unknown sink" true
+            (Astring.String.is_infix ~affix:"\"tracing\"" msg);
+          Alcotest.(check bool) "names the accepted sinks" true
+            (Astring.String.is_infix ~affix:"trace, forensics, profile" msg)
+      | _ -> Alcotest.fail "unknown sink accepted")
 
 (* -------------------------------------------------------------------- *)
-(* The report sum-check on a real run: attribution is exact and the
-   table renders it.                                                    *)
+(* The report on a real run: attribution is exact, the table renders
+   it, and it comes from the recorder's tracker, so a ring too small to
+   hold the run does not truncate it.                                   *)
 
-let test_report_sum_check () =
+let run_svc_workload ~capacity =
   let machine = Machine.create () in
-  let obs = Obs.create () in
+  let obs = Obs.create ~capacity () in
   Machine.set_trace machine (Some obs);
   let frn = Forensics.create () in
   Machine.set_forensics machine (Some frn);
@@ -403,20 +424,45 @@ let test_report_sum_check () =
       done;
       Cap.null);
   System.run ~until_cycles:500_000_000 sys;
-  let total_cycles = Machine.cycles machine in
-  let events = Obs.events obs in
-  let r = Forensics.report_json frn ~total_cycles ~events in
+  (Machine.cycles machine, obs, frn)
+
+let test_report_sum_check () =
+  let total_cycles, _, frn = run_svc_workload ~capacity:65536 in
+  let r = Forensics.report_json frn ~total_cycles in
   Alcotest.(check (option bool)) "sum check exact" (Some true)
     (match Json.(member "exact" (member "sum_check" r)) with
     | Json.Bool b -> Some b
     | _ -> None);
   Alcotest.(check (option int)) "attributed equals total" (Some total_cycles)
     Json.(to_int_opt (member "attributed_cycles" (member "sum_check" r)));
-  let table = Forensics.report_table frn ~total_cycles ~events in
+  let table = Forensics.report_table frn ~total_cycles in
   Alcotest.(check bool) "table marks the sum exact" true
     (Astring.String.is_infix ~affix:", exact" table);
   Alcotest.(check (option int)) "five calls counted" (Some 5)
     Json.(to_int_opt (member "calls" (member "svc" (member "compartments" r))))
+
+let test_report_truncated_ring () =
+  let total_cycles, small, frn = run_svc_workload ~capacity:16 in
+  let total_full, full, _ = run_svc_workload ~capacity:(1 lsl 20) in
+  Alcotest.(check int) "same run" total_full total_cycles;
+  Alcotest.(check bool) "the 16-slot ring dropped events" true
+    (Obs.dropped small > 0);
+  Alcotest.(check int) "the unbounded ring dropped none" 0 (Obs.dropped full);
+  let reported =
+    match Json.member "compartments" (Forensics.report_json frn ~total_cycles) with
+    | Json.Obj rows ->
+        List.filter_map
+          (fun (label, row) ->
+            match Json.(to_int_opt (member "attributed_cycles" row)) with
+            | Some 0 | None -> None
+            | Some n -> Some (label, n))
+          rows
+    | _ -> []
+  in
+  Alcotest.(check (list (pair string int)))
+    "report attribution equals Obs.attribute over the unbounded ring"
+    (Obs.attribute ~total_cycles (Obs.events full))
+    reported
 
 let suite =
   [
@@ -441,7 +487,10 @@ let suite =
       test_json_escaping_dump;
     Alcotest.test_case "CHERIOT_TRACE_CAP validation" `Quick
       test_trace_cap_env;
+    Alcotest.test_case "CHERIOT_OBS selector" `Quick test_obs_env;
     Alcotest.test_case "report sum-check" `Quick test_report_sum_check;
+    Alcotest.test_case "report attribution survives a 16-slot ring" `Quick
+      test_report_truncated_ring;
   ]
 
 let () = Alcotest.run "cheriot_forensics" [ ("forensics", suite) ]

@@ -187,7 +187,7 @@ let prop_profiler_invisible =
 (* Exact-attribution reconciliation: the folded stacks partition machine
    cycles exactly, and the per-leaf sums equal Obs.attribute's totals
    label for label (the profiler is the attribution fold with stack
-   context). *)
+   context), which also equal the flight recorder's attribution. *)
 let prop_profile_reconciles =
   QCheck.Test.make
     ~name:"exact profile reconciles with cycles and the attribution fold"
@@ -195,9 +195,10 @@ let prop_profile_reconciles =
     (QCheck.make ~print:print_ops gen_ops)
     (fun ops ->
       let cycles, evs, machine =
-        run_program ~traced:true ~profiled:Profiler.Exact ops
+        run_program ~traced:true ~forensics:true ~profiled:Profiler.Exact ops
       in
       let prof = Option.get (Machine.profiler machine) in
+      let frn = Option.get (Machine.forensics machine) in
       let fold = Profiler.folded prof ~total_cycles:cycles in
       let weight = List.fold_left (fun a (_, w) -> a + w) 0 fold in
       let leaf key =
@@ -214,6 +215,7 @@ let prop_profile_reconciles =
         fold;
       let attrib = Obs.attribute ~total_cycles:cycles evs in
       weight = cycles
+      && Forensics.attribution frn ~total_cycles:cycles = attrib
       && List.for_all
            (fun (label, n) ->
              Option.value (Hashtbl.find_opt by_leaf label) ~default:0 = n)
@@ -235,6 +237,68 @@ let prop_sampled_weight =
       let prof = Option.get (Machine.profiler machine) in
       Profiler.total_weight prof ~total_cycles:cycles = cycles / n)
 
+(* -------------------------------------------------------------------- *)
+(* The tracker on a hand-fed stream: nested calls, an abort in a
+   switcher leg, a second thread, and a faulted leave.  After each
+   event: the leaf attribution charges, the profiler's folded key and
+   thread 1's call chain (innermost first).                             *)
+
+let test_tracker_hand_fed () =
+  let module T = Obs.Tracker in
+  let t = T.create () in
+  let svc = { T.caller = "app"; callee = "svc"; entry = "e"; cycle = 30 } in
+  let alloc = { T.caller = "svc"; callee = "alloc"; entry = "e"; cycle = 50 } in
+  let enter caller callee = Obs.Call_enter { caller; callee; entry = "e"; tid = 1 } in
+  let leave callee faulted = Obs.Call_leave { callee; tid = 1; faulted } in
+  let steps =
+    [
+      (10, Obs.Thread_dispatch { tid = 1; name = "main" }, "kernel", "main;kernel", []);
+      (20, Obs.Switcher_call { tid = 1 }, "switcher", "main;switcher", []);
+      (30, enter "app" "svc", "svc", "main;svc", [ svc ]);
+      (40, Obs.Switcher_call { tid = 1 }, "switcher", "main;svc;switcher", [ svc ]);
+      (50, enter "svc" "alloc", "alloc", "main;svc;alloc", [ alloc; svc ]);
+      (60, Obs.Switcher_return { tid = 1 }, "switcher", "main;svc;alloc;switcher",
+       [ alloc; svc ]);
+      (70, leave "alloc" false, "svc", "main;svc", [ svc ]);
+      (80, Obs.Switcher_call { tid = 1 }, "switcher", "main;svc;switcher", [ svc ]);
+      (90, Obs.Switcher_abort { tid = 1 }, "svc", "main;svc", [ svc ]);
+      (100, Obs.Sched_idle, "idle", "idle", [ svc ]);
+      (110, Obs.Thread_dispatch { tid = 2; name = "other" }, "kernel", "other;kernel",
+       [ svc ]);
+      (* the first name seen for a tid sticks *)
+      (120, Obs.Thread_dispatch { tid = 1; name = "renamed" }, "svc", "main;svc",
+       [ svc ]);
+      (130, Obs.Switcher_return { tid = 1 }, "switcher", "main;svc;switcher", [ svc ]);
+      (140, leave "svc" true, "kernel", "main;kernel", []);
+    ]
+  in
+  let call =
+    Alcotest.testable
+      (fun ppf (c : T.call) ->
+        Format.fprintf ppf "%s->%s.%s@%d" c.caller c.callee c.entry c.cycle)
+      ( = )
+  in
+  Alcotest.(check string) "boot leaf" "boot" (T.leaf t);
+  Alcotest.(check string) "boot key" "boot" (T.key t);
+  List.iter
+    (fun (cycle, kind, leaf, key, chain) ->
+      T.step t ~cycle kind;
+      let after = " after " ^ Format.asprintf "%a" Obs.pp_event { Obs.cycle; kind } in
+      Alcotest.(check string) ("leaf" ^ after) leaf (T.leaf t);
+      Alcotest.(check string) ("key" ^ after) key (T.key t);
+      Alcotest.(check (list call)) ("chain" ^ after) chain (T.chain t 1))
+    steps;
+  let totals =
+    [ ("alloc", 10); ("boot", 10); ("idle", 10); ("kernel", 80); ("svc", 40);
+      ("switcher", 50) ]
+  in
+  Alcotest.(check (list (pair string int))) "leaf totals" totals
+    (T.totals t ~total_cycles:200);
+  Alcotest.(check (list (pair string int))) "Obs.attribute is the projection"
+    totals
+    (Obs.attribute ~total_cycles:200
+       (List.map (fun (cycle, kind, _, _, _) -> { Obs.cycle; kind }) steps))
+
 let suite =
   [
     Qcheck_seed.to_alcotest prop_ring_keeps_newest;
@@ -245,6 +309,8 @@ let suite =
     Qcheck_seed.to_alcotest prop_profiler_invisible;
     Qcheck_seed.to_alcotest prop_profile_reconciles;
     Qcheck_seed.to_alcotest prop_sampled_weight;
+    Alcotest.test_case "tracker: hand-fed nested calls" `Quick
+      test_tracker_hand_fed;
   ]
 
 let () = Alcotest.run "cheriot_obs_props" [ ("trace-properties", suite) ]
