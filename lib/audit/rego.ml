@@ -38,7 +38,9 @@ let lex src =
       while !i < n && src.[!i] >= '0' && src.[!i] <= '9' do
         incr i
       done;
-      push (Tint (int_of_string (String.sub src start (!i - start))))
+      match int_of_string_opt (String.sub src start (!i - start)) with
+      | Some v -> push (Tint v)
+      | None -> err := Some "integer literal out of range"
     end
     else if c = '"' then begin
       incr i;

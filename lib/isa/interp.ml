@@ -163,8 +163,23 @@ let trap pc cause = raise (Trap_exn { tcause = cause; tpc = pc })
    deferred-cycle batch carried across block boundaries (-1 = nothing
    pending); it is flushed at every point where the clock becomes
    observable: a slow-path step, a non-deferred block entry, a fuel
-   trap, or the end of the run. *)
+   trap, or the end of the run.
+
+   Tracing does not turn deferral off.  Between two slow ticks a sink
+   can observe only two things from inside a block: an [Instr_sample]
+   at every 1024th retirement, and a [Revoker_quantum] when a slow tick
+   settles a sweep.  Settlement never happens inside a deferred batch
+   (every tick in it takes the fast path), so the sample is the one
+   extra term: with a sink attached a block defers only when every path
+   through it retires before the next sample instret ([sample_room]),
+   and a self-spin is bounded by that room as it is by fuel. *)
 let[@inline] pflush m pend = if pend > 0 then Machine.tick m pend
+
+(* Retirements that cannot reach the next [Instr_sample]: instructions
+   [sinstret + 1 .. sinstret + room] all lie before the next multiple
+   of 1024.  Unbounded without a sink. *)
+let[@inline] sample_room t m =
+  if Machine.tracing m then 1023 - (t.sb.Sb.sinstret land 1023) else max_int
 
 (* The block entered at slot [idx], compiled on first use into [cache]. *)
 let[@inline] compiled t seg cache ~single idx =
@@ -208,14 +223,15 @@ and sb_blocks t pcc seg clo chi pc budget pend =
     else begin
       let sb = t.sb in
       let p0 = if pend >= 0 then pend else 0 in
-      if (not (Machine.tracing m)) && Machine.defer_window m (p0 + b.Sb.b_maxcost)
-      then
+      let room = sample_room t m in
+      if len <= room && Machine.defer_window m (p0 + b.Sb.b_maxcost) then
         if b.Sb.b_self then begin
           (* Tight loop: the compiled closure spins on itself for up to
-             [sspins] extra trips (bounded by the remaining fuel),
-             re-checking the horizon against the growing batch every
-             trip; it hands back how many trips it did not use. *)
-          let spins0 = (budget / len) - 1 in
+             [sspins] extra trips (bounded by the remaining fuel and the
+             sample room), re-checking the horizon against the growing
+             batch every trip; it hands back how many trips it did not
+             use. *)
+          let spins0 = (min budget room / len) - 1 in
           sb.Sb.sspins <- spins0;
           let e = b.Sb.b_run pcc p0 in
           let used = ((spins0 - sb.Sb.sspins) * len) + sb.Sb.sret_len in
@@ -235,14 +251,14 @@ and sb_blocks t pcc seg clo chi pc budget pend =
 
 (* Re-enter a block that branches back to itself without re-deriving
    the preconditions that cannot have changed — the pcc bounds and the
-   compiled block itself.  Fuel, tracing and the event horizon (against
-   the carried batch) are re-checked every trip: a full-path access
-   inside the block ticks for real and can fire events. *)
+   compiled block itself.  Fuel, the sample room and the event horizon
+   (against the carried batch) are re-checked every trip: a full-path
+   access inside the block ticks for real and can fire events. *)
 and sb_spin t pcc seg clo chi b pc e budget =
   let m = t.machine in
   let pend = t.sb.Sb.sret_acc in
   let len = b.Sb.b_len in
-  if e = pc && budget >= len && not (Machine.tracing m) then begin
+  if e = pc && budget >= len && len <= sample_room t m then begin
     let p0 = if pend >= 0 then pend else 0 in
     if Machine.defer_window m (p0 + b.Sb.b_maxcost) then begin
       let e = b.Sb.b_run pcc p0 in

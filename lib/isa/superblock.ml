@@ -49,9 +49,12 @@ module Pk = Packed_cap
      horizon ([Machine.defer_window]): then every elided tick would have
      taken the fast path (no listener, timer or IRQ delivery), nothing
      can observe the clock mid-block, and one batched tick at the
-     terminator is exact.  [acc] = -1 means "not deferring": every
-     charge ticks immediately, which is the per-step behaviour instruction
-     for instruction (and the only mode in which preemption, tracing
+     terminator is exact.  With a sink attached the dispatcher also
+     requires every path through the block to retire before the next
+     [Instr_sample] instret, so no sample falls inside a deferred
+     block.  [acc] = -1 means "not deferring": every charge ticks
+     immediately, which is the per-step behaviour instruction for
+     instruction (and the only mode in which preemption, tracing
      samples or fault-injection listeners can fire mid-block).
 
    - Every raise out of a compiled closure flushes pending cycles first,
@@ -177,12 +180,14 @@ let[@inline] charge m acc n =
    periodic trace sample.  Tick-before-increment is the per-step
    order — a preemption inside the tick can retire other
    instructions, and the sample boundary must see the post-preemption
-   count.  Under deferral no preemption or tracing is possible, so the
-   inverted order is unobservable there. *)
+   count.  Under deferral no preemption is possible and no sample
+   boundary lies inside the block, so the inverted order is
+   unobservable there. *)
 let[@inline] retire ctx acc =
   if acc >= 0 then begin
-    (* Deferred: tracing was off at block entry and no tick runs that
-       could turn it on, so the sample check cannot fire — skip it. *)
+    (* Deferred: the dispatcher deferred this block (and bounded its
+       spin) only if it retires before the next sample instret whenever
+       a sink is attached, so the sample check cannot fire — skip it. *)
     ctx.sinstret <- ctx.sinstret + 1;
     acc + Cost.instr
   end
@@ -347,8 +352,9 @@ let compile ~single ctx dec ~base ~idx =
      trip re-checking the event horizon against the accumulated batch.
      Deferred execution is atomic — every tick inside it is below the
      horizon, so it takes the fast path and cannot run effects — which
-     is what makes the [sspins] counter and the skipped tracing recheck
-     sound: nothing can preempt or toggle tracing mid-spin.  Every trip
+     is what makes the [sspins] counter sound: nothing can preempt
+     mid-spin.  The dispatcher bounds [sspins] by the sample room as
+     well as by fuel, so the skipped sample check stays sound.  Every trip
      that loops back ran the whole block, so the dispatcher charges fuel
      as [len] per extra trip plus the last trip's [sret_len]. *)
   let head = ref (fun (_ : Cap.t) (_ : int) -> x_halt) in

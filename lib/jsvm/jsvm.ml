@@ -27,7 +27,9 @@ let lex src =
       while !i < n && src.[!i] >= '0' && src.[!i] <= '9' do
         incr i
       done;
-      out := Tnum (int_of_string (String.sub src start (!i - start))) :: !out
+      match int_of_string_opt (String.sub src start (!i - start)) with
+      | Some v -> out := Tnum v :: !out
+      | None -> error := Some "number literal out of range"
     end
     else if (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_' || c = '$' then begin
       let start = !i in

@@ -154,7 +154,13 @@ let revoker_busy m = match m.rev_state with Idle -> false | Sweeping _ -> true
    [Revoker_quantum] event.  So with a sink attached and a sweep in
    flight the horizon is dirtied as before, which keeps every traced
    event stream as it was; untraced, settlement is additive and emits
-   nothing, so settling later is invisible. *)
+   nothing, so settling later is invisible.  It must be a full dirty,
+   not a settlement-only tick that keeps the parked horizon: traced, a
+   slow tick mid-sweep is observable (it settles and emits), and the
+   full slow tick's [recompute_horizon] moves a stale-early horizon
+   later.  Campaign seed 60: the tick at cycle 1014007 moves the horizon
+   from 1014009 to 1014222; left parked, the stream gains a
+   revoker-quantum at 1014009. *)
 let set_irq_enabled m b =
   if (b && (not m.irq_enabled) && m.pending <> 0) || (revoker_busy m && tracing m) then
     dirty m;

@@ -1,7 +1,8 @@
 (* See forensics.mli.  Same contract as obs.ml: nothing in here may
    touch the simulation — no clock, no simulated memory, no control flow
-   back into the machine.  Ingestion is a handful of hashtable updates
-   and integer bumps; every report is a post-run fold. *)
+   back into the machine.  Ingestion is array stores and integer bumps,
+   plus a hashtable update on calls and heap events; every report is a
+   post-run fold. *)
 
 (* Streaming log2 histograms.  Bucket 0 holds v <= 0; bucket i >= 1
    holds 2^(i-1) <= v < 2^i, so its upper bound is 2^i - 1.  63 buckets
@@ -155,7 +156,7 @@ type t = {
   mutable ndumps : int;
   (* ingest state *)
   tracker : Obs.Tracker.t;
-  mutable pending_irq : (int * int) option;  (* irq, entry cycle *)
+  mutable irq_entered : int;  (* cycle of the undispatched Irq_enter, -1 = none *)
   sizes : (int, int * string) Hashtbl.t;  (* live base -> size, owner *)
   freed_owner : (int, string) Hashtbl.t;  (* base freed, awaiting quarantine *)
   quar : (int, int * string) Hashtbl.t;  (* base -> cycle quarantined, owner *)
@@ -167,8 +168,11 @@ type t = {
   irq_lat : hist;
   alloc_sz : hist;
   quar_res : hist;
-  (* bounded ring of recent events with their compartment context *)
-  recent : (string * Obs.event) array;
+  (* bounded ring of recent events with their compartment context, as
+     parallel arrays so ingestion allocates nothing *)
+  recent_ctx : string array;
+  recent_cycle : int array;
+  recent_kind : Obs.kind array;
   mutable recent_head : int;
 }
 
@@ -180,7 +184,7 @@ let create ?(max_dumps = 256) () =
     dumps_rev = [];
     ndumps = 0;
     tracker = Obs.Tracker.create ();
-    pending_irq = None;
+    irq_entered = -1;
     sizes = Hashtbl.create 64;
     freed_owner = Hashtbl.create 64;
     quar = Hashtbl.create 64;
@@ -191,7 +195,9 @@ let create ?(max_dumps = 256) () =
     irq_lat = hist_create ();
     alloc_sz = hist_create ();
     quar_res = hist_create ();
-    recent = Array.make recent_cap ("", Obs.{ cycle = 0; kind = Sched_idle });
+    recent_ctx = Array.make recent_cap "";
+    recent_cycle = Array.make recent_cap 0;
+    recent_kind = Array.make recent_cap Obs.Sched_idle;
     recent_head = 0;
   }
 
@@ -206,13 +212,14 @@ let comp_counters t =
     t.stats []
   |> List.sort compare
 
+(* [find], not [find_opt]: the hit path, taken on almost every call,
+   allocates nothing. *)
 let stat t comp =
-  match Hashtbl.find_opt t.stats comp with
-  | Some s -> s
-  | None ->
-      let s = new_cstat () in
-      Hashtbl.add t.stats comp s;
-      s
+  try Hashtbl.find t.stats comp
+  with Not_found ->
+    let s = new_cstat () in
+    Hashtbl.add t.stats comp s;
+    s
 
 (* Who owns an allocation made on the current thread: the innermost
    call frame that is not the allocator itself, else the outermost
@@ -232,33 +239,32 @@ let owner_of t =
                 ~default:"kernel"))
 
 let ingest t ~cycle kind =
-  let ev = Obs.{ cycle; kind } in
-  Array.unsafe_set t.recent (t.recent_head mod recent_cap)
-    (Obs.Tracker.context t.tracker, ev);
+  let slot = t.recent_head mod recent_cap in
+  Array.unsafe_set t.recent_ctx slot (Obs.Tracker.context t.tracker);
+  Array.unsafe_set t.recent_cycle slot cycle;
+  Array.unsafe_set t.recent_kind slot kind;
   t.recent_head <- t.recent_head + 1;
   (* The tracker steps last, so a Call_leave still sees the frame it
      pops. *)
   (match kind with
-  | Obs.Thread_dispatch _ -> (
-      match t.pending_irq with
-      | Some (_, entered) ->
-          hist_add t.irq_lat (cycle - entered);
-          t.pending_irq <- None
-      | None -> ())
-  | Obs.Irq_enter { irq } ->
-      if t.pending_irq = None then t.pending_irq <- Some (irq, cycle)
+  | Obs.Thread_dispatch _ ->
+      if t.irq_entered >= 0 then begin
+        hist_add t.irq_lat (cycle - t.irq_entered);
+        t.irq_entered <- -1
+      end
+  | Obs.Irq_enter _ -> if t.irq_entered < 0 then t.irq_entered <- cycle
   | Obs.Call_enter { callee; _ } ->
       let s = stat t callee in
       s.cs_calls <- s.cs_calls + 1
   | Obs.Call_leave { callee; tid; faulted } -> (
       let s = stat t callee in
       if faulted then s.cs_faults <- s.cs_faults + 1;
-      match Obs.Tracker.chain t.tracker tid with
-      | c :: _ ->
+      match Obs.Tracker.innermost t.tracker tid with
+      | Some c ->
           let d = cycle - c.cycle in
           hist_add t.call_lat d;
           hist_add s.cs_lat d
-      | [] -> ())
+      | None -> ())
   | Obs.Alloc { base; size } ->
       let owner = owner_of t in
       Hashtbl.replace t.sizes base (size, owner);
@@ -303,9 +309,10 @@ let ingest t ~cycle kind =
   Obs.Tracker.step t.tracker ~cycle kind
 
 (* Snapshot/restore for Machine.snapshot: deep-copy every mutable piece
-   of ingest state into a closure that writes it back in place.  Events
-   are immutable, so the hashtable values can be shared; [hist], [cstat]
-   and [dump] carry mutable fields and are copied field-by-field. *)
+   of ingest state into a closure that writes it back in place.  The
+   hashtable values and the ring's kinds are immutable, so they can be
+   shared; [hist], [cstat] and [dump] carry mutable fields and are
+   copied field-by-field. *)
 
 let restore_hist_into dst src =
   dst.h_n <- src.h_n;
@@ -318,7 +325,7 @@ let snapshot t =
   let dumps = List.map (fun d -> (d, d.d_rebooted)) t.dumps_rev in
   let ndumps = t.ndumps in
   let restore_tracker = Obs.Tracker.snapshot t.tracker in
-  let pending_irq = t.pending_irq in
+  let irq_entered = t.irq_entered in
   let sizes = Hashtbl.copy t.sizes in
   let freed_owner = Hashtbl.copy t.freed_owner in
   let quar = Hashtbl.copy t.quar in
@@ -329,7 +336,9 @@ let snapshot t =
   let irq_lat = hist_copy t.irq_lat in
   let alloc_sz = hist_copy t.alloc_sz in
   let quar_res = hist_copy t.quar_res in
-  let recent = Array.copy t.recent in
+  let recent_ctx = Array.copy t.recent_ctx in
+  let recent_cycle = Array.copy t.recent_cycle in
+  let recent_kind = Array.copy t.recent_kind in
   let recent_head = t.recent_head in
   fun () ->
     t.dumps_rev <-
@@ -344,7 +353,7 @@ let snapshot t =
       Hashtbl.reset dst;
       Hashtbl.iter (Hashtbl.replace dst) src
     in
-    t.pending_irq <- pending_irq;
+    t.irq_entered <- irq_entered;
     refill t.sizes sizes;
     refill t.freed_owner freed_owner;
     refill t.quar quar;
@@ -356,7 +365,9 @@ let snapshot t =
     restore_hist_into t.irq_lat irq_lat;
     restore_hist_into t.alloc_sz alloc_sz;
     restore_hist_into t.quar_res quar_res;
-    Array.blit recent 0 t.recent 0 recent_cap;
+    Array.blit recent_ctx 0 t.recent_ctx 0 recent_cap;
+    Array.blit recent_cycle 0 t.recent_cycle 0 recent_cap;
+    Array.blit recent_kind 0 t.recent_kind 0 recent_cap;
     t.recent_head <- recent_head
 
 (* How many recent-ring lines a dump carries. *)
@@ -373,9 +384,10 @@ let recent_for t comp =
   (* newest first, stop once we have [recent_keep] *)
   (try
      for i = 1 to n do
-       let ctx, ev = t.recent.((t.recent_head - i) mod recent_cap) in
-       if ctx = comp || mentions comp ev.Obs.kind then begin
-         acc := Format.asprintf "%a" Obs.pp_event ev :: !acc;
+       let slot = (t.recent_head - i) mod recent_cap in
+       let kind = t.recent_kind.(slot) in
+       if t.recent_ctx.(slot) = comp || mentions comp kind then begin
+         acc := Obs.event_line ~cycle:t.recent_cycle.(slot) kind :: !acc;
          incr kept;
          if !kept >= recent_keep then raise Exit
        end

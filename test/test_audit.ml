@@ -27,6 +27,22 @@ let test_json_errors () =
       | Error _ -> ())
     [ "{"; "[1,"; "\"unterminated"; "{\"a\" 1}"; "nulll"; "1 2" ]
 
+(* Numbers the lexer accepts but [int_of_string] cannot represent, and
+   a \u escape that is not four hex digits, come back as [Error] (they
+   raised [Failure "int_of_string"] once). *)
+let test_json_numeric_errors () =
+  List.iter
+    (fun s ->
+      match Json.of_string s with
+      | Ok _ -> Alcotest.failf "accepted %S" s
+      | Error _ -> ())
+    [ "-"; "123456789012345678901234567890"; "{\"a\":-}"; "[-]";
+      "\"\\u12zz\""; "\"\\u_123\"" ];
+  Alcotest.(check bool) "max_int still parses" true
+    (Json.of_string (string_of_int max_int) = Ok (Json.Int max_int));
+  Alcotest.(check bool) "a valid \\u escape still parses" true
+    (Json.of_string "\"\\u0041\"" = Ok (Json.Str "A"))
+
 let gen_json =
   let open QCheck.Gen in
   sized @@ fix (fun self n ->
@@ -184,6 +200,12 @@ let test_rego_parse_errors () =
       | Error _ -> ())
     [ "deny[ { }"; "deny { count( }"; "{ }"; "deny { x := }" ]
 
+let test_rego_integer_overflow () =
+  match Rego.parse "deny { x := 99999999999999999999999 }" with
+  | Ok _ -> Alcotest.fail "accepted an out-of-range integer literal"
+  | Error e ->
+      Alcotest.(check string) "message" "integer literal out of range" e
+
 let test_allow_rule () =
   let report = report_of (http_image ~backdoored:false) in
   let p =
@@ -225,6 +247,7 @@ let suite =
   [
     Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
     Alcotest.test_case "json errors" `Quick test_json_errors;
+    Alcotest.test_case "json numeric errors" `Quick test_json_numeric_errors;
     QCheck_alcotest.to_alcotest prop_json_roundtrip;
     Alcotest.test_case "report structure" `Quick test_report_structure;
     Alcotest.test_case "fig4 policy clean" `Quick test_fig4_policy_passes_clean;
@@ -232,6 +255,7 @@ let suite =
     Alcotest.test_case "quota policy" `Quick test_quota_policy;
     Alcotest.test_case "builtins" `Quick test_builtins;
     Alcotest.test_case "rego parse errors" `Quick test_rego_parse_errors;
+    Alcotest.test_case "rego integer overflow" `Quick test_rego_integer_overflow;
     Alcotest.test_case "allow rule" `Quick test_allow_rule;
     Alcotest.test_case "mmio users" `Quick test_mmio_users;
   ]

@@ -94,6 +94,11 @@ let test_errors () =
   expect_error "\"a\"(1);";
   expect_error "while (true) { }" (* out of fuel *)
 
+let test_number_overflow () =
+  match Jsvm.parse "99999999999999999999999;" with
+  | Ok _ -> Alcotest.fail "accepted an out-of-range number literal"
+  | Error e -> Alcotest.(check string) "message" "number literal out of range" e
+
 let test_charges_cycles () =
   let m = machine () in
   let c0 = Machine.cycles m in
@@ -113,6 +118,7 @@ let suite =
     Alcotest.test_case "logic" `Quick test_logic;
     Alcotest.test_case "host functions" `Quick test_host_functions;
     Alcotest.test_case "errors" `Quick test_errors;
+    Alcotest.test_case "number overflow" `Quick test_number_overflow;
     Alcotest.test_case "charges cycles" `Quick test_charges_cycles;
   ]
 

@@ -169,6 +169,14 @@ let prop_sweep_bitmap_equiv =
       done;
       !swept_a = !swept_b && caps_of a = caps_of b)
 
+(* [next_tagged] from every granule agrees with a scan of [iter_caps]. *)
+let next_tagged_matches_scan m =
+  let tagged = List.map (fun (addr, _) -> (addr - base) / 8) (caps_of m) in
+  List.for_all
+    (fun from ->
+      Memory.next_tagged m ~from = List.find_opt (fun g -> g >= from) tagged)
+    (List.init (granules + 1) Fun.id)
+
 let prop_counts_coherent =
   QCheck.Test.make ~name:"incremental counts == recount; next_tagged == scan" ~count:150
     (QCheck.pair ops_arb (QCheck.int_bound (granules - 1)))
@@ -186,7 +194,24 @@ let prop_counts_coherent =
       in
       Memory.tagged_granule_count m = tagged
       && Memory.revoked_granule_count m = !revoked
-      && Memory.next_tagged m ~from = scan_next)
+      && Memory.next_tagged m ~from = scan_next
+      && next_tagged_matches_scan m
+      &&
+      (* and after a restore over a different tag pattern, which must
+         give back exactly the snapshot's bytes, tags and revocation
+         bits *)
+      let restore = Memory.snapshot m in
+      List.iter (fun n -> (decode ((n * 7) + 3)).fast m) ns;
+      restore ();
+      let replayed = mk () in
+      List.iter (fun n -> (decode n).fast replayed) ns;
+      next_tagged_matches_scan m && states_agree m replayed
+      && List.for_all
+           (fun g ->
+             let addr = base + (g * Memory.granule_size) in
+             Cap.equal (Memory.load_cap_priv m ~addr)
+               (Memory.load_cap_priv replayed ~addr))
+           (List.init granules Fun.id))
 
 let suite =
   List.map Qcheck_seed.to_alcotest
