@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test test-seeds report-smoke profile-smoke replay-smoke attack-smoke ci campaign campaign-par bench perf alloc-gate clean
+.PHONY: all build test test-seeds report-smoke profile-smoke replay-smoke attack-smoke ci campaign campaign-par bench alloc-gate clean
 
 all: build
 
@@ -17,7 +17,8 @@ test:
 # (the suites read QCHECK_SEED; a failure prints the seed to replay).
 SEEDS ?= 1 7 42 1234 987654321
 PROP_TESTS = test_cap_props test_alloc_props test_mem_props test_obs_props \
-	test_forensics test_interp_equiv test_snapshot_equiv test_attack test_isa
+	test_forensics test_interp_equiv test_snapshot_equiv test_attack test_isa \
+	test_replay
 
 test-seeds: build
 	@for s in $(SEEDS); do \
@@ -71,7 +72,7 @@ attack-smoke: build
 	@diff _build/attack_fm_j1.out _build/attack_fm_j4.out
 	@echo "attack-smoke: --jobs 4 identical to --jobs 1 (with and without fleet metrics), matrix matches golden"
 
-ci: build test test-seeds report-smoke profile-smoke replay-smoke campaign-par attack-smoke alloc-gate perf
+ci: build test test-seeds report-smoke profile-smoke replay-smoke campaign-par attack-smoke alloc-gate
 
 # Long mode: 200 seeded scenarios (override with FAULT_CAMPAIGN_ITERS=n).
 # Farmed across all cores by default; --jobs 1 forces the sequential path.
@@ -102,15 +103,6 @@ bench:
 # stack) under a fixed ceiling; see alloc_gate_cmd in bench/main.ml.
 alloc-gate: build
 	dune exec bench/main.exe -- alloc-gate
-
-# Host-performance check: times the tier-1 suite, then runs the
-# interpreter/scenario/campaign microbenchmarks and prints the delta
-# against the committed baseline (BENCH_core.json) on stderr.
-perf: build
-	@t0=$$(date +%s.%N); dune runtest --force >/dev/null 2>&1; \
-	t1=$$(date +%s.%N); \
-	BENCH_RUNTEST_S=$$(printf '%.3f' $$(echo "$$t1 $$t0" | awk '{print $$1-$$2}')) \
-	  dune exec bench/main.exe -- perf-json
 
 clean:
 	dune clean

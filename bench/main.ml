@@ -3,19 +3,22 @@
 
      dune exec bench/main.exe            -- run everything
      dune exec bench/main.exe -- fig6a   -- one experiment
-     dune exec bench/main.exe -- wallclock  -- Bechamel wall-clock suite
 
    Experiments: table2 table3 fig6a fig6b fig7 (fig7-fast) table4 tcb
    Ablations:   ablate-quarantine ablate-loadfilter ablate-revoker
 
+   Subcommands (trace, campaign, replay, perf, alloc-gate, ...) are
+   listed in the usage text.
+
    Measured numbers are simulated cycles/bytes; EXPERIMENTS.md records
-   them against the paper's. *)
+   them against the paper's.  Host wall-clock cost is measured by
+   perfbench/ (python3 perfbench/run.py); here only `perf` (tight-loop
+   ns/instr) and `alloc-gate` (warm minor words) read the host. *)
 
 module Cap = Capability
 module F = Firmware
 
 let iv = Interp.int_value
-let _ti = Interp.to_int
 let section name = Fmt.pr "@.=== %s ===@." name
 
 (* A reusable microbenchmark system: a "bench" compartment whose main
@@ -553,52 +556,6 @@ let ablate_revoker () =
   section "Ablation: revoker sweep rate";
   List.iter (fun rate -> fig6b ~revoker_rate:rate ()) [ 1; 3; 12 ]
 
-(* ------------------------------------------------------------------ *)
-(* Bechamel wall-clock suite: one Test.make per table/figure.         *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel_tests () =
-  let open Bechamel in
-  [
-    Test.make ~name:"table2:link-base-image"
-      (Staged.stage (fun () -> ignore (load_image (base_image ()))));
-    Test.make ~name:"table3:sealed-object-roundtrip"
-      (Staged.stage (fun () ->
-           let b = boot_bench () in
-           run_bench b (fun ctx ->
-               let q = quota_of ctx "bench_quota" in
-               match Allocator.token_key_new ctx with
-               | Error _ -> ()
-               | Ok key -> (
-                   match Allocator.allocate_sealed ctx ~alloc_cap:q ~key 24 with
-                   | Ok s -> ignore (Allocator.token_unseal ctx ~key s)
-                   | Error _ -> ()))));
-    Test.make ~name:"fig6a:compartment-call"
-      (Staged.stage (fun () ->
-           let b = boot_bench () in
-           run_bench b (fun ctx ->
-               for _ = 1 to 10 do
-                 ignore (Kernel.call1 ctx ~import:"callee.e0" [ iv 1 ])
-               done)));
-    Test.make ~name:"fig6b:alloc-free-pair"
-      (Staged.stage (fun () ->
-           let b = boot_bench () in
-           run_bench b (fun ctx ->
-               let q = quota_of ctx "bench_quota" in
-               for _ = 1 to 10 do
-                 match Allocator.allocate ctx ~alloc_cap:q 256 with
-                 | Ok c -> ignore (Allocator.free ctx ~alloc_cap:q c)
-                 | Error _ -> ()
-               done)));
-    Test.make ~name:"table4:mpu-uaf-probe"
-      (Staged.stage (fun () ->
-           let t = Mpu_baseline.create () in
-           let p = Mpu_baseline.malloc t 64 in
-           Mpu_baseline.free t p));
-    Test.make ~name:"fig7:iot-scenario-fast"
-      (Staged.stage (fun () -> ignore (Iot_scenario.run ~fast:true ())));
-  ]
-
 (* Long-mode fault-injection campaign (the quick 8-scenario version
    runs under `dune runtest`): 200 seeded scenarios by default,
    FAULT_CAMPAIGN_ITERS overrides, any failing seed replays exactly. *)
@@ -1032,7 +989,9 @@ let report_cmd args =
    run's input journal (lib/replay) and prints, under each dump, every
    journaled input — IRQ raise, frame delivery, fault injection — in the
    N simulated cycles leading up to the fault: the time-travel view of
-   what the machine was fed just before it crashed. *)
+   what the machine was fed just before it crashed.  `--from-snapshot`
+   runs the seed from the shared post-boot snapshot, as
+   `campaign --from-snapshot` does, to replay a crash seen there. *)
 let crashdump_cmd args =
   let context = ref None in
   let from_snapshot = ref false in
@@ -1051,7 +1010,7 @@ let crashdump_cmd args =
     | a :: rest -> split (a :: acc) rest
     | [] -> List.rev acc
   in
-  let usage = "crashdump <pod|campaign-seed> [--replay-context N]" in
+  let usage = "crashdump <pod|campaign-seed> [--replay-context N] [--from-snapshot]" in
   let scenario =
     match split [] args with
     | [] -> "pod"
@@ -1234,6 +1193,14 @@ let attack_matrix_cmd args =
    cycle-window (`make replay-smoke` drives record+verify against the
    committed golden journal). *)
 let replay_cmd args =
+  (* An unreadable or malformed journal is a one-line error, exit 1. *)
+  let load path =
+    match Replay.load path with
+    | Ok j -> j
+    | Error m ->
+        Fmt.epr "replay: %s@." m;
+        exit 1
+  in
   let scenario_with session_of seed =
     let session = ref None in
     let outcome =
@@ -1256,7 +1223,7 @@ let replay_cmd args =
         outcome.Fault_campaign.oc_faults outcome.Fault_campaign.oc_reboots
   | [ "verify"; seed; path ] when int_of_string_opt seed <> None ->
       let seed = int_of_string seed in
-      let header, journal = Replay.load path in
+      let header, journal = load path in
       section (Printf.sprintf "replay verify: %s (%s)" path header);
       (try
          let session, outcome =
@@ -1269,8 +1236,8 @@ let replay_cmd args =
          Fmt.epr "%s@." (Replay.error_to_string e);
          exit 1)
   | [ "diff"; a; b ] ->
-      let _, ja = Replay.load a in
-      let _, jb = Replay.load b in
+      let _, ja = load a in
+      let _, jb = load b in
       section (Printf.sprintf "replay diff: %s vs %s" a b);
       (match Replay.divergence_report ja jb with
       | None -> Fmt.pr "journals identical (%d entries)@." (List.length ja)
@@ -1284,7 +1251,7 @@ let replay_cmd args =
       exit 1
 
 (* ------------------------------------------------------------------ *)
-(* Host-performance baseline: BENCH_core.json (see EXPERIMENTS.md).   *)
+(* Tight-loop rig: `perf` and `alloc-gate` (host timing: perfbench/). *)
 (* ------------------------------------------------------------------ *)
 
 (* A tight interpreter loop in a machine with the usual furniture
@@ -1338,107 +1305,15 @@ let tight_run rig =
   let t0 = Unix.gettimeofday () in
   (match Interp.run ~fuel:max_int interp rig.tr_entry with
   | Interp.Halted -> ()
-  | o ->
-      failwith
-        (Fmt.str "perf-json: interpreter loop did not halt (%s)"
-           (match o with
-           | Interp.Trapped tr -> Fmt.str "%a" Interp.pp_trap tr
-           | Interp.Exited _ -> "exited"
-           | Interp.Halted -> assert false)));
+  | Interp.Trapped tr ->
+      Fmt.failwith "perf/alloc-gate: interpreter loop trapped (%a)" Interp.pp_trap tr
+  | Interp.Exited _ -> failwith "perf/alloc-gate: interpreter loop exited");
   let dt = Unix.gettimeofday () -. t0 in
   let g1 = Gc.quick_stat () in
   let instrs = float_of_int (Interp.instret interp - i0) in
   ( dt *. 1e9 /. instrs,
     (g1.Gc.minor_words -. g0.Gc.minor_words) /. instrs,
     (g1.Gc.promoted_words -. g0.Gc.promoted_words) /. instrs )
-
-let timed f =
-  let t0 = Unix.gettimeofday () in
-  f ();
-  Unix.gettimeofday () -. t0
-
-let perf_measurements () =
-  (* Run the rig twice: the first (cold) run is the historical
-     ns/instr number BENCH_core.json tracks; the second (warm) run is
-     where the packed register file's zero-allocation claim holds, so
-     the GC counters come from it. *)
-  let rig = tight_rig () in
-  let ns, _, _ = tight_run rig in
-  let _, minor_w, promoted_w = tight_run rig in
-  let fig7_fast_s = timed (fun () -> ignore (Iot_scenario.run ~fast:true ())) in
-  let campaign8_s =
-    timed (fun () ->
-        let failures, _ = Fault_campaign.run ~base_seed:1 ~n:8 () in
-        if failures > 0 then failwith "perf-json: campaign reported violations")
-  in
-  (* The same 8 scenarios farmed over 4 domains; speedup depends on the
-     host's physical cores (recorded alongside, so the number can be
-     judged in context). *)
-  warn_oversubscribed ~what:"perf (campaign8_jobs4_s)" 4;
-  let campaign8_jobs4_s =
-    timed (fun () ->
-        let failures, _ = Fault_campaign.run ~jobs:4 ~base_seed:1 ~n:8 () in
-        if failures > 0 then failwith "perf-json: campaign reported violations")
-  in
-  (* The same 8 scenarios again, sequential but forked from one shared
-     post-boot snapshot instead of rebooting per seed: output is
-     byte-identical (pinned by test_farm), only the wall clock moves. *)
-  let campaign8_snapshot_s =
-    timed (fun () ->
-        let failures, _ =
-          Fault_campaign.run ~from_snapshot:true ~base_seed:1 ~n:8 ()
-        in
-        if failures > 0 then failwith "perf-json: campaign reported violations")
-  in
-  let base =
-    [
-      ("ns_per_instr", Json.Str (Printf.sprintf "%.1f" ns));
-      ("gc_minor_words_per_instr", Json.Str (Printf.sprintf "%.4f" minor_w));
-      ("gc_promoted_words_per_instr", Json.Str (Printf.sprintf "%.4f" promoted_w));
-      ("fig7_fast_s", Json.Str (Printf.sprintf "%.3f" fig7_fast_s));
-      ("campaign8_s", Json.Str (Printf.sprintf "%.3f" campaign8_s));
-      ("campaign8_jobs4_s", Json.Str (Printf.sprintf "%.3f" campaign8_jobs4_s));
-      ("campaign8_snapshot_s", Json.Str (Printf.sprintf "%.3f" campaign8_snapshot_s));
-      ("host_cores", Json.Str (string_of_int (Farm.default_jobs ())));
-    ]
-  in
-  (* `make perf` times the tier-1 suite outside this process and passes
-     it in; absent when run by hand. *)
-  match Sys.getenv_opt "BENCH_RUNTEST_S" with
-  | Some s -> base @ [ ("runtest_s", Json.Str s) ]
-  | None -> base
-
-let perf_json () =
-  let cur = perf_measurements () in
-  print_endline (Json.to_string ~pretty:true (Json.Obj cur));
-  (* Delta against the committed baseline, if we can find it. *)
-  let committed =
-    List.find_opt Sys.file_exists
-      [ "BENCH_core.json"; "../../BENCH_core.json"; "../../../BENCH_core.json" ]
-  in
-  match committed with
-  | None -> ()
-  | Some path ->
-      let ic = open_in path in
-      let len = in_channel_length ic in
-      let s = really_input_string ic len in
-      close_in ic;
-      (match Json.of_string s with
-      | Error e -> Fmt.epr "perf-json: cannot parse %s: %s@." path e
-      | Ok j ->
-          let after = Json.member "after" j in
-          Fmt.epr "@.delta vs committed %s (after):@." path;
-          List.iter
-            (fun (k, v) ->
-              match (Json.to_string_opt v, Json.to_string_opt (Json.member k after)) with
-              | Some now, Some ref_ -> (
-                  match (float_of_string_opt now, float_of_string_opt ref_) with
-                  | Some a, Some b when b > 0. ->
-                      Fmt.epr "  %-16s %10s  (committed %s, %+.0f%%)@." k now ref_
-                        ((a -. b) /. b *. 100.)
-                  | _ -> Fmt.epr "  %-16s %10s  (committed %s)@." k now ref_)
-              | _ -> ())
-            cur)
 
 (* `bench -- perf`: the tight-loop ns/instr measurement (cold run). *)
 let perf_cmd = function
@@ -1449,16 +1324,6 @@ let perf_cmd = function
       Fmt.epr "perf: unknown argument %s@.usage: bench -- perf@." a;
       exit 1
 
-(* `bench -- alloc-gate`: CI gate for the packed register file's core
-   claim — the steady-state superblock hot loop does zero minor-heap
-   allocation per instruction — and for the allocation-free switcher
-   path (warm words per compartment-call round trip, gated below).  The
-   first run of the rig pays one-time costs (segment decode, block
-   compilation); the
-   second run must stay under ALLOC_GATE_MAX_WORDS minor words per
-   instruction (default 0.01 — any real per-instruction allocation
-   costs at least 2 words, so the gate has ~200x margin while leaving
-   headroom for O(1) entry/exit boxing). *)
 (* Warm minor-heap words per compartment-call round trip
    ([Kernel.call1] into the callee and back through both switcher legs),
    averaged over [n] calls after a few warm-up calls have decoded the
@@ -1478,6 +1343,15 @@ let call_round_trip_words ?(n = 200) import =
       words := (Gc.minor_words () -. w0) /. float_of_int n);
   !words
 
+(* `bench -- alloc-gate`: CI gate for the packed register file's core
+   claim — the steady-state superblock hot loop does zero minor-heap
+   allocation per instruction — and for the allocation-free switcher
+   path (warm words per compartment-call round trip, gated below).  The
+   first run of the rig pays one-time costs (segment decode, block
+   compilation); the second run must stay under ALLOC_GATE_MAX_WORDS
+   minor words per instruction (default 0.01 — any real per-instruction
+   allocation costs at least 2 words, so the gate has ~200x margin
+   while leaving headroom for O(1) entry/exit boxing). *)
 let alloc_gate_cmd _args =
   let max_words =
     match Sys.getenv_opt "ALLOC_GATE_MAX_WORDS" with
@@ -1525,28 +1399,6 @@ let alloc_gate_cmd _args =
     exit 1
   end
 
-let wallclock () =
-  section "Bechamel wall-clock suite (host cost of each experiment unit)";
-  let open Bechamel in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:100 ~quota:(Time.second 0.5) ~kde:(Some 10) () in
-  List.iter
-    (fun test ->
-      let raw = Benchmark.all cfg instances test in
-      let results = List.map (fun i -> Analyze.all ols i raw) instances in
-      let merged = Analyze.merge ols instances results in
-      Hashtbl.iter
-        (fun _measure per_test ->
-          Hashtbl.iter
-            (fun name ols_result ->
-              match Analyze.OLS.estimates ols_result with
-              | Some [ est ] -> Fmt.pr "  %-34s %10.3f ms/run@." name (est /. 1e6)
-              | _ -> Fmt.pr "  %-34s (no estimate)@." name)
-            per_test)
-        merged)
-    (bechamel_tests ())
-
 (* ------------------------------------------------------------------ *)
 
 (* The experiment table drives both dispatch and the usage listing, so
@@ -1558,7 +1410,6 @@ let experiments : (string * string * (unit -> unit)) list =
     ("fig6a", "call and interrupt latencies", fig6a);
     ("fig6b", "allocation latency vs heap pressure", fun () -> fig6b ());
     ("fig7", "full-system IoT case study (paper-scale trace)", fig7 ~fast:false);
-    ("fig7-full", "alias for fig7", fig7 ~fast:false);
     ("fig7-fast", "IoT case study, ~50x shrunk latencies", fig7 ~fast:true);
     ("table4", "design-aspect probes vs the MPU baseline", table4);
     ("tcb", "TCB size and attack surface (paper 5.1.1)", tcb);
@@ -1572,8 +1423,6 @@ let experiments : (string * string * (unit -> unit)) list =
         ablate_quarantine ();
         ablate_loadfilter ();
         ablate_revoker () );
-    ("perf-json", "machine-readable perf summary", perf_json);
-    ("wallclock", "Bechamel host wall-clock suite", wallclock);
   ]
 
 let subcommands : (string * string * (string list -> unit)) list =
@@ -1595,9 +1444,10 @@ let subcommands : (string * string * (string list -> unit)) list =
       "report <workload>: per-compartment health report (text + JSON)",
       report_cmd );
     ( "crashdump",
-      "crashdump <pod|seed> [--replay-context N]: flight-recorder dumps from \
-       a faulting run, optionally with the journaled inputs of the N cycles \
-       before each fault",
+      "crashdump <pod|seed> [--replay-context N] [--from-snapshot]: \
+       flight-recorder dumps from a faulting run, optionally with the \
+       journaled inputs of the N cycles before each fault; --from-snapshot \
+       replays a seed as a snapshot-mode campaign runs it",
       crashdump_cmd );
     ( "campaign",
       "campaign [--jobs N] [--from-snapshot] [--fleet-metrics]: seeded \
@@ -1629,7 +1479,7 @@ let subcommands : (string * string * (string list -> unit)) list =
 let usage () =
   Fmt.epr "usage: bench [subcommand args | experiment ...]@.@.subcommands:@.";
   List.iter (fun (_, doc, _) -> Fmt.epr "  %s@." doc) subcommands;
-  Fmt.epr "@.experiments (default: table2 table3 fig6a fig6b fig7-full table4 tcb):@.";
+  Fmt.epr "@.experiments (default: table2 table3 fig6a fig6b fig7 table4 tcb):@.";
   List.iter (fun (name, doc, _) -> Fmt.epr "  %-18s %s@." name doc) experiments
 
 let () =
@@ -1640,12 +1490,11 @@ let () =
       let _, _, f = List.find (fun (name, _, _) -> name = cmd) subcommands in
       f rest
   | _ ->
-      (* Default run: everything, with the fast Fig. 7 profile so the
-         whole suite stays quick; `fig7` runs the paper-scale 52 s
-         trace. *)
+      (* Default run: every paper table and figure, Fig. 7 at paper
+         scale (52 simulated s); `fig7-fast` is the shrunk profile. *)
       let targets =
         if args = [] then
-          [ "table2"; "table3"; "fig6a"; "fig6b"; "fig7-full"; "table4"; "tcb" ]
+          [ "table2"; "table3"; "fig6a"; "fig6b"; "fig7"; "table4"; "tcb" ]
         else args
       in
       let lookup t = List.find_opt (fun (name, _, _) -> name = t) experiments in

@@ -115,38 +115,41 @@ let save path ~header entries =
         entries)
 
 let load path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let first = try input_line ic with End_of_file -> "" in
-      let ml = String.length magic in
-      if String.length first < ml || String.sub first 0 ml <> magic then
-        failwith (path ^ ": not a replay journal (bad magic)");
+  let parse ic =
+    let first = try input_line ic with End_of_file -> "" in
+    let ml = String.length magic in
+    if String.length first < ml || String.sub first 0 ml <> magic then
+      Error (path ^ ": not a replay journal (bad magic)")
+    else
       let header =
         if String.length first > ml + 1 then
           String.sub first (ml + 1) (String.length first - ml - 1)
         else ""
       in
-      let entries = ref [] in
-      (try
-         let lineno = ref 1 in
-         while true do
-           let line = input_line ic in
-           incr lineno;
-           match String.index_opt line ' ' with
-           | Some i when int_of_string_opt (String.sub line 0 i) <> None ->
-               let cycle = int_of_string (String.sub line 0 i) in
-               let payload =
-                 String.sub line (i + 1) (String.length line - i - 1)
-               in
-               entries := { e_cycle = cycle; e_payload = payload } :: !entries
-           | _ ->
-               failwith
-                 (Printf.sprintf "%s:%d: malformed journal line" path !lineno)
-         done
-       with End_of_file -> ());
-      (header, List.rev !entries))
+      let rec lines lineno acc =
+        match input_line ic with
+        | exception End_of_file -> Ok (header, List.rev acc)
+        | line -> (
+            let cycle, payload =
+              match String.index_opt line ' ' with
+              | Some i ->
+                  ( int_of_string_opt (String.sub line 0 i),
+                    String.sub line (i + 1) (String.length line - i - 1) )
+              | None -> (None, "")
+            in
+            match cycle with
+            | Some cycle ->
+                lines (lineno + 1) ({ e_cycle = cycle; e_payload = payload } :: acc)
+            | None ->
+                Error (Printf.sprintf "%s:%d: malformed journal line" path lineno))
+      in
+      lines 2 []
+  in
+  match open_in path with
+  | exception Sys_error m -> Error m
+  | ic -> (
+      try Fun.protect ~finally:(fun () -> close_in ic) (fun () -> parse ic)
+      with Sys_error m -> Error (path ^ ": " ^ m))
 
 (* Divergence bisection: compare two journals cycle-window by
    cycle-window.  Where a plain first-mismatch index says "entry 4081

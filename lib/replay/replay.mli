@@ -56,9 +56,11 @@ val finish : t -> unit
    "<cycle> <payload>" line per entry. *)
 
 val save : string -> header:string -> entry list -> unit
-val load : string -> string * entry list
-(** Raises [Failure] on bad magic or a malformed line, naming the file
-    and line. *)
+val load : string -> (string * entry list, string) result
+(** The header and entries of a journal file.  [Error] (never an
+    exception) when the file cannot be read, has bad magic or has a
+    malformed line; the message names the file, and the line where
+    there is one. *)
 
 (* Divergence bisection *)
 
