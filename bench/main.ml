@@ -96,11 +96,7 @@ let run_bench b body =
   System.run b.sys
 
 let quota_of ctx name =
-  let l = Loader.find_comp (Kernel.loader ctx.Kernel.kernel) "bench" in
-  Machine.load_cap
-    (Kernel.machine ctx.Kernel.kernel)
-    ~auth:l.Loader.lc_import_cap
-    ~addr:(Loader.import_slot_addr l (Loader.import_slot l ("sealed:" ^ name)))
+  Kernel.import_cap ctx.Kernel.kernel ~comp:"bench" ("sealed:" ^ name)
 
 (* Average simulated cycles of [f], with one warm-up (as in §5.3.2). *)
 let cycles_avg ?(n = 20) machine f =
@@ -570,13 +566,13 @@ let warn_oversubscribed ~what jobs =
        domain scheduling overhead, not parallel speedup@."
       what jobs cores
 
-let campaign ?(jobs = 1) ?(from_snapshot = false) ?(fleet_metrics = false) () =
+let campaign ?(jobs = 1) ?(fleet_metrics = false) () =
   let n = Fault_campaign.iters ~default:200 in
   section
     (Fmt.str "Fault-injection campaign (%d scenarios, seeds 1..%d)" n n);
   let t0 = Unix.gettimeofday () in
   let failures, outcomes =
-    Fault_campaign.run ~jobs ~from_snapshot ~base_seed:1 ~n ()
+    Fault_campaign.run ~jobs ~base_seed:1 ~n ()
   in
   let sum f = List.fold_left (fun a o -> a + f o) 0 outcomes in
   Fmt.pr "  scenarios              %10d@." (List.length outcomes);
@@ -601,14 +597,12 @@ let campaign ?(jobs = 1) ?(from_snapshot = false) ?(fleet_metrics = false) () =
             (List.map (fun o -> o.Fault_campaign.oc_metrics) outcomes)));
   (* Wall clock goes to stderr: stdout must be byte-identical for every
      --jobs value (the campaign-par smoke target diffs it). *)
-  Fmt.epr "campaign: %d jobs%s, wall clock %.1f s@." jobs
-    (if from_snapshot then ", forked from snapshot" else "")
+  Fmt.epr "campaign: %d jobs, wall clock %.1f s@." jobs
     (Unix.gettimeofday () -. t0);
   if failures > 0 then exit 1
 
 let campaign_cmd args =
   let jobs = ref (Farm.default_jobs ()) in
-  let from_snapshot = ref false in
   let fleet_metrics = ref false in
   let rec parse = function
     | [] -> ()
@@ -620,9 +614,6 @@ let campaign_cmd args =
         | _ ->
             Fmt.epr "campaign: --jobs expects a positive integer, got %s@." v;
             exit 1)
-    | "--from-snapshot" :: rest ->
-        from_snapshot := true;
-        parse rest
     | "--fleet-metrics" :: rest ->
         fleet_metrics := true;
         parse rest
@@ -632,8 +623,7 @@ let campaign_cmd args =
   in
   parse args;
   warn_oversubscribed ~what:"campaign" !jobs;
-  campaign ~jobs:!jobs ~from_snapshot:!from_snapshot
-    ~fleet_metrics:!fleet_metrics ()
+  campaign ~jobs:!jobs ~fleet_metrics:!fleet_metrics ()
 
 (* ------------------------------------------------------------------ *)
 (* Cycle-attributed tracing (lib/obs): run a workload under a trace   *)
@@ -722,13 +712,7 @@ let run_workload ?profile = function
       let readings = 6 in
       let handle_box = ref Cap.null in
       Kernel.implement1 k ~comp:"sensor" ~entry:"run" (fun ctx _ ->
-          let l = Loader.find_comp (Kernel.loader k) "sensor" in
-          let quota =
-            Machine.load_cap machine ~auth:l.Loader.lc_import_cap
-              ~addr:
-                (Loader.import_slot_addr l
-                   (Loader.import_slot l "sealed:sensor_quota"))
-          in
+          let quota = Kernel.import_cap k ~comp:"sensor" "sealed:sensor_quota" in
           (match Queue_comp.create ctx ~alloc_cap:quota ~elem_size:4 ~capacity:4 with
           | Error _ -> ()
           | Ok handle ->
@@ -758,13 +742,7 @@ let run_workload ?profile = function
       let sys = Result.get_ok (System.boot ~machine (churn_firmware ())) in
       let k = sys.System.kernel in
       Kernel.implement1 k ~comp:"churn" ~entry:"run" (fun ctx _ ->
-          let l = Loader.find_comp (Kernel.loader k) "churn" in
-          let quota =
-            Machine.load_cap machine ~auth:l.Loader.lc_import_cap
-              ~addr:
-                (Loader.import_slot_addr l
-                   (Loader.import_slot l "sealed:churn_quota"))
-          in
+          let quota = Kernel.import_cap k ~comp:"churn" "sealed:churn_quota" in
           let held = ref [] in
           for i = 1 to 12 do
             (match Allocator.allocate ctx ~alloc_cap:quota (32 + (8 * (i mod 5))) with
@@ -989,12 +967,9 @@ let report_cmd args =
    run's input journal (lib/replay) and prints, under each dump, every
    journaled input — IRQ raise, frame delivery, fault injection — in the
    N simulated cycles leading up to the fault: the time-travel view of
-   what the machine was fed just before it crashed.  `--from-snapshot`
-   runs the seed from the shared post-boot snapshot, as
-   `campaign --from-snapshot` does, to replay a crash seen there. *)
+   what the machine was fed just before it crashed. *)
 let crashdump_cmd args =
   let context = ref None in
-  let from_snapshot = ref false in
   let rec split acc = function
     | "--replay-context" :: v :: rest -> (
         match int_of_string_opt v with
@@ -1004,13 +979,10 @@ let crashdump_cmd args =
         | _ ->
             Fmt.epr "crashdump: --replay-context expects a positive integer@.";
             exit 1)
-    | "--from-snapshot" :: rest ->
-        from_snapshot := true;
-        split acc rest
     | a :: rest -> split (a :: acc) rest
     | [] -> List.rev acc
   in
-  let usage = "crashdump <pod|campaign-seed> [--replay-context N] [--from-snapshot]" in
+  let usage = "crashdump <pod|campaign-seed> [--replay-context N]" in
   let scenario =
     match split [] args with
     | [] -> "pod"
@@ -1027,10 +999,7 @@ let crashdump_cmd args =
   let dumps =
     match int_of_string_opt scenario with
     | Some seed ->
-        let o =
-          Fault_campaign.run_scenario ~prepare:attach
-            ~from_snapshot:!from_snapshot ~seed ()
-        in
+        let o = Fault_campaign.run_scenario ~prepare:attach ~seed () in
         section (Printf.sprintf "crashdump: campaign seed %d" seed);
         Fmt.pr "faults=%d reboots=%d dumps=%d@." o.Fault_campaign.oc_faults
           o.Fault_campaign.oc_reboots
@@ -1444,16 +1413,15 @@ let subcommands : (string * string * (string list -> unit)) list =
       "report <workload>: per-compartment health report (text + JSON)",
       report_cmd );
     ( "crashdump",
-      "crashdump <pod|seed> [--replay-context N] [--from-snapshot]: \
-       flight-recorder dumps from a faulting run, optionally with the \
-       journaled inputs of the N cycles before each fault; --from-snapshot \
-       replays a seed as a snapshot-mode campaign runs it",
+      "crashdump <pod|seed> [--replay-context N]: flight-recorder dumps \
+       from a faulting run, optionally with the journaled inputs of the N \
+       cycles before each fault",
       crashdump_cmd );
     ( "campaign",
-      "campaign [--jobs N] [--from-snapshot] [--fleet-metrics]: seeded \
-       fault-injection campaign, farmed over N domains (default: all cores; \
-       output identical for every N and for snapshot forking), optionally \
-       with the merged fleet metrics rollup",
+      "campaign [--jobs N] [--fleet-metrics]: seeded fault-injection \
+       campaign, farmed over N domains (default: all cores; output \
+       identical for every N), optionally with the merged fleet metrics \
+       rollup",
       campaign_cmd );
     ( "attack-matrix",
       "attack-matrix [--jobs N] [--seed S] [--n K] [--json] [--disarm] \

@@ -46,11 +46,7 @@ let () =
 
   (* The "legacy" sampler task, written in FreeRTOS style. *)
   Kernel.implement1 k ~comp:"legacy" ~entry:"sampler_task" (fun ctx _ ->
-      let l = Loader.find_comp (Kernel.loader k) "legacy" in
-      let q_cap =
-        Machine.load_cap machine ~auth:l.Loader.lc_import_cap
-          ~addr:(Loader.import_slot_addr l (Loader.import_slot l "sealed:task_quota"))
-      in
+      let q_cap = Kernel.import_cap k ~comp:"legacy" "sealed:task_quota" in
       (match RT.xQueueCreate ctx ~alloc_cap:q_cap ~length:4 ~item_size:4 with
       | None -> failwith "xQueueCreate"
       | Some q ->

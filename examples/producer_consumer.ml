@@ -51,11 +51,7 @@ let () =
       iv 0);
 
   Kernel.implement1 k ~comp:"sensor" ~entry:"run" (fun ctx _ ->
-      let l = Loader.find_comp (Kernel.loader k) "sensor" in
-      let quota =
-        Machine.load_cap machine ~auth:l.Loader.lc_import_cap
-          ~addr:(Loader.import_slot_addr l (Loader.import_slot l "sealed:sensor_quota"))
-      in
+      let quota = Kernel.import_cap k ~comp:"sensor" "sealed:sensor_quota" in
       (match Queue_comp.create ctx ~alloc_cap:quota ~elem_size:4 ~capacity:4 with
       | Error e -> Fmt.pr "  [sensor] queue create failed: %a@." Queue_comp.pp_err e
       | Ok handle ->

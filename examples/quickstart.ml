@@ -59,11 +59,7 @@ let () =
       | Error e -> Fmt.pr "[hello] call failed: %a@." Kernel.pp_call_error e);
 
       Fmt.pr "[hello] allocating 64 bytes from my static quota@.";
-      let l = Loader.find_comp (Kernel.loader k) "hello" in
-      let quota =
-        Machine.load_cap machine ~auth:l.Loader.lc_import_cap
-          ~addr:(Loader.import_slot_addr l (Loader.import_slot l "sealed:app_quota"))
-      in
+      let quota = Kernel.import_cap k ~comp:"hello" "sealed:app_quota" in
       (match Allocator.allocate ctx ~alloc_cap:quota 64 with
       | Ok buf ->
           Fmt.pr "[hello] got %a@." Cap.pp buf;

@@ -638,11 +638,10 @@ let decode_unit v =
     if n = 0 then Ok ()
     else match err_of_code n with Some e -> Error e | None -> Ok ()
 
-let install kernel ?(drain_per_op = 2) ?heap_base ?heap_limit () =
+let install kernel ?(drain_per_op = 2) () =
   let ld = Kernel.loader kernel in
   let machine = Kernel.machine kernel in
-  let heap_base = Option.value ~default:ld.Loader.heap_base heap_base in
-  let heap_limit = Option.value ~default:ld.Loader.heap_limit heap_limit in
+  let heap_base = ld.Loader.heap_base and heap_limit = ld.Loader.heap_limit in
   let priv =
     Cap.exn
       (Cap.set_bounds

@@ -66,10 +66,9 @@ val alloc_capability : name:string -> quota:int -> Firmware.static_sealed
 type t
 (** Runtime state of the installed allocator. *)
 
-val install :
-  Kernel.t -> ?drain_per_op:int -> ?heap_base:int -> ?heap_limit:int -> unit -> t
-(** Register the allocator's entry implementations.  The heap defaults to
-    the region the loader reserved ([heap_base..heap_limit]).
+val install : Kernel.t -> ?drain_per_op:int -> unit -> t
+(** Register the allocator's entry implementations.  The heap is the
+    region the loader reserved ([heap_base..heap_limit]).
     [drain_per_op] is the number of quarantine entries examined per
     malloc/free (paper: a small constant > 1 so quarantine drains;
     default 2 — the ablation knob). *)

@@ -161,11 +161,6 @@ let firmware () =
             ]);
     ]
 
-let import_cap k ~comp ~slot =
-  let l = Loader.find_comp (Kernel.loader k) comp in
-  Machine.load_cap (Kernel.machine k) ~auth:l.Loader.lc_import_cap
-    ~addr:(Loader.import_slot_addr l (Loader.import_slot l slot))
-
 let mmio_load machine mmio off size =
   Machine.load machine ~auth:mmio ~addr:(Cap.base mmio + off) ~size
 
@@ -193,10 +188,7 @@ let run_cheriot img ~family ~armed ~seed =
   let sys = img.ai_sys in
   let k = sys.System.kernel in
   let wrng = Random.State.make [| seed; 0x41747263 |] in
-  let journal = ref [] in
-  Machine.set_input_log machine
-    (Some
-       (fun ~cycle s -> journal := Printf.sprintf "[%d] %s" cycle s :: !journal));
+  let journal = Replay.record machine in
   let vic_layout = Loader.find_comp (Kernel.loader k) "victim" in
   let atk_layout = Loader.find_comp (Kernel.loader k) "attacker" in
   let vic_secret_addr = vic_layout.Loader.lc_globals_base + 16 in
@@ -208,7 +200,7 @@ let run_cheriot img ~family ~armed ~seed =
   let vic_key = ref Cap.null in
   let vic_canary = ref Cap.null in
   (* --- the victim --- *)
-  let vicq () = import_cap k ~comp:"victim" ~slot:"sealed:vicq" in
+  let vicq () = Kernel.import_cap k ~comp:"victim" "sealed:vicq" in
   Kernel.implement1 k ~comp:"victim" ~entry:"prime" (fun ctx _ ->
       Machine.store machine ~auth:ctx.Kernel.cgp ~addr:vic_secret_addr ~size:4
         secret_w0;
@@ -258,9 +250,9 @@ let run_cheriot img ~family ~armed ~seed =
       Kernel.implement1 k ~comp:"victim" ~entry:"serve" (fun _ctx _ -> iv 0));
   (* --- netd: the vulnerable frame parser (trusts the claimed length) --- *)
   Kernel.implement1 k ~comp:"netd" ~entry:"pump" (fun ctx _ ->
-      let netq = import_cap k ~comp:"netd" ~slot:"sealed:netq" in
+      let netq = Kernel.import_cap k ~comp:"netd" "sealed:netq" in
       let mmio =
-        import_cap k ~comp:"netd" ~slot:("mmio:" ^ Netsim.device_name)
+        Kernel.import_cap k ~comp:"netd" ("mmio:" ^ Netsim.device_name)
       in
       let handled = ref 0 in
       let continue = ref true in
@@ -288,7 +280,7 @@ let run_cheriot img ~family ~armed ~seed =
       done;
       iv !handled);
   (* --- the attacker --- *)
-  let atkq () = import_cap k ~comp:"attacker" ~slot:"sealed:atkq" in
+  let atkq () = Kernel.import_cap k ~comp:"attacker" "sealed:atkq" in
   Kernel.implement1 k ~comp:"attacker" ~entry:"attack" (fun ctx args ->
       let session = args.(0) in
       match family with
@@ -416,7 +408,7 @@ let run_cheriot img ~family ~armed ~seed =
       Cap.null);
   (try System.run ~until_cycles:50_000_000 sys
    with Failure msg -> ev "run aborted: %s" msg);
-  Machine.set_input_log machine None;
+  Replay.finish journal;
   (* --- the oracle: architecturally observable state only --- *)
   let mem = Machine.mem machine in
   let leaked = ref false in
@@ -462,7 +454,7 @@ let run_cheriot img ~family ~armed ~seed =
     at_evidence = !evidence;
     at_cycles = Machine.cycles machine;
     at_dumps = dumps;
-    at_journal = List.rev !journal;
+    at_journal = List.map Replay.entry_to_string (Replay.recorded journal);
     at_metrics = Agg.of_forensics img.ai_frn ~cycles:(Machine.cycles machine);
   }
 
@@ -763,22 +755,11 @@ let run_one ?(armed = true) ~family ~model ~seed () =
   | Mpu -> run_mpu ~family ~armed ~seed
   | Cheriot -> List.hd (run_cheriot_chunk ~armed [ (family, seed) ])
 
-(* Contiguous seed chunks, as in Fault_campaign: one shared post-boot
-   image per chunk on the CHERIoT side. *)
-let chunk_seeds ~jobs seeds =
-  let n = List.length seeds in
-  let size = max 1 ((n + jobs - 1) / jobs) in
-  let rec go acc cur k = function
-    | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
-    | s :: rest ->
-        if k = size then go (List.rev cur :: acc) [ s ] 1 rest
-        else go acc (s :: cur) (k + 1) rest
-  in
-  go [] [] 0 seeds
-
 let run_matrix ?(jobs = 1) ?(armed = true) ~base_seed ~n () =
   let seeds = List.init n (fun i -> base_seed + i) in
-  let chunks = chunk_seeds ~jobs seeds in
+  (* Contiguous seed chunks: one shared post-boot image per chunk on
+     the CHERIoT side. *)
+  let chunks = Farm.chunks ~jobs seeds in
   let tasks =
     List.concat_map
       (fun family ->

@@ -2,11 +2,10 @@ module Cap = Capability
 
 let charge ctx n = Machine.tick (Kernel.machine ctx.Kernel.kernel) n
 
-let check_pointer ctx ?(perms = Perm.Set.empty) ?(min_length = 0)
-    ?(unsealed = true) v =
+let check_pointer ctx ?(perms = Perm.Set.empty) ?(min_length = 0) v =
   charge ctx 4;
   Cap.tag v
-  && ((not unsealed) || not (Cap.is_sealed v))
+  && not (Cap.is_sealed v)
   && Perm.Set.subset perms (Cap.perms v)
   && Cap.length v >= min_length
   && Cap.address v >= Cap.base v

@@ -9,13 +9,11 @@ val check_pointer :
   Kernel.ctx ->
   ?perms:Perm.Set.t ->
   ?min_length:int ->
-  ?unsealed:bool ->
   Kernel.value ->
   bool
-(** Is the value a tagged capability with (at least) the given
-    permissions and length?  [unsealed] (default true) additionally
-    demands that it is not sealed.  Callees use this to vet pointer
-    arguments instead of trapping on first use. *)
+(** Is the value a tagged, unsealed capability with (at least) the given
+    permissions and length?  Callees use this to vet pointer arguments
+    instead of trapping on first use. *)
 
 val deprivilege :
   Kernel.ctx -> ?length:int -> perms:Perm.Set.t -> Kernel.value -> Kernel.value

@@ -168,9 +168,9 @@ let check_sanity t =
 
 (* Boot *)
 
-let boot ?loader_size ?(quantum = 2000) ~machine fw =
+let boot ?(quantum = 2000) ~machine fw =
   let interp = Interp.create machine in
-  match Loader.load ?loader_size fw machine interp with
+  match Loader.load fw machine interp with
   | Error _ as e -> e
   | Ok ld ->
       let comps =
@@ -692,9 +692,7 @@ and handle_callee_fault t ~tid ~entry_addr ~entry comp ctx cause addr =
 
 (* Public call API *)
 
-let import_cap ctx name =
-  let t = ctx.kernel in
-  let l = t.comps.(ctx.comp_id).layout in
+let layout_import_cap t l name =
   match Loader.import_slot l name with
   | slot ->
       Machine.load_cap t.machine ~auth:l.Loader.lc_import_cap
@@ -705,8 +703,14 @@ let import_cap ctx name =
            "%s does not import %s: not in the import table, not callable"
            l.Loader.lc_name name)
 
+let import_cap t ~comp name =
+  layout_import_cap t (Loader.find_comp t.loader comp) name
+
+let ctx_import_cap ctx name =
+  layout_import_cap ctx.kernel ctx.kernel.comps.(ctx.comp_id).layout name
+
 let call ctx ~import args =
-  let sealed = import_cap ctx import in
+  let sealed = ctx_import_cap ctx import in
   do_call ctx.kernel ~tid:ctx.thread_id
     ~caller:(comp_name ctx.kernel ctx.comp_id)
     ~csp:ctx.csp ~cgp:ctx.cgp ~sealed args
@@ -715,7 +719,7 @@ let call1 ctx ~import args = Result.map fst (call ctx ~import args)
 
 let lib_call ctx ~import args =
   let t = ctx.kernel in
-  let sentry = import_cap ctx import in
+  let sentry = ctx_import_cap ctx import in
   Machine.tick t.machine Cost.library_call;
   match Cap.otype sentry with
   | Cap.Otype.Sentry _ | Cap.Otype.Unsealed -> (

@@ -63,7 +63,6 @@ val pp_call_error : call_error Fmt.t
 (* Boot *)
 
 val boot :
-  ?loader_size:int ->
   ?quantum:int ->
   machine:Machine.t ->
   Firmware.t ->
@@ -92,6 +91,12 @@ val comp_id : t -> string -> int
 val comp_name : t -> int -> string
 
 (* Compartment and library calls *)
+
+val import_cap : t -> comp:string -> string -> value
+(** Load the capability in compartment (or library) [comp]'s import-table
+    slot [name] (e.g. ["sealed:app_quota"], ["mmio:uart"]), through the
+    import-table authority the loader gave [comp].  Raises
+    [Invalid_argument] if [comp] has no such import. *)
 
 val call :
   ctx -> import:string -> value list -> (value * value, call_error) result

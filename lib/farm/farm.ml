@@ -64,3 +64,14 @@ let map ?jobs f tasks = run ?jobs (Array.map (fun x () -> f x) tasks)
 
 let map_list ?jobs f tasks =
   Array.to_list (run ?jobs (Array.of_list (List.map (fun x () -> f x) tasks)))
+
+let chunks ~jobs xs =
+  let jobs = max 1 jobs in
+  let size = max 1 ((List.length xs + jobs - 1) / jobs) in
+  let rec go acc cur k = function
+    | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
+    | x :: rest ->
+        if k = size then go (List.rev cur :: acc) [ x ] 1 rest
+        else go acc (x :: cur) (k + 1) rest
+  in
+  go [] [] 0 xs

@@ -30,3 +30,9 @@ val map : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
 
 val map_list : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** List version of {!map}; results in input order. *)
+
+val chunks : jobs:int -> 'a list -> 'a list list
+(** [chunks ~jobs xs] cuts [xs] into at most [max 1 jobs] contiguous,
+    non-empty chunks of near-equal length, in order ([List.concat]
+    gives [xs] back).  Fleets that fork every task from one shared
+    post-boot image farm one chunk per domain. *)

@@ -43,6 +43,9 @@ let iters ~default =
 let app_quota = 8192
 let svc_quota = 8192
 
+(* Driver iterations per scenario. *)
+let steps = 60
+
 let firmware () =
   System.image ~name:"fault-campaign"
     ~sealed_objects:
@@ -79,11 +82,6 @@ let firmware () =
         ~entries:[ F.entry "run" ~arity:0 ~min_stack:512 ]
         ~imports:System.standard_imports;
     ]
-
-let import_cap k ~comp ~slot =
-  let l = Loader.find_comp (Kernel.loader k) comp in
-  Machine.load_cap (Kernel.machine k) ~auth:l.Loader.lc_import_cap
-    ~addr:(Loader.import_slot_addr l (Loader.import_slot l slot))
 
 (* Raw driver for the eth0 MMIO window (register map in netsim.mli):
    the app talks to the adaptor directly so network chaos lands on a
@@ -193,10 +191,10 @@ let check_stored_caps machine alloc =
 
 (* The seed-independent prefix of a scenario: machine, observability,
    engine, network world, boot, wiring.  Split from the per-seed body so
-   the from-snapshot path can build it once, [Machine.snapshot] the
-   post-boot state, and fork every scenario from the shared image with
-   [Machine.restore] + [Fault_inject.reseed] — byte-identical to booting
-   from scratch, without re-paying boot per seed. *)
+   a campaign can build it once, [Machine.snapshot] the post-boot state,
+   and fork every scenario from the shared image with [Machine.restore]
+   + [Fault_inject.reseed] — byte-identical to booting from scratch,
+   without re-paying boot per seed. *)
 
 type image = {
   im_machine : Machine.t;
@@ -252,7 +250,7 @@ let build_image ?trace ?prepare ~seed () =
       Ok { im_machine = machine; im_frn = frn; im_engine = engine;
            im_net = net; im_sys = sys }
 
-let scenario_body img ~steps ~seed () =
+let scenario_body img ~seed () =
   let machine = img.im_machine in
   let frn = img.im_frn in
   let engine = img.im_engine in
@@ -266,7 +264,7 @@ let scenario_body img ~steps ~seed () =
          stay independent but both replay from the one seed. *)
       let wrng = Random.State.make [| seed; 0x9e3779b9 |] in
       let svc_live = ref [] in
-      let svc_quota_cap () = import_cap k ~comp:"svc" ~slot:"sealed:svcq" in
+      let svc_quota_cap () = Kernel.import_cap k ~comp:"svc" "sealed:svcq" in
       Kernel.implement1 k ~comp:"svc" ~entry:"work" (fun ctx args ->
           let size = ti args.(0) in
           let q = svc_quota_cap () in
@@ -311,9 +309,9 @@ let scenario_body img ~steps ~seed () =
       let svc_ok = ref 0 and svc_err = ref 0 and probe_ok = ref false in
       Kernel.implement1 k ~comp:"app" ~entry:"main" (fun ctx _ ->
           Fault_inject.arm engine;
-          let appq = import_cap k ~comp:"app" ~slot:"sealed:appq" in
+          let appq = Kernel.import_cap k ~comp:"app" "sealed:appq" in
           let mmio =
-            import_cap k ~comp:"app" ~slot:("mmio:" ^ Netsim.device_name)
+            Kernel.import_cap k ~comp:"app" ("mmio:" ^ Netsim.device_name)
           in
           let held = ref [] in
           for i = 1 to steps do
@@ -367,7 +365,7 @@ let scenario_body img ~steps ~seed () =
         | Error e -> viol "%s: %s" name e
       in
       record "allocator integrity" (Allocator.check_integrity alloc);
-      let q_addr comp slot = Cap.base (import_cap k ~comp ~slot) + 8 in
+      let q_addr comp slot = Cap.base (Kernel.import_cap k ~comp slot) + 8 in
       record "quota conservation"
         (Allocator.check_quota_conservation alloc
            ~quotas:
@@ -426,40 +424,13 @@ let scenario_body img ~steps ~seed () =
       }
   end
 
-let run_scenario ?(steps = 60) ?trace ?prepare ?(from_snapshot = false) ~seed
-    () =
+let run_scenario ?trace ?prepare ~seed () =
   match build_image ?trace ?prepare ~seed () with
   | Error (machine, e) -> boot_failed_outcome machine ~seed e
-  | Ok img ->
-      (* Replaying a seed from a from-snapshot campaign must walk the
-         identical path: snapshot the post-boot image, then restore and
-         reseed before running — not merely boot and run.  The fork is
-         byte-identical to a fresh boot (pinned by test_farm), but the
-         replay tool should reproduce the campaign's exact sequence of
-         machine operations, so `bench -- crashdump <seed>
-         --from-snapshot` reproduces snapshot-mode crashes
-         bit-exactly by construction. *)
-      if from_snapshot then begin
-        let snap = Machine.snapshot img.im_machine in
-        Machine.restore img.im_machine snap;
-        Fault_inject.reseed img.im_engine ~seed
-      end;
-      scenario_body img ~steps ~seed ()
+  | Ok img -> scenario_body img ~seed ()
 
-(* Contiguous chunks for the from-snapshot path: one shared post-boot
-   image (and one snapshot) per domain. *)
-let chunk_seeds ~jobs seeds =
-  let n = List.length seeds in
-  let size = max 1 ((n + jobs - 1) / jobs) in
-  let rec go acc cur k = function
-    | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
-    | s :: rest ->
-        if k = size then go (List.rev cur :: acc) [ s ] 1 rest
-        else go acc (s :: cur) (k + 1) rest
-  in
-  go [] [] 0 seeds
-
-let run_chunk ?(steps = 60) seeds =
+(* One shared post-boot image (and one snapshot) per chunk of seeds. *)
+let run_chunk seeds =
   match seeds with
   | [] -> []
   | first :: _ -> (
@@ -472,27 +443,22 @@ let run_chunk ?(steps = 60) seeds =
             (fun seed ->
               Machine.restore img.im_machine snap;
               Fault_inject.reseed img.im_engine ~seed;
-              scenario_body img ~steps ~seed ())
+              scenario_body img ~seed ())
             seeds)
 
-let run ?(verbose = false) ?steps ?(jobs = 1) ?(from_snapshot = false)
-    ~base_seed ~n () =
+let run ?(jobs = 1) ~base_seed ~n () =
   (* Scenarios are independent pure functions of their seed, so they
-     farm across domains; all reporting happens here after the merge, in
-     seed order, making the output byte-identical for every job count.
-     [from_snapshot] forks each scenario from one shared post-boot image
-     per domain instead of rebooting — the restore-then-reseed dance is
-     byte-identical to a fresh boot (pinned by test_farm), it just
-     skips the boot work. *)
+     farm across domains, one contiguous chunk of seeds per domain.
+     Each chunk boots once and forks every scenario from the post-boot
+     snapshot: the restore-then-reseed dance is byte-identical to a
+     fresh boot (pinned by test_farm against [run_scenario]), it just
+     skips the boot work.  All reporting happens here after the merge,
+     in seed order, making the output byte-identical for every job
+     count. *)
   let outcomes =
-    if from_snapshot then
-      List.concat
-        (Farm.map_list ~jobs (run_chunk ?steps)
-           (chunk_seeds ~jobs (List.init n (fun i -> base_seed + i))))
-    else
-      Farm.map_list ~jobs
-        (fun seed -> run_scenario ?steps ~seed ())
-        (List.init n (fun i -> base_seed + i))
+    List.concat
+      (Farm.map_list ~jobs run_chunk
+         (Farm.chunks ~jobs (List.init n (fun i -> base_seed + i))))
   in
   let failures = ref 0 in
   List.iter
@@ -506,11 +472,6 @@ let run ?(verbose = false) ?steps ?(jobs = 1) ?(from_snapshot = false)
           o.oc_seed;
         List.iter (fun l -> Printf.printf "    %s\n" l) o.oc_trace;
         flush stdout
-      end
-      else if verbose then
-        Printf.printf
-          "seed %d: ok — %d faults, %d reboots, %d/%d svc calls ok, %d cycles\n%!"
-          o.oc_seed o.oc_faults o.oc_reboots o.oc_svc_ok
-          (o.oc_svc_ok + o.oc_svc_err) o.oc_cycles)
+      end)
     outcomes;
   (!failures, outcomes)

@@ -1,6 +1,7 @@
 (** Seeded stress-test campaigns over the fault-injection engine.
 
-    Each scenario boots a fresh machine with the network world and a
+    Each scenario runs on a freshly booted machine (in {!run}, an
+    identical fork of one) with the network world and a
     three-compartment firmware image (a driver, a crashable service
     with its own heap quota and a micro-rebooting error handler, and a
     noise thread on the futex paths), arms the engine, runs a mixed
@@ -43,48 +44,35 @@ val iters : default:int -> int
     environment when set to a positive integer, else [default]. *)
 
 val run_scenario :
-  ?steps:int ->
   ?trace:Obs.t ->
   ?prepare:(Machine.t -> unit) ->
-  ?from_snapshot:bool ->
   seed:int ->
   unit ->
   outcome
-(** One scenario.  [steps] is the driver's iteration count (default
-    60); everything else derives from [seed].  [trace] attaches an
-    event ring to the scenario's machine before boot.  Every scenario
-    carries a {!Forensics} flight recorder, which [Machine.emit] feeds
-    with or without a ring (both are observationally invisible, so the
-    outcome is unchanged).  [prepare] runs on the freshly created
-    machine before anything else touches it — the hook the replay tooling uses to
+(** One scenario on a freshly booted machine: the reference every
+    forked {!run} scenario is checked against (test_farm,
+    test_fault_campaign), and the path seed replay takes (bench
+    [crashdump], [replay]).  Everything derives from [seed]; the driver
+    runs a fixed 60 iterations.  [trace] attaches an event ring to the
+    scenario's machine before boot.  Every scenario carries a
+    {!Forensics} flight recorder, which [Machine.emit] feeds with or
+    without a ring (both are observationally invisible, so the outcome
+    is unchanged).  [prepare] runs on the freshly created machine before
+    anything else touches it — the hook the replay tooling uses to
     attach a recording or verifying input-journal session covering the
-    whole scenario, boot included.  [from_snapshot] (default false)
-    replays the seed exactly the way {!run} with [~from_snapshot:true]
-    ran it: snapshot the post-boot image, restore, reseed, then run —
-    so a crash observed in a snapshot-mode campaign reproduces
-    bit-exactly by construction (regression-pinned by
-    test_fault_campaign). *)
+    whole scenario, boot included. *)
 
-val run :
-  ?verbose:bool ->
-  ?steps:int ->
-  ?jobs:int ->
-  ?from_snapshot:bool ->
-  base_seed:int ->
-  n:int ->
-  unit ->
-  int * outcome list
+val run : ?jobs:int -> base_seed:int -> n:int -> unit -> int * outcome list
 (** Run seeds [base_seed .. base_seed + n - 1]; returns the number of
     scenarios with violations (0 = campaign passed) and every outcome.
     Violations are printed with their seed and full fault trace.
 
-    [jobs] farms scenarios across that many domains ({!Farm.run});
-    outcomes and all printing stay in seed order, so the output is
-    byte-identical for every job count.  Default 1 (sequential, no
-    domain operations).
-
-    [from_snapshot] (default false) builds one post-boot image per
-    domain, takes a {!Machine.snapshot}, and forks every scenario from
-    it with [restore] + {!Fault_inject.reseed} instead of rebooting.
-    Outcomes and output are byte-identical to the from-scratch path for
-    every job count (pinned by test_farm); only the wall clock drops. *)
+    The seeds are cut into at most [jobs] contiguous chunks
+    ({!Farm.chunks}), farmed across that many domains ({!Farm.map_list};
+    default 1: sequential, no domain operations).  Each chunk boots one
+    image, takes a {!Machine.snapshot} after boot, and forks every
+    scenario from it with [restore] + {!Fault_inject.reseed}.  Every
+    outcome equals {!run_scenario}'s for the same seed, field for field
+    (pinned by test_farm at jobs 1, 2 and 4), and outcomes and all
+    printing stay in seed order, so the output is byte-identical for
+    every job count. *)

@@ -58,6 +58,9 @@ let default_weights =
     (Crash, 1);
   ]
 
+(* Consecutive ticks an interrupt storm re-raises its line. *)
+let storm_len = 12
+
 type t = {
   mutable seed : int;
   mutable rng : Random.State.t;
@@ -65,7 +68,6 @@ type t = {
   weights : (kind * int) list;
   total_weight : int;
   period : int;
-  storm_len : int;
   mutable armed : bool;
   mutable next_due : int;
   mutable storm : (int * int) option;  (** irq, remaining ticks *)
@@ -154,8 +156,8 @@ let inject t =
       log t "spurious_irq %d" irq
   | Irq_storm ->
       let irq = Random.State.int t.rng 8 in
-      t.storm <- Some (irq, t.storm_len);
-      log t "irq_storm %d for %d ticks" irq t.storm_len
+      t.storm <- Some (irq, storm_len);
+      log t "irq_storm %d for %d ticks" irq storm_len
   | Timer_skew ->
       let delta = Random.State.int t.rng 4001 - 2000 in
       let delta = if delta = 0 then 1 else delta in
@@ -186,8 +188,7 @@ let inject t =
 let schedule_next t now =
   t.next_due <- now + 1 + Random.State.int t.rng t.period
 
-let create ?(period = 4_000) ?(weights = default_weights) ?(storm_len = 12)
-    ~seed machine =
+let create ?(period = 4_000) ?(weights = default_weights) ~seed machine =
   let total_weight = List.fold_left (fun a (_, w) -> a + w) 0 weights in
   if total_weight <= 0 then invalid_arg "Fault_inject.create: empty weights";
   let t =
@@ -198,7 +199,6 @@ let create ?(period = 4_000) ?(weights = default_weights) ?(storm_len = 12)
       weights;
       total_weight;
       period;
-      storm_len;
       armed = false;
       next_due = max_int;
       storm = None;

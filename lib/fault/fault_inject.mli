@@ -41,24 +41,23 @@ type t
 val create :
   ?period:int ->
   ?weights:(kind * int) list ->
-  ?storm_len:int ->
   seed:int ->
   Machine.t ->
   t
 (** Register the engine's tick listener on the machine.  [period] is the
     mean gap in cycles between injections (uniform draw in
-    [1..period]); [weights] the relative fault mix; [storm_len] how many
-    consecutive ticks an interrupt storm re-raises its line.  The engine
-    starts disarmed. *)
+    [1..period]); [weights] the relative fault mix.  An interrupt storm
+    re-raises its line for 12 consecutive ticks.  The engine starts
+    disarmed. *)
 
 val seed : t -> int
 
 val reseed : t -> seed:int -> unit
 (** Rewind the engine onto a fresh seed: replaces the RNG with the state
-    [create ~seed] would have built.  Used by the from-snapshot campaign
-    path, which restores a shared post-boot machine image (resetting the
-    engine with it) and then points the engine at the scenario's own
-    seed before running. *)
+    [create ~seed] would have built.  Used by {!Fault_campaign.run},
+    which restores each chunk's shared post-boot machine image
+    (resetting the engine with it) and then points the engine at the
+    scenario's own seed before running. *)
 
 val injected : t -> int
 (** Number of fault decisions taken so far. *)

@@ -85,7 +85,11 @@ let import_slot c name =
 
 let import_slot_addr c slot = c.lc_import_base + (8 * slot)
 
-let load ?(loader_size = 7680) fw machine interp =
+(* Bytes of SRAM the loader occupies until it erases itself; they then
+   join the heap. *)
+let loader_size = 7680
+
+let load fw machine interp =
   let ( let* ) = Result.bind in
   let* () = Firmware.validate fw in
   (* Install the switcher and its unsealing key. *)

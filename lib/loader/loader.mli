@@ -65,8 +65,7 @@ type t = {
   switcher_key : Capability.t;
 }
 
-val load :
-  ?loader_size:int -> Firmware.t -> Machine.t -> Interp.t -> (t, string) result
+val load : Firmware.t -> Machine.t -> Interp.t -> (t, string) result
 (** Validate the image, install the switcher segment, lay out SRAM and
     populate every table.  Fails if the image is invalid, references an
     unknown MMIO device, or does not fit in SRAM. *)

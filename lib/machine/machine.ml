@@ -343,11 +343,11 @@ let env_sinks () =
                      comma-separated subset of %s)"
                     n (String.concat ", " obs_sinks)))
 
-let create ?(sram_base = 0x2000_0000) ?(sram_size = 256 * 1024) () =
+let create ?(sram_size = 256 * 1024) () =
   let sinks = env_sinks () in
   let m =
     {
-      mem = Memory.create ~base:sram_base ~size:sram_size;
+      mem = Memory.create ~base:0x2000_0000 ~size:sram_size;
       cycles = 0;
       irq_enabled = true;
       pending = 0;

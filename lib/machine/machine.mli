@@ -30,8 +30,8 @@ end
 
 type t
 
-val create : ?sram_base:int -> ?sram_size:int -> unit -> t
-(** Defaults: SRAM at 0x20000000, 256 KiB — the paper's Arty A7 setup.
+val create : ?sram_size:int -> unit -> t
+(** SRAM at 0x20000000, by default 256 KiB — the paper's Arty A7 setup.
     Attaches the observability sinks [CHERIOT_OBS] selects (see
     {!set_trace}); raises [Failure] on a bad [CHERIOT_OBS] or
     [CHERIOT_TRACE_CAP]. *)

@@ -149,12 +149,7 @@ let do_recv t ctx buf timeout =
 
 let install kernel =
   let machine = Kernel.machine kernel in
-  let layout = Loader.find_comp (Kernel.loader kernel) comp_name in
-  let slot = Loader.import_slot layout ("mmio:" ^ Netsim.device_name) in
-  let mmio =
-    Machine.load_cap machine ~auth:layout.Loader.lc_import_cap
-      ~addr:(Loader.import_slot_addr layout slot)
-  in
+  let mmio = Kernel.import_cap kernel ~comp:comp_name ("mmio:" ^ Netsim.device_name) in
   let t =
     { kernel; machine; mmio; allowed_ports = default_ports; dropped = 0; tx = 0; rx = 0 }
   in

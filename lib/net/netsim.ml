@@ -1,6 +1,7 @@
 module P = Packet
 
 let device_name = "eth0"
+let mmio_base = 0x1100_0000
 let mmio_size = 4096
 let rx_window = 0x010
 let tx_window = 0x800
@@ -397,8 +398,7 @@ let fire_due t now =
   List.iter (fun (_, frame) -> to_device ~delay:0 t frame) due_raws;
   update_wakeup t
 
-let attach ?(latency = 33_000) ?(sntp_latency = 33_000) ?(mmio_base = 0x1100_0000)
-    machine =
+let attach ?(latency = 33_000) ?(sntp_latency = 33_000) machine =
   let t =
     {
       machine;

@@ -38,13 +38,9 @@ type chaos = Pass | Drop | Duplicate | Corrupt of int * int | Delay of int
 
 type t
 
-val attach :
-  ?latency:int ->
-  ?sntp_latency:int ->
-  ?mmio_base:int ->
-  Machine.t ->
-  t
-(** Create the world and register the device.  [latency] (cycles) is
+val attach : ?latency:int -> ?sntp_latency:int -> Machine.t -> t
+(** Create the world and register the device (its MMIO window at
+    0x11000000).  [latency] (cycles) is
     the one-way propagation + server turnaround (default ~1 ms at
     33 MHz); [sntp_latency] lets the NTP phase of Fig. 7 be slow.
 

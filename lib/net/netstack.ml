@@ -189,11 +189,7 @@ module Dns = struct
 
   type t = { mutable sock : int; mutable buf : Kernel.value; mutable next_id : int }
 
-  let quota ctx =
-    let l = Loader.find_comp (Kernel.loader ctx.Kernel.kernel) comp_name in
-    let slot = Loader.import_slot l "sealed:dns_quota" in
-    Machine.load_cap (Kernel.machine ctx.Kernel.kernel) ~auth:l.Loader.lc_import_cap
-      ~addr:(Loader.import_slot_addr l slot)
+  let quota ctx = Kernel.import_cap ctx.Kernel.kernel ~comp:comp_name "sealed:dns_quota"
 
   let ensure t ctx =
     if t.sock < 0 then t.sock <- Tcpip.c_udp_open ctx;
@@ -265,11 +261,7 @@ module Sntp = struct
 
   type t = { mutable sock : int; mutable buf : Kernel.value; mutable offset : int option }
 
-  let quota ctx =
-    let l = Loader.find_comp (Kernel.loader ctx.Kernel.kernel) comp_name in
-    let slot = Loader.import_slot l "sealed:sntp_quota" in
-    Machine.load_cap (Kernel.machine ctx.Kernel.kernel) ~auth:l.Loader.lc_import_cap
-      ~addr:(Loader.import_slot_addr l slot)
+  let quota ctx = Kernel.import_cap ctx.Kernel.kernel ~comp:comp_name "sealed:sntp_quota"
 
   let install kernel =
     let t = { sock = -1; buf = Cap.null; offset = None } in

@@ -132,10 +132,7 @@ let wait_word t ctx i ~seen ~timeout =
 (* Buffers from our own quota (allocated on first use). *)
 
 let alloc_cap ctx =
-  let l = Loader.find_comp (Kernel.loader ctx.Kernel.kernel) comp_name in
-  let slot = Loader.import_slot l ("sealed:" ^ quota_name) in
-  Machine.load_cap (Kernel.machine ctx.Kernel.kernel) ~auth:l.Loader.lc_import_cap
-    ~addr:(Loader.import_slot_addr l slot)
+  Kernel.import_cap ctx.Kernel.kernel ~comp:comp_name ("sealed:" ^ quota_name)
 
 let ensure_buffers t ctx =
   if not (Cap.tag t.frame_rx) then begin

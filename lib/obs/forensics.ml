@@ -149,9 +149,9 @@ let copy_cstat s =
   { s with cs_lat = hist_copy s.cs_lat; cs_quar = hist_copy s.cs_quar }
 
 let recent_cap = 512
+let max_dumps = 256
 
 type t = {
-  max_dumps : int;
   mutable dumps_rev : dump list;  (* newest first *)
   mutable ndumps : int;
   (* ingest state *)
@@ -176,11 +176,8 @@ type t = {
   mutable recent_head : int;
 }
 
-let create ?(max_dumps = 256) () =
-  if max_dumps <= 0 then
-    invalid_arg "Forensics.create: max_dumps must be positive";
+let create () =
   {
-    max_dumps;
     dumps_rev = [];
     ndumps = 0;
     tracker = Obs.Tracker.create ();
@@ -418,7 +415,7 @@ let record_fault t ~cycle ~comp ~thread ~cause ~addr ~pc ~instr ~regs
       d_rebooted = false;
     }
   in
-  if t.ndumps >= t.max_dumps then begin
+  if t.ndumps >= max_dumps then begin
     (* drop the oldest; [max_dumps] is small and faults are rare *)
     t.dumps_rev <- List.rev (List.tl (List.rev t.dumps_rev));
     t.ndumps <- t.ndumps - 1

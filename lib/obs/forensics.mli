@@ -43,9 +43,9 @@
 
 type t
 
-val create : ?max_dumps:int -> unit -> t
-(** A fresh recorder.  At most [max_dumps] (default 256) crash dumps are
-    retained, dropping the oldest. *)
+val create : unit -> t
+(** A fresh recorder.  At most 256 crash dumps are retained, dropping
+    the oldest. *)
 
 val ingest : t -> cycle:int -> Obs.kind -> unit
 (** Fold one event into the recorder.  Called by [Machine.emit] for

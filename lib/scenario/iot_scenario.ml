@@ -144,12 +144,7 @@ let run ?(fast = false) ?machine () =
   in
   (* The I/O compartment owns the LED. *)
   Kernel.implement1 k ~comp:"io" ~entry:"led_set" (fun ioctx args ->
-      let l = Loader.find_comp (Kernel.loader k) "io" in
-      let slot = Loader.import_slot l "mmio:led" in
-      let led =
-        Machine.load_cap machine ~auth:l.Loader.lc_import_cap
-          ~addr:(Loader.import_slot_addr l slot)
-      in
+      let led = Kernel.import_cap k ~comp:"io" "mmio:led" in
       let v = Interp.to_int args.(0) in
       Machine.store machine ~auth:led ~addr:(Cap.base led) ~size:4 v;
       if v = 1 then incr blinks;
@@ -177,11 +172,7 @@ let run ?(fast = false) ?machine () =
   (* The application thread. *)
   let iv = Interp.int_value and ti = Interp.to_int in
   Kernel.implement1 k ~comp:"app" ~entry:"main" (fun ctx _ ->
-      let quota =
-        let l = Loader.find_comp (Kernel.loader k) "app" in
-        Machine.load_cap machine ~auth:l.Loader.lc_import_cap
-          ~addr:(Loader.import_slot_addr l (Loader.import_slot l "sealed:app_quota"))
-      in
+      let quota = Kernel.import_cap k ~comp:"app" "sealed:app_quota" in
       let str_arg ctx s =
         let ctx', cap = Kernel.stack_alloc ctx (String.length s + 8) in
         Membuf.of_string machine ~auth:cap s;

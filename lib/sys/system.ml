@@ -30,10 +30,3 @@ let boot ?machine ?quantum ?drain_per_op fw =
       Ok { kernel; machine; alloc; sched }
 
 let run ?until_cycles t = Kernel.run ?until_cycles t.kernel
-
-let alloc_cap_of t ~comp ~import ctx =
-  ignore ctx;
-  let l = Loader.find_comp (Kernel.loader t.kernel) comp in
-  let slot = Loader.import_slot l ("sealed:" ^ import) in
-  Machine.load_cap t.machine ~auth:l.Loader.lc_import_cap
-    ~addr:(Loader.import_slot_addr l slot)

@@ -38,8 +38,3 @@ val boot :
     compartment implementations. *)
 
 val run : ?until_cycles:int -> t -> unit
-
-val alloc_cap_of : t -> comp:string -> import:string -> Kernel.ctx -> Kernel.value
-(** Load a static sealed-object import (e.g. an allocation capability)
-    from a compartment's import table.  [import] is the sealed object's
-    name as declared in the firmware. *)

@@ -26,7 +26,6 @@ type t = {
   machine : Machine.t;
   cgp : Cap.t;
   word_addr : int;
-  queue_depth : int;
   mutable jobs : (int * int) list;  (** pending (job, arg), oldest first *)
   handlers : (int, Kernel.ctx -> int -> unit) Hashtbl.t;
   mutable running : bool;
@@ -45,7 +44,10 @@ let bump_and_wake t ctx =
 let register t ~job f = Hashtbl.replace t.handlers job f
 let completed t = t.done_count
 
-let install ?(queue_depth = 16) kernel =
+(* Pending jobs beyond this are refused. *)
+let queue_depth = 16
+
+let install kernel =
   let layout = Loader.find_comp (Kernel.loader kernel) comp_name in
   let t =
     {
@@ -53,7 +55,6 @@ let install ?(queue_depth = 16) kernel =
       machine = Kernel.machine kernel;
       cgp = layout.Loader.lc_cgp;
       word_addr = layout.Loader.lc_globals_base;
-      queue_depth;
       jobs = [];
       handlers = Hashtbl.create 8;
       running = true;
@@ -63,7 +64,7 @@ let install ?(queue_depth = 16) kernel =
   let iv = Interp.int_value and ti = Interp.to_int in
   Kernel.implement1 kernel ~comp:comp_name ~entry:"post" (fun ctx args ->
       let job = ti args.(0) and arg = ti args.(1) in
-      if (not t.running) || List.length t.jobs >= t.queue_depth
+      if (not t.running) || List.length t.jobs >= queue_depth
          || not (Hashtbl.mem t.handlers job)
       then iv (-1)
       else begin

@@ -19,7 +19,8 @@ val client_imports : Firmware.import list
 
 type t
 
-val install : ?queue_depth:int -> Kernel.t -> t
+val install : Kernel.t -> t
+(** Register the pool's entries; at most 16 jobs may be pending. *)
 
 val register : t -> job:int -> (Kernel.ctx -> int -> unit) -> unit
 (** Attach the handler for a job id (at integration time). *)

@@ -34,11 +34,7 @@ let client_imports =
 
 (* The library reads the UART capability from its own import table:
    device access is the library's grant, not the caller's. *)
-let uart_cap kernel =
-  let l = Loader.find_comp (Kernel.loader kernel) lib_name in
-  let slot = Loader.import_slot l ("mmio:" ^ device_name) in
-  Machine.load_cap (Kernel.machine kernel) ~auth:l.Loader.lc_import_cap
-    ~addr:(Loader.import_slot_addr l slot)
+let uart_cap kernel = Kernel.import_cap kernel ~comp:lib_name ("mmio:" ^ device_name)
 
 let install kernel =
   let machine = Kernel.machine kernel in

@@ -1,8 +1,9 @@
 (* The farm's determinism contract (see farm.mli) and the campaign's use
    of it: results in submission order whatever the job count, jobs = 1
    running entirely in the calling domain, lowest-index exception wins,
-   and a parallel fault campaign producing outcome-for-outcome the same
-   results as the sequential one. *)
+   a parallel fault campaign producing outcome-for-outcome the same
+   results as the sequential one, and each forked scenario matching its
+   fresh boot. *)
 
 (* Uneven busy-work so that, with several domains, completion order
    differs from submission order. *)
@@ -65,6 +66,24 @@ let test_map_variants () =
     "map_list order" (List.map sq l)
     (Farm.map_list ~jobs:4 sq l)
 
+let test_chunks () =
+  List.iter
+    (fun len ->
+      let xs = List.init len (fun i -> i) in
+      List.iter
+        (fun jobs ->
+          let cs = Farm.chunks ~jobs xs in
+          let what = Printf.sprintf "len=%d jobs=%d" len jobs in
+          Alcotest.(check (list int)) (what ^ ": concat") xs (List.concat cs);
+          Alcotest.(check bool)
+            (what ^ ": at most max 1 jobs chunks")
+            true
+            (List.length cs <= max 1 jobs);
+          Alcotest.(check bool) (what ^ ": no empty chunk") true
+            (not (List.mem [] cs)))
+        [ -1; 0; 1; 2; 3; 4; 7; 64 ])
+    [ 0; 1; 2; 5; 6; 200 ]
+
 let test_empty_and_clamp () =
   Alcotest.(check (array int)) "empty" [||] (Farm.run ~jobs:4 [||]);
   Alcotest.(check (array int))
@@ -90,24 +109,24 @@ let test_campaign_parallel_equals_sequential () =
         true (a = b))
     out_seq out_par
 
-(* The ISSUE-6 acceptance property: forking every scenario from a shared
-   post-boot snapshot (restore + reseed instead of rebooting) is
-   outcome-for-outcome identical to the from-scratch sequential run, at
-   every job count — the snapshot carries the *whole* machine, so the
-   only thing that may differ is the wall clock. *)
-let test_campaign_from_snapshot_equals_scratch () =
-  let _, scratch = Fault_campaign.run ~jobs:1 ~base_seed:5000 ~n:6 () in
+(* A campaign forks every scenario from its chunk's post-boot snapshot
+   (restore + reseed instead of rebooting).  Each outcome must equal the
+   fresh boot of the same seed on every field, at every job count: the
+   snapshot carries the *whole* machine, so only the wall clock may
+   differ. *)
+let test_campaign_forked_equals_fresh () =
+  let fresh =
+    List.init 6 (fun i -> Fault_campaign.run_scenario ~seed:(5000 + i) ())
+  in
   List.iter
     (fun jobs ->
-      let bad, forked =
-        Fault_campaign.run ~jobs ~from_snapshot:true ~base_seed:5000 ~n:6 ()
-      in
+      let bad, forked = Fault_campaign.run ~jobs ~base_seed:5000 ~n:6 () in
       Alcotest.(check int)
         (Printf.sprintf "violations (jobs=%d)" jobs)
         0 bad;
       Alcotest.(check int)
         (Printf.sprintf "outcome count (jobs=%d)" jobs)
-        (List.length scratch) (List.length forked);
+        (List.length fresh) (List.length forked);
       List.iter2
         (fun a b ->
           Alcotest.(check int) "seed order" a.Fault_campaign.oc_seed
@@ -116,7 +135,7 @@ let test_campaign_from_snapshot_equals_scratch () =
             (Printf.sprintf "forked outcome for seed %d identical (jobs=%d)"
                a.Fault_campaign.oc_seed jobs)
             true (a = b))
-        scratch forked)
+        fresh forked)
     [ 1; 2; 4 ]
 
 let () =
@@ -134,12 +153,14 @@ let () =
             test_map_variants;
           Alcotest.test_case "empty input and jobs clamping" `Quick
             test_empty_and_clamp;
+          Alcotest.test_case "chunks: contiguous, at most jobs" `Quick
+            test_chunks;
         ] );
       ( "campaign",
         [
           Alcotest.test_case "parallel campaign == sequential" `Slow
             test_campaign_parallel_equals_sequential;
-          Alcotest.test_case "from-snapshot campaign == from-scratch" `Slow
-            test_campaign_from_snapshot_equals_scratch;
+          Alcotest.test_case "forked campaign == fresh boots" `Slow
+            test_campaign_forked_equals_fresh;
         ] );
     ]

@@ -98,46 +98,22 @@ let test_crash_dumps_match_injected_faults () =
       | Error e -> Alcotest.failf "dump JSON failed to parse back: %s" e)
     dumps
 
-(* Regression (issue 8 satellite): `bench -- crashdump <seed>
-   --from-snapshot` must reproduce a crash observed in a snapshot-mode
-   campaign bit-exactly.  run_scenario ~from_snapshot:true takes the
-   same restore+reseed path run ~from_snapshot uses instead of
-   rebooting, so the three ways of running a seed — fresh boot,
-   standalone snapshot replay, and the farmed snapshot campaign — must
-   all agree on every observable field, dumps included. *)
-let test_from_snapshot_replay_bit_exact () =
-  let fingerprint o =
-    let dump d =
-      Printf.sprintf "%d|%s|%d|%s|%d|%d|%b" d.Forensics.d_cycle
-        d.Forensics.d_comp d.Forensics.d_thread d.Forensics.d_cause
-        d.Forensics.d_addr d.Forensics.d_pc d.Forensics.d_handler_ran
-    in
-    ( o.Fault_campaign.oc_trace,
-      o.Fault_campaign.oc_cycles,
-      o.Fault_campaign.oc_faults,
-      o.Fault_campaign.oc_reboots,
-      o.Fault_campaign.oc_violations,
-      List.map dump o.Fault_campaign.oc_dumps )
-  in
+(* A crash seen in a campaign replays bit-exactly from a fresh boot
+   (`bench -- crashdump <seed>`): the campaign forks each scenario from
+   a post-boot snapshot, and the fork must agree with the fresh boot on
+   every observable field, dumps included. *)
+let test_fresh_boot_replays_campaign () =
   let seeds = [ 42; 43 ] in
   let _, campaign =
-    Fault_campaign.run ~from_snapshot:true
-      ~base_seed:(List.hd seeds)
-      ~n:(List.length seeds) ()
+    Fault_campaign.run ~base_seed:(List.hd seeds) ~n:(List.length seeds) ()
   in
-  List.iteri
-    (fun i seed ->
-      let fresh = Fault_campaign.run_scenario ~seed () in
-      let snap = Fault_campaign.run_scenario ~from_snapshot:true ~seed () in
+  List.iter2
+    (fun seed forked ->
       Alcotest.(check bool)
-        (Printf.sprintf "seed %d: snapshot replay == fresh boot" seed)
+        (Printf.sprintf "seed %d: fresh boot == farmed campaign" seed)
         true
-        (fingerprint snap = fingerprint fresh);
-      Alcotest.(check bool)
-        (Printf.sprintf "seed %d: snapshot replay == farmed campaign" seed)
-        true
-        (fingerprint snap = fingerprint (List.nth campaign i)))
-    seeds
+        (Fault_campaign.run_scenario ~seed () = forked))
+    seeds campaign
 
 let test_distinct_seeds_diverge () =
   let a = Fault_campaign.run_scenario ~seed:1 () in
@@ -155,8 +131,8 @@ let suite =
       test_faults_appear_in_trace;
     Alcotest.test_case "crash dumps match injected faults" `Quick
       test_crash_dumps_match_injected_faults;
-    Alcotest.test_case "from-snapshot seed replay is bit-exact" `Quick
-      test_from_snapshot_replay_bit_exact;
+    Alcotest.test_case "fresh-boot seed replay is bit-exact" `Quick
+      test_fresh_boot_replays_campaign;
     Alcotest.test_case "distinct seeds diverge" `Quick
       test_distinct_seeds_diverge;
   ]

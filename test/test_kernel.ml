@@ -344,6 +344,80 @@ let test_ephemeral_claims_cleared_on_call () =
   in
   run h
 
+(* An entry declared [~posture:Interrupts_disabled] runs with interrupts
+   off (the switcher seals the callee's entry as an interrupt-disabling
+   sentry), and the caller's enabled posture comes back on return (the
+   return sentry restores it).  The firmware report records the
+   declaration. *)
+let test_interrupts_disabled_entry () =
+  let fw =
+    F.create ~name:"posture-image"
+      ~threads:[ F.thread ~name:"main" ~comp:"app" ~entry:"main" () ]
+      [
+        F.compartment "app" ~globals_size:16
+          ~entries:[ F.entry "main" ~arity:0 ~min_stack:256 ]
+          ~imports:
+            [
+              F.Call { comp = "dev"; entry = "quiet" };
+              F.Call { comp = "dev"; entry = "loud" };
+            ];
+        F.compartment "dev" ~globals_size:16
+          ~entries:
+            [
+              F.entry "quiet" ~arity:0 ~min_stack:64
+                ~posture:F.Interrupts_disabled;
+              F.entry "loud" ~arity:0 ~min_stack:64;
+            ];
+      ]
+  in
+  let machine = Machine.create () in
+  let k =
+    match Kernel.boot ~machine fw with
+    | Ok k -> k
+    | Error e -> Alcotest.failf "boot failed: %s" e
+  in
+  let seen = Hashtbl.create 4 in
+  let irq_seen name _ctx _args =
+    Hashtbl.replace seen name (Machine.irq_enabled machine);
+    Cap.null
+  in
+  Kernel.implement1 k ~comp:"dev" ~entry:"quiet" (irq_seen "quiet");
+  Kernel.implement1 k ~comp:"dev" ~entry:"loud" (irq_seen "loud");
+  let returned = ref 0 in
+  Kernel.implement1 k ~comp:"app" ~entry:"main" (fun ctx _ ->
+      Alcotest.(check bool) "caller starts enabled" true
+        (Machine.irq_enabled machine);
+      List.iter
+        (fun entry ->
+          (match Kernel.call1 ctx ~import:("dev." ^ entry) [] with
+          | Ok _ -> incr returned
+          | Error e -> Alcotest.failf "dev.%s: %a" entry Kernel.pp_call_error e);
+          Alcotest.(check bool)
+            (Printf.sprintf "caller enabled again after dev.%s" entry)
+            true
+            (Machine.irq_enabled machine))
+        [ "quiet"; "loud" ];
+      Cap.null);
+  Kernel.run k;
+  Alcotest.(check int) "both calls returned" 2 !returned;
+  Alcotest.(check (option bool)) "quiet callee sees interrupts disabled"
+    (Some false) (Hashtbl.find_opt seen "quiet");
+  Alcotest.(check (option bool)) "loud callee sees interrupts enabled"
+    (Some true) (Hashtbl.find_opt seen "loud");
+  let posture entry =
+    Json.member "exports"
+      (Json.member "dev"
+         (Json.member "compartments" (Audit_report.of_loader (Kernel.loader k))))
+    |> Json.to_list
+    |> List.find (fun e ->
+           Json.to_string_opt (Json.member "function" e) = Some entry)
+    |> Json.member "interrupt_posture" |> Json.to_string_opt
+  in
+  Alcotest.(check (option string)) "report: quiet" (Some "disabled")
+    (posture "quiet");
+  Alcotest.(check (option string)) "report: loud" (Some "enabled")
+    (posture "loud")
+
 let suite =
   [
     Alcotest.test_case "boot + loader erase" `Quick test_boot_only;
@@ -363,6 +437,8 @@ let suite =
     Alcotest.test_case "suspend/wake" `Quick test_suspend_wake;
     Alcotest.test_case "suspend timeout + idle" `Quick test_suspend_timeout;
     Alcotest.test_case "ephemeral claims" `Quick test_ephemeral_claims_cleared_on_call;
+    Alcotest.test_case "interrupts-disabled entry posture" `Quick
+      test_interrupts_disabled_entry;
   ]
 
 let () = Alcotest.run "cheriot_kernel" [ ("kernel", suite) ]
