@@ -324,7 +324,8 @@ let fig6a () =
 (* Fig. 6b: sustained allocator throughput vs allocation size.        *)
 (* ------------------------------------------------------------------ *)
 
-let fig6b ?(drain = 2) ?(revoker_rate = Cost.revoker_cycles_per_granule) ?jobs () =
+let fig6b ?(revoker_rate = Cost.revoker_cycles_per_granule) () =
+  let drain = 2 in
   section
     (Printf.sprintf
        "Fig. 6b: sustained allocation rate (drain/op=%d, revoker=%d cy/granule)"
@@ -387,7 +388,7 @@ let fig6b ?(drain = 2) ?(revoker_rate = Cost.revoker_cycles_per_granule) ?jobs (
       in
       Fmt.pr "  %10d %14d %12.2f %s@." size cyc mib_s regime)
     sizes
-    (Farm.map_list ?jobs measure sizes);
+    (Farm.map_list measure sizes);
   Fmt.pr
     "  (paper: throughput rises with size, ~5 MiB/s above 1 KiB, drops past 32 KiB,@.\
     \   pathological past 80 KiB when free..malloc synchronises with the revoker)@."
@@ -789,6 +790,19 @@ let usage_exit line =
   Fmt.epr "usage: %s@." line;
   exit 1
 
+(* Every file a subcommand writes goes through here: an unwritable path
+   prints "<cmd>: <message>" and exits 1 instead of escaping as an
+   uncaught Sys_error (exit 2). *)
+let or_exit ~cmd write =
+  try write ()
+  with Sys_error m ->
+    Fmt.epr "%s: %s@." cmd m;
+    exit 1
+
+let write_out ~cmd path text =
+  or_exit ~cmd (fun () ->
+      Out_channel.with_open_text path (fun oc -> output_string oc text))
+
 (* A lone positional argument that is not what the command expects. *)
 let bad_positional ~usage ~expected w =
   if String.starts_with ~prefix:"-" w then
@@ -836,11 +850,8 @@ let trace_cmd args =
   match out with
   | None -> ()
   | Some f ->
-      let oc = open_out f in
-      output_string oc
-        (Json.to_string ~pretty:true (Obs.to_chrome (Obs.events obs)));
-      output_string oc "\n";
-      close_out oc;
+      write_out ~cmd:"trace" f
+        (Json.to_string ~pretty:true (Obs.to_chrome (Obs.events obs)) ^ "\n");
       Fmt.pr "wrote Chrome trace_event JSON to %s@." f
 
 (* Metrics: the flat per-source/per-kind counter table (pinned by
@@ -879,9 +890,7 @@ let metrics_cmd args =
   match !out with
   | None -> print_string text
   | Some f ->
-      let oc = open_out f in
-      output_string oc text;
-      close_out oc;
+      write_out ~cmd:"metrics" f text;
       Fmt.pr "wrote %s metrics to %s@."
         (if !openmetrics then "OpenMetrics" else "JSON")
         f
@@ -940,11 +949,8 @@ let profile_cmd args =
   match !out with
   | None -> ()
   | Some f ->
-      let oc = open_out f in
-      output_string oc
-        (Json.to_string ~pretty:true (Profiler.to_json prof ~total_cycles));
-      output_string oc "\n";
-      close_out oc;
+      write_out ~cmd:"profile" f
+        (Json.to_string ~pretty:true (Profiler.to_json prof ~total_cycles) ^ "\n");
       Fmt.epr "wrote profile JSON to %s@." f
 
 (* The per-compartment health report (Forensics): dumps + histograms +
@@ -1185,7 +1191,8 @@ let replay_cmd args =
       let session, outcome = scenario_with Replay.record seed in
       let entries = Replay.recorded session in
       Replay.finish session;
-      Replay.save path ~header:(Printf.sprintf "campaign seed %d" seed) entries;
+      or_exit ~cmd:"replay" (fun () ->
+          Replay.save path ~header:(Printf.sprintf "campaign seed %d" seed) entries);
       section (Printf.sprintf "replay record: campaign seed %d" seed);
       Fmt.pr "journal %s: %d entries over %d cycles (faults=%d reboots=%d)@."
         path (List.length entries) outcome.Fault_campaign.oc_cycles

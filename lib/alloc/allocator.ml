@@ -62,23 +62,9 @@ let firmware_token_lib () =
   Firmware.compartment lib_name ~kind:Firmware.Library ~code_loc:60
     ~entries:[ Firmware.entry "unseal" ~arity:2 ~min_stack:0 ]
 
-let imports =
-  [
-    "allocator.heap_allocate"; "allocator.heap_free"; "allocator.heap_claim";
-    "allocator.heap_free_all"; "allocator.heap_available";
-    "allocator.heap_quota_remaining"; "allocator.token_key_new";
-    "allocator.token_allocate_sealed"; "allocator.token_free_sealed";
-    "token.unseal";
-  ]
-
 let client_imports =
-  List.map
-    (fun i ->
-      match String.split_on_char '.' i with
-      | [ "token"; e ] -> Firmware.Lib_call { lib = lib_name; entry = e }
-      | [ c; e ] -> Firmware.Call { comp = c; entry = e }
-      | _ -> assert false)
-    imports
+  Firmware.client_imports (firmware_compartment ())
+  @ Firmware.client_imports (firmware_token_lib ())
 
 let alloc_capability ~name ~quota =
   { Firmware.sobj_name = name; sealed_as = "allocator"; payload = [ quota; 0 ] }

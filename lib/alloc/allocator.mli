@@ -52,12 +52,10 @@ val firmware_compartment : unit -> Firmware.compartment
 val firmware_token_lib : unit -> Firmware.compartment
 (** The token shared library's firmware declaration. *)
 
-val imports : string list
-(** Import names a client compartment must declare to use the heap —
-    convenience for building firmware images. *)
-
 val client_imports : Firmware.import list
-(** The same as {!imports}, as firmware import declarations. *)
+(** What a client compartment imports to use the heap and the token API:
+    [Firmware.client_imports] of the allocator's declaration, then of the
+    token library's. *)
 
 val alloc_capability : name:string -> quota:int -> Firmware.static_sealed
 (** Declare a static allocation capability with the given quota.  Import

@@ -491,7 +491,7 @@ type mpu_world = {
 }
 
 let mpu_world () =
-  let w = B.create ~mem_size:(64 * 1024) () in
+  let w = B.create () in
   let a0 = B.malloc w 64 in
   let rx = B.malloc w 256 in
   let parse = B.malloc w rx_buf_size in

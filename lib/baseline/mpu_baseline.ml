@@ -15,7 +15,8 @@ type t = {
   mutable chunks : chunk list;  (** heap chunks, address-ordered *)
 }
 
-let create ?(mem_size = 64 * 1024) () =
+let create () =
+  let mem_size = 64 * 1024 in
   {
     mem = Bytes.make mem_size '\000';
     clock = 0;

@@ -33,7 +33,8 @@ type t
 (** The baseline system: flat physical memory + a trusted kernel that
     owns the MPU. *)
 
-val create : ?mem_size:int -> unit -> t
+val create : unit -> t
+(** 64 KiB of flat memory, all of it one free heap chunk. *)
 val cycles : t -> int
 
 val create_task : t -> string -> task

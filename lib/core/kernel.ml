@@ -37,7 +37,7 @@ and reboot_limit = {
 
 and comp_runtime = {
   layout : Loader.comp_layout;
-  mutable impls : (string * entry_impl) list;
+  impls : entry_impl array;  (** indexed like [layout.lc_entries] *)
   mutable on_error : error_handler option;
   mutable poisoned : bool;
   mutable snapshot : string option;
@@ -168,6 +168,13 @@ let check_sanity t =
 
 (* Boot *)
 
+(* What an entry runs until [implement] binds it. *)
+let unimplemented (l : Loader.comp_layout) (e : Firmware.entry) : entry_impl =
+ fun _ _ ->
+  failwith
+    (Printf.sprintf "entry %s.%s has no implementation" l.Loader.lc_name
+       e.Firmware.entry_name)
+
 let boot ?(quantum = 2000) ~machine fw =
   let interp = Interp.create machine in
   match Loader.load fw machine interp with
@@ -177,8 +184,9 @@ let boot ?(quantum = 2000) ~machine fw =
         Array.of_list
           (List.map
              (fun layout ->
-               { layout; impls = []; on_error = None; poisoned = false;
-                 snapshot = None; reboots = 0 })
+               { layout;
+                 impls = Array.map (unimplemented layout) layout.Loader.lc_entries;
+                 on_error = None; poisoned = false; snapshot = None; reboots = 0 })
              ld.Loader.comps)
       in
       let threads =
@@ -261,7 +269,8 @@ let boot ?(quantum = 2000) ~machine fw =
             k.threads;
           let comps =
             Array.map
-              (fun c -> (c.impls, c.on_error, c.poisoned, c.snapshot, c.reboots))
+              (fun c ->
+                (Array.copy c.impls, c.on_error, c.poisoned, c.snapshot, c.reboots))
               k.comps
           in
           let threads =
@@ -289,7 +298,7 @@ let boot ?(quantum = 2000) ~machine fw =
             Array.iteri
               (fun i (impls, on_error, poisoned, snapshot, reboots) ->
                 let c = k.comps.(i) in
-                c.impls <- impls;
+                Array.blit impls 0 c.impls 0 (Array.length impls);
                 c.on_error <- on_error;
                 c.poisoned <- poisoned;
                 c.snapshot <- snapshot;
@@ -336,13 +345,9 @@ let comp_runtime t name = t.comps.(comp_id t name)
 
 let implement t ~comp ~entry impl =
   let c = comp_runtime t comp in
-  if
-    not
-      (Array.exists
-         (fun (e : Firmware.entry) -> e.Firmware.entry_name = entry)
-         c.layout.Loader.lc_entries)
-  then invalid_arg (Printf.sprintf "compartment %s has no entry %s" comp entry);
-  c.impls <- (entry, impl) :: List.remove_assoc entry c.impls
+  match Loader.entry_index c.layout entry with
+  | Some i -> c.impls.(i) <- impl
+  | None -> invalid_arg (Printf.sprintf "compartment %s has no entry %s" comp entry)
 
 let implement1 t ~comp ~entry f =
   implement t ~comp ~entry (fun ctx args -> (f ctx args, Cap.null))
@@ -622,20 +627,11 @@ and dispatch t ~tid ~caller target =
         handle_callee_fault t ~tid ~entry_addr ~entry comp callee_ctx
           "injected crash" (-1)
       else begin
-        let impl =
-          match List.assoc_opt entry.Firmware.entry_name comp.impls with
-          | Some f -> f
-          | None ->
-              fun _ _ ->
-                failwith
-                  (Printf.sprintf "entry %s.%s has no implementation"
-                     comp.layout.Loader.lc_name entry.Firmware.entry_name)
-        in
         let args =
           Array.init entry.Firmware.arity (fun i ->
               Interp.get_reg t.interp (Isa.ca0 + i))
         in
-        match impl callee_ctx args with
+        match comp.impls.(entry_idx) callee_ctx args with
         | r0, r1 -> finish_call t ~tid ~callee ~callee_csp ~ra_callee (r0, r1)
         | exception Memory.Fault f ->
             handle_callee_fault t ~tid ~entry_addr ~entry comp callee_ctx
@@ -726,18 +722,8 @@ let lib_call ctx ~import args =
       let target = Cap.address sentry in
       match comp_of_code_addr t target with
       | Some (lib, entry_idx) when lib.layout.Loader.lc_kind = Firmware.Library ->
-          let entry = lib.layout.Loader.lc_entries.(entry_idx) in
-          let impl =
-            match List.assoc_opt entry.Firmware.entry_name lib.impls with
-            | Some f -> f
-            | None ->
-                fun _ _ ->
-                  failwith
-                    (Printf.sprintf "library entry %s.%s has no implementation"
-                       lib.layout.Loader.lc_name entry.Firmware.entry_name)
-          in
           (* Library code runs in the *caller's* security context. *)
-          impl ctx (Array.of_list args)
+          lib.impls.(entry_idx) ctx (Array.of_list args)
       | Some _ | None -> invalid_arg ("lib_call: " ^ import ^ " is not a library entry"))
   | Cap.Otype.Data _ -> invalid_arg ("lib_call: " ^ import ^ " is a sealed data import")
 
@@ -777,39 +763,12 @@ let stack_alloc ctx n =
 
 (* Scheduler *)
 
-let sealed_export_for t comp entry =
-  let l = (comp_runtime t comp).layout in
-  let idx =
-    let rec go i =
-      if l.Loader.lc_entries.(i).Firmware.entry_name = entry then i else go (i + 1)
-    in
-    go 0
-  in
-  let sram_base = Machine.sram_base t.machine in
-  let root =
-    Cap.make_root ~base:sram_base
-      ~top:(sram_base + Machine.sram_size t.machine)
-      ~perms:Perm.Set.universe
-  in
-  let c =
-    Cap.exn
-      (Cap.set_bounds
-         (Cap.with_address_exn root l.Loader.lc_export_base)
-         ~length:l.Loader.lc_export_size)
-  in
-  let c =
-    Cap.with_address_exn c
-      (Abi.export_entry_addr ~table_base:l.Loader.lc_export_base ~index:idx)
-  in
-  Cap.exn (Cap.seal ~key:t.loader.Loader.switcher_key c)
-
 let thread_body t th () =
   let tl = th.tlayout in
-  let sealed = sealed_export_for t tl.Loader.lt_comp tl.Loader.lt_entry in
   ignore
     (do_call t ~tid:th.tid
        ~caller:("thread:" ^ tl.Loader.lt_name)
-       ~csp:tl.Loader.lt_stack ~cgp:Cap.null ~sealed [])
+       ~csp:tl.Loader.lt_stack ~cgp:Cap.null ~sealed:tl.Loader.lt_entry_cap [])
 
 let handler t th =
   {

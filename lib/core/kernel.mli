@@ -76,8 +76,15 @@ val loader : t -> Loader.t
 val firmware : t -> Firmware.t
 
 val implement : t -> comp:string -> entry:string -> entry_impl -> unit
-(** Attach the closure for a firmware entry point.  Raises
-    [Invalid_argument] for unknown compartments/entries. *)
+(** Attach the closure for a firmware entry point, replacing any earlier
+    one.  The name is resolved once, here, through {!Loader.entry_index}:
+    each compartment's implementations form an array indexed like its
+    export table, which compartment and library calls index directly.
+    An entry nobody implemented fails with
+    [Failure "entry <comp>.<entry> has no implementation"] when called.
+    Implementations are part of {!Machine.snapshot}: [restore] brings back
+    the ones bound at snapshot time.  Raises [Invalid_argument] for
+    unknown compartments/entries. *)
 
 val implement1 : t -> comp:string -> entry:string -> (ctx -> value array -> value) -> unit
 (** Single-return convenience. *)
@@ -132,8 +139,11 @@ val thread_name : t -> int -> string
 
 val run : ?until_cycles:int -> t -> unit
 (** Start every firmware thread at its entry point and run the scheduler
-    until all threads finish (or the cycle limit passes).  Raises
-    [Failure] on all-threads-deadlocked. *)
+    until all threads finish (or the cycle limit passes).  A thread
+    starts with a switcher call through the sealed export capability the
+    loader minted for it ({!Loader.thread_layout.lt_entry_cap}); the
+    kernel seals nothing itself.  Raises [Failure] on
+    all-threads-deadlocked. *)
 
 val idle_cycles : t -> int
 (** Cycles spent with no runnable thread — the basis of the CPU-load

@@ -60,6 +60,14 @@ let compartment ?(kind = Compartment) ?(code_loc = 100) ?(globals_size = 0)
     has_error_handler = error_handler;
   }
 
+let client_imports c =
+  List.map
+    (fun e ->
+      match c.kind with
+      | Compartment -> Call { comp = c.comp_name; entry = e.entry_name }
+      | Library -> Lib_call { lib = c.comp_name; entry = e.entry_name })
+    c.entries
+
 type static_sealed = {
   sobj_name : string;
   sealed_as : string;

@@ -65,6 +65,12 @@ val compartment :
     library declares mutable globals (§3, shared libraries must not have
     mutable state). *)
 
+val client_imports : compartment -> import list
+(** What a client imports to reach every entry of [c]: one [Call] per
+    declared entry, in declaration order (a [Lib_call] for a library).
+    The declaration is the single source of a service's entry list; its
+    clients' import tables are derived from it, never restated. *)
+
 (** A statically-allocated sealed object (e.g. an allocation capability,
     §3.2.2), instantiated by the loader and reachable only via sealed
     imports. *)

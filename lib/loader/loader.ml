@@ -25,6 +25,7 @@ type thread_layout = {
   lt_priority : int;
   lt_comp : string;
   lt_entry : string;
+  lt_entry_cap : Cap.t;
   lt_stack : Cap.t;
   lt_stack_base : int;
   lt_stack_size : int;
@@ -51,7 +52,6 @@ type t = {
   heap_limit : int;
   loader_base : int;
   loader_size : int;
-  switcher_key : Cap.t;
 }
 
 let first_virtual_type = 16
@@ -74,6 +74,9 @@ let posture_code = function
 
 let find_comp t name = List.find (fun c -> c.lc_name = name) t.comps
 let find_thread t name = List.find (fun th -> th.lt_name = name) t.threads
+
+let entry_index (l : comp_layout) name =
+  Array.find_index (fun (e : Firmware.entry) -> e.entry_name = name) l.lc_entries
 
 let import_slot c name =
   let rec go i =
@@ -266,18 +269,11 @@ let load fw machine interp =
             l.lc_entries
         end)
       comp_layouts;
-    (* Sealed import capability to a compartment's export entry. *)
-    let entry_index (l : comp_layout) name =
-      let rec go i =
-        if i >= Array.length l.lc_entries then raise Not_found
-        else if l.lc_entries.(i).Firmware.entry_name = name then i
-        else go (i + 1)
-      in
-      go 0
-    in
+    (* Sealed capability to a compartment's export entry: what an
+       import-table [Call] slot holds and what a thread starts through. *)
     let sealed_export_cap comp entry =
       let l = layout_of comp in
-      let idx = entry_index l entry in
+      let idx = Option.get (entry_index l entry) in
       let c =
         carve ~addr:l.lc_export_base ~len:l.lc_export_size ~perms:import_read_perms
       in
@@ -288,7 +284,7 @@ let load fw machine interp =
     in
     let lib_sentry lib entry =
       let l = layout_of lib in
-      let idx = entry_index l entry in
+      let idx = Option.get (entry_index l entry) in
       Cap.exn
         (Cap.seal_entry
            (Cap.with_address_exn l.lc_pcc (l.lc_code_base + (4 * idx)))
@@ -353,6 +349,7 @@ let load fw machine interp =
             lt_priority = th.priority;
             lt_comp = th.entry_comp;
             lt_entry = th.entry_point;
+            lt_entry_cap = sealed_export_cap th.entry_comp th.entry_point;
             lt_stack = stack;
             lt_stack_base = sbase;
             lt_stack_size = ssize;
@@ -377,7 +374,6 @@ let load fw machine interp =
             heap_limit;
             loader_base;
             loader_size;
-            switcher_key;
           }
   end
 

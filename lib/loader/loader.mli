@@ -6,7 +6,10 @@
     trusted stacks, heap), derives every initial capability from the
     root, populates the tables, installs the switcher's unsealing key in
     MSCRATCHC — and then erases itself, returning its own memory to the
-    shared heap. *)
+    shared heap.  It is the only place that seals export capabilities:
+    import-table [Call] slots and each thread's {!thread_layout.lt_entry_cap}
+    come from the same derivation, and the sealing key stays in
+    MSCRATCHC, out of every other component's reach. *)
 
 type comp_layout = {
   lc_name : string;
@@ -35,6 +38,9 @@ type thread_layout = {
   lt_priority : int;
   lt_comp : string;
   lt_entry : string;
+  lt_entry_cap : Capability.t;
+      (** sealed export capability for [lt_comp.lt_entry], the same one an
+          import-table [Call] slot for that entry holds *)
   lt_stack : Capability.t;  (** non-global stack capability, cursor at top *)
   lt_stack_base : int;
   lt_stack_size : int;
@@ -62,7 +68,6 @@ type t = {
   heap_limit : int;
   loader_base : int;
   loader_size : int;
-  switcher_key : Capability.t;
 }
 
 val load : Firmware.t -> Machine.t -> Interp.t -> (t, string) result
@@ -78,6 +83,11 @@ val find_comp : t -> string -> comp_layout
 (** Raises [Not_found]. *)
 
 val find_thread : t -> string -> thread_layout
+
+val entry_index : comp_layout -> string -> int option
+(** Index of an entry by name in [lc_entries]: its export-table slot and
+    code offset.  Resolved once, at link time; the kernel binds
+    implementations by this index. *)
 
 val import_slot : comp_layout -> string -> int
 (** Slot index of an import by display name ({!Firmware.import_name});

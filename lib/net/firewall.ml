@@ -188,12 +188,4 @@ let recv ctx ~buf ~timeout =
   | Ok v -> Interp.to_int v
   | Error _ -> 0
 
-let imports = [ "firewall.send"; "firewall.recv"; "firewall.allow_port"; "firewall.block_port"; "firewall.stats" ]
-
-let client_imports =
-  List.map
-    (fun i ->
-      match String.split_on_char '.' i with
-      | [ c; e ] -> Firmware.Call { comp = c; entry = e }
-      | _ -> assert false)
-    imports
+let client_imports = Firmware.client_imports (firmware_compartment ())

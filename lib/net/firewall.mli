@@ -32,5 +32,6 @@ val recv : Kernel.ctx -> buf:Kernel.value -> timeout:int -> int
 (** Copy the next permitted frame into the caller's buffer, blocking on
     the Ethernet interrupt futex up to [timeout] cycles; 0 on timeout. *)
 
-val imports : string list
 val client_imports : Firmware.import list
+(** [Firmware.client_imports] of [firmware_compartment ()]: one import per
+    entry, in declaration order. *)

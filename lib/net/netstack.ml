@@ -14,15 +14,6 @@ let err_invalid = -2
 let err_closed = -3
 let err_nomem = -4
 
-let mk_imports names =
-  List.map
-    (fun i ->
-      match String.split_on_char '.' i with
-      | [ "token"; e ] -> Firmware.Lib_call { lib = "token"; entry = e }
-      | [ c; e ] -> Firmware.Call { comp = c; entry = e }
-      | _ -> assert false)
-    names
-
 (* Read a string argument passed as (capability, length). *)
 let arg_string ctx cap len =
   let m = Kernel.machine ctx.Kernel.kernel in
@@ -48,7 +39,7 @@ module Netapi = struct
         ]
       ~imports:
         (Tcpip.client_imports @ Allocator.client_imports @ Scheduler.client_imports
-        @ mk_imports [ "dns.resolve" ])
+        @ [ Firmware.Call { comp = "dns"; entry = "resolve" } ])
 
   type t = {
     kernel : Kernel.t;
@@ -165,13 +156,7 @@ module Netapi = struct
             iv 0);
     t
 
-  let imports =
-    [
-      "netapi.start"; "netapi.rx_loop"; "netapi.stop"; "netapi.socket_connect_tcp";
-      "netapi.socket_send"; "netapi.socket_recv"; "netapi.socket_close";
-    ]
-
-  let client_imports = mk_imports imports
+  let client_imports = Firmware.client_imports (firmware_compartment ())
 end
 
 (* DNS resolver *)
@@ -526,8 +511,7 @@ module Tls = struct
             iv 0);
     t
 
-  let imports = [ "tls.connect"; "tls.send"; "tls.recv"; "tls.close" ]
-  let client_imports = mk_imports imports
+  let client_imports = Firmware.client_imports (firmware_compartment ())
 end
 
 (* MQTT *)
@@ -699,10 +683,7 @@ module Mqtt = struct
             iv 0);
     t
 
-  let imports =
-    [ "mqtt.connect"; "mqtt.subscribe"; "mqtt.await"; "mqtt.ping"; "mqtt.disconnect" ]
-
-  let client_imports = mk_imports imports
+  let client_imports = Firmware.client_imports (firmware_compartment ())
 end
 
 (* Bundle: everything an image needs to run the full stack. *)

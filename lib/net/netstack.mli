@@ -19,8 +19,8 @@ module Netapi : sig
   type t
 
   val install : Kernel.t -> t
-  val imports : string list
   val client_imports : Firmware.import list
+  (** [Firmware.client_imports] of [firmware_compartment ()]. *)
 end
 
 (** DNS resolver compartment (its own UDP socket and buffer quota);
@@ -57,8 +57,8 @@ module Tls : sig
   type t
 
   val install : ?handshake_cycles:int -> Kernel.t -> t
-  val imports : string list
   val client_imports : Firmware.import list
+  (** [Firmware.client_imports] of [firmware_compartment ()]. *)
 end
 
 (** MQTT-lite client compartment over TLS. *)
@@ -69,8 +69,8 @@ module Mqtt : sig
   type t
 
   val install : Kernel.t -> t
-  val imports : string list
   val client_imports : Firmware.import list
+  (** [Firmware.client_imports] of [firmware_compartment ()]. *)
 end
 
 type t = {

@@ -686,22 +686,7 @@ let call_int ctx import args =
   | Error Kernel.Compartment_poisoned -> err_closed
   | Error _ -> err_invalid
 
-let imports =
-  List.map
-    (fun e -> "tcpip." ^ e)
-    [
-      "rx_step"; "shutdown"; "set_vulnerable"; "net_start"; "ifconfig"; "udp_open";
-      "udp_bind"; "udp_sendto"; "udp_recv"; "udp_last_src"; "tcp_open"; "tcp_connect";
-      "tcp_send"; "tcp_recv"; "sock_close"; "sock_futex";
-    ]
-
-let client_imports =
-  List.map
-    (fun i ->
-      match String.split_on_char '.' i with
-      | [ c; e ] -> Firmware.Call { comp = c; entry = e }
-      | _ -> assert false)
-    imports
+let client_imports = Firmware.client_imports (firmware_compartment ())
 
 let c_rx_step ctx ~timeout = call_int ctx "tcpip.rx_step" [ iv timeout ]
 let c_net_start ctx = call_int ctx "tcpip.net_start" []

@@ -35,8 +35,9 @@ val reboot_count : t -> int
 
 (* Client wrappers. *)
 
-val imports : string list
 val client_imports : Firmware.import list
+(** [Firmware.client_imports] of [firmware_compartment ()]: one import per
+    entry, in declaration order. *)
 
 val c_rx_step : Kernel.ctx -> timeout:int -> int
 (** Pump one frame through the stack (the manager loop's body): 1 if a

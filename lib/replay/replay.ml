@@ -187,7 +187,8 @@ let first_divergent_window ~window a b =
       Some (w, List.filter (in_window ~window w) a,
             List.filter (in_window ~window w) b)
 
-let divergence_report ?(window = 10_000) a b =
+let divergence_report a b =
+  let window = 10_000 in
   match first_divergent_window ~window a b with
   | None -> None
   | Some (w, wa, wb) ->

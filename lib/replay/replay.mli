@@ -77,6 +77,6 @@ val first_divergent_window :
     for engine-vs-engine bisection, where one early skew shifts every
     later cycle stamp. *)
 
-val divergence_report : ?window:int -> entry list -> entry list -> string option
-(** Human-readable rendering of {!first_divergent_window} (default
-    window 10000 cycles); [None] when the journals are identical. *)
+val divergence_report : entry list -> entry list -> string option
+(** Human-readable rendering of {!first_divergent_window} over windows
+    of 10000 cycles; [None] when the journals are identical. *)

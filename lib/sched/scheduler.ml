@@ -15,19 +15,7 @@ let firmware_compartment () =
         Firmware.entry "idle_stats" ~arity:0 ~min_stack:64;
       ]
 
-let imports =
-  [
-    "sched.futex_wait"; "sched.futex_wake"; "sched.multiwait";
-    "sched.interrupt_futex"; "sched.time"; "sched.idle_stats";
-  ]
-
-let client_imports =
-  List.map
-    (fun i ->
-      match String.split_on_char '.' i with
-      | [ c; e ] -> Firmware.Call { comp = c; entry = e }
-      | _ -> assert false)
-    imports
+let client_imports = Firmware.client_imports (firmware_compartment ())
 
 type t = {
   kernel : Kernel.t;

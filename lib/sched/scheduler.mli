@@ -14,10 +14,9 @@ val comp_name : string
 
 val firmware_compartment : unit -> Firmware.compartment
 
-val imports : string list
-(** Import names a client compartment needs for the futex APIs. *)
-
 val client_imports : Firmware.import list
+(** What a client compartment imports for the futex APIs:
+    [Firmware.client_imports] of [firmware_compartment ()]. *)
 
 type t
 

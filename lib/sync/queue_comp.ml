@@ -35,14 +35,7 @@ let firmware_compartment () =
       ]
     ~imports:(Allocator.client_imports @ Scheduler.client_imports)
 
-let imports = [ "queue.create"; "queue.send"; "queue.recv"; "queue.destroy"; "queue.qlength" ]
-
-let client_imports =
-  List.map (fun i ->
-      match String.split_on_char '.' i with
-      | [ c; e ] -> Firmware.Call { comp = c; entry = e }
-      | _ -> assert false)
-    imports
+let client_imports = Firmware.client_imports (firmware_compartment ())
 
 (* The compartment's own virtual sealing key, created lazily on first
    use (token_key_new is a one-off, Table 3).  Stored on the kernel so

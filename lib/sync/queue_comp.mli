@@ -13,8 +13,9 @@ val firmware_compartment : unit -> Firmware.compartment
 (** Declares the queue compartment, including its allocator/token/sched
     imports (visible to auditing). *)
 
-val imports : string list
 val client_imports : Firmware.import list
+(** [Firmware.client_imports] of [firmware_compartment ()]: one import per
+    entry, in declaration order. *)
 
 val install : Kernel.t -> unit
 

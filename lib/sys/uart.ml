@@ -26,11 +26,7 @@ let firmware_library () =
       ]
     ~imports:[ Firmware.Mmio { device = device_name } ]
 
-let client_imports =
-  [
-    Firmware.Lib_call { lib = lib_name; entry = "log" };
-    Firmware.Lib_call { lib = lib_name; entry = "log_int" };
-  ]
+let client_imports = Firmware.client_imports (firmware_library ())
 
 (* The library reads the UART capability from its own import table:
    device access is the library's grant, not the caller's. *)

@@ -19,7 +19,8 @@ val firmware_library : unit -> Firmware.compartment
     [log_int]. *)
 
 val client_imports : Firmware.import list
-(** What a compartment that wants to print must import. *)
+(** What a compartment that wants to print must import:
+    [Firmware.client_imports] of the library's declaration. *)
 
 val install : Kernel.t -> unit
 (** Register the library's implementations (requires the UART attached

@@ -243,12 +243,119 @@ let test_mmio_users () =
     (let s = Audit_report.summary report in
      String.length s > 0)
 
+(* Hostile inputs (§5.1.3: the auditor reads reports and policies an
+   attacker may have shaped): the parsers and the policy evaluator
+   return, they never raise. *)
+
+(* The linker report of the built-in iot-app image, as the audit tool
+   builds it. *)
+let iot_report =
+  lazy
+    (let machine = Machine.create () in
+     Machine.add_device machine ~base:0x1000_0000 ~size:16
+       (Machine.Device.ram ~name:"led" ~size:16);
+     ignore (Netsim.attach machine);
+     let interp = Interp.create machine in
+     match Loader.load (Iot_scenario.firmware ()) machine interp with
+     | Ok ld -> Audit_report.of_loader ld
+     | Error e -> failwith e)
+
+let audit_policy =
+  {|
+package policy
+
+deny[msg] {
+  count(data.compartment.compartments_calling("netapi")) > 2
+  msg := "too many network clients"
+}
+deny[msg] { total_quota() > heap_size(); msg := "quota oversubscribed" }
+deny[msg] { count(mmio_users("led")) != 1; msg := "led must have one driver" }
+deny[msg] { contains(exports("tcpip"), "rx_step"); has_error_handler("tcpip") == false; msg := "tcpip has no handler" }
+deny[msg] { count(imports("app")) + thread_count() > 100; msg := "app imports too much" }
+deny[msg] { code_size("tls") - globals_size("tls") < 0; msg := "tls sizes" }
+deny[msg] { count(disables_interrupts("sched")) > 3; msg := "sched" }
+deny[msg] { quota("dns_quota") > 4096; startswith("mqtt", "mq"); msg := "dns quota" }
+deny[msg] { count(sealed_users("dns_quota")) > 1; count(threads_in("app")) == 0; endswith("x", "y"); msg := "shared" }
+allow { count(compartments()) > 0 }
+|}
+
+let json_seeds =
+  lazy
+    [
+      Json.to_string (Lazy.force iot_report);
+      {|{"a": [1, -2, "s\"\nA\u0041", true, null, {"b": {}}], "c": []}|};
+      {|[[[[0]]], {"k": "v"}]|};
+    ]
+
+let rego_seeds =
+  [ audit_policy; fig4_policy; {|r[x] { x := compartments_calling("NetAPI.f") }|} ]
+
+let never_raises name ~count seeds f =
+  QCheck.Test.make ~name ~count
+    (QCheck.make ~print:Qcheck_seed.print_mutated
+       (QCheck.Gen.delay (fun () -> Qcheck_seed.gen_mutated (seeds ()))))
+    (fun s ->
+      f s;
+      true)
+
+let prop_json_never_raises =
+  never_raises "Json.of_string on mutated reports never raises" ~count:300
+    (fun () -> Lazy.force json_seeds)
+    (fun s ->
+      match Json.of_string s with
+      | Error _ -> ()
+      | Ok v ->
+          (* What parses prints back to the same value. *)
+          match Json.of_string (Json.to_string v) with
+          | Ok v' when Json.equal v v' -> ()
+          | _ -> failwith "print/parse is not the identity")
+
+let prop_rego_never_raises =
+  never_raises "Rego.parse on mutated policies never raises" ~count:300
+    (fun () -> rego_seeds)
+    (fun s -> match Rego.parse s with Ok _ | Error _ -> ())
+
+(* A well-formed policy over a report whose values were replaced at
+   random by values of the wrong shape, the wrong sign or no value at
+   all. *)
+let gen_mutated_report =
+  let open QCheck.Gen in
+  let junk =
+    oneofl
+      [ Json.Null; Json.Bool true; Json.Int max_int; Json.Int (-1); Json.Str "";
+        Json.List []; Json.Obj []; Json.List [ Json.Null ] ]
+  in
+  let rec walk p (v : Json.t) st =
+    if float_bound_inclusive 1.0 st < p then junk st
+    else
+      match v with
+      | Json.List l -> Json.List (List.map (fun x -> walk p x st) l)
+      | Json.Obj kvs -> Json.Obj (List.map (fun (k, x) -> (k, walk p x st)) kvs)
+      | v -> v
+  in
+  let* p = oneofl [ 0.001; 0.01; 0.1 ] in
+  fun st -> walk p (Lazy.force iot_report) st
+
+let prop_denials_never_raise =
+  let policy = Result.get_ok (Rego.parse audit_policy) in
+  QCheck.Test.make ~name:"Rego.denials on a mutated iot-app report never raises"
+    ~count:200
+    (QCheck.make ~print:(fun r -> Qcheck_seed.print_mutated (Json.to_string r))
+       gen_mutated_report)
+    (fun report ->
+      ignore (Rego.denials policy ~report);
+      ignore (Rego.allowed policy ~report);
+      true)
+
 let suite =
   [
     Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
     Alcotest.test_case "json errors" `Quick test_json_errors;
     Alcotest.test_case "json numeric errors" `Quick test_json_numeric_errors;
-    QCheck_alcotest.to_alcotest prop_json_roundtrip;
+    Qcheck_seed.to_alcotest prop_json_roundtrip;
+    Qcheck_seed.to_alcotest prop_json_never_raises;
+    Qcheck_seed.to_alcotest prop_rego_never_raises;
+    Qcheck_seed.to_alcotest prop_denials_never_raise;
     Alcotest.test_case "report structure" `Quick test_report_structure;
     Alcotest.test_case "fig4 policy clean" `Quick test_fig4_policy_passes_clean;
     Alcotest.test_case "fig4 catches backdoor" `Quick test_fig4_policy_catches_backdoor;

@@ -107,6 +107,19 @@ let test_charges_cycles () =
   | Error e -> Alcotest.fail e);
   Alcotest.(check bool) "interpreted cost" true (Machine.cycles m - c0 > 1000)
 
+(* Hostile scripts: the parser returns an error, it never raises. *)
+let js_seeds =
+  [
+    "function f(n) { if (n <= 1) { return 1; } return n * f(n - 1); } f(5);";
+    "let a = [10, 20, 30]; a[2] = \"x\\n\" + a.length; let t = function(x) { return !x || a[0] == 1; };";
+    "let i = 1; let s = 0; while (i <= 10) { s = s + i % 3; i = i + 1; } if (s > 2) { s; } else { -s; }";
+  ]
+
+let prop_parse_never_raises =
+  QCheck.Test.make ~name:"Jsvm.parse on mutated scripts never raises" ~count:300
+    (QCheck.make ~print:Qcheck_seed.print_mutated (Qcheck_seed.gen_mutated js_seeds))
+    (fun src -> match Jsvm.parse src with Ok _ | Error _ -> true)
+
 let suite =
   [
     Alcotest.test_case "arithmetic" `Quick test_arithmetic;
@@ -120,6 +133,7 @@ let suite =
     Alcotest.test_case "errors" `Quick test_errors;
     Alcotest.test_case "number overflow" `Quick test_number_overflow;
     Alcotest.test_case "charges cycles" `Quick test_charges_cycles;
+    Qcheck_seed.to_alcotest prop_parse_never_raises;
   ]
 
 let () = Alcotest.run "cheriot_jsvm" [ ("jsvm", suite) ]

@@ -418,6 +418,75 @@ let test_interrupts_disabled_entry () =
   Alcotest.(check (option string)) "report: loud" (Some "enabled")
     (posture "loud")
 
+(* The entry table: [implement] binds a closure to a declared entry's
+   index, and an entry nobody bound fails by name. *)
+let bare_kernel () =
+  match Kernel.boot ~machine:(Machine.create ()) (firmware ()) with
+  | Ok k -> k
+  | Error e -> Alcotest.failf "boot failed: %s" e
+
+let add ctx =
+  match Kernel.call1 ctx ~import:"calc.add" [ iv 2; iv 3 ] with
+  | Ok v -> ti v
+  | Error e -> Alcotest.failf "calc.add: %a" Kernel.pp_call_error e
+
+let double ctx = ti (fst (Kernel.lib_call ctx ~import:"strutil.double" [ iv 1 ]))
+
+(* Bind app.main to [f] and run the image; the last value [f] computed. *)
+let run_main k f =
+  let out = ref None in
+  Kernel.implement1 k ~comp:"app" ~entry:"main" (fun ctx _ ->
+      out := Some (f ctx);
+      Cap.null);
+  Kernel.run k;
+  !out
+
+let test_implement_undeclared () =
+  let k = bare_kernel () in
+  Alcotest.check_raises "undeclared entry"
+    (Invalid_argument "compartment calc has no entry nope") (fun () ->
+      Kernel.implement1 k ~comp:"calc" ~entry:"nope" (fun _ _ -> Cap.null))
+
+let test_unimplemented_entry () =
+  Alcotest.check_raises "compartment entry"
+    (Failure "entry calc.add has no implementation") (fun () ->
+      ignore (run_main (bare_kernel ()) add));
+  Alcotest.check_raises "library entry"
+    (Failure "entry strutil.double has no implementation") (fun () ->
+      ignore (run_main (bare_kernel ()) double))
+
+let test_implement_replaces () =
+  let k = bare_kernel () in
+  Kernel.implement1 k ~comp:"calc" ~entry:"add" (fun _ _ -> iv 1);
+  Kernel.implement1 k ~comp:"calc" ~entry:"add" (fun _ args ->
+      iv (ti args.(0) + ti args.(1)));
+  Alcotest.(check (option int)) "second binding wins" (Some 5) (run_main k add)
+
+let test_restore_implementations () =
+  let k = bare_kernel () in
+  let machine = Kernel.machine k in
+  let sum = ref None and doubled = ref None in
+  Kernel.implement1 k ~comp:"app" ~entry:"main" (fun ctx _ ->
+      sum := Some (add ctx);
+      doubled := Some (double ctx);
+      Cap.null);
+  Kernel.implement1 k ~comp:"calc" ~entry:"add" (fun _ _ -> iv 1);
+  let snap = Machine.snapshot machine in
+  Kernel.implement1 k ~comp:"calc" ~entry:"add" (fun _ args ->
+      iv (ti args.(0) + ti args.(1)));
+  Kernel.implement1 k ~comp:"strutil" ~entry:"double" (fun _ args ->
+      iv (2 * ti args.(0)));
+  Kernel.run k;
+  Alcotest.(check (pair (option int) (option int))) "after snapshot"
+    (Some 5, Some 2) (!sum, !doubled);
+  Machine.restore machine snap;
+  sum := None;
+  doubled := None;
+  Alcotest.check_raises "post-snapshot binding forgotten"
+    (Failure "entry strutil.double has no implementation") (fun () ->
+      Kernel.run k);
+  Alcotest.(check (option int)) "snapshot-time binding back" (Some 1) !sum
+
 let suite =
   [
     Alcotest.test_case "boot + loader erase" `Quick test_boot_only;
@@ -439,6 +508,12 @@ let suite =
     Alcotest.test_case "ephemeral claims" `Quick test_ephemeral_claims_cleared_on_call;
     Alcotest.test_case "interrupts-disabled entry posture" `Quick
       test_interrupts_disabled_entry;
+    Alcotest.test_case "implement: undeclared entry" `Quick test_implement_undeclared;
+    Alcotest.test_case "unimplemented entry fails by name" `Quick
+      test_unimplemented_entry;
+    Alcotest.test_case "implement replaces" `Quick test_implement_replaces;
+    Alcotest.test_case "restore brings back implementations" `Quick
+      test_restore_implementations;
   ]
 
 let () = Alcotest.run "cheriot_kernel" [ ("kernel", suite) ]

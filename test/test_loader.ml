@@ -177,6 +177,35 @@ let test_image_too_big_rejected () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "oversized image accepted"
 
+(* A thread starts through the same sealed export capability that a
+   caller of its entry finds in its import table: the loader seals both
+   with one derivation. *)
+let test_thread_entry_caps () =
+  let base = sample_firmware () in
+  let caller =
+    F.compartment "caller" ~entries:[ F.entry "x" ]
+      ~imports:
+        (List.map
+           (fun (th : F.thread) -> F.Call { comp = th.F.entry_comp; entry = th.F.entry_point })
+           base.F.threads)
+  in
+  let fw = { base with F.compartments = base.F.compartments @ [ caller ] } in
+  let k =
+    match Kernel.boot ~machine:(Machine.create ()) fw with
+    | Ok k -> k
+    | Error e -> Alcotest.failf "boot: %s" e
+  in
+  List.iter
+    (fun (tl : Loader.thread_layout) ->
+      let slot =
+        Kernel.import_cap k ~comp:"caller" (tl.Loader.lt_comp ^ "." ^ tl.Loader.lt_entry)
+      in
+      Alcotest.(check bool) (tl.Loader.lt_name ^ " entry cap sealed") true
+        (Cap.tag tl.Loader.lt_entry_cap && Cap.is_sealed tl.Loader.lt_entry_cap);
+      Alcotest.(check bool) (tl.Loader.lt_name ^ " entry cap = import slot") true
+        (Cap.equal tl.Loader.lt_entry_cap slot))
+    (Kernel.loader k).Loader.threads
+
 (* Property: random images lay out without overlaps and pass the
    stray-capability sweep. *)
 let gen_firmware =
@@ -237,6 +266,7 @@ let suite =
     Alcotest.test_case "import table read-only" `Quick test_import_table_read_only;
     Alcotest.test_case "regions disjoint" `Quick test_region_disjointness;
     Alcotest.test_case "thread resources" `Quick test_thread_resources;
+    Alcotest.test_case "thread entry caps = import slots" `Quick test_thread_entry_caps;
     Alcotest.test_case "no SR outside switcher" `Quick test_pcc_has_no_system_registers;
     Alcotest.test_case "loader erasure" `Quick test_erase_loader_wipes_region;
     Alcotest.test_case "validation errors" `Quick test_validation_errors;
