@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test test-seeds report-smoke profile-smoke replay-smoke attack-smoke ci campaign campaign-par bench alloc-gate clean
+.PHONY: all build test test-seeds report-smoke profile-smoke replay-smoke attack-smoke perf-smoke ci campaign campaign-par bench alloc-gate clean
 
 all: build
 
@@ -72,7 +72,21 @@ attack-smoke: build
 	@diff _build/attack_fm_j1.out _build/attack_fm_j4.out
 	@echo "attack-smoke: --jobs 4 identical to --jobs 1 (with and without fleet metrics), matrix matches golden"
 
-ci: build test test-seeds report-smoke profile-smoke replay-smoke campaign-par attack-smoke alloc-gate
+# Host-benchmark smoke: one short perfbench run per workload must check
+# every op it ran against perfbench/expect.txt (the pinned simulated
+# outputs, Fig. 7's phase/cycle string included): the last JSON line
+# must say "correct": true and "failed": 0.
+PERF_WORKLOADS = fig7_paper fault_campaign api_mix
+
+perf-smoke: build
+	@for w in $(PERF_WORKLOADS); do \
+	  python3 perfbench/run.py --workload $$w --seed 0 --seconds 1 2>/dev/null \
+	    | tail -n 1 \
+	    | python3 -c 'import json, sys; r = json.loads(sys.stdin.read()); sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' \
+	    || { echo "perf-smoke: $$w is not correct or has failed ops"; exit 1; }; \
+	done; echo "perf-smoke: $(PERF_WORKLOADS) correct, no failed ops"
+
+ci: build test test-seeds report-smoke profile-smoke replay-smoke campaign-par attack-smoke perf-smoke alloc-gate
 
 # Long mode: 200 seeded scenarios (override with FAULT_CAMPAIGN_ITERS=n).
 # Farmed across all cores by default; --jobs 1 forces the sequential path.

@@ -330,6 +330,74 @@ let[@inline] leave ctx acc n pc =
   ctx.sret_len <- n;
   pc
 
+(* The switcher's stack-zeroing loop, recognised by its instructions:
+   the 6-slot self-loop [Cgetaddr r,c; Beq r,e,out; Csc zero,0(c);
+   Csc zero,8(c); Cincaddrimm c,c,16; J entry] with r, c and e distinct
+   and non-zero (so only the loop itself writes c, and e and the
+   authority's bounds stay put).  [Some (r, c, e)] when the block
+   [idx..last] has that shape. *)
+let zero_loop_shape dec ~entry ~idx ~last =
+  if last - idx <> 5 then None
+  else
+    let ins j = dec.(idx + j).d_ins in
+    match (ins 0, ins 1, ins 2, ins 3, ins 4, ins 5) with
+    | ( Isa.Cgetaddr (r, c),
+        Isa.Beq (r', e, _),
+        Isa.Csc (0, 0, c2),
+        Isa.Csc (0, 8, c3),
+        Isa.Cincaddrimm (c4, c5, 16),
+        Isa.J _ )
+      when r' = r && c2 = c && c3 = c && c4 = c && c5 = c
+           && dec.(idx + 5).d_target = entry
+           && r <> 0 && c <> 0 && e <> 0 && r <> c && r <> e && c <> e ->
+        Some (r, c, e)
+    | _ -> None
+
+(* The zeroing loop in closed form.  On a deferred entry it runs [n]
+   full trips at once, [n] bounded by the trips left to [e] and by the
+   back-edges the per-trip closure would take: [1 + min sspins j], [j]
+   the largest trip count whose back-edge check [defer_window (acc' +
+   trip)] still passes.  One range-wide check stands for the [2n]
+   direct checks of the NULL stores, all on the same authority with
+   the same meta, bounds and base: the mask and compare, both bounds,
+   SRAM, 8-byte alignment of the cursor (every store is then aligned)
+   and the load filter.  It settles the state exactly as [n] trips of
+   [per_trip] would (memory, instret, batch, cursor, [r], spent
+   back-edges), then takes the back-edge after the last trip itself, so
+   the exit entry or the hand-back to the dispatcher is [per_trip]'s
+   own.  Anything else (not deferring, [e] not a whole number of
+   trips ahead, a failing check) runs [per_trip]. *)
+let zero_loop ctx ~lo ~hi ~len ~trip ~r ~c ~e ~per_trip ~back =
+  let m = ctx.sm and mem = ctx.smem and pk = ctx.spk in
+  let oc = c lsl 2 in
+  fun pcc acc ->
+    let cur = Array.unsafe_get pk (oc + 3) in
+    let left = ucur pk e - cur in
+    if acc < 0 || left <= 0 || left land 15 <> 0 then per_trip pcc acc
+    else begin
+      let backs = Int.max 0 ((Machine.defer_room m - acc - trip - 1) / trip) in
+      let n = Int.min (left lsr 4) (1 + Int.min ctx.sspins backs) in
+      let fin = cur + (16 * n) in
+      let b = Array.unsafe_get pk (oc + 1) in
+      if
+        Array.unsafe_get pk oc land m_store_cap = k_store_cap
+        && cur >= b
+        && fin <= Array.unsafe_get pk (oc + 2)
+        && cur >= lo
+        && fin <= hi
+        && cur land 7 = 0
+        && not (Memory.base_filtered mem b)
+      then begin
+        Memory.zero_priv mem ~addr:cur ~len:(fin - cur);
+        ctx.sinstret <- ctx.sinstret + (len * n);
+        uint pk r (fin - 16);
+        Array.unsafe_set pk (oc + 3) fin;
+        ctx.sspins <- ctx.sspins - (n - 1);
+        back pcc (acc + (trip * n))
+      end
+      else per_trip pcc acc
+    end
+
 let compile ~single ctx dec ~base ~idx =
   let m = ctx.sm and mem = ctx.smem and pk = ctx.spk in
   let lo = Memory.base mem in
@@ -837,5 +905,10 @@ let compile ~single ctx dec ~base ~idx =
     end
   in
   let f = build idx in
+  let f =
+    match if single then None else zero_loop_shape dec ~entry ~idx ~last with
+    | Some (r, c, e) -> zero_loop ctx ~lo ~hi ~len ~trip:mc ~r ~c ~e ~per_trip:f ~back
+    | None -> f
+  in
   head := f;
   { b_len = len; b_maxcost = mc; b_self = !self; b_run = f }

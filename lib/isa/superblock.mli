@@ -83,7 +83,9 @@ type block = {
   b_self : bool;
       (** the last instruction's taken target is this block's own
           entry: a tight loop that spins inside the closure, bounded by
-          [ctx.sspins] and the per-trip horizon re-check *)
+          [ctx.sspins] and the per-trip horizon re-check.  A
+          stack-zeroing loop (see {!compile}) runs those trips in
+          closed form: as many at once as the same bounds allow *)
   b_run : Capability.t -> int -> int;
       (** [b_run pcc acc]: [acc >= 0] enters deferred tick batching
           with [acc] cycles already pending (0 on a fresh entry, more
@@ -102,7 +104,22 @@ val compile : single:bool -> ctx -> dslot array -> base:int -> idx:int -> block
     one instruction at [idx] (the dispatcher's slow path).  Register
     operands are in range because {!Isa.assemble} checked them.  Pure
     code cache: a compiled block holds no memoized machine state, so it
-    stays valid for the segment's lifetime, across snapshot restore. *)
+    stays valid for the segment's lifetime, across snapshot restore.
+
+    A block of exactly the switcher's stack-zeroing shape, [Cgetaddr
+    r,c; Beq r,e,out; Csc zero,0(c); Csc zero,8(c); Cincaddrimm
+    c,c,16; J entry] with r, c and e distinct and non-zero, is
+    recognised here, by its instructions.  On a deferred entry it runs
+    n full trips at once: n is bounded by the trips left to [e] and by
+    [1 + min sspins j], j the back-edges that fit under the event
+    horizon ({!Machine.defer_room}).  One check of the store authority
+    over the whole range (meta mask, bounds, SRAM, 8-byte alignment,
+    {!Memory.base_filtered}) replaces the per-store checks, one
+    {!Memory.zero_priv} the stores, and cycles, instret, the cursor,
+    [r] and [sspins] are settled as n trips would leave them.  When
+    any precondition fails (not deferring, [e] not a whole positive
+    number of trips ahead, a failing check) the block runs trip by
+    trip. *)
 
 val apply_jump_target :
   Machine.t -> int -> Capability.t -> Capability.t * Capability.Otype.sentry

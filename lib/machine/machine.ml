@@ -140,6 +140,7 @@ let in_sram m addr = Memory.contains m.mem addr
    horizon (0, or already passed) answers [false], which is always
    safe. *)
 let defer_window m n = m.cycles + n < m.horizon
+let defer_room m = m.horizon - m.cycles
 
 let revoker_busy m = match m.rev_state with Idle -> false | Sweeping _ -> true
 

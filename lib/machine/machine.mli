@@ -59,6 +59,10 @@ val defer_window : t -> int -> bool
     pending, device work) makes this answer [false] until the next slow
     tick. *)
 
+val defer_room : t -> int
+(** [defer_window m n] is [n < defer_room m]: for a caller that sizes
+    a batch instead of testing one. *)
+
 val in_sram : t -> int -> bool
 (** Whether [addr] lies inside SRAM (as opposed to MMIO space). *)
 

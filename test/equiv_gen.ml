@@ -6,8 +6,11 @@
    derivations, seals and unseals both succeed and fault; a few short
    idioms (seal then unseal around the key's bounds, make a sentry and
    jump through it) make the
-   rarer successes likely before some fault ends the run.  Branch
-   targets come from a fixed label pool placed at random positions, so
+   rarer successes likely before some fault ends the run.  One idiom is
+   the switcher's stack-zeroing loop on r6, so the engine's closed form
+   of that loop meets windows that end, overrun and never meet their
+   end.  Branch targets come from a fixed label pool placed at random
+   positions, plus fresh labels inside the zeroing idiom, so
    [Isa.assemble] always validates. *)
 
 module Cap = Capability
@@ -69,26 +72,53 @@ let gen_instr rng labels =
   | n when n < 128 -> Isa.Trapif "generated"
   | _ -> Isa.Halt
 
+(* Window lengths for the zeroing idiom: whole trips (0 exits at once),
+   lengths off the trip grid and one behind the cursor (all three loop
+   until r6's top traps them), and one longer than what is left of
+   r6. *)
+let zero_lens = [| 0; 16; 48; 128; 256; 24; 8; -16; 2048 |]
+
 (* One generated unit: usually a single instruction, sometimes an
-   idiom whose later instructions use what the first one derived. *)
-let gen_unit rng labels =
+   idiom whose later instructions use what the first one derived.
+   [fresh ()] names a label no other unit uses. *)
+let gen_unit rng labels ~fresh =
   let int n = Random.State.int rng n in
   let reg () = 1 + int 5 in
   match int 40 with
   | 0 ->
       (* a key one below the sealing root's base up to its top *)
       let a = reg () and k = reg () in
-      [
-        Isa.Cincaddrimm (k, 9, int 9 - 1);
-        Isa.Cseal (a, (if int 2 = 0 then 6 else reg ()), k);
-        Isa.Cunseal (reg (), a, if int 2 = 0 then k else 9);
-      ]
+      Isa.
+        [
+          I (Cincaddrimm (k, 9, int 9 - 1));
+          I (Cseal (a, (if int 2 = 0 then 6 else reg ()), k));
+          I (Cunseal (reg (), a, if int 2 = 0 then k else 9));
+        ]
   | 1 ->
       let a = reg () and b = reg () in
       let kind = sentry_kinds.(int (Array.length sentry_kinds)) in
       let label = List.nth labels (int (List.length labels)) in
-      [ Isa.Auipcc (a, label); Isa.Csealentry (b, a, kind); Isa.Cjalr (reg (), b) ]
-  | _ -> [ gen_instr rng labels ]
+      Isa.[ I (Auipcc (a, label)); I (Csealentry (b, a, kind)); I (Cjalr (reg (), b)) ]
+  | 2 ->
+      (* the switcher's zeroing loop: e := r6's cursor + len, then walk
+         r6 up 16 bytes a trip until its address equals e *)
+      let r = reg () in
+      let e = 1 + ((r + int 4) mod 5) in
+      let loop = fresh () and out = fresh () in
+      Isa.
+        [
+          I (Cgetaddr (e, 6));
+          I (Addi (e, e, zero_lens.(int (Array.length zero_lens))));
+          L loop;
+          I (Cgetaddr (r, 6));
+          I (Beq (r, e, out));
+          I (Csc (0, 0, 6));
+          I (Csc (0, 8, 6));
+          I (Cincaddrimm (6, 6, 16));
+          I (J loop);
+          L out;
+        ]
+  | _ -> [ Isa.I (gen_instr rng labels) ]
 
 let gen_program rng =
   let len = 8 + Random.State.int rng 32 in
@@ -101,8 +131,14 @@ let gen_program rng =
       label_at.(i) <- l :: label_at.(i))
     labels;
   let items = ref [] in
+  let fresh =
+    let n = ref 0 in
+    fun () ->
+      incr n;
+      Printf.sprintf "Z%d" !n
+  in
   for i = len - 1 downto 0 do
-    items := List.map (fun i -> Isa.I i) (gen_unit rng labels) @ !items;
+    items := gen_unit rng labels ~fresh @ !items;
     List.iter (fun l -> items := Isa.L l :: !items) label_at.(i)
   done;
   (* Halt backstop so straight-line fall-through off the end (a legal
@@ -115,3 +151,18 @@ let init_regs machine set_reg =
   set_reg 6 (Cap.make_root ~base:sram ~top:(sram + 1024) ~perms:Perm.Set.read_write);
   set_reg 7 (Cap.make_root ~base:(sram + 64) ~top:(sram + 96) ~perms:Perm.Set.read_write);
   set_reg 9 (Cap.make_sealing_root ~first:Cap.Otype.data_first ~last:Cap.Otype.data_last)
+
+(* Non-zero bytes over [addr, addr + len), with tagged capabilities in
+   its first and last granules and on both sides of a 64-granule
+   (512-byte) boundary: a zeroing loop that stops a trip short, or
+   clears the bytes but not a tag, leaves a difference in memory. *)
+let seed_window machine ~addr ~len =
+  let mem = Machine.mem machine in
+  for i = 0 to (len / 4) - 1 do
+    Memory.store_priv mem ~addr:(addr + (4 * i)) ~size:4 (0x5eed0001 + (i * 0x10101))
+  done;
+  let cap = Cap.make_root ~base:addr ~top:(addr + 64) ~perms:Perm.Set.read_write in
+  List.iter
+    (fun off ->
+      if off >= 0 && off + 8 <= len then Memory.store_cap_priv mem ~addr:(addr + off) cap)
+    [ 0; 40; 504; 512; len - 8 ]

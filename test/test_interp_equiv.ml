@@ -48,6 +48,28 @@ let view machine obs interp outcome =
     s_events = List.map (Fmt.str "%a" Obs.pp_event) (Obs.events obs);
   }
 
+(* Memory as the oracle sees it: a digest of the SRAM words (the first
+   [len] bytes, all of SRAM by default) plus every tagged granule with
+   its capability. *)
+let mem_view ?len machine =
+  let mem = Machine.mem machine in
+  let sram = Machine.sram_base machine in
+  let len = Option.value len ~default:(Machine.sram_size machine) in
+  let b = Buffer.create len in
+  for i = 0 to (len / 4) - 1 do
+    Buffer.add_string b
+      (string_of_int (Memory.load_priv mem ~addr:(sram + (4 * i)) ~size:4));
+    Buffer.add_char b ','
+  done;
+  let tags = ref [] in
+  Memory.iter_caps mem (fun ~addr c ->
+      tags := Fmt.str "0x%x=%s" addr (Cap.to_string c) :: !tags);
+  String.concat " " (Digest.to_hex (Digest.string (Buffer.contents b)) :: List.rev !tags)
+
+(* Generated programs write only through r6 and r7 and what they
+   derive or load, all inside r6's 1 KiB, which starts seeded. *)
+let gen_window = 1024
+
 let run_one ~kind ~fuel prog =
   let machine = Machine.create () in
   let obs = Obs.create () in
@@ -55,6 +77,7 @@ let run_one ~kind ~fuel prog =
   let interp = Vm.create kind machine in
   Vm.map_segment interp ~base:code_base prog;
   Equiv_gen.init_regs machine (Vm.set_reg interp);
+  Equiv_gen.seed_window machine ~addr:(Machine.sram_base machine) ~len:gen_window;
   (* System_registers, so the generated Cspecialrw can succeed. *)
   let pcc =
     Cap.make_root ~base:code_base
@@ -64,7 +87,7 @@ let run_one ~kind ~fuel prog =
   let entry = Cap.exn (Cap.seal_entry pcc Cap.Otype.Call_inherit) in
   Vm.set_reg interp 8 @@ entry;
   let outcome = Vm.run ~fuel interp entry in
-  view machine obs interp outcome
+  (view machine obs interp outcome, mem_view ~len:gen_window machine)
 
 let diff_views what oracle got =
   let same l = String.concat "; " l in
@@ -85,8 +108,11 @@ let diff_views what oracle got =
       (same got.s_events) (same oracle.s_events)
 
 let check_equiv ?(fuel = 2_000) prog =
-  let oracle = run_one ~kind:Vm.Spec ~fuel prog in
-  diff_views "engine" oracle (run_one ~kind:Vm.Engine ~fuel prog);
+  let oracle, oracle_mem = run_one ~kind:Vm.Spec ~fuel prog in
+  let got, got_mem = run_one ~kind:Vm.Engine ~fuel prog in
+  diff_views "engine" oracle got;
+  if got_mem <> oracle_mem then
+    QCheck.Test.fail_reportf "engine memory:@.%s@.vs@.%s" got_mem oracle_mem;
   true
 
 (* ------------------------------------------------------------------ *)
@@ -344,22 +370,6 @@ let zero_items trips =
     ]
 
 let zero_prog trips = Isa.assemble ~name:"zero" (zero_items trips @ [ Isa.I Isa.Halt ])
-
-(* Memory as the oracle sees it: a digest of every SRAM word plus the
-   tagged granules with their capabilities. *)
-let mem_view machine =
-  let mem = Machine.mem machine in
-  let sram = Machine.sram_base machine in
-  let b = Buffer.create (Machine.sram_size machine) in
-  for i = 0 to (Machine.sram_size machine / 4) - 1 do
-    Buffer.add_string b
-      (string_of_int (Memory.load_priv mem ~addr:(sram + (4 * i)) ~size:4));
-    Buffer.add_char b ','
-  done;
-  let tags = ref [] in
-  Memory.iter_caps mem (fun ~addr c ->
-      tags := Fmt.str "0x%x=%s" addr (Cap.to_string c) :: !tags);
-  String.concat " " (Digest.to_hex (Digest.string (Buffer.contents b)) :: List.rev !tags)
 
 (* A rig for [prog]; [scenario] arms it and drives the runs through
    [go], which returns one view per run. *)
@@ -746,15 +756,16 @@ let zero_loop_items =
 let zero_loop_prog = Isa.assemble ~name:"zeroloop" zero_loop_items
 
 let test_zero_loop_cut () =
-  (* 64 trips over a 1 KiB window.  A parked listener wakes at an exact
-     cycle mid-spin (cutting the deferred batch at the event horizon),
-     and a timer IRQ lands mid-spin; both record the cycle they fire at,
-     which must match the spec's. *)
+  (* 64 trips over a seeded 1 KiB window (771 cycles in all).  A parked
+     listener wakes at an exact cycle mid-spin (cutting the deferred
+     batch at the event horizon), and a timer IRQ lands mid-spin; both
+     record the cycle they fire at, which must match the spec's. *)
   let fired = ref [] in
   let scenario machine interp go =
     let sram = Machine.sram_base machine in
     set_auth interp 6 ~base:sram ~top:(sram + 1024);
     Vm.set_reg interp 5 (Interp.int_value (sram + 1024));
+    Equiv_gen.seed_window machine ~addr:sram ~len:1024;
     fired := [];
     let h =
       Machine.add_tick_listener ~period:0 machine (fun c ->
@@ -763,7 +774,7 @@ let test_zero_loop_cut () =
     Machine.set_listener_wakeup machine h ~at:301;
     Machine.set_deliver_hook machine
       (Some (fun n -> fired := (Printf.sprintf "irq %d" n, Machine.cycles machine) :: !fired));
-    Machine.set_timer machine (Some 777);
+    Machine.set_timer machine (Some 555);
     let v, mem = go () in
     let side =
       String.concat " "
@@ -773,6 +784,8 @@ let test_zero_loop_cut () =
   in
   let views = check_cap_matrix "zeroing loop cut mid-spin" zero_loop_prog scenario in
   Alcotest.(check string) "halts" "halted" (List.hd views).s_outcome;
+  Alcotest.(check (list string)) "both fire mid-spin" [ "listener@301"; "irq 0@555" ]
+    (List.rev_map (fun (what, c) -> Printf.sprintf "%s@%d" what c) !fired);
   Alcotest.(check int) "instret" ((64 * 6) + 2 + 1) (List.hd views).s_instret
 
 (* Sample boundaries.  With a sink attached a block still defers when
@@ -877,6 +890,7 @@ let test_sample_in_zeroing_spin () =
             let sram = Machine.sram_base machine in
             set_auth interp 6 ~base:sram ~top:(sram + 4096);
             Vm.set_reg interp 5 (Interp.int_value (sram + (200 * 16)));
+            Equiv_gen.seed_window machine ~addr:sram ~len:(200 * 16);
             [ go () ])
       in
       Alcotest.(check bool) ("traced stream samples 1024, " ^ where) true
@@ -884,6 +898,159 @@ let test_sample_in_zeroing_spin () =
       Alcotest.(check int) ("instret, " ^ where) (pad + (200 * 6) + 2 + 1)
         (List.hd views).s_instret)
     [ (0, "mid-spin"); (4, "at the end of a spin trip") ]
+
+(* ------------------------------------------------------------------ *)
+(* Zeroing-loop corners: the switcher-shaped loop ([zero_loop_items]),  *)
+(* which the engine runs in closed form (one range check, one fill),   *)
+(* with each precondition of that form failing in turn and each edge  *)
+(* of its trip bound reached.  The window starts seeded with non-zero *)
+(* bytes and tags, and memory is compared, so a trip zeroed short or a *)
+(* tag left set shows.                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* [zero_loop_items] entered through a jump.  A run's first block ticks
+   for real (that tick settles the event horizon), so a loop entered
+   straight away would run its first trip unbatched; entered behind the
+   [J], every trip, the first included, reaches the closed form's
+   checks. *)
+let zero_loop_entered =
+  Isa.assemble ~name:"zeroentered" (Isa.[ I (Li (3, 0)); I (J "loop") ] @ zero_loop_items)
+
+(* Seed [sram, sram + 1 KiB); r6 := an authority over [sram + base,
+   sram + top) with its cursor at [sram + cursor], then [wrap]ped;
+   r5 := the loop's end address, [sram + stop]. *)
+let zero_loop_setup ?(wrap = Fun.id) ?(base = 0) ~top ~cursor ~stop machine interp =
+  let sram = Machine.sram_base machine in
+  Equiv_gen.seed_window machine ~addr:sram ~len:1024;
+  let auth =
+    Cap.make_root ~base:(sram + base) ~top:(sram + top) ~perms:Perm.Set.read_write
+  in
+  Vm.set_reg interp 6 (wrap (Cap.exn (Cap.with_address auth (sram + cursor))));
+  Vm.set_reg interp 5 (Interp.int_value (sram + stop))
+
+(* The outcome of one run of [zero_loop_entered] after [scenario]. *)
+let check_zero_loop ?fuel name scenario =
+  let views =
+    check_cap_matrix ?fuel name zero_loop_entered (fun machine interp go ->
+        scenario machine interp;
+        [ go () ])
+  in
+  (List.hd views).s_outcome
+
+let test_zero_loop_bounds () =
+  (* The authority's top inside the window: at trip 32's first store,
+     4 bytes into it (the store straddles the top) and at trip 32's
+     second store.  The cursor 16 bytes below the authority's base, and
+     16 bytes below SRAM under an authority that reaches below it.
+     Each run traps at the exact granule. *)
+  List.iter
+    (fun (what, base, top, cursor, want) ->
+      Alcotest.(check string) what want
+        (check_zero_loop ("zeroing loop, " ^ what)
+           (zero_loop_setup ~base ~top ~cursor ~stop:1024)))
+    [
+      ("top 512", 0, 512, 0, "trap at 0x20000200: bounds violation");
+      ("top 516", 0, 516, 0, "trap at 0x20000200: bounds violation");
+      ("top 520", 0, 520, 0, "trap at 0x20000208: bounds violation");
+      ("cursor below the base", 256, 1024, 240, "trap at 0x200000f0: bounds violation");
+      ("cursor below SRAM", -512, 1024, -16, "trap at 0x1ffffff0: bounds violation");
+    ]
+
+let test_zero_loop_past_sram () =
+  (* The authority and the window both reach 512 bytes past the end of
+     SRAM: the bounds pass there, the SRAM range must not. *)
+  Alcotest.(check string) "range trap at the end of SRAM"
+    "trap at 0x20040000: bounds violation"
+    (check_zero_loop "zeroing loop, authority past the end of SRAM"
+       (fun machine interp ->
+         let size = Machine.sram_size machine in
+         Equiv_gen.seed_window machine ~addr:(Machine.sram_base machine + size - 512)
+           ~len:512;
+         zero_loop_setup ~base:(size - 512) ~top:(size + 512) ~cursor:(size - 512)
+           ~stop:(size + 512) machine interp))
+
+let test_zero_loop_revoked_base () =
+  (* The load filter on the authority's base, which lies below the
+     window: the first store traps, and with the filter off the loop
+     runs to the end. *)
+  let run filter =
+    check_zero_loop "zeroing loop, revoked base" (fun machine interp ->
+        let mem = Machine.mem machine in
+        zero_loop_setup ~top:2048 ~cursor:256 ~stop:768 machine interp;
+        Memory.set_revoked mem ~addr:(Machine.sram_base machine) ~len:8;
+        Memory.set_load_filter mem filter)
+  in
+  Alcotest.(check (list string)) "filter on, off"
+    [ "trap at 0x20000100: tag violation"; "halted" ]
+    [ run true; run false ]
+
+let test_zero_loop_cursor () =
+  (* A sealed cursor, an untagged one, and one 4 bytes past a granule
+     boundary: the first store traps. *)
+  let key = Cap.make_sealing_root ~first:Cap.Otype.data_first ~last:Cap.Otype.data_last in
+  List.iter
+    (fun (what, wrap, cursor, want) ->
+      Alcotest.(check string) what want
+        (check_zero_loop ("zeroing loop, " ^ what)
+           (zero_loop_setup ~wrap ~top:1024 ~cursor ~stop:(cursor + 512))))
+    [
+      ("sealed cursor", (fun c -> Cap.exn (Cap.seal ~key c)), 0,
+       "trap at 0x20000000: seal violation");
+      ("untagged cursor", Cap.clear_tag, 0, "trap at 0x20000000: tag violation");
+      ("misaligned cursor", Fun.id, 4, "trap at 0x20000004: bounds violation");
+    ]
+
+let test_zero_loop_never_meets_end () =
+  (* An end 8 bytes off the trip grid, and one already behind the
+     cursor: the loop walks past it and zeroes up to the authority's
+     top, where it traps. *)
+  List.iter
+    (fun (what, cursor, stop) ->
+      Alcotest.(check string) what "trap at 0x20000400: bounds violation"
+        (check_zero_loop ("zeroing loop, " ^ what)
+           (zero_loop_setup ~top:1024 ~cursor ~stop)))
+    [ ("end off the trip grid", 0, 520); ("end behind the cursor", 256, 240) ]
+
+let test_zero_loop_fuel_edges () =
+  (* The entry jump (2 instructions), 40 trips (240), then the exit
+     entry (Cgetaddr; Beq taken) and Halt: fuel ends one short of the
+     last full trip, exactly after it, inside the exit entry, exactly
+     after it, and with room to spare. *)
+  let trips = 40 in
+  let loop_end = 2 + (6 * trips) in
+  List.iter
+    (fun fuel ->
+      let views =
+        check_cap_matrix ~fuel
+          (Printf.sprintf "zeroing loop, fuel %d" fuel)
+          zero_loop_entered
+          (fun machine interp go ->
+            zero_loop_setup ~top:1024 ~cursor:0 ~stop:(16 * trips) machine interp;
+            [ go () ])
+      in
+      let v = List.hd views in
+      Alcotest.(check int)
+        (Printf.sprintf "fuel %d retires min(fuel, %d)" fuel (loop_end + 3))
+        (min fuel (loop_end + 3))
+        v.s_instret)
+    [ loop_end - 1; loop_end; loop_end + 1; loop_end + 2; loop_end + 3; loop_end + 6 ]
+
+let test_zero_loop_listener_revokes () =
+  (* A parked listener revokes the authority's base at cycle 301, mid
+     spin: the deferred batch stops short of it, and the first store
+     after it traps. *)
+  let got =
+    check_zero_loop "zeroing loop, listener revokes mid-spin" (fun machine interp ->
+        let sram = Machine.sram_base machine and mem = Machine.mem machine in
+        zero_loop_setup ~top:1024 ~cursor:0 ~stop:1024 machine interp;
+        let h =
+          Machine.add_tick_listener ~period:0 machine (fun _ ->
+              Memory.set_revoked mem ~addr:sram ~len:8)
+        in
+        Machine.set_listener_wakeup machine h ~at:301)
+  in
+  Alcotest.(check bool) "trapped mid-loop" true
+    (String.length got > 8 && String.sub got 0 8 = "trap at ")
 
 (* ------------------------------------------------------------------ *)
 (* Direct access checks: every Lw/Sw/Clc/Csc checks its access on the  *)
@@ -1132,6 +1299,22 @@ let () =
             test_sample_in_straight_block;
           Alcotest.test_case "traced sample inside a zeroing spin" `Quick
             test_sample_in_zeroing_spin;
+        ] );
+      ( "zeroing loop",
+        [
+          Alcotest.test_case "authority top inside the window, cursor below" `Quick
+            test_zero_loop_bounds;
+          Alcotest.test_case "authority past the end of SRAM" `Quick
+            test_zero_loop_past_sram;
+          Alcotest.test_case "revoked authority base" `Quick test_zero_loop_revoked_base;
+          Alcotest.test_case "sealed, untagged or misaligned cursor" `Quick
+            test_zero_loop_cursor;
+          Alcotest.test_case "end off the trip grid or behind the cursor" `Quick
+            test_zero_loop_never_meets_end;
+          Alcotest.test_case "fuel at the last trip and the exit entry" `Quick
+            test_zero_loop_fuel_edges;
+          Alcotest.test_case "listener revokes the authority mid-spin" `Quick
+            test_zero_loop_listener_revokes;
         ] );
       ( "direct checks",
         [
