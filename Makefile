@@ -115,8 +115,22 @@ bench:
 # 0.  Also gates the
 # warm minor words per compartment-call round trip (0 B and 1024 B
 # stack) under a fixed ceiling; see alloc_gate_cmd in bench/main.ml.
+# Finally the compiled unit holding the register file
+# (Superblock.Packed_cap) must contain no element-polymorphic array
+# access: such code compares the array's tag with Double_array_tag
+# (0xfe) on every read and write, and calls caml_modify on every
+# write.  Every register-file access is compiled against int array, so
+# the count is 0 (x86-64 and arm64 disassembly).
+SB_OBJ = _build/default/lib/isa/.cheriot_isa.objs/native/superblock.o
+
 alloc-gate: build
 	dune exec bench/main.exe -- alloc-gate
+	@d=$$(objdump -d $(SB_OBJ)) || { echo "alloc-gate: cannot disassemble $(SB_OBJ)"; exit 1; }; \
+	n=$$(printf '%s\n' "$$d" | grep -cE 'cmp.*[$$#]0xfe([^0-9a-f]|$$)'); \
+	if [ "$$n" -ne 0 ]; then \
+	  echo "alloc-gate: FAIL — $$n generic array tag tests in $(SB_OBJ)"; exit 1; \
+	fi; \
+	echo "alloc-gate: no generic array access in $(SB_OBJ)"
 
 clean:
 	dune clean

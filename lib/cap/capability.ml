@@ -101,7 +101,7 @@ let to_string c =
 let pp ppf c = Fmt.string ppf (to_string c)
 
 (* Packed (flat) encoding, used by the interpreter's allocation-free
-   register file (Packed_cap).  The non-address fields fold into one
+   register file ([Superblock.Packed_cap]).  The non-address fields fold into one
    small "meta" word: bit 0 = tag, bits 1-12 = the permission bitmask,
    bits 13-16 = the otype code.  The otype code deliberately matches the
    architectural [CGetType] encoding: 0 = unsealed, 1-5 = the five

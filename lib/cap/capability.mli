@@ -131,8 +131,8 @@ val unseal_sentry : t -> (t, violation) result
 (** Unseal a sentry (the jump instruction's privilege); fails on data
     seals. *)
 
-(* Packed (flat) encoding — see {!Packed_cap} for the register file
-   built on it. *)
+(* Packed (flat) encoding — see [Superblock.Packed_cap] for the
+   register file built on it. *)
 
 val meta : t -> int
 (** Fold the non-address fields into one small int: bit 0 = tag,

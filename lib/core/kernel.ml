@@ -17,7 +17,9 @@ type t = {
   mutable preempt_pending : bool;
   mutable irq_handlers : (int -> unit) list;
   mutable call_fault_hook : (comp:string -> entry:string -> bool) option;
-  pad_exec : Cap.t;
+  pad_ret_enable : Cap.t;
+  pad_ret_disable : Cap.t;
+      (* the return pad's two backward sentries, sealed once *)
   (* Recovery state lives on the kernel, never at module level: several
      kernels must be able to run concurrently (one per farm domain)
      without observing each other's reboots, budgets or keys. *)
@@ -175,6 +177,15 @@ let unimplemented (l : Loader.comp_layout) (e : Firmware.entry) : entry_impl =
     (Printf.sprintf "entry %s.%s has no implementation" l.Loader.lc_name
        e.Firmware.entry_name)
 
+(* The return pad's backward sentry of [kind]: 16 executable bytes at
+   [Abi.return_pad].  Immutable, so each kernel seals its two once. *)
+let pad_sentry_of kind =
+  Cap.exn
+    (Cap.seal_entry
+       (Cap.make_root ~base:Abi.return_pad ~top:(Abi.return_pad + 16)
+          ~perms:Perm.Set.executable)
+       kind)
+
 let boot ?(quantum = 2000) ~machine fw =
   let interp = Interp.create machine in
   match Loader.load fw machine interp with
@@ -223,9 +234,8 @@ let boot ?(quantum = 2000) ~machine fw =
           preempt_pending = false;
           irq_handlers = [];
           call_fault_hook = None;
-          pad_exec =
-            Cap.make_root ~base:Abi.return_pad ~top:(Abi.return_pad + 16)
-              ~perms:Perm.Set.executable;
+          pad_ret_enable = pad_sentry_of Cap.Otype.Return_enable;
+          pad_ret_disable = pad_sentry_of Cap.Otype.Return_disable;
           reboot_cycles = 50_000;
           reboot_watchers = [];
           next_watcher = 0;
@@ -384,11 +394,7 @@ let entry_label comp (entry : Firmware.entry) =
   Printf.sprintf "native %s.%s" comp.layout.Loader.lc_name entry.Firmware.entry_name
 
 let pad_sentry t =
-  let kind =
-    if Machine.irq_enabled t.machine then Cap.Otype.Return_enable
-    else Cap.Otype.Return_disable
-  in
-  Cap.exn (Cap.seal_entry t.pad_exec kind)
+  if Machine.irq_enabled t.machine then t.pad_ret_enable else t.pad_ret_disable
 
 let poison t ~comp b = (comp_runtime t comp).poisoned <- b
 let is_poisoned t ~comp = (comp_runtime t comp).poisoned

@@ -1,6 +1,6 @@
 module Cap = Capability
 module Sb = Superblock
-module Pk = Packed_cap
+module Pk = Sb.Packed_cap
 
 (* A mapped segment carries its program pre-decoded — each slot the
    instruction plus its resolved absolute branch target — so compilation
@@ -54,13 +54,13 @@ let create machine =
      mutable surface; the per-segment caches hold only compiled code. *)
   Machine.on_snapshot machine (fun () ->
       let sb = t.sb in
-      let pk = Array.copy sb.Sb.spk in
+      let pk = Pk.save sb.Sb.spk in
       let specials = Array.copy sb.Sb.sspec in
       let instret = sb.Sb.sinstret in
       let segments = t.segments in
       let last_seg = t.last_seg in
       fun () ->
-        Array.blit pk 0 sb.Sb.spk 0 (Array.length pk);
+        Pk.restore sb.Sb.spk ~from:pk;
         Array.blit specials 0 sb.Sb.sspec 0 (Array.length specials);
         sb.Sb.sinstret <- instret;
         t.segments <- segments;
@@ -116,12 +116,12 @@ let segment_base t name =
   | Some s -> s.seg_base
   | None -> invalid_arg ("segment_base: " ^ name)
 
-(* Register access: the registers live packed ([Packed_cap]) in one flat
-   int array; boxed values are materialized only at this boundary. *)
+(* Register access: the registers live packed ([Packed_cap]); boxed
+   values are materialized only at this boundary. *)
 let get_reg t r = Pk.unpack t.sb.Sb.spk r
 let set_reg t r v = Pk.pack t.sb.Sb.spk r v
 let read_regs t = Array.init 16 (fun r -> Pk.unpack t.sb.Sb.spk r)
-let clear_regs t = Array.fill t.sb.Sb.spk 0 (Array.length t.sb.Sb.spk) 0
+let clear_regs t = Pk.clear t.sb.Sb.spk
 
 let get_special t i = t.sb.Sb.sspec.(i)
 let set_special t i c = t.sb.Sb.sspec.(i) <- c

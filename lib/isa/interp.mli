@@ -35,9 +35,10 @@ val map_segment : t -> base:int -> Isa.program -> unit
 val segment_base : t -> string -> int
 (** Base address of a mapped program, by name. *)
 
-(* The 16 merged registers live packed ({!Packed_cap}) in one flat int
-   array so the hot loop never allocates; boxed [Capability.t] values
-   are materialized only at this accessor boundary.  Register 0 reads
+(* The 16 merged registers live packed ({!Superblock.Packed_cap}) in
+   one flat int array so the hot loop never allocates; boxed
+   [Capability.t] values are materialized only at this accessor
+   boundary.  Register 0 reads
    as NULL; writes to it are discarded. *)
 
 val get_reg : t -> int -> Capability.t

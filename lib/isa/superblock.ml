@@ -1,5 +1,4 @@
 module Cap = Capability
-module Pk = Packed_cap
 
 (* Superblock compiler: the interpreter's only execution engine.
 
@@ -22,9 +21,13 @@ module Pk = Packed_cap
 
    Register file: the packed capability file ([Packed_cap]) — each
    register is four untagged ints (meta, base, top, cursor) in one flat
-   [int array], so the steady-state arm bodies (ALU, branches, data
+   int array, so the steady-state arm bodies (ALU, branches, data
    loads/stores, NULL capability stores, in-place derivations) perform
-   zero minor-heap allocation and no GC write barriers.  Boxed [Cap.t]
+   zero minor-heap allocation.  The file's type is abstract: every read
+   and write goes through a [Packed_cap] accessor (the [u]-prefixed ones
+   unchecked, since [Isa.assemble] keeps register operands in 0..15),
+   compiled against [int array], so no register write pays a GC write
+   barrier.  Boxed [Cap.t]
    values appear only at boundaries: the threaded pcc, the [Machine]
    memory authority on the full checked path, loaded and stored
    capabilities, Cjalr targets/links, special registers — all converted
@@ -75,6 +78,340 @@ module Pk = Packed_cap
      cached.  The load filter is re-read after the access charge when
      that charge really ticks, exactly where the full chain runs it. *)
 
+(* ---- The packed register file ---------------------------------- *)
+
+(* Flat, allocation-free capability register file.  Each register is
+   four consecutive ints in one flat int array: the packed meta word
+   (tag | perms | otype, see [Capability.meta]), then base, top and
+   cursor.  Storing or deriving a capability in place touches only
+   untagged ints — no minor-heap allocation — which is what takes the
+   steady-state interpreter loop to zero allocations per instruction.
+
+   Monomorphic access: [t] is abstract outside this module, the rest of
+   this file included, and every function here takes its file as
+   [(pk : t)] with [t = int array], so every access compiles as an
+   int-array access: reads are plain loads, writes plain stores.  Code
+   polymorphic in the array's element type compiles to generic array
+   code instead — a float-array tag test per read, a [caml_modify]
+   write barrier per write — so no other code may index the file.  The
+   module lives in this compilation unit rather than a file of its own
+   because the default (dev) build passes [-opaque], which stops
+   inlining across compilation units: the block closures' register
+   accesses must inline to stay plain loads and stores.  The
+   [alloc-gate] make target checks the compiled object for the generic
+   code's tag test.
+
+   The packed form never escapes the interpreter: every boundary
+   (switcher legs, kernel entry, traps, Obs/Forensics rendering,
+   snapshot capture) converts through [pack]/[unpack], whose exactness
+   reduces to the [Capability.meta]/[of_meta] bijection (QCheck-pinned
+   in test_cap_props, together with per-helper packed-vs-boxed
+   derivation equivalence).
+
+   Error discipline: the in-place derivation helpers return an int
+   violation code instead of a [result] so the success path allocates
+   nothing; [violation] decodes a non-zero code into the exact
+   [Capability.violation] the boxed operation would have returned
+   (allocating only on the trap path, where the engine is about to
+   unwind anyway).
+
+   Register 0 is the architectural zero register: reads see NULL (its
+   slots are never written, so they stay all-zero, which is exactly
+   NULL's packed form) and writes are discarded — the [set_slots] guard
+   mirrors the old boxed file's [set] guard.  Indexing is bounds-
+   checked except in the [u]-prefixed accessors, whose callers
+   guarantee a register of the file ([Isa.assemble] keeps other
+   operands out of interpreted code); a checked out-of-range register
+   raises [Invalid_argument]. *)
+module Packed_cap : sig
+  type t
+
+  val make : int -> t
+  val save : t -> t
+  val restore : t -> from:t -> unit
+  val clear : t -> unit
+  val ok : int
+  val violation : int -> Cap.violation
+  val m_tag : int -> bool
+  val m_sealed : int -> bool
+  val m_otype : int -> int
+  val m_perm_bits : int -> int
+  val m_has_perm : Perm.t -> int -> bool
+  val m_unsealed : int -> int
+  val access_key : Perm.Set.t -> int
+  val access_mask : int -> int
+  val meta : t -> int -> int
+  val base : t -> int -> int
+  val top : t -> int -> int
+  val cursor : t -> int -> int
+  val length : t -> int -> int
+  val tag_bit : t -> int -> int
+  val otype_code : t -> int -> int
+  val perm_bits : t -> int -> int
+  val umeta : t -> int -> int
+  val ubase : t -> int -> int
+  val utop : t -> int -> int
+  val ucursor : t -> int -> int
+  val uset_int : t -> int -> int -> unit
+  val ucopy : t -> dst:int -> src:int -> unit
+  val uset_cursor : t -> int -> int -> unit
+  val pack : t -> int -> Cap.t -> unit
+  val unpack : t -> int -> Cap.t
+  val pack_at : t -> int -> Cap.t -> int -> unit
+  val incr_addr : t -> dst:int -> src:int -> int -> int
+  val set_addr : t -> dst:int -> src:int -> int -> int
+  val set_bounds : t -> dst:int -> src:int -> int -> int
+  val and_perms : t -> dst:int -> src:int -> Perm.Set.t -> int
+  val clear_tag : t -> dst:int -> src:int -> unit
+  val seal : t -> dst:int -> src:int -> key:int -> int
+  val unseal : t -> dst:int -> src:int -> key:int -> int
+  val seal_entry : t -> dst:int -> src:int -> int -> int
+end = struct
+  type t = int array
+
+  let slots = 4
+
+  let make n : t = Array.make (n * slots) 0
+
+  (* File-level copies for snapshot capture and restore, and the reset a
+     compartment call starts from. *)
+
+  let save (pk : t) : t = Array.copy pk
+
+  let restore (pk : t) ~(from : t) =
+    for i = 0 to Array.length pk - 1 do
+      Array.unsafe_set pk i from.(i)
+    done
+
+  let clear (pk : t) = Array.fill pk 0 (Array.length pk) 0
+
+  (* Violation codes: 0 = success.  Codes >= [v_permit_base] encode
+     [Permit_violation] of the permission with bit index
+     [code - v_permit_base]. *)
+
+  let ok = 0
+  let v_tag = 1
+  let v_seal = 2
+  let v_bounds = 3
+  let v_otype = 4
+  let v_permit_base = 16
+  let v_permit p = v_permit_base + Perm.bit p
+
+  let violation = function
+    | 1 -> Cap.Tag_violation
+    | 2 -> Cap.Seal_violation
+    | 3 -> Cap.Bounds_violation
+    | 4 -> Cap.Otype_violation
+    | c when c >= v_permit_base -> (
+        match Perm.of_bit (c - v_permit_base) with
+        | Some p -> Cap.Permit_violation p
+        | None -> invalid_arg "Packed_cap.violation")
+    | _ -> invalid_arg "Packed_cap.violation"
+
+  (* Meta-word predicates (pure int functions; also used directly by the
+     block closures on meta words read with [umeta]). *)
+
+  let[@inline] m_tag m = m land 1 <> 0
+  let[@inline] m_sealed m = m lsr 13 <> 0
+  let[@inline] m_otype m = m lsr 13
+  let[@inline] m_perm_bits m = (m lsr 1) land 0xfff
+  let[@inline] m_has_perm p m = m land (1 lsl (Perm.bit p + 1)) <> 0
+  let[@inline] m_unsealed m = m land 0x1fff
+
+  (* Direct access checks: [meta land access_mask key = key] holds iff
+     the tag and every permission bit of [key] are set and every otype bit
+     is clear (unsealed). *)
+  let access_key ps = 1 lor (Perm.Set.to_bits ps lsl 1)
+  let access_mask key = key lor (-1 lsl 13)
+
+  (* Slot accessors (bounds-checked). *)
+
+  let[@inline] meta (pk : t) r = pk.(r * 4)
+  let[@inline] base (pk : t) r = pk.((r * 4) + 1)
+  let[@inline] top (pk : t) r = pk.((r * 4) + 2)
+  let[@inline] cursor (pk : t) r = pk.((r * 4) + 3)
+  let[@inline] tag_bit (pk : t) r = meta pk r land 1
+  let[@inline] otype_code (pk : t) r = m_otype (meta pk r)
+  let[@inline] perm_bits (pk : t) r = m_perm_bits (meta pk r)
+  let[@inline] length (pk : t) r = top pk r - base pk r
+
+  (* Unchecked accessors for the compiled blocks.  Register 0 reads its
+     all-zero slots (NULL) and the writes discard it, as [set_slots]
+     does. *)
+
+  let[@inline] umeta (pk : t) r = Array.unsafe_get pk (r lsl 2)
+  let[@inline] ubase (pk : t) r = Array.unsafe_get pk ((r lsl 2) + 1)
+  let[@inline] utop (pk : t) r = Array.unsafe_get pk ((r lsl 2) + 2)
+  let[@inline] ucursor (pk : t) r = Array.unsafe_get pk ((r lsl 2) + 3)
+
+  let[@inline] uset_int (pk : t) rd v =
+    if rd <> 0 then begin
+      let o = rd lsl 2 in
+      Array.unsafe_set pk o 0;
+      Array.unsafe_set pk (o + 1) 0;
+      Array.unsafe_set pk (o + 2) 0;
+      Array.unsafe_set pk (o + 3) v
+    end
+
+  let[@inline] ucopy (pk : t) ~dst ~src =
+    if dst <> 0 then begin
+      let os = src lsl 2 and od = dst lsl 2 in
+      Array.unsafe_set pk od (Array.unsafe_get pk os);
+      Array.unsafe_set pk (od + 1) (Array.unsafe_get pk (os + 1));
+      Array.unsafe_set pk (od + 2) (Array.unsafe_get pk (os + 2));
+      Array.unsafe_set pk (od + 3) (Array.unsafe_get pk (os + 3))
+    end
+
+  (* Moves the cursor alone, keeping meta and bounds: the caller has
+     already established that the register is unsealed. *)
+  let[@inline] uset_cursor (pk : t) r v =
+    if r <> 0 then Array.unsafe_set pk ((r lsl 2) + 3) v
+
+  (* The single write point: register 0 discards writes (after any reads
+     of the sources, so out-of-range sources still raise first). *)
+  let[@inline] set_slots (pk : t) r m b t c =
+    if r <> 0 then begin
+      let o = r * 4 in
+      pk.(o) <- m;
+      pk.(o + 1) <- b;
+      pk.(o + 2) <- t;
+      pk.(o + 3) <- c
+    end
+
+  (* Boundary conversion. *)
+
+  let pack (pk : t) r c =
+    set_slots pk r (Cap.meta c) (Cap.base c) (Cap.top c) (Cap.address c)
+
+  let pack_at (pk : t) r c addr =
+    set_slots pk r (Cap.meta c) (Cap.base c) (Cap.top c) addr
+
+  let unpack (pk : t) r =
+    if r = 0 then Cap.null
+    else
+      let o = r * 4 in
+      Cap.of_meta ~meta:pk.(o) ~base:pk.(o + 1) ~top:pk.(o + 2)
+        ~cursor:pk.(o + 3)
+
+  (* In-place derivations.  Each mirrors the corresponding
+     [Capability] operation exactly — same checks, same order, same
+     violation — per the QCheck equivalence suite. *)
+
+  (* [Capability.incr_address] / [with_address]: only sealedness blocks a
+     cursor move. *)
+  let incr_addr (pk : t) ~dst ~src delta =
+    let o = src * 4 in
+    let m = pk.(o) in
+    if m_sealed m then v_seal
+    else begin
+      set_slots pk dst m pk.(o + 1) pk.(o + 2) (pk.(o + 3) + delta);
+      ok
+    end
+
+  let set_addr (pk : t) ~dst ~src addr =
+    let o = src * 4 in
+    let m = pk.(o) in
+    if m_sealed m then v_seal
+    else begin
+      set_slots pk dst m pk.(o + 1) pk.(o + 2) addr;
+      ok
+    end
+
+  (* [Capability.set_bounds]: guard_exact, then the requested window must
+     sit inside the old bounds with the cursor at its base. *)
+  let set_bounds (pk : t) ~dst ~src len =
+    let o = src * 4 in
+    let m = pk.(o) in
+    if not (m_tag m) then v_tag
+    else if m_sealed m then v_seal
+    else if len < 0 then v_bounds
+    else
+      let b = pk.(o + 1) and t = pk.(o + 2) and c = pk.(o + 3) in
+      if c < b || c + len > t then v_bounds
+      else begin
+        set_slots pk dst m c (c + len) c;
+        ok
+      end
+
+  (* [Capability.and_perms]: guard_exact then intersect.  The source is
+     tagged and unsealed on success, so the result meta is rebuilt from
+     the masked permission bits alone. *)
+  let and_perms (pk : t) ~dst ~src mask =
+    let o = src * 4 in
+    let m = pk.(o) in
+    if not (m_tag m) then v_tag
+    else if m_sealed m then v_seal
+    else begin
+      set_slots pk dst
+        (1 lor ((m_perm_bits m land Perm.Set.to_bits mask) lsl 1))
+        pk.(o + 1) pk.(o + 2) pk.(o + 3);
+      ok
+    end
+
+  let clear_tag (pk : t) ~dst ~src =
+    let o = src * 4 in
+    let m = pk.(o) and b = pk.(o + 1) and t = pk.(o + 2) and c = pk.(o + 3) in
+    set_slots pk dst (m land lnot 1) b t c
+
+  (* [Capability.seal]: Seal permission on the key first, then the key's
+     own validity (tag, unsealed, cursor in bounds, cursor a data otype),
+     then guard_exact on the sealee. *)
+  let seal (pk : t) ~dst ~src ~key =
+    let ko = key * 4 in
+    let km = pk.(ko) and kb = pk.(ko + 1) and kt = pk.(ko + 2)
+    and kc = pk.(ko + 3) in
+    let so = src * 4 in
+    let sm = pk.(so) in
+    if not (m_has_perm Perm.Seal km) then v_permit Perm.Seal
+    else if not (m_tag km) then v_tag
+    else if m_sealed km then v_seal
+    else if kc < kb || kc >= kt then v_bounds
+    else if kc < Cap.Otype.data_first || kc > Cap.Otype.data_last then v_otype
+    else if not (m_tag sm) then v_tag
+    else if m_sealed sm then v_seal
+    else begin
+      set_slots pk dst (sm lor (kc lsl 13)) pk.(so + 1) pk.(so + 2) pk.(so + 3);
+      ok
+    end
+
+  (* [Capability.unseal]: Unseal permission and key validity as above,
+     then the sealee must be tagged and data-sealed with the key's exact
+     otype. *)
+  let unseal (pk : t) ~dst ~src ~key =
+    let ko = key * 4 in
+    let km = pk.(ko) and kb = pk.(ko + 1) and kt = pk.(ko + 2)
+    and kc = pk.(ko + 3) in
+    let so = src * 4 in
+    let sm = pk.(so) in
+    if not (m_has_perm Perm.Unseal km) then v_permit Perm.Unseal
+    else if not (m_tag km) then v_tag
+    else if m_sealed km then v_seal
+    else if kc < kb || kc >= kt then v_bounds
+    else if kc < Cap.Otype.data_first || kc > Cap.Otype.data_last then v_otype
+    else if not (m_tag sm) then v_tag
+    else if m_otype sm <> kc then v_otype
+    else begin
+      set_slots pk dst (sm land 0x1fff) pk.(so + 1) pk.(so + 2) pk.(so + 3);
+      ok
+    end
+
+  (* [Capability.seal_entry]: guard_exact, Execute permission, then stamp
+     the sentry code. *)
+  let seal_entry (pk : t) ~dst ~src code =
+    let so = src * 4 in
+    let sm = pk.(so) in
+    if not (m_tag sm) then v_tag
+    else if m_sealed sm then v_seal
+    else if not (m_has_perm Perm.Execute sm) then v_permit Perm.Execute
+    else begin
+      set_slots pk dst (sm lor (code lsl 13)) pk.(so + 1) pk.(so + 2)
+        pk.(so + 3);
+      ok
+    end
+end
+
+module Pk = Packed_cap
+
 type dslot = { d_ins : Isa.instr; d_target : int (* -1 = no label operand *) }
 
 type trap_cause = Cap_fault of Cap.violation | Software of string
@@ -98,7 +435,7 @@ exception Trap_exn of trap
 type ctx = {
   sm : Machine.t;
   smem : Memory.t;
-  spk : int array;
+  spk : Pk.t;
   sspec : Cap.t array;
   mutable sinstret : int;
   mutable sjump : Cap.t;
@@ -200,29 +537,6 @@ let[@inline] retire ctx acc =
     -1
   end
 
-(* Hot-path packed accessors: [Isa.assemble] rejects register operands
-   outside 0..15, so unsafe indexing is sound.  Register 0 reads
-   all-zero slots (NULL) and the write guard discards stores to it. *)
-let[@inline] ucur pk r = Array.unsafe_get pk ((r lsl 2) + 3)
-
-let[@inline] uint pk rd v =
-  if rd <> 0 then begin
-    let o = rd lsl 2 in
-    Array.unsafe_set pk o 0;
-    Array.unsafe_set pk (o + 1) 0;
-    Array.unsafe_set pk (o + 2) 0;
-    Array.unsafe_set pk (o + 3) v
-  end
-
-let[@inline] ucopy pk rd rs =
-  if rd <> 0 then begin
-    let os = rs lsl 2 and od = rd lsl 2 in
-    Array.unsafe_set pk od (Array.unsafe_get pk os);
-    Array.unsafe_set pk (od + 1) (Array.unsafe_get pk (os + 1));
-    Array.unsafe_set pk (od + 2) (Array.unsafe_get pk (os + 2));
-    Array.unsafe_set pk (od + 3) (Array.unsafe_get pk (os + 3))
-  end
-
 (* Flush-then-raise: a trap must leave the clock where per-step execution
    would, so pending deferred cycles are settled before the raise. *)
 let trapfx m acc pc cause =
@@ -235,7 +549,7 @@ let[@inline] pkfx m acc pc code =
   if code <> 0 then trapfx m acc pc (Cap_fault (Pk.violation code))
 
 (* Direct access checks on the packed authority.  An [sz]-byte access at
-   [addr] through the register packed at [os] passes every check of the
+   [addr] through register [r] passes every check of the
    full checked path iff
    - its meta word holds [key]'s tag and permission bits and no otype
      bits (one mask and compare, see [Pk.access_mask]);
@@ -248,14 +562,14 @@ let[@inline] pkfx m acc pc code =
    the very next access.  When the predicate holds the arm goes straight
    to the backing store; when it fails the arm takes the full checked
    [Machine] path, which raises the exact fault at the exact cycle. *)
-let[@inline] direct mem lo hi pk os key mask addr sz =
-  Array.unsafe_get pk os land mask = key
-  && addr >= Array.unsafe_get pk (os + 1)
-  && addr + sz <= Array.unsafe_get pk (os + 2)
+let[@inline] direct mem lo hi pk r key mask addr sz =
+  Pk.umeta pk r land mask = key
+  && addr >= Pk.ubase pk r
+  && addr + sz <= Pk.utop pk r
   && addr >= lo
   && addr + sz <= hi
   && addr land (sz - 1) = 0
-  && not (Memory.base_filtered mem (Array.unsafe_get pk (os + 1)))
+  && not (Memory.base_filtered mem (Pk.ubase pk r))
 
 let k_load = Pk.access_key (Perm.Set.of_list [ Perm.Load ])
 let m_load = Pk.access_mask k_load
@@ -369,20 +683,19 @@ let zero_loop_shape dec ~entry ~idx ~last =
    trips ahead, a failing check) runs [per_trip]. *)
 let zero_loop ctx ~lo ~hi ~len ~trip ~r ~c ~e ~per_trip ~back =
   let m = ctx.sm and mem = ctx.smem and pk = ctx.spk in
-  let oc = c lsl 2 in
   fun pcc acc ->
-    let cur = Array.unsafe_get pk (oc + 3) in
-    let left = ucur pk e - cur in
+    let cur = Pk.ucursor pk c in
+    let left = Pk.ucursor pk e - cur in
     if acc < 0 || left <= 0 || left land 15 <> 0 then per_trip pcc acc
     else begin
       let backs = Int.max 0 ((Machine.defer_room m - acc - trip - 1) / trip) in
       let n = Int.min (left lsr 4) (1 + Int.min ctx.sspins backs) in
       let fin = cur + (16 * n) in
-      let b = Array.unsafe_get pk (oc + 1) in
+      let b = Pk.ubase pk c in
       if
-        Array.unsafe_get pk oc land m_store_cap = k_store_cap
+        Pk.umeta pk c land m_store_cap = k_store_cap
         && cur >= b
-        && fin <= Array.unsafe_get pk (oc + 2)
+        && fin <= Pk.utop pk c
         && cur >= lo
         && fin <= hi
         && cur land 7 = 0
@@ -390,8 +703,8 @@ let zero_loop ctx ~lo ~hi ~len ~trip ~r ~c ~e ~per_trip ~back =
       then begin
         Memory.zero_priv mem ~addr:cur ~len:(fin - cur);
         ctx.sinstret <- ctx.sinstret + (len * n);
-        uint pk r (fin - 16);
-        Array.unsafe_set pk (oc + 3) fin;
+        Pk.uset_int pk r (fin - 16);
+        Pk.uset_cursor pk c fin;
         ctx.sspins <- ctx.sspins - (n - 1);
         back pcc (acc + (trip * n))
       end
@@ -450,37 +763,37 @@ let compile ~single ctx dec ~base ~idx =
           let k = build (j + 1) in
           fun pcc acc ->
             let acc = retire ctx acc in
-            uint pk rd v;
+            Pk.uset_int pk rd v;
             k pcc acc
       | Isa.Mv (rd, rs) ->
           let k = build (j + 1) in
           fun pcc acc ->
             let acc = retire ctx acc in
-            ucopy pk rd rs;
+            Pk.ucopy pk ~dst:rd ~src:rs;
             k pcc acc
       | Isa.Addi (rd, rs, v) ->
           let k = build (j + 1) in
           fun pcc acc ->
             let acc = retire ctx acc in
-            uint pk rd (ucur pk rs + v);
+            Pk.uset_int pk rd (Pk.ucursor pk rs + v);
             k pcc acc
       | Isa.Add (rd, a, b) ->
           let k = build (j + 1) in
           fun pcc acc ->
             let acc = retire ctx acc in
-            uint pk rd (ucur pk a + ucur pk b);
+            Pk.uset_int pk rd (Pk.ucursor pk a + Pk.ucursor pk b);
             k pcc acc
       | Isa.Sub (rd, a, b) ->
           let k = build (j + 1) in
           fun pcc acc ->
             let acc = retire ctx acc in
-            uint pk rd (ucur pk a - ucur pk b);
+            Pk.uset_int pk rd (Pk.ucursor pk a - Pk.ucursor pk b);
             k pcc acc
       | Isa.Andi (rd, rs, v) ->
           let k = build (j + 1) in
           fun pcc acc ->
             let acc = retire ctx acc in
-            uint pk rd (ucur pk rs land v);
+            Pk.uset_int pk rd (Pk.ucursor pk rs land v);
             k pcc acc
       (* --- memory: direct checks on the packed authority.  Deferred
          and passing, the arm retires and charges in one batched add.
@@ -490,23 +803,22 @@ let compile ~single ctx dec ~base ~idx =
          after the charge and goes straight to the backing store, and
          anything else takes the full checked [Machine] path. --- *)
       | Isa.Lw (rd, imm, rs) ->
-          let os = rs lsl 2 in
           let k = build (j + 1) in
           fun pcc acc ->
-            let addr = ucur pk rs + imm in
-            if acc >= 0 && direct mem lo hi pk os k_load m_load addr 4 then begin
+            let addr = Pk.ucursor pk rs + imm in
+            if acc >= 0 && direct mem lo hi pk rs k_load m_load addr 4 then begin
               ctx.sinstret <- ctx.sinstret + 1;
-              uint pk rd (Memory.load32_unchecked mem addr);
+              Pk.uset_int pk rd (Memory.load32_unchecked mem addr);
               k pcc (acc + (Cost.instr + Cost.mem_word))
             end
             else begin
               let acc = retire ctx acc in
-              let addr = ucur pk rs + imm in
-              if direct mem lo hi pk os k_load m_load addr 4 then begin
-                let b = Array.unsafe_get pk (os + 1) in
+              let addr = Pk.ucursor pk rs + imm in
+              if direct mem lo hi pk rs k_load m_load addr 4 then begin
+                let b = Pk.ubase pk rs in
                 let acc = charge m acc Cost.mem_word in
                 refilter m acc mem b addr Memory.Read;
-                uint pk rd (Memory.load32_unchecked mem addr);
+                Pk.uset_int pk rd (Memory.load32_unchecked mem addr);
                 k pcc acc
               end
               else begin
@@ -518,7 +830,7 @@ let compile ~single ctx dec ~base ~idx =
                       flushx m acc;
                       raise e
                   in
-                  uint pk rd v;
+                  Pk.uset_int pk rd v;
                   k pcc acc
                 end
                 else begin
@@ -526,26 +838,25 @@ let compile ~single ctx dec ~base ~idx =
                      may raise IRQs — flush first, stop deferring after. *)
                   flushx m acc;
                   let v = Machine.load m ~auth ~addr ~size:4 in
-                  uint pk rd v;
+                  Pk.uset_int pk rd v;
                   k pcc (-1)
                 end
               end
             end
       | Isa.Sw (rs2, imm, rs1) ->
-          let os = rs1 lsl 2 in
           let k = build (j + 1) in
           fun pcc acc ->
-            let addr = ucur pk rs1 + imm in
-            if acc >= 0 && direct mem lo hi pk os k_store m_store addr 4 then begin
+            let addr = Pk.ucursor pk rs1 + imm in
+            if acc >= 0 && direct mem lo hi pk rs1 k_store m_store addr 4 then begin
               ctx.sinstret <- ctx.sinstret + 1;
-              Memory.store32_unchecked mem addr (ucur pk rs2);
+              Memory.store32_unchecked mem addr (Pk.ucursor pk rs2);
               k pcc (acc + (Cost.instr + Cost.mem_word))
             end
             else begin
               let acc = retire ctx acc in
-              let addr = ucur pk rs1 + imm in
-              if direct mem lo hi pk os k_store m_store addr 4 then begin
-                let b = Array.unsafe_get pk (os + 1) and v = ucur pk rs2 in
+              let addr = Pk.ucursor pk rs1 + imm in
+              if direct mem lo hi pk rs1 k_store m_store addr 4 then begin
+                let b = Pk.ubase pk rs1 and v = Pk.ucursor pk rs2 in
                 let acc = charge m acc Cost.mem_word in
                 refilter m acc mem b addr Memory.Write;
                 Memory.store32_unchecked mem addr v;
@@ -554,7 +865,7 @@ let compile ~single ctx dec ~base ~idx =
               else begin
                 let auth = Pk.unpack pk rs1 in
                 if Machine.in_sram m addr then begin
-                  (try Machine.store m ~auth ~addr ~size:4 (ucur pk rs2)
+                  (try Machine.store m ~auth ~addr ~size:4 (Pk.ucursor pk rs2)
                    with e ->
                      flushx m acc;
                      raise e);
@@ -562,29 +873,28 @@ let compile ~single ctx dec ~base ~idx =
                 end
                 else begin
                   flushx m acc;
-                  Machine.store m ~auth ~addr ~size:4 (ucur pk rs2);
+                  Machine.store m ~auth ~addr ~size:4 (Pk.ucursor pk rs2);
                   k pcc (-1)
                 end
               end
             end
       | Isa.Clc (rd, imm, rs) ->
-          let os = rs lsl 2 in
           let k = build (j + 1) in
           fun pcc acc ->
-            let addr = ucur pk rs + imm in
-            if acc >= 0 && direct mem lo hi pk os k_load m_load addr Memory.granule_size
+            let addr = Pk.ucursor pk rs + imm in
+            if acc >= 0 && direct mem lo hi pk rs k_load m_load addr Memory.granule_size
             then begin
               ctx.sinstret <- ctx.sinstret + 1;
-              let perms = perms_of (Array.unsafe_get pk os) in
+              let perms = perms_of (Pk.umeta pk rs) in
               Pk.pack pk rd (Memory.load_cap_prechecked ~perms mem ~addr);
               k pcc (acc + (Cost.instr + Cost.mem_cap))
             end
             else begin
               let acc = retire ctx acc in
-              let addr = ucur pk rs + imm in
-              if direct mem lo hi pk os k_load m_load addr Memory.granule_size then begin
-                let perms = perms_of (Array.unsafe_get pk os)
-                and b = Array.unsafe_get pk (os + 1) in
+              let addr = Pk.ucursor pk rs + imm in
+              if direct mem lo hi pk rs k_load m_load addr Memory.granule_size then begin
+                let perms = perms_of (Pk.umeta pk rs)
+                and b = Pk.ubase pk rs in
                 let acc = charge m acc Cost.mem_cap in
                 refilter m acc mem b addr Memory.Read;
                 Pk.pack pk rd (Memory.load_cap_prechecked ~perms mem ~addr);
@@ -605,13 +915,12 @@ let compile ~single ctx dec ~base ~idx =
       | Isa.Csc (0, imm, rs1) ->
           (* NULL store (the switcher's zeroing loops and frame scrub):
              untagged, so it never runs the tag-set hook. *)
-          let os = rs1 lsl 2 in
           let k = build (j + 1) in
           fun pcc acc ->
-            let addr = ucur pk rs1 + imm in
+            let addr = Pk.ucursor pk rs1 + imm in
             if
               acc >= 0
-              && direct mem lo hi pk os k_store_cap m_store_cap addr Memory.granule_size
+              && direct mem lo hi pk rs1 k_store_cap m_store_cap addr Memory.granule_size
             then begin
               ctx.sinstret <- ctx.sinstret + 1;
               Memory.zero_granule_unchecked mem addr;
@@ -619,10 +928,10 @@ let compile ~single ctx dec ~base ~idx =
             end
             else begin
               let acc = retire ctx acc in
-              let addr = ucur pk rs1 + imm in
-              if direct mem lo hi pk os k_store_cap m_store_cap addr Memory.granule_size
+              let addr = Pk.ucursor pk rs1 + imm in
+              if direct mem lo hi pk rs1 k_store_cap m_store_cap addr Memory.granule_size
               then begin
-                let b = Array.unsafe_get pk (os + 1) in
+                let b = Pk.ubase pk rs1 in
                 let acc = charge m acc Cost.mem_cap in
                 refilter m acc mem b addr Memory.Write;
                 Memory.zero_granule_unchecked mem addr;
@@ -635,10 +944,9 @@ let compile ~single ctx dec ~base ~idx =
               end
             end
       | Isa.Csc (rs2, imm, rs1) ->
-          let os = rs1 lsl 2 and os2 = rs2 lsl 2 in
           let k = build (j + 1) in
           fun pcc acc ->
-            let addr = ucur pk rs1 + imm in
+            let addr = Pk.ucursor pk rs1 + imm in
             (* A store that may set a tag runs the tag-set hook.  With the
                revoker idle that hook does nothing, and nothing inside a
                deferred batch can start a sweep, so the store stays in
@@ -646,8 +954,8 @@ let compile ~single ctx dec ~base ~idx =
             if
               acc >= 0
               && (not (Machine.revoker_busy m))
-              && direct mem lo hi pk os k_store_cap m_store_cap addr Memory.granule_size
-              && local_ok (Array.unsafe_get pk os2) (Array.unsafe_get pk os)
+              && direct mem lo hi pk rs1 k_store_cap m_store_cap addr Memory.granule_size
+              && local_ok (Pk.umeta pk rs2) (Pk.umeta pk rs1)
             then begin
               ctx.sinstret <- ctx.sinstret + 1;
               Memory.store_cap_priv mem ~addr (Pk.unpack pk rs2);
@@ -658,13 +966,13 @@ let compile ~single ctx dec ~base ~idx =
                  clock: flush first, stop deferring after. *)
               let acc = retire ctx acc in
               flushx m acc;
-              let addr = ucur pk rs1 + imm in
+              let addr = Pk.ucursor pk rs1 + imm in
               let src = Pk.unpack pk rs2 in
               if
-                direct mem lo hi pk os k_store_cap m_store_cap addr Memory.granule_size
-                && local_ok (Array.unsafe_get pk os2) (Array.unsafe_get pk os)
+                direct mem lo hi pk rs1 k_store_cap m_store_cap addr Memory.granule_size
+                && local_ok (Pk.umeta pk rs2) (Pk.umeta pk rs1)
               then begin
-                let b = Array.unsafe_get pk (os + 1) in
+                let b = Pk.ubase pk rs1 in
                 Machine.tick m Cost.mem_cap;
                 refilter m (-1) mem b addr Memory.Write;
                 Memory.store_cap_priv mem ~addr src;
@@ -679,7 +987,7 @@ let compile ~single ctx dec ~base ~idx =
           let k = build (j + 1) in
           fun pcc acc ->
             let acc = retire ctx acc in
-            pkfx m acc pc (Pk.incr_addr pk ~dst:rd ~src:a (ucur pk b));
+            pkfx m acc pc (Pk.incr_addr pk ~dst:rd ~src:a (Pk.ucursor pk b));
             k pcc acc
       | Isa.Cincaddrimm (rd, a, v) ->
           let k = build (j + 1) in
@@ -691,13 +999,13 @@ let compile ~single ctx dec ~base ~idx =
           let k = build (j + 1) in
           fun pcc acc ->
             let acc = retire ctx acc in
-            pkfx m acc pc (Pk.set_addr pk ~dst:rd ~src:a (ucur pk b));
+            pkfx m acc pc (Pk.set_addr pk ~dst:rd ~src:a (Pk.ucursor pk b));
             k pcc acc
       | Isa.Csetbounds (rd, a, b) ->
           let k = build (j + 1) in
           fun pcc acc ->
             let acc = retire ctx acc in
-            pkfx m acc pc (Pk.set_bounds pk ~dst:rd ~src:a (ucur pk b));
+            pkfx m acc pc (Pk.set_bounds pk ~dst:rd ~src:a (Pk.ucursor pk b));
             k pcc acc
       | Isa.Csetboundsimm (rd, a, v) ->
           let k = build (j + 1) in
@@ -716,25 +1024,25 @@ let compile ~single ctx dec ~base ~idx =
           let k = build (j + 1) in
           fun pcc acc ->
             let acc = retire ctx acc in
-            uint pk rd (ucur pk a);
+            Pk.uset_int pk rd (Pk.ucursor pk a);
             k pcc acc
       | Isa.Cgetbase (rd, a) ->
           let k = build (j + 1) in
           fun pcc acc ->
             let acc = retire ctx acc in
-            uint pk rd (Pk.base pk a);
+            Pk.uset_int pk rd (Pk.base pk a);
             k pcc acc
       | Isa.Cgetlen (rd, a) ->
           let k = build (j + 1) in
           fun pcc acc ->
             let acc = retire ctx acc in
-            uint pk rd (Pk.length pk a);
+            Pk.uset_int pk rd (Pk.length pk a);
             k pcc acc
       | Isa.Cgettag (rd, a) ->
           let k = build (j + 1) in
           fun pcc acc ->
             let acc = retire ctx acc in
-            uint pk rd (Pk.tag_bit pk a);
+            Pk.uset_int pk rd (Pk.tag_bit pk a);
             k pcc acc
       | Isa.Cgettype (rd, a) ->
           let k = build (j + 1) in
@@ -742,13 +1050,13 @@ let compile ~single ctx dec ~base ~idx =
             let acc = retire ctx acc in
             (* The packed otype code IS the architectural CGetType
                encoding. *)
-            uint pk rd (Pk.otype_code pk a);
+            Pk.uset_int pk rd (Pk.otype_code pk a);
             k pcc acc
       | Isa.Cgetperm (rd, a) ->
           let k = build (j + 1) in
           fun pcc acc ->
             let acc = retire ctx acc in
-            uint pk rd (Pk.perm_bits pk a);
+            Pk.uset_int pk rd (Pk.perm_bits pk a);
             k pcc acc
       | Isa.Cseal (rd, a, key) ->
           let k = build (j + 1) in
@@ -804,13 +1112,13 @@ let compile ~single ctx dec ~base ~idx =
             self := true;
             fun pcc acc ->
               let acc = retire ctx acc in
-              if ucur pk a = ucur pk b then back pcc acc else leave ctx acc len (pc + 4)
+              if Pk.ucursor pk a = Pk.ucursor pk b then back pcc acc else leave ctx acc len (pc + 4)
           end
           else begin
             let k = build (j + 1) and nj = j - idx + 1 in
             fun pcc acc ->
               let acc = retire ctx acc in
-              if ucur pk a = ucur pk b then leave ctx acc nj tpc else k pcc acc
+              if Pk.ucursor pk a = Pk.ucursor pk b then leave ctx acc nj tpc else k pcc acc
           end
       | Isa.Bne (a, b, _) ->
           let tpc = slot.d_target in
@@ -818,13 +1126,13 @@ let compile ~single ctx dec ~base ~idx =
             self := true;
             fun pcc acc ->
               let acc = retire ctx acc in
-              if ucur pk a <> ucur pk b then back pcc acc else leave ctx acc len (pc + 4)
+              if Pk.ucursor pk a <> Pk.ucursor pk b then back pcc acc else leave ctx acc len (pc + 4)
           end
           else begin
             let k = build (j + 1) and nj = j - idx + 1 in
             fun pcc acc ->
               let acc = retire ctx acc in
-              if ucur pk a <> ucur pk b then leave ctx acc nj tpc else k pcc acc
+              if Pk.ucursor pk a <> Pk.ucursor pk b then leave ctx acc nj tpc else k pcc acc
           end
       | Isa.Bltu (a, b, _) ->
           let tpc = slot.d_target in
@@ -832,13 +1140,13 @@ let compile ~single ctx dec ~base ~idx =
             self := true;
             fun pcc acc ->
               let acc = retire ctx acc in
-              if ucur pk a < ucur pk b then back pcc acc else leave ctx acc len (pc + 4)
+              if Pk.ucursor pk a < Pk.ucursor pk b then back pcc acc else leave ctx acc len (pc + 4)
           end
           else begin
             let k = build (j + 1) and nj = j - idx + 1 in
             fun pcc acc ->
               let acc = retire ctx acc in
-              if ucur pk a < ucur pk b then leave ctx acc nj tpc else k pcc acc
+              if Pk.ucursor pk a < Pk.ucursor pk b then leave ctx acc nj tpc else k pcc acc
           end
       | Isa.Bgeu (a, b, _) ->
           let tpc = slot.d_target in
@@ -846,13 +1154,13 @@ let compile ~single ctx dec ~base ~idx =
             self := true;
             fun pcc acc ->
               let acc = retire ctx acc in
-              if ucur pk a >= ucur pk b then back pcc acc else leave ctx acc len (pc + 4)
+              if Pk.ucursor pk a >= Pk.ucursor pk b then back pcc acc else leave ctx acc len (pc + 4)
           end
           else begin
             let k = build (j + 1) and nj = j - idx + 1 in
             fun pcc acc ->
               let acc = retire ctx acc in
-              if ucur pk a >= ucur pk b then leave ctx acc nj tpc else k pcc acc
+              if Pk.ucursor pk a >= Pk.ucursor pk b then leave ctx acc nj tpc else k pcc acc
           end
       (* --- terminators: hand back the batch and return the exit --- *)
       | Isa.J _ ->

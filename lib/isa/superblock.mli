@@ -23,6 +23,155 @@
     {!Memory.base_filtered}) and take the full checked path on any
     failure, so nothing is cached that could go stale. *)
 
+(** The packed capability register file: flat and allocation-free.
+
+    Each register occupies four consecutive ints of one flat int array:
+    the packed meta word ([Capability.meta]: tag | permission bits |
+    otype code), then base, top and cursor.  Writing or deriving a
+    capability in place touches only untagged ints — no minor-heap
+    allocation.
+
+    {!t} is abstract, so only this module indexes the array, and every
+    access it makes is compiled against [int array]: plain loads and
+    stores.  Element-polymorphic array code would pay a float-array tag
+    test per read and a [caml_modify] write barrier per write
+    (DESIGN.md, "Packed register-file invariant").  It is a submodule
+    of {!Superblock} so that the compiled blocks' accessor calls inline
+    under the default build's [-opaque].
+
+    Invariant (see DESIGN.md): the packed form never escapes the
+    interpreter.  [Capability.t] stays the architectural source of
+    truth at every boundary — switcher legs, kernel entry, traps,
+    Obs/Forensics rendering, snapshot capture — converting through
+    {!pack}/{!unpack}, an exact bijection pinned by QCheck
+    (test_cap_props), as is per-helper packed-vs-boxed equivalence.
+
+    Register 0 reads as NULL and discards writes, exactly like the
+    boxed file it replaces; out-of-range register indices raise
+    [Invalid_argument] from the checked accessors' bounds check
+    ([Isa.assemble] rejects such operands, so interpreted code never
+    supplies one). *)
+module Packed_cap : sig
+  type t
+  (** A packed register file. *)
+
+  val make : int -> t
+  (** [make n] is a fresh all-zero file of [n] registers (all NULL). *)
+
+  (* Whole-file operations (snapshot capture and restore, call reset). *)
+
+  val save : t -> t
+  (** A fresh copy of the file, sharing nothing with it. *)
+
+  val restore : t -> from:t -> unit
+  (** [restore pk ~from] overwrites every register of [pk] with
+      [from]'s ([from] holds at least as many, e.g. [save pk]). *)
+
+  val clear : t -> unit
+  (** Reset every register to NULL. *)
+
+  (* Violation codes.  The in-place derivation helpers return [ok]
+     (= 0) on success and a non-zero code otherwise, so the success
+     path allocates nothing. *)
+
+  val ok : int
+
+  val violation : int -> Capability.violation
+  (** Decode a non-zero helper result into the exact violation the
+      boxed [Capability] operation returns. *)
+
+  (* Meta-word predicates (pure int functions). *)
+
+  val m_tag : int -> bool
+  val m_sealed : int -> bool
+  val m_otype : int -> int
+  val m_perm_bits : int -> int
+  val m_has_perm : Perm.t -> int -> bool
+
+  val m_unsealed : int -> int
+  (** The same meta word with the otype code cleared (unsealed). *)
+
+  val access_key : Perm.Set.t -> int
+  (** The meta bits an access through a capability needs: the tag and
+      every permission of the set. *)
+
+  val access_mask : int -> int
+  (** [access_mask key]: [key] plus every otype bit.  A meta word [m]
+      passes the tag, seal and permission parts of
+      [Capability.check_access] for the permissions in [key] iff
+      [m land access_mask key = key] — one mask and compare, computed
+      once per compiled instruction. *)
+
+  (* Slot accessors (bounds-checked). *)
+
+  val meta : t -> int -> int
+  val base : t -> int -> int
+  val top : t -> int -> int
+  val cursor : t -> int -> int
+  val length : t -> int -> int
+  val tag_bit : t -> int -> int  (** 1 if tagged, else 0 *)
+  val otype_code : t -> int -> int  (** [CGetType]'s value *)
+  val perm_bits : t -> int -> int  (** [CGetPerm]'s value *)
+
+  (* Unchecked accessors for the compiled blocks: the register must be
+     one of the file's (the interpreter's file has 16, and
+     [Isa.assemble] keeps every operand in 0..15).  Register 0 reads as
+     NULL and its writes are discarded, as with the checked ones. *)
+
+  val umeta : t -> int -> int
+  val ubase : t -> int -> int
+  val utop : t -> int -> int
+  val ucursor : t -> int -> int
+
+  val uset_int : t -> int -> int -> unit
+  (** [uset_int pk rd v]: NULL with cursor [v] ([Interp.int_value]). *)
+
+  val ucopy : t -> dst:int -> src:int -> unit
+
+  val uset_cursor : t -> int -> int -> unit
+  (** [uset_cursor pk r a] sets [r]'s cursor to [a], keeping its meta
+      and bounds: [Capability.with_address] on a register the caller
+      already knows is unsealed. *)
+
+  (* Boundary conversion. *)
+
+  val pack : t -> int -> Capability.t -> unit
+  val unpack : t -> int -> Capability.t
+
+  val pack_at : t -> int -> Capability.t -> int -> unit
+  (** [pack_at pk r c addr] packs [c] with its cursor replaced by
+      [addr]: [Capability.with_address_unsealed c addr] without the
+      boxed intermediate. *)
+
+  (* In-place derivations; each mirrors the [Capability] operation of
+     the same (or evident) name — same checks, same check order, same
+     violation. *)
+
+  val incr_addr : t -> dst:int -> src:int -> int -> int
+  (** [Capability.incr_address]. *)
+
+  val set_addr : t -> dst:int -> src:int -> int -> int
+  (** [Capability.with_address]. *)
+
+  val set_bounds : t -> dst:int -> src:int -> int -> int
+  (** [Capability.set_bounds ~length]. *)
+
+  val and_perms : t -> dst:int -> src:int -> Perm.Set.t -> int
+  (** [Capability.and_perms]. *)
+
+  val clear_tag : t -> dst:int -> src:int -> unit
+
+  val seal : t -> dst:int -> src:int -> key:int -> int
+  (** [Capability.seal]. *)
+
+  val unseal : t -> dst:int -> src:int -> key:int -> int
+  (** [Capability.unseal]. *)
+
+  val seal_entry : t -> dst:int -> src:int -> int -> int
+  (** [seal_entry pk ~dst ~src code]: [Capability.seal_entry] with the
+      sentry kind given as its [Capability.sentry_code]. *)
+end
+
 type dslot = { d_ins : Isa.instr; d_target : int (* -1 = no label operand *) }
 (** One pre-decoded instruction: branch label operands resolved to
     absolute addresses at decode time. *)
@@ -36,7 +185,7 @@ exception Trap_exn of trap
 type ctx = {
   sm : Machine.t;
   smem : Memory.t;
-  spk : int array;
+  spk : Packed_cap.t;
       (** the 16 merged registers, packed: 4 ints per register
           ({!Packed_cap}) so steady-state arm bodies allocate nothing *)
   sspec : Capability.t array;  (** the 3 special registers *)

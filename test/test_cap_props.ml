@@ -144,11 +144,13 @@ let prop_seal_roundtrip_preserves =
 
 (* The interpreter's hot loop works on the flat packed encoding; these
    properties pin the two contracts DESIGN.md states: pack/unpack is an
-   exact bijection, and every in-place derivation helper agrees with
-   the boxed [Capability] operation it mirrors — same success results,
-   same violations, including when dst aliases src. *)
+   exact bijection, and every in-place derivation helper and unchecked
+   accessor agrees with the boxed [Capability] operation it mirrors —
+   same success results, same violations, including when dst aliases
+   src and when dst is register 0 — plus the whole-file save, restore
+   and clear. *)
 
-module Pk = Packed_cap
+module Pk = Superblock.Packed_cap
 
 let sentries =
   [
@@ -220,7 +222,9 @@ let prop_pack_unpack_bijection =
               ~top:(Cap.top c) ~cursor:(Cap.address c))
            c)
 
-(* One in-place helper application, driven by generator seeds. *)
+(* One packed-file operation, driven by generator seeds: the in-place
+   derivation helpers, plus the plain writes the compiled blocks make
+   through the unchecked accessors. *)
 type pkop =
   | PIncr of int
   | PSetAddr of int  (** base-relative target *)
@@ -230,6 +234,10 @@ type pkop =
   | PSeal of int  (** key-cursor offset around the data-otype range *)
   | PUnseal of int
   | PSealEntry of int
+  | PCopy
+  | PSetInt of int
+  | PPackAt of int  (** base-relative cursor *)
+  | PSetCursor of int  (** base-relative cursor, on a copy of the source *)
 
 let pp_pkop = function
   | PIncr d -> Printf.sprintf "incr %d" d
@@ -240,9 +248,13 @@ let pp_pkop = function
   | PSeal k -> Printf.sprintf "seal key+%d" k
   | PUnseal k -> Printf.sprintf "unseal key+%d" k
   | PSealEntry k -> Printf.sprintf "sealentry %d" k
+  | PCopy -> "copy"
+  | PSetInt v -> Printf.sprintf "setint %d" v
+  | PPackAt d -> Printf.sprintf "packat %+d" d
+  | PSetCursor d -> Printf.sprintf "copy; setcursor %+d" d
 
 let build_pkop (k, arg) =
-  match k mod 8 with
+  match k mod 12 with
   | 0 -> PIncr ((arg land 0x7ff) - 0x400)
   | 1 -> PSetAddr ((arg land 0x1fff) - 0x100)
   | 2 -> PSetBounds ((arg land 0x1fff) - 8)
@@ -250,7 +262,11 @@ let build_pkop (k, arg) =
   | 4 -> PClearTag
   | 5 -> PSeal (arg mod 11)
   | 6 -> PUnseal (arg mod 11)
-  | _ -> PSealEntry (arg mod 5)
+  | 7 -> PSealEntry (arg mod 5)
+  | 8 -> PCopy
+  | 9 -> PSetInt (arg - 0x8000)
+  | 10 -> PPackAt ((arg land 0x1fff) - 0x100)
+  | _ -> PSetCursor ((arg land 0x1fff) - 0x100)
 
 (* A key whose cursor lands in (and just outside) the data-otype range,
    so both the success path and the otype/bounds refusals are hit. *)
@@ -259,6 +275,59 @@ let seal_key off =
     (Cap.make_sealing_root ~first:Cap.Otype.data_first
        ~last:Cap.Otype.data_last)
     (Cap.Otype.data_first + off - 1)
+
+(* Apply [op] to a 4-register file holding [c] in [src] (keys go in
+   register 3): (packed result code, what the boxed algebra says). *)
+let apply_pkop pk op c ~dst ~src =
+  match op with
+  | PIncr d -> (Pk.incr_addr pk ~dst ~src d, Cap.incr_address c d)
+  | PSetAddr d ->
+      (Pk.set_addr pk ~dst ~src (Cap.base c + d), Cap.with_address c (Cap.base c + d))
+  | PSetBounds l -> (Pk.set_bounds pk ~dst ~src l, Cap.set_bounds c ~length:l)
+  | PAndPerms m ->
+      let s = Perm.Set.of_bits m in
+      (Pk.and_perms pk ~dst ~src s, Cap.and_perms c s)
+  | PClearTag ->
+      Pk.clear_tag pk ~dst ~src;
+      (Pk.ok, Ok (Cap.clear_tag c))
+  | PSeal off ->
+      let key = seal_key off in
+      Pk.pack pk 3 key;
+      (Pk.seal pk ~dst ~src ~key:3, Cap.seal ~key c)
+  | PUnseal off ->
+      let key = seal_key off in
+      Pk.pack pk 3 key;
+      (Pk.unseal pk ~dst ~src ~key:3, Cap.unseal ~key c)
+  | PSealEntry k ->
+      let kind = List.nth sentries k in
+      (Pk.seal_entry pk ~dst ~src (Cap.sentry_code kind), Cap.seal_entry c kind)
+  | PCopy ->
+      Pk.ucopy pk ~dst ~src;
+      (Pk.ok, Ok c)
+  | PSetInt v ->
+      Pk.uset_int pk dst v;
+      (Pk.ok, Ok (Cap.with_address_unsealed Cap.null v))
+  | PPackAt d ->
+      let a = Cap.base c + d in
+      Pk.pack_at pk dst c a;
+      (Pk.ok, Ok (Cap.with_address_unsealed c a))
+  | PSetCursor d ->
+      let a = Cap.base c + d in
+      Pk.ucopy pk ~dst ~src;
+      Pk.uset_cursor pk dst a;
+      (Pk.ok, Ok (Cap.with_address_unsealed c a))
+
+(* Every read path — checked, unchecked and boxed — sees [c] in [r]. *)
+let reads_as pk r c =
+  Cap.equal (Pk.unpack pk r) c
+  && Pk.meta pk r = Cap.meta c
+  && Pk.umeta pk r = Cap.meta c
+  && Pk.base pk r = Cap.base c
+  && Pk.ubase pk r = Cap.base c
+  && Pk.top pk r = Cap.top c
+  && Pk.utop pk r = Cap.top c
+  && Pk.cursor pk r = Cap.address c
+  && Pk.ucursor pk r = Cap.address c
 
 let arb_pk_case =
   QCheck.make
@@ -276,52 +345,75 @@ let arb_pk_case =
 let prop_packed_derivation_equiv =
   QCheck.Test.make
     ~name:"packed: every in-place helper agrees with the boxed operation"
-    ~count:2000 arb_pk_case (fun (seeds, opseed, alias) ->
+    ~count:3000 arb_pk_case (fun (seeds, opseed, alias) ->
       let c = build_cap seeds in
-      let op = build_pkop opseed in
       let pk = Pk.make 4 in
       Pk.pack pk 1 c;
       let src = 1 in
       let dst = if alias then 1 else 2 in
-      (* (packed result code, what the boxed algebra says) *)
-      let code, boxed =
-        match op with
-        | PIncr d -> (Pk.incr_addr pk ~dst ~src d, Cap.incr_address c d)
-        | PSetAddr d -> (Pk.set_addr pk ~dst ~src (Cap.base c + d),
-                         Cap.with_address c (Cap.base c + d))
-        | PSetBounds l -> (Pk.set_bounds pk ~dst ~src l,
-                           Cap.set_bounds c ~length:l)
-        | PAndPerms m ->
-            let s = Perm.Set.of_bits m in
-            (Pk.and_perms pk ~dst ~src s, Cap.and_perms c s)
-        | PClearTag ->
-            Pk.clear_tag pk ~dst ~src;
-            (Pk.ok, Ok (Cap.clear_tag c))
-        | PSeal off ->
-            let key = seal_key off in
-            Pk.pack pk 3 key;
-            (Pk.seal pk ~dst ~src ~key:3, Cap.seal ~key c)
-        | PUnseal off ->
-            let key = seal_key off in
-            Pk.pack pk 3 key;
-            (Pk.unseal pk ~dst ~src ~key:3, Cap.unseal ~key c)
-        | PSealEntry k ->
-            let kind = List.nth sentries k in
-            ( Pk.seal_entry pk ~dst ~src (Cap.sentry_code kind),
-              Cap.seal_entry c kind )
-      in
-      match boxed with
-      | Ok r ->
+      match apply_pkop pk (build_pkop opseed) c ~dst ~src with
+      | code, Ok r ->
           code = Pk.ok
-          && Cap.equal (Pk.unpack pk dst) r
+          (* read-after-write of every slot, on every read path *)
+          && reads_as pk dst r
           (* a non-aliased source is left untouched *)
-          && (alias || Cap.equal (Pk.unpack pk src) c)
-      | Error v ->
+          && (alias || reads_as pk src c)
+      | code, Error v ->
           code <> Pk.ok
           && Pk.violation code = v
           (* on refusal the register file is unchanged (the interpreter
              traps before any write) *)
-          && Cap.equal (Pk.unpack pk src) c)
+          && reads_as pk src c)
+
+let prop_packed_reg0_discards =
+  QCheck.Test.make
+    ~name:"packed: every write to register 0 is discarded"
+    ~count:1000 arb_pk_case (fun (seeds, opseed, _) ->
+      let c = build_cap seeds in
+      let pk = Pk.make 4 in
+      Pk.pack pk 1 c;
+      let code, boxed = apply_pkop pk (build_pkop opseed) c ~dst:0 ~src:1 in
+      (* same verdict as a real destination, no effect *)
+      (match boxed with
+      | Ok _ -> code = Pk.ok
+      | Error v -> code <> Pk.ok && Pk.violation code = v)
+      && reads_as pk 0 Cap.null
+      && reads_as pk 1 c
+      && (Pk.pack pk 0 c;
+          reads_as pk 0 Cap.null))
+
+(* The whole-file copy, restore and reset that interpreter snapshots and
+   compartment calls use. *)
+let prop_packed_file_roundtrip =
+  let seeds =
+    QCheck.Gen.(
+      map
+        (fun (a, b, (c, d, e)) -> (a, b, c, d, e))
+        (triple nat nat (triple nat nat nat)))
+  in
+  QCheck.Test.make
+    ~name:"packed: save/restore round-trips the file; clear resets it"
+    ~count:300
+    (QCheck.make QCheck.Gen.(pair (list_repeat 15 seeds) (list_repeat 15 seeds)))
+    (fun (s1, s2) ->
+      let cs = Array.of_list (Cap.null :: List.map build_cap s1) in
+      let ds = Array.of_list (Cap.null :: List.map build_cap s2) in
+      let all pk f = List.for_all (fun r -> f pk r) (List.init 16 Fun.id) in
+      let pk = Pk.make 16 in
+      Array.iteri (fun r c -> Pk.pack pk r c) cs;
+      let saved = Pk.save pk in
+      (* the copy shares nothing: overwriting and clearing the live
+         file leaves it intact *)
+      Array.iteri (fun r d -> Pk.pack pk r d) ds;
+      all pk (fun pk r -> reads_as pk r ds.(r))
+      && all saved (fun s r -> reads_as s r cs.(r))
+      && (Pk.restore pk ~from:saved;
+          all pk (fun pk r -> reads_as pk r cs.(r)))
+      && (Pk.clear pk;
+          all pk (fun pk r -> reads_as pk r Cap.null)
+          && all saved (fun s r -> reads_as s r cs.(r)))
+      && (Pk.restore pk ~from:saved;
+          all pk (fun pk r -> reads_as pk r cs.(r))))
 
 (* [to_string] renders without a formatter; it must print [pp]'s bytes
    for every otype, every permission set, either tag and address words
@@ -368,6 +460,8 @@ let suite =
       prop_seal_roundtrip_preserves;
       prop_pack_unpack_bijection;
       prop_packed_derivation_equiv;
+      prop_packed_reg0_discards;
+      prop_packed_file_roundtrip;
       prop_to_string_is_pp;
     ]
   @ [
