@@ -115,22 +115,45 @@ bench:
 # 0.  Also gates the
 # warm minor words per compartment-call round trip (0 B and 1024 B
 # stack) under a fixed ceiling; see alloc_gate_cmd in bench/main.ml.
-# Finally the compiled unit holding the register file
-# (Superblock.Packed_cap) must contain no element-polymorphic array
-# access: such code compares the array's tag with Double_array_tag
-# (0xfe) on every read and write, and calls caml_modify on every
-# write.  Every register-file access is compiled against int array, so
-# the count is 0 (x86-64 and arm64 disassembly).
-SB_OBJ = _build/default/lib/isa/.cheriot_isa.objs/native/superblock.o
+# Then three checks on the compiled code:
+# - the default build must compile lib/isa without -opaque (dune's dev
+#   profile adds it, and it stops every cross-unit inlining, so the
+#   Capability/Memory/Machine accessors would be calls again);
+# - the compiled unit holding the register file
+#   (Superblock.Packed_cap) must contain no element-polymorphic array
+#   access: such code compares the array's tag with Double_array_tag
+#   (0xfe) on every read and write, and calls caml_modify on every
+#   write.  Every register-file access is compiled against int array,
+#   so the count is 0 (x86-64 and arm64 disassembly);
+# - the switcher's compiled blocks and the interpreter must not call the
+#   generic runtime: Array.fill (the C caml_array_fill) or the
+#   polymorphic Stdlib.min/max, which go through compare_val.
+ISA_OBJS = _build/default/lib/isa/.cheriot_isa.objs/native
+SB_OBJ = $(ISA_OBJS)/superblock.o
+INTERP_OBJ = $(ISA_OBJS)/interp.o
 
 alloc-gate: build
 	dune exec bench/main.exe -- alloc-gate
+	@r=$$(dune rules $(SB_OBJ:.o=.cmx)) || { echo "alloc-gate: cannot print the rule for $(SB_OBJ:.o=.cmx)"; exit 1; }; \
+	printf '%s\n' "$$r" | grep -q 'ocamlopt' || { echo "alloc-gate: no ocamlopt rule for $(SB_OBJ:.o=.cmx)"; exit 1; }; \
+	if printf '%s\n' "$$r" | grep -q -- '-opaque'; then \
+	  echo "alloc-gate: FAIL — lib/isa is compiled with -opaque (no cross-unit inlining)"; exit 1; \
+	fi; \
+	echo "alloc-gate: lib/isa compiled without -opaque"
 	@d=$$(objdump -d $(SB_OBJ)) || { echo "alloc-gate: cannot disassemble $(SB_OBJ)"; exit 1; }; \
 	n=$$(printf '%s\n' "$$d" | grep -cE 'cmp.*[$$#]0xfe([^0-9a-f]|$$)'); \
 	if [ "$$n" -ne 0 ]; then \
 	  echo "alloc-gate: FAIL — $$n generic array tag tests in $(SB_OBJ)"; exit 1; \
 	fi; \
 	echo "alloc-gate: no generic array access in $(SB_OBJ)"
+	@for o in $(SB_OBJ) $(INTERP_OBJ); do \
+	  d=$$(objdump -dr $$o) || { echo "alloc-gate: cannot disassemble $$o"; exit 1; }; \
+	  n=$$(printf '%s\n' "$$d" | grep -cE 'caml_array_fill|camlStdlib__Array[._]fill_|camlStdlib[._]+(min|max)_'); \
+	  if [ "$$n" -ne 0 ]; then \
+	    echo "alloc-gate: FAIL — $$n calls to Array.fill or Stdlib.min/max in $$o"; exit 1; \
+	  fi; \
+	done; \
+	echo "alloc-gate: no Array.fill or Stdlib.min/max calls in $(SB_OBJ) $(INTERP_OBJ)"
 
 clean:
 	dune clean

@@ -907,7 +907,7 @@ let next_deadline t =
     (fun acc th ->
       match (th.state, th.deadline) with
       | Blocked, Some d -> (
-          match acc with Some a -> Some (min a d) | None -> Some d)
+          match acc with Some a -> Some (Int.min a d) | None -> Some d)
       | _ -> acc)
     None t.threads
 
@@ -941,7 +941,7 @@ let run ?until_cycles t =
           else begin
             let target =
               match next_deadline t with
-              | Some d -> Some (max d (Machine.cycles m + 1))
+              | Some d -> Some (Int.max d (Machine.cycles m + 1))
               | None ->
                   if Machine.revoker_busy m then Some (Machine.cycles m + 256)
                   else None
@@ -951,7 +951,9 @@ let run ?until_cycles t =
                 if Machine.tracing m then Machine.emit m Obs.Sched_idle;
                 let now = Machine.cycles m in
                 let d =
-                  match until_cycles with Some c -> min d (max (now + 1) c) | None -> d
+                  match until_cycles with
+                  | Some c -> Int.min d (Int.max (now + 1) c)
+                  | None -> d
                 in
                 (* Advance in bounded chunks: simulated devices (tick
                    listeners) may raise interrupts that make a thread
@@ -972,7 +974,7 @@ let run ?until_cycles t =
                     Machine.tick m (k * chunk)
                   end
                   else begin
-                    let step = min chunk (d - now) in
+                    let step = Int.min chunk (d - now) in
                     t.idle <- t.idle + step;
                     Machine.tick m step;
                     wake_timeouts t;

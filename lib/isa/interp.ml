@@ -231,7 +231,7 @@ and sb_blocks t pcc seg clo chi pc budget pend =
              sample room), re-checking the horizon against the growing
              batch every trip; it hands back how many trips it did not
              use. *)
-          let spins0 = (min budget room / len) - 1 in
+          let spins0 = (Int.min budget room / len) - 1 in
           sb.Sb.sspins <- spins0;
           let e = b.Sb.b_run pcc p0 in
           let used = ((spins0 - sb.Sb.sspins) * len) + sb.Sb.sret_len in

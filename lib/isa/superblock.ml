@@ -95,11 +95,11 @@ module Cap = Capability
    code instead — a float-array tag test per read, a [caml_modify]
    write barrier per write — so no other code may index the file.  The
    module lives in this compilation unit rather than a file of its own
-   because the default (dev) build passes [-opaque], which stops
-   inlining across compilation units: the block closures' register
-   accesses must inline to stay plain loads and stores.  The
-   [alloc-gate] make target checks the compiled object for the generic
-   code's tag test.
+   so that the block closures' register accesses, which must inline to
+   stay plain loads and stores, inline in every build: the default
+   build inlines across compilation units, but [--profile dev] passes
+   [-opaque], which stops that.  The [alloc-gate] make target checks
+   the compiled object for the generic code's tag test.
 
    The packed form never escapes the interpreter: every boundary
    (switcher legs, kernel entry, traps, Obs/Forensics rendering,
@@ -183,7 +183,12 @@ end = struct
       Array.unsafe_set pk i from.(i)
     done
 
-  let clear (pk : t) = Array.fill pk 0 (Array.length pk) 0
+  (* A loop rather than [Array.fill], which calls the C primitive
+     [caml_array_fill] on every compartment call. *)
+  let clear (pk : t) =
+    for i = 0 to Array.length pk - 1 do
+      Array.unsafe_set pk i 0
+    done
 
   (* Violation codes: 0 = success.  Codes >= [v_permit_base] encode
      [Permit_violation] of the permission with bit index

@@ -37,7 +37,7 @@
     test per read and a [caml_modify] write barrier per write
     (DESIGN.md, "Packed register-file invariant").  It is a submodule
     of {!Superblock} so that the compiled blocks' accessor calls inline
-    under the default build's [-opaque].
+    in every build, [--profile dev]'s [-opaque] included.
 
     Invariant (see DESIGN.md): the packed form never escapes the
     interpreter.  [Capability.t] stays the architectural source of

@@ -256,7 +256,7 @@ let skew_timer m delta =
   match m.timer_deadline with
   | None -> ()
   | Some d ->
-      m.timer_deadline <- Some (max (m.cycles + 1) (d + delta));
+      m.timer_deadline <- Some (Int.max (m.cycles + 1) (d + delta));
       dirty m
 
 let revoker_epoch m = m.rev_epoch
@@ -276,7 +276,7 @@ let revoker_advance m n =
       s.debt <- s.debt mod m.rev_rate;
       let total = Memory.granule_count m.mem in
       let remaining = total - s.next in
-      let take = min steps remaining in
+      let take = Int.min steps remaining in
       let stop = s.next + take in
       (* Only tagged granules can be affected by a sweep step; skip the
          untagged stretches via the tag bitmap. *)
@@ -675,7 +675,7 @@ let snapshot m =
        listeners registered after the snapshot are forgotten (their
        handles stay inert: a dead slot is never called). *)
     let n = Array.length listeners in
-    let arr = Array.make (max 4 n) no_listener in
+    let arr = Array.make (Int.max 4 n) no_listener in
     Array.blit listeners 0 arr 0 n;
     m.listeners <- arr;
     m.n_listeners <- n;

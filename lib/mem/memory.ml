@@ -136,7 +136,7 @@ let first_set b ~from ~lim =
 (* The first tag at or after [from] in granule [from]'s 64-granule word
    ([lim] ends the word's bitmap bytes). *)
 let in_word m ~from =
-  let lim = min (Bytes.length m.tagged) (((from lsr 6) + 1) lsl 3) in
+  let lim = Int.min (Bytes.length m.tagged) (((from lsr 6) + 1) lsl 3) in
   first_set m.tagged ~from ~lim
 
 (* The first tag in word [k] or later, by the summary; a summary bit whose
@@ -434,15 +434,43 @@ let sweep_granule m g =
 
 let tagged_granule_count m = m.tagged_count
 
-(* Snapshot/restore: deep-copy every mutable component into a closure
-   that writes it back in place.  Restore writes [caps] directly rather
-   than through [cap_put], so the tag-set hook never observes it (a
-   restore is not a store); the hook itself is left untouched — it
-   belongs to whoever installed it, not to the memory image. *)
+(* Snapshot/restore.  A snapshot keeps what restore cannot rebuild from
+   zero: the data's non-zero [snap_chunk]-byte chunks and the tagged
+   granules' capabilities, plus copies of the small bitmaps and the
+   counters.  Restore zero-fills the data, clears the live tags (found
+   through the tag bitmap) and writes the kept chunks and capabilities
+   back, which leaves exactly the snapshot-time image.  A post-boot
+   image is mostly zero, so a held snapshot costs a few thousand words
+   rather than a second copy of SRAM, and restore writes back only the
+   tagged granules instead of every slot of [caps].  Restore writes
+   [caps] directly rather than through [cap_put], so the tag-set hook
+   never observes it (a restore is not a store); the hook itself is left
+   untouched — it belongs to whoever installed it, not to the memory
+   image. *)
+
+let snap_chunk = 512
+
+(* Bytes [off, off + len) of [b] are all zero; [off] and [len] are
+   multiples of 8, like the memory size. *)
+let zero_span b ~off ~len =
+  let rec go i = i >= off + len || (Bytes.get_int64_ne b i = 0L && go (i + 8)) in
+  go off
 
 let snapshot m =
-  let data = Bytes.copy m.data in
-  let caps = Array.copy m.caps in
+  let size = Bytes.length m.data in
+  let chunks = ref [] in
+  for k = (size - 1) / snap_chunk downto 0 do
+    let off = k * snap_chunk in
+    let len = Int.min snap_chunk (size - off) in
+    if not (zero_span m.data ~off ~len) then
+      chunks := (off, Bytes.sub m.data off len) :: !chunks
+  done;
+  let chunks = !chunks in
+  let tags = ref [] in
+  for g = Array.length m.caps - 1 downto 0 do
+    match m.caps.(g) with None -> () | Some _ as c -> tags := (g, c) :: !tags
+  done;
+  let tags = !tags in
   let tagged = Bytes.copy m.tagged in
   let tag_words = Bytes.copy m.tag_words in
   let tagged_count = m.tagged_count in
@@ -450,8 +478,16 @@ let snapshot m =
   let revoked_count = m.revoked_count in
   let load_filter = m.load_filter in
   fun () ->
-    Bytes.blit data 0 m.data 0 (Bytes.length data);
-    Array.blit caps 0 m.caps 0 (Array.length caps);
+    Bytes.fill m.data 0 size '\000';
+    List.iter (fun (off, b) -> Bytes.blit b 0 m.data off (Bytes.length b)) chunks;
+    let granules = Array.length m.caps in
+    for i = 0 to Bytes.length m.tagged - 1 do
+      if Bytes.unsafe_get m.tagged i <> '\000' then
+        for g = i lsl 3 to Int.min (granules - 1) ((i lsl 3) + 7) do
+          m.caps.(g) <- None
+        done
+    done;
+    List.iter (fun (g, c) -> m.caps.(g) <- c) tags;
     Bytes.blit tagged 0 m.tagged 0 (Bytes.length tagged);
     Bytes.blit tag_words 0 m.tag_words 0 (Bytes.length tag_words);
     m.tagged_count <- tagged_count;

@@ -180,9 +180,11 @@ val tagged_granule_count : t -> int
 (* Snapshot *)
 
 val snapshot : t -> unit -> unit
-(** [snapshot m] deep-copies the entire memory image — data bytes,
+(** [snapshot m] captures the entire memory image — data bytes,
     capability array, tag bitmap and its summary, revocation bitmap,
     their counters and the load-filter toggle — and returns a thunk that
-    restores it in place.  Restoring bypasses the tag-set hook (a restore is not a
-    store) and leaves the installed hook untouched.  Building block of
-    {!Machine.snapshot}. *)
+    restores it in place.  Only the data's non-zero 512-byte chunks and
+    the tagged granules are kept (restore zero-fills the rest), so a
+    mostly-zero image costs little to hold.  Restoring bypasses the
+    tag-set hook (a restore is not a store) and leaves the installed
+    hook untouched.  Building block of {!Machine.snapshot}. *)
