@@ -602,27 +602,52 @@ let campaign ?(jobs = 1) ?(fleet_metrics = false) () =
     (Unix.gettimeofday () -. t0);
   if failures > 0 then exit 1
 
+(* The subcommands' option parser.  Each option is a flag, an integer
+   with a minimum, or a string; the arguments left over (positionals,
+   unknown options, an option missing its value) come back in order.
+   An integer option with a bad value prints "<cmd>: ..." and exits 1. *)
+type opt = Flag of bool ref | Int of int * (int -> unit) | Str of string option ref
+
+let parse_opts ~cmd opts args =
+  let rec go acc = function
+    | [] -> List.rev acc
+    | a :: rest -> (
+        match (List.assoc_opt a opts, rest) with
+        | Some (Flag r), _ ->
+            r := true;
+            go acc rest
+        | Some (Str r), v :: rest ->
+            r := Some v;
+            go acc rest
+        | Some (Int (min, set)), v :: rest -> (
+            match int_of_string_opt v with
+            | Some n when n >= min ->
+                set n;
+                go acc rest
+            | _ ->
+                Fmt.epr "%s: %s expects %s, got %s@." cmd a
+                  (if min = 1 then "a positive integer"
+                   else Printf.sprintf "an integer >= %d" min)
+                  v;
+                exit 1)
+        | (None | Some (Str _ | Int _)), _ -> go (a :: acc) rest)
+  in
+  go [] args
+
+(* For subcommands that take options only. *)
+let no_positionals ~cmd = function
+  | [] -> ()
+  | a :: _ ->
+      Fmt.epr "%s: unknown argument %s@." cmd a;
+      exit 1
+
 let campaign_cmd args =
   let jobs = ref (Farm.default_jobs ()) in
   let fleet_metrics = ref false in
-  let rec parse = function
-    | [] -> ()
-    | "--jobs" :: v :: rest -> (
-        match int_of_string_opt v with
-        | Some n when n >= 1 ->
-            jobs := n;
-            parse rest
-        | _ ->
-            Fmt.epr "campaign: --jobs expects a positive integer, got %s@." v;
-            exit 1)
-    | "--fleet-metrics" :: rest ->
-        fleet_metrics := true;
-        parse rest
-    | a :: _ ->
-        Fmt.epr "campaign: unknown argument %s@." a;
-        exit 1
-  in
-  parse args;
+  no_positionals ~cmd:"campaign"
+    (parse_opts ~cmd:"campaign"
+       [ ("--jobs", Int (1, ( := ) jobs)); ("--fleet-metrics", Flag fleet_metrics) ]
+       args);
   warn_oversubscribed ~what:"campaign" !jobs;
   campaign ~jobs:!jobs ~fleet_metrics:!fleet_metrics ()
 
@@ -832,13 +857,9 @@ let print_attribution machine frn =
     (Forensics.attribution frn ~total_cycles:total)
 
 let trace_cmd args =
-  let out, rest =
-    let rec go acc = function
-      | "--out" :: f :: rest -> (Some f, List.rev_append acc rest)
-      | a :: rest -> go (a :: acc) rest
-      | [] -> (None, List.rev acc)
-    in
-    go [] args
+  let out = ref None in
+  let rest =
+    parse_opts ~cmd:"trace" [ ("--out", Str out) ] args
   in
   let workload = workload_arg ~usage:"trace <workload> [--out trace.json]" rest in
   let machine, obs, frn = run_workload workload in
@@ -847,7 +868,7 @@ let trace_cmd args =
   Fmt.pr "events total=%d retained=%d dropped=%d@." (Obs.total obs)
     (Obs.length obs) (Obs.dropped obs);
   print_attribution machine frn;
-  match out with
+  match !out with
   | None -> ()
   | Some f ->
       write_out ~cmd:"trace" f
@@ -861,18 +882,13 @@ let trace_cmd args =
 let metrics_cmd args =
   let openmetrics = ref false in
   let out = ref None in
-  let rec split acc = function
-    | "--openmetrics" :: rest ->
-        openmetrics := true;
-        split acc rest
-    | "--out" :: f :: rest ->
-        out := Some f;
-        split acc rest
-    | a :: rest -> split (a :: acc) rest
-    | [] -> List.rev acc
+  let rest =
+    parse_opts ~cmd:"metrics"
+      [ ("--openmetrics", Flag openmetrics); ("--out", Str out) ]
+      args
   in
   let workload =
-    workload_arg ~usage:"metrics <workload> [--openmetrics] [--out f]" (split [] args)
+    workload_arg ~usage:"metrics <workload> [--openmetrics] [--out f]" rest
   in
   let machine, obs, frn = run_workload workload in
   let text =
@@ -906,23 +922,16 @@ let metrics_cmd args =
 let profile_cmd args =
   let interval = ref None in
   let out = ref None in
-  let rec split acc = function
-    | "--interval" :: v :: rest -> (
-        match int_of_string_opt v with
-        | Some n when n >= 2 ->
-            interval := Some n;
-            split acc rest
-        | _ ->
-            Fmt.epr "profile: --interval expects an integer >= 2, got %s@." v;
-            exit 1)
-    | "--out" :: f :: rest ->
-        out := Some f;
-        split acc rest
-    | a :: rest -> split (a :: acc) rest
-    | [] -> List.rev acc
+  let rest =
+    parse_opts ~cmd:"profile"
+      [
+        ("--interval", Int (2, fun n -> interval := Some n));
+        ("--out", Str out);
+      ]
+      args
   in
   let workload =
-    workload_arg ~usage:"profile <workload> [--interval N] [--out f]" (split [] args)
+    workload_arg ~usage:"profile <workload> [--interval N] [--out f]" rest
   in
   let mode =
     match !interval with
@@ -976,21 +985,14 @@ let report_cmd args =
    what the machine was fed just before it crashed. *)
 let crashdump_cmd args =
   let context = ref None in
-  let rec split acc = function
-    | "--replay-context" :: v :: rest -> (
-        match int_of_string_opt v with
-        | Some n when n >= 1 ->
-            context := Some n;
-            split acc rest
-        | _ ->
-            Fmt.epr "crashdump: --replay-context expects a positive integer@.";
-            exit 1)
-    | a :: rest -> split (a :: acc) rest
-    | [] -> List.rev acc
+  let rest =
+    parse_opts ~cmd:"crashdump"
+      [ ("--replay-context", Int (1, fun n -> context := Some n)) ]
+      args
   in
   let usage = "crashdump <pod|campaign-seed> [--replay-context N]" in
   let scenario =
-    match split [] args with
+    match rest with
     | [] -> "pod"
     | [ s ] when s = "pod" || s = "ping_of_death" || int_of_string_opt s <> None -> s
     | [ s ] ->
@@ -1058,62 +1060,44 @@ let attack_matrix_cmd args =
   let seed = ref 1 in
   let n = ref 6 in
   let json = ref false in
-  let armed = ref true in
+  let disarm = ref false in
   let fleet_metrics = ref false in
   let replay = ref None in
-  let int_arg name v k rest parse_rest =
-    match int_of_string_opt v with
-    | Some x when x >= 1 ->
-        k x;
-        parse_rest rest
-    | _ ->
-        Fmt.epr "attack-matrix: %s expects a positive integer, got %s@." name v;
-        exit 1
+  let replay_usage () =
+    Fmt.epr
+      "attack-matrix: --replay expects <family>:<model>:<seed> \
+       (families: %s; models: %s)@."
+      (String.concat "," (List.map Attack.family_name Attack.families))
+      (String.concat "," (List.map Attack.model_name Attack.models));
+    exit 1
   in
-  let rec parse = function
-    | [] -> ()
-    | "--jobs" :: v :: rest -> int_arg "--jobs" v (fun x -> jobs := x) rest parse
-    | "--seed" :: v :: rest -> int_arg "--seed" v (fun x -> seed := x) rest parse
-    | "--n" :: v :: rest -> int_arg "--n" v (fun x -> n := x) rest parse
-    | "--json" :: rest ->
-        json := true;
-        parse rest
-    | "--disarm" :: rest ->
-        armed := false;
-        parse rest
-    | "--fleet-metrics" :: rest ->
-        fleet_metrics := true;
-        parse rest
-    | "--replay" :: v :: rest ->
-        (match String.split_on_char ':' v with
-        | [ f; m; s ] -> (
-            match
-              ( Attack.family_of_name f,
-                Attack.model_of_name m,
-                int_of_string_opt s )
-            with
-            | Some family, Some model, Some seed ->
-                replay := Some (family, model, seed)
-            | _ ->
-                Fmt.epr
-                  "attack-matrix: --replay expects <family>:<model>:<seed> \
-                   (families: %s; models: %s)@."
-                  (String.concat "," (List.map Attack.family_name Attack.families))
-                  (String.concat "," (List.map Attack.model_name Attack.models));
-                exit 1)
-        | _ ->
-            Fmt.epr "attack-matrix: --replay expects <family>:<model>:<seed>@.";
-            exit 1);
-        parse rest
-    | a :: _ ->
-        Fmt.epr "attack-matrix: unknown argument %s@." a;
-        exit 1
+  let replay_cell v =
+    match String.split_on_char ':' v with
+    | [ f; m; s ] -> (
+        match
+          (Attack.family_of_name f, Attack.model_of_name m, int_of_string_opt s)
+        with
+        | Some family, Some model, Some seed -> (family, model, seed)
+        | _ -> replay_usage ())
+    | _ -> replay_usage ()
   in
-  parse args;
-  match !replay with
+  no_positionals ~cmd:"attack-matrix"
+    (parse_opts ~cmd:"attack-matrix"
+       [
+         ("--jobs", Int (1, ( := ) jobs));
+         ("--seed", Int (1, ( := ) seed));
+         ("--n", Int (1, ( := ) n));
+         ("--json", Flag json);
+         ("--disarm", Flag disarm);
+         ("--fleet-metrics", Flag fleet_metrics);
+         ("--replay", Str replay);
+       ]
+       args);
+  let armed = not !disarm in
+  match Option.map replay_cell !replay with
   | Some (family, model, seed) ->
       (* Replay one cell with its full forensic record. *)
-      let o = Attack.run_one ~armed:!armed ~family ~model ~seed () in
+      let o = Attack.run_one ~armed ~family ~model ~seed () in
       section
         (Printf.sprintf "attack replay: %s on %s, seed %d"
            (Attack.family_name family) (Attack.model_name model) seed);
@@ -1132,7 +1116,7 @@ let attack_matrix_cmd args =
       warn_oversubscribed ~what:"attack-matrix" !jobs;
       let t0 = Unix.gettimeofday () in
       let outcomes =
-        Attack.run_matrix ~jobs:!jobs ~armed:!armed ~base_seed:!seed ~n:!n ()
+        Attack.run_matrix ~jobs:!jobs ~armed ~base_seed:!seed ~n:!n ()
       in
       let dt = Unix.gettimeofday () -. t0 in
       if !json then
@@ -1372,21 +1356,12 @@ let call_round_trip_words ?(n = 200) import =
    allocation per instruction — and for the allocation-free switcher
    path (warm words per compartment-call round trip, gated below).  The
    first run of the rig pays one-time costs (segment decode, block
-   compilation); the second run must stay under ALLOC_GATE_MAX_WORDS
-   minor words per instruction (default 0.01 — any real per-instruction
-   allocation costs at least 2 words, so the gate has ~200x margin
-   while leaving headroom for O(1) entry/exit boxing). *)
+   compilation); the second run must stay under 0.01 minor words per
+   instruction (any real per-instruction allocation costs at least 2
+   words, so the gate has ~200x margin while leaving headroom for O(1)
+   entry/exit boxing). *)
 let alloc_gate_cmd _args =
-  let max_words =
-    match Sys.getenv_opt "ALLOC_GATE_MAX_WORDS" with
-    | None -> 0.01
-    | Some s -> (
-        match float_of_string_opt s with
-        | Some v when v > 0. -> v
-        | _ ->
-            Fmt.epr "alloc-gate: bad ALLOC_GATE_MAX_WORDS %S@." s;
-            exit 1)
-  in
+  let max_words = 0.01 in
   let rig = tight_rig () in
   ignore (tight_run rig);
   let _, minor, promoted = tight_run rig in
@@ -1497,7 +1472,7 @@ let subcommands : (string * string * (string list -> unit)) list =
       perf_cmd );
     ( "alloc-gate",
       "alloc-gate: fail unless the warm superblock loop allocates under \
-       ALLOC_GATE_MAX_WORDS (default 0.01) minor words per instruction \
+       0.01 minor words per instruction \
        and a warm compartment-call round trip (0 B and 1024 B stack) \
        under 247 words",
       alloc_gate_cmd );

@@ -756,11 +756,6 @@ let free_all ctx ~alloc_cap =
   | Ok r -> Ok (Interp.to_int r)
   | Error _ -> Error Bad_capability
 
-let available ctx =
-  match Kernel.call1 ctx ~import:"allocator.heap_available" [] with
-  | Ok r -> Interp.to_int r
-  | Error _ -> 0
-
 let quota_remaining ctx ~alloc_cap =
   match Kernel.call1 ctx ~import:"allocator.heap_quota_remaining" [ alloc_cap ] with
   | Ok r ->

@@ -38,14 +38,6 @@ val err_code : err -> int
 val err_of_code : int -> err option
 val pp_err : err Fmt.t
 
-val comp_name : string
-(** "allocator": the firmware compartment name the installer expects. *)
-
-val lib_name : string
-(** "token": the fast-path unseal shared library (§3.2.1; the unseal
-    itself is a cheap hardware-assisted operation, hence a library and
-    not a compartment call — matching Table 3's 44.8-cycle figure). *)
-
 val firmware_compartment : unit -> Firmware.compartment
 (** The allocator's firmware declaration (entries with arities/stack). *)
 
@@ -77,7 +69,6 @@ val heap_size : t -> int
 
 val heap_bounds : t -> int * int
 (** [(heap_base, heap_limit)] — the address span the allocator manages. *)
-val free_bytes : t -> int
 val quarantined_bytes : t -> int
 val live_allocations : t -> int
 
@@ -128,9 +119,6 @@ val claim :
 val free_all : Kernel.ctx -> alloc_cap:Kernel.value -> (int, err) result
 (** Free every reference of this quota (micro-reboot step 3, §3.2.6).
     Returns the number of references released. *)
-
-val available : Kernel.ctx -> int
-(** Free heap bytes (excluding quarantine). *)
 
 val quota_remaining : Kernel.ctx -> alloc_cap:Kernel.value -> (int, err) result
 

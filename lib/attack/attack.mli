@@ -58,18 +58,12 @@ type verdict = Benign | Trapped | Contained | Corrupted_neighbour | Owned
 
 val families : family list
 val models : model list
-val verdicts : verdict list
 
 val family_name : family -> string
 val family_of_name : string -> family option
 val model_name : model -> string
 val model_of_name : string -> model option
 val verdict_name : verdict -> string
-
-val severity : verdict -> int
-(** Containment order: [Benign] 0 < [Trapped] 1 < [Contained] 2 <
-    [Corrupted_neighbour] 3 < [Owned] 4.  Lower is better for the
-    defender. *)
 
 type outcome = {
   at_family : family;
@@ -111,7 +105,8 @@ val run_matrix :
 
 val cheriot_strictly_better : outcome list -> family list
 (** Families where, seed-for-seed, the CHERIoT verdict is never worse
-    ({!severity}) than the MPU baseline's and strictly better for at
+    (in containment order: [Benign] < [Trapped] < [Contained] <
+    [Corrupted_neighbour] < [Owned]) than the MPU baseline's and strictly better for at
     least one seed. *)
 
 val containment_failures : outcome list -> outcome list

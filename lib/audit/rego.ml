@@ -229,9 +229,6 @@ let parse src =
         Ok { rules = List.rev !rules }
       with Pfail e -> Error e)
 
-let rule_names t =
-  List.sort_uniq compare (List.map (fun r -> r.rule_name) t.rules)
-
 (* Evaluation *)
 
 exception Undefined of string

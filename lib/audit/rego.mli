@@ -27,8 +27,6 @@ type t
 
 val parse : string -> (t, string) result
 
-val rule_names : t -> string list
-
 val eval_rule : t -> report:Json.t -> string -> (Json.t list, string) result
 (** Every value produced by the named rule (the bracket variable's
     binding, or [Bool true] for plain rules); empty if no body

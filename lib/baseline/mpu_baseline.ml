@@ -26,7 +26,6 @@ let create () =
 let cycles t = t.clock
 let tick t n = t.clock <- t.clock + n
 let create_task _t name = { t_name = name; regions = [] }
-let task_name task = task.t_name
 
 let round_region len =
   let rec go size = if size >= len then size else go (2 * size) in
@@ -45,9 +44,6 @@ let grant _t task ~addr ~len ~writable =
   let r = { r_base = base; r_size = size; r_read = true; r_write = writable } in
   task.regions <- r :: task.regions;
   r
-
-let revoke_region _t task r =
-  task.regions <- List.filter (fun r' -> r' <> r) task.regions
 
 let check t task ~addr ~write =
   (* Linear region scan, as the hardware comparators would do in

@@ -16,8 +16,6 @@
 
 val region_count : int  (** 8, as on Armv7-M MPUs and RISC-V PMP *)
 
-val min_region_size : int  (** 32 bytes *)
-
 val domain_switch_cycles : int
 (** Modelled trap + MPU reprogram + return (Donky reports 2136). *)
 
@@ -38,15 +36,12 @@ val create : unit -> t
 val cycles : t -> int
 
 val create_task : t -> string -> task
-val task_name : task -> string
 
 val grant : t -> task -> addr:int -> len:int -> writable:bool -> region
 (** Configure a region covering [addr, addr+len).  The MPU's
     power-of-two alignment rounds the region up: the returned region
     shows the actual (over-privileged) extent.  Raises [Failure] when
     the task is out of regions. *)
-
-val revoke_region : t -> task -> region -> unit
 
 val load : t -> task -> addr:int -> int
 val store : t -> task -> addr:int -> int -> unit

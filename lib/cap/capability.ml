@@ -253,6 +253,4 @@ let attenuate_loaded ~auth c = attenuate_loaded_perms auth.perms c
 
 let exn = function Ok c -> c | Error v -> raise (Derivation v)
 let with_address_exn c a = exn (with_address c a)
-let set_bounds_exn c ~length = exn (set_bounds c ~length)
-let and_perms_exn c mask = exn (and_perms c mask)
 let seal_entry_exn c kind = exn (seal_entry c kind)

@@ -32,9 +32,7 @@ module Otype : sig
   (** Largest otype usable for sealed data capabilities;
       [data_last - data_first + 1 = 7]. *)
 
-  val equal : t -> t -> bool
   val pp : t Fmt.t
-  val to_string : t -> string
 end
 
 type t = private {
@@ -147,14 +145,12 @@ val of_meta : meta:int -> base:int -> top:int -> cursor:int -> t
     meta produced by {!meta}; [Invalid_argument] on the unused otype
     codes (6-8) no constructible capability carries. *)
 
-val otype_code : Otype.t -> int
-(** The architectural otype encoding ([CGetType]'s result). *)
-
 val sentry_code : Otype.sentry -> int
-(** [otype_code (Sentry s)]. *)
+(** The architectural otype encoding ([CGetType]'s result) of a
+    sentry. *)
 
 val otype_of_code : int -> Otype.t
-(** Inverse of {!otype_code}; [Invalid_argument] on codes 6-8.
+(** Decode an architectural otype; [Invalid_argument] on codes 6-8.
     Allocation-free for the unsealed and sentry codes. *)
 
 (* Access checks (used by the memory and the ISA) *)
@@ -181,6 +177,4 @@ val attenuate_loaded_perms : Perm.Set.t -> t -> t
 
 val exn : (t, violation) result -> t
 val with_address_exn : t -> int -> t
-val set_bounds_exn : t -> length:int -> t
-val and_perms_exn : t -> Perm.Set.t -> t
 val seal_entry_exn : t -> Otype.sentry -> t

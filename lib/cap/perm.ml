@@ -59,13 +59,10 @@ module Set = struct
   let of_list = List.fold_left (fun s p -> add p s) empty
   let to_list s = List.filter (fun p -> mem p s) all_perms
   let inter a b = a land b
-  let union a b = a lor b
   let subset a b = a land b = a
   let equal (a : t) b = a = b
-  let is_empty s = s = 0
   (* The names concatenated in bit order. *)
   let to_string s = String.concat "" (List.map to_string (to_list s))
-  let pp ppf s = Fmt.string ppf (to_string s)
   let to_bits s = s
   let of_bits b = b land universe
 

@@ -18,9 +18,6 @@ type t =
   | Unseal  (** authorises [Capability.unseal] for otypes in bounds *)
   | User0  (** software-defined permission (used for allocator rights) *)
 
-val all_perms : t list
-(** Every permission, in display order. *)
-
 val bit : t -> int
 (** Bit index of a permission in the ISA immediate encoding. *)
 
@@ -44,12 +41,8 @@ module Set : sig
   val add : perm -> t -> t
   val remove : perm -> t -> t
   val inter : t -> t -> t
-  val union : t -> t -> t
   val subset : t -> t -> bool
   val equal : t -> t -> bool
-  val is_empty : t -> bool
-  val pp : t Fmt.t
-  (** Prints {!to_string}. *)
 
   val to_string : t -> string
   (** The names concatenated in bit order. *)

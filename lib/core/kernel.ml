@@ -79,8 +79,6 @@ and entry_impl = ctx -> value array -> value * value
 and error_handler = ctx -> fault_info -> [ `Unwind ]
 and wake_reason = Woken of int | Timed_out
 
-exception Thread_exit
-
 type call_error =
   | Fault_in_callee
   | Invalid_import
@@ -120,20 +118,12 @@ let comp_id t name =
   | None -> invalid_arg ("unknown compartment " ^ name)
 
 let comp_name t id = t.comps.(id).layout.Loader.lc_name
-let current_thread t = t.current
 let thread_count t = Array.length t.threads
 let thread_name t i = t.threads.(i).tlayout.Loader.lt_name
 let idle_cycles t = t.idle
 let context_switches t = t.switches
 let add_irq_handler t h = t.irq_handlers <- t.irq_handlers @ [ h ]
 let set_call_fault_hook t h = t.call_fault_hook <- h
-
-let thread_state t i =
-  match t.threads.(i).state with
-  | Ready -> `Ready
-  | Running -> `Running
-  | Blocked -> `Blocked
-  | Finished -> `Finished
 
 (* Run-queue sanity: the structural invariants the scheduler loop relies
    on, checked from outside (fault-campaign invariant). *)
@@ -575,8 +565,8 @@ let rec do_call t ~tid ~caller ~csp ~cgp ~sealed args =
         ~instr:(switcher_instr_at tr.Interp.tpc) ~handler_ran:false;
       (match tr.Interp.tcause with
       | Interp.Software s ->
-          if s = "insufficient stack for callee" then Error Insufficient_stack
-          else if s = "trusted stack overflow" then Error Trusted_stack_exhausted
+          if s = Switcher.insufficient_stack then Error Insufficient_stack
+          else if s = Switcher.trusted_stack_overflow then Error Trusted_stack_exhausted
           else Error Invalid_import
       | _ -> Error Invalid_import)
   | Interp.Halted -> assert false
@@ -783,7 +773,6 @@ let handler t th =
       (fun e ->
         th.state <- Finished;
         match e with
-        | Thread_exit -> ()
         | Memory.Fault f ->
             (* A fault with no enclosing compartment frame kills the
                thread (it unwound out of its root call). *)

@@ -40,8 +40,6 @@ type fault_info = {
   fault_thread : int;
 }
 
-exception Thread_exit
-
 type entry_impl = ctx -> value array -> value * value
 (** May raise {!Memory.Fault} / {!Capability.Derivation}: those are CHERI
     traps, handled by the switcher path. *)
@@ -94,9 +92,6 @@ val set_error_handler : t -> comp:string -> error_handler -> unit
     [error_handler] for this compartment (the export-table flag is set by
     the loader and audited). *)
 
-val comp_id : t -> string -> int
-val comp_name : t -> int -> string
-
 (* Compartment and library calls *)
 
 val import_cap : t -> comp:string -> string -> value
@@ -133,7 +128,6 @@ val suspend :
     [deadline] (absolute cycles) passes first, the thread wakes with
     [Timed_out].  Foundation for futexes (§3.2.4). *)
 
-val current_thread : t -> int option
 val thread_count : t -> int
 val thread_name : t -> int -> string
 
@@ -240,8 +234,6 @@ val record_scoped_fault : ctx -> cause:string -> addr:int -> unit
     reaches the switcher unwind, so the kernel's own capture sites miss
     it).  No-op unless tracing is on and a {!Forensics} recorder is
     attached — purely observational. *)
-
-val thread_state : t -> int -> [ `Ready | `Running | `Blocked | `Finished ]
 
 val check_sanity : t -> (unit, string) result
 (** Structural run-queue invariants, checkable from outside the

@@ -4,8 +4,6 @@ type steps = {
   reset_state : unit -> unit;
 }
 
-let default_reboot_cycles = 50_000
-
 let count k ~comp = Kernel.reboot_count k ~comp
 
 (* Rate limiting and reboot subscribers both live on the kernel

@@ -25,12 +25,6 @@ type steps = {
   reset_state : unit -> unit;  (** step 4, beyond the globals snapshot *)
 }
 
-val default_reboot_cycles : int
-(** Default modelled reset latency charged by {!perform} (the 0.27 s of
-    Fig. 7 at the paper profile; small in unit tests).  The live value is
-    per-kernel — {!Kernel.set_reboot_cycles} — so concurrently running
-    simulations can model different reset costs. *)
-
 val perform : Kernel.ctx -> comp:string -> steps -> unit
 (** Run the five steps from inside the compartment's error handler:
     poison, wake, release, restore globals + reset, charge the reset

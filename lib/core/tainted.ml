@@ -10,5 +10,3 @@ let both (Tainted a) (Tainted b) = Tainted (a, b)
 
 let use_pointer ctx t ?(perms = Perm.Set.empty) ?(min_length = 0) f =
   use t ~check:(fun v -> Hardening.check_pointer ctx ~perms ~min_length v) f
-
-let unsafe_assume_validated (Tainted v) = v

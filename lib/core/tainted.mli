@@ -5,8 +5,7 @@
     data read through a shared capability — can be wrapped as tainted.
     The type system then forces a validation step before the value is
     used: there is no way to extract the payload except through [use]
-    (which runs a checker) or the explicit, greppable
-    [unsafe_assume_validated]. *)
+    (which runs a checker). *)
 
 type 'a t
 (** A value of type ['a] received from an untrusted party. *)
@@ -32,6 +31,3 @@ val use_pointer :
   ('b, string) result
 (** The common case: validate a tainted capability argument with
     {!Hardening.check_pointer} before use. *)
-
-val unsafe_assume_validated : 'a t -> 'a
-(** Escape hatch; every call site is an audit finding. *)

@@ -270,7 +270,6 @@ let reseed t ~seed =
   t.seed <- seed;
   t.rng <- Random.State.make [| seed; 0xc4e7107 |]
 
-let seed t = t.seed
 let injected t = t.injected
 let trace t = List.rev t.trace_rev
 

@@ -33,9 +33,6 @@ type kind =
   | Net of net_fault
   | Crash
 
-val kind_name : kind -> string
-val default_weights : (kind * int) list
-
 type t
 
 val create :
@@ -50,8 +47,6 @@ val create :
     re-raises its line for 12 consecutive ticks.  The engine starts
     disarmed. *)
 
-val seed : t -> int
-
 val reseed : t -> seed:int -> unit
 (** Rewind the engine onto a fresh seed: replaces the RNG with the state
     [create ~seed] would have built.  Used by {!Fault_campaign.run},
@@ -65,7 +60,7 @@ val injected : t -> int
 val trace : t -> string list
 (** The fault history, oldest first, each entry stamped with the cycle
     count.  Printing this on a violation gives an exact replay recipe
-    together with {!seed}. *)
+    together with the seed. *)
 
 val arm : t -> unit
 val disarm : t -> unit

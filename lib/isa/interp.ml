@@ -67,8 +67,6 @@ let create machine =
         t.last_seg <- last_seg);
   t
 
-let machine t = t.machine
-
 (* One slot per word, label operands resolved to absolute addresses.
    [assemble] already verified that every referenced label exists, so
    resolution is total. *)
@@ -111,11 +109,6 @@ let map_segment t ~base prog =
   t.segments <- seg :: t.segments;
   t.last_seg <- None
 
-let segment_base t name =
-  match List.find_opt (fun s -> Isa.name s.prog = name) t.segments with
-  | Some s -> s.seg_base
-  | None -> invalid_arg ("segment_base: " ^ name)
-
 (* Register access: the registers live packed ([Packed_cap]); boxed
    values are materialized only at this boundary. *)
 let get_reg t r = Pk.unpack t.sb.Sb.spk r
@@ -123,7 +116,6 @@ let set_reg t r v = Pk.pack t.sb.Sb.spk r v
 let read_regs t = Array.init 16 (fun r -> Pk.unpack t.sb.Sb.spk r)
 let clear_regs t = Pk.clear t.sb.Sb.spk
 
-let get_special t i = t.sb.Sb.sspec.(i)
 let set_special t i c = t.sb.Sb.sspec.(i) <- c
 let instret t = t.sb.Sb.sinstret
 let int_value v = Cap.with_address_unsealed Cap.null v

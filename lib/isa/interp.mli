@@ -26,14 +26,9 @@ type t
 
 val create : Machine.t -> t
 
-val machine : t -> Machine.t
-
 val map_segment : t -> base:int -> Isa.program -> unit
 (** Map a program at [base] (4 bytes per instruction).  Overlap is a
     programming error. *)
-
-val segment_base : t -> string -> int
-(** Base address of a mapped program, by name. *)
 
 (* The 16 merged registers live packed ({!Superblock.Packed_cap}) in
    one flat int array so the hot loop never allocates; boxed
@@ -51,7 +46,6 @@ val read_regs : t -> Capability.t array
 val clear_regs : t -> unit
 (** Reset every register to NULL. *)
 
-val get_special : t -> int -> Capability.t
 val set_special : t -> int -> Capability.t -> unit
 (** Direct access to special capability registers (reset/loader only;
     running code must use [Cspecialrw], which demands

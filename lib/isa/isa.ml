@@ -18,7 +18,6 @@ let cs1 = 14
 let ct3 = 15
 let mtdc = 0
 let mscratchc = 1
-let mepcc = 2
 
 type instr =
   | Li of reg * int
@@ -156,7 +155,6 @@ let assemble ~name items =
     instrs;
   { prog_name = name; instrs; labels }
 
-let name p = p.prog_name
 let length p = Array.length p.instrs
 let code_bytes p = 4 * length p
 let fetch p i = if i >= 0 && i < Array.length p.instrs then Some p.instrs.(i) else None

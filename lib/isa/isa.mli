@@ -47,9 +47,6 @@ val mtdc : int
 val mscratchc : int
 (** Switcher scratch: holds the export-table unsealing key. *)
 
-val mepcc : int
-(** Trapping PCC, written by the trap path. *)
-
 type instr =
   | Li of reg * int
   | Mv of reg * reg
@@ -102,7 +99,6 @@ val assemble : name:string -> item list -> program
     and on a [Cspecialrw] index outside 0..2.  [program] is abstract, so
     every program the interpreter runs has passed these checks. *)
 
-val name : program -> string
 val length : program -> int
 (** Number of instructions — the paper's "~355 instructions" metric. *)
 

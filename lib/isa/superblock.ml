@@ -133,7 +133,6 @@ module Packed_cap : sig
   val ok : int
   val violation : int -> Cap.violation
   val m_tag : int -> bool
-  val m_sealed : int -> bool
   val m_otype : int -> int
   val m_perm_bits : int -> int
   val m_has_perm : Perm.t -> int -> bool

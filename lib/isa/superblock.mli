@@ -80,38 +80,12 @@ module Packed_cap : sig
   (** Decode a non-zero helper result into the exact violation the
       boxed [Capability] operation returns. *)
 
-  (* Meta-word predicates (pure int functions). *)
-
-  val m_tag : int -> bool
-  val m_sealed : int -> bool
-  val m_otype : int -> int
-  val m_perm_bits : int -> int
-  val m_has_perm : Perm.t -> int -> bool
-
-  val m_unsealed : int -> int
-  (** The same meta word with the otype code cleared (unsealed). *)
-
-  val access_key : Perm.Set.t -> int
-  (** The meta bits an access through a capability needs: the tag and
-      every permission of the set. *)
-
-  val access_mask : int -> int
-  (** [access_mask key]: [key] plus every otype bit.  A meta word [m]
-      passes the tag, seal and permission parts of
-      [Capability.check_access] for the permissions in [key] iff
-      [m land access_mask key = key] — one mask and compare, computed
-      once per compiled instruction. *)
-
   (* Slot accessors (bounds-checked). *)
 
   val meta : t -> int -> int
   val base : t -> int -> int
   val top : t -> int -> int
   val cursor : t -> int -> int
-  val length : t -> int -> int
-  val tag_bit : t -> int -> int  (** 1 if tagged, else 0 *)
-  val otype_code : t -> int -> int  (** [CGetType]'s value *)
-  val perm_bits : t -> int -> int  (** [CGetPerm]'s value *)
 
   (* Unchecked accessors for the compiled blocks: the register must be
      one of the file's (the interpreter's file has 16, and
@@ -218,10 +192,6 @@ val make_ctx : Machine.t -> ctx
 
 val x_halt : int
 (** Block exit code: executed [Halt]. *)
-
-val x_jump : int
-(** Block exit code: executed [Cjalr]; the unsealed target is in
-    [ctx.sjump].  Any non-negative exit is the next pc. *)
 
 type block = {
   b_len : int;

@@ -245,5 +245,3 @@ let rec equal a b =
       List.length xs = List.length ys
       && List.for_all2 (fun (k1, v1) (k2, v2) -> k1 = k2 && equal v1 v2) xs ys
   | (Null | Bool _ | Int _ | Str _ | List _ | Obj _), _ -> false
-
-let pp ppf t = Fmt.string ppf (to_string ~pretty:true t)

@@ -27,4 +27,3 @@ val to_string_opt : t -> string option
 val to_list : t -> t list
 val keys : t -> string list
 val equal : t -> t -> bool
-val pp : t Fmt.t

@@ -27,25 +27,11 @@ and env
 and ast_stmt
 
 val value_to_string : value -> string
-val equal_value : value -> value -> bool
 
 type program
 
 val parse : string -> (program, string) result
 (** Parse a script; errors carry a human-readable message. *)
-
-val step_cycles : int
-(** Cycles charged per evaluation step. *)
-
-val run :
-  ?fuel:int ->
-  machine:Machine.t ->
-  globals:(string * value) list ->
-  program ->
-  (value, string) result
-(** Evaluate the program with the given host globals; the result is the
-    value of the last statement (or of an explicit top-level [return]).
-    [fuel] bounds evaluation steps (default 1_000_000). *)
 
 val eval_string :
   ?fuel:int ->

@@ -1,11 +1,5 @@
 type posture = Interrupts_enabled | Interrupts_disabled
 
-let pp_posture ppf p =
-  Fmt.string ppf
-    (match p with
-    | Interrupts_enabled -> "interrupts-enabled"
-    | Interrupts_disabled -> "interrupts-disabled")
-
 type entry = {
   entry_name : string;
   arity : int;

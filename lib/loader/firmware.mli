@@ -12,8 +12,6 @@
 
 type posture = Interrupts_enabled | Interrupts_disabled
 
-val pp_posture : posture Fmt.t
-
 type entry = {
   entry_name : string;
   arity : int;  (** number of argument registers, 0..6 *)
@@ -119,8 +117,5 @@ val find_compartment : t -> string -> compartment option
 val validate : t -> (unit, string) result
 (** Check cross-references: every import resolves, thread entries exist,
     names are unique.  The loader refuses invalid images. *)
-
-val bytes_per_loc : int
-(** Calibrated code bytes per source line (see DESIGN.md). *)
 
 val code_bytes : compartment -> int

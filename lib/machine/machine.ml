@@ -77,7 +77,6 @@ type t = {
   mutable obs : Obs.t option;  (* trace sink; never affects simulation *)
   mutable frn : Forensics.t option;  (* flight recorder *)
   mutable prof : Profiler.t option;  (* sampling profiler *)
-  rev_futex : int ref;
   mutable input_log : (cycle:int -> string -> unit) option;
       (* replay-journal tap (lib/replay): IRQ raises, injected frames,
          fault notes.  Host-side only, observationally invisible. *)
@@ -260,7 +259,6 @@ let skew_timer m delta =
       dirty m
 
 let revoker_epoch m = m.rev_epoch
-let revoker_interrupt_futex_word m = m.rev_futex
 
 (* Progress the background revoker by [n] cycles of wall time.  Debt
    arithmetic is additive, so one batched call here is equivalent to any
@@ -295,7 +293,6 @@ let revoker_advance m n =
       if s.next >= total then begin
         m.rev_state <- Idle;
         m.rev_epoch <- m.rev_epoch + 1;
-        incr m.rev_futex;
         if tracing m then emit m (Obs.Revoker_done { epoch = m.rev_epoch });
         raise_irq m revoker_irq
       end
@@ -374,7 +371,6 @@ let create ?(sram_size = 256 * 1024) () =
       frn =
         (if List.mem "forensics" sinks then Some (Forensics.create ()) else None);
       prof = (if List.mem "profile" sinks then Some (Profiler.create ()) else None);
-      rev_futex = ref 0;
       input_log = None;
       snaps = [];
     }
@@ -624,7 +620,6 @@ let snapshot m =
   let rev_rate = m.rev_rate in
   let rev_lag = m.rev_lag in
   let attention = m.attention in
-  let rev_futex_v = !(m.rev_futex) in
   let obs = m.obs in
   let frn = m.frn in
   let prof = m.prof in
@@ -662,7 +657,6 @@ let snapshot m =
     m.rev_rate <- rev_rate;
     m.rev_lag <- rev_lag;
     m.attention <- attention;
-    m.rev_futex := rev_futex_v;
     m.obs <- obs;
     m.frn <- frn;
     m.prof <- prof;

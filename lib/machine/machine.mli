@@ -216,10 +216,6 @@ val revoker_busy : t -> bool
 val revoker_kick : t -> unit
 (** Start a sweep if the revoker is idle. *)
 
-val revoker_interrupt_futex_word : t -> int ref
-(** Monotonic completion counter usable as a futex word (§5.3.2 measures
-    interrupt latency on the revoker IRQ). *)
-
 val set_revoker_rate : t -> cycles_per_granule:int -> unit
 (** Ablation knob (default {!Cost.revoker_cycles_per_granule}). *)
 

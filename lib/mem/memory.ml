@@ -54,7 +54,6 @@ let base m = m.base
 let size m = m.size
 let contains m addr = addr >= m.base && addr < m.base + m.size
 let set_load_filter m b = m.load_filter <- b
-let load_filter_enabled m = m.load_filter
 let granule_count m = m.size / granule_size
 let set_tag_set_hook m f = m.tag_set_hook <- f
 

@@ -19,8 +19,6 @@
 
 type access = Read | Write | Exec
 
-val pp_access : access Fmt.t
-
 type fault = {
   cause : Capability.violation;
   addr : int;
@@ -47,25 +45,18 @@ val contains : t -> int -> bool
 val set_load_filter : t -> bool -> unit
 (** Ablation toggle; the filter is on by default. *)
 
-val load_filter_enabled : t -> bool
-
 val base_filtered : t -> int -> bool
 (** [base_filtered m base]: the load filter is on and the revocation bit
     of the granule containing [base] is set, so an access through an
-    authority with that base traps (the filter part of [check]). *)
+    authority with that base traps (the filter part of [load]/[store]'s
+    check). *)
 
 (* Checked data access *)
 
-val check :
-  t -> auth:Capability.t -> perm:Perm.t -> addr:int -> size:int -> access -> unit
-(** The full access check applied by [load]/[store]: capability check
-    (tag, seal, permission, bounds), natural alignment, and the
-    load-filter test on the authority's base granule.  Raises [Fault]
-    exactly where the hardware would trap. *)
-
 val check_aligned_filtered :
   t -> auth:Capability.t -> addr:int -> size:int -> access -> unit
-(** Only the alignment + load-filter part of [check], for callers that
+(** Only the alignment + load-filter part of [load]/[store]'s check
+    (which also runs [Capability.check_access]), for callers that
     have already run [Capability.check_access] on [auth] (the machine's
     SRAM path checks the capability before charging cycles, then applies
     this with the [_priv] accessors — one check instead of two). *)

@@ -6,15 +6,9 @@
     which remote endpoints any traffic may involve.  The audit report
     shows the single MMIO grant (§4). *)
 
-val comp_name : string
-
 val firmware_compartment : unit -> Firmware.compartment
 (** Declares the compartment, its MMIO import and its scheduler imports
     (it blocks on the Ethernet interrupt futex). *)
-
-val default_ports : int list
-(** Remote ports permitted out of the box: DHCP, DNS, SNTP and the MQTT
-    broker. *)
 
 type t
 

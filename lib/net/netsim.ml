@@ -44,13 +44,11 @@ type t = {
   mutable pods : (int * int) list;
   mutable raws : (int * string) list;
   mutable sent : int;
-  mutable received : int;
   mutable last_echo_reply : string option;
   mutable listener : Machine.listener_handle option;
 }
 
 let frames_sent t = t.sent
-let frames_received t = t.received
 let last_icmp_echo_reply t = t.last_echo_reply
 let add_dns_record t name ip = t.dns <- (name, ip) :: t.dns
 let set_wallclock t s = t.wallclock <- s
@@ -372,7 +370,6 @@ let fire_due t now =
   t.pending <- later;
   List.iter
     (fun (_, frame) ->
-      t.received <- t.received + 1;
       Queue.push frame t.rxq;
       Machine.raise_irq t.machine Machine.ethernet_irq)
     due;
@@ -415,7 +412,6 @@ let attach ?(latency = 33_000) ?(sntp_latency = 33_000) machine =
       pods = [];
       raws = [];
       sent = 0;
-      received = 0;
       last_echo_reply = None;
       listener = None;
     }
@@ -478,7 +474,7 @@ let attach ?(latency = 33_000) ?(sntp_latency = 33_000) machine =
       let publishes = t.publishes in
       let pods = t.pods in
       let raws = t.raws in
-      let sent = t.sent and received = t.received in
+      let sent = t.sent in
       let last_echo_reply = t.last_echo_reply in
       let listener = t.listener in
       fun () ->
@@ -507,14 +503,6 @@ let attach ?(latency = 33_000) ?(sntp_latency = 33_000) machine =
         t.pods <- pods;
         t.raws <- raws;
         t.sent <- sent;
-        t.received <- received;
         t.last_echo_reply <- last_echo_reply;
         t.listener <- listener);
   t
-
-let detach t =
-  match t.listener with
-  | None -> ()
-  | Some h ->
-      Machine.remove_tick_listener t.machine h;
-      t.listener <- None

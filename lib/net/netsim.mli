@@ -17,12 +17,10 @@
     - [0x800..0xfff] TX window (write) *)
 
 val device_name : string  (** "eth0" *)
-val mmio_size : int
 val max_frame : int
 
 (* The fixed addressing plan of the segment. *)
 val device_mac : Packet.mac
-val gateway_mac : Packet.mac
 val gateway_ip : Packet.ipv4
 val device_ip : Packet.ipv4  (** what DHCP hands out *)
 val dns_ip : Packet.ipv4
@@ -48,11 +46,6 @@ val attach : ?latency:int -> ?sntp_latency:int -> Machine.t -> t
     earliest due cycle across its timed queues, so a quiescent network
     costs nothing per simulated cycle. *)
 
-val detach : t -> unit
-(** Deregister the tick listener (the MMIO device stays mapped).  Lets a
-    harness that reuses one machine across scenarios drop the world
-    without leaking listeners. *)
-
 val add_dns_record : t -> string -> Packet.ipv4 -> unit
 val set_wallclock : t -> int -> unit
 (** Seconds served by the SNTP server. *)
@@ -72,14 +65,6 @@ val inject_frame_at : t -> cycles:int -> frame:string -> unit
 
 (* The malformed-frame family (the ping of death generalized). *)
 
-val pod_frame : size:int -> string
-(** The raw ping-of-death frame: an ICMP echo request with a [size]-byte
-    body (the §5.3.3 trigger, byte-identical to what
-    {!ping_of_death_at} delivers). *)
-
-val ethertype_tlv : int
-(** Local-experimental ethertype (0x88B5) carried by {!tlv_frame}. *)
-
 val tlv_claim_off : int
 (** Frame offset of the 4-byte little-endian claimed payload length. *)
 
@@ -98,7 +83,6 @@ val set_chaos_hook : t -> (string -> chaos) option -> unit
     point).  Frames the device transmits are unaffected. *)
 
 val frames_sent : t -> int
-val frames_received : t -> int
 
 val last_icmp_echo_reply : t -> string option
 (** Payload of the most recent echo reply the *device* sent (lets tests

@@ -13,64 +13,43 @@
     stack, plus the network manager loop that pumps the stack's receive
     path and rides out its micro-reboots. *)
 module Netapi : sig
-  val comp_name : string
-  val firmware_compartment : unit -> Firmware.compartment
-
   type t
 
-  val install : Kernel.t -> t
   val client_imports : Firmware.import list
-  (** [Firmware.client_imports] of [firmware_compartment ()]. *)
+  (** [Firmware.client_imports] of the compartment's firmware
+      declaration. *)
 end
 
 (** DNS resolver compartment (its own UDP socket and buffer quota);
     retryable across TCP/IP micro-reboots. *)
 module Dns : sig
-  val comp_name : string
-  val firmware_compartment : unit -> Firmware.compartment
-  val quota_object : Firmware.static_sealed
-
   type t
-
-  val install : Kernel.t -> t
 end
 
 (** SNTP client compartment: [sync] obtains wall-clock seconds, [now]
     derives the current time from the cycle counter. *)
 module Sntp : sig
-  val comp_name : string
-  val firmware_compartment : unit -> Firmware.compartment
-  val quota_object : Firmware.static_sealed
-
   type t
-
-  val install : Kernel.t -> t
 end
 
 (** The TLS compartment (BearSSL's role): opaque session handles over
     NetAPI sockets; charges the modelled handshake cost (default
     {!Tls_lite.default_handshake_cycles}, overridable per stack). *)
 module Tls : sig
-  val comp_name : string
-  val firmware_compartment : unit -> Firmware.compartment
-
   type t
 
-  val install : ?handshake_cycles:int -> Kernel.t -> t
   val client_imports : Firmware.import list
-  (** [Firmware.client_imports] of [firmware_compartment ()]. *)
+  (** [Firmware.client_imports] of the compartment's firmware
+      declaration. *)
 end
 
 (** MQTT-lite client compartment over TLS. *)
 module Mqtt : sig
-  val comp_name : string
-  val firmware_compartment : unit -> Firmware.compartment
-
   type t
 
-  val install : Kernel.t -> t
   val client_imports : Firmware.import list
-  (** [Firmware.client_imports] of [firmware_compartment ()]. *)
+  (** [Firmware.client_imports] of the compartment's firmware
+      declaration. *)
 end
 
 type t = {

@@ -2,7 +2,6 @@ type mac = int
 type ipv4 = int
 
 let mac_broadcast = 0xffffffffffff
-let mac_to_string m = Printf.sprintf "%012x" m
 
 let ipv4_to_string ip =
   Printf.sprintf "%d.%d.%d.%d" ((ip lsr 24) land 0xff) ((ip lsr 16) land 0xff)

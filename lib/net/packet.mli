@@ -8,7 +8,6 @@ type mac = int  (** 48-bit, kept in an int *)
 type ipv4 = int  (** 32-bit *)
 
 val mac_broadcast : mac
-val mac_to_string : mac -> string
 val ipv4_to_string : ipv4 -> string
 val ipv4_of_quad : int -> int -> int -> int -> ipv4
 

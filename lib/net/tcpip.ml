@@ -690,9 +690,7 @@ let client_imports = Firmware.client_imports (firmware_compartment ())
 
 let c_rx_step ctx ~timeout = call_int ctx "tcpip.rx_step" [ iv timeout ]
 let c_net_start ctx = call_int ctx "tcpip.net_start" []
-let c_ifconfig ctx = call_int ctx "tcpip.ifconfig" []
 let c_udp_open ctx = call_int ctx "tcpip.udp_open" []
-let c_udp_bind ctx ~sock ~port = call_int ctx "tcpip.udp_bind" [ iv sock; iv port ]
 
 let c_udp_sendto ctx ~sock ~ip ~port ~buf ~len =
   call_int ctx "tcpip.udp_sendto" [ iv sock; iv ip; iv port; buf; iv len ]
@@ -712,4 +710,3 @@ let c_tcp_recv ctx ~sock ~buf ~maxlen ~timeout =
 
 let c_sock_close ctx ~sock = call_int ctx "tcpip.sock_close" [ iv sock ]
 let c_shutdown ctx = call_int ctx "tcpip.shutdown" []
-let c_set_vulnerable ctx flag = call_int ctx "tcpip.set_vulnerable" [ iv (if flag then 1 else 0) ]

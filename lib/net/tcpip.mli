@@ -17,10 +17,6 @@
     Result codes over the call boundary: [0] success, [-1] timeout,
     [-2] invalid argument/socket, [-3] closed, [-4] out of memory. *)
 
-val comp_name : string
-val max_sockets : int
-val mss : int
-
 val firmware_compartment : unit -> Firmware.compartment
 val quota_object : Firmware.static_sealed
 (** The stack's own allocation capability ("net_quota", 6 KiB). *)
@@ -46,9 +42,7 @@ val c_rx_step : Kernel.ctx -> timeout:int -> int
 val c_net_start : Kernel.ctx -> int
 (** DHCP + gateway ARP (blocking with retransmission). *)
 
-val c_ifconfig : Kernel.ctx -> int
 val c_udp_open : Kernel.ctx -> int
-val c_udp_bind : Kernel.ctx -> sock:int -> port:int -> int
 val c_udp_sendto :
   Kernel.ctx -> sock:int -> ip:int -> port:int -> buf:Kernel.value -> len:int -> int
 val c_udp_recv :
@@ -60,5 +54,3 @@ val c_tcp_recv :
   Kernel.ctx -> sock:int -> buf:Kernel.value -> maxlen:int -> timeout:int -> int
 val c_sock_close : Kernel.ctx -> sock:int -> int
 val c_shutdown : Kernel.ctx -> int
-val c_set_vulnerable : Kernel.ctx -> bool -> int
-(** Enable/disable the ping-of-death bug (§5.3.3 case study). *)

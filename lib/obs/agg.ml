@@ -108,33 +108,6 @@ let table t =
     hist_lines;
   Buffer.contents b
 
-let to_json t =
-  Json.Obj
-    [
-      ("machines", Json.Int t.ag_machines);
-      ("cycles", Json.Int t.ag_cycles);
-      ( "compartments",
-        Json.Obj
-          (List.map
-             (fun c ->
-               ( c.ac_comp,
-                 Json.Obj
-                   [
-                     ("calls", Json.Int c.ac_calls);
-                     ("faults", Json.Int c.ac_faults);
-                     ("reboots", Json.Int c.ac_reboots);
-                   ] ))
-             t.ag_comps) );
-      ( "histograms",
-        Json.Obj
-          [
-            ("call_latency_cycles", Forensics.hist_json t.ag_call_lat);
-            ("irq_to_dispatch_cycles", Forensics.hist_json t.ag_irq_lat);
-            ("alloc_size_bytes", Forensics.hist_json t.ag_alloc_sz);
-            ("quarantine_residency_cycles", Forensics.hist_json t.ag_quar_res);
-          ] );
-    ]
-
 (* OpenMetrics text exposition.  Histogram buckets are cumulative per
    the format; only observed bucket bounds are listed, plus +Inf. *)
 let to_openmetrics t =

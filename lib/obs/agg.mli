@@ -41,19 +41,15 @@ val of_forensics : Forensics.t -> cycles:int -> t
 (** Snapshot one machine's recorder ([cycles] = its [Machine.cycles]).
     Pure: the recorder is copied, not aliased, so it can keep running. *)
 
-val merge : t -> t -> t
-(** Exact union; associative and commutative with {!empty} as
-    identity.  Inputs are not mutated. *)
-
 val merge_all : t list -> t
-(** Left fold of {!merge} over the list in order — callers pass worker
-    snapshots in farm submission order for byte-identical rollups. *)
+(** Exact union, folded left over the list in order from [empty ()]
+    (associative and commutative; inputs are not mutated) — callers pass
+    worker snapshots in farm submission order for byte-identical
+    rollups. *)
 
 val table : t -> string
 (** Fixed-width fleet rollup: per-compartment counters, then the four
     global histograms. *)
-
-val to_json : t -> Json.t
 
 val to_openmetrics : t -> string
 (** OpenMetrics / Prometheus text exposition: gauges for machine and

@@ -147,10 +147,6 @@ val hist_buckets : hist -> (int * int) list
 (** Non-empty buckets as [(upper_bound, count)] pairs, ascending —
     the raw material of OpenMetrics cumulative-bucket rendering. *)
 
-val hist_json : hist -> Json.t
-(** [{count; sum; min; max; p50; p99; buckets}] with only the non-empty
-    buckets listed as upper-bound/count pairs. *)
-
 val call_latency : t -> hist  (** Call_enter → Call_leave, per call *)
 val irq_latency : t -> hist  (** Irq_enter → next Thread_dispatch *)
 val alloc_size : t -> hist  (** bytes per successful allocation *)

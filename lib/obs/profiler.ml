@@ -20,8 +20,6 @@ let create ?(mode = Exact) () =
   | _ -> ());
   { p_mode = mode; counts = Hashtbl.create 64; tracker = Obs.Tracker.create () }
 
-let mode t = t.p_mode
-
 (* Weight of the interval (last event, cycle] under the current mode:
    the cycle delta in exact mode, the number of sample points
    (multiples of the interval) it contains in sampled mode. *)

@@ -41,8 +41,6 @@ type t
 val create : ?mode:mode -> unit -> t
 (** A fresh profiler (default [Exact]). *)
 
-val mode : t -> mode
-
 val ingest : t -> cycle:int -> Obs.kind -> unit
 (** Fold one event into the profiler.  Called by [Machine.emit] for
     every traced event; must stay cheap and simulation-invisible. *)

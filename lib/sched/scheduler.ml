@@ -55,8 +55,6 @@ let wake t addr count =
         Machine.emit t.machine (Obs.Futex_wake { addr; woken = !woken });
       !woken
 
-let waiting_words t = Hashtbl.length t.waiters
-
 (* Wait-queue sanity (fault-campaign invariant): the waiters table never
    retains empty lists, and every waited-on word is a real address the
    machine could have handed out (SRAM or MMIO). *)
@@ -260,12 +258,3 @@ let interrupt_futex ctx ~irq =
   | Ok c -> c
   | Error _ -> Cap.null
 
-let time ctx =
-  match Kernel.call1 ctx ~import:"sched.time" [] with
-  | Ok c -> ti c
-  | Error _ -> 0
-
-let idle_stats ctx =
-  match Kernel.call ctx ~import:"sched.idle_stats" [] with
-  | Ok (a, b) -> (ti a, ti b)
-  | Error _ -> (0, 0)

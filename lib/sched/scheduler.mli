@@ -10,8 +10,6 @@
     All client functions are real compartment calls into the "sched"
     compartment. *)
 
-val comp_name : string
-
 val firmware_compartment : unit -> Firmware.compartment
 
 val client_imports : Firmware.import list
@@ -23,9 +21,6 @@ type t
 val install : Kernel.t -> t
 (** Register the scheduler's entries and hook the interrupt lines.  The
     interrupt-futex words live in the scheduler's globals. *)
-
-val waiting_words : t -> int
-(** Number of distinct futex words with parked waiters. *)
 
 val check_sanity : t -> (unit, string) result
 (** Wait-queue structural invariants: no retained empty waiter lists,
@@ -62,9 +57,3 @@ val interrupt_futex : Kernel.ctx -> irq:int -> Kernel.value
 (** A read-only capability to a word incremented at every delivery of
     the given interrupt; wait on it with {!futex_wait} to be woken by
     the interrupt (used by drivers and by the Fig. 6a latency bench). *)
-
-val time : Kernel.ctx -> int
-(** Current cycle count, as a scheduler service. *)
-
-val idle_stats : Kernel.ctx -> int * int
-(** [(idle_cycles, total_cycles)] — the basis of Fig. 7's CPU load. *)

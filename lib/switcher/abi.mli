@@ -6,14 +6,12 @@
    compartment's code and globals capabilities plus error-handling
    metadata; entries follow. *)
 
-val export_header_size : int  (** 48 bytes *)
 val export_code_cap : int  (** +0: code capability *)
 val export_globals_cap : int  (** +8: globals capability *)
 val export_error_handler : int  (** +16: error-handler entry index, -1 if none *)
 val export_flags : int  (** +20 *)
 val export_comp_id : int  (** +24 *)
 
-val export_entry_size : int  (** 16 bytes *)
 val entry_code_offset : int  (** +0: byte offset of the entry in the code *)
 val entry_min_stack : int  (** +4 *)
 val entry_arity : int  (** +8 *)
@@ -27,7 +25,6 @@ val export_table_size : entries:int -> int
 
 val ts_tsp : int  (** +0: byte offset of the next free frame slot *)
 val ts_thread_id : int  (** +4 *)
-val ts_regsave : int  (** +16: 16 capability slots *)
 val ts_frames : int  (** +144: frame area *)
 val ts_size : frames:int -> int
 
@@ -43,7 +40,6 @@ val frame_entry_addr : int  (** +28 (word) *)
 
 val otype_switcher : int  (** export-table capabilities (compartment calls) *)
 val otype_token : int  (** the token API's hardware type (§3.2.1) *)
-val otype_sched : int  (** scheduler handles (multiwaiters, saved contexts) *)
 
 (* Address-space map (outside SRAM). *)
 

@@ -14,6 +14,11 @@ let zero_non_arg_registers =
       [ I (Li (ra, i)); I (Bltu (ra, cs0, skip)); I (Mv (ca0 + i, zero)); L skip ])
     [ 0; 1; 2; 3; 4; 5 ]
 
+(* The call path's two refusals; the kernel tells them apart by these
+   messages. *)
+let trusted_stack_overflow = "trusted stack overflow"
+let insufficient_stack = "insufficient stack for callee"
+
 let call_items =
   [
     L "switch_entry";
@@ -89,7 +94,7 @@ let call_items =
       I (Mv (cs1, zero));
       I (Cjalr (zero, ct2));
       L "ts_overflow";
-      I (Trapif "trusted stack overflow");
+      I (Trapif trusted_stack_overflow);
       (* The frame was pushed before the stack check; roll it back and
          scrub it so the caller's capabilities do not linger. *)
       L "stack_insufficient";
@@ -101,7 +106,7 @@ let call_items =
       I (Csc (zero, 8, ct3));
       I (Csc (zero, 16, ct3));
       I (Csc (zero, 24, ct3));
-      I (Trapif "insufficient stack for callee");
+      I (Trapif insufficient_stack);
     ]
 
 let return_items =
@@ -157,7 +162,6 @@ let return_items =
 let program = assemble ~name:"switcher" (call_items @ return_items)
 let instruction_count = Isa.length program
 let entry_offset = 4 * Isa.label_index program "switch_entry"
-let return_offset = 4 * Isa.label_index program "switch_return"
 let install interp = Interp.map_segment interp ~base:Abi.switcher_code_base program
 
 let pcc =
@@ -165,10 +169,7 @@ let pcc =
     ~top:(Abi.switcher_code_base + Isa.code_bytes program)
     ~perms:(Perm.Set.add Perm.System_registers Perm.Set.executable)
 
-let sentry_at offset =
+let call_sentry =
   Cap.exn
-    (Cap.seal_entry (Cap.with_address_exn pcc (Abi.switcher_code_base + offset))
+    (Cap.seal_entry (Cap.with_address_exn pcc (Abi.switcher_code_base + entry_offset))
        Cap.Otype.Call_disable)
-
-let call_sentry = sentry_at entry_offset
-let return_sentry = sentry_at return_offset

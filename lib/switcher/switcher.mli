@@ -22,11 +22,15 @@ val instruction_count : int
 (** §5.1.1 reports ~355 instructions for the full switcher; ours omits
     the assembly trap path (native), so expect fewer. *)
 
-val entry_offset : int
-(** Byte offset of the compartment-call entry point. *)
+val trusted_stack_overflow : string
+(** The [Trapif] message of the call path's refusal when the trusted
+    stack has no free frame; {!Kernel} maps it to
+    [Trusted_stack_exhausted]. *)
 
-val return_offset : int
-(** Byte offset of the compartment-return entry point. *)
+val insufficient_stack : string
+(** The [Trapif] message of the call path's refusal when the caller's
+    stack is smaller than the entry's declared minimum; {!Kernel} maps
+    it to [Insufficient_stack]. *)
 
 val install : Interp.t -> unit
 (** Map the switcher segment at {!Abi.switcher_code_base}. *)
@@ -39,7 +43,3 @@ val pcc : Capability.t
 val call_sentry : Capability.t
 (** Interrupt-disabling forward sentry to the call entry point; this is
     what the loader places in every compartment's import table. *)
-
-val return_sentry : Capability.t
-(** Interrupt-disabling forward sentry to the return path; passed to
-    callees as their return address. *)

@@ -179,8 +179,3 @@ let recv ctx ~handle ~into ?(timeout = 0) () =
   with
   | Ok v -> decode_unit v
   | Error _ -> Error Bad_handle
-
-let destroy ctx ~alloc_cap ~handle =
-  match Kernel.call1 ctx ~import:"queue.destroy" [ alloc_cap; handle ] with
-  | Ok v -> decode_unit v
-  | Error _ -> Error Bad_handle

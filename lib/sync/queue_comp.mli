@@ -7,8 +7,6 @@
     pays for its queue but cannot free it out from under the
     compartment; and every entry hardens its arguments (§3.2.5). *)
 
-val comp_name : string
-
 val firmware_compartment : unit -> Firmware.compartment
 (** Declares the queue compartment, including its allocator/token/sched
     imports (visible to auditing). *)
@@ -40,7 +38,3 @@ val send :
 val recv :
   Kernel.ctx -> handle:Kernel.value -> into:Kernel.value -> ?timeout:int -> unit ->
   (unit, err) result
-
-val destroy :
-  Kernel.ctx -> alloc_cap:Kernel.value -> handle:Kernel.value -> (unit, err) result
-(** Requires the same allocation capability used at [create]. *)

@@ -261,7 +261,6 @@ module Queue_lib = struct
     done
 
   let length ctx ~buf = fld ctx buf 12 - fld ctx buf 8
-  let send_futex _ctx ~buf = word_at buf 12
 
   let send ctx ~buf elem ?(timeout = 0) () =
     charge_lib ctx;
@@ -331,21 +330,3 @@ module Queue_lib = struct
     in
     go ()
 end
-
-let firmware_locks_lib () =
-  Firmware.compartment "locks" ~kind:Firmware.Library ~code_loc:120
-    ~entries:
-      [
-        Firmware.entry "lock" ~arity:2 ~min_stack:0;
-        Firmware.entry "unlock" ~arity:1 ~min_stack:0;
-        Firmware.entry "semaphore_acquire" ~arity:2 ~min_stack:0;
-        Firmware.entry "semaphore_release" ~arity:1 ~min_stack:0;
-      ]
-
-let firmware_queue_lib () =
-  Firmware.compartment "queue_lib" ~kind:Firmware.Library ~code_loc:180
-    ~entries:
-      [
-        Firmware.entry "send" ~arity:3 ~min_stack:0;
-        Firmware.entry "recv" ~arity:3 ~min_stack:0;
-      ]

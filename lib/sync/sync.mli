@@ -26,8 +26,13 @@ end
 (** FIFO ticket lock over two words (8 bytes): fair under contention. *)
 module Ticket_lock : sig
   val init : Kernel.ctx -> words:Kernel.value -> unit
+  (** Kept: paper API §3.2.4 (ticket locks); no caller in this repo. *)
+
   val lock : Kernel.ctx -> words:Kernel.value -> unit
+  (** Kept: paper API §3.2.4 (ticket locks); no caller in this repo. *)
+
   val unlock : Kernel.ctx -> words:Kernel.value -> unit
+  (** Kept: paper API §3.2.4 (ticket locks); no caller in this repo. *)
 end
 
 (** Counting semaphore in one word. *)
@@ -49,17 +54,22 @@ module Condvar : sig
   (** Returns false on timeout; the mutex is held again either way. *)
 
   val signal : Kernel.ctx -> word:Kernel.value -> unit
+
   val broadcast : Kernel.ctx -> word:Kernel.value -> unit
+  (** Kept: paper API §3.2.4 (condition variables); no caller in this
+      repo. *)
 end
 
 (** Event flags: wait for any/all bits of a 32-bit word. *)
 module Event : sig
   val init : Kernel.ctx -> word:Kernel.value -> unit
+  (** Kept: paper API §3.2.4 (event groups); no caller in this repo. *)
 
   val set : Kernel.ctx -> word:Kernel.value -> int -> unit
   (** OR bits in and wake all waiters. *)
 
   val clear : Kernel.ctx -> word:Kernel.value -> int -> unit
+  (** Kept: paper API §3.2.4 (event groups); no caller in this repo. *)
 
   val wait :
     Kernel.ctx ->
@@ -93,13 +103,4 @@ module Queue_lib : sig
   (** Copy the oldest element out through [into]; blocks while empty. *)
 
   val length : Kernel.ctx -> buf:Kernel.value -> int
-  val send_futex : Kernel.ctx -> buf:Kernel.value -> Kernel.value
-  (** The word that changes when an element is enqueued — pass to the
-      multiwaiter for poll-style use (§3.2.4). *)
 end
-
-val firmware_locks_lib : unit -> Firmware.compartment
-(** Firmware declaration of the "locks" shared library (auditing
-    visibility; the implementations run in the caller's domain). *)
-
-val firmware_queue_lib : unit -> Firmware.compartment

@@ -14,9 +14,6 @@
 
 type tick = int
 
-val tick_rate_hz : int
-(** 1000: one tick per millisecond, the common FreeRTOS configuration. *)
-
 val xTaskGetTickCount : Kernel.ctx -> tick
 val vTaskDelay : Kernel.ctx -> tick -> unit
 val pdMS_TO_TICKS : int -> tick

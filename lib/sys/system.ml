@@ -19,9 +19,9 @@ let standard_imports =
 let image ?sealed_objects ?threads ~name comps =
   Firmware.create ?sealed_objects ?threads ~name (comps @ base_compartments ())
 
-let boot ?machine ?quantum ?drain_per_op fw =
+let boot ?machine ?drain_per_op fw =
   let machine = match machine with Some m -> m | None -> Machine.create () in
-  match Kernel.boot ?quantum ~machine fw with
+  match Kernel.boot ~machine fw with
   | Error _ as e -> e
   | Ok kernel ->
       let alloc = Allocator.install kernel ?drain_per_op () in

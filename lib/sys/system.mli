@@ -30,7 +30,6 @@ val image :
 
 val boot :
   ?machine:Machine.t ->
-  ?quantum:int ->
   ?drain_per_op:int ->
   Firmware.t ->
   (t, string) result

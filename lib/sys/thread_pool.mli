@@ -8,8 +8,6 @@
     capabilities into the pool beyond what the job id's handler was
     built to accept. *)
 
-val comp_name : string
-
 val firmware_compartment : unit -> Firmware.compartment
 
 val worker_thread : ?priority:int -> name:string -> unit -> Firmware.thread

@@ -8,8 +8,6 @@
     library and is visible to auditing, so a policy can state exactly
     which images may print. *)
 
-val device_name : string  (** "uart0" *)
-
 val attach : ?base:int -> Machine.t -> unit -> string
 (** Add the UART to the machine; the returned closure reads the
     transcript captured so far. *)

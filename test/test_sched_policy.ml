@@ -23,7 +23,7 @@ let two_thread_fw ~p1 ~p2 =
 
 let boot fw ta tb =
   let machine = Machine.create () in
-  let sys = Result.get_ok (System.boot ~machine ~quantum:2000 fw) in
+  let sys = Result.get_ok (System.boot ~machine fw) in
   let k = sys.System.kernel in
   Kernel.implement1 k ~comp:"w" ~entry:"ta" (fun ctx _ -> ta ctx; Cap.null);
   Kernel.implement1 k ~comp:"w" ~entry:"tb" (fun ctx _ -> tb ctx; Cap.null);
