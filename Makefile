@@ -94,24 +94,12 @@ ci: build test test-seeds report-smoke profile-smoke replay-smoke campaign-par a
 # (a common name such as `create` always passes), but it catches the
 # usual case: an export nothing calls.  Such a name either leaves the
 # .mli (still used inside its module) or is deleted (the build then
-# reports warning 32).  A name the paper's API (§3) defines may stay
-# without callers if the doc comment under its `val`, before the next
-# blank line or item, carries the marker `$(API_KEPT)`.
-API_KEPT = Kept: paper API §3
-API_SRCS = lib test bench examples perfbench bin
-
+# reports warning 32).
 api-gate:
 	@n=0; for mli in lib/*/*.mli; do \
 	  ml=$${mli%i}; \
-	  for v in $$(awk -v mark='$(API_KEPT)' ' \
-	      function flush() { if (name != "" && !kept) print name; name = "" } \
-	      /^[[:space:]]*val[[:space:]]/ { flush(); name = $$0; \
-	        sub(/^[[:space:]]*val[[:space:]]+/, "", name); \
-	        sub(/[^A-Za-z0-9_'"'"'].*/, "", name); kept = index($$0, mark) > 0; next } \
-	      /^[[:space:]]*$$/ || /^[[:space:]]*(type|module|exception|end|include|external|open)([[:space:]]|$$)/ { flush(); next } \
-	      { if (index($$0, mark)) kept = 1 } \
-	      END { flush() }' $$mli | sort -u); do \
-	    if ! grep -rlw --include='*.ml' --include='*.mli' -- "$$v" $(API_SRCS) \
+	  for v in $$(grep -oE "^[[:space:]]*val[[:space:]]+[A-Za-z0-9_']+" $$mli | awk '{ print $$2 }' | sort -u); do \
+	    if ! grep -rlw --include='*.ml' --include='*.mli' -- "$$v" lib test bench examples perfbench bin \
 	        | grep -qvxF -e "$$mli" -e "$$ml"; then \
 	      echo "api-gate: $$mli exports $$v, which no other file names"; n=$$((n + 1)); \
 	    fi; \

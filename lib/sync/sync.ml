@@ -83,41 +83,6 @@ module Mutex = struct
     Fun.protect ~finally:(fun () -> unlock ctx ~word) f
 end
 
-module Ticket_lock = struct
-  (* words: +0 next-ticket, +4 now-serving (the futex word). *)
-  let serving words = Cap.exn (Cap.with_address words (Cap.base words + 4))
-
-  let init ctx ~words =
-    store32 ctx words 0;
-    Machine.store (machine ctx) ~auth:words ~addr:(Cap.base words + 4) ~size:4 0
-
-  let lock ctx ~words =
-    charge_lib ctx;
-    let my =
-      atomically ctx (fun () ->
-          let t = load32 ctx words in
-          store32 ctx words (t + 1);
-          t)
-    in
-    let srv = serving words in
-    let rec wait () =
-      let now = Machine.load (machine ctx) ~auth:srv ~addr:(Cap.base words + 4) ~size:4 in
-      if now = my then ()
-      else begin
-        ignore (Scheduler.futex_wait ctx ~word:srv ~expected:now ());
-        wait ()
-      end
-    in
-    wait ()
-
-  let unlock ctx ~words =
-    charge_lib ctx;
-    let a = Cap.base words + 4 in
-    let now = Machine.load (machine ctx) ~auth:words ~addr:a ~size:4 in
-    Machine.store (machine ctx) ~auth:words ~addr:a ~size:4 (now + 1);
-    ignore (Scheduler.futex_wake ctx ~word:(serving words) ~count:max_int)
-end
-
 module Semaphore = struct
   let init ctx ~word n = store32 ctx word n
 
@@ -181,23 +146,13 @@ module Condvar = struct
     charge_lib ctx;
     atomically ctx (fun () -> store32 ctx word ((load32 ctx word + 1) land 0xffffff));
     ignore (Scheduler.futex_wake ctx ~word ~count:1)
-
-  let broadcast ctx ~word =
-    charge_lib ctx;
-    atomically ctx (fun () -> store32 ctx word ((load32 ctx word + 1) land 0xffffff));
-    ignore (Scheduler.futex_wake ctx ~word ~count:max_int)
 end
 
 module Event = struct
-  let init ctx ~word = store32 ctx word 0
-
   let set ctx ~word bits =
     charge_lib ctx;
     atomically ctx (fun () -> store32 ctx word (load32 ctx word lor bits));
     ignore (Scheduler.futex_wake ctx ~word ~count:max_int)
-
-  let clear ctx ~word bits =
-    atomically ctx (fun () -> store32 ctx word (load32 ctx word land lnot bits))
 
   let wait ctx ~word ~mask ?(all = false) ?(timeout = 0) () =
     charge_lib ctx;

@@ -23,18 +23,6 @@ module Mutex : sig
   val with_lock : Kernel.ctx -> word:Kernel.value -> (unit -> 'a) -> 'a
 end
 
-(** FIFO ticket lock over two words (8 bytes): fair under contention. *)
-module Ticket_lock : sig
-  val init : Kernel.ctx -> words:Kernel.value -> unit
-  (** Kept: paper API §3.2.4 (ticket locks); no caller in this repo. *)
-
-  val lock : Kernel.ctx -> words:Kernel.value -> unit
-  (** Kept: paper API §3.2.4 (ticket locks); no caller in this repo. *)
-
-  val unlock : Kernel.ctx -> words:Kernel.value -> unit
-  (** Kept: paper API §3.2.4 (ticket locks); no caller in this repo. *)
-end
-
 (** Counting semaphore in one word. *)
 module Semaphore : sig
   val init : Kernel.ctx -> word:Kernel.value -> int -> unit
@@ -44,8 +32,8 @@ module Semaphore : sig
 end
 
 (** Condition variable over a futex word, used with {!Mutex}:
-    [wait] atomically releases the mutex and sleeps; [signal]/[broadcast]
-    wake waiters, who re-acquire the mutex before returning. *)
+    [wait] atomically releases the mutex and sleeps; [signal] wakes
+    one waiter, which re-acquires the mutex before returning. *)
 module Condvar : sig
   val init : Kernel.ctx -> word:Kernel.value -> unit
 
@@ -54,22 +42,12 @@ module Condvar : sig
   (** Returns false on timeout; the mutex is held again either way. *)
 
   val signal : Kernel.ctx -> word:Kernel.value -> unit
-
-  val broadcast : Kernel.ctx -> word:Kernel.value -> unit
-  (** Kept: paper API §3.2.4 (condition variables); no caller in this
-      repo. *)
 end
 
 (** Event flags: wait for any/all bits of a 32-bit word. *)
 module Event : sig
-  val init : Kernel.ctx -> word:Kernel.value -> unit
-  (** Kept: paper API §3.2.4 (event groups); no caller in this repo. *)
-
   val set : Kernel.ctx -> word:Kernel.value -> int -> unit
   (** OR bits in and wake all waiters. *)
-
-  val clear : Kernel.ctx -> word:Kernel.value -> int -> unit
-  (** Kept: paper API §3.2.4 (event groups); no caller in this repo. *)
 
   val wait :
     Kernel.ctx ->
