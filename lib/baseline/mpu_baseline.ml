@@ -5,9 +5,9 @@ let per_task_overhead_bytes = 164
 
 type region = { r_base : int; r_size : int; r_read : bool; r_write : bool }
 
-type task = { t_name : string; mutable regions : region list }
+type task = { mutable regions : region list }
 
-type chunk = { mutable c_addr : int; mutable c_size : int; mutable c_free : bool }
+type chunk = { c_addr : int; mutable c_size : int; mutable c_free : bool }
 
 type t = {
   mem : Bytes.t;
@@ -25,7 +25,7 @@ let create () =
 
 let cycles t = t.clock
 let tick t n = t.clock <- t.clock + n
-let create_task _t name = { t_name = name; regions = [] }
+let create_task _t _name = { regions = [] }
 
 let round_region len =
   let rec go size = if size >= len then size else go (2 * size) in

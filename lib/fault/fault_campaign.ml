@@ -200,7 +200,6 @@ type image = {
   im_machine : Machine.t;
   im_frn : Forensics.t;
   im_engine : Fault_inject.t;
-  im_net : Netsim.t;
   im_sys : System.t;
 }
 
@@ -247,8 +246,7 @@ let build_image ?trace ?prepare ~seed () =
       Fault_inject.wire_kernel engine k ~victims:[ "svc" ];
       Fault_inject.observe_reboots engine;
       Kernel.snapshot_globals k ~comp:"svc";
-      Ok { im_machine = machine; im_frn = frn; im_engine = engine;
-           im_net = net; im_sys = sys }
+      Ok { im_machine = machine; im_frn = frn; im_engine = engine; im_sys = sys }
 
 let scenario_body img ~seed () =
   let machine = img.im_machine in

@@ -16,7 +16,6 @@ type dslot = Sb.dslot = { d_ins : Isa.instr; d_target : int }
 type segment = {
   seg_base : int;
   seg_top : int;  (* seg_base + code bytes *)
-  prog : Isa.program;
   dec : dslot array;
   blk : Sb.block option array;
   one : Sb.block option array;
@@ -100,7 +99,6 @@ let map_segment t ~base prog =
     {
       seg_base = base;
       seg_top = base + Isa.code_bytes prog;
-      prog;
       dec = decode ~base prog;
       blk = Array.make n None;
       one = Array.make n None;

@@ -15,12 +15,29 @@ let fault_to_string f =
 
 let granule_size = 8
 
+(* The capability store is paged: page [k] holds the capabilities of
+   granules [64k, 64k + 64), the same span as bit [k] of [tag_words].
+   Every directory entry starts as the empty page [no_caps]; the first
+   tag stored in a page's span gives it a page of its own, and pages are
+   never freed.  So a booted image, which tags a few pages, costs a few
+   pages rather than one slot per granule of SRAM.  [cap_get]/[cap_set]
+   are the only readers and writers.
+
+   [no_caps] is shared by every memory, on every domain, and is never
+   written: [cap_set] replaces it before storing.  It is module-level
+   rather than per memory because [Array.make] of a major-heap-sized
+   directory whose initial value is still in the minor heap forces a
+   minor collection, once per [create]. *)
+let page_bits = 6
+let page_granules = 1 lsl page_bits
+let no_caps : Cap.t option array = Array.make page_granules None
+
 type t = {
   base : int;
   size : int;
   data : Bytes.t;
-  caps : Cap.t option array;
-  tagged : Bytes.t;  (** bitmap mirror of [caps]: bit g set iff caps.(g) <> None *)
+  pages : Cap.t option array array;
+  tagged : Bytes.t;  (** bitmap mirror of the store: bit g set iff granule g holds a capability *)
   tag_words : Bytes.t;
       (** summary of [tagged]: bit k is set if granules [64k, 64k + 64)
           hold a tag (set when a tag appears; a stale bit is cleared by
@@ -40,7 +57,7 @@ let create ~base ~size =
     base;
     size;
     data = Bytes.make size '\000';
-    caps = Array.make granules None;
+    pages = Array.make ((granules + page_granules - 1) / page_granules) no_caps;
     tagged = Bytes.make ((granules + 7) / 8) '\000';
     tag_words = Bytes.make ((granules + 511) / 512) '\000';
     tagged_count = 0;
@@ -65,10 +82,31 @@ let check_range m ~addr ~size:sz access =
   if addr < m.base || addr + sz > m.base + m.size then
     fault Cap.Bounds_violation addr access
 
-(* Tag bitmap maintenance.  Every write to [caps] goes through these two
-   so the bitmap and the count never drift from the array — including
-   under injected tag-clears and bit-flips — and the summary never misses
-   a tagged word. *)
+let[@inline] cap_get m g =
+  Array.unsafe_get m.pages.(g lsr page_bits) (g land (page_granules - 1))
+
+let cap_set m g c =
+  let k = g lsr page_bits in
+  let p = m.pages.(k) in
+  let p =
+    if p != no_caps then p
+    else begin
+      let p = Array.make page_granules None in
+      m.pages.(k) <- p;
+      p
+    end
+  in
+  Array.unsafe_set p (g land (page_granules - 1)) c
+
+(* Tag bitmap maintenance.  Every tag change outside [snapshot]'s restore
+   goes through these two so the bitmap and the count never drift from
+   the store — including under injected tag-clears and bit-flips — and
+   the summary never misses a tagged word.  Both test the granule's bit
+   rather than its page: every data store clears a tag, and the bitmap
+   answers that in one load where the store takes two. *)
+
+let[@inline] bit_get b i =
+  Char.code (Bytes.unsafe_get b (i lsr 3)) land (1 lsl (i land 7)) <> 0
 
 let bit_put b i v =
   let j = i lsr 3 and mask = 1 lsl (i land 7) in
@@ -77,12 +115,11 @@ let bit_put b i v =
     (Char.unsafe_chr (if v then c lor mask else c land lnot mask land 0xff))
 
 let cap_clear m g =
-  match Array.unsafe_get m.caps g with
-  | None -> ()
-  | Some _ ->
-      m.caps.(g) <- None;
-      bit_put m.tagged g false;
-      m.tagged_count <- m.tagged_count - 1
+  if bit_get m.tagged g then begin
+    cap_set m g None;
+    bit_put m.tagged g false;
+    m.tagged_count <- m.tagged_count - 1
+  end
 
 let cap_put m g c =
   (* The hook (the machine's revoker) must observe memory *before* the
@@ -90,13 +127,12 @@ let cap_put m g c =
      first, so the new capability cannot be credited to sweep steps that
      already elapsed. *)
   m.tag_set_hook ();
-  (match Array.unsafe_get m.caps g with
-  | Some _ -> ()
-  | None ->
-      bit_put m.tagged g true;
-      bit_put m.tag_words (g lsr 6) true;
-      m.tagged_count <- m.tagged_count + 1);
-  m.caps.(g) <- Some c
+  if not (bit_get m.tagged g) then begin
+    bit_put m.tagged g true;
+    bit_put m.tag_words (g lsr 6) true;
+    m.tagged_count <- m.tagged_count + 1
+  end;
+  cap_set m g (Some c)
 
 (* Clear all tags in granules [g0..g1], skipping over untagged runs a
    bitmap byte at a time. *)
@@ -305,7 +341,7 @@ let store_cap_priv m ~addr c =
 let load_cap_priv m ~addr =
   if addr mod granule_size <> 0 then fault Cap.Bounds_violation addr Read;
   check_range m ~addr ~size:granule_size Read;
-  match m.caps.(granule_of m addr) with
+  match cap_get m (granule_of m addr) with
   | Some c -> c
   | None ->
       (* Untagged: decode the raw bytes into a null-derived value. *)
@@ -341,22 +377,28 @@ let clear_tag_at m addr =
   if not (contains m addr) then false
   else begin
     let g = granule_of m addr in
-    let had = m.caps.(g) <> None in
+    let had = bit_get m.tagged g in
     cap_clear m g;
     had
   end
 
-let iter_caps m f =
+(* [f g] for every granule [g] whose tag bit is set, in address order:
+   through the summary and the bitmap, so only tagged words are read. *)
+let iter_tagged m f =
   let rec go g =
     match next_tagged m ~from:g with
     | None -> ()
     | Some g ->
-        (match m.caps.(g) with
-        | Some c -> f ~addr:(m.base + (g * granule_size)) c
-        | None -> assert false);
+        f g;
         go (g + 1)
   in
   go 0
+
+let iter_caps m f =
+  iter_tagged m (fun g ->
+      match cap_get m g with
+      | Some c -> f ~addr:(m.base + (g * granule_size)) c
+      | None -> assert false)
 
 (* Checked access *)
 
@@ -422,7 +464,7 @@ let zero ~auth m ~addr ~len =
 (* Revoker *)
 
 let sweep_granule m g =
-  match m.caps.(g) with
+  match cap_get m g with
   | None -> false
   | Some c ->
       if contains m (Cap.base c) && rev_get m (granule_of m (Cap.base c)) then begin
@@ -440,12 +482,13 @@ let tagged_granule_count m = m.tagged_count
    through the tag bitmap) and writes the kept chunks and capabilities
    back, which leaves exactly the snapshot-time image.  A post-boot
    image is mostly zero, so a held snapshot costs a few thousand words
-   rather than a second copy of SRAM, and restore writes back only the
-   tagged granules instead of every slot of [caps].  Restore writes
-   [caps] directly rather than through [cap_put], so the tag-set hook
-   never observes it (a restore is not a store); the hook itself is left
-   untouched — it belongs to whoever installed it, not to the memory
-   image. *)
+   rather than a second copy of SRAM.  Both sides find the tagged
+   granules with [iter_tagged], so they read the tagged words only;
+   clearing through the live bitmap also reaches pages created after
+   the snapshot.  Restore writes the store with [cap_set] rather than
+   [cap_put], so the tag-set hook never observes it (a restore is not a
+   store); the hook itself is left untouched — it belongs to whoever
+   installed it, not to the memory image. *)
 
 let snap_chunk = 512
 
@@ -466,9 +509,7 @@ let snapshot m =
   done;
   let chunks = !chunks in
   let tags = ref [] in
-  for g = Array.length m.caps - 1 downto 0 do
-    match m.caps.(g) with None -> () | Some _ as c -> tags := (g, c) :: !tags
-  done;
+  iter_tagged m (fun g -> tags := (g, cap_get m g) :: !tags);
   let tags = !tags in
   let tagged = Bytes.copy m.tagged in
   let tag_words = Bytes.copy m.tag_words in
@@ -479,14 +520,8 @@ let snapshot m =
   fun () ->
     Bytes.fill m.data 0 size '\000';
     List.iter (fun (off, b) -> Bytes.blit b 0 m.data off (Bytes.length b)) chunks;
-    let granules = Array.length m.caps in
-    for i = 0 to Bytes.length m.tagged - 1 do
-      if Bytes.unsafe_get m.tagged i <> '\000' then
-        for g = i lsl 3 to Int.min (granules - 1) ((i lsl 3) + 7) do
-          m.caps.(g) <- None
-        done
-    done;
-    List.iter (fun (g, c) -> m.caps.(g) <- c) tags;
+    iter_tagged m (fun g -> cap_set m g None);
+    List.iter (fun (g, c) -> cap_set m g c) tags;
     Bytes.blit tagged 0 m.tagged 0 (Bytes.length tagged);
     Bytes.blit tag_words 0 m.tag_words 0 (Bytes.length tag_words);
     m.tagged_count <- tagged_count;

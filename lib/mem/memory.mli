@@ -172,7 +172,7 @@ val tagged_granule_count : t -> int
 
 val snapshot : t -> unit -> unit
 (** [snapshot m] captures the entire memory image — data bytes,
-    capability array, tag bitmap and its summary, revocation bitmap,
+    capability store, tag bitmap and its summary, revocation bitmap,
     their counters and the load-filter toggle — and returns a thunk that
     restores it in place.  Only the data's non-zero 512-byte chunks and
     the tagged granules are kept (restore zero-fills the rest), so a

@@ -22,7 +22,6 @@ let firmware_compartment () =
     ~imports:([ Firmware.Mmio { device = Netsim.device_name } ] @ Scheduler.client_imports)
 
 type t = {
-  kernel : Kernel.t;
   machine : Machine.t;
   mmio : Cap.t;
   mutable allowed_ports : int list;
@@ -151,7 +150,7 @@ let install kernel =
   let machine = Kernel.machine kernel in
   let mmio = Kernel.import_cap kernel ~comp:comp_name ("mmio:" ^ Netsim.device_name) in
   let t =
-    { kernel; machine; mmio; allowed_ports = default_ports; dropped = 0; tx = 0; rx = 0 }
+    { machine; mmio; allowed_ports = default_ports; dropped = 0; tx = 0; rx = 0 }
   in
   let ti = Interp.to_int and iv = Interp.int_value in
   Kernel.implement1 kernel ~comp:comp_name ~entry:"send" (fun _ctx args ->

@@ -42,7 +42,6 @@ module Netapi = struct
         @ [ Firmware.Call { comp = "dns"; entry = "resolve" } ])
 
   type t = {
-    kernel : Kernel.t;
     mutable key : Kernel.value;
     mutable running : bool;
     mutable loop_rounds : int;
@@ -65,7 +64,7 @@ module Netapi = struct
     | Error _ -> None
 
   let install kernel =
-    let t = { kernel; key = Cap.null; running = true; loop_rounds = 0 } in
+    let t = { key = Cap.null; running = true; loop_rounds = 0 } in
     let e name f = Kernel.implement1 kernel ~comp:comp_name ~entry:name f in
     e "start" (fun ctx _ -> iv (Tcpip.c_net_start ctx));
     e "stop" (fun ctx _ ->
@@ -322,14 +321,13 @@ module Tls = struct
       ~imports:(Netapi.client_imports @ Allocator.client_imports)
 
   type session = {
-    mutable socket : Kernel.value;  (** netapi opaque handle *)
+    socket : Kernel.value;  (** netapi opaque handle *)
     mutable tls : Tls_lite.conn option;
     mutable stream : string;
-    mutable io_buf : Kernel.value;  (** caller-quota scratch *)
+    io_buf : Kernel.value;  (** caller-quota scratch *)
   }
 
   type t = {
-    kernel : Kernel.t;
     mutable key : Kernel.value;
     sessions : (int, session) Hashtbl.t;
     mutable next_id : int;
@@ -393,7 +391,7 @@ module Tls = struct
 
   let install ?(handshake_cycles = Tls_lite.default_handshake_cycles) kernel =
     let t =
-      { kernel; key = Cap.null; sessions = Hashtbl.create 8; next_id = 1;
+      { key = Cap.null; sessions = Hashtbl.create 8; next_id = 1;
         handshake_cycles }
     in
     let machine = Kernel.machine kernel in
@@ -539,7 +537,6 @@ module Mqtt = struct
   }
 
   type t = {
-    kernel : Kernel.t;
     mutable key : Kernel.value;
     sessions : (int, session) Hashtbl.t;
     mutable next_id : int;
@@ -602,7 +599,7 @@ module Mqtt = struct
     loop ()
 
   let install kernel =
-    let t = { kernel; key = Cap.null; sessions = Hashtbl.create 8; next_id = 1 } in
+    let t = { key = Cap.null; sessions = Hashtbl.create 8; next_id = 1 } in
     let machine = Kernel.machine kernel in
     let e name f = Kernel.implement1 kernel ~comp:comp_name ~entry:name f in
     e "connect" (fun ctx args ->

@@ -70,17 +70,14 @@ type sock = {
 type dhcp_state = Dhcp_idle | Wait_offer | Wait_ack | Bound
 
 type t = {
-  kernel : Kernel.t;
   machine : Machine.t;
   cgp : Cap.t;
   globals_base : int;
   mutable our_ip : int;
   mutable gw_mac : int option;
-  mutable running : bool;
   mutable vulnerable : bool;
   sockets : sock array;
   mutable dhcp : dhcp_state;
-  mutable offer : (int * int) option;  (** your_ip, server_ip *)
   mutable frame_rx : Cap.t;  (** heap frame buffers (lazily allocated) *)
   mutable frame_tx : Cap.t;
   mutable echo_buf : Cap.t;  (** the 256-byte buffer of the buggy handler *)
@@ -230,9 +227,8 @@ let handle_icmp t ctx icmp =
 
 let handle_dhcp t ctx payload =
   match P.decode_dhcp payload with
-  | Some (P.Offer { client_mac; your_ip; server_ip }) when client_mac = Netsim.device_mac ->
+  | Some (P.Offer { client_mac; your_ip; _ }) when client_mac = Netsim.device_mac ->
       if t.dhcp = Wait_offer then begin
-        t.offer <- Some (your_ip, server_ip);
         t.dhcp <- Wait_ack;
         emit_udp t ctx ~dst_ip:0xffffffff ~src_port:P.dhcp_client_port
           ~dst_port:P.dhcp_server_port
@@ -595,7 +591,6 @@ let micro_reboot t ctx =
           t.our_ip <- 0;
           t.gw_mac <- None;
           t.dhcp <- Dhcp_idle;
-          t.offer <- None;
           t.reboots <- t.reboots + 1);
     }
 
@@ -606,17 +601,14 @@ let install kernel =
   let layout = Loader.find_comp (Kernel.loader kernel) comp_name in
   let t =
     {
-      kernel;
       machine;
       cgp = layout.Loader.lc_cgp;
       globals_base = layout.Loader.lc_globals_base;
       our_ip = 0;
       gw_mac = None;
-      running = true;
       vulnerable = false;
       sockets = Array.init max_sockets fresh_sock;
       dhcp = Dhcp_idle;
-      offer = None;
       frame_rx = Cap.null;
       frame_tx = Cap.null;
       echo_buf = Cap.null;
@@ -631,9 +623,7 @@ let install kernel =
   let ti = Interp.to_int and iv = Interp.int_value in
   let e name f = Kernel.implement1 kernel ~comp:comp_name ~entry:name f in
   e "rx_step" (fun ctx args -> iv (rx_step t ctx (ti args.(0))));
-  e "shutdown" (fun _ctx _ ->
-      t.running <- false;
-      iv ok);
+  e "shutdown" (fun _ctx _ -> iv ok);
   e "set_vulnerable" (fun _ctx args ->
       t.vulnerable <- ti args.(0) <> 0;
       iv ok);

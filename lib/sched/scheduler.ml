@@ -18,7 +18,6 @@ let firmware_compartment () =
 let client_imports = Firmware.client_imports (firmware_compartment ())
 
 type t = {
-  kernel : Kernel.t;
   machine : Machine.t;
   cgp : Cap.t;  (** scheduler globals: the interrupt-futex words *)
   globals_base : int;
@@ -160,7 +159,6 @@ let install kernel =
   let layout = Loader.find_comp (Kernel.loader kernel) comp_name in
   let t =
     {
-      kernel;
       machine;
       cgp = layout.Loader.lc_cgp;
       globals_base = layout.Loader.lc_globals_base;

@@ -22,7 +22,6 @@ let client_imports =
   ]
 
 type t = {
-  kernel : Kernel.t;
   machine : Machine.t;
   cgp : Cap.t;
   word_addr : int;
@@ -51,7 +50,6 @@ let install kernel =
   let layout = Loader.find_comp (Kernel.loader kernel) comp_name in
   let t =
     {
-      kernel;
       machine = Kernel.machine kernel;
       cgp = layout.Loader.lc_cgp;
       word_addr = layout.Loader.lc_globals_base;
