@@ -425,7 +425,7 @@ let table4 () =
       | exception Memory.Fault _ -> uaf_trapped := true);
   (* Baseline side: UAF silently works, sharing over-privileges. *)
   let t = Mpu_baseline.create () in
-  let task = Mpu_baseline.create_task t "app" in
+  let task = Mpu_baseline.create_task () in
   ignore (Mpu_baseline.grant t task ~addr:0 ~len:65536 ~writable:true);
   let p = Mpu_baseline.malloc t 64 in
   Mpu_baseline.store t task ~addr:p 1;

@@ -498,9 +498,9 @@ let mpu_world () =
   let canary = B.malloc w 64 in
   let secret = B.malloc w 64 in
   let stack = B.malloc w 128 in
-  let attacker = B.create_task w "attacker" in
-  let victim = B.create_task w "victim" in
-  let netd = B.create_task w "netd" in
+  let attacker = B.create_task () in
+  let victim = B.create_task () in
+  let netd = B.create_task () in
   (* Region-granular protection cannot describe per-object bounds: the
      services get whole-memory regions (as shipped firmware does), the
      attacker gets its own buffer plus the shared call stack. *)

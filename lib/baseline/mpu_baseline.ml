@@ -25,7 +25,7 @@ let create () =
 
 let cycles t = t.clock
 let tick t n = t.clock <- t.clock + n
-let create_task _t _name = { regions = [] }
+let create_task () = { regions = [] }
 
 let round_region len =
   let rec go size = if size >= len then size else go (2 * size) in

@@ -35,7 +35,8 @@ val create : unit -> t
 (** 64 KiB of flat memory, all of it one free heap chunk. *)
 val cycles : t -> int
 
-val create_task : t -> string -> task
+val create_task : unit -> task
+(** A task with no MPU regions yet. *)
 
 val grant : t -> task -> addr:int -> len:int -> writable:bool -> region
 (** Configure a region covering [addr, addr+len).  The MPU's

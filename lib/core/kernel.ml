@@ -22,12 +22,11 @@ type t = {
       (* the return pad's two backward sentries, sealed once *)
   (* Recovery state lives on the kernel, never at module level: several
      kernels must be able to run concurrently (one per farm domain)
-     without observing each other's reboots, budgets or keys. *)
+     without observing each other's reboots or budgets. *)
   mutable reboot_cycles : int;
   mutable reboot_watchers : (int * (comp:string -> cycle:int -> unit)) list;
   mutable next_watcher : int;
   mutable reboot_limits : (string * reboot_limit) list;
-  mutable service_keys : (string * Cap.t) list;
 }
 
 and reboot_limit = {
@@ -230,7 +229,6 @@ let boot ?(quantum = 2000) ~machine fw =
           reboot_watchers = [];
           next_watcher = 0;
           reboot_limits = [];
-          service_keys = [];
         }
       in
       let deliver irq =
@@ -293,7 +291,6 @@ let boot ?(quantum = 2000) ~machine fw =
               (fun (c, rl) -> (c, rl, rl.rl_history, rl.rl_locked))
               k.reboot_limits
           in
-          let service_keys = k.service_keys in
           fun () ->
             Array.iteri
               (fun i (impls, on_error, poisoned, snapshot, reboots) ->
@@ -335,8 +332,7 @@ let boot ?(quantum = 2000) ~machine fw =
               (fun (_, rl, hist, locked) ->
                 rl.rl_history <- hist;
                 rl.rl_locked <- locked)
-              reboot_limits;
-            k.service_keys <- service_keys);
+              reboot_limits);
       Ok k
 
 (* Registration *)
@@ -417,14 +413,6 @@ let set_reboot_limit t ~comp limit =
   let rest = List.remove_assoc comp t.reboot_limits in
   t.reboot_limits <-
     (match limit with Some l -> (comp, l) :: rest | None -> rest)
-
-let service_key t name = List.assoc_opt name t.service_keys
-
-let set_service_key t name key =
-  t.service_keys <- (name, key) :: List.remove_assoc name t.service_keys
-
-let clear_service_key t name =
-  t.service_keys <- List.remove_assoc name t.service_keys
 
 let snapshot_globals t ~comp =
   let c = comp_runtime t comp in

@@ -207,13 +207,6 @@ type reboot_limit = {
 val reboot_limit : t -> comp:string -> reboot_limit option
 val set_reboot_limit : t -> comp:string -> reboot_limit option -> unit
 
-val service_key : t -> string -> value option
-(** Per-kernel storage for service compartments' lazily created sealing
-    keys (e.g. the queue compartment's virtual token key). *)
-
-val set_service_key : t -> string -> value -> unit
-val clear_service_key : t -> string -> unit
-
 (* Interrupt plumbing for the scheduler compartment *)
 
 val add_irq_handler : t -> (int -> unit) -> unit

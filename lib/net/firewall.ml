@@ -108,25 +108,21 @@ let do_recv t ctx buf timeout =
     if timeout > 0 then Some (Machine.cycles t.machine + timeout) else None
   in
   let eth_futex = Scheduler.interrupt_futex ctx ~irq:Machine.ethernet_irq in
+  (* Copy a frame into the caller's buffer, truncated to its room. *)
+  let deliver frame =
+    let room = Cap.top buf - Cap.address buf in
+    let frame = if String.length frame > room then String.sub frame 0 room else frame in
+    Membuf.of_string t.machine ~auth:buf frame;
+    String.length frame
+  in
   let rec loop () =
     match try_rx t with
-    | Some frame ->
-        let room = Cap.top buf - Cap.address buf in
-        let frame =
-          if String.length frame > room then String.sub frame 0 room else frame
-        in
-        Membuf.of_string t.machine ~auth:buf frame;
-        String.length frame
+    | Some frame -> deliver frame
     | None -> (
         let v = Machine.load t.machine ~auth:eth_futex ~addr:(Cap.address eth_futex) ~size:4 in
         (* Re-check after reading the futex word to close the race. *)
         match try_rx t with
-        | Some _ as f ->
-            (match f with
-            | Some frame ->
-                Membuf.of_string t.machine ~auth:buf frame;
-                String.length frame
-            | None -> 0)
+        | Some frame -> deliver frame
         | None -> (
             let remaining =
               match deadline with

@@ -41,30 +41,18 @@ module Netapi = struct
         (Tcpip.client_imports @ Allocator.client_imports @ Scheduler.client_imports
         @ [ Firmware.Call { comp = "dns"; entry = "resolve" } ])
 
+  (* A socket handle holds the TCP/IP stack's socket number. *)
   type t = {
-    mutable key : Kernel.value;
+    handles : Sealed_handle.t;
     mutable running : bool;
     mutable loop_rounds : int;
   }
 
-  let get_key t ctx =
-    if Cap.tag t.key then t.key
-    else begin
-      (match Allocator.token_key_new ctx with
-      | Ok k -> t.key <- k
-      | Error _ -> ());
-      t.key
-    end
-
-  let open_handle t ctx handle =
-    match Allocator.token_unseal ctx ~key:(get_key t ctx) handle with
-    | Ok payload ->
-        let m = Kernel.machine ctx.Kernel.kernel in
-        Some (Machine.load m ~auth:payload ~addr:(Cap.base payload) ~size:4)
-    | Error _ -> None
-
   let install kernel =
-    let t = { key = Cap.null; running = true; loop_rounds = 0 } in
+    let t =
+      { handles = Sealed_handle.create (Kernel.machine kernel); running = true;
+        loop_rounds = 0 }
+    in
     let e name f = Kernel.implement1 kernel ~comp:comp_name ~entry:name f in
     e "start" (fun ctx _ -> iv (Tcpip.c_net_start ctx));
     e "stop" (fun ctx _ ->
@@ -110,19 +98,13 @@ module Netapi = struct
             iv err_timeout
           end
           else
-            match Allocator.allocate_sealed ctx ~alloc_cap ~key:(get_key t ctx) 8 with
-            | Error _ ->
+            match Sealed_handle.mint t.handles ctx ~alloc_cap sock with
+            | Some handle -> handle
+            | None ->
                 ignore (Tcpip.c_sock_close ctx ~sock);
-                iv err_nomem
-            | Ok handle -> (
-                match Allocator.token_unseal ctx ~key:(get_key t ctx) handle with
-                | Ok payload ->
-                    let m = Kernel.machine ctx.Kernel.kernel in
-                    Machine.store m ~auth:payload ~addr:(Cap.base payload) ~size:4 sock;
-                    handle
-                | Error _ -> iv err_nomem));
+                iv err_nomem);
     e "socket_send" (fun ctx args ->
-        match open_handle t ctx args.(0) with
+        match Sealed_handle.open_ t.handles ctx args.(0) with
         | None -> iv err_invalid
         | Some sock ->
             let len = ti args.(2) in
@@ -136,7 +118,7 @@ module Netapi = struct
               iv (Tcpip.c_tcp_send ctx ~sock ~buf:args.(1) ~len)
             end);
     e "socket_recv" (fun ctx args ->
-        match open_handle t ctx args.(0) with
+        match Sealed_handle.open_ t.handles ctx args.(0) with
         | None -> iv err_invalid
         | Some sock ->
             let maxlen = ti args.(2) in
@@ -147,11 +129,11 @@ module Netapi = struct
             then iv err_invalid
             else iv (Tcpip.c_tcp_recv ctx ~sock ~buf:args.(1) ~maxlen ~timeout:(ti args.(3))));
     e "socket_close" (fun ctx args ->
-        match open_handle t ctx args.(1) with
+        match Sealed_handle.open_ t.handles ctx args.(1) with
         | None -> iv err_invalid
         | Some sock ->
             ignore (Tcpip.c_sock_close ctx ~sock);
-            ignore (Allocator.free_sealed ctx ~alloc_cap:args.(0) ~key:(get_key t ctx) args.(1));
+            ignore (Sealed_handle.release t.handles ctx ~alloc_cap:args.(0) args.(1));
             iv 0);
     t
 
@@ -328,7 +310,7 @@ module Tls = struct
   }
 
   type t = {
-    mutable key : Kernel.value;
+    handles : Sealed_handle.t;
     sessions : (int, session) Hashtbl.t;
     mutable next_id : int;
     handshake_cycles : int;
@@ -336,22 +318,9 @@ module Tls = struct
             simulations can use different profiles *)
   }
 
-  let get_key t ctx =
-    if Cap.tag t.key then t.key
-    else begin
-      (match Allocator.token_key_new ctx with
-      | Ok k -> t.key <- k
-      | Error _ -> ());
-      t.key
-    end
-
   let open_handle t ctx handle =
-    match Allocator.token_unseal ctx ~key:(get_key t ctx) handle with
-    | Ok payload ->
-        let m = Kernel.machine ctx.Kernel.kernel in
-        let id = Machine.load m ~auth:payload ~addr:(Cap.base payload) ~size:4 in
-        Option.map (fun s -> (id, s)) (Hashtbl.find_opt t.sessions id)
-    | Error _ -> None
+    Option.bind (Sealed_handle.open_ t.handles ctx handle) (fun id ->
+        Option.map (fun s -> (id, s)) (Hashtbl.find_opt t.sessions id))
 
   (* Pull bytes from the socket until [need] more bytes are available. *)
   let fill ctx session ~machine ~timeout =
@@ -390,11 +359,11 @@ module Tls = struct
     loop ()
 
   let install ?(handshake_cycles = Tls_lite.default_handshake_cycles) kernel =
-    let t =
-      { key = Cap.null; sessions = Hashtbl.create 8; next_id = 1;
-        handshake_cycles }
-    in
     let machine = Kernel.machine kernel in
+    let t =
+      { handles = Sealed_handle.create machine; sessions = Hashtbl.create 8;
+        next_id = 1; handshake_cycles }
+    in
     let e name f = Kernel.implement1 kernel ~comp:comp_name ~entry:name f in
     Kernel.set_error_handler kernel ~comp:comp_name (fun _ctx _fi -> `Unwind);
     e "connect" (fun ctx args ->
@@ -448,17 +417,8 @@ module Tls = struct
                       let id = t.next_id in
                       t.next_id <- id + 1;
                       Hashtbl.replace t.sessions id session;
-                      (match
-                         Allocator.allocate_sealed ctx ~alloc_cap ~key:(get_key t ctx) 8
-                       with
-                      | Error _ -> iv err_nomem
-                      | Ok handle -> (
-                          match Allocator.token_unseal ctx ~key:(get_key t ctx) handle with
-                          | Ok payload ->
-                              Machine.store machine ~auth:payload ~addr:(Cap.base payload)
-                                ~size:4 id;
-                              handle
-                          | Error _ -> iv err_nomem)))));
+                      Option.value ~default:(iv err_nomem)
+                        (Sealed_handle.mint t.handles ctx ~alloc_cap id))));
     e "send" (fun ctx args ->
         match open_handle t ctx args.(0) with
         | None -> iv err_invalid
@@ -504,7 +464,7 @@ module Tls = struct
             ignore
               (Kernel.call ctx ~import:"netapi.socket_close" [ args.(0); session.socket ]);
             ignore (Allocator.free ctx ~alloc_cap:args.(0) session.io_buf);
-            ignore (Allocator.free_sealed ctx ~alloc_cap:args.(0) ~key:(get_key t ctx) args.(1));
+            ignore (Sealed_handle.release t.handles ctx ~alloc_cap:args.(0) args.(1));
             Hashtbl.remove t.sessions id;
             iv 0);
     t
@@ -537,27 +497,13 @@ module Mqtt = struct
   }
 
   type t = {
-    mutable key : Kernel.value;
+    handles : Sealed_handle.t;
     sessions : (int, session) Hashtbl.t;
     mutable next_id : int;
   }
 
-  let get_key t ctx =
-    if Cap.tag t.key then t.key
-    else begin
-      (match Allocator.token_key_new ctx with
-      | Ok k -> t.key <- k
-      | Error _ -> ());
-      t.key
-    end
-
   let open_handle t ctx handle =
-    match Allocator.token_unseal ctx ~key:(get_key t ctx) handle with
-    | Ok payload ->
-        let m = Kernel.machine ctx.Kernel.kernel in
-        let id = Machine.load m ~auth:payload ~addr:(Cap.base payload) ~size:4 in
-        Hashtbl.find_opt t.sessions id
-    | Error _ -> None
+    Option.bind (Sealed_handle.open_ t.handles ctx handle) (Hashtbl.find_opt t.sessions)
 
   let send_packet ctx machine session pkt =
     let s = P.encode_mqtt pkt in
@@ -599,8 +545,10 @@ module Mqtt = struct
     loop ()
 
   let install kernel =
-    let t = { key = Cap.null; sessions = Hashtbl.create 8; next_id = 1 } in
     let machine = Kernel.machine kernel in
+    let t =
+      { handles = Sealed_handle.create machine; sessions = Hashtbl.create 8; next_id = 1 }
+    in
     let e name f = Kernel.implement1 kernel ~comp:comp_name ~entry:name f in
     e "connect" (fun ctx args ->
         let alloc_cap = args.(0) in
@@ -623,17 +571,8 @@ module Mqtt = struct
                       let id = t.next_id in
                       t.next_id <- id + 1;
                       Hashtbl.replace t.sessions id session;
-                      match
-                        Allocator.allocate_sealed ctx ~alloc_cap ~key:(get_key t ctx) 8
-                      with
-                      | Error _ -> iv err_nomem
-                      | Ok handle -> (
-                          match Allocator.token_unseal ctx ~key:(get_key t ctx) handle with
-                          | Ok payload ->
-                              Machine.store machine ~auth:payload ~addr:(Cap.base payload)
-                                ~size:4 id;
-                              handle
-                          | Error _ -> iv err_nomem))
+                      Option.value ~default:(iv err_nomem)
+                        (Sealed_handle.mint t.handles ctx ~alloc_cap id))
                   | Ok _ | Error _ -> iv err_closed)));
     e "subscribe" (fun ctx args ->
         match open_handle t ctx args.(0) with

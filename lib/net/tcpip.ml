@@ -83,6 +83,7 @@ type t = {
   mutable echo_buf : Cap.t;  (** the 256-byte buffer of the buggy handler *)
   mutable next_port : int;
   mutable reboots : int;
+  mutable stopped : bool;  (** set by [shutdown]; [rx_step] then refuses *)
 }
 
 let fresh_sock i =
@@ -352,17 +353,21 @@ let process_frame t ctx raw =
             | _ -> ())
       end
 
-(* One receive/process step; called in a loop by the manager thread. *)
+(* One receive/process step; called in a loop by the manager thread.
+   After [shutdown] it refuses on entry (a step already waiting for a
+   frame finishes normally). *)
 let rx_step t ctx timeout =
-  ensure_buffers t ctx;
-  if not (Cap.tag t.frame_rx) then err_nomem
+  if t.stopped then err_closed
   else begin
-    let n = Firewall.recv ctx ~buf:t.frame_rx ~timeout in
-    if n > 0 then begin
-      process_frame t ctx (Membuf.to_string t.machine ~auth:t.frame_rx ~len:n);
-      1
-    end
-    else 0
+    ensure_buffers t ctx;
+    if not (Cap.tag t.frame_rx) then err_nomem
+    else
+      let n = Firewall.recv ctx ~buf:t.frame_rx ~timeout in
+      if n > 0 then begin
+        process_frame t ctx (Membuf.to_string t.machine ~auth:t.frame_rx ~len:n);
+        1
+      end
+      else 0
   end
 
 (* DHCP client (blocking, with retransmission). *)
@@ -422,38 +427,49 @@ let sock t id =
   if id >= 0 && id < max_sockets && t.sockets.(id).s_used then Some t.sockets.(id)
   else None
 
+(* The receive-wait of [udp_recv] and [tcp_recv]: [take ()] returns the
+   call's result once it can finish ([None] while [s] has nothing to
+   deliver); otherwise read the socket's futex word, re-check, and sleep
+   on it.  A [timeout] of 0 waits forever; otherwise the deadline is
+   fixed now and the call times out before sleeping once it has passed. *)
+let recv_wait t ctx s ~timeout take =
+  let deadline =
+    if timeout > 0 then Some (Machine.cycles t.machine + timeout) else None
+  in
+  let rec loop () =
+    match take () with
+    | Some n -> n
+    | None -> (
+        let seen = word_value t s.s_id in
+        if s.s_rx <> [] then loop ()
+        else
+          let remaining =
+            match deadline with
+            | None -> 0
+            | Some d ->
+                let r = d - Machine.cycles t.machine in
+                if r <= 0 then -1 else r
+          in
+          if remaining < 0 then err_timeout
+          else
+            match wait_word t ctx s.s_id ~seen ~timeout:remaining with
+            | `Woken | `Value_changed -> loop ()
+            | `Timed_out -> err_timeout)
+  in
+  loop ()
+
 let udp_recv t ctx id buf maxlen timeout =
   match sock t id with
   | None -> err_invalid
   | Some s ->
-      let deadline =
-        if timeout > 0 then Some (Machine.cycles t.machine + timeout) else None
-      in
-      let rec loop () =
-        match s.s_rx with
-        | datagram :: rest ->
-            s.s_rx <- rest;
-            let n = min (String.length datagram) maxlen in
-            Membuf.of_string t.machine ~auth:buf (String.sub datagram 0 n);
-            n
-        | [] -> (
-            let seen = word_value t s.s_id in
-            if s.s_rx <> [] then loop ()
-            else
-              let remaining =
-                match deadline with
-                | None -> 0
-                | Some d ->
-                    let r = d - Machine.cycles t.machine in
-                    if r <= 0 then -1 else r
-              in
-              if remaining < 0 then err_timeout
-              else
-                match wait_word t ctx s.s_id ~seen ~timeout:remaining with
-                | `Woken | `Value_changed -> loop ()
-                | `Timed_out -> err_timeout)
-      in
-      loop ()
+      recv_wait t ctx s ~timeout (fun () ->
+          match s.s_rx with
+          | datagram :: rest ->
+              s.s_rx <- rest;
+              let n = min (String.length datagram) maxlen in
+              Membuf.of_string t.machine ~auth:buf (String.sub datagram 0 n);
+              Some n
+          | [] -> None)
 
 let tcp_connect t ctx id ip port timeout =
   match sock t id with
@@ -510,42 +526,22 @@ let tcp_recv t ctx id buf maxlen timeout =
   match sock t id with
   | None -> err_invalid
   | Some s ->
-      let deadline =
-        if timeout > 0 then Some (Machine.cycles t.machine + timeout) else None
-      in
-      let rec loop () =
-        match s.s_rx with
-        | chunk :: rest ->
-            if String.length chunk <= maxlen then begin
-              s.s_rx <- rest;
-              Membuf.of_string t.machine ~auth:buf chunk;
-              String.length chunk
-            end
-            else begin
-              s.s_rx <- String.sub chunk maxlen (String.length chunk - maxlen) :: rest;
-              Membuf.of_string t.machine ~auth:buf (String.sub chunk 0 maxlen);
-              maxlen
-            end
-        | [] -> (
-            if s.s_tcp = Peer_closed || s.s_tcp = Tcp_closed then err_closed
-            else
-              let seen = word_value t s.s_id in
-              if s.s_rx <> [] then loop ()
-              else
-                let remaining =
-                  match deadline with
-                  | None -> 0
-                  | Some d ->
-                      let r = d - Machine.cycles t.machine in
-                      if r <= 0 then -1 else r
-                in
-                if remaining < 0 then err_timeout
-                else
-                  match wait_word t ctx s.s_id ~seen ~timeout:remaining with
-                  | `Woken | `Value_changed -> loop ()
-                  | `Timed_out -> err_timeout)
-      in
-      loop ()
+      recv_wait t ctx s ~timeout (fun () ->
+          match s.s_rx with
+          | chunk :: rest ->
+              if String.length chunk <= maxlen then begin
+                s.s_rx <- rest;
+                Membuf.of_string t.machine ~auth:buf chunk;
+                Some (String.length chunk)
+              end
+              else begin
+                s.s_rx <- String.sub chunk maxlen (String.length chunk - maxlen) :: rest;
+                Membuf.of_string t.machine ~auth:buf (String.sub chunk 0 maxlen);
+                Some maxlen
+              end
+          | [] ->
+              if s.s_tcp = Peer_closed || s.s_tcp = Tcp_closed then Some err_closed
+              else None)
 
 let sock_close t ctx id =
   match sock t id with
@@ -614,6 +610,7 @@ let install kernel =
       echo_buf = Cap.null;
       next_port = 49152;
       reboots = 0;
+      stopped = false;
     }
   in
   Kernel.snapshot_globals kernel ~comp:comp_name;
@@ -623,7 +620,9 @@ let install kernel =
   let ti = Interp.to_int and iv = Interp.int_value in
   let e name f = Kernel.implement1 kernel ~comp:comp_name ~entry:name f in
   e "rx_step" (fun ctx args -> iv (rx_step t ctx (ti args.(0))));
-  e "shutdown" (fun _ctx _ -> iv ok);
+  e "shutdown" (fun _ctx _ ->
+      t.stopped <- true;
+      iv ok);
   e "set_vulnerable" (fun _ctx args ->
       t.vulnerable <- ti args.(0) <> 0;
       iv ok);

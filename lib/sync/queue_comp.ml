@@ -37,45 +37,28 @@ let firmware_compartment () =
 
 let client_imports = Firmware.client_imports (firmware_compartment ())
 
-(* The compartment's own virtual sealing key, created lazily on first
-   use (token_key_new is a one-off, Table 3).  Stored on the kernel so
-   concurrently live kernels each mint their own key. *)
-let key_name = "queue.state_key"
+(* A queue handle is a sealed object under the compartment's own key
+   (one per install, so concurrently live kernels each mint their own)
+   whose payload is the queue itself. *)
+let open_handle keys ctx handle =
+  Option.to_result ~none:Bad_handle (Sealed_handle.unseal keys ctx handle)
 
-let get_key ctx =
-  let kernel = ctx.Kernel.kernel in
-  match Kernel.service_key kernel key_name with
-  | Some k -> k
-  | None -> (
-      match Allocator.token_key_new ctx with
-      | Ok k ->
-          Kernel.set_service_key kernel key_name k;
-          k
-      | Error _ -> Cap.null)
-
-let open_handle ctx handle =
-  let key = get_key ctx in
-  match Allocator.token_unseal ctx ~key handle with
-  | Ok payload -> Ok payload
-  | Error _ -> Error Bad_handle
-
-let do_create ctx alloc_cap elem_size capacity =
+let do_create keys ctx alloc_cap elem_size capacity =
   if elem_size <= 0 || capacity <= 0 || elem_size * capacity > 65536 then
     Error Bad_buffer
   else
-    let key = get_key ctx in
     let size = Sync.Queue_lib.bytes_needed ~elem_size ~capacity in
-    match Allocator.allocate_sealed ctx ~alloc_cap ~key size with
+    match Sealed_handle.allocate keys ctx ~alloc_cap size with
     | Error e -> Error (Alloc e)
     | Ok handle -> (
-        match open_handle ctx handle with
+        match open_handle keys ctx handle with
         | Error e -> Error e
         | Ok payload ->
             Sync.Queue_lib.init ctx ~buf:payload ~elem_size ~capacity;
             Ok handle)
 
-let do_send ctx handle elem timeout =
-  match open_handle ctx handle with
+let do_send keys ctx handle elem timeout =
+  match open_handle keys ctx handle with
   | Error e -> Error e
   | Ok buf ->
       let elem_size =
@@ -95,8 +78,8 @@ let do_send ctx handle elem timeout =
         else Error Timeout
       end
 
-let do_recv ctx handle into timeout =
-  match open_handle ctx handle with
+let do_recv keys ctx handle into timeout =
+  match open_handle keys ctx handle with
   | Error e -> Error e
   | Ok buf ->
       let elem_size =
@@ -115,11 +98,8 @@ let do_recv ctx handle into timeout =
         else Error Timeout
       end
 
-let do_destroy ctx alloc_cap handle =
-  let key = get_key ctx in
-  match Allocator.free_sealed ctx ~alloc_cap ~key handle with
-  | Ok () -> Ok ()
-  | Error e -> Error (Alloc e)
+let do_destroy keys ctx alloc_cap handle =
+  Result.map_error (fun e -> Alloc e) (Sealed_handle.release keys ctx ~alloc_cap handle)
 
 let encode = function
   | Ok v -> (v, Cap.null)
@@ -130,18 +110,18 @@ let encode_unit = function
   | Error e -> (Interp.int_value (err_code e), Cap.null)
 
 let install kernel =
-  Kernel.clear_service_key kernel key_name;
+  let keys = Sealed_handle.create (Kernel.machine kernel) in
   let ti = Interp.to_int in
   Kernel.implement kernel ~comp:comp_name ~entry:"create" (fun ctx args ->
-      encode (do_create ctx args.(0) (ti args.(1)) (ti args.(2))));
+      encode (do_create keys ctx args.(0) (ti args.(1)) (ti args.(2))));
   Kernel.implement kernel ~comp:comp_name ~entry:"send" (fun ctx args ->
-      encode_unit (do_send ctx args.(0) args.(1) (ti args.(2))));
+      encode_unit (do_send keys ctx args.(0) args.(1) (ti args.(2))));
   Kernel.implement kernel ~comp:comp_name ~entry:"recv" (fun ctx args ->
-      encode_unit (do_recv ctx args.(0) args.(1) (ti args.(2))));
+      encode_unit (do_recv keys ctx args.(0) args.(1) (ti args.(2))));
   Kernel.implement kernel ~comp:comp_name ~entry:"destroy" (fun ctx args ->
-      encode_unit (do_destroy ctx args.(0) args.(1)));
+      encode_unit (do_destroy keys ctx args.(0) args.(1)));
   Kernel.implement1 kernel ~comp:comp_name ~entry:"qlength" (fun ctx args ->
-      match open_handle ctx args.(0) with
+      match open_handle keys ctx args.(0) with
       | Ok buf -> Interp.int_value (Sync.Queue_lib.length ctx ~buf)
       | Error e -> Interp.int_value (err_code e))
 

@@ -15,6 +15,35 @@ let atomically ctx f = Kernel.with_interrupts_disabled ctx f
 
 let charge_lib ctx = Machine.tick (machine ctx) Cost.library_call
 
+(* The one timed futex wait behind every blocking call here.  [attempt
+   ()] either finishes the call ([Ok result]) or names the futex word to
+   sleep on and the value it saw ([Error (word, seen)]).  A [timeout] of
+   0 waits forever; otherwise the deadline is fixed now, each wait is
+   clamped to at least one cycle, and the deadline is checked again after
+   waking, so a wake that lands on or after it still times out with
+   [expired]. *)
+let wait_loop ctx ~timeout ~expired attempt =
+  let deadline =
+    if timeout > 0 then Some (Machine.cycles (machine ctx) + timeout) else None
+  in
+  let rec go () =
+    match attempt () with
+    | Ok result -> result
+    | Error (word, seen) -> (
+        let remaining =
+          match deadline with
+          | None -> 0
+          | Some d -> max 1 (d - Machine.cycles (machine ctx))
+        in
+        match
+          (deadline, Scheduler.futex_wait ctx ~word ~expected:seen ~timeout:remaining ())
+        with
+        | Some d, _ when Machine.cycles (machine ctx) >= d -> expired
+        | _, `Timed_out -> expired
+        | _, (`Woken | `Value_changed) -> go ())
+  in
+  go ()
+
 module Mutex = struct
   let free = 0
   let locked = 1
@@ -33,40 +62,16 @@ module Mutex = struct
 
   let lock ctx ~word ?(timeout = 0) () =
     charge_lib ctx;
-    let deadline =
-      if timeout > 0 then Some (Machine.cycles (machine ctx) + timeout) else None
-    in
-    let rec go () =
-      let claimed =
+    wait_loop ctx ~timeout ~expired:false (fun () ->
         atomically ctx (fun () ->
-            let v = load32 ctx word in
-            if v = free then begin
+            if load32 ctx word = free then begin
               store32 ctx word locked;
-              `Got
+              Ok true
             end
             else begin
               store32 ctx word contended;
-              `Wait
-            end)
-      in
-      match claimed with
-      | `Got -> true
-      | `Wait -> (
-          let remaining =
-            match deadline with
-            | None -> 0
-            | Some d -> max 1 (d - Machine.cycles (machine ctx))
-          in
-          match
-            ( deadline,
-              Scheduler.futex_wait ctx ~word ~expected:contended
-                ~timeout:remaining () )
-          with
-          | Some d, _ when Machine.cycles (machine ctx) >= d -> false
-          | _, `Timed_out -> false
-          | _, (`Woken | `Value_changed) -> go ())
-    in
-    go ()
+              Error (word, contended)
+            end))
 
   let unlock ctx ~word =
     charge_lib ctx;
@@ -88,34 +93,14 @@ module Semaphore = struct
 
   let acquire ctx ~word ?(timeout = 0) () =
     charge_lib ctx;
-    let deadline =
-      if timeout > 0 then Some (Machine.cycles (machine ctx) + timeout) else None
-    in
-    let rec go () =
-      let taken =
+    wait_loop ctx ~timeout ~expired:false (fun () ->
         atomically ctx (fun () ->
             let v = load32 ctx word in
             if v > 0 then begin
               store32 ctx word (v - 1);
-              true
+              Ok true
             end
-            else false)
-      in
-      if taken then true
-      else
-        let remaining =
-          match deadline with
-          | None -> 0
-          | Some d -> max 1 (d - Machine.cycles (machine ctx))
-        in
-        match
-          (deadline, Scheduler.futex_wait ctx ~word ~expected:0 ~timeout:remaining ())
-        with
-        | Some d, _ when Machine.cycles (machine ctx) >= d -> false
-        | _, `Timed_out -> false
-        | _, (`Woken | `Value_changed) -> go ()
-    in
-    go ()
+            else Error (word, 0)))
 
   let release ctx ~word =
     charge_lib ctx;
@@ -156,29 +141,12 @@ module Event = struct
 
   let wait ctx ~word ~mask ?(all = false) ?(timeout = 0) () =
     charge_lib ctx;
-    let deadline =
-      if timeout > 0 then Some (Machine.cycles (machine ctx) + timeout) else None
-    in
     let satisfied v =
       if all then v land mask = mask else v land mask <> 0
     in
-    let rec go () =
-      let v = load32 ctx word in
-      if satisfied v then Some v
-      else
-        let remaining =
-          match deadline with
-          | None -> 0
-          | Some d -> max 1 (d - Machine.cycles (machine ctx))
-        in
-        match
-          (deadline, Scheduler.futex_wait ctx ~word ~expected:v ~timeout:remaining ())
-        with
-        | Some d, _ when Machine.cycles (machine ctx) >= d -> None
-        | _, `Timed_out -> None
-        | _, (`Woken | `Value_changed) -> go ()
-    in
-    go ()
+    wait_loop ctx ~timeout ~expired:None (fun () ->
+        let v = load32 ctx word in
+        if satisfied v then Ok (Some v) else Error (word, v))
 end
 
 module Queue_lib = struct
@@ -220,68 +188,32 @@ module Queue_lib = struct
   let send ctx ~buf elem ?(timeout = 0) () =
     charge_lib ctx;
     let capacity = fld ctx buf 0 and elem_size = fld ctx buf 4 in
-    let deadline =
-      if timeout > 0 then Some (Machine.cycles (machine ctx) + timeout) else None
-    in
-    let rec go () =
-      let head = fld ctx buf 8 and tail = fld ctx buf 12 in
-      if tail - head < capacity then begin
-        let slot = tail mod capacity in
-        copy_bytes ctx ~src:elem ~src_addr:(Cap.base elem)
-          ~dst:buf ~dst_addr:(Cap.base buf + header + (slot * elem_size))
-          elem_size;
-        atomically ctx (fun () -> set_fld ctx buf 12 (tail + 1));
-        ignore (Scheduler.futex_wake ctx ~word:(word_at buf 12) ~count:1);
-        true
-      end
-      else
-        let remaining =
-          match deadline with
-          | None -> 0
-          | Some d -> max 1 (d - Machine.cycles (machine ctx))
-        in
-        match
-          ( deadline,
-            Scheduler.futex_wait ctx ~word:(word_at buf 8) ~expected:head
-              ~timeout:remaining () )
-        with
-        | Some d, _ when Machine.cycles (machine ctx) >= d -> false
-        | _, `Timed_out -> false
-        | _, (`Woken | `Value_changed) -> go ()
-    in
-    go ()
+    wait_loop ctx ~timeout ~expired:false (fun () ->
+        let head = fld ctx buf 8 and tail = fld ctx buf 12 in
+        if tail - head < capacity then begin
+          let slot = tail mod capacity in
+          copy_bytes ctx ~src:elem ~src_addr:(Cap.base elem)
+            ~dst:buf ~dst_addr:(Cap.base buf + header + (slot * elem_size))
+            elem_size;
+          atomically ctx (fun () -> set_fld ctx buf 12 (tail + 1));
+          ignore (Scheduler.futex_wake ctx ~word:(word_at buf 12) ~count:1);
+          Ok true
+        end
+        else Error (word_at buf 8, head))
 
   let recv ctx ~buf ~into ?(timeout = 0) () =
     charge_lib ctx;
     let capacity = fld ctx buf 0 and elem_size = fld ctx buf 4 in
-    let deadline =
-      if timeout > 0 then Some (Machine.cycles (machine ctx) + timeout) else None
-    in
-    let rec go () =
-      let head = fld ctx buf 8 and tail = fld ctx buf 12 in
-      if tail > head then begin
-        let slot = head mod capacity in
-        copy_bytes ctx ~src:buf
-          ~src_addr:(Cap.base buf + header + (slot * elem_size))
-          ~dst:into ~dst_addr:(Cap.base into) elem_size;
-        atomically ctx (fun () -> set_fld ctx buf 8 (head + 1));
-        ignore (Scheduler.futex_wake ctx ~word:(word_at buf 8) ~count:1);
-        true
-      end
-      else
-        let remaining =
-          match deadline with
-          | None -> 0
-          | Some d -> max 1 (d - Machine.cycles (machine ctx))
-        in
-        match
-          ( deadline,
-            Scheduler.futex_wait ctx ~word:(word_at buf 12) ~expected:tail
-              ~timeout:remaining () )
-        with
-        | Some d, _ when Machine.cycles (machine ctx) >= d -> false
-        | _, `Timed_out -> false
-        | _, (`Woken | `Value_changed) -> go ()
-    in
-    go ()
+    wait_loop ctx ~timeout ~expired:false (fun () ->
+        let head = fld ctx buf 8 and tail = fld ctx buf 12 in
+        if tail > head then begin
+          let slot = head mod capacity in
+          copy_bytes ctx ~src:buf
+            ~src_addr:(Cap.base buf + header + (slot * elem_size))
+            ~dst:into ~dst_addr:(Cap.base into) elem_size;
+          atomically ctx (fun () -> set_fld ctx buf 8 (head + 1));
+          ignore (Scheduler.futex_wake ctx ~word:(word_at buf 8) ~count:1);
+          Ok true
+        end
+        else Error (word_at buf 12, tail))
 end

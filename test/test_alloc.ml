@@ -283,6 +283,80 @@ let test_zeroed_on_reuse () =
       Alcotest.(check int) "no secret leaks through reuse" 0
         (Machine.load m ~auth:c2 ~addr:(Cap.base c2) ~size:4))
 
+(* Sealed_handle: a service's id handles (§3.2.1). *)
+
+let test_handle_other_service () =
+  run_app (fun k _alloc ctx ->
+      let q = get_alloc_cap ctx "app_quota" in
+      let a = Sealed_handle.create (Kernel.machine k) in
+      let b = Sealed_handle.create (Kernel.machine k) in
+      let h = Option.get (Sealed_handle.mint a ctx ~alloc_cap:q 7) in
+      Alcotest.(check (option int)) "opens in its own service" (Some 7)
+        (Sealed_handle.open_ a ctx h);
+      Alcotest.(check (option int)) "not in another service" None
+        (Sealed_handle.open_ b ctx h))
+
+(* A released handle is freed memory: a register copy traps on use and
+   a copy the holder kept in memory comes back untagged (load filter),
+   so neither opens. *)
+let test_handle_released () =
+  run_app (fun k _alloc ctx ->
+      let q = get_alloc_cap ctx "app_quota" in
+      let m = Kernel.machine k in
+      let a = Sealed_handle.create m in
+      let h = Option.get (Sealed_handle.mint a ctx ~alloc_cap:q 7) in
+      let stash = ok "allocate stash" (A.allocate ctx ~alloc_cap:q 8) in
+      Machine.store_cap m ~auth:stash ~addr:(Cap.base stash) h;
+      ok "release" (Sealed_handle.release a ctx ~alloc_cap:q h);
+      (match Sealed_handle.open_ a ctx h with
+      | opened -> Alcotest.(check (option int)) "register copy" None opened
+      | exception Memory.Fault _ -> ());
+      let reloaded = Machine.load_cap m ~auth:stash ~addr:(Cap.base stash) in
+      Alcotest.(check (option int)) "stashed copy" None
+        (Sealed_handle.open_ a ctx reloaded))
+
+let test_handle_forged () =
+  run_app (fun k _alloc ctx ->
+      let q = get_alloc_cap ctx "app_quota" in
+      let a = Sealed_handle.create (Kernel.machine k) in
+      ignore (Option.get (Sealed_handle.mint a ctx ~alloc_cap:q 7));
+      Alcotest.(check (option int)) "forged integer" None
+        (Sealed_handle.open_ a ctx (Interp.int_value 7)))
+
+(* The lazily minted key is captured by snapshots: a mint after a
+   restore pays for the key again, exactly like the first mint after the
+   snapshot, and both pay more than a mint with the key in hand. *)
+let test_handle_key_captured () =
+  let machine = Machine.create () in
+  let k = Result.get_ok (Kernel.boot ~machine (firmware ())) in
+  ignore (A.install k ());
+  let a = Sealed_handle.create machine in
+  let costs = ref [] in
+  let failure = ref None in
+  Kernel.implement1 k ~comp:"app" ~entry:"main" (fun ctx _ ->
+      (try
+         let q = get_alloc_cap ctx "app_quota" in
+         let mint () =
+           let before = Machine.cycles machine in
+           ignore (Option.get (Sealed_handle.mint a ctx ~alloc_cap:q 1));
+           Machine.cycles machine - before
+         in
+         let first = mint () in
+         let second = mint () in
+         costs := (first, second) :: !costs
+       with e -> failure := Some e);
+      Cap.null);
+  let snap = Machine.snapshot machine in
+  Kernel.run k;
+  Machine.restore machine snap;
+  Kernel.run k;
+  Option.iter raise !failure;
+  match List.rev !costs with
+  | [ (first, second); (first', _) ] ->
+      Alcotest.(check bool) "the first mint mints the key" true (first > second);
+      Alcotest.(check int) "a restore forgets the key" first first'
+  | _ -> Alcotest.fail "expected two runs"
+
 let prop_alloc_free_balance =
   QCheck.Test.make ~name:"random alloc/free keeps heap consistent" ~count:20
     QCheck.(list_of_size Gen.(int_range 1 40) (int_range 8 512))
@@ -326,6 +400,10 @@ let suite =
     Alcotest.test_case "sealed objects" `Quick test_sealed_objects;
     Alcotest.test_case "static sealed objects" `Quick test_static_sealed_unseal;
     Alcotest.test_case "zeroed on reuse" `Quick test_zeroed_on_reuse;
+    Alcotest.test_case "handle: other service" `Quick test_handle_other_service;
+    Alcotest.test_case "handle: released" `Quick test_handle_released;
+    Alcotest.test_case "handle: forged integer" `Quick test_handle_forged;
+    Alcotest.test_case "handle: key captured" `Quick test_handle_key_captured;
     QCheck_alcotest.to_alcotest prop_alloc_free_balance;
   ]
 

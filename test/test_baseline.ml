@@ -6,7 +6,7 @@ module M = Mpu_baseline
 
 let test_region_isolation () =
   let t = M.create () in
-  let task = M.create_task t "app" in
+  let task = M.create_task () in
   let _r = M.grant t task ~addr:1024 ~len:64 ~writable:true in
   M.store t task ~addr:1024 7;
   Alcotest.(check int) "readback" 7 (M.load t task ~addr:1024);
@@ -18,7 +18,7 @@ let test_region_over_privilege () =
   (* Sharing a 40-byte object exposes the whole rounded power-of-two
      region — unlike a CHERI capability, which is exact. *)
   let t = M.create () in
-  let task = M.create_task t "peer" in
+  let task = M.create_task () in
   let r = M.grant t task ~addr:1024 ~len:40 ~writable:false in
   Alcotest.(check bool) "region is bigger than the object" true (r.M.r_size > 40);
   Alcotest.(check int) "over-privilege bytes" (r.M.r_size - 40)
@@ -29,7 +29,7 @@ let test_region_over_privilege () =
 let test_region_exhaustion () =
   (* Eight regions only: fine-grained sharing quickly runs out. *)
   let t = M.create () in
-  let task = M.create_task t "greedy" in
+  let task = M.create_task () in
   for i = 0 to M.region_count - 1 do
     ignore (M.grant t task ~addr:(4096 * (i + 1)) ~len:32 ~writable:false)
   done;
@@ -41,7 +41,7 @@ let test_no_temporal_safety () =
   (* The baseline allocator reuses freed memory immediately and dangling
      pointers keep working: the UAF the CHERIoT design closes. *)
   let t = M.create () in
-  let task = M.create_task t "app" in
+  let task = M.create_task () in
   ignore (M.grant t task ~addr:0 ~len:65536 ~writable:true);
   let p = M.malloc t 64 in
   M.store t task ~addr:p 0x41;
@@ -56,7 +56,7 @@ let test_no_temporal_safety () =
 
 let test_domain_switch_cost () =
   let t = M.create () in
-  let a = M.create_task t "a" and b = M.create_task t "b" in
+  let a = M.create_task () and b = M.create_task () in
   let c0 = M.cycles t in
   M.domain_call t ~from:a ~into:b (fun () -> ());
   let dt = M.cycles t - c0 in

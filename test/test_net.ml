@@ -34,6 +34,7 @@ let firmware () =
                F.Call { comp = "sntp"; entry = "now" };
                F.Call { comp = "tcpip"; entry = "set_vulnerable" };
                F.Call { comp = "tcpip"; entry = "ifconfig" };
+               F.Call { comp = "tcpip"; entry = "rx_step" };
              ]);
      ]
     @ Netstack.compartments ())
@@ -210,6 +211,18 @@ let test_ping_of_death_micro_reboot () =
   Alcotest.(check int) "exactly one micro-reboot" 1 !reboots;
   Alcotest.(check int) "stack recovered" Netsim.device_ip !ip_after
 
+(* netapi.stop shuts the TCP/IP stack down: a receive step entered
+   afterwards refuses with a negative code instead of waiting for a
+   frame and returning 0. *)
+let test_rx_step_after_stop () =
+  let code = ref 0 in
+  ignore
+    (boot_world (fun _w ctx ->
+         start_net ctx;
+         ignore (Kernel.call1 ctx ~import:"netapi.stop" []);
+         code := Tcpip.c_rx_step ctx ~timeout:1_000));
+  Alcotest.(check bool) "rx_step refused after stop" true (!code < 0)
+
 let suite =
   [
     Alcotest.test_case "dhcp lease" `Quick test_dhcp;
@@ -218,6 +231,7 @@ let suite =
     Alcotest.test_case "tcp socket data" `Quick test_tcp_socket_data;
     Alcotest.test_case "mqtt subscribe/publish" `Quick test_mqtt_subscribe_publish;
     Alcotest.test_case "ping of death micro-reboot" `Quick test_ping_of_death_micro_reboot;
+    Alcotest.test_case "rx_step after stop" `Quick test_rx_step_after_stop;
   ]
 
 let () = Alcotest.run "cheriot_net" [ ("net", suite) ]

@@ -126,11 +126,36 @@ let test_socket_futex_multiwait () =
       | `Fired i -> Alcotest.failf "wrong index %d" i
       | `Timed_out -> Alcotest.fail "multiwait never fired")
 
+(* A permitted frame longer than the caller's buffer is truncated to
+   the buffer's room, whichever of the firewall's two receive checks
+   finds it.  The frame's arrival is swept over the first 1,000 cycles
+   of the call: most offsets land before the first check or during the
+   futex wait, and the few that land while the firewall reads the
+   interrupt futex word (about 550 cycles in) reach the re-check. *)
+let test_firewall_truncates_long_frame () =
+  boot_world (fun net _sys ctx ->
+      (* Stop the manager thread so only this thread reads frames. *)
+      ignore (Kernel.call1 ctx ~import:"netapi.stop" []);
+      Kernel.sleep ctx 1_000_000;
+      let ctx, buf = Kernel.stack_alloc ctx 64 in
+      let room = Cap.top buf - Cap.address buf in
+      let m = Kernel.machine ctx.Kernel.kernel in
+      for offset = 0 to 1_000 do
+        Netsim.inject_frame_at net ~cycles:(Machine.cycles m + offset)
+          ~frame:(String.make 200 'A');
+        Alcotest.(check int)
+          (Printf.sprintf "length at offset %d" offset)
+          room
+          (Firewall.recv ctx ~buf ~timeout:1_000_000)
+      done)
+
 let suite =
   [
     Alcotest.test_case "firewall blocks port" `Quick test_firewall_blocks_disallowed_port;
     Alcotest.test_case "udp roundtrip" `Quick test_udp_roundtrip_via_dns;
     Alcotest.test_case "socket futex multiwait" `Quick test_socket_futex_multiwait;
+    Alcotest.test_case "firewall truncates long frame" `Quick
+      test_firewall_truncates_long_frame;
   ]
 
 let () = Alcotest.run "cheriot_net_security" [ ("net-security", suite) ]

@@ -273,6 +273,75 @@ let test_queue_lib_producer_consumer () =
     [ 11; 22; 33; 44; 55; 66; 77; 88 ]
     (List.rev !received)
 
+(* Timed-out blocking calls.  Each runs alone (bob does nothing), checks
+   the failure result and pins the cycle at which the call returns, so a
+   change to the deadline arithmetic (the [max 1] clamp, the re-check
+   after waking) shows up as a moved cycle. *)
+let timed_call ~expect_cycle name f =
+  ignore
+    (boot2
+       ~alice:(fun ctx ->
+         let m = Kernel.machine ctx.Kernel.kernel in
+         let ok = f ctx in
+         let at = Machine.cycles m in
+         Alcotest.(check bool) (name ^ ": result") false ok;
+         Alcotest.(check int) (name ^ ": return cycle") expect_cycle at)
+       ~bob:(fun _ -> ()))
+
+let queue_buf ctx =
+  Cap.exn
+    (Cap.set_bounds
+       (Cap.exn (Cap.with_address ctx.Kernel.cgp (Cap.base ctx.Kernel.cgp + 64)))
+       ~length:(Sync.Queue_lib.bytes_needed ~elem_size:4 ~capacity:1))
+
+let test_mutex_lock_timeout () =
+  timed_call ~expect_cycle:103_270 "mutex" (fun ctx ->
+      let word = global_word ctx 8 in
+      Sync.Mutex.init ctx ~word;
+      Alcotest.(check bool) "first lock" true (Sync.Mutex.try_lock ctx ~word);
+      Sync.Mutex.lock ctx ~word ~timeout:5_000 ())
+
+let test_semaphore_acquire_timeout () =
+  timed_call ~expect_cycle:103_252 "semaphore" (fun ctx ->
+      let word = global_word ctx 12 in
+      Sync.Semaphore.init ctx ~word 0;
+      Sync.Semaphore.acquire ctx ~word ~timeout:5_000 ())
+
+let test_event_wait_timeout () =
+  timed_call ~expect_cycle:103_250 "event" (fun ctx ->
+      let word = global_word ctx 16 in
+      Sync.Event.wait ctx ~word ~mask:0b1 ~timeout:5_000 () <> None)
+
+let test_queue_send_full_timeout () =
+  timed_call ~expect_cycle:103_674 "queue send" (fun ctx ->
+      let buf = queue_buf ctx in
+      Sync.Queue_lib.init ctx ~buf ~elem_size:4 ~capacity:1;
+      let ctx, elem = Kernel.stack_alloc ctx 8 in
+      Alcotest.(check bool) "fills the queue" true (Sync.Queue_lib.send ctx ~buf elem ());
+      Sync.Queue_lib.send ctx ~buf elem ~timeout:5_000 ())
+
+let test_queue_recv_empty_timeout () =
+  timed_call ~expect_cycle:103_262 "queue recv" (fun ctx ->
+      let buf = queue_buf ctx in
+      Sync.Queue_lib.init ctx ~buf ~elem_size:4 ~capacity:1;
+      let ctx, into = Kernel.stack_alloc ctx 8 in
+      Sync.Queue_lib.recv ctx ~buf ~into ~timeout:5_000 ())
+
+(* A wake before the deadline: alice's timed acquire succeeds when bob
+   releases, and returns at the pinned cycle. *)
+let test_semaphore_woken_before_deadline () =
+  let returned = ref (-1) in
+  ignore
+    (boot2
+       ~alice:(fun ctx ->
+         let word = global_word ctx 12 in
+         Sync.Semaphore.init ctx ~word 0;
+         Alcotest.(check bool) "acquired before the deadline" true
+           (Sync.Semaphore.acquire ctx ~word ~timeout:1_000_000 ());
+         returned := Machine.cycles (Kernel.machine ctx.Kernel.kernel))
+       ~bob:(fun ctx -> Sync.Semaphore.release ctx ~word:(global_word ctx 12)));
+  Alcotest.(check int) "return cycle" 100_369 !returned
+
 let suite =
   [
     Alcotest.test_case "futex wait/wake" `Quick test_futex_wait_wake;
@@ -287,6 +356,13 @@ let suite =
     Alcotest.test_case "condvar" `Quick test_condvar;
     Alcotest.test_case "condvar timeout" `Quick test_condvar_timeout;
     Alcotest.test_case "queue library FIFO" `Quick test_queue_lib_producer_consumer;
+    Alcotest.test_case "mutex lock timeout" `Quick test_mutex_lock_timeout;
+    Alcotest.test_case "semaphore acquire timeout" `Quick test_semaphore_acquire_timeout;
+    Alcotest.test_case "event wait timeout" `Quick test_event_wait_timeout;
+    Alcotest.test_case "queue send on full timeout" `Quick test_queue_send_full_timeout;
+    Alcotest.test_case "queue recv on empty timeout" `Quick test_queue_recv_empty_timeout;
+    Alcotest.test_case "timed acquire woken in time" `Quick
+      test_semaphore_woken_before_deadline;
   ]
 
 let () = Alcotest.run "cheriot_sync" [ ("sync", suite) ]
