@@ -161,12 +161,6 @@ let firmware () =
             ]);
     ]
 
-let mmio_load machine mmio off size =
-  Machine.load machine ~auth:mmio ~addr:(Cap.base mmio + off) ~size
-
-let mmio_store machine mmio off size v =
-  Machine.store machine ~auth:mmio ~addr:(Cap.base mmio + off) ~size v
-
 type image = {
   ai_machine : Machine.t;
   ai_frn : Forensics.t;
@@ -257,24 +251,23 @@ let run_cheriot img ~family ~armed ~seed =
       let handled = ref 0 in
       let continue = ref true in
       while !continue && !handled < 4 do
-        let len = mmio_load machine mmio 0 4 in
-        if len = 0 then continue := false
+        if Netsim.rx_status machine mmio = 0 then continue := false
         else begin
-          let claim = mmio_load machine mmio (0x10 + Netsim.tlv_claim_off) 4 in
+          let claim = Netsim.rx_load machine mmio ~off:Netsim.tlv_claim_off ~size:4 in
           (match Allocator.allocate ctx ~alloc_cap:netq rx_buf_size with
           | Ok buf ->
               (* Reassembly copy that trusts the claim: on CHERIoT the
                  exactly-bounded buffer capability traps the overflow. *)
               for i = 0 to claim - 1 do
                 let v =
-                  mmio_load machine mmio (0x10 + Netsim.tlv_data_off + i) 1
+                  Netsim.rx_load machine mmio ~off:(Netsim.tlv_data_off + i) ~size:1
                 in
                 Machine.store machine ~auth:buf ~addr:(Cap.base buf + i) ~size:1
                   v
               done;
               ignore (Allocator.free ctx ~alloc_cap:netq buf)
           | Error _ -> ());
-          mmio_store machine mmio 4 4 1;
+          Netsim.rx_consume machine mmio;
           incr handled
         end
       done;

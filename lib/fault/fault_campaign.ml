@@ -83,42 +83,21 @@ let firmware () =
         ~imports:System.standard_imports;
     ]
 
-(* Raw driver for the eth0 MMIO window (register map in netsim.mli):
-   the app talks to the adaptor directly so network chaos lands on a
-   path the workload actually exercises. *)
-
-let mmio_load machine mmio off size =
-  Machine.load machine ~auth:mmio ~addr:(Cap.base mmio + off) ~size
-
-let mmio_store machine mmio off size v =
-  Machine.store machine ~auth:mmio ~addr:(Cap.base mmio + off) ~size v
-
-let send_frame machine mmio frame =
-  String.iteri
-    (fun i c -> mmio_store machine mmio (0x800 + i) 1 (Char.code c))
-    frame;
-  mmio_store machine mmio 8 4 (String.length frame)
+(* The app drives eth0 directly (Netsim's driver) so network chaos
+   lands on a path the workload actually exercises. *)
 
 let consume_rx machine mmio =
-  let consumed = ref 0 in
-  let continue = ref true in
-  while !continue && !consumed < 5 do
-    let len = mmio_load machine mmio 0 4 in
-    if len = 0 then continue := false
-    else begin
-      let frame =
-        String.init len (fun i -> Char.chr (mmio_load machine mmio (0x10 + i) 1))
-      in
-      mmio_store machine mmio 4 4 1;
-      (* Corrupted frames must decode to None, not crash anything. *)
-      (match P.decode_eth frame with
-      | Some eth when eth.P.eth_type = P.ethertype_arp ->
-          ignore (P.decode_arp eth.P.eth_payload)
-      | Some _ | None -> ());
-      incr consumed
-    end
-  done;
-  !consumed
+  let rec go consumed =
+    if consumed >= 5 then consumed
+    else
+      match Netsim.receive machine mmio with
+      | None -> consumed
+      | Some frame ->
+          (* Corrupted frames must decode to [Other], not crash anything. *)
+          ignore (P.decode_frame frame);
+          go (consumed + 1)
+  in
+  go 0
 
 let arp_probe () =
   P.encode_eth
@@ -331,7 +310,7 @@ let scenario_body img ~seed () =
               | [] -> ()
             end;
             if i mod 3 = 0 then begin
-              send_frame machine mmio (arp_probe ());
+              Netsim.transmit machine mmio (arp_probe ());
               ignore (consume_rx machine mmio)
             end;
             Kernel.sleep ctx (2_000 + Random.State.int wrng 4_000)

@@ -34,45 +34,18 @@ let default_ports =
   [ P.dhcp_server_port; P.dhcp_client_port; P.dns_port; P.sntp_port; Netsim.broker_port ]
 
 (* Remote port of a frame (destination for outbound, source for
-   inbound); None = not UDP/TCP (ARP, ICMP pass). *)
+   inbound); None = not a well-formed UDP/TCP frame (ARP, ICMP and
+   anything undecodable pass). *)
 let remote_port ~outbound raw =
-  match P.decode_eth raw with
-  | None -> None
-  | Some eth ->
-      if eth.P.eth_type <> P.ethertype_ipv4 then None
-      else
-        Option.bind (P.decode_ipv4 eth.P.eth_payload) (fun ip ->
-            if ip.P.ip_proto = P.proto_udp then
-              Option.map
-                (fun u -> if outbound then u.P.udp_dst else u.P.udp_src)
-                (P.decode_udp ip.P.ip_payload)
-            else if ip.P.ip_proto = P.proto_tcp then
-              Option.map
-                (fun s -> if outbound then s.P.tcp_dst else s.P.tcp_src)
-                (P.decode_tcp ip.P.ip_payload)
-            else None)
+  match P.decode_frame raw with
+  | P.Udp (_, u) -> Some (if outbound then u.P.udp_dst else u.P.udp_src)
+  | P.Tcp (_, s) -> Some (if outbound then s.P.tcp_dst else s.P.tcp_src)
+  | P.Arp _ | P.Icmp _ | P.Other -> None
 
 let permitted t ~outbound raw =
   match remote_port ~outbound raw with
   | None -> true
   | Some port -> List.mem port t.allowed_ports
-
-(* MMIO window copies go through the bus, byte by byte (the simulated
-   adaptor has no DMA, matching the paper's "simple network adaptor with
-   no offload features"). *)
-
-let write_window t off s =
-  String.iteri
-    (fun i c ->
-      Machine.store t.machine ~auth:t.mmio
-        ~addr:(Cap.base t.mmio + off + i)
-        ~size:1 (Char.code c))
-    s
-
-let read_window t off len =
-  String.init len (fun i ->
-      Char.chr
-        (Machine.load t.machine ~auth:t.mmio ~addr:(Cap.base t.mmio + off + i) ~size:1))
 
 let do_send t frame =
   if not (permitted t ~outbound:true frame) then begin
@@ -80,28 +53,22 @@ let do_send t frame =
     -1
   end
   else begin
-    (* Copy into the TX window then trigger. *)
-    write_window t 0x800 frame;
-    Machine.store t.machine ~auth:t.mmio ~addr:(Cap.base t.mmio + 8) ~size:4
-      (String.length frame);
+    Netsim.transmit t.machine t.mmio frame;
     t.tx <- t.tx + 1;
     String.length frame
   end
 
 (* Read the pending frame if any; None when the RX queue is empty. *)
 let try_rx t =
-  let len = Machine.load t.machine ~auth:t.mmio ~addr:(Cap.base t.mmio) ~size:4 in
-  if len = 0 then None
-  else begin
-    let frame = read_window t 0x10 len in
-    Machine.store t.machine ~auth:t.mmio ~addr:(Cap.base t.mmio + 4) ~size:4 1;
-    t.rx <- t.rx + 1;
-    if permitted t ~outbound:false frame then Some frame
-    else begin
-      t.dropped <- t.dropped + 1;
-      None
-    end
-  end
+  match Netsim.receive t.machine t.mmio with
+  | None -> None
+  | Some frame ->
+      t.rx <- t.rx + 1;
+      if permitted t ~outbound:false frame then Some frame
+      else begin
+        t.dropped <- t.dropped + 1;
+        None
+      end
 
 let do_recv t ctx buf timeout =
   let deadline =
@@ -164,8 +131,7 @@ let install kernel =
       t.allowed_ports <- List.filter (fun p -> p <> ti args.(0)) t.allowed_ports;
       iv 0);
   Kernel.implement kernel ~comp:comp_name ~entry:"stats" (fun _ctx _ ->
-      (iv t.tx, iv t.dropped));
-  t
+      (iv t.tx, iv t.dropped))
 
 (* Client wrappers (used by the TCP/IP compartment). *)
 

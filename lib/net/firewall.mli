@@ -10,9 +10,7 @@ val firmware_compartment : unit -> Firmware.compartment
 (** Declares the compartment, its MMIO import and its scheduler imports
     (it blocks on the Ethernet interrupt futex). *)
 
-type t
-
-val install : Kernel.t -> t
+val install : Kernel.t -> unit
 (** Register entry implementations; reads the adaptor capability from
     the compartment's own import table. *)
 

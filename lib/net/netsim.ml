@@ -1,11 +1,49 @@
+module Cap = Capability
 module P = Packet
 
 let device_name = "eth0"
 let mmio_base = 0x1100_0000
 let mmio_size = 4096
+
+(* The eth0 register map (netsim.mli). *)
+let rx_status_reg = 0x000
+let rx_consume_reg = 0x004
+let tx_len_reg = 0x008
 let rx_window = 0x010
 let tx_window = 0x800
 let max_frame = 2032
+
+(* The device-side driver: every register access of every compartment
+   that holds the eth0 capability.  The adaptor has no DMA, so the
+   windows are copied through the bus a byte at a time. *)
+
+let load_reg machine mmio off ~size =
+  Machine.load machine ~auth:mmio ~addr:(Cap.base mmio + off) ~size
+
+let store_reg machine mmio off ~size v =
+  Machine.store machine ~auth:mmio ~addr:(Cap.base mmio + off) ~size v
+
+let rx_status machine mmio = load_reg machine mmio rx_status_reg ~size:4
+let rx_load machine mmio ~off ~size = load_reg machine mmio (rx_window + off) ~size
+let rx_consume machine mmio = store_reg machine mmio rx_consume_reg ~size:4 1
+
+let transmit machine mmio frame =
+  String.iteri
+    (fun i c -> store_reg machine mmio (tx_window + i) ~size:1 (Char.code c))
+    frame;
+  store_reg machine mmio tx_len_reg ~size:4 (String.length frame)
+
+let receive machine mmio =
+  let len = rx_status machine mmio in
+  if len = 0 then None
+  else begin
+    let frame =
+      String.init len (fun i -> Char.chr (rx_load machine mmio ~off:i ~size:1))
+    in
+    rx_consume machine mmio;
+    Some frame
+  end
+
 let device_mac = 0x02_00_00_00_00_01
 let gateway_mac = 0x02_00_00_00_ff_01
 let gateway_ip = P.ipv4_of_quad 10 0 0 1
@@ -41,7 +79,6 @@ type t = {
   mutable wallclock : int;
   mutable conns : srv_conn list;
   mutable publishes : (int * string * string) list;
-  mutable pods : (int * int) list;
   mutable raws : (int * string) list;
   mutable sent : int;
   mutable last_echo_reply : string option;
@@ -54,23 +91,19 @@ let add_dns_record t name ip = t.dns <- (name, ip) :: t.dns
 let set_wallclock t s = t.wallclock <- s
 
 (* The world is event-driven: the tick listener is parked until the
-   earliest due cycle across the three timed queues. *)
+   earliest due cycle across the three timed queues (frames in flight,
+   broker publishes, injected raw frames). *)
 let update_wakeup t =
   match t.listener with
   | None -> ()
   | Some h ->
       let at = List.fold_left (fun a (c, _) -> min a c) max_int t.pending in
       let at = List.fold_left (fun a (c, _, _) -> min a c) at t.publishes in
-      let at = List.fold_left (fun a (c, _) -> min a c) at t.pods in
       let at = List.fold_left (fun a (c, _) -> min a c) at t.raws in
       Machine.set_listener_wakeup t.machine h ~at
 
 let broker_publish_at t ~cycles ~topic ~message =
   t.publishes <- t.publishes @ [ (cycles, topic, message) ];
-  update_wakeup t
-
-let ping_of_death_at t ~cycles ~size =
-  t.pods <- t.pods @ [ (cycles, size) ];
   update_wakeup t
 
 let inject_frame_at t ~cycles ~frame =
@@ -219,12 +252,10 @@ let rec process_stream t conn =
         | Error _ -> conn.sc_state <- `Closed
       end
   | Some tls -> (
-      match Tls_lite.record_needs conn.sc_stream with
-      | Some 0 -> (
-          let size = Tls_lite.record_size conn.sc_stream in
-          let record = String.sub conn.sc_stream 0 size in
-          conn.sc_stream <-
-            String.sub conn.sc_stream size (String.length conn.sc_stream - size);
+      match Tls_lite.take_record conn.sc_stream with
+      | None -> ()
+      | Some (record, rest) -> (
+          conn.sc_stream <- rest;
           match Tls_lite.open_ tls record with
           | Error _ -> conn.sc_state <- `Closed
           | Ok plain ->
@@ -234,13 +265,9 @@ let rec process_stream t conn =
                   conn.sc_subs <- topic :: conn.sc_subs;
                   send_record t conn (P.encode_mqtt (P.Suback { sub_id }))
               | Some (P.Pingreq, _) -> send_record t conn (P.encode_mqtt P.Pingresp)
-              | Some (P.Publish _, _) | Some (P.Connack, _) | Some (P.Suback _, _)
-              | Some (P.Pingresp, _) ->
-                  ()
               | Some (P.Disconnect, _) -> conn.sc_state <- `Closed
-              | None -> ());
-              process_stream t conn)
-      | Some _ | None -> ())
+              | Some ((P.Publish _ | P.Connack | P.Suback _ | P.Pingresp), _) | None -> ());
+              process_stream t conn))
 
 let handle_tcp t seg =
   if seg.P.tcp_dst = broker_port then begin
@@ -324,44 +351,23 @@ let handle_udp t ip u =
 (* A frame transmitted by the device. *)
 let handle_frame t raw =
   t.sent <- t.sent + 1;
-  match P.decode_eth raw with
-  | None -> ()
-  | Some eth ->
-      if eth.P.eth_type = P.ethertype_arp then begin
-        match P.decode_arp eth.P.eth_payload with
-        | Some a when a.P.arp_op = `Request ->
-            (* The gateway proxy-answers for every server address. *)
-            eth_to_device t ~src:gateway_mac ~ethertype:P.ethertype_arp
-              (P.encode_arp
-                 {
-                   P.arp_op = `Reply;
-                   arp_sender_mac = gateway_mac;
-                   arp_sender_ip = a.P.arp_target_ip;
-                   arp_target_mac = a.P.arp_sender_mac;
-                   arp_target_ip = a.P.arp_sender_ip;
-                 })
-        | Some _ | None -> ()
-      end
-      else if eth.P.eth_type = P.ethertype_ipv4 then begin
-        match P.decode_ipv4 eth.P.eth_payload with
-        | None -> ()
-        | Some ip -> (
-            match ip.P.ip_proto with
-            | 17 -> (
-                match P.decode_udp ip.P.ip_payload with
-                | Some u -> handle_udp t ip u
-                | None -> ())
-            | 6 -> (
-                match P.decode_tcp ip.P.ip_payload with
-                | Some seg -> handle_tcp t seg
-                | None -> ())
-            | 1 -> (
-                match P.decode_icmp ip.P.ip_payload with
-                | Some i when i.P.icmp_type = P.icmp_echo_reply ->
-                    t.last_echo_reply <- Some i.P.icmp_body
-                | Some _ | None -> ())
-            | _ -> ())
-      end
+  match P.decode_frame raw with
+  | P.Arp a when a.P.arp_op = `Request ->
+      (* The gateway proxy-answers for every server address. *)
+      eth_to_device t ~src:gateway_mac ~ethertype:P.ethertype_arp
+        (P.encode_arp
+           {
+             P.arp_op = `Reply;
+             arp_sender_mac = gateway_mac;
+             arp_sender_ip = a.P.arp_target_ip;
+             arp_target_mac = a.P.arp_sender_mac;
+             arp_target_ip = a.P.arp_sender_ip;
+           })
+  | P.Udp (ip, u) -> handle_udp t ip u
+  | P.Tcp (_, seg) -> handle_tcp t seg
+  | P.Icmp (_, i) when i.P.icmp_type = P.icmp_echo_reply ->
+      t.last_echo_reply <- Some i.P.icmp_body
+  | P.Arp _ | P.Icmp _ | P.Other -> ()
 
 (* Timed events *)
 
@@ -383,13 +389,6 @@ let fire_due t now =
             send_record t conn (P.encode_mqtt (P.Publish { topic; message })))
         t.conns)
     due_pubs;
-  let due_pods, later_pods = List.partition (fun (c, _) -> c <= now) t.pods in
-  t.pods <- later_pods;
-  List.iter
-    (fun (_, size) ->
-      (* Malformed oversized echo request: the "Ping of death". *)
-      to_device ~delay:0 t (pod_frame ~size))
-    due_pods;
   let due_raws, later_raws = List.partition (fun (c, _) -> c <= now) t.raws in
   t.raws <- later_raws;
   List.iter (fun (_, frame) -> to_device ~delay:0 t frame) due_raws;
@@ -409,7 +408,6 @@ let attach ?(latency = 33_000) ?(sntp_latency = 33_000) machine =
       wallclock = 1_700_000_000;
       conns = [];
       publishes = [];
-      pods = [];
       raws = [];
       sent = 0;
       last_echo_reply = None;
@@ -417,7 +415,7 @@ let attach ?(latency = 33_000) ?(sntp_latency = 33_000) machine =
     }
   in
   let read ~addr ~size =
-    if addr = 0 then
+    if addr = rx_status_reg then
       match Queue.peek_opt t.rxq with None -> 0 | Some f -> String.length f
     else if addr >= rx_window && addr + size <= tx_window then begin
       match Queue.peek_opt t.rxq with
@@ -431,8 +429,8 @@ let attach ?(latency = 33_000) ?(sntp_latency = 33_000) machine =
     else 0
   in
   let write ~addr ~size v =
-    if addr = 4 then ignore (Queue.pop t.rxq)
-    else if addr = 8 then begin
+    if addr = rx_consume_reg then ignore (Queue.pop t.rxq)
+    else if addr = tx_len_reg then begin
       let len = min v (Bytes.length t.txbuf) in
       handle_frame t (Bytes.sub_string t.txbuf 0 len)
     end
@@ -472,7 +470,6 @@ let attach ?(latency = 33_000) ?(sntp_latency = 33_000) machine =
           t.conns
       in
       let publishes = t.publishes in
-      let pods = t.pods in
       let raws = t.raws in
       let sent = t.sent in
       let last_echo_reply = t.last_echo_reply in
@@ -500,7 +497,6 @@ let attach ?(latency = 33_000) ?(sntp_latency = 33_000) machine =
             c.sc_subs <- subs)
           conns;
         t.publishes <- publishes;
-        t.pods <- pods;
         t.raws <- raws;
         t.sent <- sent;
         t.last_echo_reply <- last_echo_reply;

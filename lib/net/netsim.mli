@@ -9,12 +9,15 @@
     simulated hosts; their responses are scheduled [latency] cycles
     later and raise the Ethernet interrupt on arrival.
 
-    Device register map (offsets into the MMIO region):
+    Device register map (offsets into the MMIO region), and the driver
+    function below that encodes each register:
     - [0x000] RX_STATUS (read): length of the pending frame, 0 if none
-    - [0x004] RX_CONSUME (write 1): pop the pending frame
+      ({!rx_status})
+    - [0x004] RX_CONSUME (write 1): pop the pending frame ({!rx_consume})
     - [0x008] TX_LEN (write n): transmit the first n bytes of TX window
-    - [0x010..0x7ff] RX window (read)
-    - [0x800..0xfff] TX window (write) *)
+      (the last store of {!transmit})
+    - [0x010..0x7ff] RX window (read; {!rx_load}, {!receive})
+    - [0x800..0xfff] TX window (write; {!transmit}) *)
 
 val device_name : string  (** "eth0" *)
 val max_frame : int
@@ -53,17 +56,18 @@ val set_wallclock : t -> int -> unit
 val broker_publish_at : t -> cycles:int -> topic:string -> message:string -> unit
 (** Schedule an MQTT PUBLISH to every subscribed client. *)
 
-val ping_of_death_at : t -> cycles:int -> size:int -> unit
-(** Schedule a malformed oversized ICMP echo request (§5.3.3's crash
-    trigger). *)
-
 val inject_frame_at : t -> cycles:int -> frame:string -> unit
 (** Schedule an arbitrary raw frame — possibly malformed — for delivery
     to the device at the given cycle (through the chaos hook and the
-    input journal, like every other delivery).  The generalization of
-    {!ping_of_death_at} the attack campaigns (lib/attack) drive. *)
+    input journal, like every other delivery).  Frames due at the same
+    cycle arrive in the order they were scheduled. *)
 
-(* The malformed-frame family (the ping of death generalized). *)
+(* The malformed-frame family. *)
+
+val pod_frame : size:int -> string
+(** An ICMP echo request from the gateway carrying [size] bytes: an
+    ordinary ping when small, §5.3.3's "ping of death" crash trigger when
+    it overflows the stack's 256-byte echo buffer. *)
 
 val tlv_claim_off : int
 (** Frame offset of the 4-byte little-endian claimed payload length. *)
@@ -81,6 +85,27 @@ val set_chaos_hook : t -> (string -> chaos) option -> unit
 (** Consulted once per frame queued for delivery to the device (the
     fault-injection engine's packet drop/corrupt/duplicate/reorder
     point).  Frames the device transmits are unaffected. *)
+
+(* The device-side driver.  Each function takes the machine and the
+   caller's eth0 MMIO capability and makes its accesses through
+   {!Machine.load}/{!Machine.store}, so they are checked, traced and
+   charged like any compartment's. *)
+
+val rx_status : Machine.t -> Capability.t -> int
+(** RX_STATUS: the pending frame's length, 0 if none. *)
+
+val rx_load : Machine.t -> Capability.t -> off:int -> size:int -> int
+(** A [size]-byte little-endian load at [off] into the RX window. *)
+
+val rx_consume : Machine.t -> Capability.t -> unit
+(** RX_CONSUME: pop the pending frame. *)
+
+val transmit : Machine.t -> Capability.t -> string -> unit
+(** Copy a frame into the TX window a byte at a time, then write TX_LEN. *)
+
+val receive : Machine.t -> Capability.t -> string option
+(** The pending frame, read a byte at a time and then consumed; [None]
+    (after the one RX_STATUS load) when there is none. *)
 
 val frames_sent : t -> int
 

@@ -9,16 +9,31 @@ module P = Packet
 let iv = Interp.int_value
 let ti = Interp.to_int
 
-let err_timeout = -1
-let err_invalid = -2
-let err_closed = -3
-let err_nomem = -4
-
 (* Read a string argument passed as (capability, length). *)
 let arg_string ctx cap len =
   let m = Kernel.machine ctx.Kernel.kernel in
   if len < 0 || len > 256 then ""
   else Membuf.to_string m ~auth:cap ~len
+
+(* The framed receive of TLS and MQTT.  [take ()] removes the next whole
+   unit (a record, a packet) from the session's stream once it holds
+   one; until then [pull remaining] reads more of the stream, waiting at
+   most [remaining] cycles, and returns how many bytes arrived.  The
+   deadline is fixed on entry; a pull of no bytes ends the receive with
+   the pull's result as its error code. *)
+let recv_framed machine ~timeout ~take ~pull =
+  let deadline = Machine.cycles machine + max timeout 1 in
+  let rec loop () =
+    match take () with
+    | Some unit -> Ok unit
+    | None ->
+        let remaining = deadline - Machine.cycles machine in
+        if remaining <= 0 then Error Tcpip.err_timeout
+        else
+          let n = pull remaining in
+          if n > 0 then loop () else Error n
+  in
+  loop ()
 
 (* NetAPI *)
 
@@ -89,53 +104,52 @@ module Netapi = struct
               | Ok (v, _) -> ti v
               | Error _ -> 0)
         in
-        if ip <= 0 then iv err_invalid
+        if ip <= 0 then iv Tcpip.err_invalid
         else
           let sock = Tcpip.c_tcp_open ctx in
-          if sock < 0 then iv err_nomem
+          if sock < 0 then iv Tcpip.err_nomem
           else if Tcpip.c_tcp_connect ctx ~sock ~ip ~port ~timeout:90_000_000 < 0 then begin
             ignore (Tcpip.c_sock_close ctx ~sock);
-            iv err_timeout
+            iv Tcpip.err_timeout
           end
           else
             match Sealed_handle.mint t.handles ctx ~alloc_cap sock with
             | Some handle -> handle
             | None ->
                 ignore (Tcpip.c_sock_close ctx ~sock);
-                iv err_nomem);
+                iv Tcpip.err_nomem);
     e "socket_send" (fun ctx args ->
         match Sealed_handle.open_ t.handles ctx args.(0) with
-        | None -> iv err_invalid
+        | None -> iv Tcpip.err_invalid
         | Some sock ->
             let len = ti args.(2) in
             if
               not
                 (Hardening.check_pointer ctx ~perms:(Perm.Set.of_list [ Perm.Load ])
                    ~min_length:len args.(1))
-            then iv err_invalid
+            then iv Tcpip.err_invalid
             else begin
               Hardening.claim_arg ctx args.(1);
               iv (Tcpip.c_tcp_send ctx ~sock ~buf:args.(1) ~len)
             end);
     e "socket_recv" (fun ctx args ->
         match Sealed_handle.open_ t.handles ctx args.(0) with
-        | None -> iv err_invalid
+        | None -> iv Tcpip.err_invalid
         | Some sock ->
             let maxlen = ti args.(2) in
             if
               not
                 (Hardening.check_pointer ctx ~perms:(Perm.Set.of_list [ Perm.Store ])
                    ~min_length:maxlen args.(1))
-            then iv err_invalid
+            then iv Tcpip.err_invalid
             else iv (Tcpip.c_tcp_recv ctx ~sock ~buf:args.(1) ~maxlen ~timeout:(ti args.(3))));
     e "socket_close" (fun ctx args ->
         match Sealed_handle.open_ t.handles ctx args.(1) with
-        | None -> iv err_invalid
+        | None -> iv Tcpip.err_invalid
         | Some sock ->
             ignore (Tcpip.c_sock_close ctx ~sock);
             ignore (Sealed_handle.release t.handles ctx ~alloc_cap:args.(0) args.(1));
-            iv 0);
-    t
+            iv 0)
 
   let client_imports = Firmware.client_imports (firmware_compartment ())
 end
@@ -194,7 +208,7 @@ module Dns = struct
                   Tcpip.c_udp_recv ctx ~sock:t.sock ~buf:t.buf ~maxlen:512 ~timeout:30_000_000
                 in
                 if n <= 0 then begin
-                  if n = -2 || n = -3 then t.sock <- -1;
+                  if n = Tcpip.err_invalid || n = Tcpip.err_closed then t.sock <- -1;
                   attempt (tries - 1)
                 end
                 else
@@ -204,8 +218,7 @@ module Dns = struct
             end
           end
         in
-        iv (attempt 4));
-    t
+        iv (attempt 4))
 end
 
 (* SNTP *)
@@ -262,7 +275,7 @@ module Sntp = struct
                     ~timeout:400_000_000
                 in
                 if n <= 0 then begin
-                  if n = -2 || n = -3 then t.sock <- -1;
+                  if n = Tcpip.err_invalid || n = Tcpip.err_closed then t.sock <- -1;
                   0
                 end
                 else
@@ -282,8 +295,7 @@ module Sntp = struct
     Kernel.implement1 kernel ~comp:comp_name ~entry:"now" (fun _ctx _ ->
         match t.offset with
         | None -> iv 0
-        | Some off -> iv (off + (Machine.cycles machine / (Machine.clock_mhz * 1_000_000))));
-    t
+        | Some off -> iv (off + (Machine.cycles machine / (Machine.clock_mhz * 1_000_000))))
 end
 
 (* TLS *)
@@ -330,7 +342,7 @@ module Tls = struct
           [ session.socket; session.io_buf; iv 600; iv timeout ]
       with
       | Ok (v, _) -> ti v
-      | Error _ -> err_closed
+      | Error _ -> Tcpip.err_closed
     in
     if n > 0 then begin
       session.stream <-
@@ -340,23 +352,18 @@ module Tls = struct
     else n
 
   let recv_record ctx session ~machine ~timeout =
-    let deadline = Machine.cycles machine + max timeout 1 in
-    let rec loop () =
-      match Tls_lite.record_needs session.stream with
-      | Some 0 ->
-          let size = Tls_lite.record_size session.stream in
-          let r = String.sub session.stream 0 size in
-          session.stream <-
-            String.sub session.stream size (String.length session.stream - size);
-          Ok r
-      | _ ->
-          let remaining = deadline - Machine.cycles machine in
-          if remaining <= 0 then Error err_timeout
-          else
-            let n = fill ctx session ~machine ~timeout:remaining in
-            if n > 0 then loop () else Error (if n = 0 then err_timeout else n)
-    in
-    loop ()
+    recv_framed machine ~timeout
+      ~take:(fun () ->
+        Option.map
+          (fun (record, rest) ->
+            session.stream <- rest;
+            record)
+          (Tls_lite.take_record session.stream))
+      ~pull:(fun remaining ->
+        (* A read that ends empty is this receive's timeout. *)
+        match fill ctx session ~machine ~timeout:remaining with
+        | 0 -> Tcpip.err_timeout
+        | n -> n)
 
   let install ?(handshake_cycles = Tls_lite.default_handshake_cycles) kernel =
     let machine = Kernel.machine kernel in
@@ -373,12 +380,24 @@ module Tls = struct
           Kernel.call ctx ~import:"netapi.socket_connect_tcp"
             [ alloc_cap; args.(1); iv (ti args.(2)); iv (ti args.(3)) ]
         with
-        | Error _ -> iv err_closed
+        | Error _ -> iv Tcpip.err_closed
         | Ok (socket, _) when not (Cap.tag socket) -> socket (* error code through *)
         | Ok (socket, _) -> (
+            (* Every failure from here on hands back what the connect
+               charged to the caller: the socket, then the buffer. *)
+            let close_socket () =
+              ignore (Kernel.call ctx ~import:"netapi.socket_close" [ alloc_cap; socket ])
+            in
             match Allocator.allocate ctx ~alloc_cap 640 with
-            | Error _ -> iv err_nomem
+            | Error _ ->
+                close_socket ();
+                iv Tcpip.err_nomem
             | Ok io_buf -> (
+                let fail code =
+                  close_socket ();
+                  ignore (Allocator.free ctx ~alloc_cap io_buf);
+                  iv code
+                in
                 let session = { socket; tls = None; stream = ""; io_buf } in
                 (* Key agreement: the expensive part (no accelerator).
                    Charged in chunks: crypto code is ordinary preemptible
@@ -405,26 +424,30 @@ module Tls = struct
                     gather deadline
                   else false
                 in
-                if not (gather (Machine.cycles machine + 60_000_000)) then iv err_timeout
+                if not (gather (Machine.cycles machine + 60_000_000)) then
+                  fail Tcpip.err_timeout
                 else
                   let sh = String.sub session.stream 0 13 in
                   session.stream <-
                     String.sub session.stream 13 (String.length session.stream - 13);
                   match Tls_lite.client_process_server_hello ~secret ~nonce sh with
-                  | Error _ -> iv err_closed
-                  | Ok conn ->
+                  | Error _ -> fail Tcpip.err_closed
+                  | Ok conn -> (
                       session.tls <- Some conn;
                       let id = t.next_id in
                       t.next_id <- id + 1;
                       Hashtbl.replace t.sessions id session;
-                      Option.value ~default:(iv err_nomem)
-                        (Sealed_handle.mint t.handles ctx ~alloc_cap id))));
+                      match Sealed_handle.mint t.handles ctx ~alloc_cap id with
+                      | Some handle -> handle
+                      | None ->
+                          Hashtbl.remove t.sessions id;
+                          fail Tcpip.err_nomem))));
     e "send" (fun ctx args ->
         match open_handle t ctx args.(0) with
-        | None -> iv err_invalid
+        | None -> iv Tcpip.err_invalid
         | Some (_, session) -> (
             match session.tls with
-            | None -> iv err_closed
+            | None -> iv Tcpip.err_closed
             | Some conn ->
                 let len = min (ti args.(2)) 512 in
                 let plain = Membuf.to_string machine ~auth:args.(1) ~len in
@@ -437,37 +460,36 @@ module Tls = struct
                       [ session.socket; session.io_buf; iv (String.length record) ]
                   with
                   | Ok (v, _) -> ti v
-                  | Error _ -> err_closed
+                  | Error _ -> Tcpip.err_closed
                 in
                 if r < 0 then iv r else iv len));
     e "recv" (fun ctx args ->
         match open_handle t ctx args.(0) with
-        | None -> iv err_invalid
+        | None -> iv Tcpip.err_invalid
         | Some (_, session) -> (
             match session.tls with
-            | None -> iv err_closed
+            | None -> iv Tcpip.err_closed
             | Some conn -> (
                 match recv_record ctx session ~machine ~timeout:(ti args.(3)) with
                 | Error e -> iv e
                 | Ok record -> (
                     Machine.tick machine (Tls_lite.per_byte_cycles * String.length record);
                     match Tls_lite.open_ conn record with
-                    | Error _ -> iv err_closed
+                    | Error _ -> iv Tcpip.err_closed
                     | Ok plain ->
                         let n = min (String.length plain) (ti args.(2)) in
                         Membuf.of_string machine ~auth:args.(1) (String.sub plain 0 n);
                         iv n))));
     e "close" (fun ctx args ->
         match open_handle t ctx args.(1) with
-        | None -> iv err_invalid
+        | None -> iv Tcpip.err_invalid
         | Some (id, session) ->
             ignore
               (Kernel.call ctx ~import:"netapi.socket_close" [ args.(0); session.socket ]);
             ignore (Allocator.free ctx ~alloc_cap:args.(0) session.io_buf);
             ignore (Sealed_handle.release t.handles ctx ~alloc_cap:args.(0) args.(1));
             Hashtbl.remove t.sessions id;
-            iv 0);
-    t
+            iv 0)
 
   let client_imports = Firmware.client_imports (firmware_compartment ())
 end
@@ -513,36 +535,30 @@ module Mqtt = struct
         [ session.tls_handle; session.mq_buf; iv (String.length s) ]
     with
     | Ok (v, _) -> ti v
-    | Error _ -> err_closed
+    | Error _ -> Tcpip.err_closed
 
   (* Receive the next MQTT packet over TLS records. *)
   let recv_packet ctx machine session ~timeout =
-    let deadline = Machine.cycles machine + max 1 timeout in
-    let rec loop () =
-      match P.decode_mqtt session.pending with
-      | Some (pkt, rest) ->
-          session.pending <- rest;
-          Ok pkt
-      | None ->
-          let remaining = deadline - Machine.cycles machine in
-          if remaining <= 0 then Error err_timeout
-          else
-            let n =
-              match
-                Kernel.call ctx ~import:"tls.recv"
-                  [ session.tls_handle; session.mq_buf; iv 600; iv remaining ]
-              with
-              | Ok (v, _) -> ti v
-              | Error _ -> err_closed
-            in
-            if n > 0 then begin
-              session.pending <-
-                session.pending ^ Membuf.to_string machine ~auth:session.mq_buf ~len:n;
-              loop ()
-            end
-            else Error n
-    in
-    loop ()
+    recv_framed machine ~timeout
+      ~take:(fun () ->
+        Option.map
+          (fun (pkt, rest) ->
+            session.pending <- rest;
+            pkt)
+          (P.decode_mqtt session.pending))
+      ~pull:(fun remaining ->
+        let n =
+          match
+            Kernel.call ctx ~import:"tls.recv"
+              [ session.tls_handle; session.mq_buf; iv 600; iv remaining ]
+          with
+          | Ok (v, _) -> ti v
+          | Error _ -> Tcpip.err_closed
+        in
+        if n > 0 then
+          session.pending <-
+            session.pending ^ Membuf.to_string machine ~auth:session.mq_buf ~len:n;
+        n)
 
   let install kernel =
     let machine = Kernel.machine kernel in
@@ -556,40 +572,55 @@ module Mqtt = struct
           Kernel.call ctx ~import:"tls.connect"
             [ alloc_cap; args.(1); iv (ti args.(2)); iv (ti args.(3)) ]
         with
-        | Error _ -> iv err_closed
+        | Error _ -> iv Tcpip.err_closed
         | Ok (h, _) when not (Cap.tag h) -> h
         | Ok (tls_handle, _) -> (
+            (* Every failure from here on hands back what the connect
+               charged to the caller: the TLS session, then the buffer. *)
+            let close_tls () =
+              ignore (Kernel.call ctx ~import:"tls.close" [ alloc_cap; tls_handle ])
+            in
             match Allocator.allocate ctx ~alloc_cap 640 with
-            | Error _ -> iv err_nomem
+            | Error _ ->
+                close_tls ();
+                iv Tcpip.err_nomem
             | Ok mq_buf -> (
+                let fail code =
+                  close_tls ();
+                  ignore (Allocator.free ctx ~alloc_cap mq_buf);
+                  iv code
+                in
                 let session = { tls_handle; mq_buf; pending = ""; next_sub = 1 } in
                 if send_packet ctx machine session (P.Connect "cheriot-device") < 0 then
-                  iv err_closed
+                  fail Tcpip.err_closed
                 else
                   match recv_packet ctx machine session ~timeout:60_000_000 with
                   | Ok P.Connack -> (
                       let id = t.next_id in
                       t.next_id <- id + 1;
                       Hashtbl.replace t.sessions id session;
-                      Option.value ~default:(iv err_nomem)
-                        (Sealed_handle.mint t.handles ctx ~alloc_cap id))
-                  | Ok _ | Error _ -> iv err_closed)));
+                      match Sealed_handle.mint t.handles ctx ~alloc_cap id with
+                      | Some handle -> handle
+                      | None ->
+                          Hashtbl.remove t.sessions id;
+                          fail Tcpip.err_nomem)
+                  | Ok _ | Error _ -> fail Tcpip.err_closed)));
     e "subscribe" (fun ctx args ->
         match open_handle t ctx args.(0) with
-        | None -> iv err_invalid
+        | None -> iv Tcpip.err_invalid
         | Some session -> (
             let topic = arg_string ctx args.(1) (ti args.(2)) in
             let sub_id = session.next_sub in
             session.next_sub <- sub_id + 1;
             if send_packet ctx machine session (P.Subscribe { sub_id; topic }) < 0 then
-              iv err_closed
+              iv Tcpip.err_closed
             else
               match recv_packet ctx machine session ~timeout:60_000_000 with
               | Ok (P.Suback { sub_id = sid }) when sid = sub_id -> iv 0
-              | Ok _ | Error _ -> iv err_closed));
+              | Ok _ | Error _ -> iv Tcpip.err_closed));
     e "await" (fun ctx args ->
         match open_handle t ctx args.(0) with
-        | None -> iv err_invalid
+        | None -> iv Tcpip.err_invalid
         | Some session -> (
             let rec loop () =
               match recv_packet ctx machine session ~timeout:(ti args.(3)) with
@@ -598,41 +629,30 @@ module Mqtt = struct
                   Membuf.of_string machine ~auth:args.(1) (String.sub message 0 n);
                   iv n
               | Ok (P.Pingresp | P.Connack | P.Suback _) -> loop ()
-              | Ok _ -> iv err_closed
+              | Ok _ -> iv Tcpip.err_closed
               | Error e -> iv e
             in
             loop ()));
     e "ping" (fun ctx args ->
         match open_handle t ctx args.(0) with
-        | None -> iv err_invalid
+        | None -> iv Tcpip.err_invalid
         | Some session ->
-            if send_packet ctx machine session P.Pingreq < 0 then iv err_closed
+            if send_packet ctx machine session P.Pingreq < 0 then iv Tcpip.err_closed
             else iv 0);
     e "disconnect" (fun ctx args ->
         match open_handle t ctx args.(1) with
-        | None -> iv err_invalid
+        | None -> iv Tcpip.err_invalid
         | Some session ->
             ignore (send_packet ctx machine session P.Disconnect);
             ignore
               (Kernel.call ctx ~import:"tls.close" [ args.(0); session.tls_handle ]);
             ignore (Allocator.free ctx ~alloc_cap:args.(0) session.mq_buf);
-            iv 0);
-    t
+            iv 0)
 
   let client_imports = Firmware.client_imports (firmware_compartment ())
 end
 
 (* Bundle: everything an image needs to run the full stack. *)
-
-type t = {
-  firewall : Firewall.t;
-  tcpip : Tcpip.t;
-  netapi : Netapi.t;
-  dns : Dns.t;
-  sntp : Sntp.t;
-  tls : Tls.t;
-  mqtt : Mqtt.t;
-}
 
 let compartments () =
   [
@@ -651,13 +671,14 @@ let manager_thread =
   Firmware.thread ~name:"net_rx" ~comp:"netapi" ~entry:"rx_loop" ~priority:2
     ~stack_size:4096 ~trusted_stack_frames:24 ()
 
+(* Top of the stack down: the order every image has installed in, which
+   is also the order their snapshot captures register in. *)
 let install ?handshake_cycles kernel =
-  {
-    firewall = Firewall.install kernel;
-    tcpip = Tcpip.install kernel;
-    netapi = Netapi.install kernel;
-    dns = Dns.install kernel;
-    sntp = Sntp.install kernel;
-    tls = Tls.install ?handshake_cycles kernel;
-    mqtt = Mqtt.install kernel;
-  }
+  Mqtt.install kernel;
+  Tls.install ?handshake_cycles kernel;
+  Sntp.install kernel;
+  Dns.install kernel;
+  Netapi.install kernel;
+  Tcpip.install kernel;
+  Firewall.install kernel
+

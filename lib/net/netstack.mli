@@ -13,31 +13,15 @@
     stack, plus the network manager loop that pumps the stack's receive
     path and rides out its micro-reboots. *)
 module Netapi : sig
-  type t
-
   val client_imports : Firmware.import list
   (** [Firmware.client_imports] of the compartment's firmware
       declaration. *)
-end
-
-(** DNS resolver compartment (its own UDP socket and buffer quota);
-    retryable across TCP/IP micro-reboots. *)
-module Dns : sig
-  type t
-end
-
-(** SNTP client compartment: [sync] obtains wall-clock seconds, [now]
-    derives the current time from the cycle counter. *)
-module Sntp : sig
-  type t
 end
 
 (** The TLS compartment (BearSSL's role): opaque session handles over
     NetAPI sockets; charges the modelled handshake cost (default
     {!Tls_lite.default_handshake_cycles}, overridable per stack). *)
 module Tls : sig
-  type t
-
   val client_imports : Firmware.import list
   (** [Firmware.client_imports] of the compartment's firmware
       declaration. *)
@@ -45,22 +29,10 @@ end
 
 (** MQTT-lite client compartment over TLS. *)
 module Mqtt : sig
-  type t
-
   val client_imports : Firmware.import list
   (** [Firmware.client_imports] of the compartment's firmware
       declaration. *)
 end
-
-type t = {
-  firewall : Firewall.t;
-  tcpip : Tcpip.t;
-  netapi : Netapi.t;
-  dns : Dns.t;
-  sntp : Sntp.t;
-  tls : Tls.t;
-  mqtt : Mqtt.t;
-}
 
 val compartments : unit -> Firmware.compartment list
 (** firewall, tcpip, netapi, dns, sntp, tls, mqtt. *)
@@ -71,7 +43,7 @@ val sealed_objects : Firmware.static_sealed list
 val manager_thread : Firmware.thread
 (** The "net_rx" thread running [netapi.rx_loop]. *)
 
-val install : ?handshake_cycles:int -> Kernel.t -> t
+val install : ?handshake_cycles:int -> Kernel.t -> unit
 (** Install every stack compartment on the kernel.  [handshake_cycles]
     overrides the TLS key-agreement cost for this stack only (scenario
     profiles); other kernels' stacks are unaffected. *)

@@ -255,6 +255,34 @@ let decode_tcp s =
       tcp_payload = String.sub s data_off (String.length s - data_off);
     }
 
+(* The one frame decoder: Ethernet, then ARP or IPv4, then ICMP, UDP or
+   TCP.  Every host and every layer that reads a frame matches on this. *)
+
+type frame =
+  | Arp of arp
+  | Icmp of ipv4_header * icmp
+  | Udp of ipv4_header * udp
+  | Tcp of ipv4_header * tcp
+  | Other
+
+let decode_frame raw =
+  let decoded f = function Some x -> f x | None -> Other in
+  match decode_eth raw with
+  | None -> Other
+  | Some eth when eth.eth_type = ethertype_arp ->
+      decoded (fun a -> Arp a) (decode_arp eth.eth_payload)
+  | Some eth when eth.eth_type = ethertype_ipv4 -> (
+      match decode_ipv4 eth.eth_payload with
+      | None -> Other
+      | Some ip when ip.ip_proto = proto_icmp ->
+          decoded (fun i -> Icmp (ip, i)) (decode_icmp ip.ip_payload)
+      | Some ip when ip.ip_proto = proto_udp ->
+          decoded (fun u -> Udp (ip, u)) (decode_udp ip.ip_payload)
+      | Some ip when ip.ip_proto = proto_tcp ->
+          decoded (fun t -> Tcp (ip, t)) (decode_tcp ip.ip_payload)
+      | Some _ -> Other)
+  | Some _ -> Other
+
 (* DHCP-lite: magic byte, op byte, fields. *)
 
 type dhcp =

@@ -72,6 +72,19 @@ type tcp = {
 val encode_tcp : tcp -> string
 val decode_tcp : string -> tcp option
 
+(** A frame as the hosts see it: one constructor per case they handle. *)
+type frame =
+  | Arp of arp
+  | Icmp of ipv4_header * icmp
+  | Udp of ipv4_header * udp
+  | Tcp of ipv4_header * tcp
+  | Other  (** undecodable, or a protocol no host handles *)
+
+val decode_frame : string -> frame
+(** Ethernet, then ARP or IPv4 (checksum verified), then ICMP, UDP or
+    TCP: the network's one frame parser.  Application payloads stay
+    with their handlers. *)
+
 (* Application payloads *)
 
 type dhcp =

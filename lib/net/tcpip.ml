@@ -82,7 +82,6 @@ type t = {
   mutable frame_tx : Cap.t;
   mutable echo_buf : Cap.t;  (** the 256-byte buffer of the buggy handler *)
   mutable next_port : int;
-  mutable reboots : int;
   mutable stopped : bool;  (** set by [shutdown]; [rx_step] then refuses *)
 }
 
@@ -297,61 +296,38 @@ let handle_tcp_segment t ctx ip seg =
       end
 
 let process_frame t ctx raw =
-  match P.decode_eth raw with
-  | None -> ()
-  | Some eth ->
-      if eth.P.eth_type = P.ethertype_arp then begin
-        match P.decode_arp eth.P.eth_payload with
-        | Some a when a.P.arp_op = `Reply ->
-            t.gw_mac <- Some a.P.arp_sender_mac;
-            bump_and_wake t ctx net_event_word
-        | Some a when a.P.arp_op = `Request && a.P.arp_target_ip = t.our_ip ->
-            emit t ctx
-              (P.encode_eth
+  match P.decode_frame raw with
+  | P.Arp a when a.P.arp_op = `Reply ->
+      t.gw_mac <- Some a.P.arp_sender_mac;
+      bump_and_wake t ctx net_event_word
+  | P.Arp a when a.P.arp_op = `Request && a.P.arp_target_ip = t.our_ip ->
+      emit t ctx
+        (P.encode_eth
+           {
+             P.eth_dst = a.P.arp_sender_mac;
+             eth_src = Netsim.device_mac;
+             eth_type = P.ethertype_arp;
+             eth_payload =
+               P.encode_arp
                  {
-                   P.eth_dst = a.P.arp_sender_mac;
-                   eth_src = Netsim.device_mac;
-                   eth_type = P.ethertype_arp;
-                   eth_payload =
-                     P.encode_arp
-                       {
-                         P.arp_op = `Reply;
-                         arp_sender_mac = Netsim.device_mac;
-                         arp_sender_ip = t.our_ip;
-                         arp_target_mac = a.P.arp_sender_mac;
-                         arp_target_ip = a.P.arp_sender_ip;
-                       };
-                 })
-        | Some _ | None -> ()
-      end
-      else if eth.P.eth_type = P.ethertype_ipv4 then begin
-        match P.decode_ipv4 eth.P.eth_payload with
-        | None -> ()
-        | Some ip -> (
-            match ip.P.ip_proto with
-            | 1 -> (
-                match P.decode_icmp ip.P.ip_payload with
-                | Some icmp -> handle_icmp t ctx icmp
-                | None -> ())
-            | 17 -> (
-                match P.decode_udp ip.P.ip_payload with
-                | None -> ()
-                | Some u ->
-                    if u.P.udp_dst = P.dhcp_client_port then handle_dhcp t ctx u.P.udp_payload
-                    else begin
-                      match find_udp_sock t u.P.udp_dst with
-                      | Some s ->
-                          s.s_rx <- s.s_rx @ [ u.P.udp_payload ];
-                          s.s_last_src <- (ip.P.ip_src, u.P.udp_src);
-                          bump_and_wake t ctx s.s_id
-                      | None -> ()
-                    end)
-            | 6 -> (
-                match P.decode_tcp ip.P.ip_payload with
-                | Some seg -> handle_tcp_segment t ctx ip seg
-                | None -> ())
-            | _ -> ())
-      end
+                   P.arp_op = `Reply;
+                   arp_sender_mac = Netsim.device_mac;
+                   arp_sender_ip = t.our_ip;
+                   arp_target_mac = a.P.arp_sender_mac;
+                   arp_target_ip = a.P.arp_sender_ip;
+                 };
+           })
+  | P.Icmp (_, icmp) -> handle_icmp t ctx icmp
+  | P.Udp (_, u) when u.P.udp_dst = P.dhcp_client_port -> handle_dhcp t ctx u.P.udp_payload
+  | P.Udp (ip, u) -> (
+      match find_udp_sock t u.P.udp_dst with
+      | Some s ->
+          s.s_rx <- s.s_rx @ [ u.P.udp_payload ];
+          s.s_last_src <- (ip.P.ip_src, u.P.udp_src);
+          bump_and_wake t ctx s.s_id
+      | None -> ())
+  | P.Tcp (ip, seg) -> handle_tcp_segment t ctx ip seg
+  | P.Arp _ | P.Other -> ()
 
 (* One receive/process step; called in a loop by the manager thread.
    After [shutdown] it refuses on entry (a step already waiting for a
@@ -586,11 +562,8 @@ let micro_reboot t ctx =
           Array.iteri (fun i _ -> t.sockets.(i) <- fresh_sock i) t.sockets;
           t.our_ip <- 0;
           t.gw_mac <- None;
-          t.dhcp <- Dhcp_idle;
-          t.reboots <- t.reboots + 1);
+          t.dhcp <- Dhcp_idle);
     }
-
-let reboot_count t = t.reboots
 
 let install kernel =
   let machine = Kernel.machine kernel in
@@ -609,7 +582,6 @@ let install kernel =
       frame_tx = Cap.null;
       echo_buf = Cap.null;
       next_port = 49152;
-      reboots = 0;
       stopped = false;
     }
   in
@@ -661,8 +633,7 @@ let install kernel =
   e "sock_close" (fun ctx args -> iv (sock_close t ctx (ti args.(0))));
   e "sock_futex" (fun _ctx args ->
       let id = ti args.(0) in
-      if id >= 0 && id < max_sockets then ro_word_cap t id else Cap.null);
-  t
+      if id >= 0 && id < max_sockets then ro_word_cap t id else Cap.null)
 
 (* Client wrappers *)
 

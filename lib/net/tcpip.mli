@@ -15,19 +15,21 @@
     oversized copy is a genuine CHERI bounds trap.
 
     Result codes over the call boundary: [0] success, [-1] timeout,
-    [-2] invalid argument/socket, [-3] closed, [-4] out of memory. *)
+    [-2] invalid argument/socket, [-3] closed, [-4] out of memory.  The
+    upper compartments ({!Netstack}) pass the same codes on. *)
+
+val err_timeout : int
+val err_invalid : int
+val err_closed : int
+val err_nomem : int
 
 val firmware_compartment : unit -> Firmware.compartment
 val quota_object : Firmware.static_sealed
 (** The stack's own allocation capability ("net_quota", 6 KiB). *)
 
-type t
-
-val install : Kernel.t -> t
+val install : Kernel.t -> unit
 (** Register entries, take the boot-time globals snapshot and attach the
     micro-rebooting error handler. *)
-
-val reboot_count : t -> int
 
 (* Client wrappers. *)
 

@@ -94,13 +94,12 @@ let seal conn plain =
   String.init 2 (fun i -> Char.chr ((len lsr (8 * (1 - i))) land 0xff))
   ^ cipher ^ u32s tag
 
-let record_needs s =
-  if String.length s < 2 then None
+let take_record s =
+  let n = String.length s in
+  if n < 2 then None
   else
-    let len = (Char.code s.[0] lsl 8) lor Char.code s.[1] in
-    Some (max 0 (2 + len - String.length s))
-
-let record_size s = 2 + ((Char.code s.[0] lsl 8) lor Char.code s.[1])
+    let size = 2 + ((Char.code s.[0] lsl 8) lor Char.code s.[1]) in
+    if n < size then None else Some (String.sub s 0 size, String.sub s size (n - size))
 
 let open_ conn s =
   if String.length s < 6 then Error "short record"

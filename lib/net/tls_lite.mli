@@ -41,13 +41,9 @@ val seal : conn -> string -> string
 val open_ : conn -> string -> (string, string) result
 (** Verify and decrypt one complete record. *)
 
-val record_needs : string -> int option
-(** Bytes still missing before the buffer holds one complete record
-    (None: even the length prefix is incomplete). *)
-
-val record_size : string -> int
-(** Total wire size of the first record in the buffer (valid once
-    [record_needs] returns [Some 0]). *)
+val take_record : string -> (string * string) option
+(** The first complete record in a stream buffer and the bytes after
+    it; [None] until the buffer holds a whole record. *)
 
 (* Record-counter access for machine snapshots ({!Machine.snapshot}):
    the counters are a connection's only mutable state. *)

@@ -126,7 +126,7 @@ let run ?(fast = false) ?machine () =
   (* Profile costs are per-kernel/per-stack state, never module-level
      (parallel campaigns run many scenarios at once). *)
   Kernel.set_reboot_cycles k p.p_reboot;
-  let stack = Netstack.install ~handshake_cycles:p.p_handshake k in
+  Netstack.install ~handshake_cycles:p.p_handshake k;
   let pool = Thread_pool.install k in
   ignore pool;
   (* Scenario bookkeeping *)
@@ -210,7 +210,7 @@ let run ?(fast = false) ?machine () =
       (* Phase 4: steady state, waiting for notifications.  The "ping of
          death" arrives mid-wait and crashes the TCP/IP compartment. *)
       enter "Steady";
-      Netsim.ping_of_death_at net ~cycles:p.p_pod_at ~size:1800;
+      Netsim.inject_frame_at net ~cycles:p.p_pod_at ~frame:(Netsim.pod_frame ~size:1800);
       (match handle with
       | None -> ()
       | Some h ->
@@ -278,7 +278,7 @@ let run ?(fast = false) ?machine () =
     samples = List.rev !samples;
     phases =
       List.rev_map (fun (n, c) -> (n, Machine.seconds_of_cycles c)) !phases;
-    reboots = Tcpip.reboot_count stack.Netstack.tcpip;
+    reboots = Kernel.reboot_count k ~comp:"tcpip";
     reboot_duration_s = Machine.seconds_of_cycles (Kernel.reboot_cycles k);
     blinks = !blinks;
     total_s = Machine.seconds_of_cycles total_c;

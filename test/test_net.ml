@@ -10,11 +10,24 @@ let ti = Interp.to_int
 
 let app_quota = 4096
 
+(* Quotas that each fail one allocation of a TLS or MQTT connect: a
+   sealed handle charges 16 bytes and an I/O buffer 640, so each fits
+   everything the connect allocates before the one it names. *)
+let short_quotas =
+  [
+    ("tls_nobuf", 16 + 100);
+    ("tls_nohandle", 16 + 640 + 15);
+    ("mqtt_nobuf", 16 + 640 + 16 + 100);
+    ("mqtt_nohandle", 16 + 640 + 16 + 640 + 15);
+  ]
+
 let firmware () =
   System.image ~name:"net-test"
     ~sealed_objects:
       (Netstack.sealed_objects
-      @ [ Allocator.alloc_capability ~name:"app_quota" ~quota:app_quota ])
+      @ List.map
+          (fun (name, quota) -> Allocator.alloc_capability ~name ~quota)
+          (("app_quota", app_quota) :: short_quotas))
     ~threads:
       [
         Netstack.manager_thread;
@@ -28,6 +41,9 @@ let firmware () =
            (Netstack.Netapi.client_imports @ Netstack.Mqtt.client_imports
           @ Netstack.Tls.client_imports
           @ Allocator.client_imports @ Scheduler.client_imports
+           @ List.map
+               (fun (name, _) -> F.Static_sealed { target = name })
+               short_quotas
            @ [
                F.Static_sealed { target = "app_quota" };
                F.Call { comp = "sntp"; entry = "sync" };
@@ -42,17 +58,16 @@ let firmware () =
 type world = {
   sys : System.t;
   net : Netsim.t;
-  stack : Netstack.t;
 }
 
 let boot_world ?(latency = 20_000) ?(sntp_latency = 20_000) main =
   let machine = Machine.create () in
   let net = Netsim.attach ~latency ~sntp_latency machine in
   let sys = Result.get_ok (System.boot ~machine (firmware ())) in
-  let stack = Netstack.install sys.System.kernel in
+  Netstack.install sys.System.kernel;
   let failure = ref None in
   Kernel.implement1 sys.System.kernel ~comp:"app" ~entry:"main" (fun ctx _ ->
-      (try main { sys; net; stack } ctx
+      (try main { sys; net } ctx
        with
       | Alcotest_engine__Core.Check_error _ as e -> failure := Some e
       | Memory.Fault _ as e -> failure := Some e);
@@ -63,13 +78,10 @@ let boot_world ?(latency = 20_000) ?(sntp_latency = 20_000) main =
   (match !failure with Some e -> raise e | None -> ());
   (sys, net)
 
-let quota ctx =
-  let l = Loader.find_comp (Kernel.loader ctx.Kernel.kernel) "app" in
-  let slot = Loader.import_slot l "sealed:app_quota" in
-  Machine.load_cap
-    (Kernel.machine ctx.Kernel.kernel)
-    ~auth:l.Loader.lc_import_cap
-    ~addr:(Loader.import_slot_addr l slot)
+let quota_named name ctx =
+  Kernel.import_cap ctx.Kernel.kernel ~comp:"app" ("sealed:" ^ name)
+
+let quota = quota_named "app_quota"
 
 let start_net ctx =
   let r = Kernel.call1 ctx ~import:"netapi.start" [] in
@@ -94,9 +106,9 @@ let test_ping_reply () =
     (boot_world (fun w ctx ->
          start_net ctx;
          (* The gateway pings us; the stack must answer. *)
-         Netsim.ping_of_death_at w.net
+         Netsim.inject_frame_at w.net
            ~cycles:(Machine.cycles w.sys.System.machine + 10_000)
-           ~size:32;
+           ~frame:(Netsim.pod_frame ~size:32);
          (* size 32 is a normal ping, not of death *)
          Kernel.sleep ctx 2_000_000;
          reply := Netsim.last_icmp_echo_reply w.net));
@@ -200,16 +212,77 @@ let test_ping_of_death_micro_reboot () =
          (* The oversized ping overflows the stack's 256-byte buffer; the
             CHERI trap fires the error handler, which micro-reboots the
             TCP/IP compartment. *)
-         Netsim.ping_of_death_at w.net
+         Netsim.inject_frame_at w.net
            ~cycles:(Machine.cycles w.sys.System.machine + 100_000)
-           ~size:1800;
+           ~frame:(Netsim.pod_frame ~size:1800);
          Kernel.sleep ctx 5_000_000;
-         reboots := Tcpip.reboot_count w.stack.Netstack.tcpip;
+         reboots := Kernel.reboot_count w.sys.System.kernel ~comp:"tcpip";
          (* The stack comes back: re-run DHCP and check connectivity. *)
          start_net ctx;
          ip_after := ti (Result.get_ok (Kernel.call1 ctx ~import:"tcpip.ifconfig" []))));
   Alcotest.(check int) "exactly one micro-reboot" 1 !reboots;
   Alcotest.(check int) "stack recovered" Netsim.device_ip !ip_after
+
+(* A connect that fails must hand back everything it charged to the
+   caller's quota: the NetAPI socket, the I/O buffers and the session
+   handles of every layer below the one that failed.  [chaos] is the
+   fault on the broker's traffic that makes it fail. *)
+let check_connect_refunds ~import ~name ~chaos ~code () =
+  let before = ref 0 and after = ref 0 and got = ref 0 in
+  ignore
+    (boot_world (fun w ctx ->
+         start_net ctx;
+         let q = quota_named name ctx in
+         let remaining () = Result.get_ok (Allocator.quota_remaining ctx ~alloc_cap:q) in
+         before := remaining ();
+         Netsim.set_chaos_hook w.net chaos;
+         let broker = Packet.ipv4_to_string Netsim.broker_ip in
+         let ctx', host = str_arg ctx broker in
+         (got :=
+            match
+              Kernel.call ctx' ~import
+                [ q; host; iv (String.length broker); iv Netsim.broker_port ]
+            with
+            | Ok (v, _) when Cap.tag v -> 0
+            | Ok (v, _) -> ti v
+            | Error _ -> 1);
+         Netsim.set_chaos_hook w.net None;
+         after := remaining ()));
+  Alcotest.(check int) "connect's error code" code !got;
+  Alcotest.(check int) "quota back to its starting value" !before !after
+
+(* Apply [fault] to the [n]th broker segment that carries data: 1 is the
+   TLS ServerHello, 2 the record holding the MQTT CONNACK. *)
+let on_broker_data n fault =
+  let seen = ref 0 in
+  Some
+    (fun frame ->
+      match Packet.decode_frame frame with
+      | Packet.Tcp (_, seg)
+        when seg.Packet.tcp_src = Netsim.broker_port && seg.Packet.tcp_payload <> "" ->
+          incr seen;
+          if !seen = n then fault frame else Netsim.Pass
+      | _ -> Netsim.Pass)
+
+let drop _ = Netsim.Drop
+let flip_last_byte frame = Netsim.Corrupt (String.length frame - 1, 1)
+
+let connect_leak_cases =
+  let tls = "tls.connect" and mqtt = "mqtt.connect" in
+  let timeout = Tcpip.err_timeout and closed = Tcpip.err_closed
+  and nomem = Tcpip.err_nomem in
+  [
+    ("tls connect: no buffer", tls, "tls_nobuf", None, nomem);
+    ("tls connect: no ServerHello", tls, "app_quota", on_broker_data 1 drop, timeout);
+    ("tls connect: bad ServerHello", tls, "app_quota", on_broker_data 1 flip_last_byte, closed);
+    ("tls connect: no handle", tls, "tls_nohandle", None, nomem);
+    ("mqtt connect: no buffer", mqtt, "mqtt_nobuf", None, nomem);
+    ("mqtt connect: no CONNACK", mqtt, "app_quota", on_broker_data 2 drop, closed);
+    ("mqtt connect: bad CONNACK", mqtt, "app_quota", on_broker_data 2 flip_last_byte, closed);
+    ("mqtt connect: no handle", mqtt, "mqtt_nohandle", None, nomem);
+  ]
+  |> List.map (fun (what, import, name, chaos, code) ->
+         Alcotest.test_case what `Quick (check_connect_refunds ~import ~name ~chaos ~code))
 
 (* netapi.stop shuts the TCP/IP stack down: a receive step entered
    afterwards refuses with a negative code instead of waiting for a
@@ -233,5 +306,6 @@ let suite =
     Alcotest.test_case "ping of death micro-reboot" `Quick test_ping_of_death_micro_reboot;
     Alcotest.test_case "rx_step after stop" `Quick test_rx_step_after_stop;
   ]
+  @ connect_leak_cases
 
 let () = Alcotest.run "cheriot_net" [ ("net", suite) ]

@@ -33,8 +33,7 @@ let boot_world main =
   let machine = Machine.create () in
   let net = Netsim.attach ~latency:20_000 machine in
   let sys = Result.get_ok (System.boot ~machine (firmware ())) in
-  let stack = Netstack.install sys.System.kernel in
-  ignore stack;
+  Netstack.install sys.System.kernel;
   let failure = ref None in
   Kernel.implement1 sys.System.kernel ~comp:"app" ~entry:"main" (fun ctx _ ->
       (try main net sys ctx with

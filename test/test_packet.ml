@@ -165,11 +165,93 @@ let prop_eth_garbage_never_crashes =
       ignore (P.decode_udp junk);
       ignore (P.decode_tcp junk);
       ignore (P.decode_icmp junk);
+      ignore (P.decode_frame junk);
+      ignore (Tls_lite.take_record junk);
       ignore (P.decode_dhcp junk);
       ignore (P.decode_dns junk);
       ignore (P.decode_sntp junk);
       ignore (P.decode_mqtt junk);
       true)
+
+(* The nested decode ladder the hosts used to write out by hand, kept
+   here as the reference that [decode_frame] must agree with. *)
+let ladder raw =
+  match P.decode_eth raw with
+  | None -> P.Other
+  | Some eth ->
+      if eth.P.eth_type = P.ethertype_arp then
+        match P.decode_arp eth.P.eth_payload with Some a -> P.Arp a | None -> P.Other
+      else if eth.P.eth_type = P.ethertype_ipv4 then
+        match P.decode_ipv4 eth.P.eth_payload with
+        | None -> P.Other
+        | Some ip -> (
+            match ip.P.ip_proto with
+            | 1 -> (
+                match P.decode_icmp ip.P.ip_payload with
+                | Some i -> P.Icmp (ip, i)
+                | None -> P.Other)
+            | 17 -> (
+                match P.decode_udp ip.P.ip_payload with
+                | Some u -> P.Udp (ip, u)
+                | None -> P.Other)
+            | 6 -> (
+                match P.decode_tcp ip.P.ip_payload with
+                | Some t -> P.Tcp (ip, t)
+                | None -> P.Other)
+            | _ -> P.Other)
+      else P.Other
+
+(* Frames built with the encoders: every case the hosts handle, an IPv4
+   protocol none handles and a foreign ethertype; half of them then get
+   one byte flipped. *)
+let gen_frame =
+  QCheck.Gen.(
+    let* kind = int_bound 5 in
+    let* a = int_bound 0xffff and* b = int_bound 0xffff and* flags = int_bound 15 in
+    let* payload = printable_string 64 in
+    let eth ty p =
+      P.encode_eth
+        { P.eth_dst = P.mac_broadcast; eth_src = 0x020000000001; eth_type = ty; eth_payload = p }
+    in
+    let ip proto p =
+      eth P.ethertype_ipv4
+        (P.encode_ipv4
+           { P.ip_src = 0x0a000001; ip_dst = 0x0a000002; ip_proto = proto; ip_payload = p })
+    in
+    let frame =
+      match kind with
+      | 0 ->
+          eth P.ethertype_arp
+            (P.encode_arp
+               { P.arp_op = (if flags land 1 = 0 then `Request else `Reply);
+                 arp_sender_mac = a; arp_sender_ip = b; arp_target_mac = 0;
+                 arp_target_ip = a })
+      | 1 ->
+          ip P.proto_icmp
+            (P.encode_icmp { P.icmp_type = flags; icmp_code = 0; icmp_body = payload })
+      | 2 -> ip P.proto_udp (P.encode_udp { P.udp_src = a; udp_dst = b; udp_payload = payload })
+      | 3 ->
+          ip P.proto_tcp
+            (P.encode_tcp
+               { P.tcp_src = a; tcp_dst = b; tcp_seq = a * b; tcp_ack = b;
+                 tcp_syn = flags land 1 <> 0; tcp_ack_flag = flags land 2 <> 0;
+                 tcp_fin = flags land 4 <> 0; tcp_rst = flags land 8 <> 0;
+                 tcp_payload = payload })
+      | 4 -> ip 99 payload
+      | _ -> eth 0x88b5 payload
+    in
+    let* flip = bool and* at = int_bound (String.length frame - 1)
+    and* mask = int_range 1 255 in
+    if not flip then return frame
+    else
+      let f = Bytes.of_string frame in
+      Bytes.set f at (Char.chr (Char.code (Bytes.get f at) lxor mask));
+      return (Bytes.to_string f))
+
+let prop_decode_frame_is_the_ladder =
+  QCheck.Test.make ~name:"decode_frame agrees with the nested ladder" ~count:500
+    (QCheck.make ~print:String.escaped gen_frame)
+    (fun raw -> P.decode_frame raw = ladder raw)
 
 (* TLS-lite *)
 
@@ -212,11 +294,12 @@ let test_tls_record_framing () =
   let client = Result.get_ok (Tls_lite.client_process_server_hello ~secret:client_secret ~nonce:1 sh) in
   ignore server;
   let r = Tls_lite.seal client "0123456789" in
-  Alcotest.(check (option int)) "complete" (Some 0) (Tls_lite.record_needs r);
-  Alcotest.(check int) "size" (String.length r) (Tls_lite.record_size r);
-  Alcotest.(check (option int)) "missing bytes" (Some 4)
-    (Tls_lite.record_needs (String.sub r 0 (String.length r - 4)));
-  Alcotest.(check (option int)) "no length yet" None (Tls_lite.record_needs "\x00")
+  let take = Alcotest.(check (option (pair string string))) in
+  take "complete" (Some (r, "")) (Tls_lite.take_record r);
+  take "complete, then the next bytes" (Some (r, "\x00\x07"))
+    (Tls_lite.take_record (r ^ "\x00\x07"));
+  take "4 bytes missing" None (Tls_lite.take_record (String.sub r 0 (String.length r - 4)));
+  take "no length yet" None (Tls_lite.take_record "\x00")
 
 let suite =
   [
@@ -233,6 +316,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_tcp_roundtrip;
     QCheck_alcotest.to_alcotest prop_mqtt_roundtrip;
     QCheck_alcotest.to_alcotest prop_eth_garbage_never_crashes;
+    QCheck_alcotest.to_alcotest prop_decode_frame_is_the_ladder;
     Alcotest.test_case "tls handshake/records" `Quick test_tls_handshake_and_records;
     Alcotest.test_case "tls framing" `Quick test_tls_record_framing;
   ]

@@ -106,8 +106,8 @@ let netsim_run session_of =
   let machine = Machine.create () in
   let session = session_of machine in
   let net = Netsim.attach ~latency:2_000 machine in
-  Netsim.ping_of_death_at net ~cycles:5_000 ~size:120;
-  Netsim.ping_of_death_at net ~cycles:11_000 ~size:600;
+  Netsim.inject_frame_at net ~cycles:5_000 ~frame:(Netsim.pod_frame ~size:120);
+  Netsim.inject_frame_at net ~cycles:11_000 ~frame:(Netsim.pod_frame ~size:600);
   (* Stepped ticks, as a polling driver would: frames fire at their
      scheduled cycles and their Ethernet IRQs land on later ticks. *)
   for _ = 1 to 30 do
