@@ -28,23 +28,19 @@ test-seeds: build
 	  done; \
 	done; echo "test-seeds: all property suites passed under seeds: $(SEEDS)"
 
-# Flight-recorder smoke: the per-compartment health report of the fixed
-# workload must match the committed golden byte-for-byte, and a crash
-# replay of a campaign seed must produce dumps without erroring.
+# Flight-recorder smoke: a crash replay of a campaign seed must produce
+# dumps without erroring.  (The health report's golden,
+# test/golden_report.expected, is diffed by `dune runtest`.)
 report-smoke: build
-	dune exec bench/main.exe -- report producer_consumer | diff test/golden_report.expected -
 	dune exec bench/main.exe -- crashdump 7 >/dev/null
-	@echo "report-smoke: report matches golden, crashdump replays"
+	@echo "report-smoke: crashdump replays"
 
-# Profiler smoke: the exact-attribution folded stacks of the fixed
-# workload must match the committed golden byte-for-byte (the profile
-# command itself exits non-zero if the total weight does not reconcile
-# with Machine.cycles), and sampled mode must produce well-formed
-# output without erroring.
+# Profiler smoke: sampled mode must produce well-formed output without
+# erroring.  (The exact-mode folded stacks' golden,
+# test/golden_profile.expected, is diffed by `dune runtest`.)
 profile-smoke: build
-	@dune exec bench/main.exe -- profile producer_consumer 2>/dev/null | diff test/golden_profile.expected -
 	@dune exec bench/main.exe -- profile producer_consumer --interval 100 >/dev/null 2>&1
-	@echo "profile-smoke: folded stacks match golden, weight reconciles"
+	@echo "profile-smoke: sampled profile runs"
 
 # Record-replay smoke: journal a campaign scenario's input stream,
 # re-run it under bit-exact verification, and diff the journal against
@@ -60,17 +56,16 @@ replay-smoke: build
 # Differential-security smoke: the containment matrix at --jobs 4 must
 # be byte-identical to the sequential run (CHERIoT scenarios fork from
 # a shared post-boot snapshot per chunk, so this also pins the
-# snapshot-fork == fresh-boot equivalence), and must match the
-# committed golden (dune promote accepts a deliberate verdict change).
+# snapshot-fork == fresh-boot equivalence).  (Its golden,
+# test/golden_attack_matrix.expected, is diffed by `dune runtest`.)
 attack-smoke: build
 	@dune exec bench/main.exe -- attack-matrix --seed 1 --n 6 --jobs 1 2>/dev/null > _build/attack_j1.out
 	@dune exec bench/main.exe -- attack-matrix --seed 1 --n 6 --jobs 4 2>/dev/null > _build/attack_j4.out
 	@diff _build/attack_j1.out _build/attack_j4.out
-	@diff test/golden_attack_matrix.expected _build/attack_j1.out
 	@dune exec bench/main.exe -- attack-matrix --seed 1 --n 6 --jobs 1 --fleet-metrics 2>/dev/null > _build/attack_fm_j1.out
 	@dune exec bench/main.exe -- attack-matrix --seed 1 --n 6 --jobs 4 --fleet-metrics 2>/dev/null > _build/attack_fm_j4.out
 	@diff _build/attack_fm_j1.out _build/attack_fm_j4.out
-	@echo "attack-smoke: --jobs 4 identical to --jobs 1 (with and without fleet metrics), matrix matches golden"
+	@echo "attack-smoke: --jobs 4 identical to --jobs 1 (with and without fleet metrics)"
 
 # Host-benchmark smoke: one short perfbench run per workload must check
 # every op it ran against perfbench/expect.txt (the pinned simulated

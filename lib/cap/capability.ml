@@ -85,8 +85,7 @@ let is_sealed c =
 
 let has_perm p c = Perm.Set.mem p c.perms
 
-let in_bounds ?(size = 1) c =
-  c.cursor >= c.base && c.cursor + size <= c.top
+let in_bounds c = c.cursor >= c.base && c.cursor < c.top
 
 let equal a b =
   a.tag = b.tag && a.base = b.base && a.top = b.top && a.cursor = b.cursor

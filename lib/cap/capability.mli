@@ -80,8 +80,8 @@ val perms : t -> Perm.Set.t
 val otype : t -> Otype.t
 val is_sealed : t -> bool
 val has_perm : Perm.t -> t -> bool
-val in_bounds : ?size:int -> t -> bool
-(** Is [address, address+size) within bounds? [size] defaults to 1. *)
+val in_bounds : t -> bool
+(** Is the address within [\[base, top)]? *)
 
 val equal : t -> t -> bool
 val pp : t Fmt.t

@@ -15,7 +15,7 @@ type t = {
   mutable switches : int;
   mutable stop : bool;
   mutable preempt_pending : bool;
-  mutable irq_handlers : (int -> unit) list;
+  mutable irq_handler : (int -> unit) option;
   mutable call_fault_hook : (comp:string -> entry:string -> bool) option;
   pad_ret_enable : Cap.t;
   pad_ret_disable : Cap.t;
@@ -24,8 +24,7 @@ type t = {
      kernels must be able to run concurrently (one per farm domain)
      without observing each other's reboots or budgets. *)
   mutable reboot_cycles : int;
-  mutable reboot_watchers : (int * (comp:string -> cycle:int -> unit)) list;
-  mutable next_watcher : int;
+  mutable reboot_hook : (comp:string -> cycle:int -> unit) option;
   mutable reboot_limits : (string * reboot_limit) list;
 }
 
@@ -121,7 +120,7 @@ let thread_count t = Array.length t.threads
 let thread_name t i = t.threads.(i).tlayout.Loader.lt_name
 let idle_cycles t = t.idle
 let context_switches t = t.switches
-let add_irq_handler t h = t.irq_handlers <- t.irq_handlers @ [ h ]
+let set_irq_handler t h = t.irq_handler <- h
 let set_call_fault_hook t h = t.call_fault_hook <- h
 
 (* Run-queue sanity: the structural invariants the scheduler loop relies
@@ -221,18 +220,17 @@ let boot ?(quantum = 2000) ~machine fw =
           switches = 0;
           stop = false;
           preempt_pending = false;
-          irq_handlers = [];
+          irq_handler = None;
           call_fault_hook = None;
           pad_ret_enable = pad_sentry_of Cap.Otype.Return_enable;
           pad_ret_disable = pad_sentry_of Cap.Otype.Return_disable;
           reboot_cycles = 50_000;
-          reboot_watchers = [];
-          next_watcher = 0;
+          reboot_hook = None;
           reboot_limits = [];
         }
       in
       let deliver irq =
-        List.iter (fun h -> h irq) k.irq_handlers;
+        Option.iter (fun h -> h irq) k.irq_handler;
         if irq = Machine.timer_irq && k.current <> None then
           k.preempt_pending <- true
       in
@@ -281,11 +279,10 @@ let boot ?(quantum = 2000) ~machine fw =
           let current = k.current and last_ran = k.last_ran in
           let idle = k.idle and switches = k.switches in
           let stop = k.stop and preempt_pending = k.preempt_pending in
-          let irq_handlers = k.irq_handlers in
+          let irq_handler = k.irq_handler in
           let call_fault_hook = k.call_fault_hook in
           let reboot_cycles = k.reboot_cycles in
-          let reboot_watchers = k.reboot_watchers in
-          let next_watcher = k.next_watcher in
+          let reboot_hook = k.reboot_hook in
           let reboot_limits =
             List.map
               (fun (c, rl) -> (c, rl, rl.rl_history, rl.rl_locked))
@@ -318,11 +315,10 @@ let boot ?(quantum = 2000) ~machine fw =
             k.switches <- switches;
             k.stop <- stop;
             k.preempt_pending <- preempt_pending;
-            k.irq_handlers <- irq_handlers;
+            k.irq_handler <- irq_handler;
             k.call_fault_hook <- call_fault_hook;
             k.reboot_cycles <- reboot_cycles;
-            k.reboot_watchers <- reboot_watchers;
-            k.next_watcher <- next_watcher;
+            k.reboot_hook <- reboot_hook;
             (* The limit records are shared with any closures holding
                them; restore their mutable fields in place and the assoc
                list itself (dropping post-snapshot additions). *)
@@ -385,27 +381,22 @@ let pad_sentry t =
 let poison t ~comp b = (comp_runtime t comp).poisoned <- b
 let is_poisoned t ~comp = (comp_runtime t comp).poisoned
 
+(* The flight recorder rides the machine and the hook the kernel, so
+   concurrently live kernels never see each other's reboots. *)
 let note_reboot t ~comp =
   let c = comp_runtime t comp in
-  c.reboots <- c.reboots + 1
+  c.reboots <- c.reboots + 1;
+  Option.iter (fun f -> Forensics.note_reboot f ~comp) (Machine.forensics t.machine);
+  Option.iter
+    (fun h -> h ~comp ~cycle:(Machine.cycles t.machine))
+    t.reboot_hook
 
 let reboot_count t ~comp = (comp_runtime t comp).reboots
 
 let reboot_cycles t = t.reboot_cycles
 let set_reboot_cycles t n = t.reboot_cycles <- n
 
-type reboot_watcher = int
-
-let watch_reboots t f =
-  let id = t.next_watcher in
-  t.next_watcher <- id + 1;
-  t.reboot_watchers <- t.reboot_watchers @ [ (id, f) ];
-  id
-
-let unwatch_reboots t id =
-  t.reboot_watchers <- List.remove_assoc id t.reboot_watchers
-
-let reboot_watchers t = List.map snd t.reboot_watchers
+let set_reboot_hook t h = t.reboot_hook <- h
 
 let reboot_limit t ~comp = List.assoc_opt comp t.reboot_limits
 

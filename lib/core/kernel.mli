@@ -169,7 +169,9 @@ val poison : t -> comp:string -> bool -> unit
 val is_poisoned : t -> comp:string -> bool
 
 val note_reboot : t -> comp:string -> unit
-(** Record a completed micro-reboot (kept per compartment). *)
+(** Record a completed micro-reboot (kept per compartment): bump the
+    count, mark it in the machine's {!Forensics} recorder if one is
+    attached, then call the reboot hook with the current cycle. *)
 
 val reboot_count : t -> comp:string -> int
 
@@ -184,18 +186,10 @@ val reboot_cycles : t -> int
 
 val set_reboot_cycles : t -> int -> unit
 
-type reboot_watcher
-
-val watch_reboots : t -> (comp:string -> cycle:int -> unit) -> reboot_watcher
-(** Register a post-reboot callback on this kernel.  Additive:
-    registration never replaces an earlier watcher; all fire in
-    registration order. *)
-
-val unwatch_reboots : t -> reboot_watcher -> unit
-(** Remove a watcher; unknown/stale handles are ignored. *)
-
-val reboot_watchers : t -> (comp:string -> cycle:int -> unit) list
-(** The registered callbacks, in registration order. *)
+val set_reboot_hook : t -> (comp:string -> cycle:int -> unit) option -> unit
+(** The one post-reboot callback (the fault engine's trace), called by
+    {!note_reboot}; [None] silences it.  Like {!set_call_fault_hook},
+    the slot is part of {!Machine.snapshot}. *)
 
 type reboot_limit = {
   rl_max : int;
@@ -209,8 +203,10 @@ val set_reboot_limit : t -> comp:string -> reboot_limit option -> unit
 
 (* Interrupt plumbing for the scheduler compartment *)
 
-val add_irq_handler : t -> (int -> unit) -> unit
-(** Called (with interrupts disabled) for each delivered interrupt. *)
+val set_irq_handler : t -> (int -> unit) option -> unit
+(** The one interrupt callback ({!Scheduler}'s interrupt futexes),
+    called with interrupts disabled for each delivered interrupt;
+    setting it replaces the previous one. *)
 
 (* Fault injection and self-audit *)
 

@@ -4,17 +4,9 @@ type steps = {
   reset_state : unit -> unit;
 }
 
-let count k ~comp = Kernel.reboot_count k ~comp
-
-(* Rate limiting and reboot subscribers both live on the kernel
-   ({!Kernel.reboot_limit}, {!Kernel.watch_reboots}): concurrently live
-   kernels — one per farm domain — must never observe each other's
-   budgets or reboot notifications. *)
-
-type sub = Kernel.reboot_watcher
-
-let subscribe k f = Kernel.watch_reboots k f
-let unsubscribe k id = Kernel.unwatch_reboots k id
+(* Rate limiting lives on the kernel ({!Kernel.reboot_limit}):
+   concurrently live kernels — one per farm domain — must never observe
+   each other's budgets. *)
 
 let set_rate_limit k ~comp ~max_reboots ~window =
   Kernel.set_reboot_limit k ~comp
@@ -70,14 +62,6 @@ let perform ctx ~comp steps =
   (* Modelled reset latency, then step 5: reopen. *)
   Machine.tick (Kernel.machine k) (Kernel.reboot_cycles k);
   Kernel.note_reboot k ~comp;
-  let cycle = Machine.cycles (Kernel.machine k) in
-  (* The flight recorder is wired in directly (it rides the machine, not
-     the watcher list, so per-machine recorders never cross-talk between
-     concurrently live kernels). *)
-  (match Machine.forensics (Kernel.machine k) with
-  | Some f -> Forensics.note_reboot f ~comp ~cycle
-  | None -> ());
-  List.iter (fun f -> f ~comp ~cycle) (Kernel.reboot_watchers k);
   (* Step 5: reopen — unless the rate limiter says this compartment is
      being reboot-bombed. *)
   if note_and_check ctx comp then Kernel.poison k ~comp false

@@ -28,24 +28,8 @@ type steps = {
 val perform : Kernel.ctx -> comp:string -> steps -> unit
 (** Run the five steps from inside the compartment's error handler:
     poison, wake, release, restore globals + reset, charge the reset
-    latency, unpoison. *)
-
-val count : Kernel.t -> comp:string -> int
-(** Completed micro-reboots of the compartment since boot. *)
-
-(** Per-kernel reboot subscribers, called after each completed reboot
-    (fault-campaign trace logging, tests).  Additive: registering never
-    replaces an earlier subscriber; all fire in registration order.
-    Subscriptions attach to one kernel, so concurrently live kernels
-    (one per farm domain) never observe each other's reboots.  The
-    flight recorder ({!Forensics}) does not need a subscription — it is
-    notified directly through the rebooting kernel's machine. *)
-
-type sub
-
-val subscribe : Kernel.t -> (comp:string -> cycle:int -> unit) -> sub
-val unsubscribe : Kernel.t -> sub -> unit
-(** Remove a subscriber; unknown/stale handles are ignored. *)
+    latency, record the reboot ({!Kernel.note_reboot}: the count, the
+    flight recorder's mark and the kernel's reboot hook), unpoison. *)
 
 (* Repeat-attack mitigation (§5.1.2): error handlers maintain
    availability, but an attacker who can trigger traps repeatedly could

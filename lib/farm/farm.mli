@@ -1,7 +1,7 @@
 (** Domain-parallel work farm for independent deterministic simulations.
 
-    Used by the fault campaign, the fig6b revoker sweep and the QCheck
-    seed matrix to fan independent runs across OCaml 5 domains.  The
+    Used by the fault campaign, the attack matrix and the fig6b revoker
+    sweep to fan independent runs across OCaml 5 domains.  The
     guarantees callers build their determinism on:
 
     - Results are returned in task-submission order, independent of

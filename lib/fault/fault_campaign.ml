@@ -218,12 +218,9 @@ let build_image ?trace ?prepare ~seed () =
   | Ok sys ->
       let k = sys.System.kernel in
       let alloc = sys.System.alloc in
-      Fault_inject.set_region_source engine (fun () ->
-          Allocator.live_payload_regions alloc);
       Fault_inject.wire_allocator engine alloc;
       Fault_inject.wire_netsim engine net;
       Fault_inject.wire_kernel engine k ~victims:[ "svc" ];
-      Fault_inject.observe_reboots engine;
       Kernel.snapshot_globals k ~comp:"svc";
       Ok { im_machine = machine; im_frn = frn; im_engine = engine; im_sys = sys }
 

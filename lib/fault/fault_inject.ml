@@ -79,10 +79,6 @@ type t = {
   mutable trace_rev : string list;
   mutable injected : int;
   mutable listener : Machine.listener_handle option;
-  mutable reboot_sub : (Kernel.t * Microreboot.sub) option;
-      (** subscription on the wired kernel — per-kernel, so engines in
-          concurrently running simulations never see each other's reboots *)
-  mutable kernel : Kernel.t option;  (** set by [wire_kernel] *)
 }
 
 (* The engine's tick listener is parked except when it has something to
@@ -210,8 +206,6 @@ let create ?(period = 4_000) ?(weights = default_weights) ~seed machine =
       trace_rev = [];
       injected = 0;
       listener = None;
-      reboot_sub = None;
-      kernel = None;
     }
   in
   t.listener <-
@@ -246,8 +240,6 @@ let create ?(period = 4_000) ?(weights = default_weights) ~seed machine =
       let trace_rev = t.trace_rev in
       let injected = t.injected in
       let listener = t.listener in
-      let reboot_sub = t.reboot_sub in
-      let kernel = t.kernel in
       fun () ->
         t.seed <- seed;
         t.rng <- Random.State.copy rng;
@@ -261,9 +253,7 @@ let create ?(period = 4_000) ?(weights = default_weights) ~seed machine =
         t.regions <- regions;
         t.trace_rev <- trace_rev;
         t.injected <- injected;
-        t.listener <- listener;
-        t.reboot_sub <- reboot_sub;
-        t.kernel <- kernel);
+        t.listener <- listener);
   t
 
 let reseed t ~seed =
@@ -287,20 +277,14 @@ let disarm t =
 
 let detach t =
   disarm t;
-  (match t.reboot_sub with
-  | None -> ()
-  | Some (k, s) ->
-      Microreboot.unsubscribe k s;
-      t.reboot_sub <- None);
   match t.listener with
   | None -> ()
   | Some h ->
       Machine.remove_tick_listener t.machine h;
       t.listener <- None
 
-let set_region_source t f = t.regions <- f
-
 let wire_allocator t alloc =
+  t.regions <- (fun () -> Allocator.live_payload_regions alloc);
   Allocator.set_oom_hook alloc
     (Some
        (fun ~size ->
@@ -335,7 +319,6 @@ let wire_netsim t net =
 
 let wire_kernel t kernel ~victims =
   t.victims <- victims;
-  t.kernel <- Some kernel;
   Kernel.set_call_fault_hook kernel
     (Some
        (fun ~comp ~entry ->
@@ -344,22 +327,13 @@ let wire_kernel t kernel ~victims =
            log t "crash delivered at %s.%s" comp entry;
            true
          end
-         else false))
-
-let observe_reboots t =
-  (match t.reboot_sub with
-  | Some (k, s) ->
-      Microreboot.unsubscribe k s;
-      t.reboot_sub <- None
-  | None -> ());
-  match t.kernel with
-  | None -> invalid_arg "observe_reboots: wire_kernel first"
-  | Some k ->
-      t.reboot_sub <-
-        Some
-          ( k,
-            Microreboot.subscribe k (fun ~comp ~cycle ->
-                let s = "micro-reboot completed: " ^ comp in
-                if Machine.tracing t.machine then
-                  Machine.emit t.machine (Obs.Fault_note { note = s });
-                t.trace_rev <- Printf.sprintf "[%d] %s" cycle s :: t.trace_rev) )
+         else false));
+  (* Logged whether or not the engine is armed, and not journalled: a
+     reboot is an effect of earlier inputs, not an input. *)
+  Kernel.set_reboot_hook kernel
+    (Some
+       (fun ~comp ~cycle ->
+         let s = "micro-reboot completed: " ^ comp in
+         if Machine.tracing t.machine then
+           Machine.emit t.machine (Obs.Fault_note { note = s });
+         t.trace_rev <- Printf.sprintf "[%d] %s" cycle s :: t.trace_rev))

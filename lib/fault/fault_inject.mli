@@ -71,27 +71,24 @@ val disarm : t -> unit
 val detach : t -> unit
 (** Disarm and deregister the engine's tick listener from the machine,
     so a harness reusing one machine across scenarios does not leak
-    listeners.  The engine is inert afterwards. *)
-
-val set_region_source : t -> (unit -> (int * int) list) -> unit
-(** Where memory faults may land: [(payload base, size)] list, normally
-    {!Allocator.live_payload_regions}. *)
+    listeners.  The engine injects nothing afterwards; the hooks
+    {!wire_kernel} installed stay on the kernel (the crash hook is inert
+    while disarmed, the reboot hook still logs). *)
 
 val wire_allocator : t -> Allocator.t -> unit
-(** Install the OOM hook: an armed OOM fault makes the next allocation
-    fail with [No_memory]. *)
+(** Install the OOM hook (an armed OOM fault makes the next allocation
+    fail with [No_memory]) and aim memory faults at the allocator's
+    live payloads ({!Allocator.live_payload_regions}). *)
 
 val wire_netsim : t -> Netsim.t -> unit
 (** Install the per-frame chaos hook: each armed network fault is
     consumed by the next frame queued for delivery to the device. *)
 
 val wire_kernel : t -> Kernel.t -> victims:string list -> unit
-(** Install the crash hook: an armed crash makes the next compartment
-    call into one of [victims] trap on entry (error handler runs, the
-    caller sees [Fault_in_callee]). *)
-
-val observe_reboots : t -> unit
-(** Route {!Microreboot} completion events from the kernel passed to
-    {!wire_kernel} into this engine's trace.  Per-kernel: engines in
-    concurrently running simulations never observe each other's reboots.
-    Raises [Invalid_argument] before {!wire_kernel}. *)
+(** Install the kernel's two hooks.  The crash hook: an armed crash
+    makes the next compartment call into one of [victims] trap on entry
+    (error handler runs, the caller sees [Fault_in_callee]).  The
+    reboot hook: each completed micro-reboot appends a
+    ["micro-reboot completed"] line to the trace.  Both live on this
+    kernel, so engines in concurrently running simulations never
+    observe each other's reboots. *)

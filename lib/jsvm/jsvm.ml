@@ -385,6 +385,7 @@ let parse src =
 (* Evaluator *)
 
 let step_cycles = 14
+let fuel_budget = 1_000_000
 
 exception Return_exn of value
 exception Eval_fail of string
@@ -396,8 +397,8 @@ let truthy = function
   | Str s -> s <> ""
   | Arr _ | Fn _ | Host _ -> true
 
-let run ?(fuel = 1_000_000) ~machine ~globals program =
-  let fuel = ref fuel in
+let run ~machine ~globals program =
+  let fuel = ref fuel_budget in
   let step () =
     decr fuel;
     if !fuel <= 0 then raise (Eval_fail "out of fuel");
@@ -525,10 +526,10 @@ let run ?(fuel = 1_000_000) ~machine ~globals program =
   | Return_exn v -> Ok v
   | Eval_fail e -> Error e
 
-let eval_string ?fuel ~machine ~globals src =
+let eval_string ~machine ~globals src =
   match parse src with
   | Error e -> Error ("parse error: " ^ e)
-  | Ok p -> run ?fuel ~machine ~globals p
+  | Ok p -> run ~machine ~globals p
 
 let firmware_library () =
   Firmware.compartment "microvium" ~kind:Firmware.Library ~code_loc:780

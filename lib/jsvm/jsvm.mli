@@ -11,8 +11,9 @@
     functions.
 
     Execution is metered: each evaluation step charges cycles to the
-    machine (an interpreted-language profile), and a fuel bound turns
-    runaway scripts into an error instead of a hang. *)
+    machine (an interpreted-language profile), and a fuel bound of
+    1,000,000 steps turns runaway scripts into an error instead of a
+    hang. *)
 
 type value =
   | Null
@@ -34,7 +35,6 @@ val parse : string -> (program, string) result
 (** Parse a script; errors carry a human-readable message. *)
 
 val eval_string :
-  ?fuel:int ->
   machine:Machine.t ->
   globals:(string * value) list ->
   string ->

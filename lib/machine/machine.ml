@@ -321,8 +321,7 @@ let set_revoker_rate m ~cycles_per_granule =
   dirty m
 
 (* The sinks CHERIOT_OBS selects: a comma-separated subset of
-   [obs_sinks].  An unknown name fails loudly, like a bad
-   CHERIOT_TRACE_CAP. *)
+   [obs_sinks].  An unknown name fails loudly. *)
 let obs_sinks = [ "trace"; "forensics"; "profile" ]
 
 let env_sinks () =
@@ -366,7 +365,7 @@ let create ?(sram_size = 256 * 1024) () =
       attention = false;
       obs =
         (if List.mem "trace" sinks then
-           Some (Obs.create ?capacity:(Obs.ring_cap_env ()) ())
+           Some (Obs.create ())
          else None);
       frn =
         (if List.mem "forensics" sinks then Some (Forensics.create ()) else None);

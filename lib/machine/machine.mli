@@ -33,8 +33,7 @@ type t
 val create : ?sram_size:int -> unit -> t
 (** SRAM at 0x20000000, by default 256 KiB — the paper's Arty A7 setup.
     Attaches the observability sinks [CHERIOT_OBS] selects (see
-    {!set_trace}); raises [Failure] on a bad [CHERIOT_OBS] or
-    [CHERIOT_TRACE_CAP]. *)
+    {!set_trace}); raises [Failure] on a bad [CHERIOT_OBS]. *)
 
 val mem : t -> Memory.t
 val sram_base : t -> int
@@ -156,7 +155,7 @@ val request_attention : t -> unit
 
    Environment auto-attach (the one place this is documented): [create]
    reads [CHERIOT_OBS], a comma-separated subset of [trace] (a trace
-   ring, sized by [CHERIOT_TRACE_CAP], see {!Obs.ring_cap_env}),
+   ring of {!Obs.create}'s default capacity),
    [forensics] (a flight recorder) and [profile] (an exact profiler;
    sampled profiling is [bench -- profile --interval N]).  Each sink
    attaches if and only if it is named, so every subset composes; an

@@ -416,13 +416,17 @@ module Tls = struct
                 ignore
                   (Kernel.call ctx ~import:"netapi.socket_send"
                      [ session.socket; session.io_buf; iv (String.length hello) ]);
-                (* Server hello is 13 bytes. *)
+                (* Server hello is 13 bytes.  A read that times out is
+                   retried until the deadline; a closed socket ends the
+                   gather at once. *)
                 let rec gather deadline =
                   if String.length session.stream >= 13 then true
-                  else if Machine.cycles machine >= deadline then false
-                  else if fill ctx session ~machine ~timeout:2_000_000 > 0 then
-                    gather deadline
-                  else false
+                  else
+                    let remaining = deadline - Machine.cycles machine in
+                    if remaining <= 0 then false
+                    else
+                      let n = fill ctx session ~machine ~timeout:(min 2_000_000 remaining) in
+                      (n > 0 || n = Tcpip.err_timeout) && gather deadline
                 in
                 if not (gather (Machine.cycles machine + 60_000_000)) then
                   fail Tcpip.err_timeout
@@ -541,11 +545,9 @@ module Mqtt = struct
   let recv_packet ctx machine session ~timeout =
     recv_framed machine ~timeout
       ~take:(fun () ->
-        Option.map
-          (fun (pkt, rest) ->
-            session.pending <- rest;
-            pkt)
-          (P.decode_mqtt session.pending))
+        let pkt, rest = P.take_mqtt session.pending in
+        session.pending <- rest;
+        pkt)
       ~pull:(fun remaining ->
         let n =
           match

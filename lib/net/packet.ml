@@ -486,3 +486,13 @@ let decode_mqtt s =
     | _ -> None
   in
   Some (m, rest)
+
+let rec take_mqtt s =
+  match mqtt_needs s with
+  | Some 0 -> (
+      match decode_mqtt s with
+      | Some (m, rest) -> (Some m, rest)
+      | None ->
+          let size = 3 + get16 s 1 in
+          take_mqtt (String.sub s size (String.length s - size)))
+  | Some _ | None -> (None, s)

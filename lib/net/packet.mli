@@ -131,3 +131,10 @@ val decode_mqtt : string -> (mqtt * string) option
 val mqtt_needs : string -> int option
 (** How many more bytes are needed to decode a packet, None = header
     incomplete. *)
+
+val take_mqtt : string -> mqtt option * string
+(** The first packet of a stream buffer and the bytes after it, or
+    [None] and the buffer until it holds a whole packet.  Complete
+    packets that do not decode (an unknown type, a body too short for
+    its type) are dropped from the front, so one of them cannot wedge
+    the stream. *)

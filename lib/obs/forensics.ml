@@ -423,7 +423,7 @@ let record_fault t ~cycle ~comp ~thread ~cause ~addr ~pc ~instr ~regs
   t.dumps_rev <- d :: t.dumps_rev;
   t.ndumps <- t.ndumps + 1
 
-let note_reboot t ~comp ~cycle:_ =
+let note_reboot t ~comp =
   let s = stat t comp in
   s.cs_reboots <- s.cs_reboots + 1;
   let rec mark = function

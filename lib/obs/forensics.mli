@@ -98,7 +98,7 @@ val record_fault :
     fault / forced unwind / switcher abort, before the unwind pops the
     recorder's call chain. *)
 
-val note_reboot : t -> comp:string -> cycle:int -> unit
+val note_reboot : t -> comp:string -> unit
 (** Record a completed micro-reboot of [comp]: bumps the compartment's
     reboot counter and marks its most recent dump as rebooted. *)
 

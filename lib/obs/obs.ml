@@ -111,7 +111,6 @@ let create ?(capacity = 65536) () =
   if capacity <= 0 then invalid_arg "Obs.create: capacity must be positive";
   { cap = capacity; buf = Array.make capacity placeholder; head = 0 }
 
-let capacity t = t.cap
 let total t = t.head
 let length t = min t.head t.cap
 let dropped t = t.head - length t
@@ -134,30 +133,6 @@ let snapshot t =
 let events t =
   let n = length t in
   List.init n (fun i -> t.buf.((t.head - n + i) mod t.cap))
-
-(* Ring capacity override for Machine.create's CHERIOT_OBS=trace sink.
-   Garbage or out-of-range values fail loudly rather than silently
-   truncating history. *)
-let cap_min = 16
-let cap_max = 1 lsl 24
-
-let ring_cap_env () =
-  match Sys.getenv_opt "CHERIOT_TRACE_CAP" with
-  | None | Some "" -> None
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= cap_min && n <= cap_max -> Some n
-      | Some n ->
-          failwith
-            (Printf.sprintf
-               "CHERIOT_TRACE_CAP=%d out of range: must be in [%d, %d]" n
-               cap_min cap_max)
-      | None ->
-          failwith
-            (Printf.sprintf
-               "CHERIOT_TRACE_CAP=%S is not an integer (expected ring \
-                capacity in [%d, %d])"
-               s cap_min cap_max))
 
 (* The one call-stack tracker.  Per-thread stacks of frames model
    nesting (thread base -> switcher leg -> callee, possibly

@@ -63,7 +63,6 @@ type t
 val create : ?capacity:int -> unit -> t
 (** Default capacity 65536 events. *)
 
-val capacity : t -> int
 val length : t -> int
 
 val total : t -> int
@@ -82,13 +81,6 @@ val snapshot : t -> unit -> unit
 
 val events : t -> event list
 (** Retained events, oldest first (emission order). *)
-
-val ring_cap_env : unit -> int option
-(** The validated [CHERIOT_TRACE_CAP] value, if set: the capacity of
-    the ring [Machine.create] attaches for [CHERIOT_OBS=trace].  An
-    integer in [\[16, 2^24\]]; garbage or out-of-range values raise
-    [Failure] with a message naming the bounds — never a silently
-    truncated ring. *)
 
 (** The one call-stack tracker: the per-thread compartment stacks that
     {!attribute}, {!Profiler} and {!Forensics} all project from the

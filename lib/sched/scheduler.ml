@@ -168,14 +168,14 @@ let install kernel =
   (* Interrupt futexes: bump the word and wake waiters on delivery.  The
      handler runs inside interrupt delivery, so it must not re-enter the
      clock — raw stores only. *)
-  Kernel.add_irq_handler kernel (fun irq ->
+  Kernel.set_irq_handler kernel (Some (fun irq ->
       if irq >= 0 && irq < max_irqs then begin
         let addr = irq_word_addr t irq in
         let mem = Machine.mem machine in
         let v = Memory.load_priv mem ~addr ~size:4 in
         Memory.store_priv mem ~addr ~size:4 ((v + 1) land 0x7fffffff);
         ignore (wake t addr max_int)
-      end);
+      end));
   let iv = Interp.int_value and ti = Interp.to_int in
   Kernel.implement1 kernel ~comp:comp_name ~entry:"futex_wait" (fun ctx args ->
       iv (do_futex_wait t ctx args.(0) (ti args.(1)) (ti args.(2))));

@@ -12,8 +12,8 @@ let firmware_compartment () =
       ]
     ~imports:Scheduler.client_imports
 
-let worker_thread ?(priority = 1) ~name () =
-  Firmware.thread ~name ~comp:comp_name ~entry:"worker" ~priority ~stack_size:2048 ()
+let worker_thread ~name () =
+  Firmware.thread ~name ~comp:comp_name ~entry:"worker" ~priority:1 ~stack_size:2048 ()
 
 let client_imports =
   [

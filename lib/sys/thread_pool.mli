@@ -10,8 +10,9 @@
 
 val firmware_compartment : unit -> Firmware.compartment
 
-val worker_thread : ?priority:int -> name:string -> unit -> Firmware.thread
-(** A pool thread declaration; include one per desired worker. *)
+val worker_thread : name:string -> unit -> Firmware.thread
+(** A pool thread declaration (priority 1); include one per desired
+    worker. *)
 
 val client_imports : Firmware.import list
 

@@ -3,7 +3,7 @@ module Cap = Capability
 let device_name = "uart0"
 let lib_name = "debug"
 
-let attach ?(base = 0x1200_0000) machine =
+let attach machine =
   let transcript = Buffer.create 256 in
   let read ~addr ~size =
     ignore size;
@@ -13,7 +13,7 @@ let attach ?(base = 0x1200_0000) machine =
     ignore size;
     if addr = 0 then Buffer.add_char transcript (Char.chr (v land 0xff))
   in
-  Machine.add_device machine ~base ~size:16
+  Machine.add_device machine ~base:0x1200_0000 ~size:16
     { Machine.Device.name = device_name; read; write };
   fun () -> Buffer.contents transcript
 

@@ -8,9 +8,9 @@
     library and is visible to auditing, so a policy can state exactly
     which images may print. *)
 
-val attach : ?base:int -> Machine.t -> unit -> string
-(** Add the UART to the machine; the returned closure reads the
-    transcript captured so far. *)
+val attach : Machine.t -> unit -> string
+(** Add the UART to the machine (MMIO at 0x12000000); the returned
+    closure reads the transcript captured so far. *)
 
 val firmware_library : unit -> Firmware.compartment
 (** The "debug" shared library: entries [log] (capability + length) and

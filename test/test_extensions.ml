@@ -62,7 +62,7 @@ let test_reboot_storm_without_limit () =
         | Error Kernel.Fault_in_callee -> ()
         | _ -> Alcotest.fail "expected contained fault"
       done;
-      Alcotest.(check int) "ten reboots" 10 (Microreboot.count k ~comp:"victim");
+      Alcotest.(check int) "ten reboots" 10 (Kernel.reboot_count k ~comp:"victim");
       (* Still serving. *)
       match Kernel.call1 ctx ~import:"victim.work" [ iv 1 ] with
       | Ok v -> Alcotest.(check int) "alive" 2 (ti v)

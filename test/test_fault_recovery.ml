@@ -98,7 +98,7 @@ let test_injected_crash_recovers () =
       | Ok _ -> Alcotest.fail "injected crash did not surface"
       | Error e -> Alcotest.failf "unexpected error: %a" Kernel.pp_call_error e);
       Alcotest.(check int) "one micro-reboot ran" 1
-        (Microreboot.count k ~comp:"svc");
+        (Kernel.reboot_count k ~comp:"svc");
       (match Allocator.quota_remaining ctx ~alloc_cap:(sealed_quota k) with
       | Ok r -> Alcotest.(check int) "quota fully restored" svc_quota r
       | Error e -> Alcotest.failf "quota_remaining: %a" Allocator.pp_err e);
@@ -120,7 +120,6 @@ let test_engine_crash_storm_recovers () =
   let alloc = sys.System.alloc in
   install_svc k ~cap_live:3;
   Fault_inject.wire_kernel engine k ~victims:[ "svc" ];
-  Fault_inject.observe_reboots engine;
   let ok = ref 0 and failed = ref 0 and final_ok = ref false in
   Kernel.implement1 k ~comp:"app" ~entry:"main" (fun ctx _ ->
       Fault_inject.arm engine;
@@ -141,7 +140,7 @@ let test_engine_crash_storm_recovers () =
   Alcotest.(check bool) "service survived between crashes" true (!ok > 0);
   Alcotest.(check bool) "service restored after the storm" true !final_ok;
   Alcotest.(check bool) "micro-reboots ran" true
-    (Microreboot.count k ~comp:"svc" >= 1);
+    (Kernel.reboot_count k ~comp:"svc" >= 1);
   (match Allocator.check_integrity alloc with
   | Ok () -> ()
   | Error e -> Alcotest.failf "allocator integrity: %s" e);

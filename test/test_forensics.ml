@@ -1,7 +1,7 @@
 (* The flight recorder (lib/obs/forensics): streaming histogram
    properties, crash-dump capture on a real injected fault, the
-   Microreboot subscriber list, JSON escaping round-trips and the
-   CHERIOT_TRACE_CAP validation — the PR 4 observability surface. *)
+   kernel's reboot hook, JSON escaping round-trips and the CHERIOT_OBS
+   selector. *)
 
 module F = Firmware
 module Cap = Capability
@@ -195,7 +195,7 @@ let test_ingest_quarantine_residency () =
 (* -------------------------------------------------------------------- *)
 (* A real injected fault on a real kernel: the dump carries the right
    compartment, cause, 16 registers, the caller chain and the reboot
-   mark; Microreboot's subscriber list delivers to every subscriber.    *)
+   mark; the kernel's reboot hook fires once per reboot.                *)
 
 let firmware () =
   System.image ~name:"forensics"
@@ -215,7 +215,8 @@ let firmware () =
     ]
 
 (* Boot, crash the service once at the call boundary, micro-reboot it,
-   and return the machine's flight recorder. *)
+   and return the machine's flight recorder.  [setup] runs last before
+   the run, so it may replace any handler installed here. *)
 let run_crash ?(setup = fun (_ : Kernel.t) -> ()) () =
   let machine = Machine.create () in
   Machine.set_trace machine (Some (Obs.create ()));
@@ -223,7 +224,6 @@ let run_crash ?(setup = fun (_ : Kernel.t) -> ()) () =
   Machine.set_forensics machine (Some frn);
   let sys = Result.get_ok (System.boot ~machine (firmware ())) in
   let k = sys.System.kernel in
-  setup k;
   Kernel.snapshot_globals k ~comp:"svc";
   Kernel.implement1 k ~comp:"svc" ~entry:"work" (fun _ _ ->
       Interp.int_value 1);
@@ -250,6 +250,7 @@ let run_crash ?(setup = fun (_ : Kernel.t) -> ()) () =
       | Ok _ -> Alcotest.fail "injected crash did not surface"
       | Error e -> Alcotest.failf "unexpected error: %a" Kernel.pp_call_error e);
       Cap.null);
+  setup k;
   System.run ~until_cycles:500_000_000 sys;
   frn
 
@@ -277,37 +278,47 @@ let test_crash_dump_fields () =
       Alcotest.(check bool) "dump JSON round-trips" true (Json.equal j rt)
   | ds -> Alcotest.failf "expected exactly one dump, got %d" (List.length ds)
 
-let test_microreboot_subscribers () =
-  let fired_a = ref 0 and fired_b = ref 0 and seen = ref [] in
-  (* Two subscribers on one kernel: registration is additive, both fire
-     in order. *)
+(* The kernel's one reboot hook: it fires once per completed reboot,
+   with the compartment and the cycle the reboot completed at; [None]
+   silences it; [Machine.restore] brings back the hook set at snapshot
+   time; and it belongs to one kernel, so another kernel's reboots never
+   reach it. *)
+let test_microreboot_hook () =
+  let seen = ref [] and done_at = ref 0 in
+  let record ~comp ~cycle = seen := (comp, cycle) :: !seen in
+  let quiet = ref 0 in
   ignore
     (run_crash
        ~setup:(fun k ->
-         ignore
-           (Microreboot.subscribe k (fun ~comp ~cycle:_ ->
-                incr fired_a;
-                seen := comp :: !seen));
-         ignore
-           (Microreboot.subscribe k (fun ~comp:_ ~cycle:_ -> incr fired_b)))
+         (* The cycle [perform] returns at is the reboot's completion. *)
+         Kernel.set_error_handler k ~comp:"svc" (fun cctx _fi ->
+             Microreboot.perform cctx ~comp:"svc"
+               {
+                 Microreboot.wake_blocked = (fun () -> ());
+                 release_heap = (fun () -> ());
+                 reset_state = (fun () -> ());
+               };
+             done_at := Machine.cycles (Kernel.machine k);
+             `Unwind);
+         let m = Kernel.machine k in
+         Kernel.set_reboot_hook k (Some record);
+         let snap = Machine.snapshot m in
+         Kernel.set_reboot_hook k (Some (fun ~comp:_ ~cycle:_ -> incr quiet));
+         Machine.restore m snap)
        ());
-  Alcotest.(check int) "first subscriber fired" 1 !fired_a;
-  Alcotest.(check int) "second subscriber fired too" 1 !fired_b;
-  Alcotest.(check (list string)) "right compartment" [ "svc" ] !seen;
-  (* Unsubscribing one must not detach the other — and subscriptions are
-     per-kernel, so a's counter cannot move on this second kernel. *)
+  Alcotest.(check (list (pair string int)))
+    "restored hook fired once, for svc, at the completion cycle"
+    [ ("svc", !done_at) ] !seen;
+  Alcotest.(check int) "hook replaced after the snapshot stays quiet" 0 !quiet;
   ignore
     (run_crash
        ~setup:(fun k ->
-         let sa =
-           Microreboot.subscribe k (fun ~comp:_ ~cycle:_ -> incr fired_a)
-         in
-         ignore
-           (Microreboot.subscribe k (fun ~comp:_ ~cycle:_ -> incr fired_b));
-         Microreboot.unsubscribe k sa)
+         Kernel.set_reboot_hook k (Some (fun ~comp:_ ~cycle:_ -> incr quiet));
+         Kernel.set_reboot_hook k None)
        ());
-  Alcotest.(check int) "unsubscribed stays quiet" 1 !fired_a;
-  Alcotest.(check int) "survivor still fires" 2 !fired_b
+  Alcotest.(check int) "None silences the hook" 0 !quiet;
+  Alcotest.(check int) "another kernel's reboot never reaches the hook" 1
+    (List.length !seen)
 
 (* -------------------------------------------------------------------- *)
 (* JSON escaping: hostile strings survive the Chrome exporter and the
@@ -352,41 +363,16 @@ let test_json_escaping_dump () =
   | _ -> Alcotest.fail "expected one dump"
 
 (* -------------------------------------------------------------------- *)
-(* CHERIOT_TRACE_CAP validation and the CHERIOT_OBS selector.          *)
+(* The CHERIOT_OBS selector.                                            *)
 
-let with_env var v f =
-  Unix.putenv var v;
-  Fun.protect ~finally:(fun () -> Unix.putenv var "") f
-
-let with_cap = with_env "CHERIOT_TRACE_CAP"
-let with_obs = with_env "CHERIOT_OBS"
-
-let test_trace_cap_env () =
-  with_cap "" (fun () ->
-      Alcotest.(check (option int)) "unset" None (Obs.ring_cap_env ()));
-  with_cap "4096" (fun () ->
-      Alcotest.(check (option int)) "valid" (Some 4096) (Obs.ring_cap_env ()));
-  with_cap "4" (fun () ->
-      match Obs.ring_cap_env () with
-      | exception Failure msg ->
-          Alcotest.(check bool) "names the bounds" true
-            (Astring.String.is_infix ~affix:"out of range" msg)
-      | _ -> Alcotest.fail "out-of-range capacity accepted");
-  with_cap "banana" (fun () ->
-      match Obs.ring_cap_env () with
-      | exception Failure msg ->
-          Alcotest.(check bool) "names the expectation" true
-            (Astring.String.is_infix ~affix:"not an integer" msg)
-      | _ -> Alcotest.fail "garbage capacity accepted");
-  with_cap "4096" (fun () ->
-      with_obs "trace" (fun () ->
-          match Machine.trace (Machine.create ()) with
-          | Some o ->
-              Alcotest.(check int) "CHERIOT_OBS=trace honours the cap" 4096
-                (Obs.capacity o)
-          | None -> Alcotest.fail "CHERIOT_OBS=trace attached no ring"))
+let with_obs v f =
+  Unix.putenv "CHERIOT_OBS" v;
+  Fun.protect ~finally:(fun () -> Unix.putenv "CHERIOT_OBS" "") f
 
 let test_obs_env () =
+  with_obs "trace" (fun () ->
+      Alcotest.(check bool) "trace attaches a ring" true
+        (Option.is_some (Machine.trace (Machine.create ()))));
   with_obs " forensics,profile " (fun () ->
       let m = Machine.create () in
       Alcotest.(check bool) "no ring" true (Option.is_none (Machine.trace m));
@@ -479,14 +465,11 @@ let suite =
     Alcotest.test_case "ingest: quarantine residency" `Quick
       test_ingest_quarantine_residency;
     Alcotest.test_case "crash dump fields" `Quick test_crash_dump_fields;
-    Alcotest.test_case "microreboot subscriber list" `Quick
-      test_microreboot_subscribers;
+    Alcotest.test_case "microreboot hook" `Quick test_microreboot_hook;
     Alcotest.test_case "JSON escaping: chrome exporter" `Quick
       test_json_escaping_chrome;
     Alcotest.test_case "JSON escaping: crash dump" `Quick
       test_json_escaping_dump;
-    Alcotest.test_case "CHERIOT_TRACE_CAP validation" `Quick
-      test_trace_cap_env;
     Alcotest.test_case "CHERIOT_OBS selector" `Quick test_obs_env;
     Alcotest.test_case "report sum-check" `Quick test_report_sum_check;
     Alcotest.test_case "report attribution survives a 16-slot ring" `Quick

@@ -182,7 +182,7 @@ let test_pipeline_delivers () =
 let test_fault_contained_and_recovered () =
   let _, k, _, faults, _ = Lazy.force result in
   Alcotest.(check int) "one fault" 1 faults;
-  Alcotest.(check int) "one micro-reboot" 1 (Microreboot.count k ~comp:"filter")
+  Alcotest.(check int) "one micro-reboot" 1 (Kernel.reboot_count k ~comp:"filter")
 
 let test_pool_accounting () =
   let _, _, _, _, pool_ran = Lazy.force result in

@@ -165,24 +165,25 @@ let test_tcp_socket_data () =
          | Ok _ | Error _ -> Alcotest.fail "connect failed"));
   Alcotest.(check int) "ServerHello received over TCP" 13 !got
 
-let connect_mqtt w ctx =
-  ignore w;
-  let ctx', name = str_arg ctx (Packet.ipv4_to_string Netsim.broker_ip) in
-  match
-    Kernel.call ctx' ~import:"mqtt.connect"
-      [ quota ctx; name; iv (String.length (Packet.ipv4_to_string Netsim.broker_ip));
-        iv Netsim.broker_port ]
-  with
+(* Call [import] ("tls.connect" or "mqtt.connect") on the broker,
+   charging quota [q]. *)
+let connect_broker ctx ~import q =
+  let broker = Packet.ipv4_to_string Netsim.broker_ip in
+  let ctx', host = str_arg ctx broker in
+  Kernel.call ctx' ~import [ q; host; iv (String.length broker); iv Netsim.broker_port ]
+
+let connect_ok ctx ~import =
+  match connect_broker ctx ~import (quota ctx) with
   | Ok (h, _) when Cap.tag h -> h
-  | Ok (v, _) -> Alcotest.failf "mqtt.connect error %d" (ti v)
-  | Error e -> Alcotest.failf "mqtt.connect call error: %a" Kernel.pp_call_error e
+  | Ok (v, _) -> Alcotest.failf "%s error %d" import (ti v)
+  | Error e -> Alcotest.failf "%s call error: %a" import Kernel.pp_call_error e
 
 let test_mqtt_subscribe_publish () =
   let message = ref "" in
   ignore
     (boot_world (fun w ctx ->
          start_net ctx;
-         let handle = connect_mqtt w ctx in
+         let handle = connect_ok ctx ~import:"mqtt.connect" in
          let ctx_t, topic = str_arg ctx "alerts" in
          (match Kernel.call ctx_t ~import:"mqtt.subscribe" [ handle; topic; iv 6 ] with
          | Ok (v, _) when ti v = 0 -> ()
@@ -236,13 +237,8 @@ let check_connect_refunds ~import ~name ~chaos ~code () =
          let remaining () = Result.get_ok (Allocator.quota_remaining ctx ~alloc_cap:q) in
          before := remaining ();
          Netsim.set_chaos_hook w.net chaos;
-         let broker = Packet.ipv4_to_string Netsim.broker_ip in
-         let ctx', host = str_arg ctx broker in
          (got :=
-            match
-              Kernel.call ctx' ~import
-                [ q; host; iv (String.length broker); iv Netsim.broker_port ]
-            with
+            match connect_broker ctx ~import q with
             | Ok (v, _) when Cap.tag v -> 0
             | Ok (v, _) -> ti v
             | Error _ -> 1);
@@ -284,6 +280,19 @@ let connect_leak_cases =
   |> List.map (fun (what, import, name, chaos, code) ->
          Alcotest.test_case what `Quick (check_connect_refunds ~import ~name ~chaos ~code))
 
+(* A ServerHello that arrives after the first 2,000,000-cycle read has
+   timed out is still within the handshake's deadline: the connect
+   reads again and succeeds. *)
+let test_tls_slow_server_hello () =
+  ignore
+    (boot_world (fun w ctx ->
+         start_net ctx;
+         Netsim.set_chaos_hook w.net
+           (on_broker_data 1 (fun _ -> Netsim.Delay 3_000_000));
+         let h = connect_ok ctx ~import:"tls.connect" in
+         Netsim.set_chaos_hook w.net None;
+         ignore (Kernel.call ctx ~import:"tls.close" [ quota ctx; h ])))
+
 (* netapi.stop shuts the TCP/IP stack down: a receive step entered
    afterwards refuses with a negative code instead of waiting for a
    frame and returning 0. *)
@@ -305,6 +314,7 @@ let suite =
     Alcotest.test_case "mqtt subscribe/publish" `Quick test_mqtt_subscribe_publish;
     Alcotest.test_case "ping of death micro-reboot" `Quick test_ping_of_death_micro_reboot;
     Alcotest.test_case "rx_step after stop" `Quick test_rx_step_after_stop;
+    Alcotest.test_case "tls connect: slow ServerHello" `Quick test_tls_slow_server_hello;
   ]
   @ connect_leak_cases
 

@@ -113,6 +113,25 @@ let test_mqtt_stream () =
   Alcotest.(check (option int)) "needs rest" (Some (String.length one - 3))
     (P.mqtt_needs (String.sub one 0 3))
 
+(* A complete packet that does not decode is dropped by the take step
+   instead of staying at the head of the stream. *)
+let test_mqtt_take () =
+  let unknown = "\x07\x00\x02ab" in
+  let short_connect = "\x01\x00\x01\x05" in
+  let publish = P.Publish { topic = "t"; message = "m" } in
+  let pub = P.encode_mqtt publish in
+  let check what expected s =
+    let pkt, rest = P.take_mqtt s in
+    Alcotest.(check bool) what true (pkt = fst expected && rest = snd expected)
+  in
+  check "unknown type, then PUBLISH" (Some publish, "") (unknown ^ pub);
+  check "two undecodable packets, then PUBLISH and more"
+    (Some publish, "\x0c") (unknown ^ short_connect ^ pub ^ "\x0c");
+  check "unknown type dropped before a partial packet"
+    (None, String.sub pub 0 4) (unknown ^ String.sub pub 0 4);
+  check "incomplete packet kept" (None, String.sub unknown 0 4)
+    (String.sub unknown 0 4)
+
 let test_ip_formatting () =
   Alcotest.(check string) "quad" "10.0.7.7" (P.ipv4_to_string (P.ipv4_of_quad 10 0 7 7));
   Alcotest.(check int) "of_quad" 0x0a000707 (P.ipv4_of_quad 10 0 7 7)
@@ -311,6 +330,7 @@ let suite =
     Alcotest.test_case "dhcp" `Quick test_dhcp;
     Alcotest.test_case "dns/sntp" `Quick test_dns_sntp;
     Alcotest.test_case "mqtt stream" `Quick test_mqtt_stream;
+    Alcotest.test_case "mqtt take drops undecodable packets" `Quick test_mqtt_take;
     Alcotest.test_case "ip formatting" `Quick test_ip_formatting;
     QCheck_alcotest.to_alcotest prop_udp_roundtrip;
     QCheck_alcotest.to_alcotest prop_tcp_roundtrip;

@@ -255,7 +255,7 @@ let test_microreboot_api () =
       (* The micro-reboot restored pristine globals: counting restarts. *)
       Alcotest.(check int) "count reset" 1
         (ti (Result.get_ok (Kernel.call1 ctx ~import:"svc.inc" [])));
-      Alcotest.(check int) "one reboot recorded" 1 (Microreboot.count k ~comp:"svc");
+      Alcotest.(check int) "one reboot recorded" 1 (Kernel.reboot_count k ~comp:"svc");
       Cap.null);
   System.run sys
 
