@@ -18,7 +18,8 @@ test:
 SEEDS ?= 1 7 42 1234 987654321
 PROP_TESTS = test_cap_props test_alloc_props test_mem_props test_obs_props \
 	test_forensics test_interp_equiv test_snapshot_equiv test_attack test_isa \
-	test_replay test_audit test_jsvm
+	test_replay test_audit test_jsvm test_alloc test_cap test_loader test_mem \
+	test_packet
 
 test-seeds: build
 	@for s in $(SEEDS); do \

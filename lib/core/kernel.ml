@@ -8,7 +8,6 @@ type t = {
   loader : Loader.t;
   comps : comp_runtime array;
   threads : thread array;
-  quantum : int;
   mutable current : int option;
   mutable last_ran : int option;
   mutable idle : int;
@@ -25,14 +24,6 @@ type t = {
      without observing each other's reboots or budgets. *)
   mutable reboot_cycles : int;
   mutable reboot_hook : (comp:string -> cycle:int -> unit) option;
-  mutable reboot_limits : (string * reboot_limit) list;
-}
-
-and reboot_limit = {
-  rl_max : int;
-  rl_window : int;
-  mutable rl_history : int list;  (** reboot timestamps, newest first *)
-  mutable rl_locked : bool;
 }
 
 and comp_runtime = {
@@ -40,8 +31,13 @@ and comp_runtime = {
   impls : entry_impl array;  (** indexed like [layout.lc_entries] *)
   mutable on_error : error_handler option;
   mutable poisoned : bool;
-  mutable snapshot : string option;
   mutable reboots : int;
+  (* The repeat-attack limiter (§5.1.2): at most [max] reboots within
+     any [window] cycles, the reboot timestamps (newest first) and
+     whether it tripped. *)
+  mutable limit : (int * int) option;  (** [(max, window)] *)
+  mutable reboot_history : int list;
+  mutable locked : bool;
 }
 
 and thread = {
@@ -158,6 +154,9 @@ let check_sanity t =
 
 (* Boot *)
 
+(* The preemption timeslice, in cycles. *)
+let quantum = 2000
+
 (* What an entry runs until [implement] binds it. *)
 let unimplemented (l : Loader.comp_layout) (e : Firmware.entry) : entry_impl =
  fun _ _ ->
@@ -174,7 +173,7 @@ let pad_sentry_of kind =
           ~perms:Perm.Set.executable)
        kind)
 
-let boot ?(quantum = 2000) ~machine fw =
+let boot ~machine fw =
   let interp = Interp.create machine in
   match Loader.load fw machine interp with
   | Error _ as e -> e
@@ -185,7 +184,8 @@ let boot ?(quantum = 2000) ~machine fw =
              (fun layout ->
                { layout;
                  impls = Array.map (unimplemented layout) layout.Loader.lc_entries;
-                 on_error = None; poisoned = false; snapshot = None; reboots = 0 })
+                 on_error = None; poisoned = false; reboots = 0;
+                 limit = None; reboot_history = []; locked = false })
              ld.Loader.comps)
       in
       let threads =
@@ -213,7 +213,6 @@ let boot ?(quantum = 2000) ~machine fw =
           loader = ld;
           comps;
           threads;
-          quantum;
           current = None;
           last_ran = None;
           idle = 0;
@@ -226,7 +225,6 @@ let boot ?(quantum = 2000) ~machine fw =
           pad_ret_disable = pad_sentry_of Cap.Otype.Return_disable;
           reboot_cycles = 50_000;
           reboot_hook = None;
-          reboot_limits = [];
         }
       in
       let deliver irq =
@@ -266,7 +264,8 @@ let boot ?(quantum = 2000) ~machine fw =
           let comps =
             Array.map
               (fun c ->
-                (Array.copy c.impls, c.on_error, c.poisoned, c.snapshot, c.reboots))
+                ( Array.copy c.impls, c.on_error, c.poisoned, c.reboots,
+                  c.limit, c.reboot_history, c.locked ))
               k.comps
           in
           let threads =
@@ -283,20 +282,17 @@ let boot ?(quantum = 2000) ~machine fw =
           let call_fault_hook = k.call_fault_hook in
           let reboot_cycles = k.reboot_cycles in
           let reboot_hook = k.reboot_hook in
-          let reboot_limits =
-            List.map
-              (fun (c, rl) -> (c, rl, rl.rl_history, rl.rl_locked))
-              k.reboot_limits
-          in
           fun () ->
             Array.iteri
-              (fun i (impls, on_error, poisoned, snapshot, reboots) ->
+              (fun i (impls, on_error, poisoned, reboots, limit, history, locked) ->
                 let c = k.comps.(i) in
                 Array.blit impls 0 c.impls 0 (Array.length impls);
                 c.on_error <- on_error;
                 c.poisoned <- poisoned;
-                c.snapshot <- snapshot;
-                c.reboots <- reboots)
+                c.reboots <- reboots;
+                c.limit <- limit;
+                c.reboot_history <- history;
+                c.locked <- locked)
               comps;
             Array.iteri
               (fun i (state, wake_value, deadline, started, hazards, watermark) ->
@@ -318,17 +314,7 @@ let boot ?(quantum = 2000) ~machine fw =
             k.irq_handler <- irq_handler;
             k.call_fault_hook <- call_fault_hook;
             k.reboot_cycles <- reboot_cycles;
-            k.reboot_hook <- reboot_hook;
-            (* The limit records are shared with any closures holding
-               them; restore their mutable fields in place and the assoc
-               list itself (dropping post-snapshot additions). *)
-            k.reboot_limits <-
-              List.map (fun (c, rl, _, _) -> (c, rl)) reboot_limits;
-            List.iter
-              (fun (_, rl, hist, locked) ->
-                rl.rl_history <- hist;
-                rl.rl_locked <- locked)
-              reboot_limits);
+            k.reboot_hook <- reboot_hook);
       Ok k
 
 (* Registration *)
@@ -378,19 +364,6 @@ let entry_label comp (entry : Firmware.entry) =
 let pad_sentry t =
   if Machine.irq_enabled t.machine then t.pad_ret_enable else t.pad_ret_disable
 
-let poison t ~comp b = (comp_runtime t comp).poisoned <- b
-let is_poisoned t ~comp = (comp_runtime t comp).poisoned
-
-(* The flight recorder rides the machine and the hook the kernel, so
-   concurrently live kernels never see each other's reboots. *)
-let note_reboot t ~comp =
-  let c = comp_runtime t comp in
-  c.reboots <- c.reboots + 1;
-  Option.iter (fun f -> Forensics.note_reboot f ~comp) (Machine.forensics t.machine);
-  Option.iter
-    (fun h -> h ~comp ~cycle:(Machine.cycles t.machine))
-    t.reboot_hook
-
 let reboot_count t ~comp = (comp_runtime t comp).reboots
 
 let reboot_cycles t = t.reboot_cycles
@@ -398,36 +371,82 @@ let set_reboot_cycles t n = t.reboot_cycles <- n
 
 let set_reboot_hook t h = t.reboot_hook <- h
 
-let reboot_limit t ~comp = List.assoc_opt comp t.reboot_limits
+(* Micro-reboot (§3.2.6) *)
 
-let set_reboot_limit t ~comp limit =
-  let rest = List.remove_assoc comp t.reboot_limits in
-  t.reboot_limits <-
-    (match limit with Some l -> (comp, l) :: rest | None -> rest)
+type reboot_steps = {
+  wake_blocked : unit -> unit;
+  release_heap : unit -> unit;
+  reset_state : unit -> unit;
+}
 
-let snapshot_globals t ~comp =
+let set_reboot_limit t ~comp ~max_reboots ~window =
   let c = comp_runtime t comp in
+  c.limit <- Some (max_reboots, window);
+  c.reboot_history <- [];
+  c.locked <- false
+
+let locked_out t ~comp =
+  let c = comp_runtime t comp in
+  c.locked && c.poisoned
+
+let clear_lockout t ~comp =
+  let c = comp_runtime t comp in
+  c.locked <- false;
+  c.reboot_history <- [];
+  c.poisoned <- false
+
+(* Pristine globals.  A firmware image declares only a globals size,
+   never initial data, so every compartment's boot-time globals are all
+   zeros; the charge models copying that image back, one capability-width
+   store per 8 bytes. *)
+let reset_globals t c =
   let l = c.layout in
-  if l.Loader.lc_globals_size > 0 then begin
-    let mem = Machine.mem t.machine in
-    let buf = Buffer.create l.Loader.lc_globals_size in
-    for i = 0 to l.Loader.lc_globals_size - 1 do
-      Buffer.add_char buf
-        (Char.chr (Memory.load_priv mem ~addr:(l.Loader.lc_globals_base + i) ~size:1))
-    done;
-    c.snapshot <- Some (Buffer.contents buf)
+  let size = l.Loader.lc_globals_size in
+  if size > 0 then begin
+    Machine.tick t.machine (size / 8 * Cost.mem_cap);
+    Memory.zero_priv (Machine.mem t.machine) ~addr:l.Loader.lc_globals_base
+      ~len:size
   end
 
-let restore_globals t ~comp =
-  let c = comp_runtime t comp in
-  match c.snapshot with
-  | None -> ()
-  | Some s ->
-      let l = c.layout in
-      Machine.tick t.machine (String.length s / 8 * Cost.mem_cap);
-      Memory.zero_priv (Machine.mem t.machine) ~addr:l.Loader.lc_globals_base
-        ~len:l.Loader.lc_globals_size;
-      Memory.blit_string_priv (Machine.mem t.machine) ~addr:l.Loader.lc_globals_base s
+(* Counts this reboot against the limiter; true when the compartment may
+   reopen. *)
+let within_limit t c =
+  match c.limit with
+  | None -> true
+  | Some (max_reboots, window) ->
+      let now = Machine.cycles t.machine in
+      c.reboot_history <-
+        now :: List.filter (fun at -> now - at <= window) c.reboot_history;
+      if List.length c.reboot_history > max_reboots then begin
+        c.locked <- true;
+        false
+      end
+      else true
+
+let micro_reboot ctx steps =
+  let t = ctx.kernel in
+  let c = t.comps.(ctx.comp_id) in
+  let comp = c.layout.Loader.lc_name in
+  (* Step 1: close the guard — calls into the compartment now fail with
+     [Compartment_poisoned] instead of reaching stale state. *)
+  c.poisoned <- true;
+  (* Step 2: every parked thread must unwind with an error. *)
+  steps.wake_blocked ();
+  (* Step 3: drop all heap state owned by this compartment. *)
+  steps.release_heap ();
+  (* Step 4: pristine globals + component-specific reset. *)
+  reset_globals t c;
+  steps.reset_state ();
+  (* Modelled reset latency, then record the reboot.  The flight
+     recorder rides the machine and the hook the kernel, so concurrently
+     live kernels never see each other's reboots. *)
+  Machine.tick t.machine t.reboot_cycles;
+  c.reboots <- c.reboots + 1;
+  Option.iter (fun f -> Forensics.note_reboot f ~comp) (Machine.forensics t.machine);
+  Option.iter (fun h -> h ~comp ~cycle:(Machine.cycles t.machine)) t.reboot_hook;
+  (* Step 5: reopen — unless the rate limiter says this compartment is
+     being reboot-bombed. *)
+  if within_limit t c then c.poisoned <- false
 
 (* Ephemeral claims: two hazard slots per thread, cleared at the next
    compartment call (§3.2.5). *)
@@ -507,15 +526,16 @@ let switcher_instr_at pc =
 
 let record_scoped_fault ctx ~cause ~addr =
   let t = ctx.kernel in
+  capture_dump t ~tid:ctx.thread_id ~comp:(comp_name t ctx.comp_id) ~cause ~addr
+    ~pc:(-1) ~instr:"scoped handler" ~handler_ran:true
+
+(* The faulted return: unwind the callee's frame, close its call and
+   hand the caller [err]. *)
+let fault_return t ~tid ~callee err =
+  forced_unwind t t.threads.(tid);
   if Machine.tracing t.machine then
-    match Machine.forensics t.machine with
-    | None -> ()
-    | Some f ->
-        Forensics.record_fault f
-          ~cycle:(Machine.cycles t.machine)
-          ~comp:(comp_name t ctx.comp_id) ~thread:ctx.thread_id ~cause ~addr
-          ~pc:(-1) ~instr:"scoped handler" ~regs:(render_regs t)
-          ~handler_ran:true
+    Machine.emit t.machine (Obs.Call_leave { callee; tid; faulted = true });
+  Error err
 
 (* The compartment-call dance: native -> interpreted switcher -> native
    callee -> interpreted switcher return -> native. *)
@@ -561,7 +581,6 @@ and dispatch t ~tid ~caller target =
         ~handler_ran:false;
       Error Invalid_import
   | Some (comp, entry_idx) ->
-      let th = t.threads.(tid) in
       let callee_csp = Interp.get_reg t.interp Isa.csp in
       let callee_cgp = Interp.get_reg t.interp Isa.cgp in
       let ra_callee = Interp.get_reg t.interp Isa.ra in
@@ -585,10 +604,7 @@ and dispatch t ~tid ~caller target =
         capture_dump t ~tid ~comp:callee ~cause:"compartment poisoned"
           ~addr:(-1) ~pc:entry_addr ~instr:(entry_label comp entry)
           ~handler_ran:false;
-        forced_unwind t th;
-        if Machine.tracing t.machine then
-          Machine.emit t.machine (Obs.Call_leave { callee; tid; faulted = true });
-        Error Compartment_poisoned
+        fault_return t ~tid ~callee Compartment_poisoned
       end
       else if
         (* Fault injection: a crash at the compartment-call boundary,
@@ -642,7 +658,6 @@ and handle_callee_fault t ~tid ~entry_addr ~entry comp ctx cause addr =
     ~pc:entry_addr ~instr:(entry_label comp entry)
     ~handler_ran:(comp.on_error <> None);
   Machine.tick t.machine Cost.trap_entry;
-  let th = t.threads.(tid) in
   let fi =
     fault_info_of ~comp:comp.layout.Loader.lc_name ~thread:tid cause addr
   in
@@ -655,11 +670,7 @@ and handle_callee_fault t ~tid ~entry_addr ~entry comp ctx cause addr =
       match handler ctx fi with
       | `Unwind -> ()
       | exception Memory.Fault _ | exception Cap.Derivation _ -> ()));
-  forced_unwind t th;
-  if Machine.tracing t.machine then
-    Machine.emit t.machine
-      (Obs.Call_leave { callee = comp.layout.Loader.lc_name; tid; faulted = true });
-  Error Fault_in_callee
+  fault_return t ~tid ~callee:comp.layout.Loader.lc_name Fault_in_callee
 
 (* Public call API *)
 
@@ -841,7 +852,7 @@ let run_one t th =
   t.last_ran <- Some th.tid;
   t.current <- Some th.tid;
   th.state <- Running;
-  Machine.set_timer t.machine (Some (Machine.cycles t.machine + t.quantum));
+  Machine.set_timer t.machine (Some (Machine.cycles t.machine + quantum));
   (if not th.started then begin
      th.started <- true;
      Effect.Deep.match_with (thread_body t th) () (handler t th)

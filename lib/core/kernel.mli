@@ -60,13 +60,9 @@ val pp_call_error : call_error Fmt.t
 
 (* Boot *)
 
-val boot :
-  ?quantum:int ->
-  machine:Machine.t ->
-  Firmware.t ->
-  (t, string) result
-(** Run the loader, erase it, and prepare the runtime.  [quantum] is the
-    preemption timeslice in cycles (default 2000). *)
+val boot : machine:Machine.t -> Firmware.t -> (t, string) result
+(** Run the loader, erase it, and prepare the runtime.  The preemption
+    timeslice is 2000 cycles. *)
 
 val machine : t -> Machine.t
 val interp : t -> Interp.t
@@ -154,52 +150,67 @@ val ephemeral_claim : ctx -> value -> unit
 val ephemeral_claims : t -> thread:int -> value list
 (** Read by the allocator when deciding whether an object may be freed. *)
 
-(* Error handling, micro-reboot support (§3.2.6) *)
+(* Micro-reboot (§3.2.6).  All recovery state is per-kernel, never
+   module-level: one kernel per farm domain must run without observing
+   another kernel's reboots or budgets (see DESIGN.md, "no cross-machine
+   global state"), and all of it is part of {!Machine.snapshot}. *)
 
-val snapshot_globals : t -> comp:string -> unit
-(** Record the compartment's global data for later [restore_globals]
-    (compile-time snapshot in the paper). *)
+type reboot_steps = {
+  wake_blocked : unit -> unit;
+      (** step 2: make every thread blocked inside the compartment
+          observe a dead object / closed handle when it resumes *)
+  release_heap : unit -> unit;
+      (** step 3: free the heap the compartment's quota owns
+          ({!Allocator.free_all}) *)
+  reset_state : unit -> unit;  (** step 4, beyond the globals reset *)
+}
 
-val restore_globals : t -> comp:string -> unit
-
-val poison : t -> comp:string -> bool -> unit
-(** While poisoned, compartment calls into [comp] fail with
-    [Compartment_poisoned] — the guard used while micro-rebooting. *)
-
-val is_poisoned : t -> comp:string -> bool
-
-val note_reboot : t -> comp:string -> unit
-(** Record a completed micro-reboot (kept per compartment): bump the
-    count, mark it in the machine's {!Forensics} recorder if one is
-    attached, then call the reboot hook with the current cycle. *)
+val micro_reboot : ctx -> reboot_steps -> unit
+(** Micro-reboot the compartment [ctx] runs in, from inside its error
+    handler, in five steps: (1) poison it, so calls into it fail with
+    [Compartment_poisoned]; (2) [wake_blocked]; (3) [release_heap];
+    (4) reset its globals to the boot image (all zeros: firmware declares
+    no initial data), charged [globals_size / 8 * Cost.mem_cap] cycles,
+    then [reset_state]; charge {!reboot_cycles}, count the reboot, mark
+    it in the machine's {!Forensics} recorder if one is attached and call
+    the reboot hook with the current cycle; (5) reopen it, unless the
+    rate limiter ({!set_reboot_limit}) trips. *)
 
 val reboot_count : t -> comp:string -> int
 
-(* All recovery state below is per-kernel, never module-level: one
-   kernel per farm domain must run without observing another kernel's
-   reboots, budgets or keys (see DESIGN.md, "no cross-machine global
-   state").  {!Microreboot} provides the orchestration on top. *)
-
 val reboot_cycles : t -> int
-(** Modelled micro-reboot reset latency (default 50_000 cycles; the
-    0.27 s of Fig. 7 at the paper profile). *)
+(** Modelled micro-reboot reset latency in cycles (default 50_000, about
+    1.5 ms at 33 MHz).  The 0.27 s of Fig. 7 (8_900_000 cycles) is what
+    {!Iot_scenario} sets with {!set_reboot_cycles} at the paper
+    profile. *)
 
 val set_reboot_cycles : t -> int -> unit
 
 val set_reboot_hook : t -> (comp:string -> cycle:int -> unit) option -> unit
 (** The one post-reboot callback (the fault engine's trace), called by
-    {!note_reboot}; [None] silences it.  Like {!set_call_fault_hook},
+    {!micro_reboot}; [None] silences it.  Like {!set_call_fault_hook},
     the slot is part of {!Machine.snapshot}. *)
 
-type reboot_limit = {
-  rl_max : int;
-  rl_window : int;
-  mutable rl_history : int list;  (** reboot timestamps, newest first *)
-  mutable rl_locked : bool;
-}
+(* Repeat-attack mitigation (§5.1.2): error handlers maintain
+   availability, but an attacker who can trigger traps repeatedly could
+   force a victim to spend all its cycles micro-rebooting.  The paper
+   points at Gecko's shadow compartments; the rate limiter is the
+   simplest version of that defence: past a reboot budget within a time
+   window, the compartment stays offline (poisoned) instead of
+   thrashing, turning a CPU-exhaustion attack into a contained outage
+   detectable by a watchdog. *)
 
-val reboot_limit : t -> comp:string -> reboot_limit option
-val set_reboot_limit : t -> comp:string -> reboot_limit option -> unit
+val set_reboot_limit :
+  t -> comp:string -> max_reboots:int -> window:int -> unit
+(** Allow at most [max_reboots] within any [window] cycles; beyond that
+    {!micro_reboot} leaves the compartment poisoned. *)
+
+val locked_out : t -> comp:string -> bool
+(** Did the rate limiter trip (and the compartment stay offline)? *)
+
+val clear_lockout : t -> comp:string -> unit
+(** Operator/watchdog action: reopen the compartment and reset the
+    budget. *)
 
 (* Interrupt plumbing for the scheduler compartment *)
 

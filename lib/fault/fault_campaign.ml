@@ -221,7 +221,6 @@ let build_image ?trace ?prepare ~seed () =
       Fault_inject.wire_allocator engine alloc;
       Fault_inject.wire_netsim engine net;
       Fault_inject.wire_kernel engine k ~victims:[ "svc" ];
-      Kernel.snapshot_globals k ~comp:"svc";
       Ok { im_machine = machine; im_frn = frn; im_engine = engine; im_sys = sys }
 
 let scenario_body img ~seed () =
@@ -259,9 +258,9 @@ let scenario_body img ~seed () =
       Kernel.implement1 k ~comp:"svc" ~entry:"stat" (fun _ctx _ ->
           iv (List.length !svc_live));
       Kernel.set_error_handler k ~comp:"svc" (fun cctx _fi ->
-          Microreboot.perform cctx ~comp:"svc"
+          Kernel.micro_reboot cctx
             {
-              Microreboot.wake_blocked = (fun () -> ());
+              Kernel.wake_blocked = (fun () -> ());
               release_heap =
                 (fun () ->
                   ignore (Allocator.free_all cctx ~alloc_cap:(svc_quota_cap ())));

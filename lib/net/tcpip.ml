@@ -532,12 +532,12 @@ let sock_close t ctx id =
       bump_and_wake t ctx id;
       ok
 
-(* Micro-reboot (§3.2.6) through the five-step orchestration API.  Runs
+(* Micro-reboot (§3.2.6) through the kernel's five-step operation.  Runs
    from the compartment's error handler. *)
 let micro_reboot t ctx =
-  Microreboot.perform ctx ~comp:comp_name
+  Kernel.micro_reboot ctx
     {
-      Microreboot.wake_blocked =
+      Kernel.wake_blocked =
         (fun () ->
           (* Close every socket *before* waking, so that blocked callers
              observe a dead socket when they resume; then wake all
@@ -585,7 +585,6 @@ let install kernel =
       stopped = false;
     }
   in
-  Kernel.snapshot_globals kernel ~comp:comp_name;
   Kernel.set_error_handler kernel ~comp:comp_name (fun ctx _fi ->
       micro_reboot t ctx;
       `Unwind);

@@ -7,7 +7,7 @@
     globals so callers can block without trusting the scheduler for
     integrity, allocates its frame buffers from its own static quota,
     and registers a global error handler that performs the five-step
-    micro-reboot of §3.2.6 via {!Microreboot.perform}.
+    micro-reboot of §3.2.6 via {!Kernel.micro_reboot}.
 
     The ICMP echo handler contains a deliberate, switchable "ping of
     death" bug — an unchecked copy into a 256-byte buffer — which the
@@ -28,8 +28,7 @@ val quota_object : Firmware.static_sealed
 (** The stack's own allocation capability ("net_quota", 6 KiB). *)
 
 val install : Kernel.t -> unit
-(** Register entries, take the boot-time globals snapshot and attach the
-    micro-rebooting error handler. *)
+(** Register entries and attach the micro-rebooting error handler. *)
 
 (* Client wrappers. *)
 

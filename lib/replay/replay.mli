@@ -73,9 +73,9 @@ val first_divergent_window :
   window:int -> entry list -> entry list -> (int * entry list * entry list) option
 (** Compare two journals cycle-window by cycle-window: the index of the
     first window (of [window] simulated cycles) in which they differ,
-    with each journal's entries inside that window.  The unit of choice
-    for engine-vs-engine bisection, where one early skew shifts every
-    later cycle stamp. *)
+    with each journal's entries inside that window.  Made for comparing
+    journals of two builds, where one early skew shifts every later
+    cycle stamp and an entry-by-entry diff would flag them all. *)
 
 val divergence_report : entry list -> entry list -> string option
 (** Human-readable rendering of {!first_divergent_window} over windows

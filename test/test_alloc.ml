@@ -404,7 +404,7 @@ let suite =
     Alcotest.test_case "handle: released" `Quick test_handle_released;
     Alcotest.test_case "handle: forged integer" `Quick test_handle_forged;
     Alcotest.test_case "handle: key captured" `Quick test_handle_key_captured;
-    QCheck_alcotest.to_alcotest prop_alloc_free_balance;
+    Qcheck_seed.to_alcotest prop_alloc_free_balance;
   ]
 
 let () = Alcotest.run "cheriot_alloc" [ ("allocator", suite) ]

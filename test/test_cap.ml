@@ -204,9 +204,9 @@ let suite =
     Alcotest.test_case "deep immutability" `Quick test_attenuate_no_lm;
     Alcotest.test_case "deep no-capture" `Quick test_attenuate_no_lg;
     Alcotest.test_case "sentries exempt from LM strip" `Quick test_attenuate_sentry_exempt;
-    QCheck_alcotest.to_alcotest prop_derivation_monotone;
-    QCheck_alcotest.to_alcotest prop_attenuate_monotone;
-    QCheck_alcotest.to_alcotest prop_seal_preserves_bounds;
+    Qcheck_seed.to_alcotest prop_derivation_monotone;
+    Qcheck_seed.to_alcotest prop_attenuate_monotone;
+    Qcheck_seed.to_alcotest prop_seal_preserves_bounds;
   ]
 
 let () = Alcotest.run "cheriot_cap" [ ("capability", suite) ]

@@ -32,14 +32,13 @@ let boot () =
   let machine = Machine.create () in
   let sys = Result.get_ok (System.boot ~machine (firmware ())) in
   let k = sys.System.kernel in
-  Kernel.snapshot_globals k ~comp:"victim";
   Kernel.implement1 k ~comp:"victim" ~entry:"work" (fun _ args -> iv (ti args.(0) + 1));
   Kernel.implement1 k ~comp:"victim" ~entry:"crash" (fun _ _ ->
       ignore (Machine.load machine ~auth:Cap.null ~addr:0 ~size:4);
       iv 0);
   Kernel.set_error_handler k ~comp:"victim" (fun cctx _ ->
-      Microreboot.perform cctx ~comp:"victim"
-        { Microreboot.wake_blocked = ignore; release_heap = ignore;
+      Kernel.micro_reboot cctx
+        { Kernel.wake_blocked = ignore; release_heap = ignore;
           reset_state = ignore };
       `Unwind);
   (sys, k)
@@ -70,27 +69,58 @@ let test_reboot_storm_without_limit () =
 
 let test_rate_limit_trips () =
   let sys, k = boot () in
-  Microreboot.set_rate_limit k ~comp:"victim" ~max_reboots:3 ~window:100_000_000;
+  Kernel.set_reboot_limit k ~comp:"victim" ~max_reboots:3 ~window:100_000_000;
   run_main sys k (fun ctx ->
       (* The first crashes reboot-and-recover... *)
       for _ = 1 to 3 do
         ignore (Kernel.call1 ctx ~import:"victim.crash" [])
       done;
       Alcotest.(check bool) "not locked yet" false
-        (Microreboot.is_locked_out k ~comp:"victim");
+        (Kernel.locked_out k ~comp:"victim");
       (* ...the fourth trips the limiter: the compartment stays offline
          instead of burning all its cycles rebooting. *)
       ignore (Kernel.call1 ctx ~import:"victim.crash" []);
       Alcotest.(check bool) "locked out" true
-        (Microreboot.is_locked_out k ~comp:"victim");
+        (Kernel.locked_out k ~comp:"victim");
       (match Kernel.call1 ctx ~import:"victim.work" [ iv 1 ] with
       | Error Kernel.Compartment_poisoned -> ()
       | _ -> Alcotest.fail "locked-out compartment accepted a call");
       (* The watchdog reopens it. *)
-      Microreboot.clear_lockout k ~comp:"victim";
+      Kernel.clear_lockout k ~comp:"victim";
       match Kernel.call1 ctx ~import:"victim.work" [ iv 5 ] with
       | Ok v -> Alcotest.(check int) "recovered after clear" 6 (ti v)
       | Error _ -> Alcotest.fail "clear_lockout did not reopen")
+
+(* The limiter's budget is part of [Machine.snapshot]: restoring a
+   snapshot taken before the lockout reopens the compartment with the
+   budget it had then, so it takes [max_reboots] fresh crashes (plus the
+   one that trips) to lock it out again. *)
+let test_rate_limit_restored_by_snapshot () =
+  let sys, k = boot () in
+  let machine = Kernel.machine k in
+  Kernel.set_reboot_limit k ~comp:"victim" ~max_reboots:3 ~window:100_000_000;
+  let snap = Machine.snapshot machine in
+  let crash ctx = ignore (Kernel.call1 ctx ~import:"victim.crash" []) in
+  run_main sys k (fun ctx ->
+      for _ = 1 to 4 do
+        crash ctx
+      done;
+      Alcotest.(check bool) "locked out" true (Kernel.locked_out k ~comp:"victim"));
+  Machine.restore machine snap;
+  run_main sys k (fun ctx ->
+      Alcotest.(check bool) "restore lifts the lockout" false
+        (Kernel.locked_out k ~comp:"victim");
+      (match Kernel.call1 ctx ~import:"victim.work" [ iv 1 ] with
+      | Ok v -> Alcotest.(check int) "answers again" 2 (ti v)
+      | Error e -> Alcotest.failf "restored victim refused: %a" Kernel.pp_call_error e);
+      for _ = 1 to 3 do
+        crash ctx
+      done;
+      Alcotest.(check bool) "budget restored: three crashes stay open" false
+        (Kernel.locked_out k ~comp:"victim");
+      crash ctx;
+      Alcotest.(check bool) "the fourth trips it again" true
+        (Kernel.locked_out k ~comp:"victim"))
 
 (* Tainted values *)
 
@@ -138,6 +168,8 @@ let suite =
   [
     Alcotest.test_case "reboot storm (no limit)" `Quick test_reboot_storm_without_limit;
     Alcotest.test_case "rate limit trips" `Quick test_rate_limit_trips;
+    Alcotest.test_case "rate limit restored by snapshot" `Quick
+      test_rate_limit_restored_by_snapshot;
     Alcotest.test_case "tainted validation" `Quick test_tainted_requires_validation;
     Alcotest.test_case "tainted map" `Quick test_tainted_map_stays_tainted;
     Alcotest.test_case "tainted pointers" `Quick test_tainted_pointer;

@@ -39,9 +39,6 @@ let sealed_quota k =
 (* A service that accumulates heap state, capped so the quota never
    legitimately runs out, with a micro-rebooting error handler. *)
 let install_svc k ~cap_live =
-  let machine = Kernel.machine k in
-  ignore machine;
-  Kernel.snapshot_globals k ~comp:"svc";
   let svc_live = ref [] in
   Kernel.implement1 k ~comp:"svc" ~entry:"work" (fun ctx _ ->
       (match Allocator.allocate ctx ~alloc_cap:(sealed_quota k) 128 with
@@ -57,9 +54,9 @@ let install_svc k ~cap_live =
       | Error _ -> ());
       iv (List.length !svc_live));
   Kernel.set_error_handler k ~comp:"svc" (fun cctx _fi ->
-      Microreboot.perform cctx ~comp:"svc"
+      Kernel.micro_reboot cctx
         {
-          Microreboot.wake_blocked = (fun () -> ());
+          Kernel.wake_blocked = (fun () -> ());
           release_heap =
             (fun () ->
               ignore (Allocator.free_all cctx ~alloc_cap:(sealed_quota k)));

@@ -224,13 +224,12 @@ let run_crash ?(setup = fun (_ : Kernel.t) -> ()) () =
   Machine.set_forensics machine (Some frn);
   let sys = Result.get_ok (System.boot ~machine (firmware ())) in
   let k = sys.System.kernel in
-  Kernel.snapshot_globals k ~comp:"svc";
   Kernel.implement1 k ~comp:"svc" ~entry:"work" (fun _ _ ->
       Interp.int_value 1);
   Kernel.set_error_handler k ~comp:"svc" (fun cctx _fi ->
-      Microreboot.perform cctx ~comp:"svc"
+      Kernel.micro_reboot cctx
         {
-          Microreboot.wake_blocked = (fun () -> ());
+          Kernel.wake_blocked = (fun () -> ());
           release_heap = (fun () -> ());
           reset_state = (fun () -> ());
         };
@@ -290,11 +289,11 @@ let test_microreboot_hook () =
   ignore
     (run_crash
        ~setup:(fun k ->
-         (* The cycle [perform] returns at is the reboot's completion. *)
+         (* The cycle [micro_reboot] returns at is the reboot's completion. *)
          Kernel.set_error_handler k ~comp:"svc" (fun cctx _fi ->
-             Microreboot.perform cctx ~comp:"svc"
+             Kernel.micro_reboot cctx
                {
-                 Microreboot.wake_blocked = (fun () -> ());
+                 Kernel.wake_blocked = (fun () -> ());
                  release_heap = (fun () -> ());
                  reset_state = (fun () -> ());
                };

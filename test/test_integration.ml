@@ -79,7 +79,6 @@ let boot () =
   let k = sys.System.kernel in
   Uart.install k;
   let pool = Thread_pool.install k in
-  Kernel.snapshot_globals k ~comp:"filter";
   let w = { sys; pool; transcript } in
   (w, k)
 
@@ -96,8 +95,8 @@ let install_filter k =
              ~size:4);
       iv ((v * 3) / 4));
   Kernel.set_error_handler k ~comp:"filter" (fun fctx _ ->
-      Microreboot.perform fctx ~comp:"filter"
-        { Microreboot.wake_blocked = ignore; release_heap = ignore;
+      Kernel.micro_reboot fctx
+        { Kernel.wake_blocked = ignore; release_heap = ignore;
           reset_state = ignore };
       `Unwind)
 

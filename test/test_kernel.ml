@@ -175,24 +175,6 @@ let test_library_call () =
   run h;
   Alcotest.(check int) "library result" 42 (ti (Hashtbl.find h.result "doubled"))
 
-let test_poison_blocks_calls () =
-  let h =
-    boot_harness
-      ~main:(fun h ctx ->
-        Kernel.poison ctx.Kernel.kernel ~comp:"calc" true;
-        (match Kernel.call1 ctx ~import:"calc.add" [ iv 1; iv 1 ] with
-        | Error Kernel.Compartment_poisoned -> Hashtbl.add h.result "blocked" (iv 1)
-        | Ok _ | Error _ -> Alcotest.fail "poisoned compartment accepted call");
-        Kernel.poison ctx.Kernel.kernel ~comp:"calc" false;
-        match Kernel.call1 ctx ~import:"calc.add" [ iv 1; iv 1 ] with
-        | Ok v -> Hashtbl.add h.result "after" v
-        | Error _ -> Alcotest.fail "unpoisoned compartment refused call")
-      ()
-  in
-  run h;
-  Alcotest.(check bool) "blocked" true (Hashtbl.mem h.result "blocked");
-  Alcotest.(check int) "after" 2 (ti (Hashtbl.find h.result "after"))
-
 let test_args_clipped_to_arity () =
   (* calc.add has arity 2: a 3rd argument must not reach the callee. *)
   let seen = ref 0 in
@@ -208,20 +190,31 @@ let test_args_clipped_to_arity () =
   run h;
   Alcotest.(check int) "arity enforced" 2 !seen
 
-let test_globals_snapshot_restore () =
+let test_micro_reboot_resets_globals () =
+  (* A micro-reboot returns the compartment's globals to the boot image,
+     which is all zeros: firmware declares no initial data. *)
   let h =
     boot_harness
       ~main:(fun _h ctx ->
         let k = ctx.Kernel.kernel in
-        let l = Loader.find_comp (Kernel.loader k) "app" in
+        let l = Loader.find_comp (Kernel.loader k) "calc" in
         let mem = Machine.mem (Kernel.machine k) in
-        Kernel.snapshot_globals k ~comp:"app";
-        Memory.store_priv mem ~addr:l.Loader.lc_globals_base ~size:4 0xbad;
-        Kernel.restore_globals k ~comp:"app";
-        Alcotest.(check int) "restored" 0
-          (Memory.load_priv mem ~addr:l.Loader.lc_globals_base ~size:4))
+        let first = l.Loader.lc_globals_base in
+        let last = first + l.Loader.lc_globals_size - 4 in
+        Memory.store_priv mem ~addr:first ~size:4 0xbad;
+        Memory.store_priv mem ~addr:last ~size:4 0xbad;
+        (match Kernel.call1 ctx ~import:"calc.fail" [] with
+        | Error Kernel.Fault_in_callee -> ()
+        | _ -> Alcotest.fail "expected contained fault");
+        Alcotest.(check int) "rebooted" 1 (Kernel.reboot_count k ~comp:"calc");
+        Alcotest.(check int) "first word reset" 0 (Memory.load_priv mem ~addr:first ~size:4);
+        Alcotest.(check int) "last word reset" 0 (Memory.load_priv mem ~addr:last ~size:4))
       ()
   in
+  Kernel.set_error_handler h.k ~comp:"calc" (fun cctx _ ->
+      Kernel.micro_reboot cctx
+        { Kernel.wake_blocked = ignore; release_heap = ignore; reset_state = ignore };
+      `Unwind);
   run h
 
 let test_nested_calls () =
@@ -278,16 +271,12 @@ let test_two_threads_interleave () =
 
 let test_preemption () =
   let machine = Machine.create () in
-  let k =
-    Result.get_ok (Kernel.boot ~machine ~quantum:1000 (firmware_two_threads ()))
-  in
+  let k = Result.get_ok (Kernel.boot ~machine (firmware_two_threads ())) in
   let lo_ran = ref false in
-  let saw_lo_during_hi = ref false in
   Kernel.implement1 k ~comp:"w" ~entry:"spin_hi" (fun _ctx _ ->
       (* Busy work; same priority threads would round-robin, but hi
          out-prioritises lo, so lower the priorities via sleep below. *)
       Cap.null);
-  ignore saw_lo_during_hi;
   Kernel.implement1 k ~comp:"w" ~entry:"spin_lo" (fun _ctx _ ->
       lo_ran := true;
       Cap.null);
@@ -497,9 +486,9 @@ let suite =
     Alcotest.test_case "insufficient stack" `Quick test_insufficient_stack;
     Alcotest.test_case "unknown import rejected" `Quick test_unknown_import_rejected;
     Alcotest.test_case "library call" `Quick test_library_call;
-    Alcotest.test_case "poison blocks calls" `Quick test_poison_blocks_calls;
     Alcotest.test_case "arity clipping" `Quick test_args_clipped_to_arity;
-    Alcotest.test_case "globals snapshot/restore" `Quick test_globals_snapshot_restore;
+    Alcotest.test_case "micro-reboot resets globals" `Quick
+      test_micro_reboot_resets_globals;
     Alcotest.test_case "sequential calls balance" `Quick test_nested_calls;
     Alcotest.test_case "two threads interleave" `Quick test_two_threads_interleave;
     Alcotest.test_case "low priority runs" `Quick test_preemption;

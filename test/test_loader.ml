@@ -271,7 +271,7 @@ let suite =
     Alcotest.test_case "loader erasure" `Quick test_erase_loader_wipes_region;
     Alcotest.test_case "validation errors" `Quick test_validation_errors;
     Alcotest.test_case "oversized image rejected" `Quick test_image_too_big_rejected;
-    QCheck_alcotest.to_alcotest prop_random_layout;
+    Qcheck_seed.to_alcotest prop_random_layout;
   ]
 
 let () = Alcotest.run "cheriot_loader" [ ("loader", suite) ]

@@ -237,8 +237,8 @@ let suite =
     Alcotest.test_case "revoker sweep" `Quick test_sweep_granule;
     Alcotest.test_case "tag census" `Quick test_tag_census;
     Alcotest.test_case "zeroing" `Quick test_zero;
-    QCheck_alcotest.to_alcotest prop_raw_roundtrip;
-    QCheck_alcotest.to_alcotest prop_revoked_never_loads_tagged;
+    Qcheck_seed.to_alcotest prop_raw_roundtrip;
+    Qcheck_seed.to_alcotest prop_revoked_never_loads_tagged;
   ]
 
 let () = Alcotest.run "cheriot_mem" [ ("memory", suite) ]

@@ -332,11 +332,11 @@ let suite =
     Alcotest.test_case "mqtt stream" `Quick test_mqtt_stream;
     Alcotest.test_case "mqtt take drops undecodable packets" `Quick test_mqtt_take;
     Alcotest.test_case "ip formatting" `Quick test_ip_formatting;
-    QCheck_alcotest.to_alcotest prop_udp_roundtrip;
-    QCheck_alcotest.to_alcotest prop_tcp_roundtrip;
-    QCheck_alcotest.to_alcotest prop_mqtt_roundtrip;
-    QCheck_alcotest.to_alcotest prop_eth_garbage_never_crashes;
-    QCheck_alcotest.to_alcotest prop_decode_frame_is_the_ladder;
+    Qcheck_seed.to_alcotest prop_udp_roundtrip;
+    Qcheck_seed.to_alcotest prop_tcp_roundtrip;
+    Qcheck_seed.to_alcotest prop_mqtt_roundtrip;
+    Qcheck_seed.to_alcotest prop_eth_garbage_never_crashes;
+    Qcheck_seed.to_alcotest prop_decode_frame_is_the_ladder;
     Alcotest.test_case "tls handshake/records" `Quick test_tls_handshake_and_records;
     Alcotest.test_case "tls framing" `Quick test_tls_record_framing;
   ]

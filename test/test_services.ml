@@ -225,7 +225,6 @@ let test_microreboot_api () =
   in
   let sys = Result.get_ok (System.boot ~machine fw) in
   let k = sys.System.kernel in
-  Kernel.snapshot_globals k ~comp:"svc";
   (* svc keeps a counter in its globals; crashing resets it. *)
   let svc_layout = Loader.find_comp (Kernel.loader k) "svc" in
   let counter_addr = svc_layout.Loader.lc_globals_base in
@@ -237,9 +236,9 @@ let test_microreboot_api () =
       ignore (Machine.load machine ~auth:Cap.null ~addr:0 ~size:4);
       iv 0);
   Kernel.set_error_handler k ~comp:"svc" (fun cctx _fi ->
-      Microreboot.perform cctx ~comp:"svc"
+      Kernel.micro_reboot cctx
         {
-          Microreboot.wake_blocked = (fun () -> ());
+          Kernel.wake_blocked = (fun () -> ());
           release_heap = (fun () -> ());
           reset_state = (fun () -> ());
         };
