@@ -121,9 +121,10 @@ bench:
 # must allocate at most 0.01 minor-heap words per simulated
 # instruction; the committed baseline is exactly 0.  Also gates the
 # warm minor words per compartment-call round trip (0 B and 1024 B
-# stack) and the major-heap words one boot allocates directly (SRAM and
-# its tag store), each under a fixed ceiling; see alloc_gate_cmd in
-# bench/main.ml.
+# stack), per slow tick with the revoker sweeping (0, like the loop),
+# per 16 B allocate/free pair, and the major-heap words one boot
+# allocates directly (SRAM and its tag store), each under a fixed
+# ceiling; see alloc_gate_cmd in bench/main.ml.
 # Then three checks on the compiled code:
 # - the default build must compile lib/isa without -opaque (dune's dev
 #   profile adds it, and it stops every cross-unit inlining, so the

@@ -1351,6 +1351,69 @@ let call_round_trip_words ?(n = 200) import =
       words := (Gc.minor_words () -. w0) /. float_of_int n);
   !words
 
+(* Warm minor-heap words per 16 B allocate/free pair (two compartment
+   calls into the allocator and its table and quarantine bookkeeping),
+   averaged over 200 pairs after as many warm-up pairs have grown the
+   tables. *)
+let alloc_pair_words () =
+  let n = 200 in
+  let b = boot_bench () in
+  let words = ref 0. in
+  run_bench b (fun ctx ->
+      let alloc_cap = quota_of ctx "bench_quota" in
+      let pair () =
+        match Allocator.allocate ctx ~alloc_cap 16 with
+        | Ok c -> ignore (Allocator.free ctx ~alloc_cap c)
+        | Error _ -> failwith "alloc-gate: 16 B allocation failed"
+      in
+      for _ = 1 to 200 do
+        pair ()
+      done;
+      let w0 = Gc.minor_words () in
+      for _ = 1 to n do
+        pair ()
+      done;
+      words := (Gc.minor_words () -. w0) /. float_of_int n);
+  !words
+
+(* Warm minor-heap words per slow tick with the revoker sweeping: a bare
+   machine with capabilities spread over SRAM (some based in revoked
+   granules), an interrupt raised every few ticks and delivered to a
+   no-op handler, and every tick reaching the event horizon, so each
+   one settles the sweep, drains the interrupts and recomputes the
+   horizon.  A finished sweep is restarted.  Averaged over 5,000
+   ticks. *)
+let slow_tick_words () =
+  let n = 5000 in
+  let m = Machine.create () in
+  Machine.set_trace m None;
+  Machine.set_forensics m None;
+  Machine.set_profiler m None;
+  let mem = Machine.mem m in
+  let base = Memory.base mem in
+  let root = Cap.make_root ~base ~top:(base + Memory.size mem) ~perms:Perm.Set.universe in
+  for i = 0 to 250 do
+    let addr = base + (i * 127 * Memory.granule_size) in
+    Memory.store_cap_priv mem ~addr
+      (Cap.exn (Cap.set_bounds (Cap.with_address_exn root addr) ~length:Memory.granule_size));
+    if i mod 4 = 0 then Memory.set_revoked mem ~addr ~len:Memory.granule_size
+  done;
+  Machine.set_deliver_hook m (Some (fun _ -> ()));
+  let slow i =
+    if i mod 7 = 0 then Machine.raise_irq m 5;
+    Machine.tick m (Int.max 1 (Machine.defer_room m));
+    if not (Machine.revoker_busy m) then Machine.revoker_kick m
+  in
+  Machine.revoker_kick m;
+  for i = 1 to 100 do
+    slow i
+  done;
+  let w0 = Gc.minor_words () in
+  for i = 1 to n do
+    slow i
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
 (* Major-heap words one warm [boot_bench ()] allocates directly (blocks
    too large for the minor heap), not counting what minor collections
    promote.  A first boot runs beforehand so one-time set-up is not
@@ -1388,37 +1451,67 @@ let alloc_gate_cmd _args =
     exit 1
   end;
   (* Compartment-call round trips: once warm, the switcher path boxes
-     only the capabilities it stores and loads (direct access checks,
-     closure-free block dispatch); what remains is mostly the kernel's
-     boxed glue around it.  Measured 179.3 (0 B) and 215.0 (1024 B)
-     words on OCaml 5.1.1 (default, non-opaque build; 189.3 and 225.0
-     under --profile dev); the ceiling leaves ~15% headroom over the
-     larger.  A regression that allocates per zeroing trip (128 trips
-     at 1024 B) or per switcher instruction (~430) overshoots it by
-     hundreds of words. *)
-  let call_max_words = 247. in
+     nothing (direct access checks, closure-free block dispatch, and
+     capability loads and stores straight between the packed register
+     file and the packed capability store); what remains is mostly the
+     kernel's boxed glue around it.  Measured 149.3 (0 B) and 168.0
+     (1024 B) words on OCaml 5.1.1 (default, non-opaque build).  The
+     ceilings are the 179.3 and 215.0 words the same round trips took
+     while the switcher still boxed every capability it stored and
+     loaded, so that boxing cannot come back unnoticed.  A regression
+     that allocates per zeroing trip (128 trips at 1024 B) or per
+     switcher instruction (~430) overshoots them by hundreds of
+     words. *)
   let over =
     List.filter
-      (fun (label, import) ->
+      (fun (label, import, max_words) ->
         let w = call_round_trip_words import in
-        Fmt.pr "alloc-gate: call %-7s %8.1f minor words/round trip (max %.0f)@."
-          label w call_max_words;
-        w > call_max_words)
-      [ ("0 B", "callee.e0"); ("1024 B", "callee.e1024") ]
+        Fmt.pr "alloc-gate: call %-7s %8.1f minor words/round trip (max %.1f)@." label w
+          max_words;
+        w > max_words)
+      [ ("0 B", "callee.e0", 179.3); ("1024 B", "callee.e1024", 215.0) ]
   in
   if over <> [] then begin
-    Fmt.epr "alloc-gate: FAIL — compartment-call round trip over %.0f minor words (%s)@."
-      call_max_words
-      (String.concat ", " (List.map fst over));
+    Fmt.epr "alloc-gate: FAIL — compartment-call round trip over its ceiling (%s)@."
+      (String.concat ", " (List.map (fun (l, _, _) -> l) over));
+    exit 1
+  end;
+  (* The revoker's event path: a slow tick mid-sweep settles the sweep,
+     searches the tag bitmap, drains interrupts and recomputes the
+     horizon on ints alone.  Measured 0; the ceiling is the tight loop's
+     0.01 per step, which any per-tick allocation (2 words or more)
+     exceeds. *)
+  let tick = slow_tick_words () in
+  Fmt.pr "alloc-gate: %10.6f minor words/slow tick with the revoker sweeping (max %.3f)@."
+    tick max_words;
+  if tick > max_words then begin
+    Fmt.epr "alloc-gate: FAIL — a slow tick allocates %.6f minor words (max %.3f)@." tick
+      max_words;
+    exit 1
+  end;
+  (* A 16 B allocate/free pair: two compartment calls plus the
+     allocator's work.  Measured 461.5 words on OCaml 5.1.1 (the table's
+     one boxed cell per allocation, its [index] binding, included); the
+     ceiling leaves 3% headroom, less than per-operation table records
+     (an entry record with its reference list, a quarantine cell and
+     its tuple, option boxes: 486.6 words per pair) would add. *)
+  let pair_max_words = 475. in
+  let pair = alloc_pair_words () in
+  Fmt.pr "alloc-gate: alloc/free 16 B %8.1f minor words/pair (max %.0f)@." pair
+    pair_max_words;
+  if pair > pair_max_words then begin
+    Fmt.epr "alloc-gate: FAIL — a 16 B allocate/free pair allocates %.1f minor words (max %.0f)@."
+      pair pair_max_words;
     exit 1
   end;
   (* Boot: the bench image's direct major words.  Measured 34,311 on
      OCaml 5.1.1, all of it [Memory.create]'s: SRAM's 256 KiB of data
      bytes (32,770 words), the tag and revocation bitmaps (514 each) and
-     the capability store's page directory (513); its 65-word pages
-     start in the minor heap.  The ceiling leaves ~15% headroom.  A
-     store with one slot per granule (32,768 granules) overshoots it by
-     ~27,000 words. *)
+     the capability store's page directory (513); its pages, 256 ints
+     each (four per granule), are the largest blocks the minor heap
+     takes, so the three a boot tags start there.  The ceiling leaves
+     ~15% headroom.  A store with a slot per granule (32,768 granules)
+     overshoots it by at least ~27,000 words. *)
   let boot_max_words = 39_500. in
   let boot = boot_major_words () in
   Fmt.pr "alloc-gate: boot %8.0f major words (max %.0f)@." boot boot_max_words;

@@ -69,12 +69,172 @@ let client_imports =
 let alloc_capability ~name ~quota =
   { Firmware.sobj_name = name; sealed_as = "allocator"; payload = [ quota; 0 ] }
 
-type alloc_info = {
-  a_base : int;  (** payload address *)
-  a_size : int;
-  mutable a_refs : (int * int) list;  (** quota (sealed-object payload addr) * count *)
-  a_vt : int;  (** virtual type if a sealed object, else 0 *)
-}
+(* The live allocation table, in flat int arrays so that allocating,
+   claiming and freeing box nothing that outlives the operation.  Entry
+   [s] (0 <= s < [n]) is one live allocation, [stride] ints of [e] from
+   [s * stride]: payload address, size (bytes, 8-aligned), and its first
+   owner's quota and reference count (a quota is named by its sealed
+   object's payload address).  Any further owners (claims under another
+   quota, which are rare) are (quota, count) pairs in the boxed
+   [more.(s)]; a quota appears at most once across the two.  [index]
+   maps a payload address to its entry.  Removal moves the last entry
+   into the hole, which rebinds an existing key and so leaves [index]'s
+   iteration order alone: [free_all] and a snapshot restore walk
+   [index], so allocations are released and re-added in the order the
+   allocator's table of records always had. *)
+module Table = struct
+  let stride = 4
+  let f_base = 0
+  let f_size = 1
+  let f_owner = 2
+  let f_count = 3
+
+  type t = {
+    index : (int, int) Hashtbl.t;
+    mutable n : int;
+    mutable e : int array;
+    mutable more : (int * int) list array;
+  }
+
+  let create () =
+    { index = Hashtbl.create 64; n = 0; e = Array.make (32 * stride) 0; more = Array.make 32 [] }
+
+  let length t = t.n
+  let[@inline] get t s f = t.e.((s * stride) + f)
+  let[@inline] set t s f v = t.e.((s * stride) + f) <- v
+  let base t s = get t s f_base
+  let size t s = get t s f_size
+
+  (* The entry of payload address [b], or -1. *)
+  let slot_of t b = try Hashtbl.find t.index b with Not_found -> -1
+
+  let reserve t k =
+    if k > Array.length t.more then begin
+      let cap = Int.max k (2 * Array.length t.more) in
+      let e = Array.make (cap * stride) 0 and more = Array.make cap [] in
+      Array.blit t.e 0 e 0 (t.n * stride);
+      Array.blit t.more 0 more 0 t.n;
+      t.e <- e;
+      t.more <- more
+    end
+
+  (* A new entry with no references yet; its slot. *)
+  let add t ~base ~size =
+    reserve t (t.n + 1);
+    let s = t.n in
+    t.n <- s + 1;
+    set t s f_base base;
+    set t s f_size size;
+    set t s f_owner 0;
+    set t s f_count 0;
+    Hashtbl.replace t.index base s;
+    s
+
+  let remove t s =
+    let last = t.n - 1 in
+    Hashtbl.remove t.index (base t s);
+    if s <> last then begin
+      Array.blit t.e (last * stride) t.e (s * stride) stride;
+      t.more.(s) <- t.more.(last);
+      Hashtbl.replace t.index (base t s) s
+    end;
+    t.more.(last) <- [];
+    t.n <- last
+
+  (* References *)
+
+  let owns t s q = get t s f_count > 0 && get t s f_owner = q
+
+  let refs_of t s q =
+    if owns t s q then get t s f_count
+    else Option.value ~default:0 (List.assoc_opt q t.more.(s))
+
+  (* Set quota [q]'s count on entry [s] (it holds [refs_of t s q]). *)
+  let set_refs t s q n =
+    if owns t s q || (get t s f_count = 0 && not (List.mem_assoc q t.more.(s))) then begin
+      set t s f_owner q;
+      set t s f_count n
+    end
+    else
+      let rest = List.remove_assoc q t.more.(s) in
+      t.more.(s) <- (if n = 0 then rest else (q, n) :: rest)
+
+  let add_ref t s q = set_refs t s q (refs_of t s q + 1)
+
+  let del_ref t s q =
+    let n = refs_of t s q in
+    n > 0
+    && begin
+         set_refs t s q (n - 1);
+         true
+       end
+
+  let total_refs t s = List.fold_left (fun a (_, n) -> a + n) (get t s f_count) t.more.(s)
+
+  (* Every (quota, count) reference of entry [s]. *)
+  let iter_refs t s f =
+    if get t s f_count > 0 then f (get t s f_owner) (get t s f_count);
+    List.iter (fun (q, n) -> f q n) t.more.(s)
+
+  (* The payload addresses quota [q] holds, in release order. *)
+  let owned_by t q =
+    Hashtbl.fold (fun b s acc -> if refs_of t s q > 0 then b :: acc else acc) t.index []
+
+  (* Capture: the entries in release order; a restore re-adds them in
+     that order to a reset [index]. *)
+  let capture t =
+    let order = Array.of_list (Hashtbl.fold (fun _ s acc -> s :: acc) t.index []) in
+    let k = Array.length order in
+    let e = Array.make (k * stride) 0 in
+    Array.iteri (fun i s -> Array.blit t.e (s * stride) e (i * stride) stride) order;
+    let more = Array.map (fun s -> t.more.(s)) order in
+    fun () ->
+      Array.fill t.more 0 t.n [];
+      Hashtbl.reset t.index;
+      reserve t k;
+      t.n <- k;
+      Array.blit e 0 t.e 0 (k * stride);
+      Array.blit more 0 t.more 0 k;
+      for s = 0 to k - 1 do
+        Hashtbl.replace t.index (base t s) s
+      done
+end
+
+(* The quarantine: (chunk header address, release epoch) pairs, oldest
+   first, as the ints [head, tail) of [a]. *)
+module Fifo = struct
+  type t = { mutable a : int array; mutable head : int; mutable tail : int }
+
+  let create () = { a = Array.make 128 0; head = 0; tail = 0 }
+  let is_empty f = f.head = f.tail
+  let chunk f = f.a.(f.head)
+  let epoch f = f.a.(f.head + 1)
+  let pop f = f.head <- f.head + 2
+
+  let push f c e =
+    if f.tail = Array.length f.a then begin
+      (* Slide the entries to the front, into a doubled array when they
+         fill more than half of it. *)
+      let live = f.tail - f.head in
+      let a = if 2 * live > Array.length f.a then Array.make (2 * live) 0 else f.a in
+      Array.blit f.a f.head a 0 live;
+      f.a <- a;
+      f.head <- 0;
+      f.tail <- live
+    end;
+    f.a.(f.tail) <- c;
+    f.a.(f.tail + 1) <- e;
+    f.tail <- f.tail + 2
+
+  let capture f =
+    let live = Array.sub f.a f.head (f.tail - f.head) in
+    let n = Array.length live in
+    fun () ->
+      if Array.length f.a < n then f.a <- Array.make n 0;
+      Array.blit live 0 f.a 0 n;
+      f.head <- 0;
+      f.tail <- n
+end
 
 type t = {
   kernel : Kernel.t;
@@ -86,8 +246,8 @@ type t = {
   alloc_vt : int;  (** virtual type of allocation capabilities, -1 if none *)
   drain_per_op : int;
   mutable free_head : int;  (** address of first free chunk header, 0 = none *)
-  allocs : (int, alloc_info) Hashtbl.t;  (** by payload address *)
-  quarantine : (int * int) Queue.t;  (** chunk header addr, release epoch *)
+  allocs : Table.t;  (** live allocations, by payload address *)
+  quarantine : Fifo.t;  (** chunk header addr, release epoch *)
   mutable quarantined_bytes : int;
   mutable next_dynamic_vt : int;
   mutable oom_hook : (size:int -> bool) option;
@@ -106,7 +266,7 @@ let chunk_state t c = hdr_load t c 4
 let heap_size t = t.heap_limit - t.heap_base
 let heap_bounds t = (t.heap_base, t.heap_limit)
 let quarantined_bytes t = t.quarantined_bytes
-let live_allocations t = Hashtbl.length t.allocs
+let live_allocations t = Table.length t.allocs
 
 let free_bytes t =
   let rec go c acc =
@@ -145,7 +305,8 @@ let heap_chunks t =
   go t.heap_base []
 
 let live_payload_regions t =
-  Hashtbl.fold (fun base info acc -> (base, info.a_size) :: acc) t.allocs []
+  let a = t.allocs in
+  List.init (Table.length a) (fun s -> (Table.base a s, Table.size a s))
   |> List.sort compare
 
 
@@ -177,22 +338,20 @@ let rec merge_right t c =
 (* Quarantine draining: release entries whose revocation epoch passed. *)
 
 let try_release t =
-  match Queue.peek_opt t.quarantine with
-  | None -> false
-  | Some (c, release_epoch) ->
-      if Machine.revoker_epoch t.machine >= release_epoch then begin
-        ignore (Queue.pop t.quarantine);
-        let size = chunk_size t c in
-        t.quarantined_bytes <- t.quarantined_bytes - size;
-        Memory.clear_revoked (Machine.mem t.machine) ~addr:(c + header_size) ~len:size;
-        freelist_push t c;
-        merge_right t c;
-        if Machine.tracing t.machine then
-          Machine.emit t.machine
-            (Obs.Release { base = c + header_size; size });
-        true
-      end
-      else false
+  let q = t.quarantine in
+  (not (Fifo.is_empty q))
+  && Machine.revoker_epoch t.machine >= Fifo.epoch q
+  &&
+  let c = Fifo.chunk q in
+  Fifo.pop q;
+  let size = chunk_size t c in
+  t.quarantined_bytes <- t.quarantined_bytes - size;
+  Memory.clear_revoked (Machine.mem t.machine) ~addr:(c + header_size) ~len:size;
+  freelist_push t c;
+  merge_right t c;
+  if Machine.tracing t.machine then
+    Machine.emit t.machine (Obs.Release { base = c + header_size; size });
+  true
 
 let drain t =
   let rec go n = if n > 0 && try_release t then go (n - 1) in
@@ -236,10 +395,10 @@ let alloc_chunk t size =
 (* Stall for the revoker when memory is exhausted but quarantine holds
    releasable memory (the paper's pathological regime in Fig. 6b). *)
 let stall_for_revocation t =
-  if Queue.is_empty t.quarantine then false
+  if Fifo.is_empty t.quarantine then false
   else begin
     Machine.revoker_kick t.machine;
-    let _, release_epoch = Queue.peek t.quarantine in
+    let release_epoch = Fifo.epoch t.quarantine in
     while Machine.revoker_epoch t.machine < release_epoch do
       Machine.tick t.machine 128;
       Machine.revoker_kick t.machine
@@ -293,26 +452,6 @@ let charge_quota t q size =
 
 let refund_quota t q size = set_used t q (max 0 (used_of t q - size))
 
-(* Reference bookkeeping *)
-
-let add_ref info quota =
-  info.a_refs <-
-    (match List.assoc_opt quota info.a_refs with
-    | Some n -> (quota, n + 1) :: List.remove_assoc quota info.a_refs
-    | None -> (quota, 1) :: info.a_refs)
-
-let del_ref info quota =
-  match List.assoc_opt quota info.a_refs with
-  | None -> false
-  | Some 1 ->
-      info.a_refs <- List.remove_assoc quota info.a_refs;
-      true
-  | Some n ->
-      info.a_refs <- (quota, n - 1) :: List.remove_assoc quota info.a_refs;
-      true
-
-let total_refs info = List.fold_left (fun a (_, n) -> a + n) 0 info.a_refs
-
 (* Integrity audit: the allocator's own data structures checked against
    the heap (fault-campaign invariant). *)
 let check_integrity t =
@@ -336,6 +475,7 @@ let check_integrity t =
       in
       walk t.free_head;
       let live = ref 0 and qbytes = ref 0 in
+      let a = t.allocs in
       List.iter
         (fun (c, size, st) ->
           match st with
@@ -343,30 +483,28 @@ let check_integrity t =
               if not (Hashtbl.mem on_list c) then
                 fail "free chunk 0x%x is unreachable from the free list" c
           | `Quarantined -> qbytes := !qbytes + size
-          | `Live -> (
+          | `Live ->
               incr live;
-              match Hashtbl.find_opt t.allocs (c + header_size) with
+              let s = Table.slot_of a (c + header_size) in
               (* Chunks may carry an unsplittable tail of slack, but
                  never less than the allocation nor a full chunk more. *)
-              | Some info
-                when size >= info.a_size && size < info.a_size + header_size + 8
-                -> ()
-              | Some info ->
-                  fail "live chunk 0x%x: header size %d but table size %d" c
-                    size info.a_size
-              | None -> fail "live chunk 0x%x has no allocation-table entry" c))
+              if s < 0 then fail "live chunk 0x%x has no allocation-table entry" c
+              else
+                let a_size = Table.size a s in
+                if size < a_size || size >= a_size + header_size + 8 then
+                  fail "live chunk 0x%x: header size %d but table size %d" c size
+                    a_size)
         chunks;
-      if !live <> Hashtbl.length t.allocs then
-        fail "allocation table has %d entries but %d live chunks"
-          (Hashtbl.length t.allocs) !live;
+      if !live <> Table.length a then
+        fail "allocation table has %d entries but %d live chunks" (Table.length a)
+          !live;
       if !qbytes <> t.quarantined_bytes then
         fail "quarantine accounting: %d bytes walked, %d recorded" !qbytes
           t.quarantined_bytes;
-      Hashtbl.iter
-        (fun base info ->
-          if total_refs info <= 0 then
-            fail "live allocation 0x%x has no references" base)
-        t.allocs;
+      for s = 0 to Table.length a - 1 do
+        if Table.total_refs a s <= 0 then
+          fail "live allocation 0x%x has no references" (Table.base a s)
+      done;
       match !errs with [] -> Ok () | e -> Error (String.concat "; " e))
 
 (* Quota conservation: for each given allocation capability (label,
@@ -374,14 +512,12 @@ let check_integrity t =
    counter must equal the bytes charged by live references. *)
 let check_quota_conservation t ~quotas =
   let charged = Hashtbl.create 8 in
-  Hashtbl.iter
-    (fun _ info ->
-      List.iter
-        (fun (q, n) ->
-          let cur = Option.value ~default:0 (Hashtbl.find_opt charged q) in
-          Hashtbl.replace charged q (cur + (n * info.a_size)))
-        info.a_refs)
-    t.allocs;
+  let a = t.allocs in
+  for s = 0 to Table.length a - 1 do
+    Table.iter_refs a s (fun q n ->
+        let cur = Option.value ~default:0 (Hashtbl.find_opt charged q) in
+        Hashtbl.replace charged q (cur + (n * Table.size a s)))
+  done;
   let errs =
     List.filter_map
       (fun (label, q_addr) ->
@@ -398,34 +534,36 @@ let check_quota_conservation t ~quotas =
   in
   match errs with [] -> Ok () | e -> Error (String.concat "; " e)
 
-(* The actual release: zero, set revocation bits, quarantine. *)
-let release_allocation t info =
-  let c = info.a_base - header_size in
+(* The actual release of table entry [s]: zero, set revocation bits,
+   quarantine. *)
+let release_allocation t s =
+  let a_base = Table.base t.allocs s and a_size = Table.size t.allocs s in
+  let c = a_base - header_size in
   (* The chunk can be up to [header_size + 7] bytes larger than the
      allocation when the fit was too tight to split; quarantine
      bookkeeping is in chunk sizes so it matches what try_release later
      reads back from the header. *)
   let csize = chunk_size t c in
-  Machine.zero t.machine ~auth:t.priv ~addr:info.a_base ~len:csize;
+  Machine.zero t.machine ~auth:t.priv ~addr:a_base ~len:csize;
   (* Per-granule: revocation-bit read-modify-write through the separate
      SRAM region plus quarantine bookkeeping (calibrated, see
      EXPERIMENTS.md). *)
-  Machine.tick t.machine (32 * (info.a_size / Memory.granule_size));
-  Memory.set_revoked (Machine.mem t.machine) ~addr:info.a_base ~len:csize;
+  Machine.tick t.machine (32 * (a_size / Memory.granule_size));
+  Memory.set_revoked (Machine.mem t.machine) ~addr:a_base ~len:csize;
   hdr_store t c 4 st_quarantined;
   let epoch =
     Machine.revoker_epoch t.machine
     + if Machine.revoker_busy t.machine then 2 else 1
   in
-  Queue.push (c, epoch) t.quarantine;
+  Fifo.push t.quarantine c epoch;
   t.quarantined_bytes <- t.quarantined_bytes + csize;
-  Hashtbl.remove t.allocs info.a_base;
+  Table.remove t.allocs s;
   if Machine.tracing t.machine then
-    Machine.emit t.machine (Obs.Quarantine { base = info.a_base; size = csize });
+    Machine.emit t.machine (Obs.Quarantine { base = a_base; size = csize });
   Machine.revoker_kick t.machine
 
 (* Ephemeral claims: consult every thread's hazard slots (§3.2.5). *)
-let ephemeral_claimed t info =
+let ephemeral_claimed t ~a_base ~a_size =
   let n = Kernel.thread_count t.kernel in
   let rec thread_loop i =
     if i >= n then false
@@ -435,8 +573,8 @@ let ephemeral_claimed t info =
         List.exists
           (fun h ->
             Cap.tag h
-            && Cap.base h < info.a_base + info.a_size
-            && Cap.top h > info.a_base)
+            && Cap.base h < a_base + a_size
+            && Cap.top h > a_base)
           hazards
       then true
       else thread_loop (i + 1)
@@ -471,68 +609,59 @@ let do_allocate t q size =
             Error No_memory
         | Some c ->
             let base = c + header_size in
-            let info = { a_base = base; a_size = size; a_refs = []; a_vt = 0 } in
-            add_ref info q.q_addr;
-            Hashtbl.replace t.allocs base info;
+            let s = Table.add t.allocs ~base ~size in
+            Table.add_ref t.allocs s q.q_addr;
             if Machine.tracing t.machine then
               Machine.emit t.machine (Obs.Alloc { base; size });
             (* Memory was zeroed in free(); allocation returns it as-is. *)
             Ok (user_cap t ~addr:base ~len:size))
 
+(* The table entry of a heap pointer, or -1. *)
 let find_alloc t v =
-  if not (Cap.tag v) then Error Bad_capability
-  else if Cap.is_sealed v then Error Bad_capability
-  else
-    match Hashtbl.find_opt t.allocs (Cap.base v) with
-    | Some info -> Ok info
-    | None -> Error Bad_capability
+  if (not (Cap.tag v)) || Cap.is_sealed v then -1 else Table.slot_of t.allocs (Cap.base v)
 
 let do_free t q v =
   Machine.tick t.machine 400;
   drain t;
-  match find_alloc t v with
-  | Error _ as e -> e
-  | Ok info ->
-      if ephemeral_claimed t info then Error Claims_held
-      else if not (del_ref info q.q_addr) then Error Bad_capability
-      else begin
-        refund_quota t q info.a_size;
-        if Machine.tracing t.machine then
-          Machine.emit t.machine
-            (Obs.Free { base = info.a_base; size = info.a_size });
-        if total_refs info = 0 then release_allocation t info;
-        Ok ()
-      end
+  let a = t.allocs in
+  let s = find_alloc t v in
+  if s < 0 then Error Bad_capability
+  else
+    let a_base = Table.base a s and a_size = Table.size a s in
+    if ephemeral_claimed t ~a_base ~a_size then Error Claims_held
+    else if not (Table.del_ref a s q.q_addr) then Error Bad_capability
+    else begin
+      refund_quota t q a_size;
+      if Machine.tracing t.machine then
+        Machine.emit t.machine (Obs.Free { base = a_base; size = a_size });
+      if Table.total_refs a s = 0 then release_allocation t s;
+      Ok ()
+    end
 
 let do_claim t q v =
   Machine.tick t.machine 1400 (* claims table maintenance *);
-  match find_alloc t v with
-  | Error _ as e -> e
-  | Ok info -> (
-      match charge_quota t q info.a_size with
-      | Error _ as e -> e
-      | Ok () ->
-          add_ref info q.q_addr;
-          Ok ())
+  let s = find_alloc t v in
+  if s < 0 then Error Bad_capability
+  else
+    match charge_quota t q (Table.size t.allocs s) with
+    | Error _ as e -> e
+    | Ok () ->
+        Table.add_ref t.allocs s q.q_addr;
+        Ok ()
 
 let do_free_all t q =
-  let victims =
-    Hashtbl.fold
-      (fun _ info acc ->
-        match List.assoc_opt q.q_addr info.a_refs with
-        | Some n -> (info, n) :: acc
-        | None -> acc)
-      t.allocs []
-  in
+  let a = t.allocs in
+  let victims = Table.owned_by a q.q_addr in
   let released = ref 0 in
   List.iter
-    (fun (info, n) ->
-      for _ = 1 to n do
-        ignore (del_ref info q.q_addr);
-        refund_quota t q info.a_size;
+    (fun base ->
+      let s = Table.slot_of a base in
+      for _ = 1 to Table.refs_of a s q.q_addr do
+        ignore (Table.del_ref a s q.q_addr);
+        refund_quota t q (Table.size a s);
         incr released
       done;
-      if total_refs info = 0 then release_allocation t info)
+      if Table.total_refs a s = 0 then release_allocation t s)
     victims;
   !released
 
@@ -556,9 +685,6 @@ let do_allocate_sealed t q key size =
         let base = Cap.base payload_cap in
         Machine.store t.machine ~auth:t.priv ~addr:base ~size:4 vt;
         Machine.store t.machine ~auth:t.priv ~addr:(base + 4) ~size:4 size;
-        (Hashtbl.find t.allocs base).a_refs |> ignore;
-        Hashtbl.replace t.allocs base
-          { (Hashtbl.find t.allocs base) with a_vt = vt };
         Ok (sealed_user_cap t ~addr:base ~len:(align8 (size + 8)))
 
 let do_token_unseal t key sobj =
@@ -650,8 +776,8 @@ let install kernel ?(drain_per_op = 2) () =
       alloc_vt;
       drain_per_op;
       free_head = 0;
-      allocs = Hashtbl.create 64;
-      quarantine = Queue.create ();
+      allocs = Table.create ();
+      quarantine = Fifo.create ();
       quarantined_bytes = 0;
       next_dynamic_vt =
         Loader.first_virtual_type + List.length ld.Loader.virtual_types + 64;
@@ -664,29 +790,19 @@ let install kernel ?(drain_per_op = 2) () =
   hdr_store t heap_base 4 st_free;
   t.free_head <- heap_base;
   (* Off-heap bookkeeping (the heap bytes themselves restore with the
-     machine's memory).  Allocation-table records are rebuilt fresh on
-     restore: the table is the only authority over them. *)
+     machine's memory).  Restoring writes the captured tables back into
+     the live arrays, allocating nothing once they are large enough. *)
   Machine.on_snapshot machine (fun () ->
       let free_head = t.free_head in
-      let allocs =
-        Hashtbl.fold
-          (fun base info acc ->
-            (base, info.a_base, info.a_size, info.a_refs, info.a_vt) :: acc)
-          t.allocs []
-      in
-      let quarantine = Queue.copy t.quarantine in
+      let allocs = Table.capture t.allocs in
+      let quarantine = Fifo.capture t.quarantine in
       let quarantined_bytes = t.quarantined_bytes in
       let next_dynamic_vt = t.next_dynamic_vt in
       let oom_hook = t.oom_hook in
       fun () ->
         t.free_head <- free_head;
-        Hashtbl.reset t.allocs;
-        List.iter
-          (fun (base, a_base, a_size, a_refs, a_vt) ->
-            Hashtbl.replace t.allocs base { a_base; a_size; a_refs; a_vt })
-          allocs;
-        Queue.clear t.quarantine;
-        Queue.transfer (Queue.copy quarantine) t.quarantine;
+        allocs ();
+        quarantine ();
         t.quarantined_bytes <- quarantined_bytes;
         t.next_dynamic_vt <- next_dynamic_vt;
         t.oom_hook <- oom_hook);

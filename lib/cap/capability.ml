@@ -250,6 +250,22 @@ let attenuate_loaded_perms auth_perms c =
 
 let attenuate_loaded ~auth c = attenuate_loaded_perms auth.perms c
 
+let perm_mask ps = List.fold_left (fun a p -> a lor (1 lsl (Perm.bit p + 1))) 0 ps
+let mutable_mask = perm_mask [ Perm.Store; Perm.Load_mutable ]
+let global_mask = perm_mask [ Perm.Global; Perm.Load_global ]
+
+let attenuate_loaded_meta auth_perms m =
+  if m land 1 = 0 then m
+  else
+    let oc = m lsr 13 in
+    let m =
+      if (not (Perm.Set.mem Perm.Load_mutable auth_perms)) && not (oc >= 1 && oc <= 5)
+      then m land lnot mutable_mask
+      else m
+    in
+    if not (Perm.Set.mem Perm.Load_global auth_perms) then m land lnot global_mask
+    else m
+
 let exn = function Ok c -> c | Error v -> raise (Derivation v)
 let with_address_exn c a = exn (with_address c a)
 let seal_entry_exn c kind = exn (seal_entry c kind)

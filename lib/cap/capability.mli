@@ -173,6 +173,11 @@ val attenuate_loaded_perms : Perm.Set.t -> t -> t
     [attenuate_loaded_perms (perms auth) c].  Returns its argument
     unchanged when no permission is removed. *)
 
+val attenuate_loaded_meta : Perm.Set.t -> int -> int
+(** [attenuate_loaded_perms] on the packed form: [attenuate_loaded_meta
+    ps (meta c)] is [meta (attenuate_loaded_perms ps c)].  Used where a
+    capability is loaded into a packed register without being built. *)
+
 (* Convenience wrappers used by trusted code where failure is a bug. *)
 
 val exn : (t, violation) result -> t

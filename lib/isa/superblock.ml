@@ -22,16 +22,18 @@ module Cap = Capability
    Register file: the packed capability file ([Packed_cap]) — each
    register is four untagged ints (meta, base, top, cursor) in one flat
    int array, so the steady-state arm bodies (ALU, branches, data
-   loads/stores, NULL capability stores, in-place derivations) perform
-   zero minor-heap allocation.  The file's type is abstract: every read
+   loads/stores, capability loads and stores, in-place derivations)
+   perform zero minor-heap allocation.  The file's type is abstract: every read
    and write goes through a [Packed_cap] accessor (the [u]-prefixed ones
    unchecked, since [Isa.assemble] keeps register operands in 0..15),
    compiled against [int array], so no register write pays a GC write
-   barrier.  Boxed [Cap.t]
-   values appear only at boundaries: the threaded pcc, the [Machine]
-   memory authority on the full checked path, loaded and stored
-   capabilities, Cjalr targets/links, special registers — all converted
-   through the exact [pack]/[unpack] bijection.
+   barrier.  Capabilities loaded and stored on the direct path move
+   between the file and [Memory]'s packed capability store as the same
+   four ints ([uload_cap], [store_packed]).  Boxed [Cap.t] values appear
+   only at boundaries: the threaded pcc, the [Machine] memory authority
+   and the stored value on the full checked path, Cjalr targets/links,
+   special registers — all converted through the exact [pack]/[unpack]
+   bijection.
 
    Equivalence contract (every rule here exists to keep registers,
    cycles, instret, trap cause + PC and the Obs event stream bit-
@@ -101,12 +103,14 @@ module Cap = Capability
    [-opaque], which stops that.  The [alloc-gate] make target checks
    the compiled object for the generic code's tag test.
 
-   The packed form never escapes the interpreter: every boundary
-   (switcher legs, kernel entry, traps, Obs/Forensics rendering,
-   snapshot capture) converts through [pack]/[unpack], whose exactness
-   reduces to the [Capability.meta]/[of_meta] bijection (QCheck-pinned
-   in test_cap_props, together with per-helper packed-vs-boxed
-   derivation equivalence).
+   The packed form leaves the interpreter only for [Memory]'s
+   capability store, which keeps the same [Capability.meta] encoding;
+   every other boundary (switcher legs, kernel entry, traps,
+   Obs/Forensics rendering, snapshot capture) converts through
+   [pack]/[unpack], whose exactness reduces to the
+   [Capability.meta]/[of_meta] bijection (QCheck-pinned in
+   test_cap_props, together with per-helper packed-vs-boxed derivation
+   equivalence and [Capability.attenuate_loaded_meta]).
 
    Error discipline: the in-place derivation helpers return an int
    violation code instead of a [result] so the success path allocates
@@ -155,6 +159,7 @@ module Packed_cap : sig
   val ucopy : t -> dst:int -> src:int -> unit
   val uset_cursor : t -> int -> int -> unit
   val pack : t -> int -> Cap.t -> unit
+  val uload_cap : t -> int -> Memory.t -> addr:int -> perms:Perm.Set.t -> unit
   val unpack : t -> int -> Cap.t
   val pack_at : t -> int -> Cap.t -> int -> unit
   val incr_addr : t -> dst:int -> src:int -> int -> int
@@ -286,6 +291,12 @@ end = struct
 
   let pack (pk : t) r c =
     set_slots pk r (Cap.meta c) (Cap.base c) (Cap.top c) (Cap.address c)
+
+  (* A prechecked capability load ([Memory.load_cap_into]) straight
+     into register [r]; register 0 discards it (the load has no side
+     effect to keep). *)
+  let[@inline] uload_cap (pk : t) r mem ~addr ~perms =
+    if r <> 0 then Memory.load_cap_into mem ~addr ~perms pk (r lsl 2)
 
   let pack_at (pk : t) r c addr =
     set_slots pk r (Cap.meta c) (Cap.base c) (Cap.top c) addr
@@ -601,6 +612,13 @@ let[@inline] local_ok sm am =
   || Pk.m_has_perm Perm.Global sm
   || Pk.m_has_perm Perm.Store_local am
 
+(* [Csc]'s store of register [r] once the access has passed [direct]:
+   the register's ints go into the capability store as they are, with no
+   capability built. *)
+let[@inline] store_packed mem addr pk r =
+  Memory.store_cap_unchecked mem addr ~meta:(Pk.umeta pk r) ~base:(Pk.ubase pk r)
+    ~top:(Pk.utop pk r) ~cursor:(Pk.ucursor pk r)
+
 (* [Clc]'s attenuation and Mem_cap rule read only the authority's
    permissions. *)
 let[@inline] perms_of am = Perm.Set.of_bits (Pk.m_perm_bits am)
@@ -890,7 +908,7 @@ let compile ~single ctx dec ~base ~idx =
             then begin
               ctx.sinstret <- ctx.sinstret + 1;
               let perms = perms_of (Pk.umeta pk rs) in
-              Pk.pack pk rd (Memory.load_cap_prechecked ~perms mem ~addr);
+              Pk.uload_cap pk rd mem ~addr ~perms;
               k pcc (acc + (Cost.instr + Cost.mem_cap))
             end
             else begin
@@ -901,7 +919,7 @@ let compile ~single ctx dec ~base ~idx =
                 and b = Pk.ubase pk rs in
                 let acc = charge m acc Cost.mem_cap in
                 refilter m acc mem b addr Memory.Read;
-                Pk.pack pk rd (Memory.load_cap_prechecked ~perms mem ~addr);
+                Pk.uload_cap pk rd mem ~addr ~perms;
                 k pcc acc
               end
               else begin
@@ -962,7 +980,7 @@ let compile ~single ctx dec ~base ~idx =
               && local_ok (Pk.umeta pk rs2) (Pk.umeta pk rs1)
             then begin
               ctx.sinstret <- ctx.sinstret + 1;
-              Memory.store_cap_priv mem ~addr (Pk.unpack pk rs2);
+              store_packed mem addr pk rs2;
               k pcc (acc + (Cost.instr + Cost.mem_cap))
             end
             else begin
@@ -971,7 +989,6 @@ let compile ~single ctx dec ~base ~idx =
               let acc = retire ctx acc in
               flushx m acc;
               let addr = Pk.ucursor pk rs1 + imm in
-              let src = Pk.unpack pk rs2 in
               if
                 direct mem lo hi pk rs1 k_store_cap m_store_cap addr Memory.granule_size
                 && local_ok (Pk.umeta pk rs2) (Pk.umeta pk rs1)
@@ -979,11 +996,11 @@ let compile ~single ctx dec ~base ~idx =
                 let b = Pk.ubase pk rs1 in
                 Machine.tick m Cost.mem_cap;
                 refilter m (-1) mem b addr Memory.Write;
-                Memory.store_cap_priv mem ~addr src;
+                store_packed mem addr pk rs2;
                 k pcc (-1)
               end
               else begin
-                Machine.store_cap m ~auth:(Pk.unpack pk rs1) ~addr src;
+                Machine.store_cap m ~auth:(Pk.unpack pk rs1) ~addr (Pk.unpack pk rs2);
                 k pcc (-1)
               end
             end

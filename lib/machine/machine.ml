@@ -43,8 +43,6 @@ end
 
 type region = { dev : Device.t; dev_base : int; dev_size : int }
 
-type revoker_state = Idle | Sweeping of { mutable next : int; mutable debt : int }
-
 type listener = {
   lk_fn : int -> unit;
   lk_period : int;  (* 0 = parked: fires only at explicitly set wakeups *)
@@ -68,7 +66,9 @@ type t = {
   mutable regions : region list;  (* newest first: find_device + layout order *)
   mutable region_tbl : region array;  (* sorted by base, for lookup *)
   mutable region_hot : region option;  (* last MMIO hit *)
-  mutable rev_state : revoker_state;
+  mutable rev_sweeping : bool;  (* a sweep is in flight *)
+  mutable rev_next : int;  (* the sweep's next granule *)
+  mutable rev_debt : int;  (* cycles of the sweep not yet worth a granule *)
   mutable rev_epoch : int;
   mutable rev_rate : int;
   mutable rev_lag : int;  (* fast-path cycles not yet applied to the sweep *)
@@ -141,7 +141,7 @@ let in_sram m addr = Memory.contains m.mem addr
 let defer_window m n = m.cycles + n < m.horizon
 let defer_room m = m.horizon - m.cycles
 
-let revoker_busy m = match m.rev_state with Idle -> false | Sweeping _ -> true
+let revoker_busy m = m.rev_sweeping
 
 (* The only horizon term that reads [irq_enabled] is "an IRQ is pending
    and deliverable: now".  Enabling with an IRQ pending can create that
@@ -260,42 +260,40 @@ let skew_timer m delta =
 
 let revoker_epoch m = m.rev_epoch
 
+(* Sweep the tagged granules in [g, stop): only tagged granules can be
+   affected by a sweep step, so the untagged stretches are skipped via
+   the tag bitmap. *)
+let rec sweep_tagged mem g stop =
+  let t = Memory.next_tagged mem ~from:g in
+  if t >= 0 && t < stop then begin
+    ignore (Memory.sweep_granule mem t);
+    sweep_tagged mem (t + 1) stop
+  end
+
 (* Progress the background revoker by [n] cycles of wall time.  Debt
    arithmetic is additive, so one batched call here is equivalent to any
    sequence of smaller calls totalling [n] — provided no tag was set or
    cleared in between, which the event horizon and the tag-set hook
    guarantee for the lazily accumulated [rev_lag]. *)
 let revoker_advance m n =
-  match m.rev_state with
-  | Idle -> ()
-  | Sweeping s ->
-      s.debt <- s.debt + n;
-      let steps = s.debt / m.rev_rate in
-      s.debt <- s.debt mod m.rev_rate;
-      let total = Memory.granule_count m.mem in
-      let remaining = total - s.next in
-      let take = Int.min steps remaining in
-      let stop = s.next + take in
-      (* Only tagged granules can be affected by a sweep step; skip the
-         untagged stretches via the tag bitmap. *)
-      let g = ref s.next in
-      let continue = ref true in
-      while !continue do
-        match Memory.next_tagged m.mem ~from:!g with
-        | Some t when t < stop ->
-            ignore (Memory.sweep_granule m.mem t);
-            g := t + 1
-        | Some _ | None -> continue := false
-      done;
-      s.next <- stop;
-      if take > 0 && tracing m then
-        emit m (Obs.Revoker_quantum { granules = take; next = stop });
-      if s.next >= total then begin
-        m.rev_state <- Idle;
-        m.rev_epoch <- m.rev_epoch + 1;
-        if tracing m then emit m (Obs.Revoker_done { epoch = m.rev_epoch });
-        raise_irq m revoker_irq
-      end
+  if m.rev_sweeping then begin
+    let debt = m.rev_debt + n in
+    let steps = debt / m.rev_rate in
+    m.rev_debt <- debt mod m.rev_rate;
+    let total = Memory.granule_count m.mem in
+    let take = Int.min steps (total - m.rev_next) in
+    let stop = m.rev_next + take in
+    sweep_tagged m.mem m.rev_next stop;
+    m.rev_next <- stop;
+    if take > 0 && tracing m then
+      emit m (Obs.Revoker_quantum { granules = take; next = stop });
+    if stop >= total then begin
+      m.rev_sweeping <- false;
+      m.rev_epoch <- m.rev_epoch + 1;
+      if tracing m then emit m (Obs.Revoker_done { epoch = m.rev_epoch });
+      raise_irq m revoker_irq
+    end
+  end
 
 (* Apply cycles that passed on the fast path to the revoker sweep. *)
 let settle_revoker m =
@@ -306,14 +304,15 @@ let settle_revoker m =
   end
 
 let revoker_kick m =
-  match m.rev_state with
-  | Sweeping _ -> ()
-  | Idle ->
-      (* Lag accumulated while idle predates this sweep: discard it
-         (advancing an idle revoker is a no-op). *)
-      m.rev_lag <- 0;
-      m.rev_state <- Sweeping { next = 0; debt = 0 };
-      dirty m
+  if not m.rev_sweeping then begin
+    (* Lag accumulated while idle predates this sweep: discard it
+       (advancing an idle revoker is a no-op). *)
+    m.rev_lag <- 0;
+    m.rev_sweeping <- true;
+    m.rev_next <- 0;
+    m.rev_debt <- 0;
+    dirty m
+  end
 
 let set_revoker_rate m ~cycles_per_granule =
   settle_revoker m;  (* apply outstanding lag at the old rate *)
@@ -357,7 +356,9 @@ let create ?(sram_size = 256 * 1024) () =
       regions = [];
       region_tbl = [||];
       region_hot = None;
-      rev_state = Idle;
+      rev_sweeping = false;
+      rev_next = 0;
+      rev_debt = 0;
       rev_epoch = 0;
       rev_rate = Cost.revoker_cycles_per_granule;
       rev_lag = 0;
@@ -380,12 +381,25 @@ let create ?(sram_size = 256 * 1024) () =
      be credited against the new capability; and dirty the horizon, since
      the new tag may now be the next granule the sweep touches. *)
   Memory.set_tag_set_hook m.mem (fun () ->
-      match m.rev_state with
-      | Idle -> ()
-      | Sweeping _ ->
-          settle_revoker m;
-          dirty m);
+      if m.rev_sweeping then begin
+        settle_revoker m;
+        dirty m
+      end);
   m
+
+let rec lowest_set p i = if p land (1 lsl i) <> 0 then i else lowest_set p (i + 1)
+
+(* Deliver pending interrupts, lowest line first, while delivery stays
+   enabled. *)
+let rec drain m hook =
+  if m.irq_enabled && m.pending <> 0 then begin
+    let n = lowest_set m.pending 0 in
+    m.pending <- m.pending land lnot (1 lsl n);
+    if tracing m then emit m (Obs.Irq_enter { irq = n });
+    hook n;
+    if tracing m then emit m (Obs.Irq_exit { irq = n });
+    drain m hook
+  end
 
 let deliver m =
   match m.hook with
@@ -393,24 +407,11 @@ let deliver m =
   | Some hook ->
       if m.irq_enabled && (not m.delivering) && m.pending <> 0 then begin
         m.delivering <- true;
-        Fun.protect
-          ~finally:(fun () -> m.delivering <- false)
-          (fun () ->
-            let rec drain () =
-              if m.irq_enabled && m.pending <> 0 then begin
-                (* lowest set bit first *)
-                let rec first i =
-                  if m.pending land (1 lsl i) <> 0 then i else first (i + 1)
-                in
-                let n = first 0 in
-                m.pending <- m.pending land lnot (1 lsl n);
-                if tracing m then emit m (Obs.Irq_enter { irq = n });
-                hook n;
-                if tracing m then emit m (Obs.Irq_exit { irq = n });
-                drain ()
-              end
-            in
-            drain ())
+        match drain m hook with
+        | () -> m.delivering <- false
+        | exception e ->
+            m.delivering <- false;
+            raise e
       end
 
 (* The event horizon: the earliest future cycle at which a tick could do
@@ -423,25 +424,27 @@ let deliver m =
        sweep step can affect), and sweep completion (epoch/IRQ).
    Stale-but-early horizons are safe (a spurious slow tick is a no-op);
    anything that could create an *earlier* event must call [dirty]. *)
+let rec listeners_min ls i n h =
+  if i >= n then h
+  else
+    let l = Array.unsafe_get ls i in
+    listeners_min ls (i + 1) n (if l.lk_alive && l.lk_next < h then l.lk_next else h)
+
 let recompute_horizon m =
-  let h = ref max_int in
-  let add c = if c < !h then h := c in
-  if m.attention then add 0;
-  if m.pending <> 0 && m.irq_enabled && m.hook <> None then add 0;
-  (match m.timer_deadline with Some d -> add d | None -> ());
-  for i = 0 to m.n_listeners - 1 do
-    let l = m.listeners.(i) in
-    if l.lk_alive && l.lk_next < !h then h := l.lk_next
-  done;
-  (match m.rev_state with
-  | Idle -> ()
-  | Sweeping s ->
+  let deliverable = match m.hook with Some _ -> m.irq_enabled | None -> false in
+  let h = if m.attention || (m.pending <> 0 && deliverable) then 0 else max_int in
+  let h = match m.timer_deadline with Some d when d < h -> d | Some _ | None -> h in
+  let h = listeners_min m.listeners 0 m.n_listeners h in
+  let h =
+    if not m.rev_sweeping then h
+    else
+      let next = m.rev_next and debt = m.rev_debt in
       let total = Memory.granule_count m.mem in
-      add (m.cycles + ((total - s.next) * m.rev_rate) - s.debt);
-      (match Memory.next_tagged m.mem ~from:s.next with
-      | Some g -> add (m.cycles + ((g - s.next + 1) * m.rev_rate) - s.debt)
-      | None -> ()));
-  m.horizon <- !h
+      let h = Int.min h (m.cycles + ((total - next) * m.rev_rate) - debt) in
+      let g = Memory.next_tagged m.mem ~from:next in
+      if g >= 0 then Int.min h (m.cycles + ((g - next + 1) * m.rev_rate) - debt) else h
+  in
+  m.horizon <- h
 
 let slow_tick m n =
   m.cycles <- m.cycles + n;
@@ -610,11 +613,8 @@ let snapshot m =
   let post_tick = m.post_tick in
   let timer_deadline = m.timer_deadline in
   let regions = m.regions in
-  let rev_state =
-    match m.rev_state with
-    | Idle -> None
-    | Sweeping s -> Some (s.next, s.debt)
-  in
+  let rev_sweeping = m.rev_sweeping in
+  let rev_next = m.rev_next and rev_debt = m.rev_debt in
   let rev_epoch = m.rev_epoch in
   let rev_rate = m.rev_rate in
   let rev_lag = m.rev_lag in
@@ -648,10 +648,9 @@ let snapshot m =
     Array.sort (fun a b -> compare a.dev_base b.dev_base) tbl;
     m.region_tbl <- tbl;
     m.region_hot <- None;
-    m.rev_state <-
-      (match rev_state with
-      | None -> Idle
-      | Some (next, debt) -> Sweeping { next; debt });
+    m.rev_sweeping <- rev_sweeping;
+    m.rev_next <- rev_next;
+    m.rev_debt <- rev_debt;
     m.rev_epoch <- rev_epoch;
     m.rev_rate <- rev_rate;
     m.rev_lag <- rev_lag;

@@ -17,37 +17,51 @@ let granule_size = 8
 
 (* The capability store is paged: page [k] holds the capabilities of
    granules [64k, 64k + 64), the same span as bit [k] of [tag_words].
-   Every directory entry starts as the empty page [no_caps]; the first
-   tag stored in a page's span gives it a page of its own, and pages are
-   never freed.  So a booted image, which tags a few pages, costs a few
-   pages rather than one slot per granule of SRAM.  [cap_get]/[cap_set]
-   are the only readers and writers.
+   A page is a flat int array, four ints per granule: the packed meta
+   word ([Capability.meta]), base, top and cursor, so a stored
+   capability is plain ints and a store allocates nothing.  The tag
+   bitmap is the only record of which granules hold a capability: a
+   cleared tag leaves its granule's ints in place, and nothing reads
+   them until a store tags the granule again.  Every directory entry
+   starts as the empty page [no_caps]; the first tag stored in a page's
+   span gives it a page of its own, and pages are never freed.  So a
+   booted image, which tags a few pages, costs a few pages rather than
+   four ints per granule of SRAM.  [cap_write] is the only writer.
 
    [no_caps] is shared by every memory, on every domain, and is never
-   written: [cap_set] replaces it before storing.  It is module-level
+   written: [cap_write] replaces it before storing.  It is module-level
    rather than per memory because [Array.make] of a major-heap-sized
    directory whose initial value is still in the minor heap forces a
-   minor collection, once per [create]. *)
+   minor collection, once per [create].  A page is 256 ints, the largest
+   block the minor heap takes, so a new page never goes straight to the
+   major heap. *)
 let page_bits = 6
 let page_granules = 1 lsl page_bits
-let no_caps : Cap.t option array = Array.make page_granules None
+let no_caps : int array = Array.make (page_granules * 4) 0
 
 type t = {
   base : int;
   size : int;
+  granules : int;
   data : Bytes.t;
-  pages : Cap.t option array array;
-  tagged : Bytes.t;  (** bitmap mirror of the store: bit g set iff granule g holds a capability *)
+  pages : int array array;
+  tagged : Bytes.t;  (** tag bitmap: bit g set iff granule g holds a capability *)
   tag_words : Bytes.t;
       (** summary of [tagged]: bit k is set if granules [64k, 64k + 64)
           hold a tag (set when a tag appears; a stale bit is cleared by
           the [next_tagged] that finds the word empty), so [next_tagged]
           skips empty stretches 512 granules a byte *)
   mutable tagged_count : int;
+  mutable memo_from : int;
+  mutable memo_at : int;
+      (** [next_tagged]'s memo: when [memo_from <= memo_at], no granule
+          in [memo_from, memo_at) is tagged and [memo_at] is tagged or
+          equals [granules].  [memo_from = max_int] means no memo. *)
   revoked : Bytes.t;
   mutable revoked_count : int;
   mutable load_filter : bool;
   mutable tag_set_hook : unit -> unit;
+  scratch : int array;  (** [load_cap]'s packed result *)
 }
 
 let create ~base ~size =
@@ -56,22 +70,26 @@ let create ~base ~size =
   {
     base;
     size;
+    granules;
     data = Bytes.make size '\000';
     pages = Array.make ((granules + page_granules - 1) / page_granules) no_caps;
     tagged = Bytes.make ((granules + 7) / 8) '\000';
     tag_words = Bytes.make ((granules + 511) / 512) '\000';
     tagged_count = 0;
+    memo_from = max_int;
+    memo_at = 0;
     revoked = Bytes.make ((granules + 7) / 8) '\000';
     revoked_count = 0;
     load_filter = true;
     tag_set_hook = ignore;
+    scratch = Array.make 4 0;
   }
 
 let base m = m.base
 let size m = m.size
 let contains m addr = addr >= m.base && addr < m.base + m.size
 let set_load_filter m b = m.load_filter <- b
-let granule_count m = m.size / granule_size
+let granule_count m = m.granules
 let set_tag_set_hook m f = m.tag_set_hook <- f
 
 let fault cause addr access = raise (Fault { cause; addr; access })
@@ -82,28 +100,40 @@ let check_range m ~addr ~size:sz access =
   if addr < m.base || addr + sz > m.base + m.size then
     fault Cap.Bounds_violation addr access
 
-let[@inline] cap_get m g =
-  Array.unsafe_get m.pages.(g lsr page_bits) (g land (page_granules - 1))
+(* The ints of granule [g]'s stored capability (meaningful only while
+   its tag is set). *)
+let[@inline] slot g = (g land (page_granules - 1)) lsl 2
+let[@inline] page m g = Array.unsafe_get m.pages (g lsr page_bits)
+let[@inline] cap_base m g = Array.unsafe_get (page m g) (slot g + 1)
 
-let cap_set m g c =
+let cap_get m g =
+  let p = page m g and o = slot g in
+  Cap.of_meta ~meta:(Array.unsafe_get p o) ~base:(Array.unsafe_get p (o + 1))
+    ~top:(Array.unsafe_get p (o + 2)) ~cursor:(Array.unsafe_get p (o + 3))
+
+let cap_write m g ~meta ~base ~top ~cursor =
   let k = g lsr page_bits in
   let p = m.pages.(k) in
   let p =
     if p != no_caps then p
     else begin
-      let p = Array.make page_granules None in
+      let p = Array.make (page_granules * 4) 0 in
       m.pages.(k) <- p;
       p
     end
   in
-  Array.unsafe_set p (g land (page_granules - 1)) c
+  let o = slot g in
+  Array.unsafe_set p o meta;
+  Array.unsafe_set p (o + 1) base;
+  Array.unsafe_set p (o + 2) top;
+  Array.unsafe_set p (o + 3) cursor
 
 (* Tag bitmap maintenance.  Every tag change outside [snapshot]'s restore
    goes through these two so the bitmap and the count never drift from
-   the store — including under injected tag-clears and bit-flips — and
-   the summary never misses a tagged word.  Both test the granule's bit
-   rather than its page: every data store clears a tag, and the bitmap
-   answers that in one load where the store takes two. *)
+   the store — including under injected tag-clears and bit-flips — the
+   summary never misses a tagged word, and [next_tagged]'s memo stays
+   exact: a new tag inside the memo's span becomes its answer, and
+   clearing the answer drops the memo. *)
 
 let[@inline] bit_get b i =
   Char.code (Bytes.unsafe_get b (i lsr 3)) land (1 lsl (i land 7)) <> 0
@@ -114,14 +144,16 @@ let bit_put b i v =
   Bytes.unsafe_set b j
     (Char.unsafe_chr (if v then c lor mask else c land lnot mask land 0xff))
 
+let[@inline] drop_memo m = m.memo_from <- max_int
+
 let cap_clear m g =
   if bit_get m.tagged g then begin
-    cap_set m g None;
     bit_put m.tagged g false;
-    m.tagged_count <- m.tagged_count - 1
+    m.tagged_count <- m.tagged_count - 1;
+    if g = m.memo_at then drop_memo m
   end
 
-let cap_put m g c =
+let cap_put m g ~meta ~base ~top ~cursor =
   (* The hook (the machine's revoker) must observe memory *before* the
      new tag appears: an in-flight sweep settles up to the present cycle
      first, so the new capability cannot be credited to sweep steps that
@@ -130,9 +162,10 @@ let cap_put m g c =
   if not (bit_get m.tagged g) then begin
     bit_put m.tagged g true;
     bit_put m.tag_words (g lsr 6) true;
-    m.tagged_count <- m.tagged_count + 1
+    m.tagged_count <- m.tagged_count + 1;
+    if g >= m.memo_from && g < m.memo_at then m.memo_at <- g
   end;
-  cap_set m g (Some c)
+  cap_write m g ~meta ~base ~top ~cursor
 
 (* Clear all tags in granules [g0..g1], skipping over untagged runs a
    bitmap byte at a time. *)
@@ -187,13 +220,20 @@ let rec next_in_words m k =
       next_in_words m (k + 1)
     end
 
-(* The rest of [from]'s word in the bitmap, then the words after it. *)
+(* From the memo when [from] lies in its span; otherwise the rest of
+   [from]'s word in the bitmap, then the words after it, and the answer
+   becomes the memo. *)
 let next_tagged m ~from =
-  if from >= granule_count m then None
-  else
+  if from >= m.granules then -1
+  else if m.memo_from <= from && from <= m.memo_at then
+    if m.memo_at < m.granules then m.memo_at else -1
+  else begin
     let g = in_word m ~from in
     let g = if g >= 0 then g else next_in_words m ((from lsr 6) + 1) in
-    if g >= 0 then Some g else None
+    m.memo_from <- from;
+    m.memo_at <- (if g >= 0 then g else m.granules);
+    g
+  end
 
 (* Revocation bitmap *)
 
@@ -312,42 +352,43 @@ let[@inline] zero_granule_unchecked m addr =
   unsafe_set64 m.data off 0L;
   cap_clear m (off lsr 3)
 
-(* Lossy raw encoding of a capability: cursor in the low word, a packed
-   summary in the high word.  Reading a capability as data observes this,
-   as on hardware. *)
-let raw_encoding c =
-  let meta =
-    (Cap.length c land 0xffff)
-    lor ((match Cap.otype c with
-         | Cap.Otype.Unsealed -> 0
-         | Cap.Otype.Sentry _ -> 1
-         | Cap.Otype.Data d -> d)
-        lsl 16)
-  in
-  (Cap.address c land 0xffffffff, meta)
+(* A capability store at byte offset [off] (granule-aligned, in range)
+   from its packed ints.  The data bytes get the capability's lossy raw
+   encoding, which reading it as data observes, as on hardware: the
+   cursor in the low word; in the high word the length's low 16 bits
+   and the otype's encoding (0 unsealed, 1 for every sentry kind, the
+   data otype itself).  Then the tag: set with the ints when [meta]'s
+   tag bit is, cleared otherwise. *)
+let store_cap_at m off ~meta ~base ~top ~cursor =
+  let oc = meta lsr 13 in
+  let enc = if oc >= 1 && oc <= 5 then 1 else oc in
+  let lo = cursor land 0xffffffff and hi = ((top - base) land 0xffff) lor (enc lsl 16) in
+  set16_le m.data off (lo land 0xffff);
+  set16_le m.data (off + 2) (lo lsr 16);
+  set16_le m.data (off + 4) (hi land 0xffff);
+  set16_le m.data (off + 6) (hi lsr 16);
+  let g = off lsr 3 in
+  if meta land 1 <> 0 then cap_put m g ~meta ~base ~top ~cursor else cap_clear m g
 
 let store_cap_priv m ~addr c =
   if addr mod granule_size <> 0 then fault Cap.Bounds_violation addr Write;
   check_range m ~addr ~size:granule_size Write;
-  let lo, hi = raw_encoding c in
-  let off = addr - m.base in
-  Bytes.set_uint16_le m.data off (lo land 0xffff);
-  Bytes.set_uint16_le m.data (off + 2) ((lo lsr 16) land 0xffff);
-  Bytes.set_uint16_le m.data (off + 4) (hi land 0xffff);
-  Bytes.set_uint16_le m.data (off + 6) ((hi lsr 16) land 0xffff);
-  let g = granule_of m addr in
-  if Cap.tag c then cap_put m g c else cap_clear m g
+  store_cap_at m (addr - m.base) ~meta:(Cap.meta c) ~base:(Cap.base c) ~top:(Cap.top c)
+    ~cursor:(Cap.address c)
+
+let[@inline] store_cap_unchecked m addr ~meta ~base ~top ~cursor =
+  store_cap_at m (addr - m.base) ~meta ~base ~top ~cursor
 
 let load_cap_priv m ~addr =
   if addr mod granule_size <> 0 then fault Cap.Bounds_violation addr Read;
   check_range m ~addr ~size:granule_size Read;
-  match cap_get m (granule_of m addr) with
-  | Some c -> c
-  | None ->
-      (* Untagged: decode the raw bytes into a null-derived value. *)
-      let lo = load_priv m ~addr ~size:4 in
-      Cap.clear_tag
-        (match Cap.with_address Cap.null lo with Ok c -> c | Error _ -> Cap.null)
+  let g = granule_of m addr in
+  if bit_get m.tagged g then cap_get m g
+  else
+    (* Untagged: decode the raw bytes into a null-derived value. *)
+    let lo = load_priv m ~addr ~size:4 in
+    Cap.clear_tag
+      (match Cap.with_address Cap.null lo with Ok c -> c | Error _ -> Cap.null)
 
 let zero_priv m ~addr ~len =
   check_range m ~addr ~size:len Write;
@@ -386,19 +427,16 @@ let clear_tag_at m addr =
    through the summary and the bitmap, so only tagged words are read. *)
 let iter_tagged m f =
   let rec go g =
-    match next_tagged m ~from:g with
-    | None -> ()
-    | Some g ->
-        f g;
-        go (g + 1)
+    let g = next_tagged m ~from:g in
+    if g >= 0 then begin
+      f g;
+      go (g + 1)
+    end
   in
   go 0
 
 let iter_caps m f =
-  iter_tagged m (fun g ->
-      match cap_get m g with
-      | Some c -> f ~addr:(m.base + (g * granule_size)) c
-      | None -> assert false)
+  iter_tagged m (fun g -> f ~addr:(m.base + (g * granule_size)) (cap_get m g))
 
 (* Checked access *)
 
@@ -432,17 +470,39 @@ let store ~auth m ~addr ~size:sz v =
   check m ~auth ~perm:Perm.Store ~addr ~size:sz Write;
   store_priv m ~addr ~size:sz v
 
-let load_cap_prechecked ~perms m ~addr =
-  let c = load_cap_priv m ~addr in
-  if not (Perm.Set.mem Perm.Mem_cap perms) then Cap.clear_tag c
-  else
-    let c = Cap.attenuate_loaded_perms perms c in
-    if Cap.tag c && base_filtered m (Cap.base c) then Cap.clear_tag c else c
+let load_cap_into m ~addr ~perms dst o =
+  let g = (addr - m.base) lsr 3 in
+  if bit_get m.tagged g then begin
+    let p = page m g and s = slot g in
+    let meta = Array.unsafe_get p s and base = Array.unsafe_get p (s + 1) in
+    let meta =
+      if not (Perm.Set.mem Perm.Mem_cap perms) then meta land lnot 1
+      else
+        let meta = Cap.attenuate_loaded_meta perms meta in
+        if base_filtered m base then meta land lnot 1 else meta
+    in
+    Array.unsafe_set dst o meta;
+    Array.unsafe_set dst (o + 1) base;
+    Array.unsafe_set dst (o + 2) (Array.unsafe_get p (s + 2));
+    Array.unsafe_set dst (o + 3) (Array.unsafe_get p (s + 3))
+  end
+  else begin
+    (* The untagged decode: NULL with the raw low word as its cursor. *)
+    Array.unsafe_set dst o 0;
+    Array.unsafe_set dst (o + 1) 0;
+    Array.unsafe_set dst (o + 2) 0;
+    Array.unsafe_set dst (o + 3) (load32_unchecked m addr)
+  end
 
+(* The boxed load builds its result from the packed one, through this
+   memory's four-int scratch slot. *)
 let load_cap ~auth m ~addr =
   check m ~auth ~perm:Perm.Load ~addr ~size:granule_size Read;
   if addr mod granule_size <> 0 then fault Cap.Bounds_violation addr Read;
-  load_cap_prechecked ~perms:(Cap.perms auth) m ~addr
+  check_range m ~addr ~size:granule_size Read;
+  let s = m.scratch in
+  load_cap_into m ~addr ~perms:(Cap.perms auth) s 0;
+  Cap.of_meta ~meta:s.(0) ~base:s.(1) ~top:s.(2) ~cursor:s.(3)
 
 let store_cap ~auth m ~addr c =
   check m ~auth ~perm:Perm.Store ~addr ~size:granule_size Write;
@@ -464,39 +524,59 @@ let zero ~auth m ~addr ~len =
 (* Revoker *)
 
 let sweep_granule m g =
-  match cap_get m g with
-  | None -> false
-  | Some c ->
-      if contains m (Cap.base c) && rev_get m (granule_of m (Cap.base c)) then begin
-        cap_clear m g;
-        true
-      end
-      else false
+  bit_get m.tagged g
+  &&
+  let b = cap_base m g in
+  contains m b && rev_get m (granule_of m b)
+  && begin
+       cap_clear m g;
+       true
+     end
 
 let tagged_granule_count m = m.tagged_count
 
 (* Snapshot/restore.  A snapshot keeps what restore cannot rebuild from
    zero: the data's non-zero [snap_chunk]-byte chunks and the tagged
-   granules' capabilities, plus copies of the small bitmaps and the
-   counters.  Restore zero-fills the data, clears the live tags (found
-   through the tag bitmap) and writes the kept chunks and capabilities
-   back, which leaves exactly the snapshot-time image.  A post-boot
-   image is mostly zero, so a held snapshot costs a few thousand words
-   rather than a second copy of SRAM.  Both sides find the tagged
-   granules with [iter_tagged], so they read the tagged words only;
-   clearing through the live bitmap also reaches pages created after
-   the snapshot.  Restore writes the store with [cap_set] rather than
+   granules' packed capabilities, plus copies of the small bitmaps and
+   the counters.  Restore zero-fills the data, writes the kept chunks
+   back, writes the kept capabilities into their pages and copies the
+   bitmaps back, which leaves exactly the snapshot-time image: the tag
+   bitmap is the store's only record of which granules hold a
+   capability, so the ints of granules tagged after the snapshot need no
+   clearing.  A post-boot image is mostly zero, so a held snapshot costs
+   a few thousand words rather than a second copy of SRAM.  The capture
+   finds the tagged granules with [iter_tagged], so it reads the tagged
+   words only.  Restore writes the store with [cap_write] rather than
    [cap_put], so the tag-set hook never observes it (a restore is not a
    store); the hook itself is left untouched — it belongs to whoever
-   installed it, not to the memory image. *)
+   installed it, not to the memory image.  Restore drops [next_tagged]'s
+   memo, which the copied bitmap does not keep. *)
 
 let snap_chunk = 512
 
+external unsafe_get64 : bytes -> int -> int64 = "%caml_bytes_get64u"
+
 (* Bytes [off, off + len) of [b] are all zero; [off] and [len] are
-   multiples of 8, like the memory size. *)
+   multiples of 8, like the memory size, and the span lies inside [b].
+   Eight words per test where they fit: a snapshot reads all of SRAM
+   this way, and one test per word took twice as long. *)
 let zero_span b ~off ~len =
-  let rec go i = i >= off + len || (Bytes.get_int64_ne b i = 0L && go (i + 8)) in
-  go off
+  let stop = off + len in
+  let[@inline] w i = unsafe_get64 b i in
+  let rec words i = i >= stop || (Int64.equal (w i) 0L && words (i + 8)) in
+  let rec blocks i =
+    if i + 64 > stop then words i
+    else
+      Int64.equal
+        (Int64.logor
+           (Int64.logor (Int64.logor (w i) (w (i + 8))) (Int64.logor (w (i + 16)) (w (i + 24))))
+           (Int64.logor
+              (Int64.logor (w (i + 32)) (w (i + 40)))
+              (Int64.logor (w (i + 48)) (w (i + 56)))))
+        0L
+      && blocks (i + 64)
+  in
+  blocks off
 
 let snapshot m =
   let size = Bytes.length m.data in
@@ -508,23 +588,42 @@ let snapshot m =
       chunks := (off, Bytes.sub m.data off len) :: !chunks
   done;
   let chunks = !chunks in
-  let tags = ref [] in
-  iter_tagged m (fun g -> tags := (g, cap_get m g) :: !tags);
-  let tags = !tags in
+  (* Five ints per tagged granule: the granule, then its packed ints.
+     The bitmap decides which granules are captured; [tagged_count] only
+     sizes the array, which grows should the two ever disagree. *)
+  let tags = ref (Array.make (5 * m.tagged_count) 0) in
+  let n = ref 0 in
+  iter_tagged m (fun g ->
+      let p = page m g and o = slot g and i = 5 * !n in
+      if i = Array.length !tags then begin
+        let a = Array.make ((2 * i) + 5) 0 in
+        Array.blit !tags 0 a 0 i;
+        tags := a
+      end;
+      let tags = !tags in
+      tags.(i) <- g;
+      for j = 0 to 3 do
+        tags.(i + 1 + j) <- p.(o + j)
+      done;
+      incr n);
+  let tags = !tags and tagged_count = !n in
   let tagged = Bytes.copy m.tagged in
   let tag_words = Bytes.copy m.tag_words in
-  let tagged_count = m.tagged_count in
   let revoked = Bytes.copy m.revoked in
   let revoked_count = m.revoked_count in
   let load_filter = m.load_filter in
   fun () ->
     Bytes.fill m.data 0 size '\000';
     List.iter (fun (off, b) -> Bytes.blit b 0 m.data off (Bytes.length b)) chunks;
-    iter_tagged m (fun g -> cap_set m g None);
-    List.iter (fun (g, c) -> cap_set m g c) tags;
+    for i = 0 to tagged_count - 1 do
+      let o = 5 * i in
+      cap_write m tags.(o) ~meta:tags.(o + 1) ~base:tags.(o + 2) ~top:tags.(o + 3)
+        ~cursor:tags.(o + 4)
+    done;
     Bytes.blit tagged 0 m.tagged 0 (Bytes.length tagged);
     Bytes.blit tag_words 0 m.tag_words 0 (Bytes.length tag_words);
     m.tagged_count <- tagged_count;
+    drop_memo m;
     Bytes.blit revoked 0 m.revoked 0 (Bytes.length revoked);
     m.revoked_count <- revoked_count;
     m.load_filter <- load_filter

@@ -95,16 +95,28 @@ val store32_unchecked : t -> int -> int -> unit
 (** 32-bit store; clears the granule tag(s) touched, like every data
     write. *)
 
+val store_cap_unchecked :
+  t -> int -> meta:int -> base:int -> top:int -> cursor:int -> unit
+(** Capability store at a granule-aligned address from the packed form
+    ([Capability.meta], base, top, cursor): [store_cap_priv] of
+    [Capability.of_meta ~meta ~base ~top ~cursor], with no capability
+    built.  A tagged store runs the tag-set hook, as every tag store
+    does. *)
+
 val zero_granule_unchecked : t -> int -> unit
 (** NULL-capability store at a granule-aligned address: eight zero
     bytes and the granule's tag cleared — [store_cap_priv] of
     [Capability.null], which never runs the tag-set hook. *)
 
-val load_cap_prechecked : perms:Perm.Set.t -> t -> addr:int -> Capability.t
+val load_cap_into :
+  t -> addr:int -> perms:Perm.Set.t -> int array -> int -> unit
 (** [load_cap] minus its access check (capability, alignment, load
-    filter on the authority): for a caller that has proved that check
-    passes.  Still applies the [Mem_cap] rule and deep attenuation
-    ([Capability.attenuate_loaded_perms]), both of which read only the
+    filter on the authority), for a caller that has proved that check
+    passes, and written in the packed form: [load_cap_into m ~addr
+    ~perms dst o] writes [Capability.meta], base, top and cursor of the
+    loaded capability to [dst.(o)] .. [dst.(o + 3)] without building
+    it.  Still applies the [Mem_cap] rule and deep attenuation
+    ([Capability.attenuate_loaded_meta]), both of which read only the
     authority's permission set [perms], and the load filter on the
     loaded capability. *)
 
@@ -144,12 +156,17 @@ val revoked_granule_count : t -> int
 
 val granule_count : t -> int
 
-val next_tagged : t -> from:int -> int option
+val next_tagged : t -> from:int -> int
 (** Index of the first granule [>= from] holding a valid capability, or
-    [None].  Looks at the rest of [from]'s 64-granule word of the tag
-    bitmap, then at a summary with one bit per such word, so an empty
-    stretch costs one byte per 512 granules.  The revoker calls it on
-    every slow tick of a sweep (settlement and the event horizon). *)
+    [-1].  Answers from a memo of the last search when [from] lies
+    between that search's start and its answer (no tag can have appeared
+    there unnoticed: a new tag inside the span becomes the memo's answer,
+    and clearing the answer drops the memo).  Otherwise looks at the
+    rest of [from]'s 64-granule word of the tag bitmap, then at a summary
+    with one bit per such word, so an empty stretch costs one byte per
+    512 granules.  The revoker calls it on every slow tick of a sweep
+    (settlement and the event horizon), mostly from where the previous
+    call started or ended. *)
 
 val set_tag_set_hook : t -> (unit -> unit) -> unit
 (** Install a callback invoked immediately {e before} any granule's tag

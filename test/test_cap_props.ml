@@ -222,6 +222,15 @@ let prop_pack_unpack_bijection =
               ~top:(Cap.top c) ~cursor:(Cap.address c))
            c)
 
+let prop_attenuate_meta_equiv =
+  QCheck.Test.make ~name:"packed: load-time attenuation on meta == on the record"
+    ~count:1000
+    (QCheck.pair arb_cap (QCheck.int_bound 0xfff))
+    (fun (seeds, am) ->
+      let c = build_cap seeds and ps = Perm.Set.of_bits am in
+      Cap.attenuate_loaded_meta ps (Cap.meta c)
+      = Cap.meta (Cap.attenuate_loaded_perms ps c))
+
 (* One packed-file operation, driven by generator seeds: the in-place
    derivation helpers, plus the plain writes the compiled blocks make
    through the unchecked accessors. *)
@@ -459,6 +468,7 @@ let suite =
       prop_attenuate_loaded_monotone;
       prop_seal_roundtrip_preserves;
       prop_pack_unpack_bijection;
+      prop_attenuate_meta_equiv;
       prop_packed_derivation_equiv;
       prop_packed_reg0_discards;
       prop_packed_file_roundtrip;

@@ -162,11 +162,11 @@ struct
           revoked_gs;
         let swept_a = ref 0 and swept_b = ref 0 in
         let rec sweep_tagged from =
-          match Memory.next_tagged a ~from with
-          | None -> ()
-          | Some g ->
-              if Memory.sweep_granule a g then incr swept_a;
-              sweep_tagged (g + 1)
+          let g = Memory.next_tagged a ~from in
+          if g >= 0 then begin
+            if Memory.sweep_granule a g then incr swept_a;
+            sweep_tagged (g + 1)
+          end
         in
         sweep_tagged 0;
         for g = 0 to granules - 1 do
@@ -179,7 +179,8 @@ struct
     let tagged = List.map (fun (addr, _) -> (addr - base) / 8) (caps_of m) in
     List.for_all
       (fun from ->
-        Memory.next_tagged m ~from = List.find_opt (fun g -> g >= from) tagged)
+        Memory.next_tagged m ~from
+        = Option.value ~default:(-1) (List.find_opt (fun g -> g >= from) tagged))
       (List.init (granules + 1) Fun.id)
 
   let prop_counts_coherent =
@@ -195,7 +196,7 @@ struct
         done;
         let scan_next =
           List.find_opt (fun (addr, _) -> (addr - base) / 8 >= from) (caps_of m)
-          |> Option.map (fun (addr, _) -> (addr - base) / 8)
+          |> Option.fold ~none:(-1) ~some:(fun (addr, _) -> (addr - base) / 8)
         in
         Memory.tagged_granule_count m = tagged
         && Memory.revoked_granule_count m = !revoked
@@ -262,6 +263,59 @@ struct
         store_later replayed;
         restored_ok && agree m replayed)
 
+  (* [next_tagged] answers from a memo of its last search, which every
+     tag change and every restore must keep exact.  So queries here are
+     interleaved with the mutations, most of them from where the
+     previous query started or landed (inside the memo's span), and each
+     answer is compared with the tag of every granule, read one by one
+     through [load_cap_priv] rather than through the search. *)
+  let prop_next_tagged_interleaved =
+    QCheck.Test.make ~name:"next_tagged between mutations == granule-by-granule scan"
+      ~count:100 ops_arb
+      (fun ns ->
+        let m = mk () in
+        let snaps = ref [] in
+        let last = ref 0 in
+        let answer_ok from =
+          let rec scan g =
+            if g >= granules then -1
+            else if Cap.tag (Memory.load_cap_priv m ~addr:(base + (g * Memory.granule_size)))
+            then g
+            else scan (g + 1)
+          in
+          let got = Memory.next_tagged m ~from in
+          last := if got >= 0 then got else from;
+          got = scan from
+        in
+        List.for_all
+          (fun n ->
+            let r = abs n / 16 in
+            (match abs n mod 16 with
+            | 8 | 9 -> ignore (Memory.sweep_granule m (r mod granules))
+            | 10 -> snaps := Memory.snapshot m :: !snaps
+            | 11 -> (
+                match !snaps with
+                | [] -> ()
+                | l -> (List.nth l (r mod List.length l)) ())
+            | 12 | 13 ->
+                (* a tag just ahead of the last query *)
+                let g = Int.min (granules - 1) (!last + (r mod 8)) in
+                Memory.store_cap_priv m ~addr:(base + (g * Memory.granule_size))
+                  (obj_cap (r / 8))
+            | 14 -> ignore (Memory.clear_tag_at m (base + (!last * Memory.granule_size)))
+            | 15 -> ()
+            | _ -> (decode n).fast m);
+            let near = Int.max 0 (!last - (r mod 5)) in
+            answer_ok !last && answer_ok near && answer_ok (r mod (granules + 1)))
+          ns
+        && caps_of m
+           = List.filter_map
+               (fun g ->
+                 let addr = base + (g * Memory.granule_size) in
+                 let c = Memory.load_cap_priv m ~addr in
+                 if Cap.tag c then Some (addr, Cap.address c) else None)
+               (List.init granules Fun.id))
+
   let suite =
     List.map Qcheck_seed.to_alcotest
       [
@@ -270,6 +324,7 @@ struct
         prop_sweep_bitmap_equiv;
         prop_counts_coherent;
         prop_restore_new_pages;
+        prop_next_tagged_interleaved;
       ]
 end
 
