@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test test-seeds report-smoke profile-smoke replay-smoke attack-smoke perf-smoke api-gate ci campaign campaign-par bench alloc-gate clean
+.PHONY: all build test test-seeds report-smoke profile-smoke replay-smoke attack-smoke perf-smoke api-gate snapshot-gate ci campaign campaign-par bench alloc-gate clean
 
 all: build
 
@@ -82,7 +82,7 @@ perf-smoke: build
 	    || { echo "perf-smoke: $$w is not correct or has failed ops"; exit 1; }; \
 	done; echo "perf-smoke: $(PERF_WORKLOADS) correct, no failed ops"
 
-ci: build test test-seeds report-smoke profile-smoke replay-smoke campaign-par attack-smoke perf-smoke alloc-gate api-gate
+ci: build test test-seeds report-smoke profile-smoke replay-smoke campaign-par attack-smoke perf-smoke alloc-gate api-gate snapshot-gate
 
 # Interface gate: every `val` a library interface (lib/*/*.mli) exports
 # must be used by another compilation unit in lib, test, bench, examples,
@@ -95,6 +95,17 @@ ci: build test test-seeds report-smoke profile-smoke replay-smoke campaign-par a
 api-gate: build
 	@dune build @check
 	@dune exec tools/api_gate.exe
+
+# Snapshot gate: in every library unit that registers a
+# Machine.on_snapshot capture or defines a value named `snapshot`, each
+# `mutable` record field must be read or written inside a capture, or
+# inside a function of the same unit a capture calls.  tools/snapshot_gate.ml
+# reads the same typed trees as api-gate.  A forgotten field is fixed by
+# capturing it, or by moving it into the component's immutable state
+# record (whose one mutable field the capture already keeps).
+snapshot-gate: build
+	@dune build @check
+	@dune exec tools/snapshot_gate.exe
 
 # Long mode: 200 seeded scenarios (override with FAULT_CAMPAIGN_ITERS=n).
 # Farmed across all cores by default; --jobs 1 forces the sequential path.

@@ -14,30 +14,38 @@ type t = {
   mutable switches : int;
   mutable stop : bool;
   mutable preempt_pending : bool;
-  mutable irq_handler : (int -> unit) option;
-  mutable call_fault_hook : (comp:string -> entry:string -> bool) option;
   pad_ret_enable : Cap.t;
   pad_ret_disable : Cap.t;
       (* the return pad's two backward sentries, sealed once *)
-  (* Recovery state lives on the kernel, never at module level: several
-     kernels must be able to run concurrently (one per farm domain)
-     without observing each other's reboots or budgets. *)
-  mutable reboot_cycles : int;
-  mutable reboot_hook : (comp:string -> cycle:int -> unit) option;
+  mutable ks : kernel_state;
 }
 
-and comp_runtime = {
-  layout : Loader.comp_layout;
-  impls : entry_impl array;  (** indexed like [layout.lc_entries] *)
-  mutable on_error : error_handler option;
-  mutable poisoned : bool;
-  mutable reboots : int;
+(* Cold state: immutable records behind one mutable field each, so a
+   snapshot keeps the record and a restore writes it back.  Recovery
+   state lives on the kernel, never at module level: several kernels
+   must be able to run concurrently (one per farm domain) without
+   observing each other's reboots or budgets. *)
+and kernel_state = {
+  irq_handler : (int -> unit) option;
+  call_fault_hook : (comp:string -> entry:string -> bool) option;
+  reboot_cycles : int;
+  reboot_hook : (comp:string -> cycle:int -> unit) option;
+}
+
+and comp_runtime = { layout : Loader.comp_layout; mutable st : comp_state }
+
+and comp_state = {
+  impls : entry_impl array;
+      (** indexed like [layout.lc_entries]; never written in place *)
+  on_error : error_handler option;
+  poisoned : bool;
+  reboots : int;
   (* The repeat-attack limiter (§5.1.2): at most [max] reboots within
      any [window] cycles, the reboot timestamps (newest first) and
      whether it tripped. *)
-  mutable limit : (int * int) option;  (** [(max, window)] *)
-  mutable reboot_history : int list;
-  mutable locked : bool;
+  limit : (int * int) option;  (** [(max, window)] *)
+  reboot_history : int list;
+  locked : bool;
 }
 
 and thread = {
@@ -116,8 +124,8 @@ let thread_count t = Array.length t.threads
 let thread_name t i = t.threads.(i).tlayout.Loader.lt_name
 let idle_cycles t = t.idle
 let context_switches t = t.switches
-let set_irq_handler t h = t.irq_handler <- h
-let set_call_fault_hook t h = t.call_fault_hook <- h
+let set_irq_handler t h = t.ks <- { t.ks with irq_handler = h }
+let set_call_fault_hook t h = t.ks <- { t.ks with call_fault_hook = h }
 
 (* Run-queue sanity: the structural invariants the scheduler loop relies
    on, checked from outside (fault-campaign invariant). *)
@@ -183,9 +191,10 @@ let boot ~machine fw =
           (List.map
              (fun layout ->
                { layout;
-                 impls = Array.map (unimplemented layout) layout.Loader.lc_entries;
-                 on_error = None; poisoned = false; reboots = 0;
-                 limit = None; reboot_history = []; locked = false })
+                 st =
+                   { impls = Array.map (unimplemented layout) layout.Loader.lc_entries;
+                     on_error = None; poisoned = false; reboots = 0;
+                     limit = None; reboot_history = []; locked = false } })
              ld.Loader.comps)
       in
       let threads =
@@ -219,16 +228,15 @@ let boot ~machine fw =
           switches = 0;
           stop = false;
           preempt_pending = false;
-          irq_handler = None;
-          call_fault_hook = None;
           pad_ret_enable = pad_sentry_of Cap.Otype.Return_enable;
           pad_ret_disable = pad_sentry_of Cap.Otype.Return_disable;
-          reboot_cycles = 50_000;
-          reboot_hook = None;
+          ks =
+            { irq_handler = None; call_fault_hook = None; reboot_cycles = 50_000;
+              reboot_hook = None };
         }
       in
       let deliver irq =
-        Option.iter (fun h -> h irq) k.irq_handler;
+        Option.iter (fun h -> h irq) k.ks.irq_handler;
         if irq = Machine.timer_irq && k.current <> None then
           k.preempt_pending <- true
       in
@@ -248,10 +256,12 @@ let boot ~machine fw =
       Machine.on_snapshot machine (fun () ->
           (* Quiescence contract: a suspended thread's [resume] closure
              wraps an effect continuation, which is one-shot and cannot
-             be deep-copied, so the kernel only snapshots when no thread
-             is mid-effect (all unstarted or finished, or parked with no
+             be copied, so the kernel only snapshots when no thread is
+             mid-effect (all unstarted or finished, or parked with no
              pending resume) — see the snapshot invariant in DESIGN.md.
-             Post-boot/pre-run and post-run states qualify. *)
+             Post-boot/pre-run and post-run states qualify.  Thread
+             records and scheduling counters are hot state, copied
+             field by field; the rest is the two immutable records. *)
           Array.iter
             (fun th ->
               if th.state = Running || th.resume <> None then
@@ -261,13 +271,7 @@ let boot ~machine fw =
                       (snapshots require a quiescent kernel)"
                      th.tid))
             k.threads;
-          let comps =
-            Array.map
-              (fun c ->
-                ( Array.copy c.impls, c.on_error, c.poisoned, c.reboots,
-                  c.limit, c.reboot_history, c.locked ))
-              k.comps
-          in
+          let ks = k.ks and sts = Array.map (fun c -> c.st) k.comps in
           let threads =
             Array.map
               (fun th ->
@@ -278,22 +282,8 @@ let boot ~machine fw =
           let current = k.current and last_ran = k.last_ran in
           let idle = k.idle and switches = k.switches in
           let stop = k.stop and preempt_pending = k.preempt_pending in
-          let irq_handler = k.irq_handler in
-          let call_fault_hook = k.call_fault_hook in
-          let reboot_cycles = k.reboot_cycles in
-          let reboot_hook = k.reboot_hook in
           fun () ->
-            Array.iteri
-              (fun i (impls, on_error, poisoned, reboots, limit, history, locked) ->
-                let c = k.comps.(i) in
-                Array.blit impls 0 c.impls 0 (Array.length impls);
-                c.on_error <- on_error;
-                c.poisoned <- poisoned;
-                c.reboots <- reboots;
-                c.limit <- limit;
-                c.reboot_history <- history;
-                c.locked <- locked)
-              comps;
+            k.ks <- ks; Array.iteri (fun i c -> c.st <- sts.(i)) k.comps;
             Array.iteri
               (fun i (state, wake_value, deadline, started, hazards, watermark) ->
                 let th = k.threads.(i) in
@@ -310,11 +300,7 @@ let boot ~machine fw =
             k.idle <- idle;
             k.switches <- switches;
             k.stop <- stop;
-            k.preempt_pending <- preempt_pending;
-            k.irq_handler <- irq_handler;
-            k.call_fault_hook <- call_fault_hook;
-            k.reboot_cycles <- reboot_cycles;
-            k.reboot_hook <- reboot_hook);
+            k.preempt_pending <- preempt_pending);
       Ok k
 
 (* Registration *)
@@ -324,7 +310,10 @@ let comp_runtime t name = t.comps.(comp_id t name)
 let implement t ~comp ~entry impl =
   let c = comp_runtime t comp in
   match Loader.entry_index c.layout entry with
-  | Some i -> c.impls.(i) <- impl
+  | Some i ->
+      let impls = Array.copy c.st.impls in
+      impls.(i) <- impl;
+      c.st <- { c.st with impls }
   | None -> invalid_arg (Printf.sprintf "compartment %s has no entry %s" comp entry)
 
 let implement1 t ~comp ~entry f =
@@ -337,7 +326,7 @@ let set_error_handler t ~comp h =
     invalid_arg
       (Printf.sprintf
          "compartment %s did not declare an error handler in the firmware" comp);
-  c.on_error <- Some h
+  c.st <- { c.st with on_error = Some h }
 
 (* Helpers *)
 
@@ -364,12 +353,12 @@ let entry_label comp (entry : Firmware.entry) =
 let pad_sentry t =
   if Machine.irq_enabled t.machine then t.pad_ret_enable else t.pad_ret_disable
 
-let reboot_count t ~comp = (comp_runtime t comp).reboots
+let reboot_count t ~comp = (comp_runtime t comp).st.reboots
 
-let reboot_cycles t = t.reboot_cycles
-let set_reboot_cycles t n = t.reboot_cycles <- n
+let reboot_cycles t = t.ks.reboot_cycles
+let set_reboot_cycles t n = t.ks <- { t.ks with reboot_cycles = n }
 
-let set_reboot_hook t h = t.reboot_hook <- h
+let set_reboot_hook t h = t.ks <- { t.ks with reboot_hook = h }
 
 (* Micro-reboot (§3.2.6) *)
 
@@ -381,19 +370,16 @@ type reboot_steps = {
 
 let set_reboot_limit t ~comp ~max_reboots ~window =
   let c = comp_runtime t comp in
-  c.limit <- Some (max_reboots, window);
-  c.reboot_history <- [];
-  c.locked <- false
+  c.st <-
+    { c.st with limit = Some (max_reboots, window); reboot_history = []; locked = false }
 
 let locked_out t ~comp =
-  let c = comp_runtime t comp in
+  let c = (comp_runtime t comp).st in
   c.locked && c.poisoned
 
 let clear_lockout t ~comp =
   let c = comp_runtime t comp in
-  c.locked <- false;
-  c.reboot_history <- [];
-  c.poisoned <- false
+  c.st <- { c.st with locked = false; reboot_history = []; poisoned = false }
 
 (* Pristine globals.  A firmware image declares only a globals size,
    never initial data, so every compartment's boot-time globals are all
@@ -411,17 +397,16 @@ let reset_globals t c =
 (* Counts this reboot against the limiter; true when the compartment may
    reopen. *)
 let within_limit t c =
-  match c.limit with
+  match c.st.limit with
   | None -> true
   | Some (max_reboots, window) ->
       let now = Machine.cycles t.machine in
-      c.reboot_history <-
-        now :: List.filter (fun at -> now - at <= window) c.reboot_history;
-      if List.length c.reboot_history > max_reboots then begin
-        c.locked <- true;
-        false
-      end
-      else true
+      let reboot_history =
+        now :: List.filter (fun at -> now - at <= window) c.st.reboot_history
+      in
+      let locked = List.length reboot_history > max_reboots in
+      c.st <- { c.st with reboot_history; locked = locked || c.st.locked };
+      not locked
 
 let micro_reboot ctx steps =
   let t = ctx.kernel in
@@ -429,7 +414,7 @@ let micro_reboot ctx steps =
   let comp = c.layout.Loader.lc_name in
   (* Step 1: close the guard — calls into the compartment now fail with
      [Compartment_poisoned] instead of reaching stale state. *)
-  c.poisoned <- true;
+  c.st <- { c.st with poisoned = true };
   (* Step 2: every parked thread must unwind with an error. *)
   steps.wake_blocked ();
   (* Step 3: drop all heap state owned by this compartment. *)
@@ -440,13 +425,13 @@ let micro_reboot ctx steps =
   (* Modelled reset latency, then record the reboot.  The flight
      recorder rides the machine and the hook the kernel, so concurrently
      live kernels never see each other's reboots. *)
-  Machine.tick t.machine t.reboot_cycles;
-  c.reboots <- c.reboots + 1;
+  Machine.tick t.machine t.ks.reboot_cycles;
+  c.st <- { c.st with reboots = c.st.reboots + 1 };
   Option.iter (fun f -> Forensics.note_reboot f ~comp) (Machine.forensics t.machine);
-  Option.iter (fun h -> h ~comp ~cycle:(Machine.cycles t.machine)) t.reboot_hook;
+  Option.iter (fun h -> h ~comp ~cycle:(Machine.cycles t.machine)) t.ks.reboot_hook;
   (* Step 5: reopen — unless the rate limiter says this compartment is
      being reboot-bombed. *)
-  if within_limit t c then c.poisoned <- false
+  if within_limit t c then c.st <- { c.st with poisoned = false }
 
 (* Ephemeral claims: two hazard slots per thread, cleared at the next
    compartment call (§3.2.5). *)
@@ -600,7 +585,7 @@ and dispatch t ~tid ~caller target =
           (Obs.Call_enter
              { caller; callee; entry = entry.Firmware.entry_name; tid });
       let entry_addr = comp.layout.Loader.lc_code_base + (4 * entry_idx) in
-      if comp.poisoned then begin
+      if comp.st.poisoned then begin
         capture_dump t ~tid ~comp:callee ~cause:"compartment poisoned"
           ~addr:(-1) ~pc:entry_addr ~instr:(entry_label comp entry)
           ~handler_ran:false;
@@ -609,7 +594,7 @@ and dispatch t ~tid ~caller target =
       else if
         (* Fault injection: a crash at the compartment-call boundary,
            as if the callee trapped on its first instruction. *)
-        match t.call_fault_hook with
+        match t.ks.call_fault_hook with
         | Some f ->
             f ~comp:comp.layout.Loader.lc_name
               ~entry:entry.Firmware.entry_name
@@ -622,7 +607,7 @@ and dispatch t ~tid ~caller target =
           Array.init entry.Firmware.arity (fun i ->
               Interp.get_reg t.interp (Isa.ca0 + i))
         in
-        match comp.impls.(entry_idx) callee_ctx args with
+        match comp.st.impls.(entry_idx) callee_ctx args with
         | r0, r1 -> finish_call t ~tid ~callee ~callee_csp ~ra_callee (r0, r1)
         | exception Memory.Fault f ->
             handle_callee_fault t ~tid ~entry_addr ~entry comp callee_ctx
@@ -656,12 +641,12 @@ and finish_call t ~tid ~callee ~callee_csp ~ra_callee (r0, r1) =
 and handle_callee_fault t ~tid ~entry_addr ~entry comp ctx cause addr =
   capture_dump t ~tid ~comp:comp.layout.Loader.lc_name ~cause ~addr
     ~pc:entry_addr ~instr:(entry_label comp entry)
-    ~handler_ran:(comp.on_error <> None);
+    ~handler_ran:(comp.st.on_error <> None);
   Machine.tick t.machine Cost.trap_entry;
   let fi =
     fault_info_of ~comp:comp.layout.Loader.lc_name ~thread:tid cause addr
   in
-  (match comp.on_error with
+  (match comp.st.on_error with
   | None -> ()
   | Some handler -> (
       Machine.tick t.machine Cost.error_handler_dispatch;
@@ -709,7 +694,7 @@ let lib_call ctx ~import args =
       match comp_of_code_addr t target with
       | Some (lib, entry_idx) when lib.layout.Loader.lc_kind = Firmware.Library ->
           (* Library code runs in the *caller's* security context. *)
-          lib.impls.(entry_idx) ctx (Array.of_list args)
+          lib.st.impls.(entry_idx) ctx (Array.of_list args)
       | Some _ | None -> invalid_arg ("lib_call: " ^ import ^ " is not a library entry"))
   | Cap.Otype.Data _ -> invalid_arg ("lib_call: " ^ import ^ " is a sealed data import")
 

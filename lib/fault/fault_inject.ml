@@ -62,38 +62,43 @@ let default_weights =
 let storm_len = 12
 
 type t = {
-  mutable seed : int;
-  mutable rng : Random.State.t;
+  mutable rng : Random.State.t;  (** copied at capture and at restore *)
   machine : Machine.t;
   weights : (kind * int) list;
   total_weight : int;
   period : int;
-  mutable armed : bool;
-  mutable next_due : int;
-  mutable storm : (int * int) option;  (** irq, remaining ticks *)
-  mutable pending_oom : int;
-  mutable pending_crash : int;
-  mutable net_queue : Netsim.chaos list;
-  mutable victims : string list;
-  mutable regions : unit -> (int * int) list;
-  mutable trace_rev : string list;
-  mutable injected : int;
-  mutable listener : Machine.listener_handle option;
+  mutable st : state;
+}
+
+(* Everything else the engine knows, as one immutable record. *)
+and state = {
+  seed : int;
+  armed : bool;
+  next_due : int;
+  storm : (int * int) option;  (** irq, remaining ticks *)
+  pending_oom : int;
+  pending_crash : int;
+  net_queue : Netsim.chaos list;
+  victims : string list;
+  regions : unit -> (int * int) list;
+  trace_rev : string list;
+  injected : int;
+  listener : Machine.listener_handle option;
 }
 
 (* The engine's tick listener is parked except when it has something to
    do: the next scheduled injection, or — during an interrupt storm —
    every tick, since a storm raises its line once per tick. *)
 let update_wakeup t =
-  match t.listener with
+  match t.st.listener with
   | None -> ()
   | Some h ->
       let at =
-        if not t.armed then max_int
+        if not t.st.armed then max_int
         else
-          match t.storm with
+          match t.st.storm with
           | Some (_, n) when n > 0 -> Machine.cycles t.machine + 1
-          | _ -> t.next_due
+          | _ -> t.st.next_due
       in
       Machine.set_listener_wakeup t.machine h ~at
 
@@ -106,8 +111,8 @@ let log t fmt =
         Machine.emit t.machine (Obs.Fault_note { note = s });
       if Machine.input_logging t.machine then
         Machine.log_input t.machine ("fault " ^ s);
-      t.trace_rev <-
-        Printf.sprintf "[%d] %s" (Machine.cycles t.machine) s :: t.trace_rev)
+      let line = Printf.sprintf "[%d] %s" (Machine.cycles t.machine) s in
+      t.st <- { t.st with trace_rev = line :: t.st.trace_rev })
     fmt
 
 let pick_kind t =
@@ -121,7 +126,7 @@ let pick_kind t =
 (* Pick an address inside a live allocation payload; [None] when the
    heap holds no live objects right now. *)
 let pick_payload_addr t =
-  match t.regions () with
+  match t.st.regions () with
   | [] -> None
   | regions ->
       let (base, size) =
@@ -152,7 +157,7 @@ let inject t =
       log t "spurious_irq %d" irq
   | Irq_storm ->
       let irq = Random.State.int t.rng 8 in
-      t.storm <- Some (irq, storm_len);
+      t.st <- { t.st with storm = Some (irq, storm_len) };
       log t "irq_storm %d for %d ticks" irq storm_len
   | Timer_skew ->
       let delta = Random.State.int t.rng 4001 - 2000 in
@@ -163,7 +168,7 @@ let inject t =
         | Some d -> string_of_int d
         | None -> "unarmed")
   | Oom ->
-      t.pending_oom <- t.pending_oom + 1;
+      t.st <- { t.st with pending_oom = t.st.pending_oom + 1 };
       log t "oom armed"
   | Net nf ->
       let chaos =
@@ -175,121 +180,102 @@ let inject t =
               (Random.State.int t.rng 64, 1 + Random.State.int t.rng 255)
         | Net_reorder -> Netsim.Delay (1_000 + Random.State.int t.rng 20_000)
       in
-      t.net_queue <- t.net_queue @ [ chaos ];
+      t.st <- { t.st with net_queue = t.st.net_queue @ [ chaos ] };
       log t "%s armed" (kind_name (Net nf))
   | Crash ->
-      t.pending_crash <- t.pending_crash + 1;
+      t.st <- { t.st with pending_crash = t.st.pending_crash + 1 };
       log t "crash armed"
 
 let schedule_next t now =
-  t.next_due <- now + 1 + Random.State.int t.rng t.period
+  let next_due = now + 1 + Random.State.int t.rng t.period in
+  t.st <- { t.st with next_due }
 
 let create ?(period = 4_000) ?(weights = default_weights) ~seed machine =
   let total_weight = List.fold_left (fun a (_, w) -> a + w) 0 weights in
   if total_weight <= 0 then invalid_arg "Fault_inject.create: empty weights";
   let t =
     {
-      seed;
       rng = Random.State.make [| seed; 0xc4e7107 |];
       machine;
       weights;
       total_weight;
       period;
-      armed = false;
-      next_due = max_int;
-      storm = None;
-      pending_oom = 0;
-      pending_crash = 0;
-      net_queue = [];
-      victims = [];
-      regions = (fun () -> []);
-      trace_rev = [];
-      injected = 0;
-      listener = None;
+      st =
+        {
+          seed;
+          armed = false;
+          next_due = max_int;
+          storm = None;
+          pending_oom = 0;
+          pending_crash = 0;
+          net_queue = [];
+          victims = [];
+          regions = (fun () -> []);
+          trace_rev = [];
+          injected = 0;
+          listener = None;
+        };
     }
   in
-  t.listener <-
-    Some
-      (Machine.add_tick_listener ~period:0 machine (fun now ->
-           if t.armed then begin
-             (match t.storm with
-             | Some (irq, n) when n > 0 ->
-                 Machine.raise_irq machine irq;
-                 t.storm <- (if n = 1 then None else Some (irq, n - 1))
-             | _ -> ());
-             if now >= t.next_due then begin
-               inject t;
-               t.injected <- t.injected + 1;
-               schedule_next t now
-             end;
-             update_wakeup t
-           end));
+  let listener =
+    Machine.add_tick_listener ~period:0 machine (fun now ->
+        if t.st.armed then begin
+          (match t.st.storm with
+          | Some (irq, n) when n > 0 ->
+              Machine.raise_irq machine irq;
+              t.st <- { t.st with storm = (if n = 1 then None else Some (irq, n - 1)) }
+          | _ -> ());
+          if now >= t.st.next_due then begin
+            inject t;
+            t.st <- { t.st with injected = t.st.injected + 1 };
+            schedule_next t now
+          end;
+          update_wakeup t
+        end)
+  in
+  t.st <- { t.st with listener = Some listener };
   (* The engine forks with the machine: the RNG copies both ways so
      repeated restores always resume from the identical draw stream. *)
   Machine.on_snapshot machine (fun () ->
-      let seed = t.seed in
-      let rng = Random.State.copy t.rng in
-      let armed = t.armed in
-      let next_due = t.next_due in
-      let storm = t.storm in
-      let pending_oom = t.pending_oom in
-      let pending_crash = t.pending_crash in
-      let net_queue = t.net_queue in
-      let victims = t.victims in
-      let regions = t.regions in
-      let trace_rev = t.trace_rev in
-      let injected = t.injected in
-      let listener = t.listener in
+      let s = t.st and rng = Random.State.copy t.rng in
       fun () ->
-        t.seed <- seed;
-        t.rng <- Random.State.copy rng;
-        t.armed <- armed;
-        t.next_due <- next_due;
-        t.storm <- storm;
-        t.pending_oom <- pending_oom;
-        t.pending_crash <- pending_crash;
-        t.net_queue <- net_queue;
-        t.victims <- victims;
-        t.regions <- regions;
-        t.trace_rev <- trace_rev;
-        t.injected <- injected;
-        t.listener <- listener);
+        t.st <- s;
+        t.rng <- Random.State.copy rng);
   t
 
 let reseed t ~seed =
-  t.seed <- seed;
+  t.st <- { t.st with seed };
   t.rng <- Random.State.make [| seed; 0xc4e7107 |]
 
-let injected t = t.injected
-let trace t = List.rev t.trace_rev
+let injected t = t.st.injected
+let trace t = List.rev t.st.trace_rev
 
 let arm t =
-  t.armed <- true;
+  t.st <- { t.st with armed = true };
   schedule_next t (Machine.cycles t.machine);
-  log t "engine armed (seed %d)" t.seed;
+  log t "engine armed (seed %d)" t.st.seed;
   update_wakeup t
 
 let disarm t =
-  if t.armed then log t "engine disarmed";
-  t.armed <- false;
-  t.storm <- None;
+  if t.st.armed then log t "engine disarmed";
+  t.st <- { t.st with armed = false; storm = None };
   update_wakeup t
 
 let detach t =
   disarm t;
-  match t.listener with
+  match t.st.listener with
   | None -> ()
   | Some h ->
       Machine.remove_tick_listener t.machine h;
-      t.listener <- None
+      t.st <- { t.st with listener = None }
 
 let wire_allocator t alloc =
-  t.regions <- (fun () -> Allocator.live_payload_regions alloc);
+  t.st <- { t.st with regions = (fun () -> Allocator.live_payload_regions alloc) };
   Allocator.set_oom_hook alloc
     (Some
        (fun ~size ->
-         if t.armed && t.pending_oom > 0 then begin
-           t.pending_oom <- t.pending_oom - 1;
+         if t.st.armed && t.st.pending_oom > 0 then begin
+           t.st <- { t.st with pending_oom = t.st.pending_oom - 1 };
            log t "oom delivered (size %d)" size;
            true
          end
@@ -307,23 +293,23 @@ let wire_netsim t net =
   Netsim.set_chaos_hook net
     (Some
        (fun frame ->
-         if not t.armed then Netsim.Pass
+         if not t.st.armed then Netsim.Pass
          else
-           match t.net_queue with
+           match t.st.net_queue with
            | [] -> Netsim.Pass
            | c :: rest ->
-               t.net_queue <- rest;
+               t.st <- { t.st with net_queue = rest };
                log t "%s delivered (frame %d bytes)" (chaos_name c)
                  (String.length frame);
                c))
 
 let wire_kernel t kernel ~victims =
-  t.victims <- victims;
+  t.st <- { t.st with victims };
   Kernel.set_call_fault_hook kernel
     (Some
        (fun ~comp ~entry ->
-         if t.armed && t.pending_crash > 0 && List.mem comp t.victims then begin
-           t.pending_crash <- t.pending_crash - 1;
+         if t.st.armed && t.st.pending_crash > 0 && List.mem comp t.st.victims then begin
+           t.st <- { t.st with pending_crash = t.st.pending_crash - 1 };
            log t "crash delivered at %s.%s" comp entry;
            true
          end
@@ -336,4 +322,4 @@ let wire_kernel t kernel ~victims =
          let s = "micro-reboot completed: " ^ comp in
          if Machine.tracing t.machine then
            Machine.emit t.machine (Obs.Fault_note { note = s });
-         t.trace_rev <- Printf.sprintf "[%d] %s" cycle s :: t.trace_rev))
+         t.st <- { t.st with trace_rev = Printf.sprintf "[%d] %s" cycle s :: t.st.trace_rev }))

@@ -81,8 +81,9 @@ type t = {
       (* replay-journal tap (lib/replay): IRQ raises, injected frames,
          fault notes.  Host-side only, observationally invisible. *)
   mutable snaps : (unit -> unit -> unit) list;
-      (* component capture registry, newest first: each entry deep-copies
-         its owner's state and returns the restore thunk *)
+      (* component capture registry, newest first: each entry keeps its
+         owner's state (immutable records as is, in-place parts copied)
+         and returns the restore thunk *)
 }
 
 let timer_irq = 0
@@ -486,6 +487,8 @@ let run_revoker_to_completion m =
 
 (* MMIO dispatch *)
 
+(* Each call builds a fresh sorted table and never mutates it, so a
+   snapshot keeps the table itself and a restore need not re-sort. *)
 let add_device m ~base ~size dev =
   m.regions <- { dev; dev_base = base; dev_size = size } :: m.regions;
   let tbl = Array.of_list m.regions in
@@ -584,11 +587,12 @@ let zero m ~auth ~addr ~len =
 (* The machine itself owns memory, the clock, interrupt state, the timer,
    the revoker, the listener table and the attached observability sinks;
    everything else (interpreter registers, kernel, allocator, scheduler,
-   netsim, fault engine) registers a capture here at creation time, so
-   the whole reachable state surface restores through one call.  Capture
-   is pure (deep copies only); restore is in-place, so every closure the
-   simulation handed out (hooks, listeners, implement bodies) keeps
-   pointing at the live instances.
+   netsim, firewall, fault engine) registers a capture here at creation
+   time, so the whole reachable state surface restores through one call.
+   Capture is pure (it keeps immutable state and copies what is mutated
+   in place); restore is in-place, so every closure the simulation
+   handed out (hooks, listeners, implement bodies) keeps pointing at the
+   live instances.
 
    Two states are deliberately NOT restorable and snapshot refuses them:
    mid-delivery (the continuation of the interrupted hook cannot be
@@ -612,7 +616,7 @@ let snapshot m =
   let hook = m.hook in
   let post_tick = m.post_tick in
   let timer_deadline = m.timer_deadline in
-  let regions = m.regions in
+  let regions = m.regions and region_tbl = m.region_tbl in
   let rev_sweeping = m.rev_sweeping in
   let rev_next = m.rev_next and rev_debt = m.rev_debt in
   let rev_epoch = m.rev_epoch in
@@ -644,9 +648,7 @@ let snapshot m =
     m.post_tick <- post_tick;
     m.timer_deadline <- timer_deadline;
     m.regions <- regions;
-    let tbl = Array.of_list regions in
-    Array.sort (fun a b -> compare a.dev_base b.dev_base) tbl;
-    m.region_tbl <- tbl;
+    m.region_tbl <- region_tbl;
     m.region_hot <- None;
     m.rev_sweeping <- rev_sweeping;
     m.rev_next <- rev_next;

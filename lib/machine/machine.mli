@@ -224,12 +224,12 @@ val run_revoker_to_completion : t -> unit
 
 (* Snapshot / restore.
 
-   A snapshot deep-copies the entire reachable simulation state — memory
+   A snapshot captures the entire reachable simulation state — memory
    with its tag and revocation bitmaps, the clock, interrupt and timer
    state, the revoker (including a mid-sweep position), the listener
    table, the trace ring and flight recorder, and every component that
    registered a capture with [on_snapshot] (interpreter register file,
-   kernel, allocator, scheduler, netsim, fault engine).  [restore] puts
+   kernel, allocator, scheduler, netsim, firewall, fault engine).  [restore] puts
    it all back in place on the same live instances, so closures handed
    out before the snapshot keep working afterwards.
 
@@ -243,10 +243,13 @@ val run_revoker_to_completion : t -> unit
 type snapshot_handle
 
 val on_snapshot : t -> (unit -> unit -> unit) -> unit
-(** Register a component capture: called at [snapshot] time, it must
-    deep-copy the component's mutable state and return a thunk restoring
-    it in place.  Components register once, at creation/installation.
-    Captures run in registration order; restores likewise. *)
+(** Register a component capture: called at [snapshot] time, it keeps
+    the component's state (its immutable state record as is, copies of
+    anything mutated in place) and returns a thunk writing it back into
+    the live instance.  Components register once, at
+    creation/installation.  Captures run in registration order; restores
+    likewise.  [make snapshot-gate] fails on a [mutable] field of a
+    capturing unit that no capture reads or writes. *)
 
 val snapshot : t -> snapshot_handle
 (** Capture the full machine state.  Pure: the machine is not perturbed

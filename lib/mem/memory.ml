@@ -548,9 +548,9 @@ let tagged_granule_count m = m.tagged_count
    finds the tagged granules with [iter_tagged], so it reads the tagged
    words only.  Restore writes the store with [cap_write] rather than
    [cap_put], so the tag-set hook never observes it (a restore is not a
-   store); the hook itself is left untouched — it belongs to whoever
-   installed it, not to the memory image.  Restore drops [next_tagged]'s
-   memo, which the copied bitmap does not keep. *)
+   store); the hook installed at snapshot time comes back with the rest.
+   Restore drops [next_tagged]'s memo, which the copied bitmap does not
+   keep. *)
 
 let snap_chunk = 512
 
@@ -612,6 +612,7 @@ let snapshot m =
   let revoked = Bytes.copy m.revoked in
   let revoked_count = m.revoked_count in
   let load_filter = m.load_filter in
+  let tag_set_hook = m.tag_set_hook in
   fun () ->
     Bytes.fill m.data 0 size '\000';
     List.iter (fun (off, b) -> Bytes.blit b 0 m.data off (Bytes.length b)) chunks;
@@ -626,4 +627,5 @@ let snapshot m =
     drop_memo m;
     Bytes.blit revoked 0 m.revoked 0 (Bytes.length revoked);
     m.revoked_count <- revoked_count;
-    m.load_filter <- load_filter
+    m.load_filter <- load_filter;
+    m.tag_set_hook <- tag_set_hook

@@ -190,9 +190,9 @@ val tagged_granule_count : t -> int
 val snapshot : t -> unit -> unit
 (** [snapshot m] captures the entire memory image — data bytes,
     capability store, tag bitmap and its summary, revocation bitmap,
-    their counters and the load-filter toggle — and returns a thunk that
-    restores it in place.  Only the data's non-zero 512-byte chunks and
-    the tagged granules are kept (restore zero-fills the rest), so a
-    mostly-zero image costs little to hold.  Restoring bypasses the
-    tag-set hook (a restore is not a store) and leaves the installed
-    hook untouched.  Building block of {!Machine.snapshot}. *)
+    their counters, the load-filter toggle and the tag-set hook — and
+    returns a thunk that restores it in place.  Only the data's non-zero
+    512-byte chunks and the tagged granules are kept (restore zero-fills
+    the rest), so a mostly-zero image costs little to hold.  Restoring
+    bypasses the tag-set hook (a restore is not a store).  Building
+    block of {!Machine.snapshot}. *)

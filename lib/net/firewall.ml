@@ -21,14 +21,8 @@ let firmware_compartment () =
       ]
     ~imports:([ Firmware.Mmio { device = Netsim.device_name } ] @ Scheduler.client_imports)
 
-type t = {
-  machine : Machine.t;
-  mmio : Cap.t;
-  mutable allowed_ports : int list;
-  mutable dropped : int;
-  mutable tx : int;
-  mutable rx : int;
-}
+type t = { machine : Machine.t; mmio : Cap.t; mutable st : state }
+and state = { allowed_ports : int list; dropped : int; tx : int; rx : int }
 
 let default_ports =
   [ P.dhcp_server_port; P.dhcp_client_port; P.dns_port; P.sntp_port; Netsim.broker_port ]
@@ -45,16 +39,16 @@ let remote_port ~outbound raw =
 let permitted t ~outbound raw =
   match remote_port ~outbound raw with
   | None -> true
-  | Some port -> List.mem port t.allowed_ports
+  | Some port -> List.mem port t.st.allowed_ports
 
 let do_send t frame =
   if not (permitted t ~outbound:true frame) then begin
-    t.dropped <- t.dropped + 1;
+    t.st <- { t.st with dropped = t.st.dropped + 1 };
     -1
   end
   else begin
     Netsim.transmit t.machine t.mmio frame;
-    t.tx <- t.tx + 1;
+    t.st <- { t.st with tx = t.st.tx + 1 };
     String.length frame
   end
 
@@ -63,10 +57,10 @@ let try_rx t =
   match Netsim.receive t.machine t.mmio with
   | None -> None
   | Some frame ->
-      t.rx <- t.rx + 1;
+      t.st <- { t.st with rx = t.st.rx + 1 };
       if permitted t ~outbound:false frame then Some frame
       else begin
-        t.dropped <- t.dropped + 1;
+        t.st <- { t.st with dropped = t.st.dropped + 1 };
         None
       end
 
@@ -113,8 +107,9 @@ let install kernel =
   let machine = Kernel.machine kernel in
   let mmio = Kernel.import_cap kernel ~comp:comp_name ("mmio:" ^ Netsim.device_name) in
   let t =
-    { machine; mmio; allowed_ports = default_ports; dropped = 0; tx = 0; rx = 0 }
+    { machine; mmio; st = { allowed_ports = default_ports; dropped = 0; tx = 0; rx = 0 } }
   in
+  Machine.on_snapshot machine (fun () -> let s = t.st in fun () -> t.st <- s);
   let ti = Interp.to_int and iv = Interp.int_value in
   Kernel.implement1 kernel ~comp:comp_name ~entry:"send" (fun _ctx args ->
       let len = ti args.(1) in
@@ -125,13 +120,14 @@ let install kernel =
   Kernel.implement1 kernel ~comp:comp_name ~entry:"recv" (fun ctx args ->
       iv (do_recv t ctx args.(0) (ti args.(1))));
   Kernel.implement1 kernel ~comp:comp_name ~entry:"allow_port" (fun _ctx args ->
-      t.allowed_ports <- ti args.(0) :: t.allowed_ports;
+      t.st <- { t.st with allowed_ports = ti args.(0) :: t.st.allowed_ports };
       iv 0);
   Kernel.implement1 kernel ~comp:comp_name ~entry:"block_port" (fun _ctx args ->
-      t.allowed_ports <- List.filter (fun p -> p <> ti args.(0)) t.allowed_ports;
+      let port = ti args.(0) in
+      t.st <- { t.st with allowed_ports = List.filter (fun p -> p <> port) t.st.allowed_ports };
       iv 0);
   Kernel.implement kernel ~comp:comp_name ~entry:"stats" (fun _ctx _ ->
-      (iv t.tx, iv t.dropped))
+      (iv t.st.tx, iv t.st.dropped))
 
 (* Client wrappers (used by the TCP/IP compartment). *)
 

@@ -57,12 +57,12 @@ let server_tls_nonce = 0x5e57ed
 
 type srv_conn = {
   sc_port : int;
-  mutable sc_state : [ `Synrcvd | `Estab | `Closed ];
-  mutable sc_seq : int;
-  mutable sc_ack : int;
-  mutable sc_stream : string;
-  mutable sc_tls : Tls_lite.conn option;
-  mutable sc_subs : string list;
+  sc_state : [ `Synrcvd | `Estab | `Closed ];
+  sc_seq : int;
+  sc_ack : int;
+  sc_stream : string;
+  sc_tls : Tls_lite.conn option;
+  sc_subs : string list;
 }
 
 type chaos = Pass | Drop | Duplicate | Corrupt of int * int | Delay of int
@@ -71,43 +71,48 @@ type t = {
   machine : Machine.t;
   latency : int;
   sntp_latency : int;
-  mutable chaos_hook : (string -> chaos) option;
-  mutable pending : (int * string) list;  (** due cycle, frame to device *)
-  rxq : string Queue.t;
-  txbuf : Bytes.t;
-  mutable dns : (string * P.ipv4) list;
-  mutable wallclock : int;
-  mutable conns : srv_conn list;
-  mutable publishes : (int * string * string) list;
-  mutable raws : (int * string) list;
-  mutable sent : int;
-  mutable last_echo_reply : string option;
-  mutable listener : Machine.listener_handle option;
+  txbuf : Bytes.t;  (** written in place, one MMIO byte at a time *)
+  mutable st : state;
 }
 
-let frames_sent t = t.sent
-let last_icmp_echo_reply t = t.last_echo_reply
-let add_dns_record t name ip = t.dns <- (name, ip) :: t.dns
-let set_wallclock t s = t.wallclock <- s
+(* The world's cold state, one immutable record. *)
+and state = {
+  chaos_hook : (string -> chaos) option;
+  pending : (int * string) list;  (** due cycle, frame to device *)
+  rxq : string list;  (** frames the device has not consumed, oldest first *)
+  dns : (string * P.ipv4) list;
+  wallclock : int;
+  conns : srv_conn list;
+  publishes : (int * string * string) list;
+  raws : (int * string) list;
+  sent : int;
+  last_echo_reply : string option;
+  listener : Machine.listener_handle option;
+}
+
+let frames_sent t = t.st.sent
+let last_icmp_echo_reply t = t.st.last_echo_reply
+let add_dns_record t name ip = t.st <- { t.st with dns = (name, ip) :: t.st.dns }
+let set_wallclock t s = t.st <- { t.st with wallclock = s }
 
 (* The world is event-driven: the tick listener is parked until the
    earliest due cycle across the three timed queues (frames in flight,
    broker publishes, injected raw frames). *)
 let update_wakeup t =
-  match t.listener with
+  match t.st.listener with
   | None -> ()
   | Some h ->
-      let at = List.fold_left (fun a (c, _) -> min a c) max_int t.pending in
-      let at = List.fold_left (fun a (c, _, _) -> min a c) at t.publishes in
-      let at = List.fold_left (fun a (c, _) -> min a c) at t.raws in
+      let at = List.fold_left (fun a (c, _) -> min a c) max_int t.st.pending in
+      let at = List.fold_left (fun a (c, _, _) -> min a c) at t.st.publishes in
+      let at = List.fold_left (fun a (c, _) -> min a c) at t.st.raws in
       Machine.set_listener_wakeup t.machine h ~at
 
 let broker_publish_at t ~cycles ~topic ~message =
-  t.publishes <- t.publishes @ [ (cycles, topic, message) ];
+  t.st <- { t.st with publishes = t.st.publishes @ [ (cycles, topic, message) ] };
   update_wakeup t
 
 let inject_frame_at t ~cycles ~frame =
-  t.raws <- t.raws @ [ (cycles, frame) ];
+  t.st <- { t.st with raws = t.st.raws @ [ (cycles, frame) ] };
   update_wakeup t
 
 (* The malformed-frame family (lib/attack): the ping of death
@@ -152,7 +157,7 @@ let tlv_frame ~claim ~data =
       eth_payload = Bytes.to_string hdr ^ data;
     }
 
-let set_chaos_hook t h = t.chaos_hook <- h
+let set_chaos_hook t h = t.st <- { t.st with chaos_hook = h }
 
 let corrupt_frame frame off mask =
   if String.length frame = 0 then frame
@@ -175,10 +180,10 @@ let to_device t ?delay frame =
       Machine.log_input t.machine
         (Printf.sprintf "frame +%d len=%d %s" d (String.length f)
            (Digest.to_hex (Digest.string f)));
-    t.pending <- t.pending @ [ (Machine.cycles t.machine + d, f) ];
+    t.st <- { t.st with pending = t.st.pending @ [ (Machine.cycles t.machine + d, f) ] };
     update_wakeup t
   in
-  match t.chaos_hook with
+  match t.st.chaos_hook with
   | None -> deliver delay frame
   | Some hook -> (
       match hook frame with
@@ -203,11 +208,17 @@ let udp_to_device ?delay t ~src_ip ~src_port ~dst_port payload =
   ip_to_device ?delay t ~src_ip ~proto:P.proto_udp
     (P.encode_udp { P.udp_src = src_port; udp_dst = dst_port; udp_payload = payload })
 
-(* Server-side TCP *)
+(* Server-side TCP.  A connection is an immutable value: each step
+   returns the updated connection, and [set_conn] swaps it into the
+   list in place of the one it was computed from. *)
 
 let conn_for t port =
-  List.find_opt (fun c -> c.sc_port = port && c.sc_state <> `Closed) t.conns
+  List.find_opt (fun c -> c.sc_port = port && c.sc_state <> `Closed) t.st.conns
 
+let set_conn t old c =
+  t.st <- { t.st with conns = List.map (fun x -> if x == old then c else x) t.st.conns }
+
+(* Send a segment on [conn]; returns [conn] with its sequence advanced. *)
 let tcp_to_device t conn ?(syn = false) ?(fin = false) payload =
   let seg =
     P.encode_tcp
@@ -223,15 +234,17 @@ let tcp_to_device t conn ?(syn = false) ?(fin = false) payload =
         tcp_payload = payload;
       }
   in
-  conn.sc_seq <-
+  ip_to_device t ~src_ip:broker_ip ~proto:P.proto_tcp seg;
+  let sc_seq =
     (conn.sc_seq + String.length payload + (if syn then 1 else 0) + if fin then 1 else 0)
-    land 0xffffffff;
-  ip_to_device t ~src_ip:broker_ip ~proto:P.proto_tcp seg
+    land 0xffffffff
+  in
+  { conn with sc_seq }
 
 let send_record t conn plain =
   match conn.sc_tls with
   | Some tls -> tcp_to_device t conn (Tls_lite.seal tls plain)
-  | None -> ()
+  | None -> conn
 
 (* Consume the accumulated client stream: TLS handshake then records,
    each record carrying one MQTT-lite packet. *)
@@ -240,41 +253,66 @@ let rec process_stream t conn =
   | None ->
       if String.length conn.sc_stream >= 9 then begin
         let hello = String.sub conn.sc_stream 0 9 in
-        conn.sc_stream <- String.sub conn.sc_stream 9 (String.length conn.sc_stream - 9);
+        let conn =
+          { conn with sc_stream = String.sub conn.sc_stream 9 (String.length conn.sc_stream - 9) }
+        in
         match
           Tls_lite.server_process_hello ~secret:server_tls_secret
             ~nonce:server_tls_nonce hello
         with
         | Ok (tls, server_hello) ->
-            conn.sc_tls <- Some tls;
-            tcp_to_device t conn server_hello;
-            process_stream t conn
-        | Error _ -> conn.sc_state <- `Closed
+            process_stream t (tcp_to_device t { conn with sc_tls = Some tls } server_hello)
+        | Error _ -> { conn with sc_state = `Closed }
       end
+      else conn
   | Some tls -> (
       match Tls_lite.take_record conn.sc_stream with
-      | None -> ()
+      | None -> conn
       | Some (record, rest) -> (
-          conn.sc_stream <- rest;
+          let conn = { conn with sc_stream = rest } in
           match Tls_lite.open_ tls record with
-          | Error _ -> conn.sc_state <- `Closed
+          | Error _ -> { conn with sc_state = `Closed }
           | Ok plain ->
-              (match P.decode_mqtt plain with
-              | Some (P.Connect _, _) -> send_record t conn (P.encode_mqtt P.Connack)
-              | Some (P.Subscribe { sub_id; topic }, _) ->
-                  conn.sc_subs <- topic :: conn.sc_subs;
-                  send_record t conn (P.encode_mqtt (P.Suback { sub_id }))
-              | Some (P.Pingreq, _) -> send_record t conn (P.encode_mqtt P.Pingresp)
-              | Some (P.Disconnect, _) -> conn.sc_state <- `Closed
-              | Some ((P.Publish _ | P.Connack | P.Suback _ | P.Pingresp), _) | None -> ());
-              process_stream t conn))
+              let reply c m = send_record t c (P.encode_mqtt m) in
+              process_stream t
+                (match P.decode_mqtt plain with
+                | Some (P.Connect _, _) -> reply conn P.Connack
+                | Some (P.Subscribe { sub_id; topic }, _) ->
+                    reply { conn with sc_subs = topic :: conn.sc_subs } (P.Suback { sub_id })
+                | Some (P.Pingreq, _) -> reply conn P.Pingresp
+                | Some (P.Disconnect, _) -> { conn with sc_state = `Closed }
+                | Some ((P.Publish _ | P.Connack | P.Suback _ | P.Pingresp), _) | None -> conn)))
+
+(* The connection after segment [seg] arrives on it. *)
+let tcp_segment t conn seg =
+  let conn =
+    if conn.sc_state = `Synrcvd && seg.P.tcp_ack_flag then { conn with sc_state = `Estab }
+    else conn
+  in
+  if seg.P.tcp_rst then { conn with sc_state = `Closed }
+  else begin
+    let payload = seg.P.tcp_payload in
+    let conn =
+      if String.length payload = 0 then conn
+      else if seg.P.tcp_seq = conn.sc_ack then
+        let sc_ack = (conn.sc_ack + String.length payload) land 0xffffffff in
+        let conn = { conn with sc_ack; sc_stream = conn.sc_stream ^ payload } in
+        process_stream t (tcp_to_device t conn "")
+      else (* duplicate or out of order: re-ACK *)
+        tcp_to_device t conn ""
+    in
+    if seg.P.tcp_fin then
+      let conn = { conn with sc_ack = (conn.sc_ack + 1) land 0xffffffff } in
+      { (tcp_to_device t conn ~fin:true "") with sc_state = `Closed }
+    else conn
+  end
 
 let handle_tcp t seg =
   if seg.P.tcp_dst = broker_port then begin
     if seg.P.tcp_syn && not seg.P.tcp_ack_flag then begin
       (* New connection (or retransmitted SYN). *)
       (match conn_for t seg.P.tcp_src with
-      | Some c -> c.sc_state <- `Closed
+      | Some c -> set_conn t c { c with sc_state = `Closed }
       | None -> ());
       let conn =
         {
@@ -287,33 +325,15 @@ let handle_tcp t seg =
           sc_subs = [];
         }
       in
-      t.conns <- conn :: t.conns;
-      tcp_to_device t conn ~syn:true ""
+      let conn = tcp_to_device t conn ~syn:true "" in
+      t.st <- { t.st with conns = conn :: t.st.conns }
     end
     else
       match conn_for t seg.P.tcp_src with
       | None -> ()
-      | Some conn ->
-          if conn.sc_state = `Synrcvd && seg.P.tcp_ack_flag then conn.sc_state <- `Estab;
-          if seg.P.tcp_rst then conn.sc_state <- `Closed
-          else begin
-            let payload = seg.P.tcp_payload in
-            if String.length payload > 0 then begin
-              if seg.P.tcp_seq = conn.sc_ack then begin
-                conn.sc_ack <- (conn.sc_ack + String.length payload) land 0xffffffff;
-                conn.sc_stream <- conn.sc_stream ^ payload;
-                tcp_to_device t conn "";
-                process_stream t conn
-              end
-              else (* duplicate or out of order: re-ACK *)
-                tcp_to_device t conn ""
-            end;
-            if seg.P.tcp_fin then begin
-              conn.sc_ack <- (conn.sc_ack + 1) land 0xffffffff;
-              tcp_to_device t conn ~fin:true "";
-              conn.sc_state <- `Closed
-            end
-          end
+      | Some old ->
+          let conn = tcp_segment t old seg in
+          set_conn t old conn
   end
 
 let handle_udp t ip u =
@@ -336,7 +356,7 @@ let handle_udp t ip u =
         reply ~src_ip:dns_ip ~src_port:P.dns_port
           (P.encode_dns
              (P.Dns_answer
-                { dns_id; dns_name; dns_ip = List.assoc_opt dns_name t.dns }))
+                { dns_id; dns_name; dns_ip = List.assoc_opt dns_name t.st.dns }))
     | Some (P.Dns_answer _) | None -> ()
   end
   else if u.P.udp_dst = P.sntp_port && ip.P.ip_dst = ntp_ip then begin
@@ -344,13 +364,13 @@ let handle_udp t ip u =
     | Some P.Sntp_request ->
         udp_to_device ~delay:t.sntp_latency t ~src_ip:ntp_ip ~src_port:P.sntp_port
           ~dst_port:u.P.udp_src
-          (P.encode_sntp (P.Sntp_reply { sntp_seconds = t.wallclock }))
+          (P.encode_sntp (P.Sntp_reply { sntp_seconds = t.st.wallclock }))
     | Some (P.Sntp_reply _) | None -> ()
   end
 
 (* A frame transmitted by the device. *)
 let handle_frame t raw =
-  t.sent <- t.sent + 1;
+  t.st <- { t.st with sent = t.st.sent + 1 };
   match P.decode_frame raw with
   | P.Arp a when a.P.arp_op = `Request ->
       (* The gateway proxy-answers for every server address. *)
@@ -366,31 +386,35 @@ let handle_frame t raw =
   | P.Udp (ip, u) -> handle_udp t ip u
   | P.Tcp (_, seg) -> handle_tcp t seg
   | P.Icmp (_, i) when i.P.icmp_type = P.icmp_echo_reply ->
-      t.last_echo_reply <- Some i.P.icmp_body
+      t.st <- { t.st with last_echo_reply = Some i.P.icmp_body }
   | P.Arp _ | P.Icmp _ | P.Other -> ()
 
 (* Timed events *)
 
 let fire_due t now =
-  let due, later = List.partition (fun (c, _) -> c <= now) t.pending in
-  t.pending <- later;
+  let due, pending = List.partition (fun (c, _) -> c <= now) t.st.pending in
+  t.st <- { t.st with pending };
   List.iter
     (fun (_, frame) ->
-      Queue.push frame t.rxq;
+      t.st <- { t.st with rxq = t.st.rxq @ [ frame ] };
       Machine.raise_irq t.machine Machine.ethernet_irq)
     due;
-  let due_pubs, later_pubs = List.partition (fun (c, _, _) -> c <= now) t.publishes in
-  t.publishes <- later_pubs;
+  let due_pubs, publishes = List.partition (fun (c, _, _) -> c <= now) t.st.publishes in
+  t.st <- { t.st with publishes };
   List.iter
     (fun (_, topic, message) ->
-      List.iter
-        (fun conn ->
-          if conn.sc_state = `Estab && List.mem topic conn.sc_subs then
-            send_record t conn (P.encode_mqtt (P.Publish { topic; message })))
-        t.conns)
+      let conns =
+        List.map
+          (fun conn ->
+            if conn.sc_state = `Estab && List.mem topic conn.sc_subs then
+              send_record t conn (P.encode_mqtt (P.Publish { topic; message }))
+            else conn)
+          t.st.conns
+      in
+      t.st <- { t.st with conns })
     due_pubs;
-  let due_raws, later_raws = List.partition (fun (c, _) -> c <= now) t.raws in
-  t.raws <- later_raws;
+  let due_raws, raws = List.partition (fun (c, _) -> c <= now) t.st.raws in
+  t.st <- { t.st with raws };
   List.iter (fun (_, frame) -> to_device ~delay:0 t frame) due_raws;
   update_wakeup t
 
@@ -400,36 +424,39 @@ let attach ?(latency = 33_000) ?(sntp_latency = 33_000) machine =
       machine;
       latency;
       sntp_latency;
-      chaos_hook = None;
-      pending = [];
-      rxq = Queue.create ();
       txbuf = Bytes.make 2048 '\000';
-      dns = [];
-      wallclock = 1_700_000_000;
-      conns = [];
-      publishes = [];
-      raws = [];
-      sent = 0;
-      last_echo_reply = None;
-      listener = None;
+      st =
+        {
+          chaos_hook = None;
+          pending = [];
+          rxq = [];
+          dns = [];
+          wallclock = 1_700_000_000;
+          conns = [];
+          publishes = [];
+          raws = [];
+          sent = 0;
+          last_echo_reply = None;
+          listener = None;
+        };
     }
   in
   let read ~addr ~size =
-    if addr = rx_status_reg then
-      match Queue.peek_opt t.rxq with None -> 0 | Some f -> String.length f
-    else if addr >= rx_window && addr + size <= tx_window then begin
-      match Queue.peek_opt t.rxq with
-      | None -> 0
-      | Some f ->
+    match t.st.rxq with
+    | [] -> 0
+    | f :: _ ->
+        if addr = rx_status_reg then String.length f
+        else if addr >= rx_window && addr + size <= tx_window then begin
           let off = addr - rx_window in
           let byte i = if off + i < String.length f then Char.code f.[off + i] else 0 in
           let rec go acc i = if i < 0 then acc else go ((acc lsl 8) lor byte i) (i - 1) in
           go 0 (size - 1)
-    end
-    else 0
+        end
+        else 0
   in
   let write ~addr ~size v =
-    if addr = rx_consume_reg then ignore (Queue.pop t.rxq)
+    if addr = rx_consume_reg then
+      (match t.st.rxq with [] -> () | _ :: rxq -> t.st <- { t.st with rxq })
     else if addr = tx_len_reg then begin
       let len = min v (Bytes.length t.txbuf) in
       handle_frame t (Bytes.sub_string t.txbuf 0 len)
@@ -444,61 +471,25 @@ let attach ?(latency = 33_000) ?(sntp_latency = 33_000) machine =
   in
   Machine.add_device machine ~base:mmio_base ~size:mmio_size
     { Machine.Device.name = device_name; read; write };
-  t.listener <-
-    Some (Machine.add_tick_listener ~period:0 machine (fun now -> fire_due t now));
+  let listener = Machine.add_tick_listener ~period:0 machine (fun now -> fire_due t now) in
+  t.st <- { t.st with listener = Some listener };
   update_wakeup t;
-  (* The world's whole state lives in [t] (the MMIO device reads through
-     it); connection and TLS records are shared with in-flight closures,
-     so their mutable fields restore in place. *)
+  (* The MMIO device reads through [t], and the world's state is [st]
+     plus two in-place parts: the TX window, copied both ways, and each
+     connection's TLS record counters, which [Tls_lite.seal] and [open_]
+     advance in place. *)
   Machine.on_snapshot machine (fun () ->
-      let chaos_hook = t.chaos_hook in
-      let pending = t.pending in
-      let rxq = Queue.copy t.rxq in
-      let txbuf = Bytes.copy t.txbuf in
-      let dns = t.dns in
-      let wallclock = t.wallclock in
-      let conns =
-        List.map
+      let s = t.st and txbuf = Bytes.copy t.txbuf in
+      let ctrs =
+        List.filter_map
           (fun c ->
-            let tls =
-              Option.map
-                (fun tls ->
-                  (tls, Tls_lite.send_counter tls, Tls_lite.recv_counter tls))
-                c.sc_tls
-            in
-            (c, c.sc_state, c.sc_seq, c.sc_ack, c.sc_stream, tls, c.sc_subs))
-          t.conns
+            Option.map
+              (fun tls -> (tls, Tls_lite.send_counter tls, Tls_lite.recv_counter tls))
+              c.sc_tls)
+          s.conns
       in
-      let publishes = t.publishes in
-      let raws = t.raws in
-      let sent = t.sent in
-      let last_echo_reply = t.last_echo_reply in
-      let listener = t.listener in
       fun () ->
-        t.chaos_hook <- chaos_hook;
-        t.pending <- pending;
-        Queue.clear t.rxq;
-        Queue.transfer (Queue.copy rxq) t.rxq;
+        t.st <- s;
         Bytes.blit txbuf 0 t.txbuf 0 (Bytes.length txbuf);
-        t.dns <- dns;
-        t.wallclock <- wallclock;
-        t.conns <- List.map (fun (c, _, _, _, _, _, _) -> c) conns;
-        List.iter
-          (fun (c, state, seq, ack, stream, tls, subs) ->
-            c.sc_state <- state;
-            c.sc_seq <- seq;
-            c.sc_ack <- ack;
-            c.sc_stream <- stream;
-            c.sc_tls <- Option.map (fun (conn, _, _) -> conn) tls;
-            (match tls with
-            | Some (conn, send_ctr, recv_ctr) ->
-                Tls_lite.set_counters conn ~send:send_ctr ~recv:recv_ctr
-            | None -> ());
-            c.sc_subs <- subs)
-          conns;
-        t.publishes <- publishes;
-        t.raws <- raws;
-        t.sent <- sent;
-        t.last_echo_reply <- last_echo_reply;
-        t.listener <- listener);
+        List.iter (fun (tls, send, recv) -> Tls_lite.set_counters tls ~send ~recv) ctrs);
   t

@@ -17,25 +17,24 @@ let firmware_compartment () =
 
 let client_imports = Firmware.client_imports (firmware_compartment ())
 
+module Int_map = Map.Make (Int)
+
 type t = {
   machine : Machine.t;
   cgp : Cap.t;  (** scheduler globals: the interrupt-futex words *)
   globals_base : int;
-  waiters : (int, (unit -> bool) list ref) Hashtbl.t;
-      (** futex word address -> wakers (each returns true if it woke) *)
+  mutable waiters : (unit -> bool) list Int_map.t;
+      (** futex word address -> wakers, newest first (each returns true
+          if it woke) *)
 }
 
-let waiters_for t addr =
-  match Hashtbl.find_opt t.waiters addr with
-  | Some l -> l
-  | None ->
-      let l = ref [] in
-      Hashtbl.add t.waiters addr l;
-      l
+let add_waiter t addr w =
+  t.waiters <-
+    Int_map.update addr (fun l -> Some (w :: Option.value l ~default:[])) t.waiters
 
 (* Wake up to [count] waiters on [addr]; prune the stale ones. *)
 let wake t addr count =
-  match Hashtbl.find_opt t.waiters addr with
+  match Int_map.find_opt addr t.waiters with
   | None -> 0
   | Some l ->
       let woken = ref 0 in
@@ -48,8 +47,9 @@ let wake t addr count =
               go rest
             end
       in
-      l := go (List.rev !l) |> List.rev;
-      if !l = [] then Hashtbl.remove t.waiters addr;
+      let l = go (List.rev l) |> List.rev in
+      t.waiters <-
+        (if l = [] then Int_map.remove addr t.waiters else Int_map.add addr l t.waiters);
       if !woken > 0 && Machine.tracing t.machine then
         Machine.emit t.machine (Obs.Futex_wake { addr; woken = !woken });
       !woken
@@ -63,9 +63,9 @@ let check_sanity t =
   let sram_lo = Machine.sram_base t.machine in
   let sram_hi = sram_lo + Machine.sram_size t.machine in
   let devs = Machine.device_regions t.machine in
-  Hashtbl.iter
+  Int_map.iter
     (fun addr l ->
-      if !l = [] then fail "empty waiter list retained for word 0x%x" addr;
+      if l = [] then fail "empty waiter list retained for word 0x%x" addr;
       let in_sram = addr >= sram_lo && addr < sram_hi in
       let in_dev = List.exists (fun (_, b, s) -> addr >= b && addr < b + s) devs in
       if not (in_sram || in_dev) then
@@ -99,9 +99,7 @@ let do_futex_wait t ctx word expected timeout =
         in
         match
           Kernel.suspend ctx ?deadline
-            ~register:(fun wake ->
-              let l = waiters_for t addr in
-              l := (fun () -> wake (Kernel.Woken 0)) :: !l)
+            ~register:(fun wake -> add_waiter t addr (fun () -> wake (Kernel.Woken 0)))
             ()
         with
         | Kernel.Woken _ -> r_woken
@@ -143,9 +141,7 @@ let do_multiwait t ctx buf count timeout =
         Kernel.suspend ctx ?deadline
           ~register:(fun wake ->
             List.iteri
-              (fun i (c, _) ->
-                let l = waiters_for t (Cap.address c) in
-                l := (fun () -> wake (Kernel.Woken i)) :: !l)
+              (fun i (c, _) -> add_waiter t (Cap.address c) (fun () -> wake (Kernel.Woken i)))
               events)
           ()
       with
@@ -162,7 +158,7 @@ let install kernel =
       machine;
       cgp = layout.Loader.lc_cgp;
       globals_base = layout.Loader.lc_globals_base;
-      waiters = Hashtbl.create 32;
+      waiters = Int_map.empty;
     }
   in
   (* Interrupt futexes: bump the word and wake waiters on delivery.  The
@@ -195,18 +191,9 @@ let install kernel =
   Kernel.implement kernel ~comp:comp_name ~entry:"idle_stats" (fun _ctx _ ->
       (iv (Kernel.idle_cycles kernel), iv (Machine.cycles machine)));
   (* Waker closures wrap effect continuations and cannot be copied; the
-     kernel's quiescence check (no thread mid-effect) guarantees the
-     table is empty of live wakers at any snapshot point, so a shallow
-     binding copy restores it exactly. *)
-  Machine.on_snapshot machine (fun () ->
-      let bindings =
-        Hashtbl.fold (fun addr l acc -> (addr, !l) :: acc) t.waiters []
-      in
-      fun () ->
-        Hashtbl.reset t.waiters;
-        List.iter
-          (fun (addr, ws) -> Hashtbl.replace t.waiters addr (ref ws))
-          bindings);
+     kernel's quiescence check (no thread mid-effect) guarantees the map
+     holds no live wakers at any snapshot point. *)
+  Machine.on_snapshot machine (fun () -> let w = t.waiters in fun () -> t.waiters <- w);
   t
 
 (* Client wrappers *)

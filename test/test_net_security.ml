@@ -5,7 +5,7 @@ module Cap = Capability
 module F = Firmware
 
 let iv = Interp.int_value
-let _ti = Interp.to_int
+let ti = Interp.to_int
 
 let firmware () =
   System.image ~name:"netsec-test"
@@ -148,6 +148,87 @@ let test_firewall_truncates_long_frame () =
           (Firewall.recv ctx ~buf ~timeout:1_000_000)
       done)
 
+(* The firewall's filter and counters are part of [Machine.snapshot]: a
+   port blocked and frames filtered after the snapshot are forgotten by
+   [restore]. *)
+let test_firewall_restored_by_snapshot () =
+  let machine = Machine.create () in
+  let net = Netsim.attach machine in
+  let image =
+    System.image ~name:"fw-snapshot"
+      ~threads:[ F.thread ~name:"app" ~comp:"app" ~entry:"main" ~stack_size:4096 () ]
+      [
+        F.compartment "app" ~globals_size:16
+          ~entries:[ F.entry "main" ~arity:0 ~min_stack:1024 ]
+          ~imports:Firewall.client_imports;
+        Firewall.firmware_compartment ();
+      ]
+  in
+  let sys = Result.get_ok (System.boot ~machine image) in
+  let k = sys.System.kernel in
+  Firewall.install k;
+  let snap = Machine.snapshot machine in
+  let run main =
+    let failure = ref None in
+    Kernel.implement1 k ~comp:"app" ~entry:"main" (fun ctx _ ->
+        (try main ctx with e -> failure := Some e);
+        Cap.null);
+    System.run sys;
+    match !failure with Some e -> raise e | None -> ()
+  in
+  let udp ~src_ip ~dst_ip ~src_port ~dst_port =
+    Packet.encode_eth
+      {
+        Packet.eth_dst = Netsim.device_mac;
+        eth_src = Netsim.device_mac;
+        eth_type = Packet.ethertype_ipv4;
+        eth_payload =
+          Packet.encode_ipv4
+            {
+              Packet.ip_src = src_ip;
+              ip_dst = dst_ip;
+              ip_proto = Packet.proto_udp;
+              ip_payload =
+                Packet.encode_udp
+                  { Packet.udp_src = src_port; udp_dst = dst_port; udp_payload = "x" };
+            };
+      }
+  in
+  (* One DNS frame each way: what [send] and [recv] returned. *)
+  let exchange ctx =
+    let ctx, buf = Kernel.stack_alloc ctx 128 in
+    let out =
+      udp ~src_ip:Netsim.device_ip ~dst_ip:Netsim.dns_ip ~src_port:1000
+        ~dst_port:Packet.dns_port
+    in
+    Membuf.of_string machine ~auth:buf out;
+    let sent = Firewall.send ctx ~frame_cap:buf ~len:(String.length out) in
+    Netsim.inject_frame_at net ~cycles:(Machine.cycles machine)
+      ~frame:
+        (udp ~src_ip:Netsim.dns_ip ~dst_ip:Netsim.device_ip ~src_port:Packet.dns_port
+           ~dst_port:1000);
+    (sent, Firewall.recv ctx ~buf ~timeout:1_000_000)
+  in
+  let stats ctx =
+    match Kernel.call ctx ~import:"firewall.stats" [] with
+    | Ok (tx, dropped) -> (ti tx, ti dropped)
+    | Error e -> Alcotest.failf "stats: %a" Kernel.pp_call_error e
+  in
+  let pair = Alcotest.(pair int int) in
+  run (fun ctx ->
+      ignore (Kernel.call1 ctx ~import:"firewall.block_port" [ iv Packet.dns_port ]);
+      let sent, got = exchange ctx in
+      Alcotest.(check int) "blocked send" (-1) sent;
+      Alcotest.(check int) "blocked recv" 0 got;
+      Alcotest.check pair "tx, dropped" (0, 2) (stats ctx));
+  Machine.restore machine snap;
+  run (fun ctx ->
+      Alcotest.check pair "counters restored" (0, 0) (stats ctx);
+      let sent, got = exchange ctx in
+      Alcotest.(check bool) "port reopened: send passes" true (sent > 0);
+      Alcotest.(check bool) "port reopened: recv passes" true (got > 0);
+      Alcotest.check pair "tx, dropped after restore" (1, 0) (stats ctx))
+
 let suite =
   [
     Alcotest.test_case "firewall blocks port" `Quick test_firewall_blocks_disallowed_port;
@@ -155,6 +236,8 @@ let suite =
     Alcotest.test_case "socket futex multiwait" `Quick test_socket_futex_multiwait;
     Alcotest.test_case "firewall truncates long frame" `Quick
       test_firewall_truncates_long_frame;
+    Alcotest.test_case "firewall restored by snapshot" `Quick
+      test_firewall_restored_by_snapshot;
   ]
 
 let () = Alcotest.run "cheriot_net_security" [ ("net-security", suite) ]
