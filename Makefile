@@ -132,7 +132,9 @@ bench:
 # must allocate at most 0.01 minor-heap words per simulated
 # instruction; the committed baseline is exactly 0.  Also gates the
 # warm minor words per compartment-call round trip (0 B and 1024 B
-# stack), per slow tick with the revoker sweeping (0, like the loop),
+# stack), the compiled blocks the switcher segment holds after calls of
+# every arity, posture and stack shape, per slow tick with the revoker
+# sweeping (0, like the loop),
 # per 16 B allocate/free pair, and the major-heap words one boot
 # allocates directly (SRAM and its tag store), each under a fixed
 # ceiling; see alloc_gate_cmd in bench/main.ml.

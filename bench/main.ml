@@ -1351,6 +1351,58 @@ let call_round_trip_words ?(n = 200) import =
       words := (Gc.minor_words () -. w0) /. float_of_int n);
   !words
 
+(* Compiled blocks the switcher segment holds once calls of every arity
+   (0..6), posture and stack requirement (0, 256 and 1024 B) have run
+   twice each: a separate image whose "shapes" compartment has one
+   entry per shape.  Read from the block caches after the run. *)
+let switcher_blocks () =
+  let shapes =
+    List.concat_map
+      (fun arity ->
+        List.concat_map
+          (fun posture -> List.map (fun min_stack -> (arity, posture, min_stack)) [ 0; 256; 1024 ])
+          [ F.Interrupts_enabled; F.Interrupts_disabled ])
+      [ 0; 1; 2; 3; 4; 5; 6 ]
+  in
+  let name (arity, posture, min_stack) =
+    Printf.sprintf "a%d_%s_s%d" arity
+      (match posture with F.Interrupts_enabled -> "ie" | F.Interrupts_disabled -> "id")
+      min_stack
+  in
+  let fw =
+    System.image ~name:"shapes"
+      ~threads:[ F.thread ~name:"main" ~comp:"caller" ~entry:"main" ~stack_size:4096 () ]
+      [
+        F.compartment "caller"
+          ~entries:[ F.entry "main" ~arity:0 ~min_stack:2048 ]
+          ~imports:
+            (System.standard_imports
+            @ List.map (fun sh -> F.Call { comp = "shapes"; entry = name sh }) shapes);
+        F.compartment "shapes"
+          ~entries:
+            (List.map
+               (fun ((arity, posture, min_stack) as sh) ->
+                 F.entry (name sh) ~arity ~min_stack ~posture)
+               shapes);
+      ]
+  in
+  let machine = Machine.create () in
+  let sys = Result.get_ok (System.boot ~machine fw) in
+  let k = sys.System.kernel in
+  List.iter (fun sh -> Kernel.implement1 k ~comp:"shapes" ~entry:(name sh) (fun _ _ -> Cap.null)) shapes;
+  Kernel.implement1 k ~comp:"caller" ~entry:"main" (fun ctx _ ->
+      for _ = 1 to 2 do
+        List.iter
+          (fun ((arity, _, _) as sh) ->
+            match Kernel.call ctx ~import:("shapes." ^ name sh) (List.init arity iv) with
+            | Ok _ -> ()
+            | Error e -> Fmt.failwith "alloc-gate: call %s: %a" (name sh) Kernel.pp_call_error e)
+          shapes
+      done;
+      Cap.null);
+  System.run sys;
+  Interp.compiled_blocks (Kernel.interp k)
+
 (* Warm minor-heap words per 16 B allocate/free pair (two compartment
    calls into the allocator and its table and quarantine bookkeeping),
    averaged over 200 pairs after as many warm-up pairs have grown the
@@ -1453,15 +1505,15 @@ let alloc_gate_cmd _args =
   (* Compartment-call round trips: once warm, the switcher path boxes
      nothing (direct access checks, closure-free block dispatch, and
      capability loads and stores straight between the packed register
-     file and the packed capability store); what remains is mostly the
-     kernel's boxed glue around it.  Measured 149.3 (0 B) and 168.0
-     (1024 B) words on OCaml 5.1.1 (default, non-opaque build).  The
-     ceilings are the 179.3 and 215.0 words the same round trips took
-     while the switcher still boxed every capability it stored and
-     loaded, so that boxing cannot come back unnoticed.  A regression
-     that allocates per zeroing trip (128 trips at 1024 B) or per
-     switcher instruction (~430) overshoots them by hundreds of
-     words. *)
+     file and the packed capability store), and the kernel's glue
+     allocates only what its interface hands out: the callee's context
+     and argument array, the unpacked stack, globals and return
+     capabilities, the callee's result pair and the caller's [Ok].
+     Measured 94.3 (0 B) and 113.0 (1024 B) words on OCaml 5.1.1
+     (default, non-opaque build); the ceilings are those plus 5%, less
+     than the results pair (an unpacked ca1, the tuple and its [Ok],
+     about 12 words) the return leg used to build for every call, or a
+     backward sentry boxed per leg. *)
   let over =
     List.filter
       (fun (label, import, max_words) ->
@@ -1469,11 +1521,28 @@ let alloc_gate_cmd _args =
         Fmt.pr "alloc-gate: call %-7s %8.1f minor words/round trip (max %.1f)@." label w
           max_words;
         w > max_words)
-      [ ("0 B", "callee.e0", 179.3); ("1024 B", "callee.e1024", 215.0) ]
+      [ ("0 B", "callee.e0", 99.0); ("1024 B", "callee.e1024", 118.7) ]
   in
   if over <> [] then begin
     Fmt.epr "alloc-gate: FAIL — compartment-call round trip over its ceiling (%s)@."
       (String.concat ", " (List.map (fun (l, _, _) -> l) over));
+    exit 1
+  end;
+  (* Folded switcher blocks: a call leg is the block from switch_entry
+     plus, when the callee needs stack, the zeroing loop's block with
+     everything after the loop folded behind its exit; the return leg
+     likewise.  Forward branches (the six argument-clearing skips, the
+     posture diamond, the refusal checks) stay inside those blocks
+     whatever the arity, posture or stack requirement, so the segment
+     holds 4 blocks; a compiler that ended blocks at forward branches
+     again would hold one per branch target reached (14 did). *)
+  let blocks_max = 4 in
+  let blocks = switcher_blocks () in
+  Fmt.pr "alloc-gate: switcher %d compiled blocks after every call shape (max %d)@." blocks
+    blocks_max;
+  if blocks > blocks_max then begin
+    Fmt.epr "alloc-gate: FAIL — the switcher segment holds %d compiled blocks (max %d)@."
+      blocks blocks_max;
     exit 1
   end;
   (* The revoker's event path: a slow tick mid-sweep settles the sweep,

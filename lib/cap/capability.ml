@@ -119,6 +119,14 @@ let otype_code = function
   | Otype.Sentry s -> sentry_code s
   | Otype.Data d -> d
 
+(* The seven data otypes, built once: unpacking or sealing a capability
+   shares them instead of allocating a [Data] block each time. *)
+let data_otypes =
+  Array.init (Otype.data_last - Otype.data_first + 1) (fun i ->
+      Otype.Data (Otype.data_first + i))
+
+let data_otype d = Array.unsafe_get data_otypes (d - Otype.data_first)
+
 let otype_of_code = function
   | 0 -> Otype.Unsealed
   | 1 -> Otype.Sentry Otype.Call_inherit
@@ -126,7 +134,7 @@ let otype_of_code = function
   | 3 -> Otype.Sentry Otype.Call_enable
   | 4 -> Otype.Sentry Otype.Return_disable
   | 5 -> Otype.Sentry Otype.Return_enable
-  | d when d >= Otype.data_first && d <= Otype.data_last -> Otype.Data d
+  | d when d >= Otype.data_first && d <= Otype.data_last -> data_otype d
   | c -> invalid_arg (Printf.sprintf "Capability.of_meta: otype code %d" c)
 
 let meta c =
@@ -191,7 +199,7 @@ let seal ~key c =
     | Ok ot -> (
         match guard_exact c with
         | Error _ as e -> e
-        | Ok c -> Ok { c with otype = Otype.Data ot })
+        | Ok c -> Ok { c with otype = data_otype ot })
 
 let unseal ~key c =
   if not (Perm.Set.mem Perm.Unseal key.perms) then

@@ -330,20 +330,19 @@ let set_error_handler t ~comp h =
 
 (* Helpers *)
 
-(* Code regions are disjoint; scanning from the end keeps the
+(* The index of the compartment whose code region holds [addr], or -1.
+   Code regions are disjoint; scanning from the end keeps the
    last-match-wins answer of a full scan while stopping at the first
    hit. *)
-let comp_of_code_addr t addr =
-  let rec scan i =
-    if i < 0 then None
-    else
-      let c = t.comps.(i) in
-      let l = c.layout in
-      if addr >= l.Loader.lc_code_base && addr < l.Loader.lc_code_base + l.Loader.lc_code_size
-      then Some (c, (addr - l.Loader.lc_code_base) / 4)
-      else scan (i - 1)
-  in
-  scan (Array.length t.comps - 1)
+let rec scan_code comps addr i =
+  if i < 0 then -1
+  else
+    let l = (Array.unsafe_get comps i).layout in
+    if addr >= l.Loader.lc_code_base && addr < l.Loader.lc_code_base + l.Loader.lc_code_size
+    then i
+    else scan_code comps addr (i - 1)
+
+let comp_of_code_addr t addr = scan_code t.comps addr (Array.length t.comps - 1)
 
 (* The native entry's name as crash dumps show it; only the poisoned
    and fault paths read it. *)
@@ -523,7 +522,17 @@ let fault_return t ~tid ~callee err =
   Error err
 
 (* The compartment-call dance: native -> interpreted switcher -> native
-   callee -> interpreted switcher return -> native. *)
+   callee -> interpreted switcher return -> native.  A successful call
+   answers [Ok ()] with the callee's results in ca0/ca1, where the
+   return leg's switcher left them; [call] and [call1] read them from
+   there before anything else runs on this interpreter. *)
+
+(* The first six arguments go to ca0..ca5. *)
+let rec set_args interp i = function
+  | a :: rest when i < 6 ->
+      Interp.set_reg interp (Isa.ca0 + i) a;
+      set_args interp (i + 1) rest
+  | _ -> ()
 
 let rec do_call t ~tid ~caller ~csp ~cgp ~sealed args =
   let interp = t.interp in
@@ -535,7 +544,7 @@ let rec do_call t ~tid ~caller ~csp ~cgp ~sealed args =
   Interp.set_reg interp Isa.ra (pad_sentry t);
   Interp.set_reg interp Isa.csp csp;
   Interp.set_reg interp Isa.cgp cgp;
-  List.iteri (fun i a -> if i < 6 then Interp.set_reg interp (Isa.ca0 + i) a) args;
+  set_args interp 0 args;
   if Machine.tracing t.machine then
     Machine.emit t.machine (Obs.Switcher_call { tid });
   match Interp.run interp Switcher.call_sentry with
@@ -557,68 +566,73 @@ let rec do_call t ~tid ~caller ~csp ~cgp ~sealed args =
 
 and dispatch t ~tid ~caller target =
   let addr = Cap.address target in
-  match comp_of_code_addr t addr with
-  | None ->
-      if Machine.tracing t.machine then
-        Machine.emit t.machine (Obs.Switcher_abort { tid });
-      capture_dump t ~tid ~comp:"switcher"
-        ~cause:"call target outside any compartment" ~addr ~pc:addr ~instr:"-"
+  let ci = comp_of_code_addr t addr in
+  if ci < 0 then begin
+    if Machine.tracing t.machine then
+      Machine.emit t.machine (Obs.Switcher_abort { tid });
+    capture_dump t ~tid ~comp:"switcher"
+      ~cause:"call target outside any compartment" ~addr ~pc:addr ~instr:"-"
+      ~handler_ran:false;
+    Error Invalid_import
+  end
+  else begin
+    let comp = t.comps.(ci) in
+    let entry_idx = (addr - comp.layout.Loader.lc_code_base) / 4 in
+    let callee_csp = Interp.get_reg t.interp Isa.csp in
+    let callee_cgp = Interp.get_reg t.interp Isa.cgp in
+    let ra_callee = Interp.get_reg t.interp Isa.ra in
+    let entry = comp.layout.Loader.lc_entries.(entry_idx) in
+    let callee = comp.layout.Loader.lc_name in
+    let callee_ctx =
+      {
+        kernel = t;
+        comp_id = comp.layout.Loader.lc_id;
+        thread_id = tid;
+        csp = callee_csp;
+        cgp = callee_cgp;
+      }
+    in
+    if Machine.tracing t.machine then
+      Machine.emit t.machine
+        (Obs.Call_enter
+           { caller; callee; entry = entry.Firmware.entry_name; tid });
+    let entry_addr = comp.layout.Loader.lc_code_base + (4 * entry_idx) in
+    if comp.st.poisoned then begin
+      capture_dump t ~tid ~comp:callee ~cause:"compartment poisoned"
+        ~addr:(-1) ~pc:entry_addr ~instr:(entry_label comp entry)
         ~handler_ran:false;
-      Error Invalid_import
-  | Some (comp, entry_idx) ->
-      let callee_csp = Interp.get_reg t.interp Isa.csp in
-      let callee_cgp = Interp.get_reg t.interp Isa.cgp in
-      let ra_callee = Interp.get_reg t.interp Isa.ra in
-      let entry = comp.layout.Loader.lc_entries.(entry_idx) in
-      let callee = comp.layout.Loader.lc_name in
-      let callee_ctx =
-        {
-          kernel = t;
-          comp_id = comp.layout.Loader.lc_id;
-          thread_id = tid;
-          csp = callee_csp;
-          cgp = callee_cgp;
-        }
-      in
-      if Machine.tracing t.machine then
-        Machine.emit t.machine
-          (Obs.Call_enter
-             { caller; callee; entry = entry.Firmware.entry_name; tid });
-      let entry_addr = comp.layout.Loader.lc_code_base + (4 * entry_idx) in
-      if comp.st.poisoned then begin
-        capture_dump t ~tid ~comp:callee ~cause:"compartment poisoned"
-          ~addr:(-1) ~pc:entry_addr ~instr:(entry_label comp entry)
-          ~handler_ran:false;
-        fault_return t ~tid ~callee Compartment_poisoned
-      end
-      else if
-        (* Fault injection: a crash at the compartment-call boundary,
-           as if the callee trapped on its first instruction. *)
-        match t.ks.call_fault_hook with
-        | Some f ->
-            f ~comp:comp.layout.Loader.lc_name
-              ~entry:entry.Firmware.entry_name
-        | None -> false
-      then
-        handle_callee_fault t ~tid ~entry_addr ~entry comp callee_ctx
-          "injected crash" (-1)
-      else begin
-        let args =
-          Array.init entry.Firmware.arity (fun i ->
-              Interp.get_reg t.interp (Isa.ca0 + i))
-        in
-        match comp.st.impls.(entry_idx) callee_ctx args with
-        | r0, r1 -> finish_call t ~tid ~callee ~callee_csp ~ra_callee (r0, r1)
-        | exception Memory.Fault f ->
-            handle_callee_fault t ~tid ~entry_addr ~entry comp callee_ctx
-              (Cap.violation_to_string f.Memory.cause)
-              f.Memory.addr
-        | exception Cap.Derivation v ->
-            handle_callee_fault t ~tid ~entry_addr ~entry comp callee_ctx
-              (Cap.violation_to_string v) (-1)
-      end
+      fault_return t ~tid ~callee Compartment_poisoned
+    end
+    else if
+      (* Fault injection: a crash at the compartment-call boundary,
+         as if the callee trapped on its first instruction. *)
+      match t.ks.call_fault_hook with
+      | Some f ->
+          f ~comp:comp.layout.Loader.lc_name
+            ~entry:entry.Firmware.entry_name
+      | None -> false
+    then
+      handle_callee_fault t ~tid ~entry_addr ~entry comp callee_ctx
+        "injected crash" (-1)
+    else begin
+      let arity = entry.Firmware.arity in
+      let args = Array.make arity Cap.null in
+      for i = 0 to arity - 1 do
+        Array.unsafe_set args i (Interp.get_reg t.interp (Isa.ca0 + i))
+      done;
+      match comp.st.impls.(entry_idx) callee_ctx args with
+      | r0, r1 -> finish_call t ~tid ~callee ~callee_csp ~ra_callee r0 r1
+      | exception Memory.Fault f ->
+          handle_callee_fault t ~tid ~entry_addr ~entry comp callee_ctx
+            (Cap.violation_to_string f.Memory.cause)
+            f.Memory.addr
+      | exception Cap.Derivation v ->
+          handle_callee_fault t ~tid ~entry_addr ~entry comp callee_ctx
+            (Cap.violation_to_string v) (-1)
+    end
+  end
 
-and finish_call t ~tid ~callee ~callee_csp ~ra_callee (r0, r1) =
+and finish_call t ~tid ~callee ~callee_csp ~ra_callee r0 r1 =
   let interp = t.interp in
   let th = t.threads.(tid) in
   Interp.set_special interp Isa.mtdc th.tlayout.Loader.lt_tstack;
@@ -632,7 +646,7 @@ and finish_call t ~tid ~callee ~callee_csp ~ra_callee (r0, r1) =
   | Interp.Exited pad when Cap.address pad = Abi.return_pad ->
       if Machine.tracing t.machine then
         Machine.emit t.machine (Obs.Call_leave { callee; tid; faulted = false });
-      Ok (Interp.get_reg interp Isa.ca0, Interp.get_reg interp Isa.ca1)
+      Ok ()
   | Interp.Exited _ -> failwith "switcher return escaped to unknown address"
   | Interp.Trapped tr ->
       failwith (Fmt.str "switcher return path trapped: %a" Interp.pp_trap tr)
@@ -676,13 +690,23 @@ let import_cap t ~comp name =
 let ctx_import_cap ctx name =
   layout_import_cap ctx.kernel ctx.kernel.comps.(ctx.comp_id).layout name
 
-let call ctx ~import args =
+let call_through ctx ~import args =
   let sealed = ctx_import_cap ctx import in
   do_call ctx.kernel ~tid:ctx.thread_id
     ~caller:(comp_name ctx.kernel ctx.comp_id)
     ~csp:ctx.csp ~cgp:ctx.cgp ~sealed args
 
-let call1 ctx ~import args = Result.map fst (call ctx ~import args)
+let call ctx ~import args =
+  match call_through ctx ~import args with
+  | Ok () ->
+      let interp = ctx.kernel.interp in
+      Ok (Interp.get_reg interp Isa.ca0, Interp.get_reg interp Isa.ca1)
+  | Error _ as e -> e
+
+let call1 ctx ~import args =
+  match call_through ctx ~import args with
+  | Ok () -> Ok (Interp.get_reg ctx.kernel.interp Isa.ca0)
+  | Error _ as e -> e
 
 let lib_call ctx ~import args =
   let t = ctx.kernel in
@@ -691,11 +715,13 @@ let lib_call ctx ~import args =
   match Cap.otype sentry with
   | Cap.Otype.Sentry _ | Cap.Otype.Unsealed -> (
       let target = Cap.address sentry in
-      match comp_of_code_addr t target with
-      | Some (lib, entry_idx) when lib.layout.Loader.lc_kind = Firmware.Library ->
-          (* Library code runs in the *caller's* security context. *)
-          lib.st.impls.(entry_idx) ctx (Array.of_list args)
-      | Some _ | None -> invalid_arg ("lib_call: " ^ import ^ " is not a library entry"))
+      let li = comp_of_code_addr t target in
+      if li >= 0 && t.comps.(li).layout.Loader.lc_kind = Firmware.Library then
+        let lib = t.comps.(li) in
+        let entry_idx = (target - lib.layout.Loader.lc_code_base) / 4 in
+        (* Library code runs in the *caller's* security context. *)
+        lib.st.impls.(entry_idx) ctx (Array.of_list args)
+      else invalid_arg ("lib_call: " ^ import ^ " is not a library entry"))
   | Cap.Otype.Data _ -> invalid_arg ("lib_call: " ^ import ^ " is a sealed data import")
 
 (* Threads *)

@@ -98,9 +98,22 @@ val import_cap : t -> comp:string -> string -> value
 
 val call :
   ctx -> import:string -> value list -> (value * value, call_error) result
-(** Cross-compartment call through the named import-table slot. *)
+(** Cross-compartment call through the named import-table slot.
+
+    Result contract: the callee's two results travel back in the
+    interpreter's ca0/ca1, which the switcher's return leg clears
+    around but never writes, and [call] reads them from there, unpacked,
+    right after that leg exits at the return pad.  So nothing may run on
+    the kernel's interpreter between the end of the return leg and that
+    read; nothing does, because the return leg runs with interrupts
+    disabled and its final sentry jump leaves the interpreter without a
+    further tick, so no preemption, listener or other thread's call can
+    intervene.  Keep it so: code added between the leg's exit and the
+    read (a tick, a traced hook that calls into a compartment) would
+    hand the caller another call's registers. *)
 
 val call1 : ctx -> import:string -> value list -> (value, call_error) result
+(** [call], reading only ca0: the second result is never unpacked. *)
 
 val lib_call : ctx -> import:string -> value list -> value * value
 (** Shared-library call (§3): a sentry jump within the caller's security

@@ -25,6 +25,10 @@ type t = {
   machine : Machine.t;
   mutable segments : segment list;
   mutable last_seg : segment option;  (* one-entry segment lookup cache *)
+  mutable map_lo : int;
+  mutable map_hi : int;
+      (* [map_lo, map_hi) covers every segment: an address outside it
+         (a native entry point) is outside every segment, no scan *)
   sb : Sb.ctx;  (* register file, specials, instret *)
 }
 
@@ -47,23 +51,29 @@ type outcome = Halted | Exited of Cap.t | Trapped of trap
 exception Trap_exn = Sb.Trap_exn
 
 let create machine =
-  let t = { machine; segments = []; last_seg = None; sb = Sb.make_ctx machine } in
+  let t =
+    { machine; segments = []; last_seg = None; map_lo = max_int; map_hi = min_int;
+      sb = Sb.make_ctx machine }
+  in
   (* Register file (one flat int array), special registers, retired-
      instruction counter and the segment map are the interpreter's whole
      mutable surface; the per-segment caches hold only compiled code. *)
   Machine.on_snapshot machine (fun () ->
       let sb = t.sb in
       let pk = Pk.save sb.Sb.spk in
-      let specials = Array.copy sb.Sb.sspec in
+      let specials = Pk.save sb.Sb.sspec in
       let instret = sb.Sb.sinstret in
       let segments = t.segments in
       let last_seg = t.last_seg in
+      let map_lo = t.map_lo and map_hi = t.map_hi in
       fun () ->
         Pk.restore sb.Sb.spk ~from:pk;
-        Array.blit specials 0 sb.Sb.sspec 0 (Array.length specials);
+        Pk.restore sb.Sb.sspec ~from:specials;
         sb.Sb.sinstret <- instret;
         t.segments <- segments;
-        t.last_seg <- last_seg);
+        t.last_seg <- last_seg;
+        t.map_lo <- map_lo;
+        t.map_hi <- map_hi);
   t
 
 (* One slot per word, label operands resolved to absolute addresses.
@@ -105,7 +115,9 @@ let map_segment t ~base prog =
     }
   in
   t.segments <- seg :: t.segments;
-  t.last_seg <- None
+  t.last_seg <- None;
+  t.map_lo <- Int.min t.map_lo seg.seg_base;
+  t.map_hi <- Int.max t.map_hi seg.seg_top
 
 (* Register access: the registers live packed ([Packed_cap]); boxed
    values are materialized only at this boundary. *)
@@ -114,33 +126,46 @@ let set_reg t r v = Pk.pack t.sb.Sb.spk r v
 let read_regs t = Array.init 16 (fun r -> Pk.unpack t.sb.Sb.spk r)
 let clear_regs t = Pk.clear t.sb.Sb.spk
 
-let set_special t i c = t.sb.Sb.sspec.(i) <- c
+let set_special t i c = Pk.pack t.sb.Sb.sspec (i + 1) c
+
+let compiled_blocks t =
+  let count = Array.fold_left (fun n -> function Some _ -> n + 1 | None -> n) 0 in
+  List.fold_left (fun n s -> n + count s.blk + count s.one) 0 t.segments
+
 let instret t = t.sb.Sb.sinstret
 let int_value v = Cap.with_address_unsealed Cap.null v
 let to_int c = Cap.address c
 
 (* Straight-line execution stays within one segment, so a one-entry
-   cache turns the per-fetch list scan into two comparisons. *)
+   cache turns the per-fetch list scan into two comparisons, and an
+   address outside the span of every segment (a native entry point)
+   needs no scan at all. *)
+let rec scan_segments addr = function
+  | [] -> None
+  | s :: rest ->
+      if addr >= s.seg_base && addr < s.seg_top then Some s else scan_segments addr rest
+
 let find_segment t addr =
   match t.last_seg with
   | Some s when addr >= s.seg_base && addr < s.seg_top -> t.last_seg
   | _ ->
-      let r =
-        List.find_opt (fun s -> addr >= s.seg_base && addr < s.seg_top) t.segments
-      in
-      (match r with Some _ -> t.last_seg <- r | None -> ());
-      r
+      if addr < t.map_lo || addr >= t.map_hi then None
+      else begin
+        let r = scan_segments addr t.segments in
+        (match r with Some _ -> t.last_seg <- r | None -> ());
+        r
+      end
 
 let trap pc cause = raise (Trap_exn { tcause = cause; tpc = pc })
 
 (* The dispatcher.  Per block entry it validates the hoisted
-   preconditions — pc inside the segment and the pcc bounds for the
-   whole block, and enough fuel to retire every instruction on its
+   preconditions — pc inside the segment, the pcc bounds over the
+   block's slot span, and enough fuel to retire every instruction on its
    longest path — then runs the fused closure, deferring tick batching
-   when the block's worst-case cost fits under the event horizon.  Both
-   are checked for the full block, so they hold for an execution that
-   takes a mid-block exit too; fuel is then charged from the instructions
-   that execution reports having retired ([sret_len]).  When a
+   when the block's worst-case cost fits under the event horizon.  All
+   are checked for the whole block, so they hold for whichever path an
+   execution takes; fuel is then charged from the instructions that
+   path reports having retired ([sret_len]).  When a
    precondition fails the engine is its own slow path: it runs the
    one-instruction block at [pc] with every cycle charged as it goes,
    then resumes block dispatch at the next pc.  A pc outside the pcc
@@ -171,20 +196,23 @@ let[@inline] pflush m pend = if pend > 0 then Machine.tick m pend
 let[@inline] sample_room t m =
   if Machine.tracing m then 1023 - (t.sb.Sb.sinstret land 1023) else max_int
 
-(* The block entered at slot [idx], compiled on first use into [cache]. *)
-let[@inline] compiled t seg cache ~single idx =
+(* The block entered at slot [idx] under a pcc of meta word [pmeta] and
+   bounds [clo, chi), compiled on first use into [cache], and compiled
+   again when a run enters it under another pcc shape. *)
+let[@inline] compiled t seg cache ~single idx pcc pmeta clo chi =
   match Array.unsafe_get cache idx with
-  | Some b -> b
-  | None ->
-      let b = Sb.compile ~single t.sb seg.dec ~base:seg.seg_base ~idx in
+  | Some b when b.Sb.b_pmeta = pmeta && b.Sb.b_pbase = clo && b.Sb.b_ptop = chi -> b
+  | Some _ | None ->
+      let b = Sb.compile ~single t.sb seg.dec ~base:seg.seg_base ~idx ~pcc in
       Array.unsafe_set cache idx (Some b);
       b
 
 let rec sb_epoch t pcc seg pc budget pend =
-  sb_blocks t pcc seg (Cap.base pcc) (Cap.top pcc) pc budget pend
+  sb_blocks t pcc (Cap.meta pcc) seg (Cap.base pcc) (Cap.top pcc) pc budget pend
 
-(* [clo]/[chi] are the pcc's bounds, read once per epoch. *)
-and sb_blocks t pcc seg clo chi pc budget pend =
+(* [pmeta], [clo] and [chi] are the pcc's meta word and bounds, read once
+   per epoch. *)
+and sb_blocks t pcc pmeta seg clo chi pc budget pend =
   let m = t.machine in
   if budget <= 0 then begin
     pflush m pend;
@@ -198,17 +226,17 @@ and sb_blocks t pcc seg clo chi pc budget pend =
     | Some s' -> sb_epoch t pcc s' pc budget pend
   else begin
     let idx = (pc - seg.seg_base) lsr 2 in
-    let b = compiled t seg seg.blk ~single:false idx in
+    let b = compiled t seg seg.blk ~single:false idx pcc pmeta clo chi in
     let len = b.Sb.b_len in
-    if pc < clo || pc + (4 * len) > chi || budget < len then begin
+    if pc < clo || pc + (4 * b.Sb.b_span) > chi || budget < len then begin
       pflush m pend;
       if pc < clo || pc + 4 > chi then (
         match Cap.check_access ~perm:Perm.Execute ~addr:pc ~size:4 pcc with
         | Ok () -> ()
         | Error v -> trap pc (Cap_fault v));
-      let one = compiled t seg seg.one ~single:true idx in
-      let e = one.Sb.b_run pcc (-1) in
-      sb_finish t pcc seg clo chi e (budget - t.sb.Sb.sret_len) t.sb.Sb.sret_acc
+      let one = compiled t seg seg.one ~single:true idx pcc pmeta clo chi in
+      let e = one.Sb.b_run (-1) in
+      sb_finish t pcc pmeta seg clo chi e (budget - t.sb.Sb.sret_len) t.sb.Sb.sret_acc
     end
     else begin
       let sb = t.sb in
@@ -216,25 +244,25 @@ and sb_blocks t pcc seg clo chi pc budget pend =
       let room = sample_room t m in
       if len <= room && Machine.defer_window m (p0 + b.Sb.b_maxcost) then
         if b.Sb.b_self then begin
-          (* Tight loop: the compiled closure spins on itself for up to
-             [sspins] extra trips (bounded by the remaining fuel and the
-             sample room), re-checking the horizon against the growing
-             batch every trip; it hands back how many trips it did not
-             use. *)
-          let spins0 = (Int.min budget room / len) - 1 in
-          sb.Sb.sspins <- spins0;
-          let e = b.Sb.b_run pcc p0 in
-          let used = ((spins0 - sb.Sb.sspins) * len) + sb.Sb.sret_len in
-          sb_finish t pcc seg clo chi e (budget - used) sb.Sb.sret_acc
+          (* Tight loop: the compiled closure spins on itself while its
+             budget (the remaining fuel or sample room, whichever is
+             smaller) still covers a longest path, re-checking the
+             horizon against the growing batch every trip; it hands back
+             the budget its completed trips did not spend. *)
+          let budget0 = Int.min budget room in
+          sb.Sb.sbudget <- budget0;
+          let e = b.Sb.b_run p0 in
+          let used = budget0 - sb.Sb.sbudget + sb.Sb.sret_len in
+          sb_finish t pcc pmeta seg clo chi e (budget - used) sb.Sb.sret_acc
         end
         else begin
-          let e = b.Sb.b_run pcc p0 in
-          sb_spin t pcc seg clo chi b pc e (budget - sb.Sb.sret_len)
+          let e = b.Sb.b_run p0 in
+          sb_spin t pcc pmeta seg clo chi b pc e (budget - sb.Sb.sret_len)
         end
       else begin
         pflush m pend;
-        let e = b.Sb.b_run pcc (-1) in
-        sb_finish t pcc seg clo chi e (budget - sb.Sb.sret_len) sb.Sb.sret_acc
+        let e = b.Sb.b_run (-1) in
+        sb_finish t pcc pmeta seg clo chi e (budget - sb.Sb.sret_len) sb.Sb.sret_acc
       end
     end
   end
@@ -244,22 +272,22 @@ and sb_blocks t pcc seg clo chi pc budget pend =
    compiled block itself.  Fuel, the sample room and the event horizon
    (against the carried batch) are re-checked every trip: a full-path
    access inside the block ticks for real and can fire events. *)
-and sb_spin t pcc seg clo chi b pc e budget =
+and sb_spin t pcc pmeta seg clo chi b pc e budget =
   let m = t.machine in
   let pend = t.sb.Sb.sret_acc in
   let len = b.Sb.b_len in
   if e = pc && budget >= len && len <= sample_room t m then begin
     let p0 = if pend >= 0 then pend else 0 in
     if Machine.defer_window m (p0 + b.Sb.b_maxcost) then begin
-      let e = b.Sb.b_run pcc p0 in
-      sb_spin t pcc seg clo chi b pc e (budget - t.sb.Sb.sret_len)
+      let e = b.Sb.b_run p0 in
+      sb_spin t pcc pmeta seg clo chi b pc e (budget - t.sb.Sb.sret_len)
     end
-    else sb_finish t pcc seg clo chi e budget pend
+    else sb_finish t pcc pmeta seg clo chi e budget pend
   end
-  else sb_finish t pcc seg clo chi e budget pend
+  else sb_finish t pcc pmeta seg clo chi e budget pend
 
-and sb_finish t pcc seg clo chi e budget pend =
-  if e >= 0 then sb_blocks t pcc seg clo chi e budget pend
+and sb_finish t pcc pmeta seg clo chi e budget pend =
+  if e >= 0 then sb_blocks t pcc pmeta seg clo chi e budget pend
   else if e = Sb.x_halt then begin
     pflush t.machine pend;
     Halted
@@ -275,7 +303,7 @@ and sb_finish t pcc seg clo chi e budget pend =
 
 let run ?(fuel = 1_000_000) t target =
   try
-    let unsealed, _ = Sb.apply_jump_target t.machine (Cap.address target) target in
+    let unsealed = Sb.apply_jump_target t.machine (Cap.address target) target in
     let pc = Cap.address unsealed in
     match find_segment t pc with
     | None -> Exited unsealed

@@ -54,6 +54,12 @@ val set_special : t -> int -> Capability.t -> unit
 val instret : t -> int
 (** Instructions retired since [create]. *)
 
+val compiled_blocks : t -> int
+(** Blocks the block caches of every mapped segment hold (a block
+    compiled for more than one pcc shape counts once, as its latest
+    compilation); a read of the caches, which nothing in the hot path
+    counts. *)
+
 val int_value : int -> Capability.t
 (** An integer as a NULL-derived untagged capability. *)
 

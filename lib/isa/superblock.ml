@@ -2,22 +2,34 @@ module Cap = Capability
 
 (* Superblock compiler: the interpreter's only execution engine.
 
-   A superblock is the trace from a jump target (or branch target) to
-   the next unconditional control transfer or back-edge to its own
-   entry, inclusive, running through every other conditional branch on
-   its not-taken side; a taken branch leaves the block mid-way.  On
-   first execution the pre-decoded slots of that run are compiled into a
-   single fused OCaml closure chain — one closure per instruction, each
-   tail-calling the next — so the per-step dispatch, segment-range and
-   PCC-bounds checks disappear from the hot path: the dispatcher in
-   [Interp] validates the whole block's preconditions once at entry and
-   either runs the fused closure or, when one fails, the one-instruction
-   block at that pc ([compile ~single:true]), which is the engine's own
-   slow path.  The preconditions are checked for the full
-   length of the block (fuel, PCC bounds, worst-case cost under the
-   event horizon), so they stay sufficient for an execution that leaves
-   early; each exit reports how many instructions it retired
-   ([sret_len]) and the dispatcher charges fuel from that.
+   A superblock is the code reachable from a jump or branch target
+   through forward control transfers: a forward conditional branch is a
+   two-way closure whose arms both continue in the block, a forward [J]
+   continues at its target, and the block ends only at a backward
+   branch or [J] (back to its own entry, a self-loop), [Cjal], [Cjalr],
+   [Halt] or [Trapif] (see [compile] for the shape and the memoised
+   per-path counts).  So a switcher leg, with its refusal checks,
+   argument-clearing skips and posture diamond, is one block up to its
+   stack-zeroing loop and one block from there.  On first execution the
+   pre-decoded slots are compiled into a graph of fused OCaml closures —
+   one closure per instruction and per count of instructions retired
+   before it, each tail-calling the next with one argument, the pending
+   batch, and a forward branch's taken arm compiled when it first runs —
+   so the per-step dispatch, segment-range and PCC-bounds checks
+   disappear from the hot path: the dispatcher in [Interp] validates the
+   whole block's preconditions once at entry and either runs the fused
+   closure or, when one fails, the one-instruction block at that pc
+   ([compile ~single:true]), which is the engine's own slow path.  The
+   preconditions cover every path (PCC bounds over the slot span, fuel
+   and sample room over the longest path, the event horizon over the
+   costliest path to a deferral guard), so they stay sufficient for
+   whichever path runs; each exit reports how many instructions its path
+   retired ([sret_len]) and the dispatcher charges fuel from that.
+
+   A block is compiled for the shape of the pcc it runs under (meta
+   word and bounds), which every closure that reads the pcc captures:
+   every such use sets the address, so the cursor never matters, and
+   the dispatcher recompiles a block entered under another shape.
 
    Register file: the packed capability file ([Packed_cap]) — each
    register is four untagged ints (meta, base, top, cursor) in one flat
@@ -29,29 +41,33 @@ module Cap = Capability
    compiled against [int array], so no register write pays a GC write
    barrier.  Capabilities loaded and stored on the direct path move
    between the file and [Memory]'s packed capability store as the same
-   four ints ([uload_cap], [store_packed]).  Boxed [Cap.t] values appear
-   only at boundaries: the threaded pcc, the [Machine] memory authority
-   and the stored value on the full checked path, Cjalr targets/links,
-   special registers — all converted through the exact [pack]/[unpack]
-   bijection.
+   four ints ([uload_cap], [store_packed]), and the special registers
+   are a small file of the same form.  Boxed [Cap.t] values appear only
+   at boundaries: the block's pcc, the [Machine] memory authority and
+   the stored value on the full checked path, Cjalr targets/links — all
+   converted through the exact [pack]/[unpack] bijection.
 
    Equivalence contract (every rule here exists to keep registers,
    cycles, instret, trap cause + PC and the Obs event stream bit-
    identical to one-instruction-at-a-time execution, as the executable
    ISA spec in test/ defines it):
 
-   - Per-run state (pcc, pending deferred cycles) is threaded through
-     the closure chain as ARGUMENTS, never stored in [ctx].  A tick can
-     suspend the whole run via the kernel's preemption effect and
-     re-enter the interpreter for another thread; argument threading
-     keeps each run's state in its own captured continuation.  The
+   - Per-run state (pending deferred cycles) is threaded through the
+     closure chain as an ARGUMENT, never stored in [ctx], and the pcc is
+     fixed per compiled block.  A tick can suspend the whole run via the
+     kernel's preemption effect and re-enter the interpreter for another
+     thread; argument threading keeps each run's state in its own
+     captured continuation.  The
      packed file itself is shared across interleaved runs exactly as
      the physical register file would be — the switcher saves and
      restores it around every context switch.
 
-   - Deferred tick batching ([acc] >= 0) is only entered when the whole
-     block's worst-case cost fits strictly below the machine's event
-     horizon ([Machine.defer_window]): then every elided tick would have
+   - Deferred tick batching ([acc] >= 0) is only entered when the
+     block's worst-case cost up to its first deferral guard (the taken
+     arm of a folded forward branch) fits strictly below the machine's
+     event horizon ([Machine.defer_window]), and each guard re-checks
+     the next stretch the same way, settling the batch and running on
+     per step when it does not fit: then every elided tick would have
      taken the fast path (no listener, timer or IRQ delivery), nothing
      can observe the clock mid-block, and one batched tick at the
      terminator is exact.  With a sink attached the dispatcher also
@@ -162,6 +178,7 @@ module Packed_cap : sig
   val uload_cap : t -> int -> Memory.t -> addr:int -> perms:Perm.Set.t -> unit
   val unpack : t -> int -> Cap.t
   val pack_at : t -> int -> Cap.t -> int -> unit
+  val uspecial_rw : t -> rd:int -> t -> int -> rs:int -> unit
   val incr_addr : t -> dst:int -> src:int -> int -> int
   val set_addr : t -> dst:int -> src:int -> int -> int
   val set_bounds : t -> dst:int -> src:int -> int -> int
@@ -308,6 +325,29 @@ end = struct
       Cap.of_meta ~meta:pk.(o) ~base:pk.(o + 1) ~top:pk.(o + 2)
         ~cursor:pk.(o + 3)
 
+  (* [Cspecialrw]'s exchange with the special-register file [sp], whose
+     special [i] is its register [i + 1] (clear of register 0's write
+     guard): the old special is read first, then register [rs] (unless
+     it is register 0) replaces it, then the old value goes to [rd]. *)
+  let uspecial_rw (pk : t) ~rd (sp : t) i ~rs =
+    let o = (i + 1) lsl 2 in
+    let m = Array.unsafe_get sp o and b = Array.unsafe_get sp (o + 1)
+    and tp = Array.unsafe_get sp (o + 2) and c = Array.unsafe_get sp (o + 3) in
+    if rs <> 0 then begin
+      let os = rs lsl 2 in
+      Array.unsafe_set sp o (Array.unsafe_get pk os);
+      Array.unsafe_set sp (o + 1) (Array.unsafe_get pk (os + 1));
+      Array.unsafe_set sp (o + 2) (Array.unsafe_get pk (os + 2));
+      Array.unsafe_set sp (o + 3) (Array.unsafe_get pk (os + 3))
+    end;
+    if rd <> 0 then begin
+      let od = rd lsl 2 in
+      Array.unsafe_set pk od m;
+      Array.unsafe_set pk (od + 1) b;
+      Array.unsafe_set pk (od + 2) tp;
+      Array.unsafe_set pk (od + 3) c
+    end
+
   (* In-place derivations.  Each mirrors the corresponding
      [Capability] operation exactly — same checks, same order, same
      violation — per the QCheck equivalence suite. *)
@@ -451,12 +491,12 @@ type ctx = {
   sm : Machine.t;
   smem : Memory.t;
   spk : Pk.t;
-  sspec : Cap.t array;
+  sspec : Pk.t;  (* special [i] in register [i + 1] *)
   mutable sinstret : int;
   mutable sjump : Cap.t;
   mutable sret_acc : int;
   mutable sret_len : int;
-  mutable sspins : int;
+  mutable sbudget : int;
 }
 
 let make_ctx machine =
@@ -464,12 +504,12 @@ let make_ctx machine =
     sm = machine;
     smem = Machine.mem machine;
     spk = Pk.make 16;
-    sspec = Array.make 3 Cap.null;
+    sspec = Pk.make 4;
     sinstret = 0;
     sjump = Cap.null;
     sret_acc = -1;
     sret_len = 0;
-    sspins = 0;
+    sbudget = 0;
   }
 
 (* Block exits, encoded as ints so the hot path never allocates: a
@@ -480,18 +520,23 @@ let x_halt = -1
 let x_jump = -2
 
 type block = {
-  b_len : int;  (* instructions on the longest path; 0 = uncompilable, side-exit *)
-  b_maxcost : int;  (* worst-case cycles: the defer_window precondition *)
-  b_self : bool;  (* the last instruction branches back to the entry *)
-  b_run : Cap.t -> int -> int;  (* pcc -> acc -> exit *)
+  b_pmeta : int;
+  b_pbase : int;
+  b_ptop : int;
+      (* the pcc shape the block was compiled for: [Cap.meta], base and
+         top of the pcc, whose cursor no closure reads *)
+  b_span : int;  (* slots from the entry to the farthest slot any path runs *)
+  b_len : int;  (* instructions retired on the longest path *)
+  b_maxcost : int;  (* worst-case cycles to a deferral guard or exit: the defer_window precondition *)
+  b_self : bool;  (* some path branches back to the entry *)
+  b_run : int -> int;  (* acc -> exit *)
 }
 
 let trap pc cause = raise (Trap_exn { tcause = cause; tpc = pc })
 let cap_result pc = function Ok c -> c | Error v -> trap pc (Cap_fault v)
 
 (* Sentry semantics shared by Cjalr and the external entry point: unseal
-   sentries, apply interrupt-posture changes, and compute the backward
-   sentry kind that restores the previous posture. *)
+   sentries and apply interrupt-posture changes. *)
 let set_posture machine = function
   | Cap.Otype.Call_inherit -> ()
   | Cap.Otype.Call_disable | Cap.Otype.Return_disable ->
@@ -502,7 +547,6 @@ let set_posture machine = function
 let apply_jump_target machine pc target =
   let module O = Cap.Otype in
   if not (Cap.tag target) then trap pc (Cap_fault Cap.Tag_violation);
-  let prev = Machine.irq_enabled machine in
   let unsealed =
     match Cap.otype target with
     | O.Unsealed -> target
@@ -513,8 +557,7 @@ let apply_jump_target machine pc target =
   in
   if not (Cap.has_perm Perm.Execute unsealed) then
     trap pc (Cap_fault (Cap.Permit_violation Perm.Execute));
-  let back_kind = if prev then O.Return_enable else O.Return_disable in
-  (unsealed, back_kind)
+  unsealed
 
 (* acc discipline helpers.  [flushx] settles pending deferred cycles;
    the batch is below the horizon by the block precondition, so the tick
@@ -640,23 +683,73 @@ let jump_target_pk m pk rs pc =
   Cap.of_meta ~meta ~base:(Pk.base pk rs) ~top:(Pk.top pk rs)
     ~cursor:(Pk.cursor pk rs)
 
-(* Block shape: from the entry slot to the first unconditional control
-   transfer (J, Cjal, Cjalr, Halt, Trapif) or the first conditional
-   branch back to the entry (a self-loop), inclusive.  Any other
-   conditional branch is a mid-block exit: taken, the block returns its
-   target; not taken, execution continues in the same closure chain.  A
-   block is thus a trace through its not-taken branches. *)
-let ends_block entry slot =
-  match slot.d_ins with
-  | Isa.J _ | Isa.Cjal _ | Isa.Cjalr _ | Isa.Halt | Isa.Trapif _ -> true
-  | Isa.Beq _ | Isa.Bne _ | Isa.Bltu _ | Isa.Bgeu _ -> slot.d_target = entry
-  | _ -> false
+
+(* Block shape.  A block is the code reachable from its entry slot
+   through forward control transfers.  A conditional branch whose target
+   lies ahead is a two-way closure whose arms both continue inside the
+   block, and a [J] whose target lies ahead continues at its target.  A
+   block ends only at a backward conditional branch or [J] (back to the
+   entry it is a self-loop, see [back]; any other backward target is an
+   exit, and so is a backward branch's not-taken side), at [Cjal],
+   [Cjalr], [Halt] and [Trapif], and where a path runs off the end of
+   the segment.  Following forward edges only makes the block a DAG, so
+   compilation terminates.
+
+   Per-path counts.  A closure is compiled for a (slot, instructions
+   retired before it) pair, memoised on that pair where two paths can
+   enter the slot: paths that meet at a slot after retiring the same
+   number of instructions share the rest of the block, and paths that
+   meet with different counts (the two arms of an uneven diamond) get a
+   copy each.  So every exit's retired count
+   ([sret_len]) is a compile-time constant.  A forward branch's taken
+   arm is compiled when it first runs ([later]), so a block holds copies
+   only for the paths executions have taken: compiling the block costs
+   its fall-through path, and each new path costs its own slots.
+
+   Deferral windows.  The taken arm of a folded forward branch is a
+   deferral guard: a deferred run re-checks the event horizon there for
+   the cost up to the next guard or exit, and when that does not fit it
+   settles the batch and runs on per step (exact, since the batch so far
+   lay below the horizon).  So a block's deferral precondition, and a
+   self-loop's per-trip re-check, cover only the window from the entry
+   to the first guard: a loop whose exit arm folds a long tail defers
+   as readily as the bare loop.
+
+   Block figures.  The dispatcher checks the PCC bounds over the slot
+   span (the entry to the farthest slot any path runs), fuel and the
+   sample room against the longest path, and the event horizon against
+   [b_maxcost], the worst cost from the entry to a guard or exit. *)
+
+(* A taken arm compiled on first use (see [compile]). *)
+type later = { mutable lk : int -> int }
+
+(* The closures compiled for join slots, one per slot and count of
+   instructions retired before it. *)
+type copies = No_copy | Copy of { j : int; c : int; k : int -> int; rest : copies }
+
+(* A guarded taken arm: [k] runs at most [kw] cycles before its next
+   guard or exit. *)
+let[@inline] take m k kw acc =
+  if acc >= 0 && not (Machine.defer_window m (acc + kw)) then begin
+    flushx m acc;
+    k (-1)
+  end
+  else k acc
 
 (* Worst-case cycle cost of one instruction, for the defer_window
    precondition (mem_cap = mmio = 3 dominates mem_word). *)
 let instr_maxcost = function
   | Isa.Lw _ | Isa.Sw _ | Isa.Clc _ | Isa.Csc _ -> Cost.instr + Cost.mem_cap
   | _ -> Cost.instr
+
+(* The number of [Mv rd, zero] (register clears) from slot [j] on. *)
+let zero_run dec j =
+  let rec go l =
+    if j + l < Array.length dec then
+      match dec.(j + l).d_ins with Isa.Mv (_, 0) -> go (l + 1) | _ -> l
+    else l
+  in
+  go 0
 
 (* Every exit hands back the pending batch and the number of
    instructions this execution retired (on the last trip, for a
@@ -670,10 +763,12 @@ let[@inline] leave ctx acc n pc =
    the 6-slot self-loop [Cgetaddr r,c; Beq r,e,out; Csc zero,0(c);
    Csc zero,8(c); Cincaddrimm c,c,16; J entry] with r, c and e distinct
    and non-zero (so only the loop itself writes c, and e and the
-   authority's bounds stay put).  [Some (r, c, e)] when the block
-   [idx..last] has that shape. *)
-let zero_loop_shape dec ~entry ~idx ~last =
-  if last - idx <> 5 then None
+   authority's bounds stay put) and [out] ahead of the [Beq] (so the
+   exit folds into the block and a trip is the six slots).  [Some (r,
+   c, e)] when the block entered at [idx] has that shape. *)
+let zero_loop_shape dec ~base ~idx =
+  let entry = base + (4 * idx) in
+  if idx + 5 >= Array.length dec then None
   else
     let ins j = dec.(idx + j).d_ins in
     match (ins 0, ins 1, ins 2, ins 3, ins 4, ins 5) with
@@ -685,33 +780,37 @@ let zero_loop_shape dec ~entry ~idx ~last =
         Isa.J _ )
       when r' = r && c2 = c && c3 = c && c4 = c && c5 = c
            && dec.(idx + 5).d_target = entry
+           && dec.(idx + 1).d_target > entry + 4
            && r <> 0 && c <> 0 && e <> 0 && r <> c && r <> e && c <> e ->
         Some (r, c, e)
     | _ -> None
 
 (* The zeroing loop in closed form.  On a deferred entry it runs [n]
    full trips at once, [n] bounded by the trips left to [e] and by the
-   back-edges the per-trip closure would take: [1 + min sspins j], [j]
-   the largest trip count whose back-edge check [defer_window (acc' +
-   trip)] still passes.  One range-wide check stands for the [2n]
-   direct checks of the NULL stores, all on the same authority with
-   the same meta, bounds and base: the mask and compare, both bounds,
-   SRAM, 8-byte alignment of the cursor (every store is then aligned)
-   and the load filter.  It settles the state exactly as [n] trips of
-   [per_trip] would (memory, instret, batch, cursor, [r], spent
-   back-edges), then takes the back-edge after the last trip itself, so
-   the exit entry or the hand-back to the dispatcher is [per_trip]'s
-   own.  Anything else (not deferring, [e] not a whole number of
-   trips ahead, a failing check) runs [per_trip]. *)
-let zero_loop ctx ~lo ~hi ~len ~trip ~r ~c ~e ~per_trip ~back =
+   back-edges the per-trip closure would take: [1 + min s j], [s] the
+   extra trips the spin budget ([sbudget], which must still cover a
+   longest path after each trip) allows and [j] the largest trip count
+   whose back-edge check [defer_window (acc' + worst)] still passes.
+   One range-wide check stands for the [2n] direct checks of the NULL
+   stores, all on the same authority with the same meta, bounds and
+   base: the mask and compare, both bounds, SRAM, 8-byte alignment of
+   the cursor (every store is then aligned) and the load filter.  It
+   settles the state exactly as [n] trips of [per_trip] would (memory,
+   instret, batch, cursor, [r], spent budget), then takes the back-edge
+   after the last trip itself, so the exit path (the folded tail behind
+   [out]) or the hand-back to the dispatcher is [per_trip]'s own.
+   Anything else (not deferring, [e] not a whole number of trips ahead,
+   a failing check) runs [per_trip]. *)
+let zero_loop ctx ~lo ~hi ~len ~worst ~trip_len ~trip_cost ~r ~c ~e ~per_trip ~back =
   let m = ctx.sm and mem = ctx.smem and pk = ctx.spk in
-  fun pcc acc ->
+  fun acc ->
     let cur = Pk.ucursor pk c in
     let left = Pk.ucursor pk e - cur in
-    if acc < 0 || left <= 0 || left land 15 <> 0 then per_trip pcc acc
+    if acc < 0 || left <= 0 || left land 15 <> 0 then per_trip acc
     else begin
-      let backs = Int.max 0 ((Machine.defer_room m - acc - trip - 1) / trip) in
-      let n = Int.min (left lsr 4) (1 + Int.min ctx.sspins backs) in
+      let backs = Int.max 0 ((Machine.defer_room m - acc - worst - 1) / trip_cost) in
+      let spins = Int.max 0 ((ctx.sbudget - len) / trip_len) in
+      let n = Int.min (left lsr 4) (1 + Int.min spins backs) in
       let fin = cur + (16 * n) in
       let b = Pk.ubase pk c in
       if
@@ -724,99 +823,222 @@ let zero_loop ctx ~lo ~hi ~len ~trip ~r ~c ~e ~per_trip ~back =
         && not (Memory.base_filtered mem b)
       then begin
         Memory.zero_priv mem ~addr:cur ~len:(fin - cur);
-        ctx.sinstret <- ctx.sinstret + (len * n);
+        ctx.sinstret <- ctx.sinstret + (trip_len * n);
         Pk.uset_int pk r (fin - 16);
         Pk.uset_cursor pk c fin;
-        ctx.sspins <- ctx.sspins - (n - 1);
-        back pcc (acc + (trip * n))
+        ctx.sbudget <- ctx.sbudget - (trip_len * (n - 1));
+        back trip_len (acc + (trip_cost * n))
       end
-      else per_trip pcc acc
+      else per_trip acc
     end
 
-let compile ~single ctx dec ~base ~idx =
+let compile ~single ctx dec ~base ~idx ~pcc =
   let m = ctx.sm and mem = ctx.smem and pk = ctx.spk in
   let lo = Memory.base mem in
   let hi = lo + Memory.size mem in
   let n = Array.length dec in
   let entry = base + (4 * idx) in
-  let last =
-    let rec f j = if j >= n - 1 || ends_block entry dec.(j) then j else f (j + 1) in
-    if single then idx else f idx
+  let slot_of tpc = (tpc - base) lsr 2 in
+  (* The slots a path runs next after slot [j], -1 for none (one past
+     the segment end is a fall-off exit): [fall j] continues without a
+     guard (the next slot, or a forward [J]'s target), [taken j] is a
+     forward branch's taken arm, a deferral guard. *)
+  let fall j =
+    if single then -1
+    else
+      let d = Array.unsafe_get dec j in
+      match d.d_ins with
+      | Isa.Beq _ | Isa.Bne _ | Isa.Bltu _ | Isa.Bgeu _ ->
+          if d.d_target > base + (4 * j) then j + 1 else -1
+      | Isa.J _ -> if d.d_target > base + (4 * j) then slot_of d.d_target else -1
+      | Isa.Cjal _ | Isa.Cjalr _ | Isa.Halt | Isa.Trapif _ -> -1
+      | _ -> j + 1
   in
-  let len = last - idx + 1 in
-  let maxcost = ref 0 in
-  for j = idx to last do
-    maxcost := !maxcost + instr_maxcost dec.(j).d_ins
-  done;
-  let mc = !maxcost in
-  (* Self-loop support: when the terminator's taken target is this
-     block's own entry, the terminator re-enters the chain head directly
-     (knot tied through [head]) for up to [ctx.sspins] extra trips, each
-     trip re-checking the event horizon against the accumulated batch.
-     Deferred execution is atomic — every tick inside it is below the
-     horizon, so it takes the fast path and cannot run effects — which
-     is what makes the [sspins] counter sound: nothing can preempt
-     mid-spin.  The dispatcher bounds [sspins] by the sample room as
-     well as by fuel, so the skipped sample check stays sound.  Every trip
-     that loops back ran the whole block, so the dispatcher charges fuel
-     as [len] per extra trip plus the last trip's [sret_len]. *)
-  let head = ref (fun (_ : Cap.t) (_ : int) -> x_halt) in
-  let self = ref false in
-  let back pcc acc =
-    if acc >= 0 && ctx.sspins > 0 && Machine.defer_window m (acc + mc) then begin
-      ctx.sspins <- ctx.sspins - 1;
-      !head pcc acc
+  let taken j =
+    if single then -1
+    else
+      let d = Array.unsafe_get dec j in
+      match d.d_ins with
+      | (Isa.Beq _ | Isa.Bne _ | Isa.Bltu _ | Isa.Bgeu _) when d.d_target > base + (4 * j) ->
+          slot_of d.d_target
+      | _ -> -1
+  in
+  (* Block figures, from the slots alone: the longest path, the span and
+     the deferral windows depend on which slots a path runs, not on the
+     counts its closures are compiled for.  A forward pass marks the
+     slots the block reaches, then a backward pass takes, per slot, the
+     longest path from it and its window (the worst cost up to a guard
+     or exit).  Both are indexed from the entry slot, and sized for the entry slot
+     alone in a one-instruction block. *)
+  let size = if single then 1 else n - idx in
+  let len = Array.make size 0 and win = Array.make size 0 in
+  (* Slots two paths can enter: the only ones whose copies need
+     memoising, since every other slot is compiled from its one
+     predecessor's copies, once each. *)
+  let join = Bytes.make size '\000' in
+  let reached s = s >= idx && s < n in
+  let enter s =
+    if reached s then
+      if len.(s - idx) = 0 then len.(s - idx) <- 1 else Bytes.set join (s - idx) '\001'
+  in
+  let far = ref idx and self = ref false in
+  len.(0) <- 1;
+  for j = idx to idx + size - 1 do
+    if len.(j - idx) > 0 then begin
+      far := j;
+      (match dec.(j).d_ins with
+      | Isa.Beq _ | Isa.Bne _ | Isa.Bltu _ | Isa.Bgeu _ | Isa.J _ ->
+          if dec.(j).d_target = entry then self := true
+      | _ -> ());
+      enter (fall j);
+      enter (taken j)
     end
-    else leave ctx acc len entry
+  done;
+  for j = !far downto idx do
+    if len.(j - idx) > 0 then begin
+      let f = fall j and t = taken j in
+      let lf = if reached f then len.(f - idx) else 0
+      and lt = if reached t then len.(t - idx) else 0 in
+      len.(j - idx) <- 1 + Int.max lf lt;
+      win.(j - idx) <-
+        (instr_maxcost dec.(j).d_ins + if reached f then win.(f - idx) else 0)
+    end
+  done;
+  let longest = len.(0) and window = win.(0) in
+  (* Self-loop support: a back-edge to this block's own entry re-enters
+     the chain head directly (knot tied through [head]) while the spin
+     budget [ctx.sbudget] still covers a longest path after this trip's
+     [nt] retirements, re-checking the event horizon against the
+     accumulated batch each time.  Deferred execution is atomic — every
+     tick inside it is below the horizon, so it takes the fast path and
+     cannot run effects — which is what makes the shared budget sound:
+     nothing can preempt mid-spin.  The dispatcher sets the budget to the
+     smaller of the fuel and the sample room, so the skipped sample check
+     stays sound, and charges fuel as the budget spent plus the last
+     trip's [sret_len]. *)
+  let head = ref (fun (_ : int) -> x_halt) in
+  let back nt acc =
+    if acc >= 0 && ctx.sbudget - nt >= longest && Machine.defer_window m (acc + window)
+    then begin
+      ctx.sbudget <- ctx.sbudget - nt;
+      !head acc
+    end
+    else leave ctx acc nt entry
   in
-  let rec build j : Cap.t -> int -> int =
-    if j > last then
-      (* No terminator before the segment end: fall off; the dispatcher
-         re-checks segment and bounds at the returned pc, exactly as a
-         one-instruction step would. *)
-      let fall = base + (4 * j) in
-      fun _pcc acc -> leave ctx acc len fall
-    else begin
-      let slot = Array.unsafe_get dec j in
-      let pc = base + (4 * j) in
+  (* Every copy compiled at a join slot. *)
+  let memo = ref No_copy in
+  (* The backward sentry a Cjal or Cjalr at [pc] links (the pcc at
+     [pc + 4], sealed as [kind]), or the violation deriving it raises. *)
+  let link pc kind =
+    Result.bind (Cap.with_address pcc (pc + 4)) (fun c -> Cap.seal_entry c kind)
+  in
+  let exit_to c1 tpc acc = leave ctx acc c1 tpc in
+  (* [build j c]: the closure that runs slot [j] after [c] retirements. *)
+  let rec build j c =
+    if j >= n || (single && j > idx) then
+      (* Off the end of the segment (or of a one-instruction block): the
+         dispatcher re-checks segment and bounds at the returned pc,
+         exactly as a one-instruction step would. *)
+      exit_to c (base + (4 * j))
+    else if Bytes.get join (j - idx) = '\000' then node j c
+    else
+      let rec find = function
+        | No_copy ->
+            let k = node j c in
+            memo := Copy { j; c; k; rest = !memo };
+            k
+        | Copy cp -> if cp.j = j && cp.c = c then cp.k else find cp.rest
+      in
+      find !memo
+  (* The taken arm of a forward branch, compiled when it first runs: a
+     block compiles only the paths it takes (a trap arm or an arity the
+     callers never use costs nothing), and every later run calls the
+     compiled arm through the cell. *)
+  and later j c =
+    let cell = { lk = (fun _ -> x_halt) } in
+    cell.lk <-
+      (fun acc ->
+        let k = build j c in
+        cell.lk <- k;
+        k acc);
+    cell
+  (* The taken arm (a cell), its window (guarded, see [take]) and the
+     not-taken continuation of a conditional branch at slot [j], after
+     [c1] retirements, that does not go back to the entry. *)
+  and arms j c1 tpc =
+    let pc = base + (4 * j) in
+    if tpc <= pc then ({ lk = exit_to c1 tpc }, 0, exit_to c1 (pc + 4))
+    else
+      let t = slot_of tpc in
+      (later t c1, (if t < idx + size then win.(t - idx) else 0), build (j + 1) c1)
+  and node j c =
+    let slot = Array.unsafe_get dec j in
+    let pc = base + (4 * j) in
+    let c1 = c + 1 in
+    let f =
       match slot.d_ins with
       (* --- straight-line instructions: call the continuation --- *)
       | Isa.Li (rd, v) ->
-          let k = build (j + 1) in
-          fun pcc acc ->
+          let k = build (j + 1) c1 in
+          fun acc ->
             let acc = retire ctx acc in
             Pk.uset_int pk rd v;
-            k pcc acc
+            k acc
+      | Isa.Mv (_, 0) when (not single) && zero_run dec j >= 2 ->
+          (* A run of register clears (the switcher's scrubs) in one
+             closure: deferred, one batched retirement for the run;
+             otherwise each clear retires first, as per step. *)
+          let regs =
+            Array.init (zero_run dec j) (fun i ->
+                match dec.(j + i).d_ins with Isa.Mv (rd, _) -> rd | _ -> 0)
+          in
+          let len = Array.length regs in
+          let k = build (j + len) (c + len) in
+          fun acc ->
+            if acc >= 0 then begin
+              ctx.sinstret <- ctx.sinstret + len;
+              for i = 0 to len - 1 do
+                Pk.uset_int pk (Array.unsafe_get regs i) 0
+              done;
+              k (acc + (len * Cost.instr))
+            end
+            else begin
+              for i = 0 to len - 1 do
+                ignore (retire ctx acc);
+                Pk.uset_int pk (Array.unsafe_get regs i) 0
+              done;
+              k acc
+            end
       | Isa.Mv (rd, rs) ->
-          let k = build (j + 1) in
-          fun pcc acc ->
+          let k = build (j + 1) c1 in
+          fun acc ->
             let acc = retire ctx acc in
             Pk.ucopy pk ~dst:rd ~src:rs;
-            k pcc acc
+            k acc
       | Isa.Addi (rd, rs, v) ->
-          let k = build (j + 1) in
-          fun pcc acc ->
+          let k = build (j + 1) c1 in
+          fun acc ->
             let acc = retire ctx acc in
             Pk.uset_int pk rd (Pk.ucursor pk rs + v);
-            k pcc acc
+            k acc
       | Isa.Add (rd, a, b) ->
-          let k = build (j + 1) in
-          fun pcc acc ->
+          let k = build (j + 1) c1 in
+          fun acc ->
             let acc = retire ctx acc in
             Pk.uset_int pk rd (Pk.ucursor pk a + Pk.ucursor pk b);
-            k pcc acc
+            k acc
       | Isa.Sub (rd, a, b) ->
-          let k = build (j + 1) in
-          fun pcc acc ->
+          let k = build (j + 1) c1 in
+          fun acc ->
             let acc = retire ctx acc in
             Pk.uset_int pk rd (Pk.ucursor pk a - Pk.ucursor pk b);
-            k pcc acc
+            k acc
       | Isa.Andi (rd, rs, v) ->
-          let k = build (j + 1) in
-          fun pcc acc ->
+          let k = build (j + 1) c1 in
+          fun acc ->
             let acc = retire ctx acc in
             Pk.uset_int pk rd (Pk.ucursor pk rs land v);
-            k pcc acc
+            k acc
       (* --- memory: direct checks on the packed authority.  Deferred
          and passing, the arm retires and charges in one batched add.
          Otherwise it retires (a real tick when not deferring; the
@@ -825,13 +1047,13 @@ let compile ~single ctx dec ~base ~idx =
          after the charge and goes straight to the backing store, and
          anything else takes the full checked [Machine] path. --- *)
       | Isa.Lw (rd, imm, rs) ->
-          let k = build (j + 1) in
-          fun pcc acc ->
+          let k = build (j + 1) c1 in
+          fun acc ->
             let addr = Pk.ucursor pk rs + imm in
             if acc >= 0 && direct mem lo hi pk rs k_load m_load addr 4 then begin
               ctx.sinstret <- ctx.sinstret + 1;
               Pk.uset_int pk rd (Memory.load32_unchecked mem addr);
-              k pcc (acc + (Cost.instr + Cost.mem_word))
+              k (acc + (Cost.instr + Cost.mem_word))
             end
             else begin
               let acc = retire ctx acc in
@@ -841,7 +1063,7 @@ let compile ~single ctx dec ~base ~idx =
                 let acc = charge m acc Cost.mem_word in
                 refilter m acc mem b addr Memory.Read;
                 Pk.uset_int pk rd (Memory.load32_unchecked mem addr);
-                k pcc acc
+                k acc
               end
               else begin
                 let auth = Pk.unpack pk rs in
@@ -853,7 +1075,7 @@ let compile ~single ctx dec ~base ~idx =
                       raise e
                   in
                   Pk.uset_int pk rd v;
-                  k pcc acc
+                  k acc
                 end
                 else begin
                   (* MMIO (or unmapped): the device observes the clock and
@@ -861,18 +1083,18 @@ let compile ~single ctx dec ~base ~idx =
                   flushx m acc;
                   let v = Machine.load m ~auth ~addr ~size:4 in
                   Pk.uset_int pk rd v;
-                  k pcc (-1)
+                  k (-1)
                 end
               end
             end
       | Isa.Sw (rs2, imm, rs1) ->
-          let k = build (j + 1) in
-          fun pcc acc ->
+          let k = build (j + 1) c1 in
+          fun acc ->
             let addr = Pk.ucursor pk rs1 + imm in
             if acc >= 0 && direct mem lo hi pk rs1 k_store m_store addr 4 then begin
               ctx.sinstret <- ctx.sinstret + 1;
               Memory.store32_unchecked mem addr (Pk.ucursor pk rs2);
-              k pcc (acc + (Cost.instr + Cost.mem_word))
+              k (acc + (Cost.instr + Cost.mem_word))
             end
             else begin
               let acc = retire ctx acc in
@@ -882,7 +1104,7 @@ let compile ~single ctx dec ~base ~idx =
                 let acc = charge m acc Cost.mem_word in
                 refilter m acc mem b addr Memory.Write;
                 Memory.store32_unchecked mem addr v;
-                k pcc acc
+                k acc
               end
               else begin
                 let auth = Pk.unpack pk rs1 in
@@ -891,25 +1113,25 @@ let compile ~single ctx dec ~base ~idx =
                    with e ->
                      flushx m acc;
                      raise e);
-                  k pcc acc
+                  k acc
                 end
                 else begin
                   flushx m acc;
                   Machine.store m ~auth ~addr ~size:4 (Pk.ucursor pk rs2);
-                  k pcc (-1)
+                  k (-1)
                 end
               end
             end
       | Isa.Clc (rd, imm, rs) ->
-          let k = build (j + 1) in
-          fun pcc acc ->
+          let k = build (j + 1) c1 in
+          fun acc ->
             let addr = Pk.ucursor pk rs + imm in
             if acc >= 0 && direct mem lo hi pk rs k_load m_load addr Memory.granule_size
             then begin
               ctx.sinstret <- ctx.sinstret + 1;
               let perms = perms_of (Pk.umeta pk rs) in
               Pk.uload_cap pk rd mem ~addr ~perms;
-              k pcc (acc + (Cost.instr + Cost.mem_cap))
+              k (acc + (Cost.instr + Cost.mem_cap))
             end
             else begin
               let acc = retire ctx acc in
@@ -920,7 +1142,7 @@ let compile ~single ctx dec ~base ~idx =
                 let acc = charge m acc Cost.mem_cap in
                 refilter m acc mem b addr Memory.Read;
                 Pk.uload_cap pk rd mem ~addr ~perms;
-                k pcc acc
+                k acc
               end
               else begin
                 let auth = Pk.unpack pk rs in
@@ -931,14 +1153,14 @@ let compile ~single ctx dec ~base ~idx =
                     raise e
                 in
                 Pk.pack pk rd v;
-                k pcc acc
+                k acc
               end
             end
       | Isa.Csc (0, imm, rs1) ->
           (* NULL store (the switcher's zeroing loops and frame scrub):
              untagged, so it never runs the tag-set hook. *)
-          let k = build (j + 1) in
-          fun pcc acc ->
+          let k = build (j + 1) c1 in
+          fun acc ->
             let addr = Pk.ucursor pk rs1 + imm in
             if
               acc >= 0
@@ -946,7 +1168,7 @@ let compile ~single ctx dec ~base ~idx =
             then begin
               ctx.sinstret <- ctx.sinstret + 1;
               Memory.zero_granule_unchecked mem addr;
-              k pcc (acc + (Cost.instr + Cost.mem_cap))
+              k (acc + (Cost.instr + Cost.mem_cap))
             end
             else begin
               let acc = retire ctx acc in
@@ -957,17 +1179,17 @@ let compile ~single ctx dec ~base ~idx =
                 let acc = charge m acc Cost.mem_cap in
                 refilter m acc mem b addr Memory.Write;
                 Memory.zero_granule_unchecked mem addr;
-                k pcc acc
+                k acc
               end
               else begin
                 flushx m acc;
                 Machine.store_cap m ~auth:(Pk.unpack pk rs1) ~addr Cap.null;
-                k pcc (-1)
+                k (-1)
               end
             end
       | Isa.Csc (rs2, imm, rs1) ->
-          let k = build (j + 1) in
-          fun pcc acc ->
+          let k = build (j + 1) c1 in
+          fun acc ->
             let addr = Pk.ucursor pk rs1 + imm in
             (* A store that may set a tag runs the tag-set hook.  With the
                revoker idle that hook does nothing, and nothing inside a
@@ -981,7 +1203,7 @@ let compile ~single ctx dec ~base ~idx =
             then begin
               ctx.sinstret <- ctx.sinstret + 1;
               store_packed mem addr pk rs2;
-              k pcc (acc + (Cost.instr + Cost.mem_cap))
+              k (acc + (Cost.instr + Cost.mem_cap))
             end
             else begin
               (* Otherwise the hook settles a sweep against the live
@@ -997,247 +1219,269 @@ let compile ~single ctx dec ~base ~idx =
                 Machine.tick m Cost.mem_cap;
                 refilter m (-1) mem b addr Memory.Write;
                 store_packed mem addr pk rs2;
-                k pcc (-1)
+                k (-1)
               end
               else begin
                 Machine.store_cap m ~auth:(Pk.unpack pk rs1) ~addr (Pk.unpack pk rs2);
-                k pcc (-1)
+                k (-1)
               end
             end
       | Isa.Cincaddr (rd, a, b) ->
-          let k = build (j + 1) in
-          fun pcc acc ->
+          let k = build (j + 1) c1 in
+          fun acc ->
             let acc = retire ctx acc in
             pkfx m acc pc (Pk.incr_addr pk ~dst:rd ~src:a (Pk.ucursor pk b));
-            k pcc acc
+            k acc
       | Isa.Cincaddrimm (rd, a, v) ->
-          let k = build (j + 1) in
-          fun pcc acc ->
+          let k = build (j + 1) c1 in
+          fun acc ->
             let acc = retire ctx acc in
             pkfx m acc pc (Pk.incr_addr pk ~dst:rd ~src:a v);
-            k pcc acc
+            k acc
       | Isa.Csetaddr (rd, a, b) ->
-          let k = build (j + 1) in
-          fun pcc acc ->
+          let k = build (j + 1) c1 in
+          fun acc ->
             let acc = retire ctx acc in
             pkfx m acc pc (Pk.set_addr pk ~dst:rd ~src:a (Pk.ucursor pk b));
-            k pcc acc
+            k acc
       | Isa.Csetbounds (rd, a, b) ->
-          let k = build (j + 1) in
-          fun pcc acc ->
+          let k = build (j + 1) c1 in
+          fun acc ->
             let acc = retire ctx acc in
             pkfx m acc pc (Pk.set_bounds pk ~dst:rd ~src:a (Pk.ucursor pk b));
-            k pcc acc
+            k acc
       | Isa.Csetboundsimm (rd, a, v) ->
-          let k = build (j + 1) in
-          fun pcc acc ->
+          let k = build (j + 1) c1 in
+          fun acc ->
             let acc = retire ctx acc in
             pkfx m acc pc (Pk.set_bounds pk ~dst:rd ~src:a v);
-            k pcc acc
+            k acc
       | Isa.Candperm (rd, a, mask) ->
-          let k = build (j + 1) in
+          let k = build (j + 1) c1 in
           let pset = Perm.Set.of_bits mask in
-          fun pcc acc ->
+          fun acc ->
             let acc = retire ctx acc in
             pkfx m acc pc (Pk.and_perms pk ~dst:rd ~src:a pset);
-            k pcc acc
+            k acc
       | Isa.Cgetaddr (rd, a) ->
-          let k = build (j + 1) in
-          fun pcc acc ->
+          let k = build (j + 1) c1 in
+          fun acc ->
             let acc = retire ctx acc in
             Pk.uset_int pk rd (Pk.ucursor pk a);
-            k pcc acc
+            k acc
       | Isa.Cgetbase (rd, a) ->
-          let k = build (j + 1) in
-          fun pcc acc ->
+          let k = build (j + 1) c1 in
+          fun acc ->
             let acc = retire ctx acc in
             Pk.uset_int pk rd (Pk.base pk a);
-            k pcc acc
+            k acc
       | Isa.Cgetlen (rd, a) ->
-          let k = build (j + 1) in
-          fun pcc acc ->
+          let k = build (j + 1) c1 in
+          fun acc ->
             let acc = retire ctx acc in
             Pk.uset_int pk rd (Pk.length pk a);
-            k pcc acc
+            k acc
       | Isa.Cgettag (rd, a) ->
-          let k = build (j + 1) in
-          fun pcc acc ->
+          let k = build (j + 1) c1 in
+          fun acc ->
             let acc = retire ctx acc in
             Pk.uset_int pk rd (Pk.tag_bit pk a);
-            k pcc acc
+            k acc
       | Isa.Cgettype (rd, a) ->
-          let k = build (j + 1) in
-          fun pcc acc ->
+          let k = build (j + 1) c1 in
+          fun acc ->
             let acc = retire ctx acc in
             (* The packed otype code IS the architectural CGetType
                encoding. *)
             Pk.uset_int pk rd (Pk.otype_code pk a);
-            k pcc acc
+            k acc
       | Isa.Cgetperm (rd, a) ->
-          let k = build (j + 1) in
-          fun pcc acc ->
+          let k = build (j + 1) c1 in
+          fun acc ->
             let acc = retire ctx acc in
             Pk.uset_int pk rd (Pk.perm_bits pk a);
-            k pcc acc
+            k acc
       | Isa.Cseal (rd, a, key) ->
-          let k = build (j + 1) in
-          fun pcc acc ->
+          let k = build (j + 1) c1 in
+          fun acc ->
             let acc = retire ctx acc in
             pkfx m acc pc (Pk.seal pk ~dst:rd ~src:a ~key);
-            k pcc acc
+            k acc
       | Isa.Cunseal (rd, a, key) ->
-          let k = build (j + 1) in
-          fun pcc acc ->
+          let k = build (j + 1) c1 in
+          fun acc ->
             let acc = retire ctx acc in
             pkfx m acc pc (Pk.unseal pk ~dst:rd ~src:a ~key);
-            k pcc acc
+            k acc
       | Isa.Csealentry (rd, a, kind) ->
-          let k = build (j + 1) in
+          let k = build (j + 1) c1 in
           let code = Cap.sentry_code kind in
-          fun pcc acc ->
+          fun acc ->
             let acc = retire ctx acc in
             pkfx m acc pc (Pk.seal_entry pk ~dst:rd ~src:a code);
-            k pcc acc
+            k acc
       | Isa.Auipcc (rd, _) ->
-          let k = build (j + 1) in
+          let k = build (j + 1) c1 in
           let tgt = slot.d_target in
-          fun pcc acc ->
+          (* [Cap.with_address pcc tgt], packed without boxing. *)
+          if Cap.is_sealed pcc then fun acc ->
+            trapfx m (retire ctx acc) pc (Cap_fault Cap.Seal_violation)
+          else fun acc ->
             let acc = retire ctx acc in
-            (* [Cap.with_address pcc tgt], packed without boxing. *)
-            if Cap.is_sealed pcc then trapfx m acc pc (Cap_fault Cap.Seal_violation);
             Pk.pack_at pk rd pcc tgt;
-            k pcc acc
+            k acc
       | Isa.Cspecialrw (rd, sidx, rs) ->
-          let k = build (j + 1) in
+          let k = build (j + 1) c1 in
           let spec = ctx.sspec in
-          fun pcc acc ->
+          if not (Cap.has_perm Perm.System_registers pcc) then fun acc ->
+            trapfx m (retire ctx acc) pc
+              (Cap_fault (Cap.Permit_violation Perm.System_registers))
+          else fun acc ->
             let acc = retire ctx acc in
-            if not (Cap.has_perm Perm.System_registers pcc) then
-              trapfx m acc pc
-                (Cap_fault (Cap.Permit_violation Perm.System_registers));
-            let old = Array.unsafe_get spec sidx in
-            if rs <> 0 then Array.unsafe_set spec sidx (Pk.unpack pk rs);
-            Pk.pack pk rd old;
-            k pcc acc
+            Pk.uspecial_rw pk ~rd spec sidx ~rs;
+            k acc
       | Isa.Ccleartag (rd, a) ->
-          let k = build (j + 1) in
-          fun pcc acc ->
+          let k = build (j + 1) c1 in
+          fun acc ->
             let acc = retire ctx acc in
             Pk.clear_tag pk ~dst:rd ~src:a;
-            k pcc acc
-      (* --- conditional branches: a back-edge to the entry ends the
-         block as a self-loop; any other branch is a mid-block exit --- *)
+            k acc
+      (* --- conditional branches: back to the entry, a self-loop;
+         otherwise two-way, both arms continuing in the block when the
+         target lies ahead and both exiting when it lies behind --- *)
       | Isa.Beq (a, b, _) ->
           let tpc = slot.d_target in
           if tpc = entry then begin
             self := true;
-            fun pcc acc ->
+            let nt = pc + 4 in
+            fun acc ->
               let acc = retire ctx acc in
-              if Pk.ucursor pk a = Pk.ucursor pk b then back pcc acc else leave ctx acc len (pc + 4)
+              if Pk.ucursor pk a = Pk.ucursor pk b then back c1 acc
+              else leave ctx acc c1 nt
           end
-          else begin
-            let k = build (j + 1) and nj = j - idx + 1 in
-            fun pcc acc ->
+          else
+            let kt, kw, kn = arms j c1 tpc in
+            fun acc ->
               let acc = retire ctx acc in
-              if Pk.ucursor pk a = Pk.ucursor pk b then leave ctx acc nj tpc else k pcc acc
-          end
+              if Pk.ucursor pk a = Pk.ucursor pk b then take m kt.lk kw acc
+              else kn acc
       | Isa.Bne (a, b, _) ->
           let tpc = slot.d_target in
           if tpc = entry then begin
             self := true;
-            fun pcc acc ->
+            let nt = pc + 4 in
+            fun acc ->
               let acc = retire ctx acc in
-              if Pk.ucursor pk a <> Pk.ucursor pk b then back pcc acc else leave ctx acc len (pc + 4)
+              if Pk.ucursor pk a <> Pk.ucursor pk b then back c1 acc
+              else leave ctx acc c1 nt
           end
-          else begin
-            let k = build (j + 1) and nj = j - idx + 1 in
-            fun pcc acc ->
+          else
+            let kt, kw, kn = arms j c1 tpc in
+            fun acc ->
               let acc = retire ctx acc in
-              if Pk.ucursor pk a <> Pk.ucursor pk b then leave ctx acc nj tpc else k pcc acc
-          end
+              if Pk.ucursor pk a <> Pk.ucursor pk b then take m kt.lk kw acc
+              else kn acc
       | Isa.Bltu (a, b, _) ->
           let tpc = slot.d_target in
           if tpc = entry then begin
             self := true;
-            fun pcc acc ->
+            let nt = pc + 4 in
+            fun acc ->
               let acc = retire ctx acc in
-              if Pk.ucursor pk a < Pk.ucursor pk b then back pcc acc else leave ctx acc len (pc + 4)
+              if Pk.ucursor pk a < Pk.ucursor pk b then back c1 acc
+              else leave ctx acc c1 nt
           end
-          else begin
-            let k = build (j + 1) and nj = j - idx + 1 in
-            fun pcc acc ->
+          else
+            let kt, kw, kn = arms j c1 tpc in
+            fun acc ->
               let acc = retire ctx acc in
-              if Pk.ucursor pk a < Pk.ucursor pk b then leave ctx acc nj tpc else k pcc acc
-          end
+              if Pk.ucursor pk a < Pk.ucursor pk b then take m kt.lk kw acc
+              else kn acc
       | Isa.Bgeu (a, b, _) ->
           let tpc = slot.d_target in
           if tpc = entry then begin
             self := true;
-            fun pcc acc ->
+            let nt = pc + 4 in
+            fun acc ->
               let acc = retire ctx acc in
-              if Pk.ucursor pk a >= Pk.ucursor pk b then back pcc acc else leave ctx acc len (pc + 4)
+              if Pk.ucursor pk a >= Pk.ucursor pk b then back c1 acc
+              else leave ctx acc c1 nt
           end
-          else begin
-            let k = build (j + 1) and nj = j - idx + 1 in
-            fun pcc acc ->
+          else
+            let kt, kw, kn = arms j c1 tpc in
+            fun acc ->
               let acc = retire ctx acc in
-              if Pk.ucursor pk a >= Pk.ucursor pk b then leave ctx acc nj tpc else k pcc acc
-          end
-      (* --- terminators: hand back the batch and return the exit --- *)
+              if Pk.ucursor pk a >= Pk.ucursor pk b then take m kt.lk kw acc
+              else kn acc
+      (* --- jumps: a forward J continues at its target; a J back to the
+         entry is a self-loop; the rest hand back the batch and return
+         the exit --- *)
       | Isa.J _ ->
           let tgt = slot.d_target in
           if tgt = entry then begin
             self := true;
-            fun pcc acc -> back pcc (retire ctx acc)
+            fun acc -> back c1 (retire ctx acc)
           end
-          else fun _pcc acc -> leave ctx (retire ctx acc) len tgt
+          else if tgt > pc then
+            let k = build (slot_of tgt) c1 in
+            fun acc -> k (retire ctx acc)
+          else begin
+            fun acc -> leave ctx (retire ctx acc) c1 tgt
+          end
+      | Isa.Cjal (0, _) ->
+          let tgt = slot.d_target in
+          fun acc -> leave ctx (retire ctx acc) c1 tgt
       | Isa.Cjal (rd, _) ->
           let tgt = slot.d_target in
-          fun pcc acc ->
+          let link_en = link pc Cap.Otype.Return_enable
+          and link_dis = link pc Cap.Otype.Return_disable in
+          fun acc ->
             let acc = retire ctx acc in
-            if rd <> 0 then begin
-              let kind =
-                if Machine.irq_enabled m then Cap.Otype.Return_enable
-                else Cap.Otype.Return_disable
-              in
-              Pk.pack pk rd
-                (Cap.exn (Cap.seal_entry (Cap.with_address_exn pcc (pc + 4)) kind))
-            end;
-            leave ctx acc len tgt
+            Pk.pack pk rd (Cap.exn (if Machine.irq_enabled m then link_en else link_dis));
+            leave ctx acc c1 tgt
       | Isa.Cjalr (rd, rs) ->
-          fun pcc acc ->
-            let acc = retire ctx acc in
-            (* Flushed before the posture change: a change that dirties
-               the horizon (enabling interrupts with one pending, or a
-               traced change mid-sweep) must see the clock where
-               per-step execution has it. *)
-            flushx m acc;
-            let back_kind =
-              if Machine.irq_enabled m then Cap.Otype.Return_enable
-              else Cap.Otype.Return_disable
-            in
-            let unsealed = jump_target_pk m pk rs pc in
-            if rd <> 0 then
-              Pk.pack pk rd
-                (Cap.exn
-                   (Cap.seal_entry (Cap.with_address_exn pcc (pc + 4)) back_kind));
-            ctx.sjump <- unsealed;
-            leave ctx (-1) len x_jump
-      | Isa.Halt ->
-          fun _pcc acc ->
+          (* Flushed before the posture change: a change that dirties the
+             horizon (enabling interrupts with one pending, or a traced
+             change mid-sweep) must see the clock where per-step
+             execution has it.  The link reads the posture before the
+             jump changes it. *)
+          if rd = 0 then fun acc ->
             flushx m (retire ctx acc);
-            leave ctx (-1) len x_halt
+            ctx.sjump <- jump_target_pk m pk rs pc;
+            leave ctx (-1) c1 x_jump
+          else
+            let link_en = link pc Cap.Otype.Return_enable
+            and link_dis = link pc Cap.Otype.Return_disable in
+            fun acc ->
+              flushx m (retire ctx acc);
+              let link = if Machine.irq_enabled m then link_en else link_dis in
+              let unsealed = jump_target_pk m pk rs pc in
+              Pk.pack pk rd (Cap.exn link);
+              ctx.sjump <- unsealed;
+              leave ctx (-1) c1 x_jump
+      | Isa.Halt ->
+          fun acc ->
+            flushx m (retire ctx acc);
+            leave ctx (-1) c1 x_halt
       | Isa.Trapif cause ->
-          fun _pcc acc ->
+          fun acc ->
             flushx m (retire ctx acc);
             trap pc (Software cause)
-    end
+    in
+    f
   in
-  let f = build idx in
+  let f = build idx 0 in
   let f =
-    match if single then None else zero_loop_shape dec ~entry ~idx ~last with
-    | Some (r, c, e) -> zero_loop ctx ~lo ~hi ~len ~trip:mc ~r ~c ~e ~per_trip:f ~back
+    match if single then None else zero_loop_shape dec ~base ~idx with
+    | Some (r, c, e) ->
+        let trip_cost = ref 0 in
+        for j = idx to idx + 5 do
+          trip_cost := !trip_cost + instr_maxcost dec.(j).d_ins
+        done;
+        zero_loop ctx ~lo ~hi ~len:longest ~worst:window ~trip_len:6 ~trip_cost:!trip_cost
+          ~r ~c ~e ~per_trip:f ~back
     | None -> f
   in
   head := f;
-  { b_len = len; b_maxcost = mc; b_self = !self; b_run = f }
+  { b_pmeta = Cap.meta pcc; b_pbase = Cap.base pcc; b_ptop = Cap.top pcc;
+    b_span = !far - idx + 1; b_len = longest; b_maxcost = window; b_self = !self; b_run = f }

@@ -1,13 +1,15 @@
 (** Superblock compiler, the interpreter's one execution engine: fuses
-    the trace from a jump or branch target to the next unconditional
-    control transfer (or back-edge to its own entry) into a single
-    closure chain, with per-instruction dispatch, segment-range and
-    PCC-bounds checks hoisted to block entry.  Other conditional
-    branches do not end a block: taken, they exit it mid-way; not taken,
-    execution continues.  The {!Interp} dispatcher validates a block's
-    preconditions once, for its full length, then either runs the fused
-    closure or, when one fails, the one-instruction block at that pc —
-    the engine is its own slow path.  Compiled blocks are observationally
+    the code reachable from a block entry through forward control
+    transfers into one closure graph, with per-instruction dispatch,
+    segment-range and PCC-bounds checks hoisted to block entry.  A
+    forward conditional branch is a two-way closure whose arms both
+    continue in the block, and a forward [J] continues at its target; a
+    block ends only at a backward branch or [J] (back to its own entry,
+    a self-loop), [Cjal], [Cjalr], [Halt] or [Trapif].  The {!Interp}
+    dispatcher validates a block's preconditions once, for every path
+    through it, then either runs the fused closure or, when one fails,
+    the one-instruction block at that pc — the engine is its own slow
+    path.  Compiled blocks are observationally
     identical to one-instruction-at-a-time execution — registers,
     cycles, instret, trap cause + PC and the Obs event stream — which
     [test_interp_equiv] pins against the executable ISA spec in
@@ -15,9 +17,10 @@
 
     The block-precondition invariant (see DESIGN.md): any state a
     compiled block assumes constant must be guarded at block entry (PCC
-    bounds, fuel and the event-horizon window for deferred tick
-    batching, all checked for the longest path, so they also cover an
-    early exit); everything else is read live.  Memory arms check each
+    bounds over the block's slot span; fuel, sample room and the
+    event-horizon window for deferred tick batching over its longest
+    and costliest paths, so they cover whichever path runs); everything
+    else is read live.  Memory arms check each
     access directly on the packed authority (tag, seal and permissions
     in one mask and compare, bounds, SRAM range, alignment,
     {!Memory.base_filtered}) and take the full checked path on any
@@ -162,7 +165,9 @@ type ctx = {
   spk : Packed_cap.t;
       (** the 16 merged registers, packed: 4 ints per register
           ({!Packed_cap}) so steady-state arm bodies allocate nothing *)
-  sspec : Capability.t array;  (** the 3 special registers *)
+  sspec : Packed_cap.t;
+      (** the 3 special registers, packed like the register file:
+          special [i] is its register [i + 1] *)
   mutable sinstret : int;
   mutable sjump : Capability.t;
       (** Cjalr target handoff from terminator to dispatcher *)
@@ -173,20 +178,24 @@ type ctx = {
           after [b_run] returns *)
   mutable sret_len : int;
       (** instructions retired by the [b_run] call that just returned —
-          on its last trip, for a self-loop that spun (every earlier
-          trip retired [b_len]); the dispatcher charges fuel from it *)
-  mutable sspins : int;
-      (** extra self-loop trips a [b_self] block may take inside the
-          compiled closure; the dispatcher sets it from the remaining
-          fuel before a deferred entry and reads back the unused count.
-          Safe as shared state because deferred execution is atomic:
-          every tick below the horizon takes the fast path and cannot
-          run effects, so no other run can interleave mid-spin. *)
+          on its last trip, for a self-loop that spun (the earlier
+          trips are charged to [sbudget]); a compile-time constant of
+          the path the execution took, which the dispatcher charges
+          fuel from *)
+  mutable sbudget : int;
+      (** retirements a [b_self] block's spin may still spend inside the
+          compiled closure: the dispatcher sets it to the smaller of the
+          remaining fuel and the sample room before a deferred entry,
+          each back-edge taken subtracts its trip's count and needs a
+          longest path left over, and the dispatcher reads back what is
+          unspent.  Safe as shared state because deferred execution is
+          atomic: every tick below the horizon takes the fast path and
+          cannot run effects, so no other run can interleave mid-spin. *)
 }
-(** Execution state shared by every compiled block.  Everything
-    per-run (pcc, deferred-cycle accumulator) is threaded through the
-    compiled closures as arguments instead, so a preemption effect
-    suspending one run cannot corrupt another. *)
+(** Execution state shared by every compiled block.  The per-run
+    deferred-cycle accumulator is threaded through the compiled closures
+    as their argument instead, and the pcc is fixed per compiled block,
+    so a preemption effect suspending one run cannot corrupt another. *)
 
 val make_ctx : Machine.t -> ctx
 
@@ -194,19 +203,31 @@ val x_halt : int
 (** Block exit code: executed [Halt]. *)
 
 type block = {
+  b_pmeta : int;
+  b_pbase : int;
+  b_ptop : int;
+      (** the pcc the block was compiled for, by [Capability.meta], base
+          and top (the closures read nothing else of it: every use of
+          the pcc sets its address); the dispatcher runs the block only
+          under a pcc of that shape and compiles it again otherwise *)
+  b_span : int;
+      (** slots from the entry to the farthest slot any path runs: the
+          PCC-bounds precondition covers [entry, entry + 4 * b_span) *)
   b_len : int;
-      (** instructions on the longest path (an execution that takes a
-          mid-block exit retires fewer, see [sret_len]) *)
+      (** instructions retired on the longest path (a shorter path
+          retires fewer, see [sret_len]): the fuel and sample-room
+          precondition *)
   b_maxcost : int;
-      (** worst-case cycle cost, the [Machine.defer_window] argument *)
+      (** worst-case cycle cost over every path, the
+          [Machine.defer_window] argument *)
   b_self : bool;
-      (** the last instruction's taken target is this block's own
-          entry: a tight loop that spins inside the closure, bounded by
-          [ctx.sspins] and the per-trip horizon re-check.  A
-          stack-zeroing loop (see {!compile}) runs those trips in
-          closed form: as many at once as the same bounds allow *)
-  b_run : Capability.t -> int -> int;
-      (** [b_run pcc acc]: [acc >= 0] enters deferred tick batching
+      (** some path branches back to this block's own entry: a tight
+          loop that spins inside the closure, bounded by [ctx.sbudget]
+          and the per-trip horizon re-check.  A stack-zeroing loop (see
+          {!compile}) runs those trips in closed form: as many at once
+          as the same bounds allow *)
+  b_run : int -> int;
+      (** [b_run acc]: [acc >= 0] enters deferred tick batching
           with [acc] cycles already pending (0 on a fresh entry, more
           when the dispatcher carries a batch across blocks — always
           re-validated against [Machine.defer_window] first);
@@ -217,10 +238,19 @@ type block = {
           all pending cycles flushed. *)
 }
 
-val compile : single:bool -> ctx -> dslot array -> base:int -> idx:int -> block
+val compile :
+  single:bool -> ctx -> dslot array -> base:int -> idx:int -> pcc:Capability.t -> block
 (** Compile the block entered at slot [idx] of a segment's decoded
-    array ([base] = segment base address); with [~single:true], just the
-    one instruction at [idx] (the dispatcher's slow path).  Register
+    array ([base] = segment base address) for runs under [pcc]'s shape
+    (meta word and bounds; its cursor is never read), so the closures
+    take only the deferred-cycle batch, a one-argument direct call from
+    instruction to instruction; with [~single:true], just the
+    one instruction at [idx] (the dispatcher's slow path).  Closures
+    are compiled per (slot, instructions retired before it), memoised
+    where two paths can enter a slot, so paths that rejoin with
+    different counts get a copy each and every exit reports its path's
+    exact count; a forward branch's taken arm is compiled when it first
+    runs.  Register
     operands are in range because {!Isa.assemble} checked them.  Pure
     code cache: a compiled block holds no memoized machine state, so it
     stays valid for the segment's lifetime, across snapshot restore.
@@ -228,22 +258,22 @@ val compile : single:bool -> ctx -> dslot array -> base:int -> idx:int -> block
     A block of exactly the switcher's stack-zeroing shape, [Cgetaddr
     r,c; Beq r,e,out; Csc zero,0(c); Csc zero,8(c); Cincaddrimm
     c,c,16; J entry] with r, c and e distinct and non-zero, is
-    recognised here, by its instructions.  On a deferred entry it runs
-    n full trips at once: n is bounded by the trips left to [e] and by
-    [1 + min sspins j], j the back-edges that fit under the event
+    recognised here, by its instructions, when [out] lies ahead of the
+    [Beq], so the loop's exit runs the folded code behind [out] in the
+    same block.  On a deferred entry it runs n full trips at once: n is
+    bounded by the trips left to [e] and by [1 + min s j], s the extra
+    trips [sbudget] allows and j the back-edges that fit under the event
     horizon ({!Machine.defer_room}).  One check of the store authority
     over the whole range (meta mask, bounds, SRAM, 8-byte alignment,
     {!Memory.base_filtered}) replaces the per-store checks, one
     {!Memory.zero_priv} the stores, and cycles, instret, the cursor,
-    [r] and [sspins] are settled as n trips would leave them.  When
+    [r] and [sbudget] are settled as n trips would leave them.  When
     any precondition fails (not deferring, [e] not a whole positive
     number of trips ahead, a failing check) the block runs trip by
     trip. *)
 
-val apply_jump_target :
-  Machine.t -> int -> Capability.t -> Capability.t * Capability.Otype.sentry
-(** Sentry semantics shared by Cjalr and the external entry point:
-    unseal sentries, apply interrupt-posture changes, and return the
-    unsealed target plus the backward sentry kind restoring the
-    previous posture.  Traps (at the given pc) on untagged, data-sealed
-    or non-executable targets. *)
+val apply_jump_target : Machine.t -> int -> Capability.t -> Capability.t
+(** Sentry semantics of the external entry point: unseal sentries,
+    apply interrupt-posture changes, and return the unsealed target.
+    Traps (at the given pc) on untagged, data-sealed or non-executable
+    targets. *)

@@ -17,6 +17,7 @@ type comp_layout = {
   lc_import_cap : Cap.t;
   lc_entries : Firmware.entry array;
   lc_imports : (string * Firmware.import) array;
+  lc_import_slots : (string, int) Hashtbl.t Lazy.t;
 }
 
 type thread_layout = {
@@ -78,13 +79,18 @@ let find_thread t name = List.find (fun th -> th.lt_name = name) t.threads
 let entry_index (l : comp_layout) name =
   Array.find_index (fun (e : Firmware.entry) -> e.entry_name = name) l.lc_entries
 
-let import_slot c name =
-  let rec go i =
-    if i >= Array.length c.lc_imports then raise Not_found
-    else if fst c.lc_imports.(i) = name then i
-    else go (i + 1)
-  in
-  go 0
+let import_slot c name = Hashtbl.find (Lazy.force c.lc_import_slots) name
+
+(* Display name -> slot index; where two slots share a name the first
+   one answers, as a scan in slot order would.  Built on a compartment's
+   first lookup: a boot builds none, and only compartments whose imports
+   are looked up by name (every compartment-call caller) pay for one. *)
+let import_slot_table imports =
+  let tbl = Hashtbl.create (Array.length imports) in
+  for i = Array.length imports - 1 downto 0 do
+    Hashtbl.replace tbl (fst imports.(i)) i
+  done;
+  tbl
 
 let import_slot_addr c slot = c.lc_import_base + (8 * slot)
 
@@ -242,6 +248,7 @@ let load fw machine interp =
             lc_import_cap = import_cap;
             lc_entries = Array.of_list c.entries;
             lc_imports = imports_named;
+            lc_import_slots = lazy (import_slot_table imports_named);
           })
         fw.compartments
     in

@@ -30,6 +30,10 @@ type comp_layout = {
   lc_imports : (string * Firmware.import) array;
       (** import-slot display name and declaration, in slot order;
           slot 0 is always the switcher call sentry *)
+  lc_import_slots : (string, int) Hashtbl.t Lazy.t;
+      (** display name -> slot index of [lc_imports] (the first slot
+          wins a shared name), built on the compartment's first
+          {!import_slot} *)
 }
 
 type thread_layout = {
@@ -90,8 +94,9 @@ val entry_index : comp_layout -> string -> int option
     implementations by this index. *)
 
 val import_slot : comp_layout -> string -> int
-(** Slot index of an import by display name ({!Firmware.import_name});
-    raises [Not_found]. *)
+(** Slot index of an import by display name ({!Firmware.import_name}),
+    the first such slot in slot order, from the compartment's name table
+    ([lc_import_slots]); raises [Not_found]. *)
 
 val import_slot_addr : comp_layout -> int -> int
 

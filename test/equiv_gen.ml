@@ -9,9 +9,11 @@
    rarer successes likely before some fault ends the run.  One idiom is
    the switcher's stack-zeroing loop on r6, so the engine's closed form
    of that loop meets windows that end, overrun and never meet their
-   end.  Branch targets come from a fixed label pool placed at random
-   positions, plus fresh labels inside the zeroing idiom, so
-   [Isa.assemble] always validates. *)
+   end.  Two idioms are the shapes the engine folds into one block: a
+   forward diamond whose arms retire different counts before they meet,
+   and a forward J over a few instructions.  Branch targets come from a
+   fixed label pool placed at random positions, plus fresh labels inside
+   the idioms, so [Isa.assemble] always validates. *)
 
 module Cap = Capability
 
@@ -84,6 +86,14 @@ let zero_lens = [| 0; 16; 48; 128; 256; 24; 8; -16; 2048 |]
 let gen_unit rng labels ~fresh =
   let int n = Random.State.int rng n in
   let reg () = 1 + int 5 in
+  let body n = List.init n (fun _ -> Isa.I (gen_instr rng labels)) in
+  let cond a b l =
+    match int 4 with
+    | 0 -> Isa.Beq (a, b, l)
+    | 1 -> Isa.Bne (a, b, l)
+    | 2 -> Isa.Bltu (a, b, l)
+    | _ -> Isa.Bgeu (a, b, l)
+  in
   match int 40 with
   | 0 ->
       (* a key one below the sealing root's base up to its top *)
@@ -118,6 +128,18 @@ let gen_unit rng labels ~fresh =
           I (J loop);
           L out;
         ]
+  | 3 | 4 ->
+      (* a forward diamond: arms of 0..3 and 1..4 instructions, the
+         first closed by a J over the second, meeting at [join] *)
+      let other = fresh () and join = fresh () in
+      (Isa.I (cond (reg ()) (reg ()) other) :: body (int 4))
+      @ [ Isa.I (Isa.J join); Isa.L other ]
+      @ body (1 + int 4)
+      @ [ Isa.L join ]
+  | 5 ->
+      (* a forward J over 1..3 instructions *)
+      let skip = fresh () in
+      (Isa.I (Isa.J skip) :: body (1 + int 3)) @ [ Isa.L skip ]
   | _ -> [ Isa.I (gen_instr rng labels) ]
 
 let gen_program rng =

@@ -25,6 +25,10 @@ let set_reg = function
   | Engine_vm i -> Interp.set_reg i
   | Spec_vm s -> Isa_spec.set_reg s
 
+let set_special = function
+  | Engine_vm i -> Interp.set_special i
+  | Spec_vm s -> Isa_spec.set_special s
+
 let read_regs = function
   | Engine_vm i -> Interp.read_regs i
   | Spec_vm s -> Isa_spec.read_regs s

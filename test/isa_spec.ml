@@ -50,6 +50,7 @@ let create machine =
 let map_segment t ~base prog = t.segments <- { base; prog } :: t.segments
 let get_reg t r = if r = 0 then Cap.null else t.regs.(r)
 let set_reg t r c = if r <> 0 then t.regs.(r) <- c
+let set_special t i c = t.specials.(i) <- c
 let read_regs t = Array.init 16 (get_reg t)
 let instret t = t.instret
 let int_value v = Cap.exn (Cap.with_address Cap.null v)

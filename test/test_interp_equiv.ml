@@ -15,7 +15,10 @@
    (the "access caches" and "direct checks" sections below); and the
    corners of mid-block exits and of Instr_sample boundaries falling
    inside, at the end of and mid-spin in deferred blocks under tracing
-   ("trace blocks"). *)
+   ("trace blocks"); the corners of blocks folded through forward
+   branches, whose paths retire different counts ("folded blocks"); and
+   the whole switcher program, both legs, over generated call states
+   ("switcher"). *)
 
 module Cap = Capability
 module Vm = Equiv_vm
@@ -33,6 +36,9 @@ type snapshot = {
   s_regs : string list;
   s_events : string list;
 }
+
+(* One run's view and its memory as [mem_view] renders it. *)
+type view_mem = snapshot * string
 
 let outcome_to_string = function
   | Interp.Halted -> "halted"
@@ -371,29 +377,36 @@ let zero_items trips =
 
 let zero_prog trips = Isa.assemble ~name:"zero" (zero_items trips @ [ Isa.I Isa.Halt ])
 
-(* A rig for [prog]; [scenario] arms it and drives the runs through
-   [go], which returns one view per run. *)
-let cap_runs ~kind ~traced ?(fuel = 100_000) ?pcc_top prog scenario =
-  let machine = Machine.create () in
+(* A rig for [prog], mapped at [base], in a machine with [sram_size]
+   bytes of SRAM (256 KiB by default); [scenario] arms it and drives the
+   runs through [go], which returns one view per run.  A run enters at
+   the start of [prog] through a sentry, or through [at]. *)
+let cap_runs ~kind ~traced ?(fuel = 100_000) ?(base = code_base) ?sram_size ?pcc_top prog
+    (scenario : Machine.t -> Vm.t -> (?at:Cap.t -> unit -> view_mem) -> 'a) =
+  let machine = Machine.create ?sram_size () in
   let obs = Obs.create () in
   if traced then Machine.set_trace machine (Some obs);
   let interp = Vm.create kind machine in
-  Vm.map_segment interp ~base:code_base prog;
-  let top = Option.value pcc_top ~default:(code_base + Isa.code_bytes prog) in
-  let pcc = Cap.make_root ~base:code_base ~top ~perms:Perm.Set.executable in
+  Vm.map_segment interp ~base prog;
+  let top = Option.value pcc_top ~default:(base + Isa.code_bytes prog) in
+  let pcc = Cap.make_root ~base ~top ~perms:Perm.Set.executable in
   let entry = Cap.exn (Cap.seal_entry pcc Cap.Otype.Call_inherit) in
-  let go () =
-    let v = view machine obs interp (Vm.run ~fuel interp entry) in
+  let go ?(at = entry) () =
+    let v = view machine obs interp (Vm.run ~fuel interp at) in
     (v, mem_view machine)
   in
   scenario machine interp go
 
-let check_cap_matrix ?fuel ?pcc_top name prog scenario =
+let check_cap_matrix ?fuel ?base ?sram_size ?pcc_top name prog scenario =
   List.concat_map
     (fun traced ->
       let mode = if traced then "traced" else "untraced" in
-      let oracle = cap_runs ~kind:Vm.Spec ~traced ?fuel ?pcc_top prog scenario in
-      let got = cap_runs ~kind:Vm.Engine ~traced ?fuel ?pcc_top prog scenario in
+      let oracle =
+        cap_runs ~kind:Vm.Spec ~traced ?fuel ?base ?sram_size ?pcc_top prog scenario
+      in
+      let got =
+        cap_runs ~kind:Vm.Engine ~traced ?fuel ?base ?sram_size ?pcc_top prog scenario
+      in
       Alcotest.(check int)
         (Fmt.str "%s (%s): runs" name mode)
         (List.length oracle) (List.length got);
@@ -761,7 +774,7 @@ let test_zero_loop_cut () =
      batch at the event horizon), and a timer IRQ lands mid-spin; both
      record the cycle they fire at, which must match the spec's. *)
   let fired = ref [] in
-  let scenario machine interp go =
+  let scenario machine interp (go : ?at:Cap.t -> unit -> view_mem) =
     let sram = Machine.sram_base machine in
     set_auth interp 6 ~base:sram ~top:(sram + 1024);
     Vm.set_reg interp 5 (Interp.int_value (sram + 1024));
@@ -898,6 +911,438 @@ let test_sample_in_zeroing_spin () =
       Alcotest.(check int) ("instret, " ^ where) (pad + (200 * 6) + 2 + 1)
         (List.hd views).s_instret)
     [ (0, "mid-spin"); (4, "at the end of a spin trip") ]
+
+(* ------------------------------------------------------------------ *)
+(* Folded blocks: a forward branch is a two-way closure whose arms both *)
+(* continue in the block, and a forward J continues at its target, so  *)
+(* one block holds diamonds whose arms retire different counts.  Each  *)
+(* exit must report its own path's count (fuel), the bounds check must *)
+(* cover the farthest slot any path runs, the sample room the longest  *)
+(* path, and a trap on one arm must leave the clock where per-step     *)
+(* execution does.                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Each trip of "top" counts r1 up and takes an uneven diamond on r1's
+   parity: the taken arm (even r1, one Addi) makes a 6-instruction
+   trip, the other (three Addi and a J) a 9-instruction one, and the
+   arms meet at "join" with different counts.  The entry block runs
+   Li; Li and the first trip, ending at the backward Bltu; "top" is then
+   a self-loop block whose trips differ in length.  [pad] Li's shift
+   the instret phase. *)
+let diamond_prog ?(pad = 0) trips =
+  Isa.(
+    assemble ~name:"diamond"
+      (pad_items pad
+      @ [
+          I (Li (1, 0));
+          I (Li (2, trips));
+          L "top";
+          I (Addi (1, 1, 1));
+          I (Andi (3, 1, 1));
+          I (Beq (3, 0, "even"));
+          I (Addi (4, 4, 1));
+          I (Addi (4, 4, 2));
+          I (Addi (4, 4, 3));
+          I (J "join");
+          L "even";
+          I (Addi (5, 5, 1));
+          L "join";
+          I (Addi (6, 6, 1));
+          I (Bltu (1, 2, "top"));
+          I Halt;
+        ]))
+
+(* Instructions [diamond_prog ~pad trips] retires in all. *)
+let diamond_len ?(pad = 0) trips = pad + 2 + (9 * ((trips + 1) / 2)) + (6 * (trips / 2)) + 1
+
+let test_fuel_after_join () =
+  (* Six trips, 48 instructions.  Every fuel level from 1 to 50 runs out
+     somewhere: inside either arm, in the tail after the join reached
+     from either side, at a back-edge.  A dispatcher that charged a trip
+     its longest path, or a self-loop that counted every trip as long,
+     runs out of fuel too soon. *)
+  let total = diamond_len 6 in
+  for fuel = 1 to total + 2 do
+    let views =
+      check_cap_matrix ~fuel ~sram_size:4096
+        (Printf.sprintf "fuel %d across an uneven diamond" fuel)
+        (diamond_prog 6) (fun _ _ go -> [ go () ])
+    in
+    Alcotest.(check int)
+      (Printf.sprintf "fuel %d retires min(fuel, %d)" fuel total)
+      (min fuel total) (List.hd views).s_instret
+  done
+
+let test_trap_on_diamond_arm () =
+  (* r1 = r2 takes the arm that loads through r6 and joins; otherwise the
+     arm loading 60 bytes past r7's cursor traps, with the batch of the
+     instructions before it settled first.  A timer deadline inside the
+     block's window checks the flush against a live event. *)
+  let prog =
+    Isa.(
+      assemble ~name:"armtrap"
+        [
+          I (Addi (4, 4, 1));
+          I (Bne (1, 2, "bad"));
+          I (Lw (3, 0, 6));
+          I (Addi (4, 4, 1));
+          I (J "join");
+          L "bad";
+          I (Lw (3, 60, 7));
+          L "join";
+          I (Sw (3, 4, 6));
+          I (Addi (4, 4, 1));
+          I Halt;
+        ])
+  in
+  let views =
+    check_cap_matrix "trap on one arm of a diamond" prog (fun machine interp go ->
+        let sram = Machine.sram_base machine in
+        let arm ~same ~timer =
+          set_auth interp 6 ~base:sram ~top:(sram + 64);
+          set_auth interp 7 ~base:(sram + 64) ~top:(sram + 96);
+          Vm.set_reg interp 7
+            (Cap.with_address_unsealed (Vm.get_reg interp 7) (sram + 64));
+          Vm.set_reg interp 1 (Interp.int_value 3);
+          Vm.set_reg interp 2 (Interp.int_value (if same then 3 else 4));
+          Machine.set_timer machine timer;
+          go ()
+        in
+        [ arm ~same:true ~timer:None; arm ~same:false ~timer:None;
+          arm ~same:true ~timer:(Some (Machine.cycles machine + 3));
+          arm ~same:false ~timer:(Some (Machine.cycles machine + 2)) ])
+  in
+  Alcotest.(check (list string)) "the load arm halts, the narrow arm traps"
+    [ "halted"; "trap at 0x2000007c: bounds violation" ]
+    (List.filteri (fun i _ -> i < 2) (outcomes views))
+
+let test_pcc_top_past_forward_branch () =
+  (* The pcc ends after the not-taken arm's Halt and before the forward
+     branch's target, so the block's slot span crosses the top: the
+     block runs on the one-instruction slow path.  Not taken (r2 = 0)
+     halts inside the pcc; taken (r2 = 5) traps at the target. *)
+  let prog =
+    Isa.(
+      assemble ~name:"pccfwd"
+        [
+          I (Addi (1, 1, 1));
+          I (Bltu (1, 2, "far"));
+          I (Addi (4, 4, 7));
+          I Halt;
+          I (Addi (5, 5, 1));
+          L "far";
+          I (Addi (6, 6, 1));
+          I Halt;
+        ])
+  in
+  let views =
+    check_cap_matrix ~pcc_top:(code_base + (4 * 4)) "pcc top past a forward branch" prog
+      (fun _ interp go ->
+        Vm.set_reg interp 2 (Interp.int_value 0);
+        let fell = go () in
+        Vm.set_reg interp 1 (Interp.int_value 0);
+        Vm.set_reg interp 2 (Interp.int_value 5);
+        let taken = go () in
+        [ fell; taken ])
+  in
+  Alcotest.(check (list string)) "not taken halts, taken traps past the top"
+    [ "halted"; "trap at 0x40000014: bounds violation" ]
+    (List.filteri (fun i _ -> i < 2) (outcomes views))
+
+let test_sample_on_longer_path () =
+  (* 200 trips alternate the 9- and 6-instruction paths, 15 instructions
+     per pair; pads 0..14 put the 1024th retirement on every position of
+     a pair, the long arm and the tail after its join included.  A
+     deferred block whose sample-room check read the shorter path would
+     skip or move the sample. *)
+  for pad = 0 to 14 do
+    let views =
+      check_cap_matrix ~sram_size:4096
+        (Printf.sprintf "sample on a diamond path (pad %d)" pad)
+        (diamond_prog ~pad 200)
+        (fun _ _ go -> [ go () ])
+    in
+    Alcotest.(check bool) "traced stream samples 1024" true (sampled views);
+    Alcotest.(check int) "instret" (diamond_len ~pad 200) (List.hd views).s_instret
+  done
+
+(* A run of six register clears ([Mv r, zero], the switcher's scrub
+   shape), which the engine runs as one closure, behind a 505-trip loop:
+   1,012 + [pad] instructions come before it, so pads 5..10 put the
+   1024th retirement on each clear. *)
+let clear_run_prog ~pad =
+  Isa.(
+    assemble ~name:"clears"
+      (pad_items pad
+      @ [
+          I (Li (1, 0));
+          I (Li (2, 505));
+          L "top";
+          I (Addi (1, 1, 1));
+          I (Bltu (1, 2, "top"));
+          I (Mv (3, 0));
+          I (Mv (4, 0));
+          I (Mv (5, 0));
+          I (Mv (6, 0));
+          I (Mv (7, 0));
+          I (Mv (8, 0));
+          I Halt;
+        ]))
+
+let test_clear_run () =
+  (* Traced, the sample lands on each clear in turn; a timer deadline on
+     each clear's cycle interrupts the run mid-way, untraced too. *)
+  for pad = 5 to 10 do
+    let prog = clear_run_prog ~pad in
+    let at = pad + 1012 + (pad - 5) in
+    let fired = ref "" in
+    let views =
+      check_cap_matrix ~sram_size:4096 (Printf.sprintf "register-clear run (pad %d)" pad) prog
+        (fun machine interp go ->
+          let sram = Machine.sram_base machine in
+          List.iter (fun r -> set_auth interp r ~base:sram ~top:(sram + 64)) [ 3; 4; 5; 6; 7; 8 ];
+          Machine.set_deliver_hook machine
+            (Some (fun n -> fired := Printf.sprintf "irq %d@%d" n (Machine.cycles machine)));
+          Machine.set_timer machine (Some at);
+          let v, mem = go () in
+          [ (v, mem ^ " " ^ !fired) ])
+    in
+    Alcotest.(check bool) "traced stream samples 1024" true (sampled views);
+    Alcotest.(check int) "instret" (pad + 1012 + 7) (List.hd views).s_instret
+  done
+
+(* The zeroing loop with a tail behind its exit, folded into the loop's
+   block behind the Beq's taken arm: four Addi, a forward diamond on r2
+   (six more Addi when r2 is zero), six Addi and a halt.  The tail costs
+   exactly its worst case, so a deadline inside it is crossed by
+   whichever path runs. *)
+let zero_tail_prog =
+  Isa.(
+    assemble ~name:"zerotail"
+      ([
+         L "loop";
+         I (Cgetaddr (1, 6));
+         I (Beq (1, 5, "done"));
+         I (Csc (0, 0, 6));
+         I (Csc (0, 8, 6));
+         I (Cincaddrimm (6, 6, 16));
+         I (J "loop");
+         L "done";
+       ]
+      @ List.init 4 (fun i -> I (Addi (3, 3, i)))
+      @ [ I (Bne (2, 0, "skip")) ]
+      @ List.init 6 (fun i -> I (Addi (4, 4, i)))
+      @ [ L "skip" ]
+      @ List.init 6 (fun i -> I (Addi (7, 7, i)))
+      @ [ I Halt ]))
+
+let test_zero_spin_folded_tail () =
+  (* 32 trips over a seeded 512-byte window (384 cycles), then the tail
+     on either side of its diamond (r2 zero or not): with
+     no event; with a listener mid-spin and the timer at each cycle from
+     the last trip to inside the tail, so that the loop's last back-edge
+     still fits below the deadline while the tail does not (the tail's
+     deferral guard must settle the batch there); and at every fuel
+     level around the loop's exit.  The cycles the listener and the
+     interrupt fire at are compared. *)
+  let total ~zero = (32 * 6) + 2 + 4 + 1 + (if zero then 6 else 0) + 6 + 1 in
+  let run ?fuel ?timer ~zero name =
+    check_cap_matrix ?fuel ~sram_size:4096 name zero_tail_prog (fun machine interp go ->
+        let sram = Machine.sram_base machine in
+        Equiv_gen.seed_window machine ~addr:sram ~len:512;
+        set_auth interp 6 ~base:sram ~top:(sram + 512);
+        Vm.set_reg interp 5 (Interp.int_value (sram + 512));
+        Vm.set_reg interp 2 (Interp.int_value (if zero then 0 else 7));
+        let fired = ref [] in
+        let note what = fired := Printf.sprintf "%s@%d" what (Machine.cycles machine) :: !fired in
+        Option.iter
+          (fun at ->
+            let h = Machine.add_tick_listener ~period:0 machine (fun _ -> note "listener") in
+            Machine.set_listener_wakeup machine h ~at:(Machine.cycles machine + 200);
+            Machine.set_deliver_hook machine (Some (fun n -> note (Printf.sprintf "irq %d" n)));
+            Machine.set_timer machine (Some (Machine.cycles machine + at)))
+          timer;
+        let v, mem = go () in
+        [ (v, mem ^ " " ^ String.concat " " (List.rev !fired)) ])
+  in
+  List.iter
+    (fun zero ->
+      let side = if zero then "zero word" else "non-zero word" in
+      List.iter
+        (fun timer ->
+          let views =
+            run ?timer ~zero
+              (Printf.sprintf "zeroing spin into a folded tail, %s%s" side
+                 (match timer with Some at -> Printf.sprintf ", timer at %d" at | None -> ""))
+          in
+          Alcotest.(check int) ("instret, " ^ side) (total ~zero) (List.hd views).s_instret)
+        (None :: List.init 30 (fun i -> Some (384 + i)));
+      for fuel = total ~zero - 8 to total ~zero + 1 do
+        ignore
+          (run ~fuel ~zero
+             (Printf.sprintf "zeroing spin into a folded tail, %s, fuel %d" side fuel))
+      done)
+    [ true; false ]
+
+(* ------------------------------------------------------------------ *)
+(* The whole switcher: [Switcher.program] mapped where the kernel maps  *)
+(* it, entered at switch_entry through [Switcher.call_sentry] and at    *)
+(* switch_return through the return sentry the call leg hands the     *)
+(* callee, over generated states: every arity and posture, stack       *)
+(* requirements from 0 to 1 KiB with the caller's stack roomy or short, *)
+(* a full trusted stack and an empty one.                               *)
+(* ------------------------------------------------------------------ *)
+
+(* SRAM offsets of the rig's trusted stack (two frames), export table,
+   globals and the caller's 2 KiB stack, all in an 8 KiB SRAM; the
+   callee's code sits at the flash base, outside every segment. *)
+let sw_tstack = 0x100
+let sw_export = 0x400
+let sw_globals = 0x800
+let sw_stack = 0x1000
+let sw_stack_size = 2048
+
+let sw_tstack_perms =
+  Perm.Set.of_list
+    [ Perm.Global; Perm.Load; Perm.Store; Perm.Mem_cap; Perm.Load_global;
+      Perm.Load_mutable; Perm.Store_local ]
+
+let sw_table_perms =
+  Perm.Set.of_list [ Perm.Load; Perm.Mem_cap; Perm.Load_global; Perm.Load_mutable ]
+
+(* Arm a rig for a call into export entry 1: trusted stack at [tsp],
+   the entry's [min_stack], [arity] and [posture] in the table, the
+   sealed export capability in ct2, the caller's stack with [room]
+   bytes below its cursor, and every other register holding a value
+   drawn from [rng] (integers and capabilities), so the switcher's
+   clearing shows. *)
+let switcher_arm ~rng ~arity ~posture ~min_stack ~room ~tsp machine interp =
+  let sram = Machine.sram_base machine and mem = Machine.mem machine in
+  let root =
+    Cap.make_root ~base:sram ~top:(sram + Machine.sram_size machine)
+      ~perms:Perm.Set.universe
+  in
+  let carve addr len perms =
+    Cap.exn
+      (Cap.and_perms (Cap.exn (Cap.set_bounds (Cap.with_address_exn root addr) ~length:len))
+         perms)
+  in
+  let ts = sram + sw_tstack in
+  Vm.set_special interp Isa.mtdc (carve ts (Abi.ts_size ~frames:2) sw_tstack_perms);
+  Memory.store_priv mem ~addr:(ts + Abi.ts_tsp) ~size:4 tsp;
+  let key = Cap.make_sealing_root ~first:Abi.otype_switcher ~last:Abi.otype_switcher in
+  Vm.set_special interp Isa.mscratchc key;
+  let ex = sram + sw_export in
+  Memory.store_cap_priv mem ~addr:(ex + Abi.export_code_cap)
+    (Cap.make_root ~base:Abi.flash_base ~top:(Abi.flash_base + 64)
+       ~perms:Perm.Set.executable);
+  Memory.store_cap_priv mem ~addr:(ex + Abi.export_globals_cap)
+    (carve (sram + sw_globals) 64 Perm.Set.read_write);
+  let e = Abi.export_entry_addr ~table_base:ex ~index:1 in
+  List.iter
+    (fun (off, v) -> Memory.store_priv mem ~addr:(e + off) ~size:4 v)
+    [ (Abi.entry_code_offset, 4); (Abi.entry_min_stack, min_stack);
+      (Abi.entry_arity, arity); (Abi.entry_posture, posture) ];
+  let table = carve ex (Abi.export_table_size ~entries:2) sw_table_perms in
+  let value () =
+    match Random.State.int rng 3 with
+    | 0 -> Interp.int_value (Random.State.int rng 1000)
+    | 1 -> carve (sram + sw_globals + (8 * Random.State.int rng 8)) 8 Perm.Set.read_write
+    | _ -> Cap.exn (Cap.seal ~key (Cap.with_address_exn table e))
+  in
+  for r = 1 to 15 do
+    Vm.set_reg interp r (value ())
+  done;
+  Vm.set_reg interp Isa.ct2 (Cap.exn (Cap.seal ~key (Cap.with_address_exn table e)));
+  let stack = carve (sram + sw_stack) sw_stack_size Perm.Set.stack in
+  Vm.set_reg interp Isa.csp (Cap.with_address_exn stack (sram + sw_stack + room));
+  Vm.set_reg interp Isa.cgp (carve (sram + sw_globals) 64 Perm.Set.read_write);
+  Vm.set_reg interp Isa.ra
+    (Cap.exn
+       (Cap.seal_entry
+          (Cap.make_root ~base:Abi.return_pad ~top:(Abi.return_pad + 16)
+             ~perms:Perm.Set.executable)
+          Cap.Otype.Return_enable))
+
+(* A call leg and, when it reaches the callee, the return leg as the
+   kernel drives it: registers cleared, results in ca0/ca1, the callee's
+   stack in csp, entered through the return sentry the call left in ra.
+   [underflow] empties the trusted stack first. *)
+let switcher_runs ~seed ~arity ~posture ~min_stack ~room ~tsp ~underflow machine interp
+    (go : ?at:Cap.t -> unit -> view_mem) =
+  let rng = Random.State.make [| seed; arity; posture; min_stack; room; tsp |] in
+  switcher_arm ~rng ~arity ~posture ~min_stack ~room ~tsp machine interp;
+  let call = go ~at:Switcher.call_sentry () in
+  if not (String.starts_with ~prefix:"exited" (fst call).s_outcome) then [ call ]
+  else begin
+    let ret = Vm.get_reg interp Isa.ra and csp = Vm.get_reg interp Isa.csp in
+    for r = 1 to 15 do
+      Vm.set_reg interp r Cap.null
+    done;
+    Vm.set_reg interp Isa.ca0 (Interp.int_value (Random.State.int rng 1000));
+    Vm.set_reg interp Isa.ca1 (Vm.get_reg interp 0);
+    Vm.set_reg interp Isa.csp csp;
+    if underflow then
+      Memory.store_priv (Machine.mem machine)
+        ~addr:(Machine.sram_base machine + sw_tstack + Abi.ts_tsp)
+        ~size:4 Abi.ts_frames;
+    [ call; go ~at:ret () ]
+  end
+
+let check_switcher ?(room = sw_stack_size) ?(tsp = Abi.ts_frames) ?(underflow = false)
+    ~arity ~posture ~min_stack () =
+  let name =
+    Printf.sprintf "switcher: arity %d, posture %d, min_stack %d, room %d, tsp %d%s" arity
+      posture min_stack room tsp
+      (if underflow then ", underflow" else "")
+  in
+  outcomes
+    (check_cap_matrix ~base:Abi.switcher_code_base ~sram_size:8192 name Switcher.program
+       (switcher_runs ~seed:17 ~arity ~posture ~min_stack ~room ~tsp ~underflow))
+
+let test_switcher_matrix () =
+  (* Roomy stack: the call reaches the callee and the return the pad. *)
+  for arity = 0 to 6 do
+    for posture = 0 to 1 do
+      List.iter
+        (fun min_stack ->
+          match check_switcher ~arity ~posture ~min_stack () with
+          | [ call; ret; _; _ ] ->
+              Alcotest.(check bool) "call reaches the callee" true
+                (String.starts_with ~prefix:"exited cap[0x80000000" call);
+              Alcotest.(check bool) "return reaches the pad" true
+                (String.starts_with ~prefix:"exited cap[0x7f000000" ret)
+          | l -> Alcotest.failf "unexpected runs: %s" (String.concat "; " l))
+        [ 0; 16; 48; 256; 1024 ]
+    done
+  done
+
+let test_switcher_refusals () =
+  let refused what expected outcomes =
+    Alcotest.(check string) what expected (List.hd outcomes)
+  in
+  (* 32 bytes of stack below the caller's cursor. *)
+  List.iter
+    (fun min_stack ->
+      let o = check_switcher ~room:32 ~arity:2 ~posture:0 ~min_stack () in
+      if min_stack <= 32 then
+        Alcotest.(check int) "enough stack: call and return" 4 (List.length o)
+      else
+        refused "insufficient stack"
+          ("trap at 0x" ^ Printf.sprintf "%x" (Abi.switcher_code_base + (4 * Isa.label_index Switcher.program "stack_insufficient" + 32))
+         ^ ": " ^ Switcher.insufficient_stack)
+          o)
+    [ 0; 16; 48; 256; 1024 ];
+  refused "trusted stack overflow"
+    (Printf.sprintf "trap at 0x%x: %s"
+       (Abi.switcher_code_base + (4 * Isa.label_index Switcher.program "ts_overflow"))
+       Switcher.trusted_stack_overflow)
+    (check_switcher ~tsp:(Abi.ts_size ~frames:2) ~arity:1 ~posture:1 ~min_stack:16 ());
+  let o = check_switcher ~underflow:true ~arity:3 ~posture:0 ~min_stack:48 () in
+  Alcotest.(check string) "trusted stack underflow"
+    (Printf.sprintf "trap at 0x%x: trusted stack underflow"
+       (Abi.switcher_code_base + (4 * Isa.label_index Switcher.program "ts_underflow")))
+    (List.nth o 1)
 
 (* ------------------------------------------------------------------ *)
 (* Zeroing-loop corners: the switcher-shaped loop ([zero_loop_items]),  *)
@@ -1299,6 +1744,26 @@ let () =
             test_sample_in_straight_block;
           Alcotest.test_case "traced sample inside a zeroing spin" `Quick
             test_sample_in_zeroing_spin;
+        ] );
+      ( "folded blocks",
+        [
+          Alcotest.test_case "fuel after a diamond's join" `Quick test_fuel_after_join;
+          Alcotest.test_case "trap on one arm of a diamond" `Quick
+            test_trap_on_diamond_arm;
+          Alcotest.test_case "pcc top past a forward branch" `Quick
+            test_pcc_top_past_forward_branch;
+          Alcotest.test_case "traced sample on the longer path" `Quick
+            test_sample_on_longer_path;
+          Alcotest.test_case "zeroing spin into a folded tail" `Quick
+            test_zero_spin_folded_tail;
+          Alcotest.test_case "register-clear run" `Quick test_clear_run;
+        ] );
+      ( "switcher",
+        [
+          Alcotest.test_case "every arity, posture and stack requirement" `Quick
+            test_switcher_matrix;
+          Alcotest.test_case "short stack, full and empty trusted stack" `Quick
+            test_switcher_refusals;
         ] );
       ( "zeroing loop",
         [
