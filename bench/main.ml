@@ -1503,17 +1503,18 @@ let alloc_gate_cmd _args =
     exit 1
   end;
   (* Compartment-call round trips: once warm, the switcher path boxes
-     nothing (direct access checks, closure-free block dispatch, and
+     nothing (direct access checks, closure-free block dispatch,
      capability loads and stores straight between the packed register
-     file and the packed capability store), and the kernel's glue
-     allocates only what its interface hands out: the callee's context
-     and argument array, the unpacked stack, globals and return
-     capabilities, the callee's result pair and the caller's [Ok].
-     Measured 94.3 (0 B) and 113.0 (1024 B) words on OCaml 5.1.1
-     (default, non-opaque build); the ceilings are those plus 5%, less
-     than the results pair (an unpacked ca1, the tuple and its [Ok],
-     about 12 words) the return leg used to build for every call, or a
-     backward sentry boxed per leg. *)
+     file and the packed capability store, both legs entered from
+     constant sentries and left by address, and the import loaded
+     straight into ct2), and the kernel's glue allocates only what its
+     interface hands out: the callee's context and argument array, the
+     unpacked stack, globals and arguments, the callee's result pair
+     and the caller's result and its [Ok].  Measured 44.3 (0 B) and
+     63.0 (1024 B) words on OCaml 5.1.1 (default, non-opaque build);
+     the ceilings are those plus 5%, less than one boxed capability
+     (7 words) above them, so a leg that boxes its entry or exit again,
+     or a boxed import, fails the gate. *)
   let over =
     List.filter
       (fun (label, import, max_words) ->
@@ -1521,7 +1522,7 @@ let alloc_gate_cmd _args =
         Fmt.pr "alloc-gate: call %-7s %8.1f minor words/round trip (max %.1f)@." label w
           max_words;
         w > max_words)
-      [ ("0 B", "callee.e0", 99.0); ("1024 B", "callee.e1024", 118.7) ]
+      [ ("0 B", "callee.e0", 46.5); ("1024 B", "callee.e1024", 66.2) ]
   in
   if over <> [] then begin
     Fmt.epr "alloc-gate: FAIL — compartment-call round trip over its ceiling (%s)@."
@@ -1559,12 +1560,13 @@ let alloc_gate_cmd _args =
     exit 1
   end;
   (* A 16 B allocate/free pair: two compartment calls plus the
-     allocator's work.  Measured 461.5 words on OCaml 5.1.1 (the table's
+     allocator's work.  Measured 247.5 words on OCaml 5.1.1 (the table's
      one boxed cell per allocation, its [index] binding, included); the
-     ceiling leaves 3% headroom, less than per-operation table records
+     ceiling leaves 5% headroom, less than per-operation table records
      (an entry record with its reference list, a quarantine cell and
-     its tuple, option boxes: 486.6 words per pair) would add. *)
-  let pair_max_words = 475. in
+     its tuple, option boxes: 25 words more per pair) or a call leg that
+     boxes its entry or exit again would add. *)
+  let pair_max_words = 260. in
   let pair = alloc_pair_words () in
   Fmt.pr "alloc-gate: alloc/free 16 B %8.1f minor words/pair (max %.0f)@." pair
     pair_max_words;
@@ -1663,9 +1665,10 @@ let subcommands : (string * string * (string list -> unit)) list =
       perf_cmd );
     ( "alloc-gate",
       "alloc-gate: fail unless the warm superblock loop allocates under \
-       0.01 minor words per instruction \
-       and a warm compartment-call round trip (0 B and 1024 B stack) \
-       under 247 words, and a warm boot under 39,500 major words",
+       0.01 minor words per instruction, a warm compartment-call round \
+       trip (0 B and 1024 B stack) under 46.5 / 66.2 words, a warm 16 B \
+       allocate/free pair under 260, the switcher holds at most 4 \
+       compiled blocks, and a warm boot under 39,500 major words",
       alloc_gate_cmd );
   ]
 

@@ -32,7 +32,23 @@ and kernel_state = {
   reboot_hook : (comp:string -> cycle:int -> unit) option;
 }
 
-and comp_runtime = { layout : Loader.comp_layout; mutable st : comp_state }
+and comp_runtime = {
+  layout : Loader.comp_layout;
+  mutable st : comp_state;
+  imports : import_memo;
+}
+
+(* Import-table slot addresses this compartment's calls looked up by
+   name, keyed by the name string itself (physical equality: a call site
+   passes the same literal every time; a name built per call misses and
+   is looked up in the table, as correct but slower).  A cache of the immutable
+   layout, so a restore need not touch it; it lives on the compartment
+   of one kernel, never at module level, because images booted in one
+   process (or on farm domains) share names but not slot orders. *)
+and import_memo = {
+  names : string array;
+  addrs : int array;  (** -1 = empty entry; the last cell is the next victim *)
+}
 
 and comp_state = {
   impls : entry_impl array;
@@ -162,6 +178,9 @@ let check_sanity t =
 
 (* Boot *)
 
+(* Entries in a compartment's import memo. *)
+let import_memo_size = 16
+
 (* The preemption timeslice, in cycles. *)
 let quantum = 2000
 
@@ -191,6 +210,9 @@ let boot ~machine fw =
           (List.map
              (fun layout ->
                { layout;
+                 imports =
+                   { names = Array.make import_memo_size "";
+                     addrs = Array.append (Array.make import_memo_size (-1)) [| 0 |] };
                  st =
                    { impls = Array.map (unimplemented layout) layout.Loader.lc_entries;
                      on_error = None; poisoned = false; reboots = 0;
@@ -527,6 +549,12 @@ let fault_return t ~tid ~callee err =
    return leg's switcher left them; [call] and [call1] read them from
    there before anything else runs on this interpreter. *)
 
+(* The switcher's two legs, entered from constant sentries: the call
+   sentry, and the return sentry the call leg leaves in [ra] for every
+   callee (the switcher builds it from its own pcc). *)
+let call_leg = Interp.entry Switcher.call_sentry
+let return_leg = Interp.entry Switcher.return_sentry
+
 (* The first six arguments go to ca0..ca5. *)
 let rec set_args interp i = function
   | a :: rest when i < 6 ->
@@ -534,22 +562,27 @@ let rec set_args interp i = function
       set_args interp (i + 1) rest
   | _ -> ()
 
-let rec do_call t ~tid ~caller ~csp ~cgp ~sealed args =
+(* The register file a call leg starts from: NULL but for the return
+   pad's sentry, the caller's stack and globals, the arguments and, set
+   by the caller once this is done, the sealed export in ct2. *)
+let prepare_call t ~tid ~csp ~cgp args =
   let interp = t.interp in
   let th = t.threads.(tid) in
   th.hazards <- [];
   Interp.set_special interp Isa.mtdc th.tlayout.Loader.lt_tstack;
   Interp.clear_regs interp;
-  Interp.set_reg interp Isa.ct2 sealed;
   Interp.set_reg interp Isa.ra (pad_sentry t);
   Interp.set_reg interp Isa.csp csp;
   Interp.set_reg interp Isa.cgp cgp;
-  set_args interp 0 args;
+  set_args interp 0 args
+
+let rec do_call t ~tid ~caller =
+  let interp = t.interp in
   if Machine.tracing t.machine then
     Machine.emit t.machine (Obs.Switcher_call { tid });
-  match Interp.run interp Switcher.call_sentry with
-  | Interp.Exited target -> dispatch t ~tid ~caller target
-  | Interp.Trapped tr ->
+  match Interp.enter interp call_leg with
+  | addr -> dispatch t ~tid ~caller addr
+  | exception Interp.Trap_exn tr ->
       if Machine.tracing t.machine then
         Machine.emit t.machine (Obs.Switcher_abort { tid });
       capture_dump t ~tid ~comp:"switcher"
@@ -562,10 +595,8 @@ let rec do_call t ~tid ~caller ~csp ~cgp ~sealed args =
           else if s = Switcher.trusted_stack_overflow then Error Trusted_stack_exhausted
           else Error Invalid_import
       | _ -> Error Invalid_import)
-  | Interp.Halted -> assert false
 
-and dispatch t ~tid ~caller target =
-  let addr = Cap.address target in
+and dispatch t ~tid ~caller addr =
   let ci = comp_of_code_addr t addr in
   if ci < 0 then begin
     if Machine.tracing t.machine then
@@ -580,7 +611,6 @@ and dispatch t ~tid ~caller target =
     let entry_idx = (addr - comp.layout.Loader.lc_code_base) / 4 in
     let callee_csp = Interp.get_reg t.interp Isa.csp in
     let callee_cgp = Interp.get_reg t.interp Isa.cgp in
-    let ra_callee = Interp.get_reg t.interp Isa.ra in
     let entry = comp.layout.Loader.lc_entries.(entry_idx) in
     let callee = comp.layout.Loader.lc_name in
     let callee_ctx =
@@ -621,7 +651,7 @@ and dispatch t ~tid ~caller target =
         Array.unsafe_set args i (Interp.get_reg t.interp (Isa.ca0 + i))
       done;
       match comp.st.impls.(entry_idx) callee_ctx args with
-      | r0, r1 -> finish_call t ~tid ~callee ~callee_csp ~ra_callee r0 r1
+      | r0, r1 -> finish_call t ~tid ~callee ~callee_csp r0 r1
       | exception Memory.Fault f ->
           handle_callee_fault t ~tid ~entry_addr ~entry comp callee_ctx
             (Cap.violation_to_string f.Memory.cause)
@@ -632,25 +662,29 @@ and dispatch t ~tid ~caller target =
     end
   end
 
-and finish_call t ~tid ~callee ~callee_csp ~ra_callee r0 r1 =
+(* No register clear before the return leg: the leg writes every
+   register but ca0/ca1 (set here) and csp (set here) before it reads
+   it — [Cspecialrw] into ct0, loads into cs0/cs1, [Li] into ct1,
+   [Cincaddr] into ct3, [Cgetbase]/[Cgetlen] into ct1/ct2, [Clc] of
+   csp/ra/cgp and the ten [Mv r, zero] — and a trap in it raises with
+   no register dump. *)
+and finish_call t ~tid ~callee ~callee_csp r0 r1 =
   let interp = t.interp in
   let th = t.threads.(tid) in
   Interp.set_special interp Isa.mtdc th.tlayout.Loader.lt_tstack;
-  Interp.clear_regs interp;
   Interp.set_reg interp Isa.ca0 r0;
   Interp.set_reg interp Isa.ca1 r1;
   Interp.set_reg interp Isa.csp callee_csp;
   if Machine.tracing t.machine then
     Machine.emit t.machine (Obs.Switcher_return { tid });
-  match Interp.run interp ra_callee with
-  | Interp.Exited pad when Cap.address pad = Abi.return_pad ->
+  match Interp.enter interp return_leg with
+  | pad when pad = Abi.return_pad ->
       if Machine.tracing t.machine then
         Machine.emit t.machine (Obs.Call_leave { callee; tid; faulted = false });
       Ok ()
-  | Interp.Exited _ -> failwith "switcher return escaped to unknown address"
-  | Interp.Trapped tr ->
+  | _ -> failwith "switcher return escaped to unknown address"
+  | exception Interp.Trap_exn tr ->
       failwith (Fmt.str "switcher return path trapped: %a" Interp.pp_trap tr)
-  | Interp.Halted -> assert false
 
 and handle_callee_fault t ~tid ~entry_addr ~entry comp ctx cause addr =
   capture_dump t ~tid ~comp:comp.layout.Loader.lc_name ~cause ~addr
@@ -673,28 +707,63 @@ and handle_callee_fault t ~tid ~entry_addr ~entry comp ctx cause addr =
 
 (* Public call API *)
 
-let layout_import_cap t l name =
+let import_slot_addr l name =
   match Loader.import_slot l name with
-  | slot ->
-      Machine.load_cap t.machine ~auth:l.Loader.lc_import_cap
-        ~addr:(Loader.import_slot_addr l slot)
+  | slot -> Loader.import_slot_addr l slot
   | exception Not_found ->
       invalid_arg
         (Printf.sprintf
            "%s does not import %s: not in the import table, not callable"
            l.Loader.lc_name name)
 
+let load_import t l addr = Machine.load_cap t.machine ~auth:l.Loader.lc_import_cap ~addr
+
 let import_cap t ~comp name =
-  layout_import_cap t (Loader.find_comp t.loader comp) name
+  let l = Loader.find_comp t.loader comp in
+  load_import t l (import_slot_addr l name)
+
+(* Entries fill from 0 up, so the scan stops at the first empty one. *)
+let rec memo_find names addrs name i =
+  if i >= import_memo_size then -1
+  else
+    let a = Array.unsafe_get addrs i in
+    if a < 0 then -1
+    else if Array.unsafe_get names i == name then a
+    else memo_find names addrs name (i + 1)
+
+(* [import_slot_addr] through the compartment's memo; a name the table
+   lacks raises as before and is not remembered. *)
+let memo_slot_addr c name =
+  let { names; addrs } = c.imports in
+  let a = memo_find names addrs name 0 in
+  if a >= 0 then a
+  else begin
+    let a = import_slot_addr c.layout name in
+    let v = addrs.(import_memo_size) in
+    names.(v) <- name;
+    addrs.(v) <- a;
+    addrs.(import_memo_size) <- (v + 1) mod import_memo_size;
+    a
+  end
 
 let ctx_import_cap ctx name =
-  layout_import_cap ctx.kernel ctx.kernel.comps.(ctx.comp_id).layout name
+  let t = ctx.kernel in
+  let c = t.comps.(ctx.comp_id) in
+  load_import t c.layout (memo_slot_addr c name)
 
+(* The import is loaded as [ctx_import_cap] loads it, charge and check
+   first, but straight into ct2 once the register file is set up, so
+   the sealed export is never boxed.  Nothing ticks between the check
+   and the load. *)
 let call_through ctx ~import args =
-  let sealed = ctx_import_cap ctx import in
-  do_call ctx.kernel ~tid:ctx.thread_id
-    ~caller:(comp_name ctx.kernel ctx.comp_id)
-    ~csp:ctx.csp ~cgp:ctx.cgp ~sealed args
+  let t = ctx.kernel in
+  let c = t.comps.(ctx.comp_id) in
+  let auth = c.layout.Loader.lc_import_cap in
+  let addr = memo_slot_addr c import in
+  Machine.charge_load_cap t.machine ~auth ~addr;
+  prepare_call t ~tid:ctx.thread_id ~csp:ctx.csp ~cgp:ctx.cgp args;
+  Interp.load_cap_reg t.interp Isa.ct2 ~addr ~perms:(Cap.perms auth);
+  do_call t ~tid:ctx.thread_id ~caller:c.layout.Loader.lc_name
 
 let call ctx ~import args =
   match call_through ctx ~import args with
@@ -762,10 +831,10 @@ let stack_alloc ctx n =
 
 let thread_body t th () =
   let tl = th.tlayout in
-  ignore
-    (do_call t ~tid:th.tid
-       ~caller:("thread:" ^ tl.Loader.lt_name)
-       ~csp:tl.Loader.lt_stack ~cgp:Cap.null ~sealed:tl.Loader.lt_entry_cap [])
+  let caller = "thread:" ^ tl.Loader.lt_name in
+  prepare_call t ~tid:th.tid ~csp:tl.Loader.lt_stack ~cgp:Cap.null [];
+  Interp.set_reg t.interp Isa.ct2 tl.Loader.lt_entry_cap;
+  ignore (do_call t ~tid:th.tid ~caller)
 
 let handler t th =
   {

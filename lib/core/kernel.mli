@@ -100,6 +100,15 @@ val call :
   ctx -> import:string -> value list -> (value * value, call_error) result
 (** Cross-compartment call through the named import-table slot.
 
+    Register contract: a call leg starts from a cleared register file
+    holding only the sealed export, the return sentry, the caller's
+    stack and globals and the arguments.  The return leg starts from
+    whatever the file holds when the callee returns (the callee's own
+    calls leave theirs), with the callee's two results in ca0/ca1 and
+    its stack in csp set by the kernel, and nothing cleared: the leg
+    writes every other register before it reads it, and a trapping
+    return leg renders no registers.
+
     Result contract: the callee's two results travel back in the
     interpreter's ca0/ca1, which the switcher's return leg clears
     around but never writes, and [call] reads them from there, unpacked,

@@ -125,6 +125,7 @@ let get_reg t r = Pk.unpack t.sb.Sb.spk r
 let set_reg t r v = Pk.pack t.sb.Sb.spk r v
 let read_regs t = Array.init 16 (fun r -> Pk.unpack t.sb.Sb.spk r)
 let clear_regs t = Pk.clear t.sb.Sb.spk
+let load_cap_reg t r ~addr ~perms = Pk.uload_cap t.sb.Sb.spk r t.sb.Sb.smem ~addr ~perms
 
 let set_special t i c = Pk.pack t.sb.Sb.sspec (i + 1) c
 
@@ -216,7 +217,7 @@ and sb_blocks t pcc pmeta seg clo chi pc budget pend =
   let m = t.machine in
   if budget <= 0 then begin
     pflush m pend;
-    Trapped { tcause = Software "out of fuel"; tpc = pc }
+    trap pc (Software "out of fuel")
   end
   else if pc < seg.seg_base || pc >= seg.seg_top then
     match find_segment t pc with
@@ -290,26 +291,58 @@ and sb_finish t pcc pmeta seg clo chi e budget pend =
   if e >= 0 then sb_blocks t pcc pmeta seg clo chi e budget pend
   else if e = Sb.x_halt then begin
     pflush t.machine pend;
-    Halted
+    Sb.x_halt
   end
   else begin
-    (* Cjalr flushed before the posture change, so [pend] is -1. *)
-    let target = t.sb.Sb.sjump in
-    let pc' = Cap.address target in
+    (* Cjalr flushed before the posture change, so [pend] is -1.  A
+       target outside every segment ends the run with the target still
+       packed; one inside a segment is the next pcc. *)
+    let pc' = t.sb.Sb.sj_addr in
     match find_segment t pc' with
-    | None -> Exited target
-    | Some s' -> sb_epoch t target s' pc' budget pend
+    | None -> Sb.x_jump
+    | Some s' -> sb_epoch t (Sb.jump_cap t.sb) s' pc' budget pend
   end
 
-let run ?(fuel = 1_000_000) t target =
-  try
+let default_fuel = 1_000_000
+
+(* The engine from [pcc] at [pc] (in [seg]) to the end of the run:
+   [Sb.x_halt], or [Sb.x_jump] with the exit target packed in the
+   context.  Every trap surfaces as [Trap_exn], a memory fault's at its
+   address. *)
+let exec t pcc seg pc fuel =
+  try sb_epoch t pcc seg pc fuel (-1) with
+  | Memory.Fault f ->
+      raise (Trap_exn { tcause = Cap_fault f.Memory.cause; tpc = f.Memory.addr })
+  | Cap.Derivation v -> raise (Trap_exn { tcause = Cap_fault v; tpc = -1 })
+
+let run ?(fuel = default_fuel) t target =
+  match
     let unsealed = Sb.apply_jump_target t.machine (Cap.address target) target in
     let pc = Cap.address unsealed in
     match find_segment t pc with
     | None -> Exited unsealed
-    | Some seg -> sb_epoch t unsealed seg pc fuel (-1)
+    | Some seg ->
+        if exec t unsealed seg pc fuel = Sb.x_halt then Halted
+        else Exited (Sb.jump_cap t.sb)
   with
-  | Trap_exn tr -> Trapped tr
-  | Memory.Fault f ->
-      Trapped { tcause = Cap_fault f.Memory.cause; tpc = f.Memory.addr }
-  | Cap.Derivation v -> Trapped { tcause = Cap_fault v; tpc = -1 }
+  | o -> o
+  | exception Trap_exn tr -> Trapped tr
+
+(* A sentry taken apart once: what [run] derives from it on every
+   entry. *)
+type entry = { e_pcc : Cap.t; e_pc : int; e_posture : Cap.Otype.sentry }
+
+let entry target =
+  match (Cap.otype target, Cap.unseal_sentry target) with
+  | Cap.Otype.Sentry k, Ok pcc when Cap.has_perm Perm.Execute pcc ->
+      { e_pcc = pcc; e_pc = Cap.address pcc; e_posture = k }
+  | _ -> invalid_arg "Interp.entry: not an executable sentry"
+
+let enter t e =
+  Sb.set_posture t.machine e.e_posture;
+  match find_segment t e.e_pc with
+  | None -> e.e_pc
+  | Some seg ->
+      if exec t e.e_pcc seg e.e_pc default_fuel = Sb.x_halt then
+        invalid_arg "Interp.enter: the run halted"
+      else t.sb.Sb.sj_addr

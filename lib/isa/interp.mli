@@ -46,6 +46,12 @@ val read_regs : t -> Capability.t array
 val clear_regs : t -> unit
 (** Reset every register to NULL. *)
 
+val load_cap_reg : t -> int -> addr:int -> perms:Perm.Set.t -> unit
+(** [load_cap_reg t r ~addr ~perms]: {!Memory.load_cap_into} straight
+    into register [r] (1..15), for an access the caller has already
+    charged and checked ({!Machine.charge_load_cap}); nothing is
+    boxed. *)
+
 val set_special : t -> int -> Capability.t -> unit
 (** Direct access to special capability registers (reset/loader only;
     running code must use [Cspecialrw], which demands
@@ -85,4 +91,30 @@ val run : ?fuel:int -> t -> Capability.t -> outcome
     and interpret until an outcome is reached.  [fuel] bounds the number
     of instructions (default 1_000_000) and exceeding it is a [Software]
     trap.  Total on every mapped program: {!Isa.assemble} rejects
-    out-of-range register operands, so a run never raises. *)
+    out-of-range register operands, so a run never raises.  The boxing
+    wrapper of {!enter}'s engine, for tests and tools. *)
+
+(** {2 Fixed entry points}
+
+    The kernel enters the switcher's two legs through constant sentries
+    on every compartment call, so it takes each apart once ({!entry})
+    and enters it with nothing boxed ({!enter}). *)
+
+type entry
+(** A sentry's unsealed pcc and interrupt posture. *)
+
+val entry : Capability.t -> entry
+(** [entry s]: what [run] derives from [s] before it executes — [s]
+    must be a tagged sentry whose unsealed form has [Perm.Execute], so
+    that [run] takes it without a trap; raises [Invalid_argument]
+    otherwise. *)
+
+exception Trap_exn of trap
+
+val enter : t -> entry -> int
+(** [enter t e]: [run t s] for the sentry [s] that [e] was taken from,
+    at the default fuel, answering the address the run exited to (the
+    [Exited] target's address) and allocating nothing of its own.  Sets
+    [e]'s posture, then runs the same engine.  A trap raises [Trap_exn]
+    with the trap [run] would answer [Trapped] with; a run that executes
+    [Halt] raises [Invalid_argument]. *)

@@ -476,8 +476,9 @@ type trap = { tcause : trap_cause; tpc : int }
 exception Trap_exn of trap
 
 (* Shared execution state: the packed register file and counters the
-   compiled blocks read and write in place.  [sjump] carries a Cjalr target
-   from the terminator closure to the dispatcher, [sret_acc] the
+   compiled blocks read and write in place.  [sj_meta], [sj_base],
+   [sj_top] and [sj_addr] carry a Cjalr's unsealed target, packed, from
+   the terminator closure to the dispatcher, [sret_acc] the
    pending deferred-cycle batch that a block exit hands back instead of
    flushing, and [sret_len] the instructions that execution retired
    (each written and read back-to-back with no tick in between, so a
@@ -493,7 +494,10 @@ type ctx = {
   spk : Pk.t;
   sspec : Pk.t;  (* special [i] in register [i + 1] *)
   mutable sinstret : int;
-  mutable sjump : Cap.t;
+  mutable sj_meta : int;
+  mutable sj_base : int;
+  mutable sj_top : int;
+  mutable sj_addr : int;
   mutable sret_acc : int;
   mutable sret_len : int;
   mutable sbudget : int;
@@ -506,7 +510,10 @@ let make_ctx machine =
     spk = Pk.make 16;
     sspec = Pk.make 4;
     sinstret = 0;
-    sjump = Cap.null;
+    sj_meta = 0;
+    sj_base = 0;
+    sj_top = 0;
+    sj_addr = 0;
     sret_acc = -1;
     sret_len = 0;
     sbudget = 0;
@@ -515,7 +522,7 @@ let make_ctx machine =
 (* Block exits, encoded as ints so the hot path never allocates: a
    non-negative value is the next pc (fall-through or branch target);
    [x_halt] is Halt; [x_jump] is a Cjalr whose unsealed target is in
-   [ctx.sjump]. *)
+   [ctx.sj_*]. *)
 let x_halt = -1
 let x_jump = -2
 
@@ -667,21 +674,28 @@ let[@inline] store_packed mem addr pk r =
 let[@inline] perms_of am = Perm.Set.of_bits (Pk.m_perm_bits am)
 
 (* [apply_jump_target] on a packed target register: the same checks in
-   the same order and the same posture change, boxing only the unsealed
-   target (the dispatcher's next pcc, or the run's exit value). *)
-let jump_target_pk m pk rs pc =
+   the same order and the same posture change, leaving the unsealed
+   target packed in [ctx.sj_*] (written after the posture change, and
+   read by the dispatcher before anything can tick).  Nothing is boxed:
+   the dispatcher boxes the target only when it is a pcc to run on. *)
+let jump_target_pk ctx pk rs pc =
   let module O = Cap.Otype in
   let meta = Pk.meta pk rs in
   if not (Pk.m_tag meta) then trap pc (Cap_fault Cap.Tag_violation);
   (match Cap.otype_of_code (Pk.m_otype meta) with
   | O.Unsealed -> ()
   | O.Data _ -> trap pc (Cap_fault Cap.Seal_violation)
-  | O.Sentry k -> set_posture m k);
+  | O.Sentry k -> set_posture ctx.sm k);
   let meta = Pk.m_unsealed meta in
   if not (Pk.m_has_perm Perm.Execute meta) then
     trap pc (Cap_fault (Cap.Permit_violation Perm.Execute));
-  Cap.of_meta ~meta ~base:(Pk.base pk rs) ~top:(Pk.top pk rs)
-    ~cursor:(Pk.cursor pk rs)
+  ctx.sj_meta <- meta;
+  ctx.sj_base <- Pk.base pk rs;
+  ctx.sj_top <- Pk.top pk rs;
+  ctx.sj_addr <- Pk.cursor pk rs
+
+let jump_cap ctx =
+  Cap.of_meta ~meta:ctx.sj_meta ~base:ctx.sj_base ~top:ctx.sj_top ~cursor:ctx.sj_addr
 
 
 (* Block shape.  A block is the code reachable from its entry slot
@@ -1447,7 +1461,7 @@ let compile ~single ctx dec ~base ~idx ~pcc =
              jump changes it. *)
           if rd = 0 then fun acc ->
             flushx m (retire ctx acc);
-            ctx.sjump <- jump_target_pk m pk rs pc;
+            jump_target_pk ctx pk rs pc;
             leave ctx (-1) c1 x_jump
           else
             let link_en = link pc Cap.Otype.Return_enable
@@ -1455,9 +1469,8 @@ let compile ~single ctx dec ~base ~idx ~pcc =
             fun acc ->
               flushx m (retire ctx acc);
               let link = if Machine.irq_enabled m then link_en else link_dis in
-              let unsealed = jump_target_pk m pk rs pc in
+              jump_target_pk ctx pk rs pc;
               Pk.pack pk rd (Cap.exn link);
-              ctx.sjump <- unsealed;
               leave ctx (-1) c1 x_jump
       | Isa.Halt ->
           fun acc ->

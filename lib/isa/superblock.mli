@@ -120,6 +120,11 @@ module Packed_cap : sig
       [addr]: [Capability.with_address_unsealed c addr] without the
       boxed intermediate. *)
 
+  val uload_cap : t -> int -> Memory.t -> addr:int -> perms:Perm.Set.t -> unit
+  (** [uload_cap pk r mem ~addr ~perms]: {!Memory.load_cap_into} of the
+      granule at [addr] straight into register [r] (register 0 discards
+      it), for an access already checked. *)
+
   (* In-place derivations; each mirrors the [Capability] operation of
      the same (or evident) name — same checks, same check order, same
      violation. *)
@@ -169,8 +174,13 @@ type ctx = {
       (** the 3 special registers, packed like the register file:
           special [i] is its register [i + 1] *)
   mutable sinstret : int;
-  mutable sjump : Capability.t;
-      (** Cjalr target handoff from terminator to dispatcher *)
+  mutable sj_meta : int;
+  mutable sj_base : int;
+  mutable sj_top : int;
+  mutable sj_addr : int;
+      (** Cjalr target handoff from terminator to dispatcher: the
+          unsealed target's [Capability.meta], base, top and address,
+          packed, so a jump out of the interpreter boxes nothing *)
   mutable sret_acc : int;
       (** pending deferred-cycle batch handed back by a block exit
           instead of flushing, so the dispatcher can carry it into the
@@ -201,6 +211,14 @@ val make_ctx : Machine.t -> ctx
 
 val x_halt : int
 (** Block exit code: executed [Halt]. *)
+
+val x_jump : int
+(** Block exit code: executed [Cjalr], whose unsealed target is in
+    [ctx]'s [sj_*] fields. *)
+
+val jump_cap : ctx -> Capability.t
+(** The last [Cjalr]'s unsealed target, boxed from [ctx]'s [sj_*]
+    fields. *)
 
 type block = {
   b_pmeta : int;
@@ -271,6 +289,11 @@ val compile :
     any precondition fails (not deferring, [e] not a whole positive
     number of trips ahead, a failing check) the block runs trip by
     trip. *)
+
+val set_posture : Machine.t -> Capability.Otype.sentry -> unit
+(** A sentry's interrupt-posture change: [Call_inherit] keeps the
+    posture, the [_disable] kinds disable interrupts and the [_enable]
+    kinds enable them. *)
 
 val apply_jump_target : Machine.t -> int -> Capability.t -> Capability.t
 (** Sentry semantics of the external entry point: unseal sentries,

@@ -275,24 +275,29 @@ let rec sweep_tagged mem g stop =
    arithmetic is additive, so one batched call here is equivalent to any
    sequence of smaller calls totalling [n] — provided no tag was set or
    cleared in between, which the event horizon and the tag-set hook
-   guarantee for the lazily accumulated [rev_lag]. *)
+   guarantee for the lazily accumulated [rev_lag].  A debt below one
+   step sweeps nothing and keeps all of itself, so it skips the
+   division. *)
 let revoker_advance m n =
   if m.rev_sweeping then begin
     let debt = m.rev_debt + n in
-    let steps = debt / m.rev_rate in
-    m.rev_debt <- debt mod m.rev_rate;
-    let total = Memory.granule_count m.mem in
-    let take = Int.min steps (total - m.rev_next) in
-    let stop = m.rev_next + take in
-    sweep_tagged m.mem m.rev_next stop;
-    m.rev_next <- stop;
-    if take > 0 && tracing m then
-      emit m (Obs.Revoker_quantum { granules = take; next = stop });
-    if stop >= total then begin
-      m.rev_sweeping <- false;
-      m.rev_epoch <- m.rev_epoch + 1;
-      if tracing m then emit m (Obs.Revoker_done { epoch = m.rev_epoch });
-      raise_irq m revoker_irq
+    if debt < m.rev_rate then m.rev_debt <- debt
+    else begin
+      let steps = debt / m.rev_rate in
+      m.rev_debt <- debt mod m.rev_rate;
+      let total = Memory.granule_count m.mem in
+      let take = Int.min steps (total - m.rev_next) in
+      let stop = m.rev_next + take in
+      sweep_tagged m.mem m.rev_next stop;
+      m.rev_next <- stop;
+      if take > 0 && tracing m then
+        emit m (Obs.Revoker_quantum { granules = take; next = stop });
+      if stop >= total then begin
+        m.rev_sweeping <- false;
+        m.rev_epoch <- m.rev_epoch + 1;
+        if tracing m then emit m (Obs.Revoker_done { epoch = m.rev_epoch });
+        raise_irq m revoker_irq
+      end
     end
   end
 
@@ -569,6 +574,10 @@ let store m ~auth ~addr ~size v =
 let load_cap m ~auth ~addr =
   tick m Cost.mem_cap;
   Memory.load_cap ~auth m.mem ~addr
+
+let charge_load_cap m ~auth ~addr =
+  tick m Cost.mem_cap;
+  Memory.check_load_cap ~auth m.mem ~addr
 
 let store_cap m ~auth ~addr c =
   tick m Cost.mem_cap;

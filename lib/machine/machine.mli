@@ -199,6 +199,13 @@ val find_device : t -> string -> (int * int) option
 val load : t -> auth:Capability.t -> addr:int -> size:int -> int
 val store : t -> auth:Capability.t -> addr:int -> size:int -> int -> unit
 val load_cap : t -> auth:Capability.t -> addr:int -> Capability.t
+
+val charge_load_cap : t -> auth:Capability.t -> addr:int -> unit
+(** [load_cap] up to the load: its cycles and its checks
+    ({!Memory.check_load_cap}), raising the same fault.  A caller that
+    then loads the granule packed ({!Memory.load_cap_into}) before
+    anything else can tick or store gets [load_cap]'s value without
+    boxing it. *)
 val store_cap : t -> auth:Capability.t -> addr:int -> Capability.t -> unit
 
 val zero : t -> auth:Capability.t -> addr:int -> len:int -> unit

@@ -235,39 +235,60 @@ let next_tagged m ~from =
     g
   end
 
-(* Revocation bitmap *)
+(* Revocation bitmap.  [revoked_count] is exact: the painters below
+   adjust it by the bits each byte actually changes, and restore copies
+   it with the bitmap, so a zero count proves no granule is revoked. *)
 
-let rev_get m g =
-  Char.code (Bytes.get m.revoked (g lsr 3)) land (1 lsl (g land 7)) <> 0
+(* Granule [addr]'s revocation bit, for any [addr]: the range test
+   proves the offset non-negative, so the granule index is a shift. *)
+let[@inline] revoked_at m addr =
+  m.revoked_count <> 0 && contains m addr && bit_get m.revoked ((addr - m.base) lsr 3)
 
-let rev_set m g v =
-  let i = g lsr 3 in
-  let mask = 1 lsl (g land 7) in
-  let b = Char.code (Bytes.get m.revoked i) in
-  if v then begin
-    if b land mask = 0 then begin
-      Bytes.set m.revoked i (Char.chr ((b lor mask) land 0xff));
-      m.revoked_count <- m.revoked_count + 1
-    end
+let[@inline] popcount8 c =
+  let c = c - ((c lsr 1) land 0x55) in
+  let c = (c land 0x33) + ((c lsr 2) land 0x33) in
+  (c + (c lsr 4)) land 0x0f
+
+(* Set ([v]) or clear the bits of [mask] in byte [i] of the bitmap,
+   counting the bits that change. *)
+let rev_paint_byte m i mask v =
+  let c = Char.code (Bytes.unsafe_get m.revoked i) in
+  let c' = if v then c lor mask else c land lnot mask in
+  if c' <> c then begin
+    Bytes.unsafe_set m.revoked i (Char.unsafe_chr c');
+    let d = popcount8 (c lxor c') in
+    m.revoked_count <- (if v then m.revoked_count + d else m.revoked_count - d)
   end
-  else if b land mask <> 0 then begin
-    Bytes.set m.revoked i (Char.chr (b land lnot mask land 0xff));
-    m.revoked_count <- m.revoked_count - 1
+
+(* Granules [g0..g1] (g0 <= g1): the partial bytes at either end by
+   mask, the whole bytes between them a byte at a time. *)
+let rev_paint m g0 g1 v =
+  let i0 = g0 lsr 3 and i1 = g1 lsr 3 in
+  let lo = 0xff lsl (g0 land 7) land 0xff and hi = 0xff lsr (7 - (g1 land 7)) in
+  if i0 = i1 then rev_paint_byte m i0 (lo land hi) v
+  else begin
+    rev_paint_byte m i0 lo v;
+    for i = i0 + 1 to i1 - 1 do
+      rev_paint_byte m i 0xff v
+    done;
+    rev_paint_byte m i1 hi v
   end
+
+(* The granules the loop [for g = granule_of m addr to granule_of m (addr
+   + len - 1)] would visit. *)
+let rev_range m ~addr ~len v =
+  let g0 = granule_of m addr and g1 = granule_of m (addr + len - 1) in
+  if g0 <= g1 then rev_paint m g0 g1 v
 
 let set_revoked m ~addr ~len =
   check_range m ~addr ~size:len Write;
-  for g = granule_of m addr to granule_of m (addr + len - 1) do
-    rev_set m g true
-  done
+  rev_range m ~addr ~len true
 
 let clear_revoked m ~addr ~len =
   check_range m ~addr ~size:len Write;
-  for g = granule_of m addr to granule_of m (addr + len - 1) do
-    rev_set m g false
-  done
+  rev_range m ~addr ~len false
 
-let is_revoked m addr = contains m addr && rev_get m (granule_of m addr)
+let is_revoked m addr = revoked_at m addr
 
 let revoked_granule_count m = m.revoked_count
 
@@ -445,15 +466,19 @@ let iter_caps m f =
    capabilities reloaded from memory; register-held copies in native
    compartment code would be filtered when spilled/reloaded around the
    free() call, which we model by checking the authority's base on every
-   access. *)
-let base_filtered m base = m.load_filter && contains m base && rev_get m (granule_of m base)
+   access.  It answers from the live bitmap, so nothing is remembered
+   between accesses: the early answer on a zero [revoked_count] reads
+   state that every revocation edit and every restore keeps exact, not
+   a cache that could go stale. *)
+let base_filtered m base = m.load_filter && revoked_at m base
 
 (* Alignment and load-filter checks: the part of [check] beyond the
    capability check itself.  Split out so the machine's SRAM fast path
    (which has already run [Capability.check_access]) can apply it without
    re-checking the capability. *)
 let check_aligned_filtered m ~auth ~addr ~size:sz access =
-  if sz > 1 && addr mod sz <> 0 then fault Cap.Bounds_violation addr access;
+  if sz > 1 && (if sz land (sz - 1) = 0 then addr land (sz - 1) else addr mod sz) <> 0
+  then fault Cap.Bounds_violation addr access;
   if base_filtered m (Cap.base auth) then fault Cap.Tag_violation addr access
 
 let check m ~auth ~perm ~addr ~size:sz access =
@@ -494,12 +519,15 @@ let load_cap_into m ~addr ~perms dst o =
     Array.unsafe_set dst (o + 3) (load32_unchecked m addr)
   end
 
+let check_load_cap ~auth m ~addr =
+  check m ~auth ~perm:Perm.Load ~addr ~size:granule_size Read;
+  if addr mod granule_size <> 0 then fault Cap.Bounds_violation addr Read;
+  check_range m ~addr ~size:granule_size Read
+
 (* The boxed load builds its result from the packed one, through this
    memory's four-int scratch slot. *)
 let load_cap ~auth m ~addr =
-  check m ~auth ~perm:Perm.Load ~addr ~size:granule_size Read;
-  if addr mod granule_size <> 0 then fault Cap.Bounds_violation addr Read;
-  check_range m ~addr ~size:granule_size Read;
+  check_load_cap ~auth m ~addr;
   let s = m.scratch in
   load_cap_into m ~addr ~perms:(Cap.perms auth) s 0;
   Cap.of_meta ~meta:s.(0) ~base:s.(1) ~top:s.(2) ~cursor:s.(3)
@@ -526,8 +554,7 @@ let zero ~auth m ~addr ~len =
 let sweep_granule m g =
   bit_get m.tagged g
   &&
-  let b = cap_base m g in
-  contains m b && rev_get m (granule_of m b)
+  revoked_at m (cap_base m g)
   && begin
        cap_clear m g;
        true
@@ -563,17 +590,19 @@ external unsafe_get64 : bytes -> int -> int64 = "%caml_bytes_get64u"
 let zero_span b ~off ~len =
   let stop = off + len in
   let[@inline] w i = unsafe_get64 b i in
-  let rec words i = i >= stop || (Int64.equal (w i) 0L && words (i + 8)) in
+  (* Compared at type [int64], so the test compiles to an inline compare
+     of the unboxed word rather than a call of [Int64.compare]. *)
+  let[@inline] is_zero (x : int64) = x = 0L in
+  let rec words i = i >= stop || (is_zero (w i) && words (i + 8)) in
   let rec blocks i =
     if i + 64 > stop then words i
     else
-      Int64.equal
+      is_zero
         (Int64.logor
            (Int64.logor (Int64.logor (w i) (w (i + 8))) (Int64.logor (w (i + 16)) (w (i + 24))))
            (Int64.logor
               (Int64.logor (w (i + 32)) (w (i + 40)))
               (Int64.logor (w (i + 48)) (w (i + 56)))))
-        0L
       && blocks (i + 64)
   in
   blocks off

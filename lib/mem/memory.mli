@@ -49,7 +49,8 @@ val base_filtered : t -> int -> bool
 (** [base_filtered m base]: the load filter is on and the revocation bit
     of the granule containing [base] is set, so an access through an
     authority with that base traps (the filter part of [load]/[store]'s
-    check). *)
+    check).  Read from the live bitmap; [false] at once while no
+    granule is revoked ({!revoked_granule_count} is exact). *)
 
 (* Checked data access *)
 
@@ -71,6 +72,12 @@ val load_cap : auth:Capability.t -> t -> addr:int -> Capability.t
 (** Load a capability from a granule-aligned address.  Applies, in order:
     the [Mem_cap] check (without it the result is untagged), deep
     attenuation ([Capability.attenuate_loaded]) and the load filter. *)
+
+val check_load_cap : auth:Capability.t -> t -> addr:int -> unit
+(** [load_cap]'s access check alone (capability, alignment, range, load
+    filter on [auth]), raising the same [Fault]: after it passes,
+    [load_cap_into m ~addr ~perms:(Capability.perms auth)] loads the
+    value [load_cap] would return, packed. *)
 
 val store_cap : auth:Capability.t -> t -> addr:int -> Capability.t -> unit
 (** Store a capability.  A tagged non-[Global] capability additionally
@@ -150,7 +157,8 @@ val is_revoked : t -> int -> bool
 (** Revocation bit of the granule containing the address. *)
 
 val revoked_granule_count : t -> int
-(** O(1): maintained incrementally by [set_revoked]/[clear_revoked]. *)
+(** O(1) and exact: [set_revoked]/[clear_revoked] adjust it by the bits
+    they change, and a snapshot restore copies it with the bitmap. *)
 
 (* Revoker support *)
 

@@ -173,3 +173,14 @@ let call_sentry =
   Cap.exn
     (Cap.seal_entry (Cap.with_address_exn pcc (Abi.switcher_code_base + entry_offset))
        Cap.Otype.Call_disable)
+
+(* The callee's return address as the call leg builds it: [Auipcc] of
+   [switch_return] on the leg's pcc (the unsealed [call_sentry], which
+   is [pcc]'s shape), sealed as an interrupt-disabling forward
+   sentry. *)
+let return_sentry =
+  Cap.exn
+    (Cap.seal_entry
+       (Cap.with_address_exn pcc
+          (Abi.switcher_code_base + (4 * Isa.label_index program "switch_return")))
+       Cap.Otype.Call_disable)

@@ -43,3 +43,10 @@ val pcc : Capability.t
 val call_sentry : Capability.t
 (** Interrupt-disabling forward sentry to the call entry point; this is
     what the loader places in every compartment's import table. *)
+
+val return_sentry : Capability.t
+(** Interrupt-disabling forward sentry to the return entry point: the
+    value the call leg leaves in [ra] for the callee, on every call
+    (the leg builds it from its own pcc).  The kernel enters the return
+    leg through this constant rather than reading [ra] back;
+    [test_interp_equiv] checks the two agree after every call leg. *)

@@ -2,6 +2,11 @@ module Cap = Capability
 
 let comp_name = "pool"
 
+(* Import names, built once: the kernel memoises import slots by the
+   name string's identity. *)
+let post_import = comp_name ^ ".post"
+let shutdown_import = comp_name ^ ".pool_shutdown"
+
 let firmware_compartment () =
   Firmware.compartment comp_name ~code_loc:140 ~globals_size:8
     ~entries:
@@ -99,11 +104,11 @@ let install kernel =
 
 let post ctx ~job ~arg =
   match
-    Kernel.call1 ctx ~import:(comp_name ^ ".post")
+    Kernel.call1 ctx ~import:post_import
       [ Interp.int_value job; Interp.int_value arg ]
   with
   | Ok v -> Interp.to_int v = 0
   | Error _ -> false
 
 let shutdown ctx =
-  ignore (Kernel.call1 ctx ~import:(comp_name ^ ".pool_shutdown") [])
+  ignore (Kernel.call1 ctx ~import:shutdown_import [])

@@ -3,6 +3,11 @@ module Cap = Capability
 let device_name = "uart0"
 let lib_name = "debug"
 
+(* Import names, built once: the kernel memoises import slots by the
+   name string's identity. *)
+let log_import = lib_name ^ ".log"
+let log_int_import = lib_name ^ ".log_int"
+
 let attach machine =
   let transcript = Buffer.create 256 in
   let read ~addr ~size =
@@ -55,9 +60,9 @@ let log ctx s =
   let ctx', buf = Kernel.stack_alloc ctx (String.length s + 8) in
   Membuf.of_string machine ~auth:buf s;
   ignore
-    (Kernel.lib_call ctx' ~import:(lib_name ^ ".log")
+    (Kernel.lib_call ctx' ~import:log_import
        [ buf; Interp.int_value (String.length s) ]);
   ctx'
 
 let log_int ctx v =
-  ignore (Kernel.lib_call ctx ~import:(lib_name ^ ".log_int") [ Interp.int_value v ])
+  ignore (Kernel.lib_call ctx ~import:log_int_import [ Interp.int_value v ])

@@ -1215,7 +1215,8 @@ let sw_table_perms =
    sealed export capability in ct2, the caller's stack with [room]
    bytes below its cursor, and every other register holding a value
    drawn from [rng] (integers and capabilities), so the switcher's
-   clearing shows. *)
+   clearing shows.  Answers the draw and the caller's ra, csp and cgp,
+   which the return leg must give back. *)
 let switcher_arm ~rng ~arity ~posture ~min_stack ~room ~tsp machine interp =
   let sram = Machine.sram_base machine and mem = Machine.mem machine in
   let root =
@@ -1255,38 +1256,67 @@ let switcher_arm ~rng ~arity ~posture ~min_stack ~room ~tsp machine interp =
   done;
   Vm.set_reg interp Isa.ct2 (Cap.exn (Cap.seal ~key (Cap.with_address_exn table e)));
   let stack = carve (sram + sw_stack) sw_stack_size Perm.Set.stack in
-  Vm.set_reg interp Isa.csp (Cap.with_address_exn stack (sram + sw_stack + room));
-  Vm.set_reg interp Isa.cgp (carve (sram + sw_globals) 64 Perm.Set.read_write);
-  Vm.set_reg interp Isa.ra
-    (Cap.exn
-       (Cap.seal_entry
-          (Cap.make_root ~base:Abi.return_pad ~top:(Abi.return_pad + 16)
-             ~perms:Perm.Set.executable)
-          Cap.Otype.Return_enable))
+  let csp = Cap.with_address_exn stack (sram + sw_stack + room) in
+  let cgp = carve (sram + sw_globals) 64 Perm.Set.read_write in
+  let ra =
+    Cap.exn
+      (Cap.seal_entry
+         (Cap.make_root ~base:Abi.return_pad ~top:(Abi.return_pad + 16)
+            ~perms:Perm.Set.executable)
+         Cap.Otype.Return_enable)
+  in
+  Vm.set_reg interp Isa.csp csp;
+  Vm.set_reg interp Isa.cgp cgp;
+  Vm.set_reg interp Isa.ra ra;
+  (value, (ra, csp, cgp))
 
 (* A call leg and, when it reaches the callee, the return leg as the
-   kernel drives it: registers cleared, results in ca0/ca1, the callee's
-   stack in csp, entered through the return sentry the call left in ra.
-   [underflow] empties the trusted stack first. *)
+   kernel drives it.  The call leg must leave in ra exactly the constant
+   the kernel enters the return leg with ([Switcher.return_sentry]).
+   The kernel clears no register before the return leg, so every
+   register holds a fresh draw (as a callee's own calls may leave the
+   file) except the results in ca0/ca1 and the callee's stack in csp;
+   the leg must still leave only the results, the caller's ra, csp and
+   cgp, and NULL.  [underflow] empties the trusted stack first. *)
 let switcher_runs ~seed ~arity ~posture ~min_stack ~room ~tsp ~underflow machine interp
     (go : ?at:Cap.t -> unit -> view_mem) =
   let rng = Random.State.make [| seed; arity; posture; min_stack; room; tsp |] in
-  switcher_arm ~rng ~arity ~posture ~min_stack ~room ~tsp machine interp;
+  let value, (ra, caller_csp, cgp) =
+    switcher_arm ~rng ~arity ~posture ~min_stack ~room ~tsp machine interp
+  in
   let call = go ~at:Switcher.call_sentry () in
   if not (String.starts_with ~prefix:"exited" (fst call).s_outcome) then [ call ]
   else begin
     let ret = Vm.get_reg interp Isa.ra and csp = Vm.get_reg interp Isa.csp in
+    if not (Cap.equal ret Switcher.return_sentry) then
+      Alcotest.failf "call leg left ra = %a, not the return sentry %a" Cap.pp ret Cap.pp
+        Switcher.return_sentry;
     for r = 1 to 15 do
-      Vm.set_reg interp r Cap.null
+      Vm.set_reg interp r (value ())
     done;
-    Vm.set_reg interp Isa.ca0 (Interp.int_value (Random.State.int rng 1000));
-    Vm.set_reg interp Isa.ca1 (Vm.get_reg interp 0);
+    let result = Interp.int_value (Random.State.int rng 1000) in
+    Vm.set_reg interp Isa.ca0 result;
+    Vm.set_reg interp Isa.ca1 Cap.null;
     Vm.set_reg interp Isa.csp csp;
     if underflow then
       Memory.store_priv (Machine.mem machine)
         ~addr:(Machine.sram_base machine + sw_tstack + Abi.ts_tsp)
         ~size:4 Abi.ts_frames;
-    [ call; go ~at:ret () ]
+    let back = go ~at:Switcher.return_sentry () in
+    if String.starts_with ~prefix:"exited" (fst back).s_outcome then
+      for r = 1 to 15 do
+        let expect =
+          if r = Isa.ra then ra
+          else if r = Isa.csp then caller_csp
+          else if r = Isa.cgp then cgp
+          else if r = Isa.ca0 then result
+          else Cap.null
+        in
+        if not (Cap.equal (Vm.get_reg interp r) expect) then
+          Alcotest.failf "after the return leg register %d = %a, expected %a" r Cap.pp
+            (Vm.get_reg interp r) Cap.pp expect
+      done;
+    [ call; back ]
   end
 
 let check_switcher ?(room = sw_stack_size) ?(tsp = Abi.ts_frames) ?(underflow = false)

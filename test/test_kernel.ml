@@ -476,6 +476,61 @@ let test_restore_implementations () =
       Kernel.run k);
   Alcotest.(check (option int)) "snapshot-time binding back" (Some 1) !sum
 
+(* Two images booted in one process, with the same compartment and
+   import names but the import slots in opposite orders.  Each kernel
+   must resolve a name to its own slot, every time: the call sites
+   below pass the same physical strings to both, so an import memo kept
+   anywhere but on one kernel's compartment would hand one image the
+   other's slots, here a call of [b.g] for [a.f].  Checked on first
+   use, after the other kernel has run, and after each machine is
+   restored to its post-boot snapshot. *)
+let import_a = "a.f"
+let import_b = "b.g"
+
+let test_import_slots_per_kernel () =
+  let image ~name imports =
+    F.create ~name
+      ~threads:[ F.thread ~name:"main" ~comp:"app" ~entry:"main" () ]
+      [
+        F.compartment "app" ~entries:[ F.entry "main" ~arity:0 ~min_stack:256 ] ~imports;
+        F.compartment "a" ~entries:[ F.entry "f" ~arity:0 ];
+        F.compartment "b" ~entries:[ F.entry "g" ~arity:0 ];
+      ]
+  in
+  let a_f = F.Call { comp = "a"; entry = "f" } and b_g = F.Call { comp = "b"; entry = "g" } in
+  let boot fw =
+    let machine = Machine.create () in
+    let k = match Kernel.boot ~machine fw with Ok k -> k | Error e -> Alcotest.fail e in
+    let got = ref [] in
+    Kernel.implement1 k ~comp:"a" ~entry:"f" (fun _ _ -> iv 1);
+    Kernel.implement1 k ~comp:"b" ~entry:"g" (fun _ _ -> iv 2);
+    Kernel.implement1 k ~comp:"app" ~entry:"main" (fun ctx _ ->
+        let call import =
+          match Kernel.call1 ctx ~import [] with
+          | Ok v -> ti v
+          | Error e -> Alcotest.failf "%s: %a" import Kernel.pp_call_error e
+        in
+        got := [ call import_a; call import_b; call import_a; call import_b ];
+        Cap.null);
+    (k, got, Machine.snapshot machine)
+  in
+  let x = boot (image ~name:"x" [ a_f; b_g ]) and y = boot (image ~name:"y" [ b_g; a_f ]) in
+  let check ?(restore = true) label (k, got, snap) =
+    if restore then Machine.restore (Kernel.machine k) snap;
+    got := [];
+    Kernel.run k;
+    Alcotest.(check (list int)) label [ 1; 2; 1; 2 ] !got
+  in
+  check ~restore:false "x first" x;
+  check ~restore:false "y after x" y;
+  check "x restored" x;
+  check "y restored" y;
+  check "y restored again" y;
+  check "x restored after y" x;
+  let slot (k, _, _) name = Loader.import_slot (Loader.find_comp (Kernel.loader k) "app") name in
+  Alcotest.(check (pair int int)) "the images' slot orders are swapped"
+    (slot x import_a, slot x import_b) (slot y import_b, slot y import_a)
+
 let suite =
   [
     Alcotest.test_case "boot + loader erase" `Quick test_boot_only;
@@ -501,6 +556,7 @@ let suite =
     Alcotest.test_case "unimplemented entry fails by name" `Quick
       test_unimplemented_entry;
     Alcotest.test_case "implement replaces" `Quick test_implement_replaces;
+    Alcotest.test_case "import slots resolve per kernel" `Quick test_import_slots_per_kernel;
     Alcotest.test_case "restore brings back implementations" `Quick
       test_restore_implementations;
   ]

@@ -316,9 +316,100 @@ struct
                  if Cap.tag c then Some (addr, Cap.address c) else None)
                (List.init granules Fun.id))
 
+  (* Revocation painting and the load filter against a per-granule
+     reference: a bool per granule, set or cleared one at a time for
+     every granule the bytes [addr, addr + len) touch.  Ranges are
+     random and unaligned, up to 4 KiB, so they cover partial first and
+     last bitmap bytes, single-byte ranges and runs of whole bytes.
+     After every edit each granule's bit, the count and [base_filtered]
+     at a few addresses (with the filter on and off) must match; a
+     snapshot taken part way is restored at the end and must give back
+     its bits, its count and its filter answers. *)
+  let prop_revocation_painting =
+    QCheck.Test.make ~name:"revocation painting and base_filtered == per-granule reference"
+      ~count:200
+      QCheck.(list_of_size Gen.(0 -- 40) (int_bound 100_000_000))
+      (fun ns ->
+        let m = mk () in
+        let reference = Array.make granules false in
+        let count r = Array.fold_left (fun n b -> if b then n + 1 else n) 0 r in
+        let filtered_ok m r ~filter probe =
+          Memory.set_load_filter m filter;
+          let expect addr =
+            filter && addr >= base && addr < base + size && r.((addr - base) / 8)
+          in
+          List.for_all
+            (fun addr -> Memory.base_filtered m addr = expect addr)
+            [ base - 8; base; base + (probe mod size); base + size - 1; base + size; probe ]
+          && (Memory.set_load_filter m true; true)
+        in
+        let agrees m r probe =
+          List.for_all (fun g -> Memory.is_revoked m (base + (g * 8)) = r.(g))
+            (List.init granules Fun.id)
+          && Memory.revoked_granule_count m = count r
+          && filtered_ok m r ~filter:true probe
+          && filtered_ok m r ~filter:false probe
+        in
+        let snap = ref None in
+        let zero_seen = ref (agrees m reference 0) in
+        let edits_ok =
+          List.for_all
+            (fun n ->
+              let addr = base + (n mod size) in
+              let len = 1 + (n / size mod Int.min 4096 (base + size - addr)) in
+              let v = n / 7 mod 3 <> 0 in
+              (if v then Memory.set_revoked m ~addr ~len else Memory.clear_revoked m ~addr ~len);
+              for g = (addr - base) / 8 to (addr + len - 1 - base) / 8 do
+                reference.(g) <- v
+              done;
+              if n mod 5 = 0 && !snap = None then
+                snap := Some (Memory.snapshot m, Array.copy reference);
+              agrees m reference (n / 3))
+            ns
+        in
+        (* Clear everything: the count returns to zero and the filter
+           answers false everywhere again. *)
+        Memory.clear_revoked m ~addr:base ~len:size;
+        Array.fill reference 0 granules false;
+        zero_seen := !zero_seen && agrees m reference 17;
+        let restored_ok =
+          match !snap with
+          | None -> true
+          | Some (restore, r) ->
+              restore ();
+              agrees m r 29
+              &&
+              (* and the restored bitmap keeps painting exactly *)
+              (Memory.clear_revoked m ~addr:base ~len:size;
+               Memory.revoked_granule_count m = 0
+               && agrees m (Array.make granules false) 31)
+        in
+        edits_ok && !zero_seen && restored_ok)
+
+  (* The alignment part of [check_aligned_filtered] at every access size
+     the ISA and the allocator use and two it does not (3 and 6): an
+     access faults with a bounds violation exactly when [addr mod sz] is
+     non-zero, whether or not [sz] is a power of two. *)
+  let prop_alignment_check =
+    QCheck.Test.make ~name:"check_aligned_filtered alignment == addr mod size" ~count:500
+      QCheck.(pair (int_bound (size - 16)) (int_bound 5))
+      (fun (off, szi) ->
+        let m = mk () in
+        let auth = auth () in
+        let sz = [| 1; 2; 3; 4; 6; 8 |].(szi) in
+        let addr = base + off in
+        let faults =
+          match Memory.check_aligned_filtered m ~auth ~addr ~size:sz Memory.Read with
+          | () -> false
+          | exception Memory.Fault { cause = Cap.Bounds_violation; addr = a; _ } -> a = addr
+        in
+        faults = (sz > 1 && addr mod sz <> 0))
+
   let suite =
     List.map Qcheck_seed.to_alcotest
       [
+        prop_revocation_painting;
+        prop_alignment_check;
         prop_word_byte_equiv;
         prop_checked_load_equiv;
         prop_sweep_bitmap_equiv;
