@@ -1480,6 +1480,39 @@ let boot_major_words () =
   ignore (boot_bench ());
   direct () -. w0
 
+(* The flight recorder's event path: minor words per [Forensics.ingest]
+   over the event streams fault-campaign seeds 0..9 emit, recorded once
+   through a trace ring and replayed into fresh recorders (created
+   outside the measured window). *)
+let ingest_words () =
+  let streams =
+    List.init 10 (fun seed ->
+        let ring = Obs.create ~capacity:(1 lsl 18) () in
+        ignore (Fault_campaign.run_scenario ~trace:ring ~seed ());
+        if Obs.dropped ring > 0 then failwith "alloc-gate: the trace ring dropped events";
+        Array.of_list (Obs.events ring))
+  in
+  let recorders = List.map (fun _ -> Forensics.create ()) streams in
+  let events = List.fold_left (fun n evs -> n + Array.length evs) 0 streams in
+  let w0 = Gc.minor_words () in
+  List.iter2
+    (fun f evs -> Array.iter (fun e -> Forensics.ingest f ~cycle:e.Obs.cycle e.Obs.kind) evs)
+    recorders streams;
+  (Gc.minor_words () -. w0) /. float_of_int events
+
+(* Minor and promoted words per fault-campaign scenario, from a fresh
+   boot as perfbench runs it: seeds 0..49 after one warm-up scenario. *)
+let scenario_words () =
+  let n = 50 in
+  ignore (Fault_campaign.run_scenario ~seed:0 ());
+  let s0 = Gc.quick_stat () in
+  for seed = 0 to n - 1 do
+    ignore (Fault_campaign.run_scenario ~seed ())
+  done;
+  let s1 = Gc.quick_stat () in
+  let per x0 x1 = (x1 -. x0) /. float_of_int n in
+  (per s0.Gc.minor_words s1.Gc.minor_words, per s0.Gc.promoted_words s1.Gc.promoted_words)
+
 (* `bench -- alloc-gate`: CI gate for the packed register file's core
    claim — the steady-state superblock hot loop does zero minor-heap
    allocation per instruction — and for the allocation-free switcher
@@ -1589,6 +1622,35 @@ let alloc_gate_cmd _args =
   if boot > boot_max_words then begin
     Fmt.epr "alloc-gate: FAIL — one boot allocates %.0f major words (max %.0f)@." boot
       boot_max_words;
+    exit 1
+  end;
+  (* The flight recorder's ingest: measured 0.621 minor words per
+     event on OCaml 5.1.1, all of it arrays grown on first use (4.191
+     before the tracker interned its labels and kept its frames, and
+     the recorder its heap tables and recent ring, in arrays); the
+     ceiling is that plus 5%. *)
+  let ingest_max = 0.652 in
+  let ingest = ingest_words () in
+  Fmt.pr "alloc-gate: ingest %10.3f minor words/event (max %.3f)@." ingest ingest_max;
+  if ingest > ingest_max then begin
+    Fmt.epr "alloc-gate: FAIL — Forensics.ingest allocates %.3f minor words/event (max %.3f)@."
+      ingest ingest_max;
+    exit 1
+  end;
+  (* A fault-campaign scenario: measured 144,809 minor and 13,256
+     promoted words here (249,515 and 20,751 when dumps and the fault
+     log were rendered as they happened and the recorder's ring held
+     the events themselves); the ceilings are those plus 5%.  Both read
+     a few percent apart with the heap state the steps above leave,
+     so re-measure them when a step above changes. *)
+  let minor_max = 152_050. and promoted_max = 13_920. in
+  let minor, promoted = scenario_words () in
+  Fmt.pr "alloc-gate: fault scenario %8.0f minor words (max %.0f), %8.0f promoted (max %.0f)@."
+    minor minor_max promoted promoted_max;
+  if minor > minor_max || promoted > promoted_max then begin
+    Fmt.epr
+      "alloc-gate: FAIL — a fault scenario allocates %.0f minor / %.0f promoted words (max %.0f / %.0f)@."
+      minor promoted minor_max promoted_max;
     exit 1
   end
 

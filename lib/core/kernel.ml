@@ -499,25 +499,25 @@ let fault_info_of ~comp ~thread cause addr =
   { fault_cause = cause; fault_addr = addr; fault_comp = comp; fault_thread = thread }
 
 (* Crash-dump capture (flight recorder, see Forensics).  Pure
-   observation: render the interpreter's register file to strings and
-   hand them over — no ticks, no simulated-memory access, and nothing is
+   observation: copy the interpreter's register file (its packed words)
+   and hand the recorder a function that renders the copy — no ticks, no
+   simulated-memory access, no text until a dump is read, and nothing is
    even allocated unless tracing is on and a recorder is attached. *)
 
 let reg_names =
   [| "zero"; "ra"; "csp"; "cgp"; "ct0"; "ct1"; "ct2"; "ca0"; "ca1"; "ca2";
      "ca3"; "ca4"; "ca5"; "cs0"; "cs1"; "ct3" |]
 
-let render_regs t =
-  List.init 16 (fun i -> (reg_names.(i), Cap.to_string (Interp.get_reg t.interp i)))
-
 let capture_dump t ~tid ~comp ~cause ~addr ~pc ~instr ~handler_ran =
   if Machine.tracing t.machine then
     match Machine.forensics t.machine with
     | None -> ()
     | Some f ->
+        let saved = Interp.save_regs t.interp in
         Forensics.record_fault f
           ~cycle:(Machine.cycles t.machine)
-          ~comp ~thread:tid ~cause ~addr ~pc ~instr ~regs:(render_regs t)
+          ~comp ~thread:tid ~cause ~addr ~pc ~instr ~regs:reg_names
+          ~reg_value:(fun i -> Cap.to_string (Interp.saved_reg saved i))
           ~handler_ran
 
 let trap_cause_string = function

@@ -25,7 +25,7 @@ type outcome = {
   oc_svc_err : int;
   oc_probe_ok : bool;
   oc_violations : string list;
-  oc_trace : string list;
+  oc_trace : (int * string) list;
   oc_dumps : Forensics.dump list;
   oc_metrics : Agg.t;
 }
@@ -354,16 +354,8 @@ let scenario_body img ~seed () =
       (* Flight-recorder invariants: every injected crash produced a
          crash dump, and every dump blames the injected fault's target
          (the only compartment the engine is allowed to crash). *)
-      let trace_lines = Fault_inject.trace engine in
       let dumps = Forensics.dumps frn in
-      let contains hay needle =
-        let nl = String.length needle and hl = String.length hay in
-        let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-        go 0
-      in
-      let delivered =
-        List.length (List.filter (fun l -> contains l "crash delivered") trace_lines)
-      in
+      let delivered = Fault_inject.crashes_delivered engine in
       let crash_dumps =
         List.length
           (List.filter (fun d -> d.Forensics.d_cause = "injected crash") dumps)
@@ -376,10 +368,10 @@ let scenario_body img ~seed () =
           if d.Forensics.d_comp <> "svc" then
             viol "crash dump at cycle %d blames %s, not the injected target svc"
               d.Forensics.d_cycle d.Forensics.d_comp;
-          if List.length d.Forensics.d_regs <> 16 then
+          if Array.length d.Forensics.d_reg_names <> 16 then
             viol "crash dump at cycle %d has %d registers, expected 16"
               d.Forensics.d_cycle
-              (List.length d.Forensics.d_regs))
+              (Array.length d.Forensics.d_reg_names))
         dumps;
       Fault_inject.detach engine;
       {
@@ -391,7 +383,7 @@ let scenario_body img ~seed () =
         oc_svc_err = !svc_err;
         oc_probe_ok = !probe_ok;
         oc_violations = !violations;
-        oc_trace = trace_lines;
+        oc_trace = Fault_inject.trace engine;
         oc_dumps = dumps;
         oc_metrics = Agg.of_forensics frn ~cycles:(Machine.cycles machine);
       }
@@ -443,7 +435,9 @@ let run ?(jobs = 1) ~base_seed ~n () =
         List.iter (fun v -> Printf.printf "  - %s\n" v) o.oc_violations;
         Printf.printf "  fault trace (replay by re-running seed %d):\n"
           o.oc_seed;
-        List.iter (fun l -> Printf.printf "    %s\n" l) o.oc_trace;
+        List.iter
+          (fun e -> Printf.printf "    %s\n" (Fault_inject.trace_line e))
+          o.oc_trace;
         flush stdout
       end)
     outcomes;

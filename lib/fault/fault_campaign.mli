@@ -28,7 +28,10 @@ type outcome = {
   oc_svc_err : int;  (** service calls that failed under fire *)
   oc_probe_ok : bool;  (** the service answered after disarming *)
   oc_violations : string list;  (** empty = all invariants held *)
-  oc_trace : string list;  (** the engine's fault history *)
+  oc_trace : (int * string) list;
+      (** the engine's fault history, [(cycle, note)] oldest first
+          ({!Fault_inject.trace}); {!Fault_inject.trace_line} renders an
+          entry as the line a violation report prints *)
   oc_dumps : Forensics.dump list;
       (** flight-recorder crash dumps, oldest first — one per injected
           crash (enforced as a campaign invariant, along with every dump

@@ -81,7 +81,8 @@ and state = {
   net_queue : Netsim.chaos list;
   victims : string list;
   regions : unit -> (int * int) list;
-  trace_rev : string list;
+  trace_rev : (int * string) list;  (** (cycle, note), newest first *)
+  crashes_delivered : int;
   injected : int;
   listener : Machine.listener_handle option;
 }
@@ -102,18 +103,36 @@ let update_wakeup t =
       in
       Machine.set_listener_wakeup t.machine h ~at
 
-(* Every trace line has a twin [Obs.Fault_note] event with the identical
-   message and cycle stamp (test_fault_campaign pins the 1:1 match). *)
-let log t fmt =
-  Printf.ksprintf
-    (fun s ->
-      if Machine.tracing t.machine then
-        Machine.emit t.machine (Obs.Fault_note { note = s });
-      if Machine.input_logging t.machine then
-        Machine.log_input t.machine ("fault " ^ s);
-      let line = Printf.sprintf "[%d] %s" (Machine.cycles t.machine) s in
-      t.st <- { t.st with trace_rev = line :: t.st.trace_rev })
-    fmt
+(* Every trace entry has a twin [Obs.Fault_note] event with the
+   identical note and cycle stamp (test_fault_campaign pins the 1:1
+   match).  The note's text is built when it happens, because the event
+   and the input journal carry it; its trace line only when the trace
+   is read ([trace_line]). *)
+let log t s =
+  if Machine.tracing t.machine then
+    Machine.emit t.machine (Obs.Fault_note { note = s });
+  if Machine.input_logging t.machine then
+    Machine.log_input t.machine ("fault " ^ s);
+  t.st <- { t.st with trace_rev = (Machine.cycles t.machine, s) :: t.st.trace_rev }
+
+let trace_line (cycle, note) = "[" ^ string_of_int cycle ^ "] " ^ note
+
+(* The notes are concatenated, not formatted: [hex] prints what [%x]
+   does (an int read as unsigned), [hex2] what [%02x] does. *)
+let hex n =
+  if n = 0 then "0"
+  else begin
+    let b = Bytes.create 16 and i = ref 16 and n = ref n in
+    while !n <> 0 do
+      decr i;
+      Bytes.unsafe_set b !i "0123456789abcdef".[!n land 15];
+      n := !n lsr 4
+    done;
+    Bytes.sub_string b !i (16 - !i)
+  end
+
+let hex2 n = if n >= 0 && n < 16 then "0" ^ hex n else hex n
+let str = string_of_int
 
 let pick_kind t =
   let n = Random.State.int t.rng t.total_weight in
@@ -142,31 +161,36 @@ let inject t =
       | None -> log t "tag_clear: no live target"
       | Some addr ->
           let had = Memory.clear_tag_at mem addr in
-          log t "tag_clear @0x%x (%s)" addr
-            (if had then "cap destroyed" else "no cap"))
+          log t
+            ("tag_clear @0x" ^ hex addr
+            ^ if had then " (cap destroyed)" else " (no cap)"))
   | Bit_flip -> (
       match pick_payload_addr t with
       | None -> log t "bit_flip: no live target"
       | Some addr ->
           let bit = Random.State.int t.rng 8 in
           Memory.flip_bit mem ~addr ~bit;
-          log t "bit_flip @0x%x bit %d" addr bit)
+          log t ("bit_flip @0x" ^ hex addr ^ " bit " ^ str bit))
   | Spurious_irq ->
       let irq = Random.State.int t.rng 8 in
       Machine.raise_irq t.machine irq;
-      log t "spurious_irq %d" irq
+      log t ("spurious_irq " ^ str irq)
   | Irq_storm ->
       let irq = Random.State.int t.rng 8 in
       t.st <- { t.st with storm = Some (irq, storm_len) };
-      log t "irq_storm %d for %d ticks" irq storm_len
+      log t ("irq_storm " ^ str irq ^ " for " ^ str storm_len ^ " ticks")
   | Timer_skew ->
       let delta = Random.State.int t.rng 4001 - 2000 in
       let delta = if delta = 0 then 1 else delta in
       Machine.skew_timer t.machine delta;
-      log t "timer_skew %+d (deadline %s)" delta
-        (match Machine.timer_deadline t.machine with
-        | Some d -> string_of_int d
-        | None -> "unarmed")
+      log t
+        ("timer_skew "
+        ^ (if delta >= 0 then "+" ^ str delta else str delta)
+        ^ " (deadline "
+        ^ (match Machine.timer_deadline t.machine with
+          | Some d -> str d
+          | None -> "unarmed")
+        ^ ")")
   | Oom ->
       t.st <- { t.st with pending_oom = t.st.pending_oom + 1 };
       log t "oom armed"
@@ -181,7 +205,7 @@ let inject t =
         | Net_reorder -> Netsim.Delay (1_000 + Random.State.int t.rng 20_000)
       in
       t.st <- { t.st with net_queue = t.st.net_queue @ [ chaos ] };
-      log t "%s armed" (kind_name (Net nf))
+      log t (kind_name (Net nf) ^ " armed")
   | Crash ->
       t.st <- { t.st with pending_crash = t.st.pending_crash + 1 };
       log t "crash armed"
@@ -212,6 +236,7 @@ let create ?(period = 4_000) ?(weights = default_weights) ~seed machine =
           victims = [];
           regions = (fun () -> []);
           trace_rev = [];
+          crashes_delivered = 0;
           injected = 0;
           listener = None;
         };
@@ -249,11 +274,12 @@ let reseed t ~seed =
 
 let injected t = t.st.injected
 let trace t = List.rev t.st.trace_rev
+let crashes_delivered t = t.st.crashes_delivered
 
 let arm t =
   t.st <- { t.st with armed = true };
   schedule_next t (Machine.cycles t.machine);
-  log t "engine armed (seed %d)" t.st.seed;
+  log t ("engine armed (seed " ^ str t.st.seed ^ ")");
   update_wakeup t
 
 let disarm t =
@@ -276,7 +302,7 @@ let wire_allocator t alloc =
        (fun ~size ->
          if t.st.armed && t.st.pending_oom > 0 then begin
            t.st <- { t.st with pending_oom = t.st.pending_oom - 1 };
-           log t "oom delivered (size %d)" size;
+           log t ("oom delivered (size " ^ str size ^ ")");
            true
          end
          else false))
@@ -285,9 +311,8 @@ let chaos_name = function
   | Netsim.Pass -> "pass"
   | Netsim.Drop -> "net_drop"
   | Netsim.Duplicate -> "net_duplicate"
-  | Netsim.Corrupt (off, mask) ->
-      Printf.sprintf "net_corrupt off=%d mask=0x%02x" off mask
-  | Netsim.Delay extra -> Printf.sprintf "net_reorder delay=+%d" extra
+  | Netsim.Corrupt (off, mask) -> "net_corrupt off=" ^ str off ^ " mask=0x" ^ hex2 mask
+  | Netsim.Delay extra -> "net_reorder delay=+" ^ str extra
 
 let wire_netsim t net =
   Netsim.set_chaos_hook net
@@ -299,8 +324,10 @@ let wire_netsim t net =
            | [] -> Netsim.Pass
            | c :: rest ->
                t.st <- { t.st with net_queue = rest };
-               log t "%s delivered (frame %d bytes)" (chaos_name c)
-                 (String.length frame);
+               log t
+                 (chaos_name c ^ " delivered (frame "
+                 ^ str (String.length frame)
+                 ^ " bytes)");
                c))
 
 let wire_kernel t kernel ~victims =
@@ -309,8 +336,13 @@ let wire_kernel t kernel ~victims =
     (Some
        (fun ~comp ~entry ->
          if t.st.armed && t.st.pending_crash > 0 && List.mem comp t.st.victims then begin
-           t.st <- { t.st with pending_crash = t.st.pending_crash - 1 };
-           log t "crash delivered at %s.%s" comp entry;
+           t.st <-
+             {
+               t.st with
+               pending_crash = t.st.pending_crash - 1;
+               crashes_delivered = t.st.crashes_delivered + 1;
+             };
+           log t ("crash delivered at " ^ comp ^ "." ^ entry);
            true
          end
          else false));
@@ -322,4 +354,4 @@ let wire_kernel t kernel ~victims =
          let s = "micro-reboot completed: " ^ comp in
          if Machine.tracing t.machine then
            Machine.emit t.machine (Obs.Fault_note { note = s });
-         t.st <- { t.st with trace_rev = Printf.sprintf "[%d] %s" cycle s :: t.st.trace_rev }))
+         t.st <- { t.st with trace_rev = (cycle, s) :: t.st.trace_rev }))

@@ -57,10 +57,20 @@ val reseed : t -> seed:int -> unit
 val injected : t -> int
 (** Number of fault decisions taken so far. *)
 
-val trace : t -> string list
-(** The fault history, oldest first, each entry stamped with the cycle
-    count.  Printing this on a violation gives an exact replay recipe
+val trace : t -> (int * string) list
+(** The fault history, oldest first: each note with the cycle it was
+    logged at.  The notes are the text of the twin [Obs.Fault_note]
+    events; no line is rendered until {!trace_line} is asked for one.
+    Printing the lines on a violation gives an exact replay recipe
     together with the seed. *)
+
+val trace_line : int * string -> string
+(** [trace_line (cycle, note)] is the entry's trace line,
+    ["[<cycle>] <note>"]. *)
+
+val crashes_delivered : t -> int
+(** Armed crashes delivered so far (each made a compartment call trap
+    on entry), counted by the engine itself. *)
 
 val arm : t -> unit
 val disarm : t -> unit
@@ -87,8 +97,9 @@ val wire_netsim : t -> Netsim.t -> unit
 val wire_kernel : t -> Kernel.t -> victims:string list -> unit
 (** Install the kernel's two hooks.  The crash hook: an armed crash
     makes the next compartment call into one of [victims] trap on entry
-    (error handler runs, the caller sees [Fault_in_callee]).  The
-    reboot hook: each completed micro-reboot appends a
-    ["micro-reboot completed"] line to the trace.  Both live on this
+    (error handler runs, the caller sees [Fault_in_callee]) and counts
+    in {!crashes_delivered}.  The reboot hook: each completed
+    micro-reboot appends a ["micro-reboot completed: <comp>"] note to
+    the trace.  Both live on this
     kernel, so engines in concurrently running simulations never
     observe each other's reboots. *)

@@ -125,6 +125,12 @@ let get_reg t r = Pk.unpack t.sb.Sb.spk r
 let set_reg t r v = Pk.pack t.sb.Sb.spk r v
 let read_regs t = Array.init 16 (fun r -> Pk.unpack t.sb.Sb.spk r)
 let clear_regs t = Pk.clear t.sb.Sb.spk
+
+type saved_regs = Pk.t
+
+let save_regs t = Pk.save t.sb.Sb.spk
+let saved_reg = Pk.unpack
+
 let load_cap_reg t r ~addr ~perms = Pk.uload_cap t.sb.Sb.spk r t.sb.Sb.smem ~addr ~perms
 
 let set_special t i c = Pk.pack t.sb.Sb.sspec (i + 1) c

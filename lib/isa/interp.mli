@@ -46,6 +46,17 @@ val read_regs : t -> Capability.t array
 val clear_regs : t -> unit
 (** Reset every register to NULL. *)
 
+type saved_regs
+(** A copy of the register file's packed words. *)
+
+val save_regs : t -> saved_regs
+(** Copy the register file as it stands, boxing nothing: later writes
+    to the registers do not reach the copy. *)
+
+val saved_reg : saved_regs -> int -> Capability.t
+(** Register [r] of a copy, boxed afresh on every call (register 0
+    reads as NULL). *)
+
 val load_cap_reg : t -> int -> addr:int -> perms:Perm.Set.t -> unit
 (** [load_cap_reg t r ~addr ~perms]: {!Memory.load_cap_into} straight
     into register [r] (1..15), for an access the caller has already

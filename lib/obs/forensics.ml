@@ -1,8 +1,8 @@
 (* See forensics.mli.  Same contract as obs.ml: nothing in here may
    touch the simulation — no clock, no simulated memory, no control flow
-   back into the machine.  Ingestion is array stores and integer bumps,
-   plus a hashtable update on calls and heap events; every report is a
-   post-run fold. *)
+   back into the machine.  Ingestion is array stores and integer bumps
+   on the tracker's label ids; text is rendered only when a dump or a
+   report is read, and every report is a post-run fold. *)
 
 (* Streaming log2 histograms.  Bucket 0 holds v <= 0; bucket i >= 1
    holds 2^(i-1) <= v < 2^i, so its upper bound is 2^i - 1.  63 buckets
@@ -117,9 +117,10 @@ type dump = {
   d_addr : int;
   d_pc : int;
   d_instr : string;
-  d_regs : (string * string) list;
+  d_reg_names : string array;
+  d_reg_value : int -> string;
   d_chain : Obs.Tracker.call list;
-  d_recent : string list;
+  d_recent : Obs.event list;
   d_live_bytes : int;
   d_live_hwm : int;
   d_quarantine_bytes : int;
@@ -148,53 +149,175 @@ let new_cstat () =
 let copy_cstat s =
   { s with cs_lat = hist_copy s.cs_lat; cs_quar = hist_copy s.cs_quar }
 
+(* Int-keyed tables for the heap events (chunk base -> two ints): open
+   addressing with linear probing and backward-shift removal, so an
+   insert, a lookup or a removal allocates nothing but to grow, and
+   hashes an int with one multiply. *)
+type imap = {
+  mutable keys : int array;
+  mutable v1 : int array;
+  mutable v2 : int array;
+  mutable used : Bytes.t;
+  mutable count : int;
+}
+
+let imap_create () =
+  let n = 32 in
+  { keys = Array.make n 0; v1 = Array.make n 0; v2 = Array.make n 0;
+    used = Bytes.make n '\000'; count = 0 }
+
+let home m k = ((k * 0x2545F4914F6CDD1D) lsr 17) land (Array.length m.keys - 1)
+let taken m i = Bytes.unsafe_get m.used i <> '\000'
+
+(* The slot holding [k], or the empty slot ending its probe run. *)
+let rec probe m k i =
+  if taken m i && Array.unsafe_get m.keys i <> k then
+    probe m k ((i + 1) land (Array.length m.keys - 1))
+  else i
+
+(* The slot holding [k], or -1. *)
+let imap_find m k =
+  let i = probe m k (home m k) in
+  if taken m i then i else -1
+
+let rec imap_set m k a b =
+  let n = Array.length m.keys in
+  if 2 * (m.count + 1) > n then begin
+    let old = { m with count = 0 } in
+    m.keys <- Array.make (2 * n) 0;
+    m.v1 <- Array.make (2 * n) 0;
+    m.v2 <- Array.make (2 * n) 0;
+    m.used <- Bytes.make (2 * n) '\000';
+    m.count <- 0;
+    for i = 0 to n - 1 do
+      if taken old i then imap_set m old.keys.(i) old.v1.(i) old.v2.(i)
+    done
+  end;
+  let i = probe m k (home m k) in
+  if not (taken m i) then begin
+    Bytes.unsafe_set m.used i '\001';
+    m.count <- m.count + 1
+  end;
+  Array.unsafe_set m.keys i k;
+  Array.unsafe_set m.v1 i a;
+  Array.unsafe_set m.v2 i b
+
+(* Empty slot [i], then pull back every later entry of its probe run
+   that may sit there, so lookups never need tombstones. *)
+let imap_remove_at m i =
+  let mask = Array.length m.keys - 1 in
+  Bytes.unsafe_set m.used i '\000';
+  m.count <- m.count - 1;
+  let hole = ref i and j = ref ((i + 1) land mask) in
+  while taken m !j do
+    let k = Array.unsafe_get m.keys !j in
+    if (!j - home m k) land mask >= (!j - !hole) land mask then begin
+      Array.unsafe_set m.keys !hole k;
+      Array.unsafe_set m.v1 !hole (Array.unsafe_get m.v1 !j);
+      Array.unsafe_set m.v2 !hole (Array.unsafe_get m.v2 !j);
+      Bytes.unsafe_set m.used !hole '\001';
+      Bytes.unsafe_set m.used !j '\000';
+      hole := !j
+    end;
+    j := (!j + 1) land mask
+  done
+
+let imap_copy m =
+  { keys = Array.copy m.keys; v1 = Array.copy m.v1; v2 = Array.copy m.v2;
+    used = Bytes.copy m.used; count = m.count }
+
+let imap_restore m ~from =
+  let c = imap_copy from in
+  m.keys <- c.keys;
+  m.v1 <- c.v1;
+  m.v2 <- c.v2;
+  m.used <- c.used;
+  m.count <- c.count
+
 let recent_cap = 512
 let max_dumps = 256
 
+(* The recent-event ring, in two arrays so that an event writes one
+   or two cache lines: slot [i] holds four ints from [4i] — the cycle,
+   the context's label over the event's constructor code, and two int
+   fields — and two strings from [2i].  A call's callee is kept as its
+   label.  Holding the [Obs.kind] values themselves would carry every
+   event the ring still holds through each minor collection (a
+   scenario's promoted words were a quarter ring kinds); ints cost
+   nothing to hold, and the strings are the emitters' long-lived labels
+   but for fault notes, which the fault log holds anyway.  The ints
+   live off the OCaml heap: every campaign scenario creates a recorder,
+   and a 2,048-word array each would go straight to the major heap.
+   [kind_at] puts an event back together when a dump selects it. *)
+type ints = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+type ring = { r_int : ints; r_str : string array }
+
+let code_bits = 5
+
+let ring_create () =
+  let a = Bigarray.(Array1.create int c_layout (4 * recent_cap)) in
+  Bigarray.Array1.fill a 0;
+  { r_int = a; r_str = Array.make (2 * recent_cap) "" }
+
+let ring_blit ~src ~dst =
+  Bigarray.Array1.blit src.r_int dst.r_int;
+  Array.blit src.r_str 0 dst.r_str 0 (2 * recent_cap)
+
+(* Fill the slot whose ints start at [o]; [tag] is the context's label
+   shifted over the code. *)
+let put r o cycle tag a b =
+  Bigarray.Array1.unsafe_set r.r_int o cycle;
+  Bigarray.Array1.unsafe_set r.r_int (o + 1) tag;
+  Bigarray.Array1.unsafe_set r.r_int (o + 2) a;
+  Bigarray.Array1.unsafe_set r.r_int (o + 3) b
+
+let put_str r o k s = Array.unsafe_set r.r_str ((o lsr 1) + k) s
+
+(* Compartments, owners and contexts are the tracker's label ids. *)
 type t = {
   mutable dumps_rev : dump list;  (* newest first *)
   mutable ndumps : int;
   (* ingest state *)
   tracker : Obs.Tracker.t;
+  l_kernel : int;
+  l_allocator : int;
   mutable irq_entered : int;  (* cycle of the undispatched Irq_enter, -1 = none *)
-  sizes : (int, int * string) Hashtbl.t;  (* live base -> size, owner *)
-  freed_owner : (int, string) Hashtbl.t;  (* base freed, awaiting quarantine *)
-  quar : (int, int * string) Hashtbl.t;  (* base -> cycle quarantined, owner *)
+  sizes : imap;  (* live base -> size, owner *)
+  freed_owner : imap;  (* base freed, awaiting quarantine -> owner *)
+  quar : imap;  (* base -> cycle quarantined, owner *)
   mutable quar_bytes : int;
   mutable quar_chunks : int;
-  stats : (string, cstat) Hashtbl.t;
+  mutable stats : cstat option array;  (* by label *)
   (* the four global histograms *)
   call_lat : hist;
   irq_lat : hist;
   alloc_sz : hist;
   quar_res : hist;
-  (* bounded ring of recent events with their compartment context, as
-     parallel arrays so ingestion allocates nothing *)
-  recent_ctx : string array;
-  recent_cycle : int array;
-  recent_kind : Obs.kind array;
+  recent : ring;  (* bounded ring of recent events *)
   mutable recent_head : int;
 }
 
 let create () =
+  let tracker = Obs.Tracker.create () in
   {
     dumps_rev = [];
     ndumps = 0;
-    tracker = Obs.Tracker.create ();
+    tracker;
+    l_kernel = Obs.Tracker.intern tracker "kernel";
+    l_allocator = Obs.Tracker.intern tracker "allocator";
     irq_entered = -1;
-    sizes = Hashtbl.create 64;
-    freed_owner = Hashtbl.create 64;
-    quar = Hashtbl.create 64;
+    sizes = imap_create ();
+    freed_owner = imap_create ();
+    quar = imap_create ();
     quar_bytes = 0;
     quar_chunks = 0;
-    stats = Hashtbl.create 16;
+    stats = Array.make 16 None;
     call_lat = hist_create ();
     irq_lat = hist_create ();
     alloc_sz = hist_create ();
     quar_res = hist_create ();
-    recent_ctx = Array.make recent_cap "";
-    recent_cycle = Array.make recent_cap 0;
-    recent_kind = Array.make recent_cap Obs.Sched_idle;
+    recent = ring_create ();
     recent_head = 0;
   }
 
@@ -203,113 +326,181 @@ let irq_latency t = t.irq_lat
 let alloc_size t = t.alloc_sz
 let quarantine_residency t = t.quar_res
 
+(* Every label that has a stats row, with it. *)
+let fold_stats t f acc =
+  let acc = ref acc in
+  Array.iteri
+    (fun l -> function Some s -> acc := f (Obs.Tracker.label t.tracker l) s !acc | None -> ())
+    t.stats;
+  !acc
+
 let comp_counters t =
-  Hashtbl.fold
-    (fun k s acc -> (k, s.cs_calls, s.cs_faults, s.cs_reboots) :: acc)
-    t.stats []
+  fold_stats t (fun k s acc -> (k, s.cs_calls, s.cs_faults, s.cs_reboots) :: acc) []
   |> List.sort compare
 
-(* [find], not [find_opt]: the hit path, taken on almost every call,
-   allocates nothing. *)
-let stat t comp =
-  try Hashtbl.find t.stats comp
-  with Not_found ->
-    let s = new_cstat () in
-    Hashtbl.add t.stats comp s;
-    s
+(* A label's row, created on first use. *)
+let stat_of t l =
+  let n = Array.length t.stats in
+  if l >= n then begin
+    let a = Array.make (max (l + 1) (2 * n)) None in
+    Array.blit t.stats 0 a 0 n;
+    t.stats <- a
+  end;
+  match Array.unsafe_get t.stats l with
+  | Some s -> s
+  | None ->
+      let s = new_cstat () in
+      t.stats.(l) <- Some s;
+      s
 
-(* Who owns an allocation made on the current thread: the innermost
-   call frame that is not the allocator itself, else the outermost
-   caller, else the thread name. *)
-let owner_of t =
-  match Obs.Tracker.phase t.tracker with
-  | Boot | Idle -> "kernel"
-  | Thread tid -> (
-      let chain = Obs.Tracker.chain t.tracker tid in
-      match List.find_opt (fun c -> c.Obs.Tracker.callee <> "allocator") chain with
-      | Some c -> c.callee
-      | None -> (
-          match List.rev chain with
-          | c :: _ -> c.caller
-          | [] ->
-              Option.value (Obs.Tracker.thread_name t.tracker tid)
-                ~default:"kernel"))
+let stat t comp = stat_of t (Obs.Tracker.intern t.tracker comp)
 
 let ingest t ~cycle kind =
-  let slot = t.recent_head mod recent_cap in
-  Array.unsafe_set t.recent_ctx slot (Obs.Tracker.context t.tracker);
-  Array.unsafe_set t.recent_cycle slot cycle;
-  Array.unsafe_set t.recent_kind slot kind;
+  let r = t.recent in
+  let o = (t.recent_head land (recent_cap - 1)) lsl 2 in
+  let ctx = Obs.Tracker.context t.tracker lsl code_bits in
   t.recent_head <- t.recent_head + 1;
-  (* The tracker steps last, so a Call_leave still sees the frame it
-     pops. *)
+  (* One dispatch records the slot and folds the event; the tracker
+     steps last, so a Call_leave still sees the frame it pops. *)
   (match kind with
-  | Obs.Thread_dispatch _ ->
+  | Obs.Instr_sample { instret } -> put r o cycle ctx instret 0
+  | Irq_enter { irq } ->
+      put r o cycle (ctx lor 1) irq 0;
+      if t.irq_entered < 0 then t.irq_entered <- cycle
+  | Irq_exit { irq } -> put r o cycle (ctx lor 2) irq 0
+  | Revoker_quantum { granules; next } -> put r o cycle (ctx lor 3) granules next
+  | Revoker_done { epoch } -> put r o cycle (ctx lor 4) epoch 0
+  | Fault_note { note } ->
+      put r o cycle (ctx lor 5) 0 0;
+      put_str r o 0 note
+  | Switcher_call { tid } -> put r o cycle (ctx lor 6) tid 0
+  | Switcher_return { tid } -> put r o cycle (ctx lor 7) tid 0
+  | Switcher_abort { tid } -> put r o cycle (ctx lor 8) tid 0
+  | Call_enter { caller; callee; entry; tid } ->
+      let l = Obs.Tracker.intern t.tracker callee in
+      put r o cycle (ctx lor 9) tid l;
+      put_str r o 0 caller;
+      put_str r o 1 entry;
+      let s = stat_of t l in
+      s.cs_calls <- s.cs_calls + 1
+  | Call_leave { callee; tid; faulted } ->
+      let l = Obs.Tracker.intern t.tracker callee in
+      put r o cycle (ctx lor if faulted then 11 else 10) tid l;
+      let s = stat_of t l in
+      if faulted then s.cs_faults <- s.cs_faults + 1;
+      let entered = Obs.Tracker.innermost_cycle t.tracker tid in
+      if entered <> min_int then begin
+        let d = cycle - entered in
+        hist_add t.call_lat d;
+        hist_add s.cs_lat d
+      end
+  | Thread_dispatch { tid; name } ->
+      put r o cycle (ctx lor 12) tid 0;
+      put_str r o 0 name;
       if t.irq_entered >= 0 then begin
         hist_add t.irq_lat (cycle - t.irq_entered);
         t.irq_entered <- -1
       end
-  | Obs.Irq_enter _ -> if t.irq_entered < 0 then t.irq_entered <- cycle
-  | Obs.Call_enter { callee; _ } ->
-      let s = stat t callee in
-      s.cs_calls <- s.cs_calls + 1
-  | Obs.Call_leave { callee; tid; faulted } -> (
-      let s = stat t callee in
-      if faulted then s.cs_faults <- s.cs_faults + 1;
-      match Obs.Tracker.innermost t.tracker tid with
-      | Some c ->
-          let d = cycle - c.cycle in
-          hist_add t.call_lat d;
-          hist_add s.cs_lat d
-      | None -> ())
-  | Obs.Alloc { base; size } ->
-      let owner = owner_of t in
-      Hashtbl.replace t.sizes base (size, owner);
+  | Thread_block { tid } -> put r o cycle (ctx lor 13) tid 0
+  | Thread_wake { tid; reason } ->
+      put r o cycle (ctx lor 14) tid 0;
+      put_str r o 0 reason
+  | Sched_idle -> put r o cycle (ctx lor 15) 0 0
+  | Futex_wait { addr; tid } -> put r o cycle (ctx lor 16) addr tid
+  | Futex_wake { addr; woken } -> put r o cycle (ctx lor 17) addr woken
+  | Alloc { base; size } ->
+      put r o cycle (ctx lor 18) base size;
+      let owner = Obs.Tracker.owner t.tracker ~except:t.l_allocator in
+      imap_set t.sizes base size owner;
       hist_add t.alloc_sz size;
-      let s = stat t owner in
+      let s = stat_of t owner in
       s.cs_live <- s.cs_live + size;
       if s.cs_live > s.cs_hwm then s.cs_hwm <- s.cs_live
-  | Obs.Free { base; size } -> (
-      match Hashtbl.find_opt t.sizes base with
-      | Some (_, owner) ->
-          Hashtbl.remove t.sizes base;
-          Hashtbl.replace t.freed_owner base owner;
-          let s = stat t owner in
-          s.cs_live <- s.cs_live - size
-      | None -> ())
-  | Obs.Quarantine { base; size } ->
+  | Free { base; size } ->
+      put r o cycle (ctx lor 19) base size;
+      let i = imap_find t.sizes base in
+      if i >= 0 then begin
+        let owner = t.sizes.v2.(i) in
+        imap_remove_at t.sizes i;
+        imap_set t.freed_owner base owner 0;
+        let s = stat_of t owner in
+        s.cs_live <- s.cs_live - size
+      end
+  | Quarantine { base; size } ->
+      put r o cycle (ctx lor 20) base size;
       let owner =
-        match Hashtbl.find_opt t.freed_owner base with
-        | Some o ->
-            Hashtbl.remove t.freed_owner base;
-            Some o
-        | None -> (
-            match Hashtbl.find_opt t.sizes base with
-            | Some (_, o) -> Some o
-            | None -> None)
+        let i = imap_find t.freed_owner base in
+        if i >= 0 then begin
+          let o = t.freed_owner.v1.(i) in
+          imap_remove_at t.freed_owner i;
+          o
+        end
+        else
+          let i = imap_find t.sizes base in
+          if i >= 0 then t.sizes.v2.(i) else t.l_kernel
       in
-      Hashtbl.replace t.quar base
-        (cycle, Option.value owner ~default:"kernel");
+      imap_set t.quar base cycle owner;
       t.quar_bytes <- t.quar_bytes + size;
       t.quar_chunks <- t.quar_chunks + 1
-  | Obs.Release { base; size } -> (
-      match Hashtbl.find_opt t.quar base with
-      | Some (entered, owner) ->
-          Hashtbl.remove t.quar base;
-          t.quar_bytes <- t.quar_bytes - size;
-          t.quar_chunks <- t.quar_chunks - 1;
-          let d = cycle - entered in
-          hist_add t.quar_res d;
-          hist_add (stat t owner).cs_quar d
-      | None -> ())
-  | _ -> ());
+  | Release { base; size } ->
+      put r o cycle (ctx lor 21) base size;
+      let i = imap_find t.quar base in
+      if i >= 0 then begin
+        let entered = t.quar.v1.(i) and owner = t.quar.v2.(i) in
+        imap_remove_at t.quar i;
+        t.quar_bytes <- t.quar_bytes - size;
+        t.quar_chunks <- t.quar_chunks - 1;
+        let d = cycle - entered in
+        hist_add t.quar_res d;
+        hist_add (stat_of t owner).cs_quar d
+      end);
   Obs.Tracker.step t.tracker ~cycle kind
+
+(* The event in ring slot [i], put back together. *)
+let kind_at t i : Obs.kind =
+  let r = t.recent and o = i lsl 2 in
+  let a = r.r_int.{o + 2} and b = r.r_int.{o + 3} and s = r.r_str.(2 * i) in
+  match r.r_int.{o + 1} land ((1 lsl code_bits) - 1) with
+  | 0 -> Instr_sample { instret = a }
+  | 1 -> Irq_enter { irq = a }
+  | 2 -> Irq_exit { irq = a }
+  | 3 -> Revoker_quantum { granules = a; next = b }
+  | 4 -> Revoker_done { epoch = a }
+  | 5 -> Fault_note { note = s }
+  | 6 -> Switcher_call { tid = a }
+  | 7 -> Switcher_return { tid = a }
+  | 8 -> Switcher_abort { tid = a }
+  | 9 ->
+      Call_enter
+        { caller = s; callee = Obs.Tracker.label t.tracker b; entry = r.r_str.((2 * i) + 1); tid = a }
+  | (10 | 11) as c -> Call_leave { callee = Obs.Tracker.label t.tracker b; tid = a; faulted = c = 11 }
+  | 12 -> Thread_dispatch { tid = a; name = s }
+  | 13 -> Thread_block { tid = a }
+  | 14 -> Thread_wake { tid = a; reason = s }
+  | 15 -> Sched_idle
+  | 16 -> Futex_wait { addr = a; tid = b }
+  | 17 -> Futex_wake { addr = a; woken = b }
+  | 18 -> Alloc { base = a; size = b }
+  | 19 -> Free { base = a; size = b }
+  | 20 -> Quarantine { base = a; size = b }
+  | _ -> Release { base = a; size = b }
+
+(* Ring slot [i] ran in compartment [l] (named [comp]), or names it as
+   a party to a call. *)
+let concerns t i l comp =
+  let r = t.recent and o = i lsl 2 in
+  let tag = r.r_int.{o + 1} in
+  tag lsr code_bits = l
+  ||
+  match tag land ((1 lsl code_bits) - 1) with
+  | 9 -> r.r_int.{o + 3} = l || r.r_str.(2 * i) = comp
+  | 10 | 11 -> r.r_int.{o + 3} = l
+  | _ -> false
 
 (* Snapshot/restore for Machine.snapshot: deep-copy every mutable piece
    of ingest state into a closure that writes it back in place.  The
-   hashtable values and the ring's kinds are immutable, so they can be
-   shared; [hist], [cstat] and [dump] carry mutable fields and are
-   copied field-by-field. *)
+   ring's kinds are immutable, so they can be shared; [hist], [cstat],
+   [imap] and [dump] carry mutable fields and are copied field-by-field. *)
 
 let restore_hist_into dst src =
   dst.h_n <- src.h_n;
@@ -318,24 +509,25 @@ let restore_hist_into dst src =
   dst.h_max <- src.h_max;
   Array.blit src.h_buckets 0 dst.h_buckets 0 nbuckets
 
+let copy_stats = Array.map (Option.map copy_cstat)
+
 let snapshot t =
   let dumps = List.map (fun d -> (d, d.d_rebooted)) t.dumps_rev in
   let ndumps = t.ndumps in
   let restore_tracker = Obs.Tracker.snapshot t.tracker in
   let irq_entered = t.irq_entered in
-  let sizes = Hashtbl.copy t.sizes in
-  let freed_owner = Hashtbl.copy t.freed_owner in
-  let quar = Hashtbl.copy t.quar in
+  let sizes = imap_copy t.sizes in
+  let freed_owner = imap_copy t.freed_owner in
+  let quar = imap_copy t.quar in
   let quar_bytes = t.quar_bytes in
   let quar_chunks = t.quar_chunks in
-  let stats = Hashtbl.fold (fun k s acc -> (k, copy_cstat s) :: acc) t.stats [] in
+  let stats = copy_stats t.stats in
   let call_lat = hist_copy t.call_lat in
   let irq_lat = hist_copy t.irq_lat in
   let alloc_sz = hist_copy t.alloc_sz in
   let quar_res = hist_copy t.quar_res in
-  let recent_ctx = Array.copy t.recent_ctx in
-  let recent_cycle = Array.copy t.recent_cycle in
-  let recent_kind = Array.copy t.recent_kind in
+  let recent = ring_create () in
+  ring_blit ~src:t.recent ~dst:recent;
   let recent_head = t.recent_head in
   fun () ->
     t.dumps_rev <-
@@ -346,45 +538,36 @@ let snapshot t =
         dumps;
     t.ndumps <- ndumps;
     restore_tracker ();
-    let refill dst src =
-      Hashtbl.reset dst;
-      Hashtbl.iter (Hashtbl.replace dst) src
-    in
     t.irq_entered <- irq_entered;
-    refill t.sizes sizes;
-    refill t.freed_owner freed_owner;
-    refill t.quar quar;
+    imap_restore t.sizes ~from:sizes;
+    imap_restore t.freed_owner ~from:freed_owner;
+    imap_restore t.quar ~from:quar;
     t.quar_bytes <- quar_bytes;
     t.quar_chunks <- quar_chunks;
-    Hashtbl.reset t.stats;
-    List.iter (fun (k, s) -> Hashtbl.add t.stats k (copy_cstat s)) stats;
+    t.stats <- copy_stats stats;
     restore_hist_into t.call_lat call_lat;
     restore_hist_into t.irq_lat irq_lat;
     restore_hist_into t.alloc_sz alloc_sz;
     restore_hist_into t.quar_res quar_res;
-    Array.blit recent_ctx 0 t.recent_ctx 0 recent_cap;
-    Array.blit recent_cycle 0 t.recent_cycle 0 recent_cap;
-    Array.blit recent_kind 0 t.recent_kind 0 recent_cap;
+    ring_blit ~src:recent ~dst:t.recent;
     t.recent_head <- recent_head
 
 (* How many recent-ring lines a dump carries. *)
 let recent_keep = 16
 
-let mentions comp = function
-  | Obs.Call_enter { caller; callee; _ } -> caller = comp || callee = comp
-  | Obs.Call_leave { callee; _ } -> callee = comp
-  | _ -> false
-
+(* The dump keeps the selected events, put back together: the ring
+   slots are overwritten later, and the lines render only when the dump
+   is read. *)
 let recent_for t comp =
+  let l = Obs.Tracker.intern t.tracker comp in
   let n = min t.recent_head recent_cap in
   let acc = ref [] and kept = ref 0 in
   (* newest first, stop once we have [recent_keep] *)
   (try
      for i = 1 to n do
-       let slot = (t.recent_head - i) mod recent_cap in
-       let kind = t.recent_kind.(slot) in
-       if t.recent_ctx.(slot) = comp || mentions comp kind then begin
-         acc := Obs.event_line ~cycle:t.recent_cycle.(slot) kind :: !acc;
+       let slot = (t.recent_head - i) land (recent_cap - 1) in
+       if concerns t slot l comp then begin
+         acc := { Obs.cycle = t.recent.r_int.{slot lsl 2}; kind = kind_at t slot } :: !acc;
          incr kept;
          if !kept >= recent_keep then raise Exit
        end
@@ -393,7 +576,7 @@ let recent_for t comp =
   !acc
 
 let record_fault t ~cycle ~comp ~thread ~cause ~addr ~pc ~instr ~regs
-    ~handler_ran =
+    ~reg_value ~handler_ran =
   let s = stat t comp in
   let d =
     {
@@ -404,7 +587,8 @@ let record_fault t ~cycle ~comp ~thread ~cause ~addr ~pc ~instr ~regs
       d_addr = addr;
       d_pc = pc;
       d_instr = instr;
-      d_regs = regs;
+      d_reg_names = regs;
+      d_reg_value = reg_value;
       d_chain = Obs.Tracker.chain t.tracker thread;
       d_recent = recent_for t comp;
       d_live_bytes = s.cs_live;
@@ -436,6 +620,10 @@ let note_reboot t ~comp =
 
 let dumps t = List.rev t.dumps_rev
 
+let regs d = List.mapi (fun i r -> (r, d.d_reg_value i)) (Array.to_list d.d_reg_names)
+
+let recent_lines d = List.map (fun e -> Obs.event_line ~cycle:e.Obs.cycle e.kind) d.d_recent
+
 let dump_json d =
   Json.Obj
     [
@@ -446,7 +634,7 @@ let dump_json d =
       ("addr", Json.Int d.d_addr);
       ("pc", Json.Int d.d_pc);
       ("instr", Json.Str d.d_instr);
-      ("registers", Json.Obj (List.map (fun (r, v) -> (r, Json.Str v)) d.d_regs));
+      ("registers", Json.Obj (List.map (fun (r, v) -> (r, Json.Str v)) (regs d)));
       ( "call_chain",
         Json.List
           (List.map
@@ -459,7 +647,7 @@ let dump_json d =
                    ("cycle", Json.Int cycle);
                  ])
              d.d_chain) );
-      ("recent", Json.List (List.map (fun l -> Json.Str l) d.d_recent));
+      ("recent", Json.List (List.map (fun l -> Json.Str l) (recent_lines d)));
       ("heap_live_bytes", Json.Int d.d_live_bytes);
       ("heap_high_water", Json.Int d.d_live_hwm);
       ("quarantine_bytes", Json.Int d.d_quarantine_bytes);
@@ -489,9 +677,9 @@ let pp_dump ppf d =
     (if d.d_addr < 0 then "-" else sprintf "0x%x" d.d_addr)
     (if d.d_pc < 0 then "-" else sprintf "0x%x" d.d_pc);
   fprintf ppf "instr       : %s@." d.d_instr;
-  if d.d_regs <> [] then begin
+  if d.d_reg_names <> [||] then begin
     fprintf ppf "registers   :@.";
-    List.iter (fun (r, v) -> fprintf ppf "  %-5s %s@." r v) d.d_regs
+    List.iter (fun (r, v) -> fprintf ppf "  %-5s %s@." r v) (regs d)
   end;
   if d.d_chain <> [] then begin
     fprintf ppf "call chain  : (innermost first)@.";
@@ -503,7 +691,7 @@ let pp_dump ppf d =
   end;
   if d.d_recent <> [] then begin
     fprintf ppf "recent      : (oldest first)@.";
-    List.iter (fun l -> fprintf ppf "  %s@." l) d.d_recent
+    List.iter (fun l -> fprintf ppf "  %s@." l) (recent_lines d)
   end;
   fprintf ppf "heap        : live=%d hwm=%d quarantine=%d bytes in %d chunks@."
     d.d_live_bytes d.d_live_hwm d.d_quarantine_bytes d.d_quarantine_chunks
@@ -531,16 +719,14 @@ let attribution t ~total_cycles = Obs.Tracker.totals t.tracker ~total_cycles
 
 let rows t ~total_cycles =
   let attrib = attribution t ~total_cycles in
+  let rows = fold_stats t (fun k s acc -> (k, s) :: acc) [] in
   let names =
-    let tbl = Hashtbl.create 16 in
-    Hashtbl.iter (fun k _ -> Hashtbl.replace tbl k ()) t.stats;
-    List.iter (fun (l, _) -> Hashtbl.replace tbl l ()) attrib;
-    Hashtbl.fold (fun k () acc -> k :: acc) tbl [] |> List.sort compare
+    List.sort_uniq compare (List.map fst rows @ List.map fst attrib)
   in
   ( List.map
       (fun comp ->
         let s =
-          Option.value (Hashtbl.find_opt t.stats comp) ~default:(new_cstat ())
+          Option.value (List.assoc_opt comp rows) ~default:(new_cstat ())
         in
         {
           r_comp = comp;

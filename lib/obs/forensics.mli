@@ -26,20 +26,26 @@
     [test/test_obs_props.ml]).  [CHERIOT_OBS=forensics] attaches one to
     every new machine (see [Machine]).
 
-    Layering: this module sees only pre-rendered strings for
-    architectural state (the kernel renders the capability register file
-    with [Capability.to_string] before calling {!record_fault}), so
-    [cheriot_obs] keeps its tiny dependency cone.
+    Layering: [cheriot_obs] keeps its tiny dependency cone — it never
+    sees a capability.  The kernel hands {!record_fault} the register
+    names and a function that renders one register from a copy of the
+    register file taken at the fault ([Interp.save_regs], 64 ints), so
+    the text is produced here only when a dump is read.
 
     Cost: every campaign scenario carries a recorder, so both halves
-    stay cheap.  {!ingest} allocates only the frames its tracker pushes
-    and the entries that track heap chunks, and hashes a label only on
-    calls and heap events: the recent ring is three parallel arrays, the
-    tracker's per-thread stacks live in arrays and its call frames carry
-    their totals cell.  A dump renders its registers and recent lines with one
-    [Printf.sprintf] each ([Capability.to_string], {!Obs.event_line}),
-    never through a formatter ([Capability.pp] and {!Obs.pp_event}
-    print those same strings). *)
+    stay cheap, and neither renders text.  {!ingest} does integer work:
+    labels are the tracker's interned ids (found by pointer, so no
+    string is hashed); the recent ring holds each event taken apart
+    into ints and the emitters' strings, so it keeps no event alive
+    through a minor collection; the tracker's frames and the heap
+    tables (chunk base -> size, owner, cycle) are int arrays.  It
+    allocates nothing but to grow an array.
+    A fault copies the call chain and selects the recent events (the
+    ring slots are overwritten later); {!regs}, {!recent_lines},
+    {!dump_json} and {!pp_dump} render on every call, with one
+    [Printf.sprintf] per register ([Capability.to_string]) and per line
+    ({!Obs.event_line}), never through a formatter.  Rendering is pure,
+    so a dump may be read any number of times, from any domain. *)
 
 type t
 
@@ -67,13 +73,19 @@ type dump = {
   d_addr : int;  (** faulting data address, -1 when not applicable *)
   d_pc : int;  (** faulting PC / entry address, -1 when unknown *)
   d_instr : string;  (** disassembled instruction or native entry label *)
-  d_regs : (string * string) list;
-      (** capability register file, pre-rendered by the kernel *)
+  d_reg_names : string array;
+      (** names of the captured capability registers, in register-file
+          order; read them without rendering anything *)
+  d_reg_value : int -> string;
+      (** [d_reg_value i] renders register [i] of the file as it was at
+          the fault, afresh on every call: a pure function over a copy
+          the kernel took, safe to call from any domain and any number
+          of times (see {!regs}) *)
   d_chain : Obs.Tracker.call list;
       (** switcher call chain at the fault, innermost first *)
-  d_recent : string list;
+  d_recent : Obs.event list;
       (** last ring events relevant to the faulting compartment,
-          oldest first, rendered as golden-trace lines *)
+          oldest first, selected at the fault (see {!recent_lines}) *)
   d_live_bytes : int;  (** compartment-owned live heap bytes at fault *)
   d_live_hwm : int;  (** compartment live-bytes high-water mark *)
   d_quarantine_bytes : int;  (** global outstanding quarantine bytes *)
@@ -91,12 +103,15 @@ val record_fault :
   addr:int ->
   pc:int ->
   instr:string ->
-  regs:(string * string) list ->
+  regs:string array ->
+  reg_value:(int -> string) ->
   handler_ran:bool ->
   unit
 (** Snapshot a crash dump.  Called by the kernel at every compartment
     fault / forced unwind / switcher abort, before the unwind pops the
-    recorder's call chain. *)
+    recorder's call chain.  [regs] names the registers and [reg_value]
+    renders one of them (see {!dump}); the recorder selects the recent
+    events and copies the call chain now, and renders nothing. *)
 
 val note_reboot : t -> comp:string -> unit
 (** Record a completed micro-reboot of [comp]: bumps the compartment's
@@ -104,6 +119,14 @@ val note_reboot : t -> comp:string -> unit
 
 val dumps : t -> dump list
 (** Retained dumps, oldest first. *)
+
+val regs : dump -> (string * string) list
+(** The register file as [(name, value)] pairs, rendered now with
+    [Capability.to_string] by the dump's [d_reg_value]. *)
+
+val recent_lines : dump -> string list
+(** The dump's recent events rendered now as golden-trace lines
+    ({!Obs.event_line}), oldest first. *)
 
 val dump_json : dump -> Json.t
 val pp_dump : Format.formatter -> dump -> unit

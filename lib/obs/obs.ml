@@ -144,203 +144,331 @@ let events t =
    charges the delta since the previous one to the live leaf, so the
    totals plus the tail partition [0, total_cycles] exactly.
 
-   Stepping allocates only the frames it pushes and hashes a label only
-   at [Call_enter]: stacks and names live in arrays indexed by thread
-   id, a call frame carries its callee's totals cell (resolved when the
-   call enters), and the four fixed labels have their cells at hand, so
-   moving the leaf is a few field writes. *)
+   Stepping allocates nothing and hashes nothing: labels are interned
+   to small ids by a scan that compares pointers first (the emitters
+   pass the same loader-owned strings on every event) and contents
+   only on a miss; totals are an int array indexed by label id; each
+   thread's frames live in parallel arrays indexed by depth, so a push
+   or a pop writes a few slots.  Text (a chain, a folded key) is built
+   only when asked for. *)
 module Tracker = struct
   type call = { caller : string; callee : string; entry : string; cycle : int }
-  type frame = Switcher | Call of { call : call; cell : int ref }
-  type phase = Boot | Idle | Thread of int
+
+  (* One thread's frames, innermost at [depth - 1]: a switcher frame
+     has label -1; a call frame its callee's label, caller, entry name
+     and the cycle it entered at. *)
+  type frames = {
+    mutable depth : int;
+    mutable lab : int array;
+    mutable caller : string array;
+    mutable entry : string array;
+    mutable at : int array;
+  }
+
+  let no_frames () =
+    { depth = 0; lab = [||]; caller = [||]; entry = [||]; at = [||] }
 
   type t = {
     (* Indexed by tid, a kernel thread index (events with a negative
        tid charge cycles but move no stack). *)
-    mutable stacks : frame list array;  (* innermost first *)
-    mutable names : string option array;  (* first name seen *)
-    totals : (string, int ref) Hashtbl.t;  (* leaf label -> cycles *)
-    c_boot : int ref;
-    c_idle : int ref;
-    c_kernel : int ref;
-    c_switcher : int ref;
-    mutable phase : phase;
+    mutable stacks : frames array;
+    mutable names : int array;  (* label of the first name seen, -1 = none *)
+    (* Interned labels: [labels.(i)] is label i, [cycles.(i)] the cycles
+       charged to it. *)
+    mutable labels : string array;
+    mutable cycles : int array;
+    mutable nlabels : int;
+    mutable mode : int;  (* [boot], [idle] or [running] *)
+    mutable tid : int;  (* the running thread, when [running] *)
     mutable prev : int;  (* cycle up to which charges are settled *)
-    mutable leaf : string;  (* label of the live context *)
-    mutable cell : int ref;  (* its entry in [totals] *)
+    mutable cur : int;  (* label of the live leaf *)
     mutable key : string;  (* folded key of the live context, "" = stale *)
   }
 
-  let cell_of totals label =
-    try Hashtbl.find totals label
-    with Not_found ->
-      let c = ref 0 in
-      Hashtbl.add totals label c;
-      c
+  (* The fixed labels' ids. *)
+  let l_boot = 0
+  let l_idle = 1
+  let l_kernel = 2
+  let l_switcher = 3
+
+  (* Scheduler context: before the first scheduling event, with an
+     empty run queue, or running thread [tid]. *)
+  let boot = 0
+  let idle = 1
+  let running = 2
 
   let create () =
-    let totals = Hashtbl.create 16 in
-    let c_boot = cell_of totals "boot" in
-    { stacks = Array.make 8 []; names = Array.make 8 None; totals; c_boot;
-      c_idle = cell_of totals "idle"; c_kernel = cell_of totals "kernel";
-      c_switcher = cell_of totals "switcher"; phase = Boot; prev = 0;
-      leaf = "boot"; cell = c_boot; key = "" }
+    let labels = Array.make 16 "" in
+    labels.(l_boot) <- "boot";
+    labels.(l_idle) <- "idle";
+    labels.(l_kernel) <- "kernel";
+    labels.(l_switcher) <- "switcher";
+    { stacks = [||]; names = [||]; labels; cycles = Array.make 16 0; nlabels = 4;
+      mode = boot; tid = 0; prev = 0; cur = l_boot; key = "" }
 
-  let stack t tid =
-    if tid >= 0 && tid < Array.length t.stacks then Array.unsafe_get t.stacks tid
-    else []
+  let grow a n fill =
+    let a' = Array.make n fill in
+    Array.blit a 0 a' 0 (Array.length a);
+    a'
+
+  (* A label's id, added on first sight.  A content match under another
+     pointer replaces the stored copy, so the next lookup of that copy
+     stops at the pointer scan. *)
+  let rec same labels s i =
+    if i < 0 then -1 else if Array.unsafe_get labels i == s then i else same labels s (i - 1)
+
+  let rec equal labels s i =
+    if i < 0 then -1
+    else if String.equal (Array.unsafe_get labels i) s then i
+    else equal labels s (i - 1)
+
+  let intern t s =
+    let labels = t.labels and n = t.nlabels in
+    let i = same labels s (n - 1) in
+    if i >= 0 then i
+    else
+      let i = equal labels s (n - 1) in
+      if i >= 0 then begin
+        labels.(i) <- s;
+        i
+      end
+      else begin
+        if n = Array.length labels then begin
+          t.labels <- grow labels (2 * n) "";
+          t.cycles <- grow t.cycles (2 * n) 0
+        end;
+        t.labels.(n) <- s;
+        t.nlabels <- n + 1;
+        n
+      end
+
+  let label t i = t.labels.(i)
+
+  let empty = no_frames ()
+
+  let frames t tid =
+    if tid >= 0 && tid < Array.length t.stacks then Array.unsafe_get t.stacks tid else empty
 
   (* Grow the per-tid arrays to cover [tid]. *)
   let reserve t tid =
     let n = Array.length t.stacks in
     if tid >= n then begin
-      let n' = max (tid + 1) (2 * n) in
-      let grow a fill =
-        let a' = Array.make n' fill in
-        Array.blit a 0 a' 0 n;
-        a'
-      in
-      t.stacks <- grow t.stacks [];
-      t.names <- grow t.names None
+      let n' = max (tid + 1) (max 8 (2 * n)) in
+      let stacks = Array.make n' empty in
+      Array.blit t.stacks 0 stacks 0 n;
+      for i = n to n' - 1 do
+        stacks.(i) <- no_frames ()
+      done;
+      t.stacks <- stacks;
+      t.names <- grow t.names n' (-1)
     end
 
-  let label = function Switcher -> "switcher" | Call { call; _ } -> call.callee
+  (* Room for one more frame. *)
+  let room f =
+    let n = Array.length f.lab in
+    if f.depth = n then begin
+      let n' = max 8 (2 * n) in
+      f.lab <- grow f.lab n' 0;
+      f.caller <- grow f.caller n' "";
+      f.entry <- grow f.entry n' "";
+      f.at <- grow f.at n' 0
+    end
 
   let refresh t =
-    (match t.phase with
-    | Boot ->
-        t.leaf <- "boot";
-        t.cell <- t.c_boot
-    | Idle ->
-        t.leaf <- "idle";
-        t.cell <- t.c_idle
-    | Thread tid -> (
-        match stack t tid with
-        | [] ->
-            t.leaf <- "kernel";
-            t.cell <- t.c_kernel
-        | Switcher :: _ ->
-            t.leaf <- "switcher";
-            t.cell <- t.c_switcher
-        | Call { call; cell } :: _ ->
-            t.leaf <- call.callee;
-            t.cell <- cell));
+    (t.cur <-
+       if t.mode = boot then l_boot
+       else if t.mode = idle then l_idle
+       else
+         let f = frames t t.tid in
+         if f.depth = 0 then l_kernel
+         else
+           let l = Array.unsafe_get f.lab (f.depth - 1) in
+           if l < 0 then l_switcher else l);
     t.key <- ""
 
-  let set t tid st =
+  (* After thread [tid]'s frames moved. *)
+  let moved t tid = if t.mode = running && t.tid = tid then refresh t
+
+  let push_switcher t tid =
     if tid >= 0 then begin
       reserve t tid;
-      Array.unsafe_set t.stacks tid st;
-      match t.phase with Thread cur when cur = tid -> refresh t | _ -> ()
+      let f = Array.unsafe_get t.stacks tid in
+      room f;
+      Array.unsafe_set f.lab f.depth (-1);
+      f.depth <- f.depth + 1;
+      moved t tid
     end
 
-  let rec drop_switchers = function Switcher :: r -> drop_switchers r | st -> st
-
   let step t ~cycle kind =
-    t.cell := !(t.cell) + (cycle - t.prev);
+    let c = t.cur in
+    Array.unsafe_set t.cycles c (Array.unsafe_get t.cycles c + (cycle - t.prev));
     t.prev <- cycle;
     match kind with
     | Thread_dispatch { tid; name } ->
         if tid >= 0 then begin
           reserve t tid;
-          if Array.unsafe_get t.names tid = None then
-            Array.unsafe_set t.names tid (Some name)
+          if Array.unsafe_get t.names tid < 0 then Array.unsafe_set t.names tid (intern t name)
         end;
-        t.phase <- Thread tid;
+        t.mode <- running;
+        t.tid <- tid;
         refresh t
     | Sched_idle ->
-        t.phase <- Idle;
+        t.mode <- idle;
         refresh t
-    | Switcher_call { tid } | Switcher_return { tid } ->
-        set t tid (Switcher :: stack t tid)
-    | Switcher_abort { tid } -> (
-        match stack t tid with Switcher :: r -> set t tid r | _ -> ())
+    | Switcher_call { tid } | Switcher_return { tid } -> push_switcher t tid
+    | Switcher_abort { tid } ->
+        let f = frames t tid in
+        if f.depth > 0 && Array.unsafe_get f.lab (f.depth - 1) < 0 then begin
+          f.depth <- f.depth - 1;
+          moved t tid
+        end
     | Call_enter { caller; callee; entry; tid } ->
-        let st = match stack t tid with Switcher :: r -> r | st -> st in
-        let cell = cell_of t.totals callee in
-        set t tid (Call { call = { caller; callee; entry; cycle }; cell } :: st)
+        if tid >= 0 then begin
+          reserve t tid;
+          let f = Array.unsafe_get t.stacks tid in
+          if f.depth > 0 && Array.unsafe_get f.lab (f.depth - 1) < 0 then f.depth <- f.depth - 1;
+          room f;
+          let d = f.depth in
+          Array.unsafe_set f.lab d (intern t callee);
+          Array.unsafe_set f.caller d caller;
+          Array.unsafe_set f.entry d entry;
+          Array.unsafe_set f.at d cycle;
+          f.depth <- d + 1;
+          moved t tid
+        end
     | Call_leave { tid; _ } ->
-        set t tid (match drop_switchers (stack t tid) with [] -> [] | _ :: r -> r)
+        let f = frames t tid in
+        if f.depth > 0 then begin
+          let d = ref f.depth in
+          while !d > 0 && Array.unsafe_get f.lab (!d - 1) < 0 do
+            decr d
+          done;
+          f.depth <- max 0 (!d - 1);
+          moved t tid
+        end
     | _ -> ()
 
-  let phase t = t.phase
   let last_cycle t = t.prev
-  let leaf t = t.leaf
+  let leaf t = t.labels.(t.cur)
+
+  let thread_label t tid =
+    if tid >= 0 && tid < Array.length t.names then Array.unsafe_get t.names tid else -1
 
   let thread_name t tid =
-    if tid >= 0 && tid < Array.length t.names then Array.unsafe_get t.names tid
-    else None
+    let l = thread_label t tid in
+    if l < 0 then None else Some t.labels.(l)
 
   let key t =
     if t.key = "" then
       t.key <-
-        (match t.phase with
-        | Boot -> "boot"
-        | Idle -> "idle"
-        | Thread tid ->
-            let name =
-              match thread_name t tid with
-              | Some n -> n
-              | None -> Printf.sprintf "thread%d" tid
-            in
-            String.concat ";"
-              (name
-              :: (match stack t tid with
-                 | [] -> [ "kernel" ]
-                 | st -> List.rev_map label st)));
+        (if t.mode = boot then "boot"
+         else if t.mode = idle then "idle"
+         else
+           let name =
+             match thread_name t t.tid with
+             | Some n -> n
+             | None -> Printf.sprintf "thread%d" t.tid
+           in
+           let f = frames t t.tid in
+           let frame i =
+             let l = f.lab.(i) in
+             t.labels.(if l < 0 then l_switcher else l)
+           in
+           String.concat ";"
+             (name :: (if f.depth = 0 then [ "kernel" ] else List.init f.depth frame)));
     t.key
 
+  let call_at t f i =
+    { caller = f.caller.(i); callee = t.labels.(f.lab.(i)); entry = f.entry.(i); cycle = f.at.(i) }
+
   let chain t tid =
-    List.filter_map
-      (function Call { call; _ } -> Some call | Switcher -> None)
-      (stack t tid)
+    let f = frames t tid in
+    let acc = ref [] in
+    for i = 0 to f.depth - 1 do
+      if f.lab.(i) >= 0 then acc := call_at t f i :: !acc
+    done;
+    !acc
 
-  let rec innermost_of = function
-    | Call { call; _ } :: _ -> Some call
-    | Switcher :: r -> innermost_of r
-    | [] -> None
+  (* The depth of a thread's innermost call frame, -1 when it is in no
+     call. *)
+  let innermost_at f =
+    let i = ref (f.depth - 1) in
+    while !i >= 0 && Array.unsafe_get f.lab !i < 0 do
+      decr i
+    done;
+    !i
 
-  let innermost t tid = innermost_of (stack t tid)
+  let innermost_cycle t tid =
+    let f = frames t tid in
+    let i = innermost_at f in
+    if i < 0 then min_int else f.at.(i)
 
   let context t =
-    match t.phase with
-    | Boot | Idle -> "kernel"
-    | Thread tid -> (
-        match innermost_of (stack t tid) with
-        | Some c -> c.callee
-        | None -> Option.value (thread_name t tid) ~default:"kernel")
+    if t.mode <> running then l_kernel
+    else
+      let f = frames t t.tid in
+      let i = innermost_at f in
+      if i >= 0 then Array.unsafe_get f.lab i
+      else
+        let l = thread_label t t.tid in
+        if l < 0 then l_kernel else l
+
+  (* The depth of the innermost call frame at or below [i] whose callee
+     is not [except], -1 when none is. *)
+  let rec inner_except f except i =
+    if i < 0 then -1
+    else
+      let l = Array.unsafe_get f.lab i in
+      if l >= 0 && l <> except then i else inner_except f except (i - 1)
+
+  (* The depth of the outermost call frame at or above [i], -1 when none
+     is. *)
+  let rec outermost f i =
+    if i >= f.depth then -1 else if Array.unsafe_get f.lab i >= 0 then i else outermost f (i + 1)
+
+  let owner t ~except =
+    if t.mode <> running then l_kernel
+    else
+      let f = frames t t.tid in
+      let i = inner_except f except (f.depth - 1) in
+      if i >= 0 then Array.unsafe_get f.lab i
+      else
+        let i = outermost f 0 in
+        if i >= 0 then intern t f.caller.(i)
+        else
+          let l = thread_label t t.tid in
+          if l < 0 then l_kernel else l
 
   (* Pure: the tail since the last event is charged into the result. *)
   let totals t ~total_cycles =
-    Hashtbl.fold
-      (fun l c acc ->
-        let v = if c == t.cell then !c + (total_cycles - t.prev) else !c in
-        if v = 0 then acc else (l, v) :: acc)
-      t.totals []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
+    let acc = ref [] in
+    for i = t.nlabels - 1 downto 0 do
+      let v = t.cycles.(i) + if i = t.cur then total_cycles - t.prev else 0 in
+      if v <> 0 then acc := (t.labels.(i), v) :: !acc
+    done;
+    List.sort (fun (a, _) (b, _) -> compare a b) !acc
 
-  (* Restore writes every snapshot-time cell back in place, so the
-     frames in the restored stacks (which point at those cells) and the
-     fixed-label fields stay attached to the table; labels first seen
-     after the snapshot leave the table. *)
+  let copy_frames f =
+    { depth = f.depth; lab = Array.copy f.lab; caller = Array.copy f.caller;
+      entry = Array.copy f.entry; at = Array.copy f.at }
+
+  (* Restore writes copies back, so one snapshot restores any number of
+     times; labels first seen after the snapshot leave the table. *)
   let snapshot t =
-    let stacks = Array.copy t.stacks in
+    let stacks = Array.map copy_frames t.stacks in
     let names = Array.copy t.names in
-    let cells = Hashtbl.fold (fun l c acc -> (l, c, !c) :: acc) t.totals [] in
-    let phase = t.phase and prev = t.prev and leaf = t.leaf and cell = t.cell in
+    let labels = Array.copy t.labels and cycles = Array.copy t.cycles in
+    let nlabels = t.nlabels and mode = t.mode and tid = t.tid and prev = t.prev and cur = t.cur in
     fun () ->
-      t.stacks <- Array.copy stacks;
+      t.stacks <- Array.map copy_frames stacks;
       t.names <- Array.copy names;
-      Hashtbl.reset t.totals;
-      List.iter
-        (fun (l, c, v) ->
-          c := v;
-          Hashtbl.replace t.totals l c)
-        cells;
-      t.phase <- phase;
+      t.labels <- Array.copy labels;
+      t.cycles <- Array.copy cycles;
+      t.nlabels <- nlabels;
+      t.mode <- mode;
+      t.tid <- tid;
       t.prev <- prev;
-      t.leaf <- leaf;
-      t.cell <- cell;
+      t.cur <- cur;
       t.key <- ""
 end
 

@@ -90,16 +90,15 @@ val events : t -> event list
     and a call frame per compartment call ([Call_enter] collapses a top
     switcher frame, then pushes the call; [Call_leave] pops switcher
     frames, then one call).  Every event first charges the cycles since
-    the previous one to the live leaf label.  A step allocates only the
-    frame it pushes and hashes a label only at [Call_enter], so every
-    sink can afford to run one on every event. *)
+    the previous one to the live leaf label.
+
+    Labels (callees, thread names, the four fixed labels) are interned
+    to small ids, found by pointer before content, so a step neither
+    allocates (but to grow an array) nor hashes, and every sink can
+    afford to run one on every event. *)
 module Tracker : sig
   type call = { caller : string; callee : string; entry : string; cycle : int }
   (** A compartment call frame; [cycle] is when the call entered. *)
-
-  type phase = Boot | Idle | Thread of int
-  (** Scheduler context: before the first scheduling event, with an
-      empty run queue, or running a dispatched thread. *)
 
   type t
 
@@ -108,8 +107,6 @@ module Tracker : sig
   val step : t -> cycle:int -> kind -> unit
   (** Charge [(last_cycle, cycle]] to the live leaf, then apply the
       event's transition. *)
-
-  val phase : t -> phase
 
   val last_cycle : t -> int
   (** The cycle of the last event stepped (0 before any). *)
@@ -122,21 +119,37 @@ module Tracker : sig
   val key : t -> string
   (** The folded key {!Profiler} charges now: ["boot"], ["idle"], or
       [thread;frame;...;leaf] outermost first, [thread;kernel] for an
-      empty stack.  The last frame is always {!leaf}. *)
+      empty stack.  The last frame is always {!leaf}.  Built when first
+      asked for after the stack moved. *)
 
   val thread_name : t -> int -> string option
   (** The first name dispatched for a thread id. *)
 
+  val intern : t -> string -> int
+  (** A label's id, stable until a {!snapshot} taken before it was
+      first seen is restored; equal strings share one id. *)
+
+  val label : t -> int -> string
+  (** The label an id stands for. *)
+
   val chain : t -> int -> call list
   (** A thread's call frames, innermost first (switcher frames
-      omitted). *)
+      omitted), built on each call. *)
 
-  val innermost : t -> int -> call option
-  (** The head of {!chain}, without building the list. *)
+  val innermost_cycle : t -> int -> int
+  (** The cycle a thread's innermost call entered at; [min_int] when
+      the thread is in no call. *)
 
-  val context : t -> string
-  (** The compartment the current thread runs in: the innermost callee,
-      else the thread's name; ["kernel"] outside any thread. *)
+  val context : t -> int
+  (** The label of the compartment the current thread runs in: the
+      innermost callee, else the thread's name; ["kernel"] outside any
+      thread. *)
+
+  val owner : t -> except:int -> int
+  (** The label a heap event on the current thread is charged to: the
+      innermost callee other than label [except], else the outermost
+      call's caller, else the thread's name; ["kernel"] outside any
+      thread. *)
 
   val totals : t -> total_cycles:int -> (string * int) list
   (** Per-leaf cycle totals with the tail since the last event charged

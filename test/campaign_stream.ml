@@ -23,8 +23,8 @@ let () =
       (fun d ->
         List.iter
           (fun (r, v) -> Printf.bprintf b "reg %s %s\n" r v)
-          d.Forensics.d_regs;
-        List.iter (Printf.bprintf b "recent %s\n") d.Forensics.d_recent;
+          (Forensics.regs d);
+        List.iter (Printf.bprintf b "recent %s\n") (Forensics.recent_lines d);
         Printf.bprintf b "brief %s\n" (Forensics.dump_brief d))
       o.Fault_campaign.oc_dumps;
     Printf.printf "seed %3d events %6d dumps %2d md5 %s\n" seed

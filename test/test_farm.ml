@@ -90,10 +90,15 @@ let test_empty_and_clamp () =
     "jobs clamped to 1" [| 9 |]
     (Farm.run ~jobs:(-3) [| (fun () -> 9) |])
 
-(* The ISSUE-5 acceptance property, at test scale: a farmed campaign is
-   outcome-for-outcome identical to the sequential one.  Outcomes are
-   plain data (ints, strings, lists, dump records), so structural
-   equality covers everything — cycles, fault traces, crash dumps. *)
+(* Outcomes are plain data (ints, strings, lists, dump records) but for
+   each dump's register renderer, so an outcome compares structurally
+   with its dumps replaced by their JSON rendering, which carries every
+   dump field: cycles, fault traces and crash dumps are all covered. *)
+let comparable o =
+  ({ o with Fault_campaign.oc_dumps = [] }, List.map Forensics.dump_json o.Fault_campaign.oc_dumps)
+
+(* At test scale, a farmed campaign is
+   outcome-for-outcome identical to the sequential one. *)
 let test_campaign_parallel_equals_sequential () =
   let run jobs = Fault_campaign.run ~jobs ~base_seed:5000 ~n:6 () in
   let bad_seq, out_seq = run 1 in
@@ -106,7 +111,7 @@ let test_campaign_parallel_equals_sequential () =
       Alcotest.(check int) "seed order" a.Fault_campaign.oc_seed b.Fault_campaign.oc_seed;
       Alcotest.(check bool)
         (Printf.sprintf "outcome for seed %d identical" a.Fault_campaign.oc_seed)
-        true (a = b))
+        true (comparable a = comparable b))
     out_seq out_par
 
 (* A campaign forks every scenario from its chunk's post-boot snapshot
@@ -134,7 +139,7 @@ let test_campaign_forked_equals_fresh () =
           Alcotest.(check bool)
             (Printf.sprintf "forked outcome for seed %d identical (jobs=%d)"
                a.Fault_campaign.oc_seed jobs)
-            true (a = b))
+            true (comparable a = comparable b))
         fresh forked)
     [ 1; 2; 4 ]
 

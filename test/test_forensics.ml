@@ -192,6 +192,101 @@ let test_ingest_quarantine_residency () =
   Alcotest.(check (option int)) "heap live back to zero" (Some 0)
     Json.(to_int_opt (member "heap_live_bytes" b))
 
+(* Heap accounting against a model: random allocate / free /
+   quarantine / release streams over a pool of 64 chunk bases (so the
+   recorder's tables grow, collide and shift entries back on removal),
+   from three threads whose owners differ (a callee, another callee, a
+   thread name).  The model keeps its tables in [Hashtbl]s.             *)
+
+let prop_heap_accounting_model =
+  let gen =
+    QCheck.Gen.(list_size (int_range 1 400) (quad (int_bound 3) (int_bound 63) (int_range 1 512) (int_bound 2)))
+  in
+  QCheck.Test.make ~name:"heap accounting == a hashtable model" ~count:200
+    (QCheck.make ~print:(fun l -> string_of_int (List.length l) ^ " ops") gen)
+    (fun ops ->
+      let t = Forensics.create () in
+      let cycle = ref 0 in
+      let emit kind =
+        cycle := !cycle + 7;
+        Forensics.ingest t ~cycle:!cycle kind
+      in
+      (* tid 0 runs inside a call to "a", tid 1 inside "b", tid 2 in no
+         call, so its allocations belong to its name. *)
+      List.iter
+        (fun (tid, name, callee) ->
+          emit (Obs.Thread_dispatch { tid; name });
+          Option.iter
+            (fun callee -> emit (Obs.Call_enter { caller = "app"; callee; entry = "e"; tid }))
+            callee)
+        [ (0, "t0", Some "a"); (1, "t1", Some "b"); (2, "t2", None) ];
+      let owner_of_tid = [| "a"; "b"; "t2" |] in
+      let live = Hashtbl.create 16 and freed = Hashtbl.create 16 and quar = Hashtbl.create 16 in
+      let row = Hashtbl.create 8 in
+      let row_of o =
+        match Hashtbl.find_opt row o with
+        | Some r -> r
+        | None ->
+            let r = (ref 0, ref 0, Forensics.hist_create ()) in
+            Hashtbl.add row o r;
+            r
+      in
+      let residency = Forensics.hist_create () in
+      List.iter
+        (fun (op, k, size, tid) ->
+          let base = 0x2000_0000 + (16 * k) in
+          match op with
+          | 0 ->
+              emit (Obs.Thread_dispatch { tid; name = [| "t0"; "t1"; "t2" |].(tid) });
+              let o = owner_of_tid.(tid) in
+              emit (Obs.Alloc { base; size });
+              Hashtbl.replace live base (size, o);
+              let l, h, _ = row_of o in
+              l := !l + size;
+              if !l > !h then h := !l
+          | 1 -> (
+              match Hashtbl.find_opt live base with
+              | Some (size, o) ->
+                  emit (Obs.Free { base; size });
+                  Hashtbl.remove live base;
+                  Hashtbl.replace freed base o;
+                  let l, _, _ = row_of o in
+                  l := !l - size
+              | None -> ())
+          | 2 ->
+              let o =
+                match Hashtbl.find_opt freed base with
+                | Some o ->
+                    Hashtbl.remove freed base;
+                    o
+                | None -> (
+                    match Hashtbl.find_opt live base with Some (_, o) -> o | None -> "kernel")
+              in
+              emit (Obs.Quarantine { base; size });
+              Hashtbl.replace quar base (!cycle, o)
+          | _ -> (
+              match Hashtbl.find_opt quar base with
+              | Some (entered, o) ->
+                  emit (Obs.Release { base; size });
+                  Hashtbl.remove quar base;
+                  let d = !cycle - entered in
+                  Forensics.hist_add residency d;
+                  let _, _, q = row_of o in
+                  Forensics.hist_add q d
+              | None -> ()))
+        ops;
+      let report = Forensics.report_json t ~total_cycles:(!cycle + 1) in
+      let field o f = Json.(to_int_opt (member f (member o (member "compartments" report)))) in
+      Hashtbl.fold
+        (fun o (l, h, q) ok ->
+          ok
+          && field o "heap_live_bytes" = Some !l
+          && field o "heap_high_water" = Some !h
+          && field o "quarantine_p99_cycles" = Some (Forensics.hist_quantile q 0.99))
+        row true
+      && Forensics.hist_count (Forensics.quarantine_residency t) = Forensics.hist_count residency
+      && Forensics.hist_sum (Forensics.quarantine_residency t) = Forensics.hist_sum residency)
+
 (* -------------------------------------------------------------------- *)
 (* A real injected fault on a real kernel: the dump carries the right
    compartment, cause, 16 registers, the caller chain and the reboot
@@ -260,7 +355,7 @@ let test_crash_dump_fields () =
       Alcotest.(check string) "compartment" "svc" d.Forensics.d_comp;
       Alcotest.(check string) "cause" "injected crash" d.Forensics.d_cause;
       Alcotest.(check int) "full register file" 16
-        (List.length d.Forensics.d_regs);
+        (List.length (Forensics.regs d));
       Alcotest.(check bool) "handler ran" true d.Forensics.d_handler_ran;
       Alcotest.(check bool) "micro-rebooted" true d.Forensics.d_rebooted;
       (match d.Forensics.d_chain with
@@ -319,6 +414,61 @@ let test_microreboot_hook () =
   Alcotest.(check int) "another kernel's reboot never reaches the hook" 1
     (List.length !seen)
 
+(* A dump renders on read, from what it took at the fault: a copy of
+   the register file and the ring events it selected.  So rendering it
+   after the registers are clobbered, the ring has wrapped and the
+   machine is restored to a post-boot snapshot gives the bytes a
+   rendering at the fault gave, and so does rendering it from a second
+   domain.                                                              *)
+
+let test_dump_renders_state_at_fault () =
+  let kernel = ref None and snap = ref None and at_fault = ref None in
+  let frn =
+    run_crash
+      ~setup:(fun k ->
+        kernel := Some k;
+        Kernel.set_error_handler k ~comp:"svc" (fun cctx _fi ->
+            (* The handler runs right after the capture: render the
+               dump now, and the live register file independently. *)
+            (match List.rev (Forensics.dumps (Option.get (Machine.forensics (Kernel.machine k)))) with
+            | d :: _ ->
+                let live = Array.map Cap.to_string (Interp.read_regs (Kernel.interp k)) in
+                at_fault := Some (Forensics.regs d, Forensics.recent_lines d, Array.to_list live)
+            | [] -> Alcotest.fail "no dump before the handler ran");
+            Kernel.micro_reboot cctx
+              {
+                Kernel.wake_blocked = (fun () -> ());
+                release_heap = (fun () -> ());
+                reset_state = (fun () -> ());
+              };
+            `Unwind);
+        snap := Some (Machine.snapshot (Kernel.machine k)))
+      ()
+  in
+  let k = Option.get !kernel in
+  let m = Kernel.machine k in
+  let d = match Forensics.dumps frn with [ d ] -> d | _ -> Alcotest.fail "expected one dump" in
+  let regs, recent, live = Option.get !at_fault in
+  let rendering = Alcotest.(pair (list (pair string string)) (list string)) in
+  Alcotest.(check (list string)) "registers at the fault are the live file's" live
+    (List.map snd regs);
+  Alcotest.(check bool) "recent events selected" true (recent <> []);
+  (* Clobber the register file, wrap the recorder's ring with calls
+     into the faulting compartment, then restore the post-boot image. *)
+  for r = 1 to 15 do
+    Interp.set_reg (Kernel.interp k) r (Interp.int_value (0xbad0 + r))
+  done;
+  for i = 1 to 600 do
+    Machine.emit m
+      (if i land 1 = 1 then Obs.Call_enter { caller = "app"; callee = "svc"; entry = "work"; tid = 0 }
+       else Obs.Call_leave { callee = "svc"; tid = 0; faulted = false })
+  done;
+  Machine.restore m (Option.get !snap);
+  let render d = (Forensics.regs d, Forensics.recent_lines d) in
+  Alcotest.(check rendering) "rendered after clobber, wrap and restore" (regs, recent) (render d);
+  let other = Domain.join (Domain.spawn (fun () -> render d)) in
+  Alcotest.(check rendering) "rendered from a second domain" (regs, recent) other
+
 (* -------------------------------------------------------------------- *)
 (* JSON escaping: hostile strings survive the Chrome exporter and the
    crash-dump serializer.                                               *)
@@ -348,7 +498,7 @@ let test_json_escaping_dump () =
   let t = Forensics.create () in
   Forensics.record_fault t ~cycle:42 ~comp:hostile ~thread:0 ~cause:hostile
     ~addr:(-1) ~pc:0 ~instr:hostile
-    ~regs:[ (hostile, hostile) ]
+    ~regs:[| hostile |] ~reg_value:(fun _ -> hostile)
     ~handler_ran:false;
   match Forensics.dumps t with
   | [ d ] -> (
@@ -458,6 +608,7 @@ let suite =
     Qcheck_seed.to_alcotest prop_merge_commutative;
     Qcheck_seed.to_alcotest prop_merge_associative;
     Qcheck_seed.to_alcotest prop_merge_identity;
+    Qcheck_seed.to_alcotest prop_heap_accounting_model;
     Alcotest.test_case "empty histogram" `Quick test_hist_empty;
     Alcotest.test_case "ingest: call latency" `Quick test_ingest_call_latency;
     Alcotest.test_case "ingest: irq-to-dispatch" `Quick test_ingest_irq_latency;
@@ -465,6 +616,8 @@ let suite =
       test_ingest_quarantine_residency;
     Alcotest.test_case "crash dump fields" `Quick test_crash_dump_fields;
     Alcotest.test_case "microreboot hook" `Quick test_microreboot_hook;
+    Alcotest.test_case "dump renders the state at the fault" `Quick
+      test_dump_renders_state_at_fault;
     Alcotest.test_case "JSON escaping: chrome exporter" `Quick
       test_json_escaping_chrome;
     Alcotest.test_case "JSON escaping: crash dump" `Quick
